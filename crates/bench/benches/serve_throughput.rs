@@ -8,18 +8,17 @@
 //!    count. This exercises the full production path: framing, JSON,
 //!    result cache, sealed snapshot.
 //!
-//! 2. **Serialized vs lock-free query core** — the same query workload run
-//!    in-process against (a) the old design, a `Mutex<Warm>` every query
-//!    must lock, and (b) the sealed snapshot read from `&self` with no
-//!    lock at all. The speedup column at 8 threads is the headline number:
-//!    the sealed path scales with cores while the mutex path is stuck at
-//!    one, so it should exceed 4x on any machine with >= 4 cores.
+//! 2. **Lock-free query core** — the same id schedule run in-process
+//!    straight off the sealed snapshot (`&self`, no lock, no sockets, no
+//!    JSON), per thread count. The scaling column is the headline number:
+//!    readers share plain immutable data, so throughput should grow with
+//!    cores until the machine runs out of them.
 
 use std::hint::black_box;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use cla_cfront::{MemoryFs, PpOptions};
@@ -127,9 +126,8 @@ fn socket_qps(session: &Arc<Session>, names: &[String], clients: usize, per_clie
     (clients * per_client) as f64 / secs
 }
 
-/// The in-process core-path comparison: every thread sums points-to sets
-/// for a fixed id schedule, either through a shared `Mutex<Warm>` (the old
-/// one-at-a-time design) or straight off the sealed snapshot.
+/// The in-process core path: every thread sums points-to sets for a fixed
+/// id schedule straight off the sealed snapshot.
 fn core_qps(run: &(dyn Fn(usize) -> u64 + Sync), threads: usize, per_thread: usize) -> f64 {
     let t0 = Instant::now();
     std::thread::scope(|scope| {
@@ -173,8 +171,8 @@ fn main() {
         );
     }
 
-    // The core-path comparison strips away sockets and JSON so the locking
-    // discipline is the only variable.
+    // The core path strips away sockets and JSON: what is left is the
+    // snapshot lookup itself.
     let units: Vec<_> = files
         .iter()
         .map(|f| {
@@ -190,32 +188,23 @@ fn main() {
         .map(ObjId)
         .filter(|&o| !sealed.points_to(o).is_empty())
         .collect();
-    let warm = Mutex::new(Warm::from_database(&db, SolveOptions::default()));
-
-    let serialized = |i: usize| -> u64 {
-        let id = ids[i % ids.len()];
-        warm.lock()
-            .unwrap()
-            .points_to(id)
-            .iter()
-            .map(|o| u64::from(o.0))
-            .sum()
-    };
     let lock_free = |i: usize| -> u64 {
         let id = ids[i % ids.len()];
         sealed.points_to(id).iter().map(|o| u64::from(o.0)).sum()
     };
 
-    println!("\nquery core: Mutex<Warm> (old) vs sealed snapshot (new):");
+    println!("\nquery core: sealed snapshot, no locks:");
     let per_thread = 400_000;
+    let mut base = 0.0;
     for threads in [1usize, 2, 4, 8] {
-        let old = core_qps(&serialized, threads, per_thread);
-        let new = core_qps(&lock_free, threads, per_thread);
+        let qps = core_qps(&lock_free, threads, per_thread);
+        if threads == 1 {
+            base = qps;
+        }
         println!(
-            "  {threads} thread(s): mutex {:>11} q/s   sealed {:>12} q/s   speedup {:>6.2}x",
-            cla_bench::fmt_count(old as u64),
-            cla_bench::fmt_count(new as u64),
-            new / old
+            "  {threads} thread(s): {:>12} q/s   ({:.2}x vs 1 thread)",
+            cla_bench::fmt_count(qps as u64),
+            qps / base
         );
     }
 }

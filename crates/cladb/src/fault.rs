@@ -17,6 +17,12 @@
 //!
 //! Everything is seeded ([`SplitMix64`]) so a failing mutant reproduces from
 //! the report alone. `cla-tool db-fuzz` drives this over `examples/c/`.
+//!
+//! The mutators know nothing about what the bytes mean: they take the
+//! format's header identity and an `exercise` function that judges one
+//! mutant. This module supplies both for the object format ([`Oracle`],
+//! [`run_object_fuzz`]); `cla-snap` supplies them for `.clasnap` files, which
+//! share the header geometry, and runs the very same battery.
 
 use crate::format::{fnv64, DbError, HEADER_FIXED_SIZE, MAGIC, SECTION_ENTRY_SIZE, VERSION};
 use crate::reader::Database;
@@ -81,8 +87,7 @@ impl FuzzReport {
         self.wrong.is_empty() && self.panics.is_empty()
     }
 
-    /// Folds one mutant's verdict into the tally. Public so other format
-    /// fuzzers (the snapshot harness in `cla-snap`) can reuse the report.
+    /// Folds one mutant's verdict into the tally.
     pub fn record(&mut self, verdict: Verdict, describe: impl FnOnce() -> String) {
         self.exercised += 1;
         match verdict {
@@ -138,33 +143,35 @@ impl Oracle {
             unit: db.to_unit()?,
         })
     }
+
+    /// Opens and fully decodes a mutant, comparing against the pristine
+    /// contents.
+    pub fn exercise(&self, bytes: Vec<u8>) -> Verdict {
+        judge(|| -> Result<bool, DbError> {
+            let db = Database::open(bytes)?;
+            // Touch every read path: statics, every demand-loaded block, the
+            // full re-decode.
+            db.static_assigns()?;
+            for ix in 0..db.objects().len() {
+                db.block(ObjId(ix as u32))?;
+            }
+            let unit = db.to_unit()?;
+            Ok(unit.objects == self.unit.objects
+                && unit.assigns == self.unit.assigns
+                && unit.funsigs == self.unit.funsigs
+                && unit.files == self.unit.files)
+        })
+    }
 }
 
-/// Opens and fully decodes a mutant, comparing against the oracle.
-/// Panics are caught and reported; the panic hook is suppressed for the
-/// duration of the run by [`run_fuzz`] so expected catches stay silent.
-fn exercise(bytes: Vec<u8>, oracle: &Oracle) -> Verdict {
-    let result = catch_unwind(AssertUnwindSafe(|| -> Result<Verdict, DbError> {
-        let db = Database::open(bytes)?;
-        // Touch every read path: statics, every demand-loaded block, the
-        // full re-decode.
-        db.static_assigns()?;
-        for ix in 0..db.objects().len() {
-            db.block(ObjId(ix as u32))?;
-        }
-        let unit = db.to_unit()?;
-        let same = unit.objects == oracle.unit.objects
-            && unit.assigns == oracle.unit.assigns
-            && unit.funsigs == oracle.unit.funsigs
-            && unit.files == oracle.unit.files;
-        Ok(if same {
-            Verdict::Identical
-        } else {
-            Verdict::WrongData
-        })
-    }));
-    match result {
-        Ok(Ok(v)) => v,
+/// Runs one mutant's full decode and turns the outcome into a [`Verdict`]:
+/// `decode` says whether what it read equals the pristine data. Panics are
+/// caught and reported; [`with_quiet_panics`] keeps the expected catches
+/// silent.
+pub fn judge<E>(decode: impl FnOnce() -> Result<bool, E>) -> Verdict {
+    match catch_unwind(AssertUnwindSafe(decode)) {
+        Ok(Ok(true)) => Verdict::Identical,
+        Ok(Ok(false)) => Verdict::WrongData,
         Ok(Err(_)) => Verdict::Rejected,
         Err(_) => Verdict::Panicked,
     }
@@ -181,9 +188,13 @@ pub fn with_quiet_panics<T>(f: impl FnOnce() -> T) -> T {
 }
 
 /// Truncates the file at every byte offset and exercises each prefix.
-pub fn truncation_sweep(pristine: &[u8], oracle: &Oracle, report: &mut FuzzReport) {
+pub fn truncation_sweep(
+    pristine: &[u8],
+    exercise: impl Fn(Vec<u8>) -> Verdict,
+    report: &mut FuzzReport,
+) {
     for cut in 0..pristine.len() {
-        let verdict = exercise(pristine[..cut].to_vec(), oracle);
+        let verdict = exercise(pristine[..cut].to_vec());
         report.record(verdict, || format!("truncate at {cut}"));
     }
 }
@@ -191,7 +202,7 @@ pub fn truncation_sweep(pristine: &[u8], oracle: &Oracle, report: &mut FuzzRepor
 /// Flips 1–4 seeded random bits per iteration and exercises the mutant.
 pub fn bit_flip_round(
     pristine: &[u8],
-    oracle: &Oracle,
+    exercise: impl Fn(Vec<u8>) -> Verdict,
     seed: u64,
     iters: u64,
     report: &mut FuzzReport,
@@ -207,34 +218,35 @@ pub fn bit_flip_round(
             bytes[pos] ^= 1 << bit;
             flips.push((pos, bit));
         }
-        let verdict = exercise(bytes, oracle);
+        let verdict = exercise(bytes);
         report.record(verdict, || {
             format!("bit flip iter {it} (seed {seed}): flips {flips:?}")
         });
     }
 }
 
-/// Swaps two random section-table entries. On odd iterations the header
-/// checksum is recomputed so the swap is only catchable by the id-tagged
-/// per-section checksums; on even iterations the stale header checksum
-/// must reject it first.
+/// Swaps two random section-table entries of a file whose header carries
+/// `magic` and `version`. On odd iterations the header checksum is
+/// recomputed so the swap is only catchable by the id-tagged per-section
+/// checksums; on even iterations the stale header checksum must reject it
+/// first.
 pub fn section_shuffle_round(
     pristine: &[u8],
-    oracle: &Oracle,
+    (magic, version): (u32, u32),
+    exercise: impl Fn(Vec<u8>) -> Verdict,
     seed: u64,
     iters: u64,
     report: &mut FuzzReport,
 ) {
-    // Parse just enough of the v2 header to find the table.
+    // Parse just enough of the header to find the table.
     if pristine.len() < HEADER_FIXED_SIZE {
         return;
     }
-    let magic = u32::from_le_bytes(pristine[0..4].try_into().unwrap());
-    let version = u32::from_le_bytes(pristine[4..8].try_into().unwrap());
-    if magic != MAGIC || version != VERSION {
+    let word = |at: usize| u32::from_le_bytes(pristine[at..at + 4].try_into().unwrap());
+    if (word(0), word(4)) != (magic, version) {
         return;
     }
-    let nsections = u32::from_le_bytes(pristine[16..20].try_into().unwrap()) as usize;
+    let nsections = word(16) as usize;
     let table_end = HEADER_FIXED_SIZE + nsections * SECTION_ENTRY_SIZE;
     if nsections < 2 || pristine.len() < table_end {
         return;
@@ -261,7 +273,7 @@ pub fn section_shuffle_round(
             let sum = fnv64(&bytes[16..table_end]);
             bytes[8..16].copy_from_slice(&sum.to_le_bytes());
         }
-        let verdict = exercise(bytes, oracle);
+        let verdict = exercise(bytes);
         report.record(verdict, || {
             format!(
                 "section shuffle iter {it} (seed {seed}): swapped entries {a}<->{b}, \
@@ -272,21 +284,46 @@ pub fn section_shuffle_round(
     }
 }
 
-/// Runs the full deterministic fuzz battery over one pristine object file:
-/// a truncation sweep at every byte offset, `iters` seeded bit-flip mutants,
-/// and `min(iters, 200)` section-table shuffles.
+/// Runs the full deterministic fuzz battery over one pristine file of the
+/// format identified by `format` (header magic and version): a truncation
+/// sweep at every byte offset, `iters` seeded bit-flip mutants, and
+/// `min(iters, 200)` section-table shuffles, each judged by `exercise`.
+pub fn run_fuzz(
+    pristine: &[u8],
+    format: (u32, u32),
+    exercise: impl Fn(Vec<u8>) -> Verdict,
+    seed: u64,
+    iters: u64,
+) -> FuzzReport {
+    let mut report = FuzzReport::default();
+    with_quiet_panics(|| {
+        truncation_sweep(pristine, &exercise, &mut report);
+        bit_flip_round(pristine, &exercise, seed, iters, &mut report);
+        section_shuffle_round(
+            pristine,
+            format,
+            &exercise,
+            seed,
+            iters.min(200),
+            &mut report,
+        );
+    });
+    report
+}
+
+/// [`run_fuzz`] over one pristine object file.
 ///
 /// Returns `Err` if the pristine input itself does not decode (the harness
 /// needs a valid oracle before it can judge mutants).
-pub fn run_fuzz(pristine: &[u8], seed: u64, iters: u64) -> Result<FuzzReport, DbError> {
+pub fn run_object_fuzz(pristine: &[u8], seed: u64, iters: u64) -> Result<FuzzReport, DbError> {
     let oracle = Oracle::new(pristine)?;
-    let mut report = FuzzReport::default();
-    with_quiet_panics(|| {
-        truncation_sweep(pristine, &oracle, &mut report);
-        bit_flip_round(pristine, &oracle, seed, iters, &mut report);
-        section_shuffle_round(pristine, &oracle, seed, iters.min(200), &mut report);
-    });
-    Ok(report)
+    Ok(run_fuzz(
+        pristine,
+        (MAGIC, VERSION),
+        |bytes| oracle.exercise(bytes),
+        seed,
+        iters,
+    ))
 }
 
 #[cfg(test)]
@@ -326,7 +363,7 @@ mod tests {
     #[test]
     fn fuzz_battery_finds_no_holes_in_sample() {
         let bytes = sample_object();
-        let report = run_fuzz(&bytes, 1, 150).unwrap();
+        let report = run_object_fuzz(&bytes, 1, 150).unwrap();
         assert!(report.ok(), "fuzz found holes:\n{report}");
         // The battery really ran: full sweep + flips + shuffles.
         assert!(report.exercised as usize >= bytes.len() + 150);
@@ -336,7 +373,7 @@ mod tests {
 
     #[test]
     fn fuzz_requires_a_valid_oracle() {
-        assert!(run_fuzz(b"garbage", 1, 10).is_err());
+        assert!(run_object_fuzz(b"garbage", 1, 10).is_err());
     }
 
     #[test]

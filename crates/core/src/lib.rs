@@ -8,6 +8,12 @@
 //! executable encoding of the paper's deduction rules used as a test oracle
 //! ([`deductive::solve_oracle`]).
 //!
+//! The solved relation has one representation, the shared [`LvalSet`]: the
+//! solver ([`Warm`]) materializes each distinct set once, and the batch
+//! result ([`PointsTo`]) and the query surface ([`SealedGraph`], what a
+//! server keeps resident and a `.clasnap` stores) hold clones of the same
+//! `Arc`s. `Warm` itself answers no queries — seal it or extract from it.
+//!
 //! ```
 //! use cla_ir::{compile_source, LowerOptions};
 //! use cla_core::{solve_unit, SolveOptions};
@@ -34,7 +40,7 @@ pub mod steensgaard;
 pub mod worklist;
 
 pub use pretransitive::{solve_database, solve_unit, SealedGraph, SolveOptions, SolveStats, Warm};
-pub use solution::{PointsTo, PointsToQuery};
+pub use solution::{sets_intersect, LvalSet, PointsTo, PointsToQuery};
 
 #[cfg(test)]
 mod tests {

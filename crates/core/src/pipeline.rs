@@ -6,7 +6,7 @@
 //! database, and demand-driven points-to analysis. Produces the timing and
 //! space measurements the paper's Tables 2 and 3 report.
 
-use crate::pretransitive::{solve_database, SealedGraph, SolveOptions, SolveStats, Warm};
+use crate::pretransitive::{SealedGraph, SolveOptions, SolveStats, Warm};
 use crate::solution::PointsTo;
 use cla_cfront::{CError, FileProvider, PpOptions, Preprocessed};
 use cla_cladb::{fnv64, write_object, Database, DbError, LinkStats, LoadStats, StreamLinker};
@@ -128,6 +128,23 @@ pub struct Quarantined {
     pub reason: QuarantineReason,
 }
 
+impl Quarantined {
+    /// Opens a ledger entry for `file`, bumping the process-wide frontend
+    /// quarantine counters, so the `metrics` exposition covers batch runs
+    /// and lenient serve sessions alike.
+    pub fn note(file: impl Into<String>, reason: QuarantineReason) -> Quarantined {
+        let obs = cla_obs::global();
+        obs.counter("cla_front_quarantined_total").inc();
+        if reason.is_budget() {
+            obs.counter("cla_front_budget_exceeded_total").inc();
+        }
+        Quarantined {
+            file: file.into(),
+            reason,
+        }
+    }
+}
+
 /// Resolves a `jobs` cap (0 = auto) to a concrete thread count.
 #[must_use]
 pub fn effective_jobs(jobs: usize) -> usize {
@@ -186,6 +203,28 @@ pub trait SnapshotHook: Send + Sync {
     /// holds the per-object display names, so a snapshot can answer
     /// by-name queries without the source or the linked database.
     fn save(&self, prov: &Provenance, sealed: &SealedGraph, names: &[String]);
+}
+
+/// The one route from a linked database to its solved graph, shared by
+/// [`analyze_with`] and the serve sessions: a snapshot saved under exactly
+/// `prov` is loaded; otherwise `db` is solved with `prov.solver`, sealed,
+/// and — when a hook is attached — saved under `prov`, so the *next* start
+/// (or a crashed-and-restarted server) comes back warm. Returns the graph
+/// and whether it was loaded instead of solved.
+pub fn load_or_solve(
+    db: &Database,
+    snapshots: Option<&dyn SnapshotHook>,
+    prov: &Provenance,
+) -> (SealedGraph, bool) {
+    if let Some(sealed) = snapshots.and_then(|hook| hook.load(prov)) {
+        return (sealed, true);
+    }
+    let sealed = Warm::from_database(db, prov.solver).seal();
+    if let Some(hook) = snapshots {
+        let names: Vec<String> = db.objects().iter().map(|o| o.name.clone()).collect();
+        hook.save(prov, &sealed, &names);
+    }
+    (sealed, false)
 }
 
 /// Optional persistence hooks for [`analyze_with`]. The default (no hooks)
@@ -390,17 +429,8 @@ pub fn analyze_with(
     } = streamed;
     let quarantined: Vec<Quarantined> = quarantined_ix
         .into_iter()
-        .map(|(i, reason)| Quarantined {
-            file: files[i].to_string(),
-            reason,
-        })
+        .map(|(i, reason)| Quarantined::note(files[i], reason))
         .collect();
-    for q in &quarantined {
-        obs.counter("cla_front_quarantined_total").inc();
-        if q.reason.is_budget() {
-            obs.counter("cla_front_budget_exceeded_total").inc();
-        }
-    }
     let partial = !quarantined.is_empty();
     let slowest_files = {
         let mut ranked: Vec<(String, Duration)> = files
@@ -440,32 +470,19 @@ pub fn analyze_with(
     let link_time = sp.finish();
 
     let sp = obs.span("pipeline", "pipeline.solve");
-    let mut snapshot_loaded = false;
     // Partial runs bypass the snapshot store in both directions: a
     // quarantined file keys as 0 in the provenance, so persisting (or
     // serving) a partial graph under it would alias distinct hostile
     // inputs to one snapshot.
     let snapshot_hook = if partial { None } else { hooks.snapshots };
-    let (points_to, solve_stats) = match snapshot_hook {
-        None => solve_database(&db, opts.solver),
-        Some(hook) => {
-            let prov = Provenance {
-                inputs,
-                options_fp,
-                solver: opts.solver,
-            };
-            if let Some(sealed) = hook.load(&prov) {
-                snapshot_loaded = true;
-                (sealed.extract_points_to(db.objects()), sealed.stats())
-            } else {
-                let sealed = Warm::from_database(&db, opts.solver).seal();
-                let pts = sealed.extract_points_to(db.objects());
-                let names: Vec<String> = db.objects().iter().map(|o| o.name.clone()).collect();
-                hook.save(&prov, &sealed, &names);
-                (pts, sealed.stats())
-            }
-        }
+    let prov = Provenance {
+        inputs,
+        options_fp,
+        solver: opts.solver,
     };
+    let (sealed, snapshot_loaded) = load_or_solve(&db, snapshot_hook, &prov);
+    let points_to = sealed.extract_points_to(db.objects());
+    let solve_stats = sealed.stats();
     let solve_time = sp.finish();
 
     let report = Report {

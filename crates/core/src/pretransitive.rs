@@ -27,13 +27,14 @@
 //! strategy); only complex assignments stay in core.
 //!
 //! The solved graph outlives the solve: [`Warm`] detaches the fixpointed
-//! [`GraphState`] from the database borrow so a resident server can answer
-//! `getLvals` queries repeatedly. At fixpoint no query can load new blocks
-//! or add edges, so the per-pass reachability cache — queried at one frozen
-//! epoch — becomes a perfect cross-query cache, and Tarjan keeps collapsing
-//! any cycles the extraction pass never walked.
+//! [`GraphState`] from the database borrow. At fixpoint no `getLvals` call
+//! can load new blocks or add edges, so the per-pass reachability cache —
+//! read at one frozen epoch — is exact, and one sweep over every object
+//! writes the relation out as shared [`LvalSet`]s: into a [`PointsTo`] for
+//! batch use, or into a [`SealedGraph`], the immutable form that servers
+//! keep resident and snapshots persist.
 
-use crate::solution::{PointsTo, PointsToQuery};
+use crate::solution::{sets_intersect, LvalSet, PointsTo, PointsToQuery};
 use cla_cladb::Database;
 use cla_ir::{AssignKind, CompiledUnit, FunSig, ObjId, ObjectInfo, PrimAssign};
 use std::collections::HashMap;
@@ -188,10 +189,9 @@ pub fn solve_database(db: &Database, opts: SolveOptions) -> (PointsTo, SolveStat
 ///
 /// Produced by [`Warm::from_database`] (or [`Warm::from_unit`]); owns no
 /// reference to the database it was solved from, so it can outlive it and
-/// move across threads. Query methods take `&mut self` because `getLvals`
-/// keeps improving the graph as it answers (path compression, Tarjan cycle
-/// collapse, reachability caching at a frozen epoch) — wrap in a `Mutex`
-/// to share between server workers.
+/// move across threads. It is the solver's half-way state, not a query
+/// surface: turn it into the relation with [`Warm::extract_points_to`] or
+/// into the resident, lock-free form with [`Warm::seal`].
 pub struct Warm {
     g: GraphState,
     n_objects: usize,
@@ -248,65 +248,56 @@ impl Warm {
     fn finish(mut g: GraphState, n_objects: usize) -> Warm {
         // One epoch bump after the last pass: everything cached from here on
         // is computed at fixpoint and stays valid for the lifetime of the
-        // warm graph, so repeated queries for the same variable are cache
-        // hits (visible as `SolveStats::cache_hits`).
+        // warm graph, so the materializing sweep reads every set it has
+        // already computed from the cache (visible as
+        // `SolveStats::cache_hits`).
         g.epoch += 1;
         Warm { g, n_objects }
     }
 
-    /// The points-to set of `o`, as sorted object ids.
-    pub fn points_to(&mut self, o: ObjId) -> Vec<ObjId> {
-        self.points_to_raw(o).iter().map(|&v| ObjId(v)).collect()
-    }
-
-    /// Whether `*a` and `*b` can name the same object: the points-to sets
-    /// of `a` and `b` intersect.
-    pub fn may_alias(&mut self, a: ObjId, b: ObjId) -> bool {
-        let sa = self.points_to_raw(a);
-        let sb = self.points_to_raw(b);
-        // Both sets are sorted; intersect by merge.
-        let (mut i, mut j) = (0, 0);
-        while i < sa.len() && j < sb.len() {
-            match sa[i].cmp(&sb[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => return true,
-            }
-        }
-        false
-    }
-
-    fn points_to_raw(&mut self, o: ObjId) -> Arc<Vec<u32>> {
-        if (o.0 as usize) >= self.n_objects {
-            return Arc::clone(&self.g.empty);
-        }
-        let r = self.g.find(o.0);
-        if !self.g.active[r as usize] {
-            return Arc::clone(&self.g.empty);
-        }
-        self.g.get_lvals(r)
-    }
-
-    /// Materializes the complete solution (every object's set). Cheap after
-    /// cycle elimination — paper §5 — and each set computed here also lands
-    /// in the query cache.
-    pub fn extract_points_to(&mut self, objects: &[ObjectInfo]) -> PointsTo {
-        let mut pts: Vec<Vec<ObjId>> = Vec::with_capacity(self.n_objects);
+    /// The one sweep that turns solver-internal `u32` sets into
+    /// [`LvalSet`]s: every object's `getLvals` result, indexed by object id.
+    /// Cheap after cycle elimination (paper §5: "it is typically much
+    /// cheaper to compute all lvals for all nodes when the algorithm
+    /// terminates"), and it honours the configured options, which is the
+    /// cost the §5 ablation measures.
+    ///
+    /// Each distinct solver allocation is converted once, so members of a
+    /// collapsed SCC and hash-consed duplicates come out as one shared
+    /// `LvalSet`. The map is keyed by allocation address and therefore
+    /// keeps every source `Arc` alive next to its conversion: without
+    /// caching the solver drops each result as soon as the next is
+    /// computed, the allocator reuses the address, and a bare address key
+    /// would hand one variable another variable's set.
+    fn lval_sets(&mut self) -> Vec<LvalSet> {
+        let empty: LvalSet = Arc::new(Vec::new());
+        let mut converted: HashMap<*const Vec<u32>, (Arc<Vec<u32>>, LvalSet)> = HashMap::new();
+        let mut sets = Vec::with_capacity(self.n_objects);
         for o in 0..self.n_objects as u32 {
             let r = self.g.find(o);
-            if !self.g.active[r as usize] {
-                pts.push(Vec::new());
-                continue;
-            }
-            // Extraction honours the configured options: the paper ties
-            // cheap compute-all-lvals directly to cycle elimination ("it is
-            // typically much cheaper to compute all lvals for all nodes when
-            // the algorithm terminates"), and the §5 ablation measures
-            // exactly this cost.
-            let lv = self.g.get_lvals(r);
-            pts.push(lv.iter().map(|&v| ObjId(v)).collect());
+            let raw = if self.g.active[r as usize] {
+                self.g.get_lvals(r)
+            } else {
+                Arc::clone(&self.g.empty)
+            };
+            let set = if raw.is_empty() {
+                &empty
+            } else {
+                let entry = converted.entry(Arc::as_ptr(&raw)).or_insert_with(|| {
+                    let set = Arc::new(raw.iter().map(|&v| ObjId(v)).collect());
+                    (raw, set)
+                });
+                &entry.1
+            };
+            sets.push(Arc::clone(set));
         }
-        PointsTo::new(pts, objects)
+        sets
+    }
+
+    /// Materializes the complete solution (every object's set); objects
+    /// with one solver set share one [`LvalSet`].
+    pub fn extract_points_to(&mut self, objects: &[ObjectInfo]) -> PointsTo {
+        PointsTo::from_shared(self.lval_sets(), objects)
     }
 
     /// Current counters, including live in-core/size figures.
@@ -325,55 +316,38 @@ impl Warm {
 
     /// Freezes the solved graph into an immutable, `Sync` snapshot.
     ///
-    /// Every object's `getLvals` result is materialized eagerly (cheap after
-    /// cycle elimination, exactly like [`Warm::extract_points_to`]) and skip
-    /// pointers are flattened away: objects that were unified into one
-    /// strongly connected component share a single `Arc`'d set, as do
-    /// distinct representatives whose sets hash-cons to the same value.
-    /// The result answers queries on `&self` with no interior mutability at
-    /// all, so any number of threads can read it concurrently without locks.
+    /// Every object's set is materialized eagerly by the same sweep as
+    /// [`Warm::extract_points_to`] and skip pointers are flattened away:
+    /// objects that were unified into one strongly connected component share
+    /// a single [`LvalSet`], as do distinct representatives whose sets
+    /// hash-cons to the same value. The result answers queries on `&self`
+    /// with no interior mutability at all, so any number of threads can read
+    /// it concurrently without locks.
     pub fn seal(mut self) -> SealedGraph {
         let mut sp = cla_obs::global().span("solve", "solve.seal");
         sp.set("objects", self.n_objects);
-        let empty: Arc<Vec<ObjId>> = Arc::new(Vec::new());
-        // Sets coming out of the warm cache are shared Arcs (SCC members and
-        // hash-consed duplicates); convert each distinct allocation once so
-        // the snapshot preserves that sharing.
-        let mut converted: HashMap<*const Vec<u32>, Arc<Vec<ObjId>>> = HashMap::new();
-        let mut sets: Vec<Arc<Vec<ObjId>>> = Vec::with_capacity(self.n_objects);
-        for o in 0..self.n_objects as u32 {
-            let raw = self.points_to_raw(ObjId(o));
-            let set = converted
-                .entry(Arc::as_ptr(&raw))
-                .or_insert_with(|| {
-                    if raw.is_empty() {
-                        Arc::clone(&empty)
-                    } else {
-                        Arc::new(raw.iter().map(|&v| ObjId(v)).collect())
-                    }
-                })
-                .clone();
-            sets.push(set);
+        let sets = self.lval_sets();
+        SealedGraph {
+            sets,
+            stats: self.stats(),
         }
-        let stats = self.stats();
-        SealedGraph { sets, empty, stats }
     }
 }
 
 /// An immutable snapshot of a solved pre-transitive graph.
 ///
-/// Produced by [`Warm::seal`]. Unlike [`Warm`], whose queries mutate the
-/// graph (path compression, cache fills) and therefore need `&mut self` or a
-/// mutex, a sealed graph is plain shared data: it is `Send + Sync`, all
-/// query methods take `&self`, and readers never contend. This is the form a
-/// server keeps resident — queries run lock-free against the snapshot while
-/// a replacement is solved and sealed off to the side.
+/// Produced by [`Warm::seal`] — the query surface of a solve. [`Warm`]
+/// itself answers nothing: `getLvals` mutates the graph (path compression,
+/// cache fills), so it only solves and materializes. A sealed graph is plain
+/// shared data: it is `Send + Sync`, all query methods take `&self`, and
+/// readers never contend. This is the form a server keeps resident — queries
+/// run lock-free against the snapshot while a replacement is solved and
+/// sealed off to the side.
 #[derive(Debug)]
 pub struct SealedGraph {
     /// Per-object points-to set, indexed by object id; members of one
     /// collapsed SCC share a single allocation.
-    sets: Vec<Arc<Vec<ObjId>>>,
-    empty: Arc<Vec<ObjId>>,
+    sets: Vec<LvalSet>,
     stats: SolveStats,
 }
 
@@ -383,25 +357,21 @@ impl SealedGraph {
     /// callers preserve SCC/hash-cons sharing by cloning one `Arc` for every
     /// object of a shared set, exactly as [`Warm::seal`] produces it — the
     /// `ptr::eq` fast path in [`SealedGraph::may_alias`] depends on it.
-    pub fn from_parts(sets: Vec<Arc<Vec<ObjId>>>, stats: SolveStats) -> SealedGraph {
-        SealedGraph {
-            sets,
-            empty: Arc::new(Vec::new()),
-            stats,
-        }
+    pub fn from_parts(sets: Vec<LvalSet>, stats: SolveStats) -> SealedGraph {
+        SealedGraph { sets, stats }
     }
 
     /// The per-object sets with their sharing structure intact (one `Arc`
     /// clone per object; SCC members alias the same allocation). This is the
     /// serialization view used by the snapshot writer — compare with
     /// [`Arc::as_ptr`] to encode each distinct set once.
-    pub fn sets(&self) -> &[Arc<Vec<ObjId>>] {
+    pub fn sets(&self) -> &[LvalSet] {
         &self.sets
     }
 
     /// The points-to set of `o`, as sorted object ids.
     pub fn points_to(&self, o: ObjId) -> &[ObjId] {
-        self.sets.get(o.index()).map_or(&self.empty[..], |s| s)
+        self.sets.get(o.index()).map_or(&[], |s| s)
     }
 
     /// Whether `*a` and `*b` can name the same object: the points-to sets
@@ -410,24 +380,13 @@ impl SealedGraph {
         let sa = self.points_to(a);
         let sb = self.points_to(b);
         // Unified or hash-consed identical sets short-circuit.
-        if !sa.is_empty() && std::ptr::eq(sa, sb) {
-            return true;
-        }
-        // Both sets are sorted; intersect by merge.
-        let (mut i, mut j) = (0, 0);
-        while i < sa.len() && j < sb.len() {
-            match sa[i].cmp(&sb[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => return true,
-            }
-        }
-        false
+        (!sa.is_empty() && std::ptr::eq(sa, sb)) || sets_intersect(sa, sb)
     }
 
-    /// The complete solution as a [`PointsTo`] (copies the sets).
+    /// The complete solution as a [`PointsTo`] over the same shared sets
+    /// (one `Arc` clone per object, no set copied).
     pub fn extract_points_to(&self, objects: &[ObjectInfo]) -> PointsTo {
-        PointsTo::new(self.sets.iter().map(|s| (**s).clone()).collect(), objects)
+        PointsTo::from_shared(self.sets.clone(), objects)
     }
 
     /// Counters of the solve that produced this snapshot, frozen at seal
@@ -447,7 +406,7 @@ impl SealedGraph {
         use std::mem::size_of;
         let mut seen: std::collections::HashSet<*const Vec<ObjId>> =
             std::collections::HashSet::new();
-        let mut bytes = self.sets.len() * size_of::<Arc<Vec<ObjId>>>();
+        let mut bytes = self.sets.len() * size_of::<LvalSet>();
         for s in &self.sets {
             if seen.insert(Arc::as_ptr(s)) {
                 bytes += s.capacity() * size_of::<ObjId>();
@@ -1237,7 +1196,7 @@ mod tests {
     }
 
     #[test]
-    fn warm_queries_match_batch_and_hit_cache() {
+    fn warm_outlives_database_and_rematerializes_from_cache() {
         let src = "int x, y, z;
                    int *p, *q, *r, **pp;
                    void f(void) { p = &x; q = &y; pp = &p; *pp = &z; r = *pp; }";
@@ -1247,41 +1206,15 @@ mod tests {
         let mut warm = Warm::from_database(&db, SolveOptions::default());
         drop(db); // the warm graph owns no database borrow
 
+        assert_eq!(warm.extract_points_to(&unit.objects), batch);
+        // A second sweep at the frozen epoch is answered from the cache.
         let hits_before = warm.stats().cache_hits;
-        for o in 0..unit.objects.len() as u32 {
-            assert_eq!(
-                warm.points_to(ObjId(o)),
-                batch.points_to(ObjId(o)),
-                "object {} diverged",
-                unit.objects[o as usize].name
-            );
-        }
-        // Query every variable again: at fixpoint these are all cache hits.
-        for o in 0..unit.objects.len() as u32 {
-            let _ = warm.points_to(ObjId(o));
-        }
+        assert_eq!(warm.extract_points_to(&unit.objects), batch);
         let hits_after = warm.stats().cache_hits;
         assert!(
             hits_after > hits_before,
-            "repeat queries missed the warm cache ({hits_before} -> {hits_after})"
+            "second sweep missed the warm cache ({hits_before} -> {hits_after})"
         );
-    }
-
-    #[test]
-    fn warm_alias_and_full_extraction() {
-        let src = "int x, y; int *p, *q, *r;
-                   void f(void) { p = &x; q = &x; r = &y; }";
-        let unit = unit_of(src);
-        let mut warm = Warm::from_unit(&unit, SolveOptions::default());
-        let p = unit.find_object("p").unwrap();
-        let q = unit.find_object("q").unwrap();
-        let r = unit.find_object("r").unwrap();
-        assert!(warm.may_alias(p, q));
-        assert!(!warm.may_alias(p, r));
-        assert!(warm.may_alias(p, p));
-        let full = warm.extract_points_to(&unit.objects);
-        let (batch, _) = solve_unit(&unit, SolveOptions::default());
-        assert_eq!(full, batch);
     }
 
     #[test]
@@ -1323,24 +1256,22 @@ mod tests {
     }
 
     #[test]
-    fn sealed_alias_agrees_with_warm() {
+    fn sealed_alias_agrees_with_batch_intersection() {
         let src = "int x, y; int *p, *q, *r;
                    void f(void) { p = &x; q = &x; r = &y; }";
         let unit = unit_of(src);
-        let mut warm = Warm::from_unit(&unit, SolveOptions::default());
+        let (batch, _) = solve_unit(&unit, SolveOptions::default());
+        let sealed = Warm::from_unit(&unit, SolveOptions::default()).seal();
         let p = unit.find_object("p").unwrap();
         let q = unit.find_object("q").unwrap();
         let r = unit.find_object("r").unwrap();
         let x = unit.find_object("x").unwrap();
-        let expected = [
-            (p, q, warm.may_alias(p, q)),
-            (p, r, warm.may_alias(p, r)),
-            (p, p, warm.may_alias(p, p)),
-            (x, x, warm.may_alias(x, x)),
-        ];
-        let sealed = warm.seal();
-        for (a, b, want) in expected {
-            assert_eq!(sealed.may_alias(a, b), want, "alias({a:?},{b:?})");
+        for (a, b) in [(p, q), (p, r), (p, p), (x, x)] {
+            assert_eq!(
+                sealed.may_alias(a, b),
+                sets_intersect(batch.points_to(a), batch.points_to(b)),
+                "alias({a:?},{b:?})"
+            );
         }
         assert!(sealed.may_alias(p, q));
         assert!(!sealed.may_alias(p, r));
@@ -1374,53 +1305,4 @@ mod tests {
             }
         });
     }
-}
-
-#[cfg(test)]
-mod review_probe {
-    use super::*;
-    use cla_cladb::Database;
-
-    #[test]
-    fn sealed_matches_batch_with_cache_disabled() {
-        // Many distinct pointers with distinct sets, to maximize allocator
-        // address reuse between recomputed lval sets.
-        let mut src = String::from("int a0");
-        for i in 1..40 {
-            src.push_str(&format!(", a{i}"));
-        }
-        src.push(';');
-        for i in 0..40 {
-            src.push_str(&format!(" int *p{i};"));
-        }
-        src.push_str(" void f(void) {");
-        for i in 0..40 {
-            src.push_str(&format!(" p{i} = &a{i};"));
-            if i > 0 {
-                src.push_str(&format!(" p{i} = &a{};", i - 1));
-            }
-        }
-        src.push('}');
-        let unit = crate::pretransitive::tests_helper_unit(&src);
-        let opts = SolveOptions {
-            cache: false,
-            cycle_elim: true,
-        };
-        let db = Database::open(cla_cladb::write_object(&unit)).unwrap();
-        let (batch, _) = solve_database(&db, opts);
-        let sealed = Warm::from_database(&db, opts).seal();
-        for o in 0..unit.objects.len() as u32 {
-            assert_eq!(
-                sealed.points_to(ObjId(o)),
-                batch.points_to(ObjId(o)),
-                "object {} diverged",
-                unit.objects[o as usize].name
-            );
-        }
-    }
-}
-
-#[cfg(test)]
-pub(crate) fn tests_helper_unit(src: &str) -> cla_ir::CompiledUnit {
-    cla_ir::compile_source(src, "t.c", &cla_ir::LowerOptions::default()).expect("parse")
 }

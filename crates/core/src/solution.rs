@@ -1,6 +1,29 @@
 //! Points-to analysis results.
 
 use cla_ir::{ObjId, ObjKind, ObjectInfo};
+use std::sync::Arc;
+
+/// One points-to set: sorted, deduplicated object ids behind a shared
+/// allocation. This is the paper's shared lval set (§5, "many lval sets are
+/// identical") and the only shape the solved relation takes outside the
+/// solver: the pre-transitive solver hands out one `LvalSet` per distinct
+/// set, and [`PointsTo`], [`SealedGraph`](crate::SealedGraph), the
+/// `.clasnap` writer and the query replies all clone the `Arc`, never the
+/// elements.
+pub type LvalSet = Arc<Vec<ObjId>>;
+
+/// Whether two sorted id sets share an element (merge walk).
+pub fn sets_intersect(a: &[ObjId], b: &[ObjId]) -> bool {
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => return true,
+        }
+    }
+    false
+}
 
 /// Anything that can answer "what may `obj` point to?" — implemented by the
 /// materialized [`PointsTo`] solution and by the immutable
@@ -15,8 +38,9 @@ pub trait PointsToQuery {
 /// it may point to.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PointsTo {
-    /// Sorted points-to sets, indexed by object id.
-    pts: Vec<Vec<ObjId>>,
+    /// Sorted points-to sets, indexed by object id; objects with identical
+    /// sets may share one allocation.
+    pts: Vec<LvalSet>,
     /// Which objects count as "program objects" for the paper's metrics
     /// (variables and fields, not analysis-introduced temporaries).
     program: Vec<bool>,
@@ -24,11 +48,24 @@ pub struct PointsTo {
 
 impl PointsTo {
     /// Builds a result from per-object sets (sorted and deduplicated here).
-    pub fn new(mut pts: Vec<Vec<ObjId>>, objects: &[ObjectInfo]) -> Self {
-        for set in &mut pts {
-            set.sort_unstable();
-            set.dedup();
-        }
+    /// This is the entry point of the reference solvers, which share
+    /// nothing; the pre-transitive solver goes through
+    /// [`PointsTo::from_shared`].
+    pub fn new(pts: Vec<Vec<ObjId>>, objects: &[ObjectInfo]) -> Self {
+        let pts = pts
+            .into_iter()
+            .map(|mut set| {
+                set.sort_unstable();
+                set.dedup();
+                Arc::new(set)
+            })
+            .collect();
+        PointsTo::from_shared(pts, objects)
+    }
+
+    /// Builds a result from already sorted, deduplicated shared sets,
+    /// keeping their sharing: no set is copied or re-sorted.
+    pub fn from_shared(pts: Vec<LvalSet>, objects: &[ObjectInfo]) -> Self {
         let program = objects
             .iter()
             .map(|o| matches!(o.kind, ObjKind::Var | ObjKind::Field))
@@ -38,7 +75,7 @@ impl PointsTo {
 
     /// The points-to set of `obj` (sorted).
     pub fn points_to(&self, obj: ObjId) -> &[ObjId] {
-        self.pts.get(obj.index()).map_or(&[], Vec::as_slice)
+        self.pts.get(obj.index()).map_or(&[], |set| set)
     }
 
     /// True when `p` may point to `target`.
@@ -80,7 +117,7 @@ impl PointsTo {
     /// Total relations over *all* objects (including temporaries), used for
     /// cross-solver equivalence checks.
     pub fn total_relations(&self) -> usize {
-        self.pts.iter().map(Vec::len).sum()
+        self.pts.iter().map(|set| set.len()).sum()
     }
 
     /// Iterates `(object, points-to set)` pairs.
@@ -136,6 +173,28 @@ mod tests {
         assert_eq!(p.total_relations(), 4);
         assert_eq!(p.len(), 4);
         assert!(!p.is_empty());
+    }
+
+    #[test]
+    fn shared_sets_stay_shared_and_compare_by_content() {
+        let objects = objs(&[ObjKind::Var, ObjKind::Var, ObjKind::Var]);
+        let set: LvalSet = Arc::new(vec![ObjId(0), ObjId(2)]);
+        let other: LvalSet = Arc::new(vec![ObjId(1)]);
+        let shared = PointsTo::from_shared(vec![Arc::clone(&set), set, other], &objects);
+        let (a, b, c) = (ObjId(0), ObjId(1), ObjId(2));
+        assert!(std::ptr::eq(shared.points_to(a), shared.points_to(b)));
+        let copied = PointsTo::new(
+            vec![
+                vec![ObjId(2), ObjId(0)],
+                vec![ObjId(0), ObjId(2)],
+                vec![ObjId(1)],
+            ],
+            &objects,
+        );
+        assert_eq!(shared, copied);
+        assert!(sets_intersect(shared.points_to(a), copied.points_to(b)));
+        assert!(!sets_intersect(shared.points_to(a), shared.points_to(c)));
+        assert!(!sets_intersect(&[], shared.points_to(a)));
     }
 
     #[test]

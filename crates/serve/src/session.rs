@@ -19,8 +19,11 @@
 use crate::json::{obj, Value};
 use cla_cfront::{CError, FileProvider, PpOptions};
 use cla_cladb::{fnv64, write_object, Database, DbError, LinkSet};
-use cla_core::pipeline::{panic_message, Provenance, QuarantineReason, Quarantined, SnapshotHook};
-use cla_core::{SealedGraph, SolveOptions, SolveStats, Warm};
+use cla_core::pipeline::{
+    effective_jobs, load_or_solve, panic_message, Provenance, QuarantineReason, Quarantined,
+    SnapshotHook,
+};
+use cla_core::{SealedGraph, SolveOptions, SolveStats};
 use cla_depend::{DependOptions, DependenceAnalysis};
 use cla_ir::{compile_file, LowerOptions, ObjId};
 use cla_obs::{nearest_rank, Counter, Gauge, Histogram, LATENCY_BUCKETS_US};
@@ -564,17 +567,6 @@ fn hash_text(text: &str) -> u64 {
     fnv64(text.as_bytes())
 }
 
-/// Bumps the global frontend-quarantine counters (the same ones the
-/// pipeline's `analyze` bumps), so the `metrics` exposition covers both
-/// batch runs and lenient sessions.
-fn note_quarantine(reason: &QuarantineReason) {
-    let obs = cla_obs::global();
-    obs.counter("cla_front_quarantined_total").inc();
-    if reason.is_budget() {
-        obs.counter("cla_front_budget_exceeded_total").inc();
-    }
-}
-
 /// One compiled slot: the source text hash plus the unit, or the reason it
 /// was quarantined instead.
 type CompiledSlot = (u64, Result<cla_ir::CompiledUnit, QuarantineReason>);
@@ -617,12 +609,7 @@ fn compile_pool(
     lenient: bool,
 ) -> Result<Vec<CompiledSlot>, SessionError> {
     let one = |f: &str| compile_one(fs, f, pp, lower, lenient);
-    let jobs = if jobs == 0 {
-        std::thread::available_parallelism().map_or(4, usize::from)
-    } else {
-        jobs
-    }
-    .min(files.len().max(1));
+    let jobs = effective_jobs(jobs).min(files.len().max(1));
     if jobs <= 1 {
         return files.iter().map(|f| one(f)).collect();
     }
@@ -665,18 +652,6 @@ fn open_object_path(path: &Path) -> Result<(Database, u64), SessionError> {
     Ok((db, hash))
 }
 
-fn load(db: Database, opts: SolveOptions) -> Loaded {
-    // Covers the solve (with its per-pass spans) and the seal.
-    let _sp = cla_obs::global().span("serve", "serve.load");
-    let sealed = Arc::new(Warm::from_database(&db, opts).seal());
-    Loaded {
-        db,
-        sealed,
-        results: RwLock::new(HashMap::new()),
-        quarantined: Vec::new(),
-    }
-}
-
 /// Provenance scheme for serve-side snapshots. The sealed graph is a pure
 /// function of the linked object bytes and the solver options, so one
 /// `(tag, object-bytes hash)` input identifies it exactly: any source edit
@@ -703,41 +678,32 @@ fn open_store(dir: Option<&Path>) -> Result<Option<SnapshotStore>, SessionError>
     .transpose()
 }
 
-/// [`load`], short-circuited through a snapshot store when one is attached:
-/// a provenance match skips the solve entirely; a miss solves and then
-/// persists the fresh graph so the *next* start (or a crashed-and-restarted
-/// server) comes back warm. Returns whether the graph came from the store.
-fn load_or_snapshot(
-    db: Database,
-    opts: SolveOptions,
-    store: Option<&SnapshotStore>,
-    prov: &Provenance,
-) -> (Loaded, bool) {
-    let Some(store) = store else {
-        return (load(db, opts), false);
+/// Builds the resident state for `db` through the pipeline's one
+/// load-or-solve route: with a snapshot store attached, a provenance match
+/// skips the solve entirely and a miss persists the fresh graph. Returns
+/// whether the graph came from the store.
+fn load(db: Database, store: Option<&SnapshotStore>, prov: &Provenance) -> (Loaded, bool) {
+    // Covers the solve (with its per-pass spans) and the seal, or the load.
+    let _sp = cla_obs::global().span("serve", "serve.load");
+    let (sealed, from_snap) = load_or_solve(&db, store.map(|s| s as &dyn SnapshotHook), prov);
+    let loaded = Loaded {
+        db,
+        sealed: Arc::new(sealed),
+        results: RwLock::new(HashMap::new()),
+        quarantined: Vec::new(),
     };
-    if let Some(sealed) = store.load(prov) {
-        return (
-            Loaded {
-                db,
-                sealed: Arc::new(sealed),
-                results: RwLock::new(HashMap::new()),
-                quarantined: Vec::new(),
-            },
-            true,
-        );
-    }
-    let loaded = load(db, opts);
-    let names: Vec<String> = loaded.db.objects().iter().map(|o| o.name.clone()).collect();
-    store.save(prov, &loaded.sealed, &names);
-    (loaded, false)
+    (loaded, from_snap)
 }
 
 impl Session {
     /// Opens a session over an already linked program database.
     /// [`Session::reload`] is unavailable (there are no sources to watch).
     pub fn from_database(db: Database, opts: SolveOptions) -> Session {
-        Session::build(load(db, opts), opts)
+        let prov = Provenance {
+            solver: opts,
+            ..Provenance::default()
+        };
+        Session::build(load(db, None, &prov).0, opts)
     }
 
     /// Assembles a session around an already loaded state (solved or
@@ -872,11 +838,7 @@ impl Session {
                     units.upsert(*f, unit);
                 }
                 Err(reason) => {
-                    note_quarantine(&reason);
-                    ledger.push(Quarantined {
-                        file: f.to_string(),
-                        reason,
-                    });
+                    ledger.push(Quarantined::note(*f, reason));
                     units.upsert(*f, cla_ir::CompiledUnit::new(*f));
                 }
             }
@@ -885,7 +847,7 @@ impl Session {
         let bytes = write_object(&program);
         let prov = object_provenance("a.out", fnv64(&bytes), opts);
         let db = Database::open(bytes).map_err(SessionError::Db)?;
-        let (mut loaded, from_snap) = load_or_snapshot(db, opts, store.as_ref(), &prov);
+        let (mut loaded, from_snap) = load(db, store.as_ref(), &prov);
         loaded.quarantined = ledger;
         let mut session = Session::build(loaded, opts);
         session.snap_store = store;
@@ -922,7 +884,7 @@ impl Session {
         let store = open_store(snapshot_dir)?;
         let (db, hash) = open_object_path(path)?;
         let prov = object_provenance(&path.display().to_string(), hash, opts);
-        let (loaded, from_snap) = load_or_snapshot(db, opts, store.as_ref(), &prov);
+        let (loaded, from_snap) = load(db, store.as_ref(), &prov);
         let mut session = Session::build(loaded, opts);
         session.snap_store = store;
         session.snapshot_loaded = AtomicBool::new(from_snap);
@@ -1104,14 +1066,18 @@ impl Session {
         })
     }
 
-    /// All variable names with a non-empty points-to set (for transcript
-    /// tooling and tests).
+    /// All queryable variable names with a non-empty points-to set (for
+    /// transcript tooling and tests). Names the target section does not
+    /// resolve (`fp6$ret`, `fp12$1`: call-site temporaries) are left out,
+    /// so every listed name answers [`Session::points_to`].
     pub fn pointer_variables(&self) -> Vec<String> {
         let st = self.state.read().unwrap();
         let mut names: Vec<String> = (0..st.db.objects().len())
             .map(|i| ObjId(i as u32))
             .filter(|&o| !st.sealed.points_to(o).is_empty())
-            .map(|o| st.db.object(o).name.clone())
+            .map(|o| &st.db.object(o).name)
+            .filter(|name| !st.db.targets(name).is_empty())
+            .cloned()
             .collect();
         names.sort();
         names.dedup();
@@ -1214,14 +1180,10 @@ impl Session {
                             recompiled.push(f.clone());
                         }
                         Err(reason) => {
-                            note_quarantine(&reason);
                             sources
                                 .units
                                 .upsert(f.clone(), cla_ir::CompiledUnit::new(&f));
-                            ledger.push(Quarantined {
-                                file: f.clone(),
-                                reason,
-                            });
+                            ledger.push(Quarantined::note(f.clone(), reason));
                         }
                     }
                     sources.hashes.insert(f, h);
@@ -1247,8 +1209,7 @@ impl Session {
                 let bytes = write_object(&program);
                 let prov = object_provenance(&sources.program, fnv64(&bytes), self.solve_opts);
                 let db = Database::open(bytes).map_err(SessionError::Db)?;
-                let (mut loaded, from_snap) =
-                    load_or_snapshot(db, self.solve_opts, self.snap_store.as_ref(), &prov);
+                let (mut loaded, from_snap) = load(db, self.snap_store.as_ref(), &prov);
                 loaded.quarantined = ledger;
                 (loaded, from_snap, recompiled)
             }
@@ -1267,8 +1228,7 @@ impl Session {
                 *hash = new_hash;
                 let prov =
                     object_provenance(&path.display().to_string(), new_hash, self.solve_opts);
-                let (loaded, from_snap) =
-                    load_or_snapshot(db, self.solve_opts, self.snap_store.as_ref(), &prov);
+                let (loaded, from_snap) = load(db, self.snap_store.as_ref(), &prov);
                 (loaded, from_snap, vec![path.display().to_string()])
             }
         };

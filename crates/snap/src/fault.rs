@@ -1,31 +1,27 @@
 //! Deterministic fault injection for snapshot files.
 //!
-//! Extends the PR 4 object-file harness (`cla_cladb::fault`) to the
-//! `.clasnap` format, reusing its RNG, verdicts, report, and panic
-//! suppression. The invariant is the same: a mutant either fails with a
-//! typed [`crate::SnapError`] or decodes to the pristine snapshot exactly
+//! Points the object-file harness (`cla_cladb::fault`) at the `.clasnap`
+//! format. The invariant is the same: a mutant either fails with a typed
+//! [`crate::SnapError`] or decodes to the pristine snapshot exactly
 //! (provenance, names, per-object sets, stats) — never a panic, never
 //! silently wrong answers. Because the snapshot header shares the object
-//! format's geometry, the sweeps mirror the object harness: truncation at
-//! every byte offset, seeded 1–4-bit flips, and section-table entry swaps
+//! format's geometry, the battery is the object harness's own — truncation
+//! at every byte offset, seeded 1–4-bit flips, and section-table entry swaps
 //! with the header checksum alternately stale and recomputed (the
-//! recomputed case is only catchable by the id-tagged section checksums).
+//! recomputed case is only catchable by the id-tagged section checksums);
+//! this module only supplies the oracle that judges a mutant.
 
-use crate::format::{SnapError, HEADER_FIXED_SIZE, MAGIC, SECTION_ENTRY_SIZE, VERSION};
+use crate::format::{SnapError, MAGIC, VERSION};
 use crate::reader::Snapshot;
-use cla_cladb::fault::{with_quiet_panics, FuzzReport, SplitMix64, Verdict};
-use cla_cladb::fnv64;
+use cla_cladb::fault::{judge, run_fuzz, FuzzReport, Verdict};
 use cla_core::pipeline::Provenance;
-use cla_core::SolveStats;
-use cla_ir::ObjId;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use cla_core::SealedGraph;
 
 /// The pristine snapshot's fully decoded contents — the correctness oracle.
 pub struct SnapOracle {
     prov: Provenance,
     names: Vec<String>,
-    sets: Vec<Vec<ObjId>>,
-    stats: SolveStats,
+    sealed: SealedGraph,
 }
 
 impl SnapOracle {
@@ -40,131 +36,28 @@ impl SnapOracle {
         Ok(SnapOracle {
             prov: snap.provenance().clone(),
             names: snap.names()?,
-            sets: (0..sealed.object_count())
-                .map(|i| sealed.points_to(ObjId(i as u32)).to_vec())
-                .collect(),
-            stats: sealed.stats(),
+            sealed,
+        })
+    }
+
+    /// Opens and fully decodes a mutant, comparing against the pristine
+    /// contents. Touches every read path: provenance, the name tables,
+    /// every per-object set, and the stats record.
+    pub fn exercise(&self, bytes: Vec<u8>) -> Verdict {
+        judge(|| -> Result<bool, SnapError> {
+            let snap = Snapshot::from_bytes(bytes)?;
+            let sealed = snap.load_sealed()?;
+            let names = snap.names()?;
+            Ok(snap.provenance() == &self.prov
+                && names == self.names
+                && sealed.sets() == self.sealed.sets()
+                && sealed.stats() == self.sealed.stats())
         })
     }
 }
 
-/// Opens and fully decodes a mutant, comparing against the oracle. Touches
-/// every read path: provenance, the name tables, every per-object set, and
-/// the stats record.
-fn exercise(bytes: Vec<u8>, oracle: &SnapOracle) -> Verdict {
-    let result = catch_unwind(AssertUnwindSafe(|| -> Result<Verdict, SnapError> {
-        let snap = Snapshot::from_bytes(bytes)?;
-        let sealed = snap.load_sealed()?;
-        let names = snap.names()?;
-        let same = snap.provenance() == &oracle.prov
-            && names == oracle.names
-            && sealed.object_count() == oracle.sets.len()
-            && (0..oracle.sets.len())
-                .all(|i| sealed.points_to(ObjId(i as u32)) == &oracle.sets[i][..])
-            && sealed.stats() == oracle.stats;
-        Ok(if same {
-            Verdict::Identical
-        } else {
-            Verdict::WrongData
-        })
-    }));
-    match result {
-        Ok(Ok(v)) => v,
-        Ok(Err(_)) => Verdict::Rejected,
-        Err(_) => Verdict::Panicked,
-    }
-}
-
-/// Truncates the snapshot at every byte offset and exercises each prefix.
-pub fn truncation_sweep(pristine: &[u8], oracle: &SnapOracle, report: &mut FuzzReport) {
-    for cut in 0..pristine.len() {
-        let verdict = exercise(pristine[..cut].to_vec(), oracle);
-        report.record(verdict, || format!("snap truncate at {cut}"));
-    }
-}
-
-/// Flips 1–4 seeded random bits per iteration and exercises the mutant.
-pub fn bit_flip_round(
-    pristine: &[u8],
-    oracle: &SnapOracle,
-    seed: u64,
-    iters: u64,
-    report: &mut FuzzReport,
-) {
-    let mut rng = SplitMix64(seed);
-    for it in 0..iters {
-        let mut bytes = pristine.to_vec();
-        let nflips = 1 + rng.below(4);
-        let mut flips = Vec::with_capacity(nflips as usize);
-        for _ in 0..nflips {
-            let pos = rng.below(bytes.len() as u64) as usize;
-            let bit = rng.below(8) as u8;
-            bytes[pos] ^= 1 << bit;
-            flips.push((pos, bit));
-        }
-        let verdict = exercise(bytes, oracle);
-        report.record(verdict, || {
-            format!("snap bit flip iter {it} (seed {seed}): flips {flips:?}")
-        });
-    }
-}
-
-/// Swaps two random section-table entries' payloads (keeping the ids in
-/// place). On odd iterations the header checksum is recomputed, so only
-/// the id-tagged per-section checksums can catch the swap; on even
-/// iterations the stale header checksum must reject it first.
-pub fn section_shuffle_round(
-    pristine: &[u8],
-    oracle: &SnapOracle,
-    seed: u64,
-    iters: u64,
-    report: &mut FuzzReport,
-) {
-    if pristine.len() < HEADER_FIXED_SIZE {
-        return;
-    }
-    let magic = u32::from_le_bytes(pristine[0..4].try_into().unwrap());
-    let version = u32::from_le_bytes(pristine[4..8].try_into().unwrap());
-    if magic != MAGIC || version != VERSION {
-        return;
-    }
-    let nsections = u32::from_le_bytes(pristine[16..20].try_into().unwrap()) as usize;
-    let table_end = HEADER_FIXED_SIZE + nsections * SECTION_ENTRY_SIZE;
-    if nsections < 2 || pristine.len() < table_end {
-        return;
-    }
-    let mut rng = SplitMix64(seed ^ 0x5ec7_1045);
-    for it in 0..iters {
-        let a = rng.below(nsections as u64) as usize;
-        let mut b = rng.below(nsections as u64) as usize;
-        if a == b {
-            b = (b + 1) % nsections;
-        }
-        let mut bytes = pristine.to_vec();
-        let ea = HEADER_FIXED_SIZE + a * SECTION_ENTRY_SIZE;
-        let eb = HEADER_FIXED_SIZE + b * SECTION_ENTRY_SIZE;
-        for k in 4..SECTION_ENTRY_SIZE {
-            bytes.swap(ea + k, eb + k);
-        }
-        let fixed = it % 2 == 1;
-        if fixed {
-            let sum = fnv64(&bytes[16..table_end]);
-            bytes[8..16].copy_from_slice(&sum.to_le_bytes());
-        }
-        let verdict = exercise(bytes, oracle);
-        report.record(verdict, || {
-            format!(
-                "snap section shuffle iter {it} (seed {seed}): swapped entries {a}<->{b}, \
-                 header checksum {}",
-                if fixed { "recomputed" } else { "stale" }
-            )
-        });
-    }
-}
-
-/// Runs the full deterministic fuzz battery over one pristine snapshot:
-/// a truncation sweep at every byte offset, `iters` seeded bit-flip
-/// mutants, and `min(iters, 200)` section-table shuffles.
+/// Runs the object format's deterministic fuzz battery
+/// ([`cla_cladb::fault::run_fuzz`]) over one pristine snapshot.
 ///
 /// # Errors
 ///
@@ -172,11 +65,11 @@ pub fn section_shuffle_round(
 /// valid oracle before it can judge mutants).
 pub fn run_snap_fuzz(pristine: &[u8], seed: u64, iters: u64) -> Result<FuzzReport, SnapError> {
     let oracle = SnapOracle::new(pristine)?;
-    let mut report = FuzzReport::default();
-    with_quiet_panics(|| {
-        truncation_sweep(pristine, &oracle, &mut report);
-        bit_flip_round(pristine, &oracle, seed, iters, &mut report);
-        section_shuffle_round(pristine, &oracle, seed, iters.min(200), &mut report);
-    });
-    Ok(report)
+    Ok(run_fuzz(
+        pristine,
+        (MAGIC, VERSION),
+        |bytes| oracle.exercise(bytes),
+        seed,
+        iters,
+    ))
 }

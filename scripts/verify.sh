@@ -17,6 +17,11 @@ cargo build --release
 echo "==> cargo test"
 cargo test -q --release --workspace
 
+echo "==> clabench (the benchmark package builds against the facade; its tests and quick check pass)"
+cargo test -q --offline --manifest-path benchmarks/clabench/Cargo.toml --target-dir target
+cargo run -q --release --offline --manifest-path benchmarks/clabench/Cargo.toml \
+    --target-dir target -- check --quick
+
 echo "==> db-fuzz smoke (deterministic fault injection over the bundled example)"
 ./target/release/cla-tool db-fuzz examples/c/main.c examples/c/store.c \
     -I examples/c --iters 500 --seed 1

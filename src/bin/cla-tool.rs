@@ -1256,7 +1256,7 @@ fn cmd_db_fuzz(args: &[String]) -> Result<(), String> {
         cla::snap::fault::run_snap_fuzz(&bytes, seed, iters)
             .map_err(|e| format!("pristine snapshot does not decode: {e}"))?
     } else {
-        cla_cladb::fault::run_fuzz(&bytes, seed, iters)
+        cla_cladb::fault::run_object_fuzz(&bytes, seed, iters)
             .map_err(|e| format!("pristine input does not decode: {e}"))?
     };
     println!("{report}");

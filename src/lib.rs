@@ -23,7 +23,7 @@
 //!   behind `cla-tool bench-diff`.
 //! * [`serve`] — a long-running query server (in-process [`prelude::Session`]
 //!   or newline-delimited JSON over a Unix socket) that keeps the solved
-//!   graph warm between queries.
+//!   graph resident, sealed and lock-free, between queries.
 //! * [`hub`] — the multi-tenant TCP front end: many named sessions behind
 //!   one server, with an LRU of resident graphs that evicts to `.clasnap`
 //!   snapshots and warm-starts on demand.

@@ -4,8 +4,10 @@
 //! a silently wrong answer.
 
 use cla::cladb::fault::{
-    bit_flip_round, section_shuffle_round, truncation_sweep, with_quiet_panics, FuzzReport, Oracle,
+    bit_flip_round, run_object_fuzz, section_shuffle_round, truncation_sweep, with_quiet_panics,
+    FuzzReport, Oracle,
 };
+use cla::cladb::{MAGIC, VERSION};
 use cla::prelude::*;
 use std::path::Path;
 
@@ -38,7 +40,7 @@ fn truncation_at_every_byte_offset_is_rejected_or_consistent() {
     assert!(bytes.len() > 200, "example object suspiciously small");
     let oracle = Oracle::new(&bytes).expect("pristine example must decode");
     let mut report = FuzzReport::default();
-    with_quiet_panics(|| truncation_sweep(&bytes, &oracle, &mut report));
+    with_quiet_panics(|| truncation_sweep(&bytes, |b| oracle.exercise(b), &mut report));
     assert_eq!(report.exercised as usize, bytes.len(), "one cut per offset");
     assert!(report.ok(), "truncation sweep found holes:\n{report}");
     // Every strict prefix is missing bytes, so none may decode identically;
@@ -51,7 +53,7 @@ fn seeded_bit_flips_never_panic_or_return_wrong_data() {
     let bytes = example_object_bytes();
     let oracle = Oracle::new(&bytes).expect("pristine example must decode");
     let mut report = FuzzReport::default();
-    with_quiet_panics(|| bit_flip_round(&bytes, &oracle, 1, 300, &mut report));
+    with_quiet_panics(|| bit_flip_round(&bytes, |b| oracle.exercise(b), 1, 300, &mut report));
     assert_eq!(report.exercised, 300);
     assert!(report.ok(), "bit-flip round found holes:\n{report}");
     assert!(
@@ -65,7 +67,16 @@ fn section_table_shuffles_are_caught_even_with_a_fixed_header_checksum() {
     let bytes = example_object_bytes();
     let oracle = Oracle::new(&bytes).expect("pristine example must decode");
     let mut report = FuzzReport::default();
-    with_quiet_panics(|| section_shuffle_round(&bytes, &oracle, 7, 100, &mut report));
+    with_quiet_panics(|| {
+        section_shuffle_round(
+            &bytes,
+            (MAGIC, VERSION),
+            |b| oracle.exercise(b),
+            7,
+            100,
+            &mut report,
+        );
+    });
     assert_eq!(report.exercised, 100, "example must have >= 2 sections");
     assert!(report.ok(), "section shuffle found holes:\n{report}");
     // Odd iterations recompute the header checksum, so only the id-tagged
@@ -77,8 +88,8 @@ fn section_table_shuffles_are_caught_even_with_a_fixed_header_checksum() {
 #[test]
 fn fuzz_battery_is_deterministic_across_runs() {
     let bytes = example_object_bytes();
-    let a = cla::cladb::fault::run_fuzz(&bytes, 42, 50).unwrap();
-    let b = cla::cladb::fault::run_fuzz(&bytes, 42, 50).unwrap();
+    let a = run_object_fuzz(&bytes, 42, 50).unwrap();
+    let b = run_object_fuzz(&bytes, 42, 50).unwrap();
     assert!(a.ok() && b.ok(), "a:\n{a}\nb:\n{b}");
     assert_eq!(a.exercised, b.exercised);
     assert_eq!(a.rejected, b.rejected);

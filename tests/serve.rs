@@ -173,6 +173,45 @@ fn socket_answers_match_batch_for_every_variable() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+/// The listing a client picks names from offers only names the query
+/// commands resolve: call-site temporaries such as `fc$1` have non-empty
+/// sets too, but `points-to` rejects them as unknown.
+#[test]
+fn every_listed_pointer_variable_answers_points_to() {
+    let (dir, paths) = write_sources(
+        "listing",
+        &[("a.c", FILE_A), ("b.c", FILE_B), ("c.c", FILE_C)],
+    );
+    let files: Vec<&str> = paths.iter().map(String::as_str).collect();
+    let session = Session::from_files(
+        &OsFs,
+        &files,
+        &PpOptions::default(),
+        &LowerOptions::default(),
+        SolveOptions::default(),
+    )
+    .unwrap();
+    let listed = session.pointer_variables();
+    for name in &listed {
+        let answer = session
+            .points_to(name)
+            .unwrap_or_else(|e| panic!("listed name `{name}` does not answer: {e}"));
+        assert!(
+            !answer.targets.is_empty(),
+            "`{name}` listed with no targets"
+        );
+    }
+    // Nothing queryable is lost: the listing is the batch oracle's names
+    // with a non-empty answer.
+    let expected: Vec<String> = batch_answers(&paths)
+        .into_iter()
+        .filter(|(_, set)| !set.is_empty())
+        .map(|(name, _)| name)
+        .collect();
+    assert_eq!(listed, expected);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
 #[test]
 fn eight_concurrent_clients_get_identical_answers() {
     let (dir, paths) = write_sources("conc", &[("a.c", FILE_A), ("b.c", FILE_B), ("c.c", FILE_C)]);

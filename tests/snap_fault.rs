@@ -4,11 +4,12 @@
 //! `SnapError` or decode to exactly the pristine graph, never a panic and
 //! never a silently different answer.
 
-use cla::cladb::fault::{with_quiet_panics, FuzzReport};
-use cla::prelude::*;
-use cla::snap::fault::{
-    bit_flip_round, run_snap_fuzz, section_shuffle_round, truncation_sweep, SnapOracle,
+use cla::cladb::fault::{
+    bit_flip_round, section_shuffle_round, truncation_sweep, with_quiet_panics, FuzzReport,
 };
+use cla::prelude::*;
+use cla::snap::fault::{run_snap_fuzz, SnapOracle};
+use cla::snap::{MAGIC, VERSION};
 
 /// Builds real snapshot bytes from a generated multi-file workload: solve,
 /// seal, encode. Exercises every snapshot section including shared sets.
@@ -45,7 +46,7 @@ fn snapshot_truncation_at_every_offset_is_rejected() {
     assert!(bytes.len() > 300, "example snapshot suspiciously small");
     let oracle = SnapOracle::new(&bytes).expect("pristine snapshot must decode");
     let mut report = FuzzReport::default();
-    with_quiet_panics(|| truncation_sweep(&bytes, &oracle, &mut report));
+    with_quiet_panics(|| truncation_sweep(&bytes, |b| oracle.exercise(b), &mut report));
     assert_eq!(report.exercised as usize, bytes.len(), "one cut per offset");
     assert!(report.ok(), "truncation sweep found holes:\n{report}");
     // A strict prefix always loses bytes a full load needs, so every cut
@@ -58,7 +59,7 @@ fn snapshot_bit_flips_never_panic_or_change_the_graph() {
     let bytes = example_snapshot_bytes();
     let oracle = SnapOracle::new(&bytes).expect("pristine snapshot must decode");
     let mut report = FuzzReport::default();
-    with_quiet_panics(|| bit_flip_round(&bytes, &oracle, 3, 400, &mut report));
+    with_quiet_panics(|| bit_flip_round(&bytes, |b| oracle.exercise(b), 3, 400, &mut report));
     assert_eq!(report.exercised, 400);
     assert!(report.ok(), "bit-flip round found holes:\n{report}");
     assert!(
@@ -72,7 +73,16 @@ fn snapshot_section_shuffles_are_caught() {
     let bytes = example_snapshot_bytes();
     let oracle = SnapOracle::new(&bytes).expect("pristine snapshot must decode");
     let mut report = FuzzReport::default();
-    with_quiet_panics(|| section_shuffle_round(&bytes, &oracle, 9, 100, &mut report));
+    with_quiet_panics(|| {
+        section_shuffle_round(
+            &bytes,
+            (MAGIC, VERSION),
+            |b| oracle.exercise(b),
+            9,
+            100,
+            &mut report,
+        );
+    });
     assert_eq!(report.exercised, 100);
     assert!(report.ok(), "section shuffle found holes:\n{report}");
     // Half the shuffles recompute the header checksum, so only the

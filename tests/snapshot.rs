@@ -63,11 +63,41 @@ fn analyze_snapshotted(fs: &MemoryFs, names: &[String], dir: &Path) -> (Analysis
     (analysis, counters)
 }
 
+/// A three-variable copy cycle: after the solve `a`, `b` and `c` are one
+/// SCC and must share one set allocation.
+fn cycle_fs() -> (MemoryFs, Vec<String>) {
+    let mut fs = MemoryFs::new();
+    fs.add(
+        "cycle.c",
+        "int v, w, *a, *b, *c; void f(void) { a = b; b = c; c = a; a = &v; c = &w; }",
+    );
+    (fs, vec!["cycle.c".to_string()])
+}
+
+/// For each object with a non-empty set, the first object holding the same
+/// allocation: the graph's sharing structure, independent of addresses.
+fn sharing(graph: &cla::core::SealedGraph) -> Vec<Option<usize>> {
+    let sets = graph.sets();
+    sets.iter()
+        .map(|s| {
+            (!s.is_empty()).then(|| {
+                sets.iter()
+                    .position(|t| std::sync::Arc::ptr_eq(s, t))
+                    .expect("a set shares with itself")
+            })
+        })
+        .collect()
+}
+
 #[test]
 fn workload_round_trip_is_observationally_exact() {
-    for spec in ["nethack", "vortex"] {
+    for spec in ["nethack", "vortex", "cycle"] {
         let dir = TempDir::new(&format!("roundtrip-{spec}"));
-        let (fs, names) = workload_fs(spec, 0.05, 11);
+        let (fs, names) = if spec == "cycle" {
+            cycle_fs()
+        } else {
+            workload_fs(spec, 0.05, 11)
+        };
 
         let (cold, _) = analyze_snapshotted(&fs, &names, dir.path());
         assert!(!cold.report.snapshot_loaded, "{spec}: first run must solve");
@@ -91,6 +121,35 @@ fn workload_round_trip_is_observationally_exact() {
             cold.report.solve_stats, warm.report.solve_stats,
             "{spec}: solver stats not persisted faithfully"
         );
+
+        // One relation, copied by nobody: the loaded graph shares exactly
+        // what a fresh seal shares, and the relation extracted from it is
+        // the loaded graph's own allocations, not copies of them.
+        let db = &cold.database;
+        let store = SnapshotStore::open(dir.path()).unwrap();
+        let loaded = Snapshot::open(&store.snapshot_path())
+            .and_then(|s| s.load_sealed())
+            .unwrap();
+        let fresh = cla::core::Warm::from_database(db, SolveOptions::default()).seal();
+        assert_eq!(sharing(&loaded), sharing(&fresh), "{spec}: sharing lost");
+        let extracted = loaded.extract_points_to(db.objects());
+        assert_eq!(extracted, cold.points_to, "{spec}");
+        for (o, set) in loaded.sets().iter().enumerate() {
+            assert!(
+                set.is_empty() || std::ptr::eq(extracted.points_to(ObjId(o as u32)), &set[..]),
+                "{spec}: object {o}'s set was copied on the way out of the snapshot"
+            );
+        }
+        if spec == "cycle" {
+            let [a, b, c] = ["a", "b", "c"].map(|n| db.targets(n)[0].index());
+            let sets = loaded.sets();
+            assert!(!sets[a].is_empty());
+            assert!(
+                std::sync::Arc::ptr_eq(&sets[a], &sets[b])
+                    && std::sync::Arc::ptr_eq(&sets[b], &sets[c]),
+                "SCC members came back from the snapshot as separate allocations"
+            );
+        }
     }
 }
 

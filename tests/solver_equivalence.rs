@@ -5,7 +5,9 @@
 //! then solved by:
 //!
 //! * the deductive oracle (a literal transcription of Figure 2),
-//! * the pre-transitive solver in all four ablation configurations,
+//! * the pre-transitive solver in all four ablation configurations, through
+//!   each of its three exits (the batch relation, the sealed graph, and the
+//!   relation extracted from the sealed graph),
 //! * the pre-transitive solver in demand-loading mode (through a serialized
 //!   object file),
 //! * the worklist Andersen baseline,
@@ -70,6 +72,59 @@ fn random_assigns(rng: &mut SplitMix64, count: usize, var_bound: u32) -> Vec<(u8
         .collect()
 }
 
+/// Holds every solver, and every route out of the pre-transitive one,
+/// against the deductive oracle on one constraint system.
+fn check_all_solvers(unit: &CompiledUnit, nvars: u32, label: &str) {
+    let oracle = deductive::solve_oracle(unit);
+    let expected = sets(&oracle, nvars);
+
+    for (cache, cycle) in [(true, true), (true, false), (false, true), (false, false)] {
+        let opts = SolveOptions {
+            cache,
+            cycle_elim: cycle,
+        };
+        let config = format!("pre-transitive cache={cache} cycle={cycle}");
+        let (got, _) = solve_unit(unit, opts);
+        assert_eq!(sets(&got, nvars), expected, "{config} diverged on {label}");
+        // Without caching the solver frees each set before computing the
+        // next, so allocations get reused while the graph is sealed: every
+        // variable must still come out with its own set.
+        let sealed = cla::core::Warm::from_unit(unit, opts).seal();
+        let sealed_sets: Vec<Vec<cla::ir::ObjId>> = (0..nvars)
+            .map(|i| sealed.points_to(cla::ir::ObjId(i)).to_vec())
+            .collect();
+        assert_eq!(
+            sealed_sets, expected,
+            "{config}, sealed, diverged on {label}"
+        );
+        let extracted = sealed.extract_points_to(&unit.objects);
+        assert_eq!(
+            sets(&extracted, nvars),
+            expected,
+            "{config}, extracted from sealed, diverged on {label}"
+        );
+    }
+
+    let wl = worklist::solve(unit);
+    assert_eq!(sets(&wl, nvars), expected, "worklist diverged on {label}");
+
+    // Demand-loading through a real object file.
+    let db = Database::open(write_object(unit)).unwrap();
+    let (dbp, _) = solve_database(&db, SolveOptions::default());
+    assert_eq!(
+        sets(&dbp, nvars),
+        expected,
+        "demand-loaded solve diverged on {label}"
+    );
+
+    // Steensgaard must over-approximate.
+    let st = steensgaard::solve(unit);
+    assert!(
+        oracle.subsumed_by(&st),
+        "Steensgaard under-approximated on {label}"
+    );
+}
+
 #[test]
 fn all_solvers_agree() {
     let mut rng = SplitMix64::seed_from_u64(0xc1a0_0001);
@@ -78,47 +133,17 @@ fn all_solvers_agree() {
         let nassigns = rng.random_range(1..25usize);
         let assigns = random_assigns(&mut rng, nassigns, 10);
         let unit = build_unit(nvars, &assigns);
-        let oracle = deductive::solve_oracle(&unit);
-        let expected = sets(&oracle, nvars);
-
-        for (cache, cycle) in [(true, true), (true, false), (false, true), (false, false)] {
-            let (got, _) = solve_unit(
-                &unit,
-                SolveOptions {
-                    cache,
-                    cycle_elim: cycle,
-                },
-            );
-            assert_eq!(
-                sets(&got, nvars),
-                expected,
-                "pre-transitive cache={cache} cycle={cycle} diverged on {assigns:?}"
-            );
-        }
-
-        let wl = worklist::solve(&unit);
-        assert_eq!(
-            sets(&wl, nvars),
-            expected,
-            "worklist diverged on {assigns:?}"
-        );
-
-        // Demand-loading through a real object file.
-        let db = Database::open(write_object(&unit)).unwrap();
-        let (dbp, _) = solve_database(&db, SolveOptions::default());
-        assert_eq!(
-            sets(&dbp, nvars),
-            expected,
-            "demand-loaded solve diverged on {assigns:?}"
-        );
-
-        // Steensgaard must over-approximate.
-        let st = steensgaard::solve(&unit);
-        assert!(
-            oracle.subsumed_by(&st),
-            "Steensgaard under-approximated on {assigns:?}"
-        );
+        check_all_solvers(&unit, nvars, &format!("{assigns:?}"));
     }
+
+    // Forty pointers with forty distinct two-element sets (v_i = &v_{40+i},
+    // v_i = &v_{40+i-1}): many same-sized allocations freed and reused in a
+    // row, the allocator pattern that sealing without a cache must survive.
+    let n = 40u32;
+    let chain: Vec<(u8, u32, u32)> = (0..n)
+        .flat_map(|i| [(1, i, n + i), (1, i, n + i.saturating_sub(1))])
+        .collect();
+    check_all_solvers(&build_unit(2 * n, &chain), 2 * n, "the address chain");
 }
 
 #[test]
