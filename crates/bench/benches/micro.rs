@@ -8,7 +8,7 @@
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-use cla_cfront::{lexer, parser, FileId, MemoryFs, PpOptions};
+use cla_cfront::{lexer, parser, pp, FileId, MemoryFs, PpOptions};
 use cla_cladb::{write_object, Database};
 use cla_core::{solve_database, solve_unit, steensgaard, worklist, SolveOptions};
 use cla_ir::{compile_file, CompiledUnit, LowerOptions};
@@ -16,21 +16,39 @@ use cla_workload::{by_name, generate, GenOptions};
 
 /// Runs `f` repeatedly and prints the median per-iteration time.
 fn bench<R>(name: &str, mut f: impl FnMut() -> R) {
-    // Warm up, then time individual iterations until we have 20 samples or
-    // have spent ~2s, whichever comes first.
+    let (median, samples) = median_of(|| (), |()| f());
+    println!("{name:32} {median:>12.2?}   ({samples} samples)");
+}
+
+/// [`bench`] for a front-end stage: `setup` builds the stage's input outside
+/// the clock, and the row adds the cost per preprocessed token.
+fn bench_per_token<I, R>(
+    name: &str,
+    tokens: usize,
+    setup: impl FnMut() -> I,
+    f: impl FnMut(I) -> R,
+) {
+    let (median, samples) = median_of(setup, f);
+    let per_token = median.as_nanos() as f64 / tokens as f64;
+    println!("{name:32} {median:>12.2?}   ({samples} samples)   {per_token:6.1} ns/token");
+}
+
+/// Warms up, then times individual iterations of `f` until there are 20
+/// samples or ~2s have been spent, whichever comes first.
+fn median_of<I, R>(mut setup: impl FnMut() -> I, mut f: impl FnMut(I) -> R) -> (Duration, usize) {
     for _ in 0..2 {
-        black_box(f());
+        black_box(f(setup()));
     }
     let mut samples = Vec::new();
     let budget = Instant::now();
     while samples.len() < 20 && budget.elapsed() < Duration::from_secs(2) {
+        let input = setup();
         let t = Instant::now();
-        black_box(f());
+        black_box(f(input));
         samples.push(t.elapsed());
     }
     samples.sort();
-    let median = samples[samples.len() / 2];
-    println!("{name:32} {median:>12.2?}   ({} samples)", samples.len());
+    (samples[samples.len() / 2], samples.len())
 }
 
 /// A mid-size program used by every micro-benchmark (vortex profile at 2%).
@@ -84,6 +102,34 @@ fn bench_frontend(src: &str) {
     bench("parse", || {
         parser::parse(toks.clone(), "bench.c").map(|tu| tu.items.len())
     });
+    bench_frontend_unit();
+}
+
+/// The front-end stages on one translation unit of the million-line shape
+/// (a generated file plus the header every file includes), per token.
+fn bench_frontend_unit() {
+    let profile = cla_genc::Profile::parse("total_loc = 24000\nfiles = 8\n").unwrap();
+    let mut fs = MemoryFs::new();
+    cla_genc::generate_with(&profile, 1, &mut |name, text| {
+        fs.add(name.to_owned(), text.to_owned());
+        Ok(())
+    })
+    .unwrap();
+    let unit = cla_genc::file_name(&profile, 0);
+    let opts = PpOptions::default();
+    let tokens = pp::preprocess(&fs, &unit, &opts).unwrap().stats.tokens_out;
+    bench_per_token(
+        "pp_unit",
+        tokens,
+        || (),
+        |()| pp::preprocess(&fs, &unit, &opts).unwrap().stats.tokens_out,
+    );
+    bench_per_token(
+        "parse_unit",
+        tokens,
+        || pp::preprocess(&fs, &unit, &opts).unwrap().tokens,
+        |toks| parser::parse_with(toks, unit.as_str(), &opts.limits).map(|tu| tu.items.len()),
+    );
 }
 
 fn bench_database(program: &CompiledUnit) {

@@ -4,68 +4,122 @@
 //! splicing (`\` + newline), both comment styles, all C89 literals plus the
 //! common `//` and `long long` extensions, and records the layout flags the
 //! preprocessor needs (`first_on_line`, `space_before`).
+//!
+//! The scanner works on bytes: blanks, identifiers, numbers and comment
+//! bodies are consumed as runs, identifiers are interned straight from the
+//! source slice, and the column is derived from the offset of the line
+//! start. A backslash-newline may sit anywhere, even inside a token, so every
+//! run stops at a `\` and hands over to the byte-at-a-time [`Lexer::peek`] /
+//! [`Lexer::bump`] pair, which splice lines transparently; input without
+//! backslashes never takes that path.
 
 use crate::error::{CError, Result};
 use crate::span::{FileId, Loc};
-use crate::token::{IntSuffix, Punct, Token, TokenKind};
+use crate::token::{IntSuffix, Interner, Punct, Token, TokenKind, TokenStream};
 
-/// Lexes a whole file into a token vector (without a trailing `Eof` token).
+/// Lexes a whole file into a token stream (without a trailing `Eof` token)
+/// that owns a fresh interner.
 ///
 /// # Errors
 ///
 /// Returns [`CError::Lex`] on malformed literals, unterminated comments or
 /// strings, or characters outside the C source character set.
-pub fn lex(src: &str, file: FileId) -> Result<Vec<Token>> {
-    Lexer::new(src, file).run()
+pub fn lex(src: &str, file: FileId) -> Result<TokenStream> {
+    let mut interner = Interner::new();
+    let tokens = lex_into(src, file, &mut interner)?;
+    Ok(TokenStream::new(tokens, interner))
 }
 
-struct Lexer<'s> {
+/// [`lex`] into the caller's interner: how the preprocessor lexes every file
+/// of one translation unit (and every `##` paste) into one symbol space.
+pub(crate) fn lex_into(src: &str, file: FileId, interner: &mut Interner) -> Result<Vec<Token>> {
+    Lexer {
+        text: src,
+        src: src.as_bytes(),
+        pos: 0,
+        file,
+        line: 1,
+        line_start: 0,
+        first_on_line: true,
+        space_before: false,
+        interner,
+        scratch: String::new(),
+        out: Vec::with_capacity(src.len() / 4),
+    }
+    .run()
+}
+
+fn is_ident_byte(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b == b'_'
+}
+
+/// Whether `b` continues a preprocessing-number whose previous byte was
+/// `prev` (digits, letters, dots, and a sign right after an exponent mark).
+fn is_number_byte(b: u8, prev: u8) -> bool {
+    is_ident_byte(b)
+        || b == b'.'
+        || ((b == b'+' || b == b'-') && matches!(prev, b'e' | b'E' | b'p' | b'P'))
+}
+
+struct Lexer<'s, 'i> {
+    text: &'s str,
     src: &'s [u8],
     pos: usize,
     file: FileId,
     line: u32,
-    col: u32,
+    /// Offset just past the last newline or line splice; the column of
+    /// `pos` is its distance from here.
+    line_start: usize,
     first_on_line: bool,
     space_before: bool,
+    interner: &'i mut Interner,
+    /// Spelling of the token being lexed, when it cannot be taken from the
+    /// source as one slice: a splice inside it, or a string literal.
+    scratch: String,
     out: Vec<Token>,
 }
 
-impl<'s> Lexer<'s> {
-    fn new(src: &'s str, file: FileId) -> Self {
-        Lexer {
-            src: src.as_bytes(),
-            pos: 0,
-            file,
-            line: 1,
-            col: 1,
-            first_on_line: true,
-            space_before: false,
-            out: Vec::new(),
+impl Lexer<'_, '_> {
+    fn loc(&self) -> Loc {
+        Loc::new(
+            self.file,
+            self.line,
+            (self.pos - self.line_start) as u32 + 1,
+        )
+    }
+
+    /// Length of the line splice at `p`, which must hold a backslash:
+    /// `\` + LF is 2, `\` + CR LF is 3.
+    fn splice_len(&self, p: usize) -> Option<usize> {
+        match (self.src.get(p + 1), self.src.get(p + 2)) {
+            (Some(b'\n'), _) => Some(2),
+            (Some(b'\r'), Some(b'\n')) => Some(3),
+            _ => None,
         }
     }
 
-    fn loc(&self) -> Loc {
-        Loc::new(self.file, self.line, self.col)
-    }
-
     fn peek(&self) -> Option<u8> {
-        self.peek_at(0)
+        match self.src.get(self.pos) {
+            Some(b'\\') => self.peek_at(0),
+            b => b.copied(),
+        }
     }
 
     /// Peeks `n` bytes ahead, transparently skipping line splices.
     fn peek_at(&self, n: usize) -> Option<u8> {
+        if let Some(window) = self.src.get(self.pos..=self.pos + n) {
+            if !window.contains(&b'\\') {
+                return Some(window[n]);
+            }
+        }
         let mut p = self.pos;
         let mut remaining = n;
         loop {
-            // Skip any backslash-newline splices at p.
-            while p + 1 < self.src.len()
-                && self.src[p] == b'\\'
-                && (self.src[p + 1] == b'\n'
-                    || (self.src[p + 1] == b'\r'
-                        && p + 2 < self.src.len()
-                        && self.src[p + 2] == b'\n'))
-            {
-                p += if self.src[p + 1] == b'\r' { 3 } else { 2 };
+            while self.src.get(p) == Some(&b'\\') {
+                match self.splice_len(p) {
+                    Some(len) => p += len,
+                    None => break,
+                }
             }
             let b = *self.src.get(p)?;
             if remaining == 0 {
@@ -76,32 +130,23 @@ impl<'s> Lexer<'s> {
         }
     }
 
-    /// Consumes one byte, maintaining line/column and splicing lines.
+    /// Consumes one byte, maintaining the line bookkeeping and splicing
+    /// lines.
     fn bump(&mut self) -> Option<u8> {
         loop {
-            if self.pos + 1 < self.src.len()
-                && self.src[self.pos] == b'\\'
-                && (self.src[self.pos + 1] == b'\n'
-                    || (self.src[self.pos + 1] == b'\r'
-                        && self.pos + 2 < self.src.len()
-                        && self.src[self.pos + 2] == b'\n'))
-            {
-                self.pos += if self.src[self.pos + 1] == b'\r' {
-                    3
-                } else {
-                    2
-                };
-                self.line += 1;
-                self.col = 1;
-                continue;
-            }
             let b = *self.src.get(self.pos)?;
+            if b == b'\\' {
+                if let Some(len) = self.splice_len(self.pos) {
+                    self.pos += len;
+                    self.line += 1;
+                    self.line_start = self.pos;
+                    continue;
+                }
+            }
             self.pos += 1;
             if b == b'\n' {
                 self.line += 1;
-                self.col = 1;
-            } else {
-                self.col += 1;
+                self.line_start = self.pos;
             }
             return Some(b);
         }
@@ -140,8 +185,34 @@ impl<'s> Lexer<'s> {
         Ok(self.out)
     }
 
+    /// Advances `pos` over bytes for which `plain` holds. The caller's
+    /// predicate must reject `\n` and `\`: the run then crosses no line
+    /// boundary and no splice, so only `pos` moves.
+    fn skip_run(&mut self, plain: impl Fn(u8) -> bool) {
+        let rest = &self.src[self.pos..];
+        self.pos += rest.iter().position(|&b| !plain(b)).unwrap_or(rest.len());
+    }
+
     fn skip_ws_and_comments(&mut self) -> Result<()> {
         loop {
+            // Runs of blanks and newlines; anything else — a comment, or a
+            // backslash that may splice more blanks on — goes through `peek`.
+            while let Some(&b) = self.src.get(self.pos) {
+                match b {
+                    b'\n' => {
+                        self.pos += 1;
+                        self.line += 1;
+                        self.line_start = self.pos;
+                        self.first_on_line = true;
+                        self.space_before = true;
+                    }
+                    b' ' | b'\t' | b'\r' | 0x0b | 0x0c => {
+                        self.pos += 1;
+                        self.space_before = true;
+                    }
+                    _ => break,
+                }
+            }
             match self.peek() {
                 Some(b'\n') => {
                     self.bump();
@@ -153,11 +224,14 @@ impl<'s> Lexer<'s> {
                     self.space_before = true;
                 }
                 Some(b'/') if self.peek_at(1) == Some(b'/') => {
-                    while let Some(b) = self.peek() {
-                        if b == b'\n' {
-                            break;
+                    loop {
+                        self.skip_run(|b| b != b'\n' && b != b'\\');
+                        match self.peek() {
+                            None | Some(b'\n') => break,
+                            Some(_) => {
+                                self.bump();
+                            }
                         }
-                        self.bump();
                     }
                     self.space_before = true;
                 }
@@ -166,6 +240,7 @@ impl<'s> Lexer<'s> {
                     self.bump();
                     self.bump();
                     loop {
+                        self.skip_run(|b| b != b'*' && b != b'\n' && b != b'\\');
                         match self.bump() {
                             Some(b'*') if self.peek() == Some(b'/') => {
                                 self.bump();
@@ -193,42 +268,74 @@ impl<'s> Lexer<'s> {
         }
     }
 
-    fn lex_ident(&mut self) -> Result<TokenKind> {
-        let mut s = String::new();
-        while let Some(b) = self.peek() {
-            if b.is_ascii_alphanumeric() || b == b'_' {
-                s.push(self.bump().unwrap() as char);
-            } else {
+    /// Consumes the identifier or number at the cursor — bytes accepted by
+    /// `more(byte, previous byte)` — and returns whether its spelling had to
+    /// be gathered into `scratch` (a backslash stopped the run, so a splice
+    /// may continue the token) or is `text[start..pos]`.
+    fn scan_word(&mut self, more: impl Fn(u8, u8) -> bool) -> bool {
+        let mut end = self.pos;
+        let mut prev = 0u8;
+        while let Some(&b) = self.src.get(end) {
+            if !more(b, prev) {
                 break;
             }
+            prev = b;
+            end += 1;
         }
+        if self.src.get(end) != Some(&b'\\') {
+            self.pos = end;
+            return false;
+        }
+        self.scratch.clear();
+        let mut prev = 0u8;
+        while let Some(b) = self.peek() {
+            if !more(b, prev) {
+                break;
+            }
+            self.bump();
+            self.scratch.push(b as char);
+            prev = b;
+        }
+        true
+    }
+
+    fn lex_ident(&mut self) -> Result<TokenKind> {
+        let text = self.text;
+        let start = self.pos;
+        let spliced = self.scan_word(|b, _| is_ident_byte(b));
+        let name = if spliced {
+            self.scratch.as_str()
+        } else {
+            &text[start..self.pos]
+        };
         // Wide literal prefixes: treat L"..." / L'...' as plain literals.
-        if s == "L" {
-            if self.peek() == Some(b'"') {
-                return self.lex_string();
-            }
-            if self.peek() == Some(b'\'') {
-                return self.lex_char();
+        if name == "L" {
+            match self.peek() {
+                Some(b'"') => return self.lex_string(),
+                Some(b'\'') => return self.lex_char(),
+                _ => {}
             }
         }
-        Ok(TokenKind::Ident(s))
+        let sym = if spliced {
+            self.interner.intern(&self.scratch)
+        } else {
+            self.interner.intern(&text[start..self.pos])
+        };
+        Ok(TokenKind::Ident(sym))
     }
 
     fn lex_number(&mut self) -> Result<TokenKind> {
-        let mut text = String::new();
+        let text = self.text;
+        let start = self.pos;
         // Gather the full preprocessing-number first (digits, letters, dots,
         // exponent signs), then classify.
-        let mut prev = 0u8;
-        while let Some(b) = self.peek() {
-            let is_exp_sign = (b == b'+' || b == b'-') && matches!(prev, b'e' | b'E' | b'p' | b'P');
-            if b.is_ascii_alphanumeric() || b == b'.' || b == b'_' || is_exp_sign {
-                text.push(self.bump().unwrap() as char);
-                prev = b;
-            } else {
-                break;
-            }
-        }
-        parse_pp_number(&text).ok_or_else(|| self.err(format!("malformed number `{text}`")))
+        let spliced = self.scan_word(is_number_byte);
+        let number = if spliced {
+            self.scratch.as_str()
+        } else {
+            &text[start..self.pos]
+        };
+        parse_pp_number(number).ok_or_else(|| self.err(format!("malformed number `{number}`")))
     }
 
     fn lex_escape(&mut self) -> Result<i64> {
@@ -318,8 +425,15 @@ impl<'s> Lexer<'s> {
     fn lex_string(&mut self) -> Result<TokenKind> {
         let start = self.loc();
         self.bump(); // opening quote
-        let mut s = String::new();
+        self.scratch.clear();
         loop {
+            // Plain ASCII goes over as a slice; bytes above it are re-encoded
+            // one by one below (a source byte is one character of the value).
+            let run = self.pos;
+            self.skip_run(|b| b.is_ascii() && !matches!(b, b'"' | b'\\' | b'\n'));
+            if self.pos > run {
+                self.scratch.push_str(&self.text[run..self.pos]);
+            }
             match self.peek() {
                 None | Some(b'\n') => {
                     return Err(CError::lex("unterminated string literal", start))
@@ -331,15 +445,15 @@ impl<'s> Lexer<'s> {
                 Some(b'\\') => {
                     self.bump();
                     let v = self.lex_escape()?;
-                    s.push((v as u8) as char);
+                    self.scratch.push((v as u8) as char);
                 }
                 Some(c) => {
                     self.bump();
-                    s.push(c as char);
+                    self.scratch.push(c as char);
                 }
             }
         }
-        Ok(TokenKind::Str(s))
+        Ok(TokenKind::Str(self.interner.intern(&self.scratch)))
     }
 
     fn lex_punct(&mut self) -> Result<TokenKind> {
@@ -491,6 +605,13 @@ impl<'s> Lexer<'s> {
 /// Returns `None` when the text is not a valid C number.
 fn parse_pp_number(text: &str) -> Option<TokenKind> {
     let bytes = text.as_bytes();
+    // Plain decimal, the common case: no prefix, no suffix, no fraction.
+    if (bytes.len() == 1 || bytes[0] != b'0') && bytes.iter().all(u8::is_ascii_digit) {
+        let v = bytes.iter().fold(0u64, |v, b| {
+            v.wrapping_mul(10).wrapping_add(u64::from(b - b'0'))
+        });
+        return Some(TokenKind::Int(v, IntSuffix::default()));
+    }
     let is_float = {
         let hex = text.starts_with("0x") || text.starts_with("0X");
         text.contains('.')
@@ -562,25 +683,31 @@ mod tests {
     fn kinds(src: &str) -> Vec<TokenKind> {
         lex(src, FileId(0))
             .unwrap()
-            .into_iter()
+            .iter()
             .map(|t| t.kind)
+            .collect()
+    }
+
+    /// Every token as `spelling@line:col`.
+    fn placed(src: &str) -> Vec<String> {
+        let ts = lex(src, FileId(0)).unwrap();
+        ts.iter()
+            .map(|t| {
+                format!(
+                    "{}@{}:{}",
+                    t.kind.display(ts.interner()),
+                    t.loc.line,
+                    t.loc.col
+                )
+            })
             .collect()
     }
 
     #[test]
     fn idents_and_puncts() {
-        let ks = kinds("int *p = &x;");
         assert_eq!(
-            ks,
-            vec![
-                TokenKind::Ident("int".into()),
-                TokenKind::Punct(Punct::Star),
-                TokenKind::Ident("p".into()),
-                TokenKind::Punct(Punct::Eq),
-                TokenKind::Punct(Punct::Amp),
-                TokenKind::Ident("x".into()),
-                TokenKind::Punct(Punct::Semi),
-            ]
+            placed("int *p = &x;"),
+            ["int@1:1", "*@1:5", "p@1:6", "=@1:8", "&@1:10", "x@1:11", ";@1:12"]
         );
     }
 
@@ -625,8 +752,14 @@ mod tests {
         );
         assert_eq!(kinds("1.5"), vec![TokenKind::Float(1.5)]);
         assert_eq!(kinds("1e3"), vec![TokenKind::Float(1000.0)]);
+        assert_eq!(kinds("1e+3"), vec![TokenKind::Float(1000.0)]);
         assert_eq!(kinds("2.5f"), vec![TokenKind::Float(2.5)]);
         assert_eq!(kinds(".5"), vec![TokenKind::Float(0.5)]);
+        assert_eq!(
+            kinds("18446744073709551616"),
+            vec![TokenKind::Int(0, IntSuffix::default())],
+            "decimal overflow wraps"
+        );
     }
 
     #[test]
@@ -635,17 +768,19 @@ mod tests {
         assert_eq!(kinds(r"'\n'"), vec![TokenKind::Char(10)]);
         assert_eq!(kinds(r"'\x41'"), vec![TokenKind::Char(0x41)]);
         assert_eq!(kinds(r"'\0'"), vec![TokenKind::Char(0)]);
-        assert_eq!(kinds(r#""hi\n""#), vec![TokenKind::Str("hi\n".into())]);
-        assert_eq!(kinds(r#"L"wide""#), vec![TokenKind::Str("wide".into())]);
+        assert_eq!(placed(r#""hi\n""#), [r#""hi\n"@1:1"#]);
+        assert_eq!(placed(r#"L"wide""#), [r#""wide"@1:1"#]);
+        assert_eq!(kinds("L'w'"), vec![TokenKind::Char('w' as i64)]);
+        assert_eq!(placed("L + L2"), ["L@1:1", "+@1:3", "L2@1:5"]);
+        // A source byte above ASCII is one character of the value.
+        let ts = lex("\"aé\\351z\"", FileId(0)).unwrap();
+        assert_eq!(ts.text(&ts[0]), Some("a\u{c3}\u{a9}\u{e9}z"));
     }
 
     #[test]
     fn comments_and_layout_flags() {
         let ts = lex("a /* c */ b\n  c // x\nd", FileId(0)).unwrap();
-        let names: Vec<_> = ts
-            .iter()
-            .map(|t| t.kind.ident().unwrap().to_string())
-            .collect();
+        let names: Vec<_> = ts.iter().map(|t| ts.text(t).unwrap()).collect();
         assert_eq!(names, vec!["a", "b", "c", "d"]);
         assert!(ts[0].first_on_line);
         assert!(!ts[1].first_on_line);
@@ -653,15 +788,67 @@ mod tests {
         assert!(ts[2].first_on_line);
         assert!(ts[3].first_on_line);
         assert_eq!(ts[3].loc.line, 3);
+        // A block comment spanning lines does not start a new logical line.
+        let ts = lex("a /* 1\n2 * / 3\n*/ b\nc", FileId(0)).unwrap();
+        assert_eq!(ts[1].loc, Loc::new(FileId(0), 3, 4));
+        assert!(!ts[1].first_on_line && ts[1].space_before);
+        assert!(ts[2].first_on_line);
     }
 
     #[test]
     fn line_splice() {
-        let ts = lex("ab\\\ncd", FileId(0)).unwrap();
-        assert_eq!(ts.len(), 1);
-        assert!(ts[0].is_ident("abcd"));
+        assert_eq!(placed("ab\\\ncd"), ["abcd@1:1"]);
         let ts = lex("#def\\\nine X 1", FileId(0)).unwrap();
-        assert!(ts[1].is_ident("define"));
+        assert!(ts.is_ident(&ts[1], "define"));
+    }
+
+    /// A splice may sit inside any token and anywhere between tokens; the
+    /// token after one keeps the position where the splice began when
+    /// nothing but the splice separates it from the cursor.
+    #[test]
+    fn splices_inside_and_between_tokens() {
+        // Identifier, then a token after the spliced line.
+        assert_eq!(
+            placed("foo\\\nbar baz\nqux"),
+            ["foobar@1:1", "baz@2:5", "qux@3:1"]
+        );
+        // Number, including an exponent sign after the splice.
+        assert_eq!(placed("12\\\n34 x"), ["1234@1:1", "x@2:4"]);
+        assert_eq!(kinds("1e\\\n+3"), vec![TokenKind::Float(1000.0)]);
+        // Multi-byte punctuators.
+        assert_eq!(placed("p-\\\n>q"), ["p@1:1", "->@1:2", "q@2:2"]);
+        assert_eq!(placed("a <\\\n<\\\n= b"), ["a@1:1", "<<=@1:3", "b@3:3"]);
+        assert_eq!(placed("f(.\\\n..)"), ["f@1:1", "(@1:2", "...@1:3", ")@2:3"]);
+        // A `//` comment continues over a splice; so does the `//` itself.
+        assert_eq!(placed("a // c \\\n still c\nb"), ["a@1:1", "b@3:1"]);
+        assert_eq!(placed("a /\\\n/ c\nb"), ["a@1:1", "b@3:1"]);
+        assert_eq!(placed("a /\\\n* c *\\\n/ b"), ["a@1:1", "b@3:3"]);
+        // A splice right before a token: the token is placed at the splice.
+        assert_eq!(placed("a \\\nb"), ["a@1:1", "b@1:3"]);
+        let ts = lex("\\\n#define X\n", FileId(0)).unwrap();
+        assert!(ts[0].is_punct(Punct::Hash) && ts[0].first_on_line);
+        assert_eq!(ts[0].loc, Loc::new(FileId(0), 1, 1));
+        assert_eq!(ts[1].loc, Loc::new(FileId(0), 2, 2));
+        // Blanks spliced onto blanks, then a newline that does end the line.
+        let ts = lex("a \\\n  \nb", FileId(0)).unwrap();
+        assert_eq!(ts[1].loc, Loc::new(FileId(0), 3, 1));
+        assert!(ts[1].first_on_line);
+        // CRLF splices.
+        assert_eq!(placed("ab\\\r\ncd e"), ["abcd@1:1", "e@2:4"]);
+        assert_eq!(placed("x +\\\r\n= 1"), ["x@1:1", "+=@1:3", "1@2:3"]);
+        // Wide prefixes across a splice.
+        assert_eq!(placed("L\\\n\"w\" L\\\n'c'"), ["\"w\"@1:1", "'\\x63'@2:5"]);
+        // Inside a string literal.
+        assert_eq!(placed("\"ab\\\ncd\" e"), ["\"abcd\"@1:1", "e@2:5"]);
+        // A backslash that splices nothing is an error where it stands,
+        // also as the last byte of the file.
+        let e = lex("ab\\cd", FileId(0)).unwrap_err();
+        assert_eq!(e.loc(), Loc::new(FileId(0), 1, 4));
+        let e = lex("int x;\nab\\", FileId(0)).unwrap_err();
+        assert_eq!(e.loc(), Loc::new(FileId(0), 2, 4));
+        assert!(e.message().contains('\\'), "{e}");
+        let e = lex("ab\\\r", FileId(0)).unwrap_err();
+        assert_eq!(e.loc(), Loc::new(FileId(0), 1, 4));
     }
 
     #[test]
@@ -680,6 +867,13 @@ mod tests {
         assert!(lex("''", FileId(0)).is_err());
         assert!(lex("@", FileId(0)).is_err());
         assert!(lex("0x", FileId(0)).is_err());
+        // Errors are placed where the old byte-at-a-time scanner stood.
+        let e = lex("x = 0x;", FileId(0)).unwrap_err();
+        assert_eq!(e.loc(), Loc::new(FileId(0), 1, 7));
+        let e = lex("a\n  /* open", FileId(0)).unwrap_err();
+        assert_eq!(e.loc(), Loc::new(FileId(0), 2, 3));
+        let e = lex("s = \"open\nnext", FileId(0)).unwrap_err();
+        assert_eq!(e.loc(), Loc::new(FileId(0), 1, 5));
     }
 
     #[test]

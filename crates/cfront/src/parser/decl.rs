@@ -7,29 +7,29 @@ use crate::ast::{
 };
 use crate::error::{CError, Result};
 use crate::span::Loc;
-use crate::token::{Punct, TokenKind};
+use crate::token::{sym, Punct, Symbol, TokenKind};
 use crate::types::{Field, FloatKind, FuncType, IntKind, Param, Type};
 
 /// Type-specifier keywords (not storage classes or qualifiers).
-pub(crate) fn is_type_specifier_kw(s: &str) -> bool {
+pub(crate) fn is_type_specifier_kw(s: Symbol) -> bool {
     matches!(
         s,
-        "void"
-            | "char"
-            | "short"
-            | "int"
-            | "long"
-            | "float"
-            | "double"
-            | "signed"
-            | "unsigned"
-            | "struct"
-            | "union"
-            | "enum"
-            | "const"
-            | "volatile"
-            | "restrict"
-            | "_Bool"
+        sym::VOID
+            | sym::CHAR
+            | sym::SHORT
+            | sym::INT
+            | sym::LONG
+            | sym::FLOAT
+            | sym::DOUBLE
+            | sym::SIGNED
+            | sym::UNSIGNED
+            | sym::STRUCT
+            | sym::UNION
+            | sym::ENUM
+            | sym::CONST
+            | sym::VOLATILE
+            | sym::RESTRICT
+            | sym::BOOL
     )
 }
 
@@ -94,14 +94,19 @@ impl Parser {
         match self.peek() {
             TokenKind::Ident(s) => {
                 matches!(
-                    s.as_str(),
-                    "typedef" | "extern" | "static" | "auto" | "register" | "inline"
+                    s,
+                    sym::TYPEDEF
+                        | sym::EXTERN
+                        | sym::STATIC
+                        | sym::AUTO
+                        | sym::REGISTER
+                        | sym::INLINE
+                        | sym::GNU_EXTENSION
+                        | sym::GNU_INLINE
+                        | sym::GNU_INLINE2
+                        | sym::GNU_ATTRIBUTE
                 ) || is_type_specifier_kw(s)
-                    || s == "__extension__"
-                    || s == "__inline"
-                    || s == "__inline__"
-                    || s == "__attribute__"
-                    || (!super::is_keyword(s) && self.typedef_lookup(s).is_some())
+                    || (!s.is_keyword() && self.typedef_lookup(s).is_some())
             }
             _ => false,
         }
@@ -117,76 +122,75 @@ impl Parser {
             let TokenKind::Ident(s) = self.peek() else {
                 break;
             };
-            let s = s.clone();
-            match s.as_str() {
-                "typedef" => {
+            match s {
+                sym::TYPEDEF => {
                     self.bump();
                     specs.is_typedef = true;
                 }
-                "extern" => {
+                sym::EXTERN => {
                     self.bump();
                     specs.storage = Storage::Extern;
                 }
-                "static" => {
+                sym::STATIC => {
                     self.bump();
                     specs.storage = Storage::Static;
                 }
-                "auto" => {
+                sym::AUTO => {
                     self.bump();
                     specs.storage = Storage::Auto;
                 }
-                "register" => {
+                sym::REGISTER => {
                     self.bump();
                     specs.storage = Storage::Register;
                 }
-                "inline" | "const" | "volatile" | "restrict" => {
+                sym::INLINE | sym::CONST | sym::VOLATILE | sym::RESTRICT => {
                     self.bump();
                 }
-                "void" => {
+                sym::VOID => {
                     self.bump();
                     specs.void_seen = true;
                 }
-                "char" => {
+                sym::CHAR => {
                     self.bump();
                     specs.char_seen = true;
                 }
-                "short" => {
+                sym::SHORT => {
                     self.bump();
                     specs.short = true;
                 }
-                "int" => {
+                sym::INT => {
                     self.bump();
                     specs.int_seen = true;
                 }
-                "long" => {
+                sym::LONG => {
                     self.bump();
                     specs.long_count += 1;
                 }
-                "float" => {
+                sym::FLOAT => {
                     self.bump();
                     specs.float_seen = true;
                 }
-                "double" => {
+                sym::DOUBLE => {
                     self.bump();
                     specs.double_seen = true;
                 }
-                "_Bool" => {
+                sym::BOOL => {
                     self.bump();
                     specs.bool_seen = true;
                 }
-                "signed" => {
+                sym::SIGNED => {
                     self.bump();
                     specs.signedness = Some(true);
                 }
-                "unsigned" => {
+                sym::UNSIGNED => {
                     self.bump();
                     specs.signedness = Some(false);
                 }
-                "struct" | "union" => {
-                    let ty = self.parse_record_spec(s == "union")?;
+                sym::STRUCT | sym::UNION => {
+                    let ty = self.parse_record_spec(s == sym::UNION)?;
                     specs.base = Some(ty);
                 }
-                "enum" => {
+                sym::ENUM => {
                     let ty = self.parse_enum_spec()?;
                     specs.base = Some(ty);
                 }
@@ -203,9 +207,9 @@ impl Parser {
                         && !specs.short
                         && specs.long_count == 0
                         && specs.signedness.is_none()
-                        && !super::is_keyword(&s)
+                        && !s.is_keyword()
                     {
-                        if let Some(t) = self.typedef_lookup(&s) {
+                        if let Some(t) = self.typedef_lookup(s) {
                             let t = t.clone();
                             self.bump();
                             specs.base = Some(t);
@@ -229,14 +233,7 @@ impl Parser {
         let loc = self.loc();
         self.bump(); // struct/union
         self.skip_gnu_extensions()?;
-        let tag = match self.peek() {
-            TokenKind::Ident(s) if !super::is_keyword(s) => {
-                let t = s.clone();
-                self.bump();
-                Some(t)
-            }
-            _ => None,
-        };
+        let tag = self.eat_ident().map(|s| self.name(s));
         let id = match &tag {
             Some(t) => self.types.record_by_tag(t, is_union, loc),
             None => self.types.anon_record(is_union, loc),
@@ -291,7 +288,11 @@ impl Parser {
                     let w = self.parse_conditional_expr()?;
                     let _ = self.eval_const(&w);
                 }
-                fields.push(Field { name, ty, loc });
+                fields.push(Field {
+                    name: self.name(name),
+                    ty,
+                    loc,
+                });
             }
             self.skip_gnu_extensions()?;
             if !self.eat_punct(Punct::Comma) {
@@ -306,13 +307,9 @@ impl Parser {
     fn parse_enum_spec(&mut self) -> Result<Type> {
         self.bump(); // enum
         self.skip_gnu_extensions()?;
-        let tag = match self.peek() {
-            TokenKind::Ident(s) if !super::is_keyword(s) => {
-                let t = s.clone();
-                self.bump();
-                t
-            }
-            _ => "<anon-enum>".to_string(),
+        let tag = match self.eat_ident() {
+            Some(s) => self.name(s),
+            None => "<anon-enum>".to_string(),
         };
         if self.eat_punct(Punct::LBrace) {
             let mut next_value: i64 = 0;
@@ -339,7 +336,7 @@ impl Parser {
     // ----- declarators ---------------------------------------------------
 
     /// Parses a declarator that must have a name.
-    pub(crate) fn parse_named_declarator(&mut self, base: Type) -> Result<(String, Type, Loc)> {
+    pub(crate) fn parse_named_declarator(&mut self, base: Type) -> Result<(Symbol, Type, Loc)> {
         let loc = self.loc();
         let (name, ty) = self.parse_declarator(base, false)?;
         match name {
@@ -353,7 +350,7 @@ impl Parser {
         &mut self,
         base: Type,
         allow_abstract: bool,
-    ) -> Result<(Option<String>, Type)> {
+    ) -> Result<(Option<Symbol>, Type)> {
         let guard = self.enter()?;
         let result = self.parse_declarator_inner(base, allow_abstract);
         self.leave(guard);
@@ -364,12 +361,15 @@ impl Parser {
         &mut self,
         base: Type,
         allow_abstract: bool,
-    ) -> Result<(Option<String>, Type)> {
+    ) -> Result<(Option<Symbol>, Type)> {
         self.skip_gnu_extensions()?;
         // Pointer prefix.
         if self.eat_punct(Punct::Star) {
             // Qualifiers after `*`.
-            while self.eat_kw("const") || self.eat_kw("volatile") || self.eat_kw("restrict") {}
+            while self.eat_kw(sym::CONST)
+                || self.eat_kw(sym::VOLATILE)
+                || self.eat_kw(sym::RESTRICT)
+            {}
             self.skip_gnu_extensions()?;
             return self.parse_declarator(Type::Pointer(Box::new(base)), allow_abstract);
         }
@@ -380,20 +380,19 @@ impl Parser {
         &mut self,
         base: Type,
         allow_abstract: bool,
-    ) -> Result<(Option<String>, Type)> {
+    ) -> Result<(Option<Symbol>, Type)> {
         // Head: identifier, parenthesized declarator, or nothing (abstract).
         enum Head {
-            Name(String),
+            Name(Symbol),
             /// Token range of a parenthesized inner declarator, replayed
             /// after suffixes are known.
             Paren(usize, usize),
             Abstract,
         }
         let head = match self.peek() {
-            TokenKind::Ident(s) if !super::is_keyword(s) => {
-                let n = s.clone();
+            TokenKind::Ident(s) if !s.is_keyword() => {
                 self.bump();
-                Head::Name(n)
+                Head::Name(s)
             }
             TokenKind::Punct(Punct::LParen) if self.paren_is_declarator(allow_abstract) => {
                 // Record the inner token range, skip it, parse suffixes, then
@@ -494,18 +493,18 @@ impl Parser {
             TokenKind::Ident(s) => {
                 if is_type_specifier_kw(s)
                     || matches!(
-                        s.as_str(),
-                        "typedef" | "extern" | "static" | "auto" | "register"
+                        s,
+                        sym::TYPEDEF | sym::EXTERN | sym::STATIC | sym::AUTO | sym::REGISTER
                     )
                 {
                     false
-                } else if !super::is_keyword(s) && self.typedef_lookup(s).is_some() {
+                } else if !s.is_keyword() && self.typedef_lookup(s).is_some() {
                     // A typedef name here is a parameter type... unless we
                     // need a concrete name (non-abstract context), where a
                     // shadowing declarator name is the only parse.
                     allow_abstract
                 } else {
-                    !super::is_keyword(s)
+                    !s.is_keyword()
                 }
             }
             _ => false,
@@ -520,7 +519,7 @@ impl Parser {
         }
         // K&R identifier list: `f(a, b, c)` — names only, no types.
         if let TokenKind::Ident(s) = self.peek() {
-            if !super::is_keyword(s)
+            if !s.is_keyword()
                 && self.typedef_lookup(s).is_none()
                 && matches!(
                     self.peek_ahead(1),
@@ -563,7 +562,7 @@ impl Parser {
                 break;
             }
             params.push(Param {
-                name,
+                name: name.map(|n| self.name(n)),
                 ty: decay(ty),
                 loc,
             });
@@ -673,10 +672,11 @@ impl Parser {
                     let (_, _, kbase) = self.parse_decl_specs()?;
                     loop {
                         let (pname, pty, _ploc) = self.parse_named_declarator(kbase.clone())?;
+                        let pname = self.interner.resolve(pname);
                         if let Some(p) = ft
                             .params
                             .iter_mut()
-                            .find(|p| p.name.as_deref() == Some(pname.as_str()))
+                            .find(|p| p.name.as_deref() == Some(pname))
                         {
                             p.ty = decay(pty);
                         }
@@ -689,17 +689,17 @@ impl Parser {
                 if !self.at_punct(Punct::LBrace) {
                     return Err(self.err("expected function body"));
                 }
-                self.declare_ordinary(&name);
+                self.declare_ordinary(name);
                 self.push_scope();
                 for p in &ft.params {
                     if let Some(n) = &p.name {
-                        self.declare_ordinary(n);
+                        self.declare_ordinary_named(n);
                     }
                 }
                 let body = self.parse_block()?;
                 self.pop_scope();
                 return Ok(Some(ExternalDecl::Function(FunctionDef {
-                    name,
+                    name: self.name(name),
                     ty: ft,
                     storage,
                     body,
@@ -720,41 +720,41 @@ impl Parser {
         storage: Storage,
         is_typedef: bool,
         base: Type,
-        first_name: String,
+        first_name: Symbol,
         first_ty: Type,
         first_loc: Loc,
         loc: Loc,
     ) -> Result<Declaration> {
         let mut items = Vec::new();
-        let register = |p: &mut Parser, name: &str, ty: &Type| {
+        let register = |p: &mut Parser, name: Symbol, ty: &Type| {
             if is_typedef {
                 p.declare_typedef(name, ty.clone());
             } else {
                 p.declare_ordinary(name);
             }
         };
-        register(self, &first_name, &first_ty);
+        register(self, first_name, &first_ty);
         let init = if self.eat_punct(Punct::Eq) {
             Some(self.parse_initializer()?)
         } else {
             None
         };
         items.push(InitDeclarator {
-            name: first_name,
+            name: self.name(first_name),
             ty: first_ty,
             init,
             loc: first_loc,
         });
         while self.eat_punct(Punct::Comma) {
             let (name, ty, dloc) = self.parse_named_declarator(base.clone())?;
-            register(self, &name, &ty);
+            register(self, name, &ty);
             let init = if self.eat_punct(Punct::Eq) {
                 Some(self.parse_initializer()?)
             } else {
                 None
             };
             items.push(InitDeclarator {
-                name,
+                name: self.name(name),
                 ty,
                 init,
                 loc: dloc,

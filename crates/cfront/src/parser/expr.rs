@@ -1,9 +1,9 @@
 //! Expression parsing (precedence climbing).
 
-use super::{is_keyword, Parser};
+use super::Parser;
 use crate::ast::{BinaryOp, Expr, ExprKind, IncDec, UnaryOp};
 use crate::error::Result;
-use crate::token::{Punct, TokenKind};
+use crate::token::{sym, Punct, TokenKind};
 
 /// Binding powers for binary operators (higher binds tighter).
 fn bin_op(p: Punct) -> Option<(BinaryOp, u8)> {
@@ -69,7 +69,7 @@ impl Parser {
         let loc = self.loc();
         let lhs = self.parse_conditional_expr()?;
         if let TokenKind::Punct(p) = self.peek() {
-            if let Some(op) = assign_op(*p) {
+            if let Some(op) = assign_op(p) {
                 self.pos_advance();
                 let rhs = self.parse_assign_expr()?;
                 return Ok(Expr::new(
@@ -105,7 +105,7 @@ impl Parser {
         let loc = self.loc();
         let mut lhs = self.parse_cast_expr()?;
         while let TokenKind::Punct(p) = self.peek() {
-            let Some((op, prec)) = bin_op(*p) else { break };
+            let Some((op, prec)) = bin_op(p) else { break };
             if prec < min_prec {
                 break;
             }
@@ -148,7 +148,7 @@ impl Parser {
         match self.peek_ahead(1) {
             TokenKind::Ident(s) => {
                 super::decl::is_type_specifier_kw(s)
-                    || (!is_keyword(s) && self.typedef_lookup(s).is_some())
+                    || (!s.is_keyword() && self.typedef_lookup(s).is_some())
             }
             _ => false,
         }
@@ -186,7 +186,7 @@ impl Parser {
                     loc,
                 ))
             }
-            TokenKind::Ident(s) if s == "sizeof" => {
+            TokenKind::Ident(sym::SIZEOF) => {
                 self.bump();
                 if self.at_punct(Punct::LParen) && self.starts_type_name_after_lparen() {
                     self.expect_punct(Punct::LParen)?;
@@ -265,7 +265,7 @@ impl Parser {
 
     fn parse_primary_expr(&mut self) -> Result<Expr> {
         let loc = self.loc();
-        match self.peek().clone() {
+        match self.peek() {
             TokenKind::Int(v, _) => {
                 self.bump();
                 Ok(Expr::new(ExprKind::IntLit(v), loc))
@@ -281,16 +281,16 @@ impl Parser {
             TokenKind::Str(s) => {
                 self.bump();
                 // Adjacent string literals concatenate.
-                let mut full = s;
+                let mut full = self.name(s);
                 while let TokenKind::Str(next) = self.peek() {
-                    full.push_str(next);
+                    full.push_str(self.interner.resolve(next));
                     self.bump();
                 }
                 Ok(Expr::new(ExprKind::StrLit(full), loc))
             }
-            TokenKind::Ident(name) if !is_keyword(&name) => {
+            TokenKind::Ident(name) if !name.is_keyword() => {
                 self.bump();
-                Ok(Expr::new(ExprKind::Ident(name), loc))
+                Ok(Expr::new(ExprKind::Ident(self.name(name)), loc))
             }
             TokenKind::Punct(Punct::LParen) => {
                 self.bump();

@@ -13,7 +13,7 @@ use crate::ast::{Expr, ExprKind, TranslationUnit, UnaryOp};
 use crate::error::{CError, Result};
 use crate::pp::FrontendLimits;
 use crate::span::Loc;
-use crate::token::{Punct, Token, TokenKind};
+use crate::token::{sym, Interner, Punct, Symbol, SymbolSet, Token, TokenKind, TokenStream};
 use crate::types::{Type, TypeTable};
 use std::collections::{HashMap, HashSet};
 
@@ -24,7 +24,7 @@ use std::collections::{HashMap, HashSet};
 ///
 /// Returns [`CError::Parse`] on any syntax error. The parser does not attempt
 /// error recovery; the first error aborts the unit.
-pub fn parse(tokens: Vec<Token>, file: impl Into<String>) -> Result<TranslationUnit> {
+pub fn parse(tokens: TokenStream, file: impl Into<String>) -> Result<TranslationUnit> {
     parse_with(tokens, file, &FrontendLimits::default())
 }
 
@@ -32,7 +32,7 @@ pub fn parse(tokens: Vec<Token>, file: impl Into<String>) -> Result<TranslationU
 /// `limits.max_parser_depth`, wall clock by `limits.deadline_ms`. Both
 /// overruns surface as typed [`CError::Budget`] errors.
 pub fn parse_with(
-    tokens: Vec<Token>,
+    tokens: TokenStream,
     file: impl Into<String>,
     limits: &FrontendLimits,
 ) -> Result<TranslationUnit> {
@@ -55,14 +55,6 @@ pub fn parse_with(
     })
 }
 
-/// C keywords (C89 + `inline` + common GNU spellings handled elsewhere).
-const KEYWORDS: &[&str] = &[
-    "auto", "break", "case", "char", "const", "continue", "default", "do", "double", "else",
-    "enum", "extern", "float", "for", "goto", "if", "inline", "int", "long", "register", "return",
-    "short", "signed", "sizeof", "static", "struct", "switch", "typedef", "union", "unsigned",
-    "void", "volatile", "while", "restrict", "_Bool",
-];
-
 /// What a name means in the current scope.
 #[derive(Debug, Clone)]
 pub(crate) enum NameKind {
@@ -75,6 +67,10 @@ pub(crate) enum NameKind {
 
 pub(crate) struct Parser {
     toks: Vec<Token>,
+    /// Spells the symbols of `toks`. The cursor and the scope maps work on
+    /// symbols; a spelling is copied out only where an AST node stores a
+    /// name.
+    interner: Interner,
     pos: usize,
     /// Current expression/declarator recursion depth (guards the
     /// recursive-descent parser against stack overflow on pathological
@@ -89,16 +85,22 @@ pub(crate) struct Parser {
     /// [`Parser::enter`] calls since the last deadline check.
     deadline_ticks: u32,
     pub(crate) types: TypeTable,
-    scopes: Vec<HashMap<String, NameKind>>,
+    scopes: Vec<HashMap<Symbol, NameKind>>,
+    /// Names declared a typedef in any scope so far: most identifiers never
+    /// are, and [`Parser::typedef_lookup`] answers for them without walking
+    /// the scopes.
+    typedef_names: SymbolSet,
     pub(crate) enum_constants: HashSet<String>,
     /// Values of enum constants, for constant folding.
     pub(crate) enum_values: HashMap<String, i64>,
 }
 
 impl Parser {
-    fn new(toks: Vec<Token>) -> Self {
+    fn new(tokens: TokenStream) -> Self {
+        let (toks, interner) = tokens.into_parts();
         Parser {
             toks,
+            interner,
             pos: 0,
             depth: 0,
             max_depth: 64,
@@ -107,6 +109,7 @@ impl Parser {
             deadline_ticks: 0,
             types: TypeTable::new(),
             scopes: vec![HashMap::new()],
+            typedef_names: SymbolSet::default(),
             enum_constants: HashSet::new(),
             enum_values: HashMap::new(),
         }
@@ -118,14 +121,19 @@ impl Parser {
         self.pos >= self.toks.len()
     }
 
-    pub(crate) fn peek(&self) -> &TokenKind {
-        self.toks.get(self.pos).map_or(&TokenKind::Eof, |t| &t.kind)
+    pub(crate) fn peek(&self) -> TokenKind {
+        self.peek_ahead(0)
     }
 
-    pub(crate) fn peek_ahead(&self, n: usize) -> &TokenKind {
+    pub(crate) fn peek_ahead(&self, n: usize) -> TokenKind {
         self.toks
             .get(self.pos + n)
-            .map_or(&TokenKind::Eof, |t| &t.kind)
+            .map_or(TokenKind::Eof, |t| t.kind)
+    }
+
+    /// The spelling of `name`, owned: for AST nodes.
+    pub(crate) fn name(&self, name: Symbol) -> String {
+        self.interner.resolve(name).to_string()
     }
 
     pub(crate) fn loc(&self) -> Loc {
@@ -136,7 +144,7 @@ impl Parser {
     }
 
     pub(crate) fn bump(&mut self) -> TokenKind {
-        let k = self.peek().clone();
+        let k = self.peek();
         self.pos += 1;
         k
     }
@@ -192,7 +200,7 @@ impl Parser {
     pub(crate) fn err(&self, msg: impl Into<String>) -> CError {
         let mut msg = msg.into();
         if !self.at_eof() {
-            msg = format!("{msg} (found `{}`)", self.peek());
+            msg = format!("{msg} (found `{}`)", self.peek().display(&self.interner));
         } else {
             msg = format!("{msg} (at end of input)");
         }
@@ -201,7 +209,7 @@ impl Parser {
 
     /// True if the current token is the punctuator `p`.
     pub(crate) fn at_punct(&self, p: Punct) -> bool {
-        matches!(self.peek(), TokenKind::Punct(q) if *q == p)
+        self.peek() == TokenKind::Punct(p)
     }
 
     /// Consumes `p` when present.
@@ -224,12 +232,12 @@ impl Parser {
     }
 
     /// True if the current token is the identifier/keyword `kw`.
-    pub(crate) fn at_kw(&self, kw: &str) -> bool {
-        matches!(self.peek(), TokenKind::Ident(s) if s == kw)
+    pub(crate) fn at_kw(&self, kw: Symbol) -> bool {
+        self.peek() == TokenKind::Ident(kw)
     }
 
     /// Consumes the keyword when present.
-    pub(crate) fn eat_kw(&mut self, kw: &str) -> bool {
+    pub(crate) fn eat_kw(&mut self, kw: Symbol) -> bool {
         if self.at_kw(kw) {
             self.pos += 1;
             true
@@ -239,24 +247,33 @@ impl Parser {
     }
 
     /// Requires and consumes the keyword.
-    pub(crate) fn expect_kw(&mut self, kw: &str) -> Result<()> {
+    pub(crate) fn expect_kw(&mut self, kw: Symbol) -> Result<()> {
         if self.eat_kw(kw) {
             Ok(())
         } else {
-            Err(self.err(format!("expected `{kw}`")))
+            Err(self.err(format!("expected `{}`", self.interner.resolve(kw))))
         }
     }
 
-    /// Consumes and returns an identifier that is not a keyword.
+    /// Consumes an identifier that is not a keyword, when one is at the
+    /// cursor.
+    pub(crate) fn eat_ident(&mut self) -> Option<Symbol> {
+        match self.peek() {
+            TokenKind::Ident(s) if !s.is_keyword() => {
+                self.pos += 1;
+                Some(s)
+            }
+            _ => None,
+        }
+    }
+
+    /// Consumes and returns (the spelling of) an identifier that is not a
+    /// keyword.
     pub(crate) fn expect_ident(&mut self) -> Result<(String, Loc)> {
         let loc = self.loc();
-        match self.peek() {
-            TokenKind::Ident(s) if !is_keyword(s) => {
-                let s = s.clone();
-                self.pos += 1;
-                Ok((s, loc))
-            }
-            _ => Err(self.err("expected identifier")),
+        match self.eat_ident() {
+            Some(s) => Ok((self.name(s), loc)),
+            None => Err(self.err("expected identifier")),
         }
     }
 
@@ -271,24 +288,35 @@ impl Parser {
         debug_assert!(!self.scopes.is_empty(), "popped file scope");
     }
 
-    pub(crate) fn declare_typedef(&mut self, name: &str, ty: Type) {
+    pub(crate) fn declare_typedef(&mut self, name: Symbol, ty: Type) {
+        self.typedef_names.insert(name);
         self.scopes
             .last_mut()
             .expect("scope stack never empty")
-            .insert(name.to_string(), NameKind::Typedef(ty));
+            .insert(name, NameKind::Typedef(ty));
     }
 
-    pub(crate) fn declare_ordinary(&mut self, name: &str) {
+    pub(crate) fn declare_ordinary(&mut self, name: Symbol) {
         self.scopes
             .last_mut()
             .expect("scope stack never empty")
-            .insert(name.to_string(), NameKind::Ordinary);
+            .insert(name, NameKind::Ordinary);
+    }
+
+    /// Declares the ordinary identifier spelled `name` (an AST node's copy
+    /// of a name the cursor has passed, so the symbol exists).
+    pub(crate) fn declare_ordinary_named(&mut self, name: &str) {
+        let name = self.interner.intern(name);
+        self.declare_ordinary(name);
     }
 
     /// Resolves a name to a typedef'd type, respecting shadowing.
-    pub(crate) fn typedef_lookup(&self, name: &str) -> Option<&Type> {
+    pub(crate) fn typedef_lookup(&self, name: Symbol) -> Option<&Type> {
+        if !self.typedef_names.contains(name) {
+            return None;
+        }
         for scope in self.scopes.iter().rev() {
-            match scope.get(name) {
+            match scope.get(&name) {
                 Some(NameKind::Typedef(t)) => return Some(t),
                 Some(NameKind::Ordinary) => return None,
                 None => {}
@@ -306,23 +334,20 @@ impl Parser {
         let mut any = false;
         loop {
             match self.peek() {
-                TokenKind::Ident(s)
-                    if matches!(
-                        s.as_str(),
-                        "__extension__"
-                            | "__restrict"
-                            | "__restrict__"
-                            | "__inline"
-                            | "__inline__"
-                            | "__const"
-                            | "__volatile__"
-                            | "__signed__"
-                    ) =>
-                {
+                TokenKind::Ident(
+                    sym::GNU_EXTENSION
+                    | sym::GNU_RESTRICT
+                    | sym::GNU_RESTRICT2
+                    | sym::GNU_INLINE
+                    | sym::GNU_INLINE2
+                    | sym::GNU_CONST
+                    | sym::GNU_VOLATILE
+                    | sym::GNU_SIGNED,
+                ) => {
                     self.pos += 1;
                     any = true;
                 }
-                TokenKind::Ident(s) if s == "__attribute__" || s == "__asm__" || s == "__asm" => {
+                TokenKind::Ident(sym::GNU_ATTRIBUTE | sym::GNU_ASM | sym::GNU_ASM2) => {
                     self.pos += 1;
                     self.skip_balanced_parens()?;
                     any = true;
@@ -420,11 +445,6 @@ impl Parser {
 /// Token for one level of parser recursion (returned by [`Parser::enter`]).
 pub(crate) struct DepthGuard;
 
-/// True when `s` is a C keyword.
-pub fn is_keyword(s: &str) -> bool {
-    KEYWORDS.contains(&s)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -434,14 +454,6 @@ mod tests {
     pub(crate) fn parse_str(src: &str) -> Result<TranslationUnit> {
         let toks = lex(src, FileId(0)).unwrap();
         parse(toks, "test.c")
-    }
-
-    #[test]
-    fn keyword_table() {
-        assert!(is_keyword("int"));
-        assert!(is_keyword("while"));
-        assert!(!is_keyword("x"));
-        assert!(!is_keyword("main"));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use super::Parser;
 use crate::ast::{Block, BlockItem, ForInit, Stmt};
 use crate::error::Result;
-use crate::token::{Punct, TokenKind};
+use crate::token::{sym, Punct, TokenKind};
 
 impl Parser {
     /// Parses a `{ ... }` block (the `{` must be at the cursor). Opens a new
@@ -52,13 +52,13 @@ impl Parser {
                 Ok(Stmt::Expr(None))
             }
             TokenKind::Punct(Punct::LBrace) => Ok(Stmt::Block(self.parse_block()?)),
-            TokenKind::Ident(kw) => match kw.as_str() {
-                "if" => self.parse_if(),
-                "while" => self.parse_while(),
-                "do" => self.parse_do_while(),
-                "for" => self.parse_for(),
-                "switch" => self.parse_switch(),
-                "case" => {
+            TokenKind::Ident(kw) => match kw {
+                sym::IF => self.parse_if(),
+                sym::WHILE => self.parse_while(),
+                sym::DO => self.parse_do_while(),
+                sym::FOR => self.parse_for(),
+                sym::SWITCH => self.parse_switch(),
+                sym::CASE => {
                     self.bump();
                     let value = self.parse_conditional_expr()?;
                     // GNU case ranges: `case 1 ... 5:` — take the low end.
@@ -69,13 +69,13 @@ impl Parser {
                     let body = Box::new(self.parse_stmt()?);
                     Ok(Stmt::Case { value, body })
                 }
-                "default" => {
+                sym::DEFAULT => {
                     self.bump();
                     self.expect_punct(Punct::Colon)?;
                     let body = Box::new(self.parse_stmt()?);
                     Ok(Stmt::Default { body })
                 }
-                "return" => {
+                sym::RETURN => {
                     let loc = self.loc();
                     self.bump();
                     let value = if self.at_punct(Punct::Semi) {
@@ -86,17 +86,17 @@ impl Parser {
                     self.expect_punct(Punct::Semi)?;
                     Ok(Stmt::Return { value, loc })
                 }
-                "break" => {
+                sym::BREAK => {
                     self.bump();
                     self.expect_punct(Punct::Semi)?;
                     Ok(Stmt::Break)
                 }
-                "continue" => {
+                sym::CONTINUE => {
                     self.bump();
                     self.expect_punct(Punct::Semi)?;
                     Ok(Stmt::Continue)
                 }
-                "goto" => {
+                sym::GOTO => {
                     self.bump();
                     let (label, _) = self.expect_ident()?;
                     self.expect_punct(Punct::Semi)?;
@@ -104,7 +104,7 @@ impl Parser {
                 }
                 _ => {
                     // Label: `name: stmt` (only for non-keyword identifiers).
-                    if !super::is_keyword(kw) && self.is_label_ahead() {
+                    if !kw.is_keyword() && self.is_label_ahead() {
                         let (name, _) = self.expect_ident()?;
                         self.expect_punct(Punct::Colon)?;
                         let body = Box::new(self.parse_stmt()?);
@@ -131,10 +131,10 @@ impl Parser {
     }
 
     fn parse_if(&mut self) -> Result<Stmt> {
-        self.expect_kw("if")?;
+        self.expect_kw(sym::IF)?;
         let cond = self.parse_paren_expr()?;
         let then_branch = Box::new(self.parse_stmt()?);
-        let else_branch = if self.eat_kw("else") {
+        let else_branch = if self.eat_kw(sym::ELSE) {
             Some(Box::new(self.parse_stmt()?))
         } else {
             None
@@ -147,23 +147,23 @@ impl Parser {
     }
 
     fn parse_while(&mut self) -> Result<Stmt> {
-        self.expect_kw("while")?;
+        self.expect_kw(sym::WHILE)?;
         let cond = self.parse_paren_expr()?;
         let body = Box::new(self.parse_stmt()?);
         Ok(Stmt::While { cond, body })
     }
 
     fn parse_do_while(&mut self) -> Result<Stmt> {
-        self.expect_kw("do")?;
+        self.expect_kw(sym::DO)?;
         let body = Box::new(self.parse_stmt()?);
-        self.expect_kw("while")?;
+        self.expect_kw(sym::WHILE)?;
         let cond = self.parse_paren_expr()?;
         self.expect_punct(Punct::Semi)?;
         Ok(Stmt::DoWhile { body, cond })
     }
 
     fn parse_for(&mut self) -> Result<Stmt> {
-        self.expect_kw("for")?;
+        self.expect_kw(sym::FOR)?;
         self.expect_punct(Punct::LParen)?;
         self.push_scope(); // C99 for-scope for declarations
         let init = if self.eat_punct(Punct::Semi) {
@@ -199,7 +199,7 @@ impl Parser {
     }
 
     fn parse_switch(&mut self) -> Result<Stmt> {
-        self.expect_kw("switch")?;
+        self.expect_kw(sym::SWITCH)?;
         let cond = self.parse_paren_expr()?;
         let body = Box::new(self.parse_stmt()?);
         Ok(Stmt::Switch { cond, body })

@@ -5,9 +5,9 @@
 //! standard requires; identifiers that survive expansion evaluate to 0.
 
 use crate::error::{CError, Result};
-use crate::pp::expand::{expand, ExpandStats, MacroTable};
+use crate::pp::expand::{Expander, MacroTable};
 use crate::span::Loc;
-use crate::token::{Punct, Token, TokenKind};
+use crate::token::{sym, Punct, Token, TokenKind};
 
 /// Evaluates the controlling expression of `#if`/`#elif`.
 ///
@@ -15,14 +15,14 @@ use crate::token::{Punct, Token, TokenKind};
 ///
 /// Returns [`CError::Pp`] on syntax errors, division by zero, or an empty
 /// expression.
-pub fn eval_condition(
+pub(crate) fn eval_condition(
     tokens: &[Token],
-    macros: &MacroTable,
+    expander: &mut Expander<'_>,
     loc: Loc,
-    stats: &mut ExpandStats,
 ) -> Result<bool> {
-    let resolved = resolve_defined(tokens, macros, loc)?;
-    let expanded = expand(resolved, macros, stats)?;
+    let resolved = resolve_defined(tokens, expander.macros, loc)?;
+    let mut expanded = Vec::new();
+    expander.expand(&resolved, &mut expanded)?;
     let mut p = CondParser {
         toks: &expanded,
         pos: 0,
@@ -41,7 +41,7 @@ fn resolve_defined(tokens: &[Token], macros: &MacroTable, loc: Loc) -> Result<Ve
     let mut out = Vec::with_capacity(tokens.len());
     let mut i = 0;
     while i < tokens.len() {
-        if tokens[i].is_ident("defined") {
+        if tokens[i].is_ident(sym::DEFINED) {
             let (name, next) = if tokens.get(i + 1).is_some_and(|t| t.is_punct(Punct::LParen)) {
                 let name = tokens
                     .get(i + 2)
@@ -50,19 +50,19 @@ fn resolve_defined(tokens: &[Token], macros: &MacroTable, loc: Loc) -> Result<Ve
                 if !tokens.get(i + 3).is_some_and(|t| t.is_punct(Punct::RParen)) {
                     return Err(CError::pp("expected `)` after `defined(NAME`", loc));
                 }
-                (name.to_string(), i + 4)
+                (name, i + 4)
             } else {
                 let name = tokens
                     .get(i + 1)
                     .and_then(|t| t.kind.ident())
                     .ok_or_else(|| CError::pp("expected identifier after `defined`", loc))?;
-                (name.to_string(), i + 2)
+                (name, i + 2)
             };
-            let v = u64::from(macros.contains_key(&name));
+            let v = u64::from(macros.contains(name));
             out.push(Token::synth(TokenKind::Int(v, Default::default()), loc));
             i = next;
         } else {
-            out.push(tokens[i].clone());
+            out.push(tokens[i]);
             i += 1;
         }
     }
@@ -96,12 +96,12 @@ impl<'a> CondParser<'a> {
         self.toks.get(self.pos).map_or(self.loc, |t| t.loc)
     }
 
-    fn peek(&self) -> Option<&TokenKind> {
-        self.toks.get(self.pos).map(|t| &t.kind)
+    fn peek(&self) -> Option<TokenKind> {
+        self.toks.get(self.pos).map(|t| t.kind)
     }
 
     fn eat_punct(&mut self, p: Punct) -> bool {
-        if matches!(self.peek(), Some(TokenKind::Punct(q)) if *q == p) {
+        if self.peek() == Some(TokenKind::Punct(p)) {
             self.pos += 1;
             true
         } else {
@@ -138,11 +138,11 @@ impl<'a> CondParser<'a> {
     fn binary(&mut self, min_prec: u8) -> Result<i64> {
         let mut lhs = self.unary()?;
         while let Some(TokenKind::Punct(p)) = self.peek() {
-            let Some(prec) = bin_prec(*p) else { break };
+            let Some(prec) = bin_prec(p) else { break };
             if prec < min_prec {
                 break;
             }
-            let op = *p;
+            let op = p;
             self.pos += 1;
             // Short-circuit operators must not evaluate eagerly in a way that
             // faults (e.g. `defined(X) && 1/X`): evaluate rhs but guard
@@ -182,12 +182,10 @@ impl<'a> CondParser<'a> {
         }
         match self.peek() {
             Some(TokenKind::Int(v, _)) => {
-                let v = *v as i64;
                 self.pos += 1;
-                Ok(v)
+                Ok(v as i64)
             }
             Some(TokenKind::Char(v)) => {
-                let v = *v;
                 self.pos += 1;
                 Ok(v)
             }
@@ -264,25 +262,26 @@ fn apply_bin(op: Punct, l: i64, r: i64, loc: Loc) -> Result<i64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::lex;
-    use crate::pp::expand::MacroDef;
+    use crate::lexer::lex_into;
+    use crate::pp::expand::{ExpandStats, MacroDef};
     use crate::span::FileId;
+    use crate::token::Interner;
 
     fn eval(src: &str, defs: &[(&str, &str)]) -> Result<bool> {
-        let macros: MacroTable = defs
-            .iter()
-            .map(|(n, b)| {
-                (
-                    n.to_string(),
-                    MacroDef::Object {
-                        body: lex(b, FileId(0)).unwrap(),
-                    },
-                )
-            })
-            .collect();
-        let toks = lex(src, FileId(0)).unwrap();
-        let mut stats = ExpandStats::default();
-        eval_condition(&toks, &macros, Loc::BUILTIN, &mut stats)
+        let mut interner = Interner::new();
+        let mut macros = MacroTable::new();
+        for (n, b) in defs {
+            let body = lex_into(b, FileId(0), &mut interner).unwrap();
+            macros.insert(interner.intern(n), MacroDef::Object { body });
+        }
+        let toks = lex_into(src, FileId(0), &mut interner).unwrap();
+        let mut expander = Expander {
+            macros: &macros,
+            interner: &mut interner,
+            stats: &mut ExpandStats::default(),
+            hides: &mut Vec::new(),
+        };
+        eval_condition(&toks, &mut expander, Loc::BUILTIN)
     }
 
     #[test]

@@ -15,8 +15,11 @@ pub use fs::{dir_of, join_path, normalize_path, FileProvider, MemoryFs, OsFs};
 
 use crate::error::{CError, Result};
 use crate::lexer;
-use crate::span::{Loc, SourceMap};
-use crate::token::{Punct, Token, TokenKind};
+use crate::span::{FileId, Loc, SourceMap};
+use crate::token::{sym, Interner, Punct, Token, TokenKind, TokenStream};
+use expand::{Expander, HideNode};
+use std::collections::HashSet;
+use std::sync::Arc;
 
 /// Per-unit resource budgets protecting the frontend from hostile or
 /// pathological input (DESIGN.md §14). Exceeding any budget produces a
@@ -116,8 +119,9 @@ pub struct PpStats {
 /// The result of preprocessing one translation unit.
 #[derive(Debug)]
 pub struct Preprocessed {
-    /// The fully expanded token stream (no `Eof` sentinel).
-    pub tokens: Vec<Token>,
+    /// The fully expanded token stream (no `Eof` sentinel), carrying the
+    /// unit's interner.
+    pub tokens: TokenStream,
     /// All files read, for location rendering.
     pub sources: SourceMap,
     /// Statistics.
@@ -140,7 +144,9 @@ pub fn preprocess(
         fs,
         opts,
         sources: SourceMap::new(),
+        interner: Interner::new(),
         macros: MacroTable::new(),
+        hides: Vec::new(),
         out: Vec::new(),
         stats: PpStats::default(),
         expand_stats: ExpandStats {
@@ -148,19 +154,21 @@ pub fn preprocess(
             ..ExpandStats::default()
         },
         cond_stack: Vec::new(),
-        lines_seen: std::collections::HashSet::new(),
-        line_adjust: 0,
-        line_file: None,
+        lines: LineCount::default(),
+        line: LineState::default(),
         include_stack: Vec::new(),
         deadline: opts.limits.deadline_from_now(),
         deadline_ticks: 0,
     };
     for (name, body) in &opts.defines {
-        let toks = lexer::lex(body, crate::span::FileId::BUILTIN)?;
-        pp.macros
-            .insert(name.clone(), MacroDef::Object { body: toks });
+        let body = lexer::lex_into(body, FileId::BUILTIN, &mut pp.interner)?;
+        let name = pp.interner.intern(name);
+        pp.macros.insert(name, MacroDef::Object { body });
     }
-    pp.process_file(main_path, Loc::BUILTIN, 0)?;
+    let src = fs
+        .read(main_path)
+        .ok_or_else(|| CError::pp(format!("cannot open `{main_path}`"), Loc::BUILTIN))?;
+    pp.process_file(main_path, src, Loc::BUILTIN, 0)?;
     if let Some(open) = pp.cond_stack.last() {
         return Err(CError::pp(
             "unterminated conditional (#if without #endif)",
@@ -169,9 +177,9 @@ pub fn preprocess(
     }
     pp.stats.tokens_out = pp.out.len();
     pp.stats.macro_expansions = pp.expand_stats.expansions;
-    pp.stats.lines_out = pp.lines_seen.len();
+    pp.stats.lines_out = pp.lines.total();
     Ok(Preprocessed {
-        tokens: pp.out,
+        tokens: TokenStream::new(pp.out, pp.interner),
         sources: pp.sources,
         stats: pp.stats,
     })
@@ -192,20 +200,91 @@ struct Cond {
     seen_else: bool,
 }
 
+/// Counts the distinct `(file, line)` pairs among the emitted tokens
+/// ([`PpStats::lines_out`]) without hashing per token.
+///
+/// A file's tokens come out in line order, an `#include` sits on a line of
+/// its own, and every inclusion gets a fresh [`FileId`], so all tokens of
+/// one pair are adjacent in the output: counting the places where the pair
+/// changes counts the pairs. `#line` breaks that — presumed lines can repeat
+/// and collide with real ones — so the pairs of a file that has seen a
+/// `#line` (the ones it emitted before, too: [`LineCount::move_to_presumed`])
+/// are kept in a set instead.
+#[derive(Debug, Default)]
+struct LineCount {
+    /// Pair changes among tokens of files with no `#line` so far.
+    runs: usize,
+    /// Pairs of files with a `#line`, and of the files it presumes.
+    presumed: HashSet<(FileId, u32)>,
+    /// Pair of the newest token counted either way.
+    last: Option<(FileId, u32)>,
+}
+
+impl LineCount {
+    fn add(&mut self, tokens: &[Token], line_seen: bool) {
+        for t in tokens {
+            let pair = (t.loc.file, t.loc.line);
+            if Some(pair) != self.last {
+                self.last = Some(pair);
+                if line_seen {
+                    self.presumed.insert(pair);
+                } else {
+                    self.runs += 1;
+                }
+            }
+        }
+    }
+
+    /// `file` has just seen its first `#line`: moves the pairs its tokens
+    /// so far contributed from `runs` into `presumed`. `emitted` is the
+    /// output since the file was entered (its includes' tokens among its
+    /// own).
+    fn move_to_presumed(&mut self, file: FileId, emitted: &[Token]) {
+        let mut last_line = None;
+        for t in emitted.iter().filter(|t| t.loc.file == file) {
+            if last_line != Some(t.loc.line) {
+                last_line = Some(t.loc.line);
+                self.runs -= 1;
+                self.presumed.insert((file, t.loc.line));
+            }
+        }
+        self.last = None;
+    }
+
+    fn total(&self) -> usize {
+        self.runs + self.presumed.len()
+    }
+}
+
+/// `#line` state of the file being processed; an `#include` starts a fresh
+/// one and the includer's comes back afterwards.
+#[derive(Debug, Default, Clone, Copy)]
+struct LineState {
+    /// Added to physical line numbers (0 without a live remapping).
+    adjust: i64,
+    /// The presumed file, once a `#line N "file"` named one.
+    file: Option<FileId>,
+    /// Whether the file has had a `#line` directive at all.
+    seen: bool,
+    /// `out.len()` when the file was entered.
+    out_start: usize,
+}
+
 struct Pp<'a> {
     fs: &'a dyn FileProvider,
     opts: &'a PpOptions,
     sources: SourceMap,
+    /// Spellings of every file of the unit; ends up in the output stream.
+    interner: Interner,
     macros: MacroTable,
+    /// Hide-set arena lent to each [`Expander`].
+    hides: Vec<HideNode>,
     out: Vec<Token>,
     stats: PpStats,
     expand_stats: ExpandStats,
     cond_stack: Vec<Cond>,
-    lines_seen: std::collections::HashSet<(crate::span::FileId, u32)>,
-    /// Active `#line` remapping for the current file: (line delta, optional
-    /// presumed file).
-    line_adjust: i64,
-    line_file: Option<crate::span::FileId>,
+    lines: LineCount,
+    line: LineState,
     /// Resolved paths of files currently being processed, outermost first —
     /// re-entering one is an include cycle.
     include_stack: Vec<String>,
@@ -220,11 +299,33 @@ struct Pp<'a> {
 const DEADLINE_CHECK_INTERVAL: u32 = 128;
 
 impl<'a> Pp<'a> {
+    /// Whether lines are being emitted. A level is only ever active inside
+    /// an active parent, so the innermost level answers for the whole stack.
     fn active(&self) -> bool {
-        self.cond_stack.iter().all(|c| c.active)
+        self.cond_stack.last().is_none_or(|c| c.active)
     }
 
-    fn process_file(&mut self, path: &str, from: Loc, depth: usize) -> Result<()> {
+    fn expander(&mut self) -> Expander<'_> {
+        Expander {
+            macros: &self.macros,
+            interner: &mut self.interner,
+            stats: &mut self.expand_stats,
+            hides: &mut self.hides,
+        }
+    }
+
+    fn push_cond(&mut self, loc: Loc, value: bool) {
+        let parent_active = self.active();
+        self.cond_stack.push(Cond {
+            loc,
+            parent_active,
+            active: parent_active && value,
+            taken: value,
+            seen_else: false,
+        });
+    }
+
+    fn process_file(&mut self, path: &str, src: Arc<str>, from: Loc, depth: usize) -> Result<()> {
         let max_depth = if self.opts.max_include_depth == 0 {
             64
         } else {
@@ -246,68 +347,94 @@ impl<'a> Pp<'a> {
             ));
         }
         self.include_stack.push(path.to_string());
-        let r = self.process_file_inner(path, from, depth);
+        let r = self.process_file_inner(path, src, from, depth);
         self.include_stack.pop();
         r
     }
 
-    fn process_file_inner(&mut self, path: &str, from: Loc, depth: usize) -> Result<()> {
-        let src = self
-            .fs
-            .read(path)
-            .ok_or_else(|| CError::pp(format!("cannot open `{path}`"), from))?;
+    fn process_file_inner(
+        &mut self,
+        path: &str,
+        src: Arc<str>,
+        from: Loc,
+        depth: usize,
+    ) -> Result<()> {
         self.stats.files_read += 1;
         self.stats.bytes_in += src.len() as u64;
         let file = self.sources.add_file(path, src.clone());
-        let tokens = lexer::lex(&src, file)?;
+        let tokens = lexer::lex_into(&src, file, &mut self.interner)?;
+        // Room for every line of the file to pass through unexpanded.
+        self.out.reserve(tokens.len());
         let cond_depth_at_entry = self.cond_stack.len();
         // #line remappings are per-file.
-        let (saved_adjust, saved_file) = (self.line_adjust, self.line_file);
-        self.line_adjust = 0;
-        self.line_file = None;
+        let includer_line = std::mem::replace(
+            &mut self.line,
+            LineState {
+                out_start: self.out.len(),
+                ..LineState::default()
+            },
+        );
 
         // Walk logical lines.
         let mut i = 0;
         while i < tokens.len() {
             // A logical line runs until the next `first_on_line` token.
-            let mut j = i + 1;
-            while j < tokens.len() && !tokens[j].first_on_line {
+            let mut macro_hit = false;
+            let mut j = i;
+            loop {
+                if let TokenKind::Ident(name) = tokens[j].kind {
+                    macro_hit |= self.macros.contains(name);
+                }
                 j += 1;
+                if j == tokens.len() || tokens[j].first_on_line {
+                    break;
+                }
             }
             let line = &tokens[i..j];
+            i = j;
             self.check_budgets(line[0].loc)?;
             if line[0].is_punct(Punct::Hash) {
                 self.directive(&line[1..], line[0].loc, path, depth)?;
-            } else if self.active() {
-                let mut expanded =
-                    expand::expand(line.to_vec(), &self.macros, &mut self.expand_stats)?;
-                if self.line_adjust != 0 || self.line_file.is_some() {
-                    for t in &mut expanded {
-                        if t.loc.file == file {
-                            t.loc.line = (i64::from(t.loc.line) + self.line_adjust).max(1) as u32;
-                            if let Some(f) = self.line_file {
-                                t.loc.file = f;
-                            }
+                continue;
+            }
+            if !self.active() {
+                continue;
+            }
+            let emitted_from = self.out.len();
+            if macro_hit {
+                let mut out = std::mem::take(&mut self.out);
+                let expanded = self.expander().expand(line, &mut out);
+                self.out = out;
+                expanded?;
+            } else {
+                // The fast lane: no identifier of the line is a macro right
+                // now, so expansion would hand every token back unchanged.
+                self.out.extend_from_slice(line);
+            }
+            if self.line.adjust != 0 || self.line.file.is_some() {
+                for t in &mut self.out[emitted_from..] {
+                    if t.loc.file == file {
+                        t.loc.line = (i64::from(t.loc.line) + self.line.adjust).max(1) as u32;
+                        if let Some(f) = self.line.file {
+                            t.loc.file = f;
                         }
                     }
                 }
-                for t in &expanded {
-                    self.lines_seen.insert((t.loc.file, t.loc.line));
-                }
-                self.out.extend(expanded);
             }
-            i = j;
+            self.lines.add(&self.out[emitted_from..], self.line.seen);
         }
-        self.line_adjust = saved_adjust;
-        self.line_file = saved_file;
-        if self.cond_stack.len() != cond_depth_at_entry {
-            let open = &self.cond_stack[self.cond_stack.len() - 1];
-            return Err(CError::pp(
+        self.line = includer_line;
+        match self.cond_stack.last() {
+            Some(open) if self.cond_stack.len() > cond_depth_at_entry => Err(CError::pp(
                 "unterminated conditional (#if without #endif)",
                 open.loc,
-            ));
+            )),
+            _ if self.cond_stack.len() < cond_depth_at_entry => Err(CError::pp(
+                format!("`{path}` closes a conditional of the file that includes it"),
+                from,
+            )),
+            _ => Ok(()),
         }
-        Ok(())
     }
 
     /// Enforces the per-unit token cap and (periodically) the wall-clock
@@ -339,67 +466,56 @@ impl<'a> Pp<'a> {
         Ok(())
     }
 
+    /// Macro-expands the argument tokens of a directive.
+    fn expand_args(&mut self, args: &[Token]) -> Result<Vec<Token>> {
+        let mut out = Vec::new();
+        self.expander().expand(args, &mut out)?;
+        Ok(out)
+    }
+
     fn directive(&mut self, rest: &[Token], loc: Loc, cur_path: &str, depth: usize) -> Result<()> {
         // A lone `#` is a null directive.
-        let Some(first) = rest.first() else {
+        let Some((first, args)) = rest.split_first() else {
             return Ok(());
         };
-        let name = first.kind.ident().unwrap_or("");
-        let args = &rest[1..];
+        let name = first.kind.ident();
         match name {
-            "if" => {
+            Some(sym::IF) => {
                 // An #if inside a skipped region is pushed but its expression
                 // is not evaluated (it may use constructs we cannot resolve).
-                let parent = self.parent_active();
-                let v = if parent {
-                    cond::eval_condition(args, &self.macros, loc, &mut self.expand_stats)?
-                } else {
-                    false
-                };
-                self.cond_stack.push(Cond {
-                    loc,
-                    parent_active: parent,
-                    active: parent && v,
-                    taken: v,
-                    seen_else: false,
-                });
+                let v = self.active() && cond::eval_condition(args, &mut self.expander(), loc)?;
+                self.push_cond(loc, v);
                 Ok(())
             }
-            "ifdef" | "ifndef" => {
+            Some(sym::IFDEF | sym::IFNDEF) => {
+                let (ifdef, spelled) = if name == Some(sym::IFDEF) {
+                    (true, "ifdef")
+                } else {
+                    (false, "ifndef")
+                };
                 let id = args
                     .first()
                     .and_then(|t| t.kind.ident())
-                    .ok_or_else(|| CError::pp(format!("#{name} needs an identifier"), loc))?;
-                let mut cond = self.macros.contains_key(id);
-                if name == "ifndef" {
-                    cond = !cond;
-                }
-                self.cond_stack.push(Cond {
-                    loc,
-                    parent_active: self.parent_active(),
-                    active: self.parent_active() && cond,
-                    taken: cond,
-                    seen_else: false,
-                });
+                    .ok_or_else(|| CError::pp(format!("#{spelled} needs an identifier"), loc))?;
+                self.push_cond(loc, self.macros.contains(id) == ifdef);
                 Ok(())
             }
-            "elif" => {
-                let Some(top) = self.cond_stack.last_mut() else {
+            Some(sym::ELIF) => {
+                let Some(top) = self.cond_stack.last() else {
                     return Err(CError::pp("#elif without #if", loc));
                 };
                 if top.seen_else {
                     return Err(CError::pp("#elif after #else", loc));
                 }
-                if top.taken || !top.parent_active {
-                    top.active = false;
-                } else {
-                    let v = cond::eval_condition(args, &self.macros, loc, &mut self.expand_stats)?;
-                    top.active = v;
-                    top.taken = v;
-                }
+                let v = !top.taken
+                    && top.parent_active
+                    && cond::eval_condition(args, &mut self.expander(), loc)?;
+                let top = self.cond_stack.last_mut().expect("checked above");
+                top.active = v;
+                top.taken |= v;
                 Ok(())
             }
-            "else" => {
+            Some(sym::ELSE) => {
                 let Some(top) = self.cond_stack.last_mut() else {
                     return Err(CError::pp("#else without #if", loc));
                 };
@@ -411,15 +527,15 @@ impl<'a> Pp<'a> {
                 top.taken = true;
                 Ok(())
             }
-            "endif" => {
+            Some(sym::ENDIF) => {
                 if self.cond_stack.pop().is_none() {
                     return Err(CError::pp("#endif without #if", loc));
                 }
                 Ok(())
             }
             _ if !self.active() => Ok(()), // other directives in skipped regions are ignored
-            "define" => self.define(args, loc),
-            "undef" => {
+            Some(sym::DEFINE) => self.define(args, loc),
+            Some(sym::UNDEF) => {
                 let id = args
                     .first()
                     .and_then(|t| t.kind.ident())
@@ -427,34 +543,41 @@ impl<'a> Pp<'a> {
                 self.macros.remove(id);
                 Ok(())
             }
-            "include" => self.include(args, loc, cur_path, depth),
-            "error" => {
-                let msg: Vec<String> = args.iter().map(spell).collect();
+            Some(sym::INCLUDE) => self.include(args, loc, cur_path, depth),
+            Some(sym::ERROR) => {
+                let msg: Vec<String> = args.iter().map(|t| spell(t, &self.interner)).collect();
                 Err(CError::pp(format!("#error {}", msg.join(" ")), loc))
             }
-            "line" => {
+            Some(sym::LINE) => {
                 // `#line N ["file"]`: subsequent lines are presumed to come
                 // from line N (of the given file). Common in generated code.
-                let toks = expand::expand(args.to_vec(), &self.macros, &mut self.expand_stats)?;
-                let Some(TokenKind::Int(n, _)) = toks.first().map(|t| &t.kind) else {
+                let toks = self.expand_args(args)?;
+                let Some(TokenKind::Int(n, _)) = toks.first().map(|t| t.kind) else {
                     return Err(CError::pp("#line needs a line number", loc));
                 };
+                if !self.line.seen {
+                    self.line.seen = true;
+                    self.lines
+                        .move_to_presumed(loc.file, &self.out[self.line.out_start..]);
+                }
                 // The next physical line is loc.line + 1 and must appear as n.
-                self.line_adjust = *n as i64 - i64::from(loc.line) - 1;
+                self.line.adjust = n as i64 - i64::from(loc.line) - 1;
                 // A bare `#line N` keeps the current presumed file name.
-                if let Some(TokenKind::Str(name)) = toks.get(1).map(|t| &t.kind) {
-                    let id = self.sources.add_file(name.clone(), "".into());
-                    self.line_file = Some(id);
+                if let Some(TokenKind::Str(name)) = toks.get(1).map(|t| t.kind) {
+                    let name = self.interner.resolve(name);
+                    self.line.file = Some(self.sources.add_file(name, "".into()));
                 }
                 Ok(())
             }
-            "warning" | "pragma" | "ident" => Ok(()), // accepted and ignored
-            other => Err(CError::pp(format!("unknown directive #{other}"), loc)),
+            Some(sym::WARNING | sym::PRAGMA | sym::IDENT) => Ok(()), // accepted and ignored
+            other => Err(CError::pp(
+                format!(
+                    "unknown directive #{}",
+                    other.map_or("", |s| self.interner.resolve(s))
+                ),
+                loc,
+            )),
         }
-    }
-
-    fn parent_active(&self) -> bool {
-        self.cond_stack.iter().all(|c| c.active)
     }
 
     fn define(&mut self, args: &[Token], loc: Loc) -> Result<()> {
@@ -470,7 +593,7 @@ impl<'a> Pp<'a> {
             .is_some_and(|t| t.is_punct(Punct::LParen) && !t.space_before);
         if !function_like {
             self.macros.insert(
-                name.to_string(),
+                name,
                 MacroDef::Object {
                     body: rest.to_vec(),
                 },
@@ -494,7 +617,7 @@ impl<'a> Pp<'a> {
                             .kind
                             .ident()
                             .ok_or_else(|| CError::pp("expected macro parameter name", t.loc))?;
-                        params.push(p.to_string());
+                        params.push(p);
                         i += 1;
                     }
                     None => return Err(CError::pp("unterminated macro parameter list", loc)),
@@ -516,7 +639,7 @@ impl<'a> Pp<'a> {
         }
         let body = rest[i..].to_vec();
         self.macros.insert(
-            name.to_string(),
+            name,
             MacroDef::Function {
                 params,
                 variadic,
@@ -531,20 +654,20 @@ impl<'a> Pp<'a> {
         // expands to one of these forms is also accepted.
         let toks: Vec<Token>;
         let args = if args.first().is_some_and(|t| t.kind.is_ident()) {
-            toks = expand::expand(args.to_vec(), &self.macros, &mut self.expand_stats)?;
+            toks = self.expand_args(args)?;
             &toks[..]
         } else {
             args
         };
-        let (path, angled) = match args.first().map(|t| &t.kind) {
-            Some(TokenKind::Str(s)) => (s.clone(), false),
+        let (path, angled) = match args.first().map(|t| t.kind) {
+            Some(TokenKind::Str(s)) => (self.interner.resolve(s).to_string(), false),
             Some(TokenKind::Punct(Punct::Lt)) => {
                 let mut s = String::new();
                 for t in &args[1..] {
                     if t.is_punct(Punct::Gt) {
                         break;
                     }
-                    s.push_str(&spell(t));
+                    s.push_str(&spell(t, &self.interner));
                 }
                 if !args.iter().any(|t| t.is_punct(Punct::Gt)) {
                     return Err(CError::pp("unterminated <...> include", loc));
@@ -565,8 +688,8 @@ impl<'a> Pp<'a> {
         }
         candidates.push(normalize_path(&path));
         for cand in &candidates {
-            if self.fs.read(cand).is_some() {
-                return self.process_file(cand, loc, depth + 1);
+            if let Some(src) = self.fs.read(cand) {
+                return self.process_file(cand, src, loc, depth + 1);
             }
         }
         Err(CError::pp(format!("include file not found: `{path}`"), loc))
@@ -586,7 +709,12 @@ mod tests {
     }
 
     fn text(p: &Preprocessed) -> String {
-        p.tokens.iter().map(spell).collect::<Vec<_>>().join(" ")
+        let spelled: Vec<String> = p
+            .tokens
+            .iter()
+            .map(|t| spell(t, p.tokens.interner()))
+            .collect();
+        spelled.join(" ")
     }
 
     #[test]
@@ -803,7 +931,7 @@ mod tests {
         let find = |name: &str| {
             p.tokens
                 .iter()
-                .find(|t| t.is_ident(name))
+                .find(|t| p.tokens.is_ident(t, name))
                 .map(|t| (p.sources.file_name(t.loc.file).to_string(), t.loc.line))
                 .unwrap()
         };
@@ -820,9 +948,15 @@ mod tests {
             ("gen.h", "#line 500\nint inside;\n"),
         ];
         let p = run(&files, PpOptions::default()).unwrap();
-        let after = p.tokens.iter().find(|t| t.is_ident("after")).unwrap();
+        let find = |name: &str| {
+            *p.tokens
+                .iter()
+                .find(|t| p.tokens.is_ident(t, name))
+                .unwrap()
+        };
+        let after = find("after");
         assert_eq!(after.loc.line, 2, "the includer's numbering is unaffected");
-        let inside = p.tokens.iter().find(|t| t.is_ident("inside")).unwrap();
+        let inside = find("inside");
         assert_eq!(inside.loc.line, 500);
     }
 
@@ -839,6 +973,98 @@ mod tests {
         assert_eq!(p.stats.macro_expansions, 2);
         assert_eq!(p.stats.lines_out, 2);
         assert_eq!(p.stats.bytes_in, src.len() as u64);
+    }
+
+    /// `lines_out` counts distinct `(file, line)` pairs of emitted tokens:
+    /// across includes (a header included twice is two files), over logical
+    /// lines that span physical ones, and not for lines that emit nothing.
+    #[test]
+    fn lines_out_counts_distinct_file_line_pairs() {
+        let files = [
+            (
+                "a.c",
+                "int a;\n#include \"h.h\"\nint b; /* spans\n lines */ int c;\n\n#if 0\nint no;\n#endif\n\
+                 #include \"h.h\"\nint d = \\\n 1;\nE\n",
+            ),
+            ("h.h", "int h1;\nint h2; int h3;\n"),
+        ];
+        let p = run(&files, PpOptions::default().define("E", "")).unwrap();
+        // a.c: lines 1, 3, 4, 10, 11 (`E` on 12 emits nothing); h.h: 2 lines, twice.
+        assert_eq!(p.stats.lines_out, 5 + 2 + 2);
+        assert_eq!(p.stats.files_read, 3);
+    }
+
+    /// `#line` can map two physical lines to one presumed line, make a
+    /// presumed line collide with a real one of the same file, or clamp
+    /// several to line 1; each pair still counts once, whether the lines
+    /// were emitted before the first `#line` or after a remap ended.
+    #[test]
+    fn lines_out_is_exact_under_line_remapping() {
+        let count = |src: &str| {
+            run(&[("a.c", src)], PpOptions::default())
+                .unwrap()
+                .stats
+                .lines_out
+        };
+        // Two physical lines presumed to be line 50.
+        assert_eq!(count("int a;\n#line 50\nint b;\n#line 50\nint c;\n"), 2);
+        // Presumed line 1 of the same file is the real line 1 again.
+        assert_eq!(count("int a;\nint b;\n#line 1\nint c;\nint d;\n"), 2);
+        // `#line 0`: the next two lines both clamp to 1, which line 1 was.
+        assert_eq!(count("int a;\n#line 0\nint b;\nint c;\nint d;\n"), 2);
+        // A remap that ends (`#line` naming the real next line) leaves real
+        // lines that an earlier presumed line already claimed.
+        assert_eq!(
+            count("#line 6\nint a;\n#line 4\nint b;\nint c;\nint d;\n"),
+            3
+        );
+        // Each `#line N "f"` presumes a file of its own, as `add_file` does.
+        assert_eq!(
+            count("#line 7 \"g.y\"\nint a;\n#line 7 \"g.y\"\nint b;\n#line 7\nint c;\n"),
+            2
+        );
+        // The includer keeps counting by adjacency around a remapped header.
+        let files = [
+            ("m.c", "int a;\n#include \"g.h\"\nint b;\nint c;\n"),
+            ("g.h", "int g;\n#line 1\nint h;\n#line 1 \"m.c\"\nint i;\n"),
+        ];
+        let p = run(&files, PpOptions::default()).unwrap();
+        assert_eq!(p.stats.lines_out, 3 + 2);
+    }
+
+    /// The fast lane decides per line and per identifier, against the macro
+    /// table as it stands at that line.
+    #[test]
+    fn defines_take_effect_from_their_line_on() {
+        let src = "int later = 1;\nint x = later;\n#define later 7\nint y = later;\n\
+                   #undef later\nint z = later;\n#define F(a) a + later\nint w = F(2);\n\
+                   #define later 9\nint v = F(later);\n";
+        let p = run(&[("a.c", src)], PpOptions::default()).unwrap();
+        assert_eq!(
+            text(&p),
+            "int later = 1 ; int x = later ; int y = 7 ; int z = later ; \
+             int w = 2 + later ; int v = 9 + 9 ;"
+        );
+        assert_eq!(p.stats.macro_expansions, 1 + 1 + 3);
+        // A predefined macro is live from the first line.
+        let p = run(
+            &[("a.c", "int a = N;\n#undef N\nint b = N;\n")],
+            PpOptions::default().define("N", "3"),
+        )
+        .unwrap();
+        assert_eq!(text(&p), "int a = 3 ; int b = N ;");
+    }
+
+    #[test]
+    fn header_closing_its_includers_conditional_is_a_typed_error() {
+        let files = [
+            ("a.c", "#if 1\n#include \"h.h\"\nint a;\n"),
+            ("h.h", "#endif\n"),
+        ];
+        let e = run(&files, PpOptions::default()).unwrap_err();
+        assert!(matches!(e, CError::Pp { .. }), "{e}");
+        assert!(e.message().contains("h.h"), "{e}");
+        assert_eq!(e.loc().line, 2);
     }
 
     #[test]

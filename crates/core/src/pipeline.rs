@@ -10,7 +10,9 @@ use crate::pretransitive::{SealedGraph, SolveOptions, SolveStats, Warm};
 use crate::solution::PointsTo;
 use cla_cfront::{CError, FileProvider, PpOptions, Preprocessed};
 use cla_cladb::{fnv64, write_object, Database, DbError, LinkStats, LoadStats, StreamLinker};
-use cla_ir::{compile_file, AssignCounts, CompileStats, CompiledUnit, LowerOptions};
+use cla_ir::{
+    compile_file, compile_preprocessed, AssignCounts, CompileStats, CompiledUnit, LowerOptions,
+};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::Relaxed};
 use std::sync::{mpsc, Condvar, Mutex};
@@ -528,9 +530,9 @@ struct CompiledFile {
 
 /// Compiles one file through the compile cache: preprocess (to key the
 /// cache and detect header changes), reuse the stored object on a hit, and
-/// compile + store on a miss. A cache entry that fails to open or decode is
-/// treated as a miss — the checksummed object reader makes feeding damaged
-/// bytes back safe.
+/// parse + lower that same preprocessed unit and store the result on a miss.
+/// A cache entry that fails to open or decode is treated as a miss — the
+/// checksummed object reader makes feeding damaged bytes back safe.
 fn compile_one_keyed(
     fs: &dyn FileProvider,
     f: &str,
@@ -538,7 +540,7 @@ fn compile_one_keyed(
     options_fp: u64,
     cache: Option<&dyn CompileCache>,
 ) -> Result<CompiledFile, CError> {
-    let pre = cla_cfront::pp::preprocess(fs, f, &opts.pp)?;
+    let pre = cla_cfront::preprocess_file(fs, f, &opts.pp)?;
     let key = closure_hash(&pre, f, options_fp);
     if let Some(cache) = cache {
         if let Some(bytes) = cache.load(key) {
@@ -559,7 +561,7 @@ fn compile_one_keyed(
             }
         }
     }
-    let (unit, stats) = compile_file(fs, f, &opts.pp, &opts.lower)?;
+    let (unit, stats) = compile_preprocessed(pre, f, &opts.pp.limits, &opts.lower)?;
     if let Some(cache) = cache {
         cache.store(key, &write_object(&unit));
     }

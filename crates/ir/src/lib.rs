@@ -31,7 +31,10 @@ pub use lower::{lower_unit, FieldModel, LowerOptions};
 pub use object::{ObjId, ObjKind, ObjectInfo};
 pub use strength::{OpKind, Strength};
 
-use cla_cfront::{parse_file, FileProvider, PpOptions, Result};
+use cla_cfront::{
+    parse_preprocessed, preprocess_file, FileProvider, FrontendLimits, PpOptions, Preprocessed,
+    Result,
+};
 
 /// Statistics from compiling one source file.
 #[derive(Debug, Default, Clone, Copy)]
@@ -57,7 +60,36 @@ pub fn compile_file(
 ) -> Result<(CompiledUnit, CompileStats)> {
     let mut sp = cla_obs::global().span("front", "compile_file");
     sp.set("file", path);
-    let parsed = parse_file(fs, path, pp)?;
+    let pre = preprocess_file(fs, path, pp)?;
+    parse_and_lower(&mut sp, pre, path, &pp.limits, lower)
+}
+
+/// The parse + lower half of [`compile_file`], for a unit the caller has
+/// already preprocessed (the compile cache preprocesses every file to key
+/// it, and compiles the misses from that same pass).
+///
+/// # Errors
+///
+/// Propagates parse errors.
+pub fn compile_preprocessed(
+    pre: Preprocessed,
+    path: &str,
+    limits: &FrontendLimits,
+    lower: &LowerOptions,
+) -> Result<(CompiledUnit, CompileStats)> {
+    let mut sp = cla_obs::global().span("front", "compile_file");
+    sp.set("file", path);
+    parse_and_lower(&mut sp, pre, path, limits, lower)
+}
+
+fn parse_and_lower(
+    sp: &mut cla_obs::Span<'_>,
+    pre: Preprocessed,
+    path: &str,
+    limits: &FrontendLimits,
+    lower: &LowerOptions,
+) -> Result<(CompiledUnit, CompileStats)> {
+    let parsed = parse_preprocessed(pre, path, limits)?;
     let gen_sp = cla_obs::global().span("front", "assign_gen");
     let unit = lower_unit(&parsed.tu, &parsed.sources, lower);
     drop(gen_sp);

@@ -57,8 +57,8 @@ trace_out="${TRACE_OUT:-target/trace-smoke.json}"
     | grep -q 'cla_solve_passes_total'
 ./target/release/cla-tool trace-validate "$trace_out"
 
-echo "==> count-alloc feature check (counting global allocator compiles and links)"
-cargo check -q --release --features count-alloc
+echo "==> allocation gate (counting global allocator; preprocessing allocates per unit, not per token)"
+cargo test -q --release --features count-alloc --test alloc_gate
 
 echo "==> bench-diff self-check (committed last-good vs itself: zero regressions)"
 ./target/release/cla-tool bench-diff benchmarks/BENCH_million.json \
