@@ -38,7 +38,7 @@ pub use format::{
     fnv64, fnv64_tagged, DbError, SectionId, ASSIGN_RECORD_SIZE, HEADER_FIXED_SIZE, MAGIC,
     NONE_U32, SECTION_ENTRY_SIZE, VERSION,
 };
-pub use linker::{link, LinkSet, LinkStats, Linker, StreamLinker};
+pub use linker::{link, LinkStats, Linker, StreamLinker};
 pub use reader::{Database, LoadStats};
 pub use writer::{atomic_write_bytes, block_key, sweep_stale_tmp, write_object, write_object_file};
 

@@ -273,67 +273,6 @@ impl StreamLinker {
     }
 }
 
-/// An incrementally maintained set of named compilation units.
-///
-/// A long-running analysis server recompiles only the sources that changed;
-/// the `LinkSet` holds every unit by name so replacing one and relinking the
-/// program is a single [`upsert`](LinkSet::upsert) + [`link`](LinkSet::link).
-/// Units keep their insertion order across upserts, so relinking after a
-/// no-op recompile reproduces the identical program database.
-#[derive(Debug, Default)]
-pub struct LinkSet {
-    units: Vec<(String, CompiledUnit)>,
-}
-
-impl LinkSet {
-    pub fn new() -> Self {
-        LinkSet::default()
-    }
-
-    /// Inserts or replaces the unit for `name`. Returns true when an
-    /// existing unit was replaced (its position is preserved).
-    pub fn upsert(&mut self, name: impl Into<String>, unit: CompiledUnit) -> bool {
-        let name = name.into();
-        if let Some(slot) = self.units.iter_mut().find(|(n, _)| *n == name) {
-            slot.1 = unit;
-            true
-        } else {
-            self.units.push((name, unit));
-            false
-        }
-    }
-
-    /// Removes the unit for `name`; returns true when it existed.
-    pub fn remove(&mut self, name: &str) -> bool {
-        let before = self.units.len();
-        self.units.retain(|(n, _)| n != name);
-        self.units.len() != before
-    }
-
-    /// Unit names in link order.
-    pub fn names(&self) -> impl Iterator<Item = &str> {
-        self.units.iter().map(|(n, _)| n.as_str())
-    }
-
-    pub fn len(&self) -> usize {
-        self.units.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.units.is_empty()
-    }
-
-    /// Links the current set into one program database (folding each unit
-    /// in place — units are borrowed, never cloned).
-    pub fn link(&self, program_name: &str) -> (CompiledUnit, LinkStats) {
-        let mut linker = Linker::new(program_name);
-        for (_, unit) in &self.units {
-            linker.add_unit(unit);
-        }
-        linker.finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -414,45 +353,6 @@ mod tests {
         let y = linked.find_object("y").unwrap();
         assert_eq!(linked.files.display(linked.object(x).loc), "a.c:1");
         assert_eq!(linked.files.display(linked.object(y).loc), "b.c:1");
-    }
-
-    #[test]
-    fn link_set_upsert_and_relink() {
-        let mut set = LinkSet::new();
-        assert!(!set.upsert(
-            "a.c",
-            unit("int shared; int *p; void f(void) { p = &shared; }", "a.c")
-        ));
-        assert!(!set.upsert(
-            "b.c",
-            unit(
-                "extern int shared; int *q; void g(void) { q = &shared; }",
-                "b.c"
-            )
-        ));
-        let (first, _) = set.link("prog");
-
-        // Replacing a unit with identical content relinks identically.
-        assert!(set.upsert(
-            "b.c",
-            unit(
-                "extern int shared; int *q; void g(void) { q = &shared; }",
-                "b.c"
-            )
-        ));
-        let (same, _) = set.link("prog");
-        assert_eq!(same.objects, first.objects);
-        assert_eq!(same.assign_counts(), first.assign_counts());
-
-        // Changing one unit changes only what it contributes.
-        assert!(set.upsert("b.c", unit("int *q; void g(void) { }", "b.c")));
-        let (changed, _) = set.link("prog");
-        assert!(changed.assign_counts().total() < first.assign_counts().total());
-
-        assert!(set.remove("b.c"));
-        assert!(!set.remove("b.c"));
-        assert_eq!(set.names().collect::<Vec<_>>(), vec!["a.c"]);
-        assert_eq!(set.len(), 1);
     }
 
     #[test]

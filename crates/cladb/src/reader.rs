@@ -715,6 +715,12 @@ impl Database {
         self.data.len()
     }
 
+    /// [`fnv64`] of the object file's bytes: the identity a serve session
+    /// keys its snapshot provenance on.
+    pub fn content_hash(&self) -> u64 {
+        fnv64(&self.data)
+    }
+
     /// Fully decodes the database back into a [`CompiledUnit`] (used by the
     /// linker and the non-demand-driven baseline solvers).
     ///

@@ -10,11 +10,9 @@ use crate::pretransitive::{SealedGraph, SolveOptions, SolveStats, Warm};
 use crate::solution::PointsTo;
 use cla_cfront::{CError, FileProvider, PpOptions, Preprocessed};
 use cla_cladb::{fnv64, write_object, Database, DbError, LinkStats, LoadStats, StreamLinker};
-use cla_ir::{
-    compile_file, compile_preprocessed, AssignCounts, CompileStats, CompiledUnit, LowerOptions,
-};
+use cla_ir::{compile_preprocessed, AssignCounts, CompileStats, CompiledUnit, LowerOptions};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::Relaxed};
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::{mpsc, Condvar, Mutex};
 use std::time::Duration;
 
@@ -147,18 +145,6 @@ impl Quarantined {
     }
 }
 
-/// Resolves a `jobs` cap (0 = auto) to a concrete thread count.
-#[must_use]
-pub fn effective_jobs(jobs: usize) -> usize {
-    if jobs > 0 {
-        jobs
-    } else {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(4)
-    }
-}
-
 /// A persistent compile cache: preprocessed-source key → serialized object
 /// file. [`analyze_with`] consults it before compiling each file and feeds
 /// it after each miss, so compiles skip across process restarts (the on-disk
@@ -251,22 +237,39 @@ pub fn options_fingerprint(pp: &PpOptions, lower: &LowerOptions) -> u64 {
     fnv64(format!("clav{}|{pp:?}|{lower:?}", cla_cladb::VERSION).as_bytes())
 }
 
-/// Hash of one file's preprocessed closure: every source the preprocessor
-/// read for it (main file and all headers, names and contents, in read
-/// order) plus the options fingerprint. Editing the file, any header it
-/// includes, an include path, or a define all change the hash.
-#[must_use]
-pub fn closure_hash(pre: &Preprocessed, file: &str, options_fp: u64) -> u64 {
+/// One file's inputs: every source the preprocessor read for it (main file
+/// and all headers, in read order) as `(name, fnv64(text))`. This is the
+/// one definition of "what this file depends on": [`closure_hash`] folds it
+/// into the compile-cache key, and a serve session keeps it per file to
+/// decide which files a reload must recompile.
+pub type Closure = Vec<(String, u64)>;
+
+fn closure_of(pre: &Preprocessed) -> Closure {
+    pre.sources
+        .iter()
+        .map(|(_, sf)| (sf.name.clone(), fnv64(sf.src.as_bytes())))
+        .collect()
+}
+
+fn closure_key(closure: &Closure, file: &str, options_fp: u64) -> u64 {
     let mut acc = Vec::new();
     acc.extend_from_slice(&options_fp.to_le_bytes());
     acc.extend_from_slice(&(file.len() as u64).to_le_bytes());
     acc.extend_from_slice(file.as_bytes());
-    for (_, sf) in pre.sources.iter() {
-        acc.extend_from_slice(&(sf.name.len() as u64).to_le_bytes());
-        acc.extend_from_slice(sf.name.as_bytes());
-        acc.extend_from_slice(&fnv64(sf.src.as_bytes()).to_le_bytes());
+    for (name, hash) in closure {
+        acc.extend_from_slice(&(name.len() as u64).to_le_bytes());
+        acc.extend_from_slice(name.as_bytes());
+        acc.extend_from_slice(&hash.to_le_bytes());
     }
     fnv64(&acc)
+}
+
+/// Hash of one file's preprocessed [`Closure`] plus the options
+/// fingerprint. Editing the file, any header it includes, an include path,
+/// or a define all change the hash.
+#[must_use]
+pub fn closure_hash(pre: &Preprocessed, file: &str, options_fp: u64) -> u64 {
+    closure_key(&closure_of(pre), file, options_fp)
 }
 
 /// Everything measured across one pipeline run (one row of Table 2+3).
@@ -395,41 +398,59 @@ pub fn analyze_with(
     // Phase times come from the same spans that emit trace events, so the
     // `Report` and a recorded trace can never disagree about a duration.
     let obs = cla_obs::global();
-    // Closure hashes are needed by both hooks; without hooks the keying
-    // preprocess is skipped and the pipeline runs exactly as before.
-    let keyed = hooks.compile_cache.is_some() || hooks.snapshots.is_some();
     let options_fp = options_fingerprint(&opts.pp, &opts.lower);
 
     // The streaming compile+link: each unit folds into the program the
-    // moment it (and every earlier unit) is compiled, then drops. Folding
-    // overlaps compilation, so `compile_time` covers both and `link_time`
-    // covers finalization + serialization + open.
+    // moment it (and every earlier unit) is compiled, then drops — units
+    // are never collected, so peak memory is the program under construction
+    // plus the pool's reorder window. Folding overlaps compilation, so
+    // `compile_time` covers both and `link_time` covers finalization +
+    // serialization + open.
     let mut sp = obs.span("pipeline", "pipeline.compile");
     sp.set("files", files.len());
-    let streamed = if keyed {
-        stream_compile_link(files, opts, |f| {
-            compile_one_keyed(fs, f, opts, options_fp, hooks.compile_cache)
-        })?
-    } else {
-        stream_compile_link(files, opts, |f| {
-            compile_file(fs, f, &opts.pp, &opts.lower).map(|(unit, stats)| CompiledFile {
-                unit,
-                stats,
-                key: 0,
-                cache_hit: false,
-            })
-        })?
-    };
-    let StreamedCompile {
-        linker,
-        stats,
-        keys,
-        durs,
-        cache_hits: compile_cache_hits,
-        jobs,
-        quarantined: quarantined_ix,
-    } = streamed;
-    let quarantined: Vec<Quarantined> = quarantined_ix
+    let mut linker = StreamLinker::new("a.out");
+    let mut stats = vec![CompileStats::default(); files.len()];
+    let mut keys = vec![0u64; files.len()];
+    let mut durs = vec![Duration::ZERO; files.len()];
+    let mut compile_cache_hits = 0usize;
+    let mut failed: Vec<(usize, QuarantineReason)> = Vec::new();
+    let jobs = compile_all(
+        files,
+        if opts.parallel_compile { opts.jobs } else { 1 },
+        opts.strict,
+        |f| {
+            compile_one_keyed(
+                fs,
+                f,
+                &opts.pp,
+                &opts.lower,
+                options_fp,
+                hooks.compile_cache,
+            )
+        },
+        |i, dur, compiled| {
+            durs[i] = dur;
+            let unit = match compiled {
+                Ok(c) => {
+                    stats[i] = c.stats;
+                    keys[i] = c.key;
+                    compile_cache_hits += usize::from(c.cache_hit);
+                    c.unit
+                }
+                // An empty unit keeps the linker's index sequence intact; it
+                // contributes no objects and no assignments.
+                Err(reason) => {
+                    failed.push((i, reason));
+                    CompiledUnit::new(files[i])
+                }
+            };
+            linker.push(i, unit);
+            linker.folded()
+        },
+    )?;
+    // Workers finish out of order; the ledger reads in input order.
+    failed.sort_by_key(|&(i, _)| i);
+    let quarantined: Vec<Quarantined> = failed
         .into_iter()
         .map(|(i, reason)| Quarantined::note(files[i], reason))
         .collect();
@@ -456,18 +477,14 @@ pub fn analyze_with(
 
     let mut sp = obs.span("pipeline", "pipeline.link");
     let peak_buffered_units = linker.peak_buffered().max(1);
-    let (mut program, link_stats) = linker.finish();
-    let unknown_summaries = if partial && opts.unknown_summaries {
-        add_unknown_summaries(&mut program)
-    } else {
-        0
-    };
-    let bytes = write_object(&program);
-    let program_variables = program.program_variable_count();
-    let assign_counts = program.assign_counts();
-    drop(program);
-    let object_size = bytes.len();
-    let db = Database::open(bytes)?;
+    let Linked {
+        db,
+        link_stats,
+        program_variables,
+        assign_counts,
+        unknown_summaries,
+    } = open_linked(linker.finish(), partial && opts.unknown_summaries)?;
+    let object_size = db.file_size();
     sp.set("object_bytes", object_size);
     let link_time = sp.finish();
 
@@ -519,99 +536,82 @@ pub fn analyze_with(
     })
 }
 
-/// One compiled input plus its cache bookkeeping.
-struct CompiledFile {
-    unit: CompiledUnit,
-    stats: CompileStats,
-    /// Preprocessed-closure hash (0 when no hook asked for keys).
-    key: u64,
-    cache_hit: bool,
+/// One compiled input: the unit, its measurements and what it was built
+/// from.
+pub struct CompiledFile {
+    pub unit: CompiledUnit,
+    pub stats: CompileStats,
+    /// Every source read for this file (see [`Closure`]).
+    pub closure: Closure,
+    /// [`closure_hash`] of `closure`: the compile-cache key and this file's
+    /// entry in a batch [`Provenance`].
+    pub key: u64,
+    pub cache_hit: bool,
 }
 
-/// Compiles one file through the compile cache: preprocess (to key the
-/// cache and detect header changes), reuse the stored object on a hit, and
-/// parse + lower that same preprocessed unit and store the result on a miss.
-/// A cache entry that fails to open or decode is treated as a miss — the
-/// checksummed object reader makes feeding damaged bytes back safe.
-fn compile_one_keyed(
+/// The per-file compile of every build route (batch [`analyze_with`] and
+/// the serve sessions' load and reload): preprocess — which yields the
+/// file's [`Closure`] and cache key — reuse the stored object on a cache
+/// hit, and parse + lower that same preprocessed unit (storing the result)
+/// on a miss. A cache entry that fails to open or decode is treated as a
+/// miss — the checksummed object reader makes feeding damaged bytes back
+/// safe.
+///
+/// # Errors
+///
+/// Propagates frontend errors; a missing source file is one of them.
+pub fn compile_one_keyed(
     fs: &dyn FileProvider,
     f: &str,
-    opts: &PipelineOptions,
+    pp: &PpOptions,
+    lower: &LowerOptions,
     options_fp: u64,
     cache: Option<&dyn CompileCache>,
 ) -> Result<CompiledFile, CError> {
-    let pre = cla_cfront::preprocess_file(fs, f, &opts.pp)?;
-    let key = closure_hash(&pre, f, options_fp);
-    if let Some(cache) = cache {
-        if let Some(bytes) = cache.load(key) {
-            if let Ok(unit) = Database::open(bytes).and_then(|db| db.to_unit()) {
-                // The keying preprocess saw the same bytes the original
-                // compile did, so the hit's stats match a fresh compile.
-                let stats = CompileStats {
-                    source_bytes: pre.stats.bytes_in,
-                    preprocessed_lines: pre.stats.lines_out,
-                    tokens: pre.stats.tokens_out,
-                };
-                return Ok(CompiledFile {
-                    unit,
-                    stats,
-                    key,
-                    cache_hit: true,
-                });
-            }
-        }
+    let pre = cla_cfront::preprocess_file(fs, f, pp)?;
+    let closure = closure_of(&pre);
+    let key = closure_key(&closure, f, options_fp);
+    if let Some(unit) = cache
+        .and_then(|cache| cache.load(key))
+        .and_then(|bytes| Database::open(bytes).and_then(|db| db.to_unit()).ok())
+    {
+        // The keying preprocess saw the same bytes the original compile
+        // did, so the hit's stats match a fresh compile.
+        let stats = CompileStats {
+            source_bytes: pre.stats.bytes_in,
+            preprocessed_lines: pre.stats.lines_out,
+            tokens: pre.stats.tokens_out,
+        };
+        return Ok(CompiledFile {
+            unit,
+            stats,
+            closure,
+            key,
+            cache_hit: true,
+        });
     }
-    let (unit, stats) = compile_preprocessed(pre, f, &opts.pp.limits, &opts.lower)?;
+    let (unit, stats) = compile_preprocessed(pre, f, &pp.limits, lower)?;
     if let Some(cache) = cache {
         cache.store(key, &write_object(&unit));
     }
     Ok(CompiledFile {
         unit,
         stats,
+        closure,
         key,
         cache_hit: false,
     })
 }
 
-/// The result of the streaming compile+link phase: the program is already
-/// folded inside `linker`; per-file stats and cache keys ride alongside in
-/// input order.
-struct StreamedCompile {
-    linker: StreamLinker,
-    stats: Vec<CompileStats>,
-    keys: Vec<u64>,
-    /// Wall time each file spent in `one` (compile or cache hit), in
-    /// input order — the raw material for `Report::slowest_files`.
-    durs: Vec<Duration>,
-    cache_hits: usize,
-    jobs: usize,
-    /// Quarantined inputs by index, sorted in input order (empty in strict
-    /// mode — the run errors out instead).
-    quarantined: Vec<(usize, QuarantineReason)>,
-}
-
 /// Renders a `catch_unwind` payload as text (the conventional `&str` /
 /// `String` payloads; anything else gets a placeholder).
-pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
         s.clone()
     } else {
         "non-string panic payload".to_string()
-    }
-}
-
-/// Collapses a quarantine reason to a typed error for strict mode: panics
-/// become a `CError` instead of re-raising, so even fail-fast callers get a
-/// value, never a poisoned thread pool.
-fn reason_to_cerror(reason: QuarantineReason) -> CError {
-    match reason {
-        QuarantineReason::Error(e) => e,
-        QuarantineReason::Panic(msg) => CError::parse(
-            format!("internal frontend panic: {msg}"),
-            cla_cfront::Loc::BUILTIN,
-        ),
     }
 }
 
@@ -680,177 +680,183 @@ fn add_unknown_summaries(program: &mut cla_ir::CompiledUnit) -> usize {
     undefined.len()
 }
 
-/// Compiles every file with `one` and folds each unit into a
-/// [`StreamLinker`] as it completes, dropping the unit immediately —
-/// compiled units are never collected into a `Vec`, so peak memory is the
-/// program under construction plus a bounded reorder window (at most
-/// `2 × jobs` units), not the whole codebase.
+/// A freshly linked program, serialized and reopened for demand loading.
+pub struct Linked {
+    pub db: Database,
+    pub link_stats: LinkStats,
+    pub program_variables: usize,
+    pub assign_counts: AssignCounts,
+    /// Undefined globals given unknown summaries (0 unless asked for).
+    pub unknown_summaries: usize,
+}
+
+/// The one tail of every build: a finished link (`Linker::finish` or
+/// `StreamLinker::finish`) gets its optional unknown summaries, is written
+/// as an object file and opened as the [`Database`] the solver reads.
 ///
-/// Units fold strictly in input order regardless of completion order, so
-/// the linked program is byte-identical to a serial compile. Workers take
-/// file indices from a shared counter and block (condvar) whenever they
-/// would run more than the window ahead of the fold, which is what bounds
-/// the buffer.
-fn stream_compile_link(
+/// # Errors
+///
+/// A database error if the freshly written object fails to open (a writer
+/// bug — a typed error all the same, not a panic).
+pub fn open_linked(
+    (mut program, link_stats): (CompiledUnit, LinkStats),
+    summarize_unknown: bool,
+) -> Result<Linked, DbError> {
+    let unknown_summaries = if summarize_unknown {
+        add_unknown_summaries(&mut program)
+    } else {
+        0
+    };
+    let bytes = write_object(&program);
+    let program_variables = program.program_variable_count();
+    let assign_counts = program.assign_counts();
+    drop(program);
+    Ok(Linked {
+        db: Database::open(bytes)?,
+        link_stats,
+        program_variables,
+        assign_counts,
+        unknown_summaries,
+    })
+}
+
+/// The one compile pool: runs `one` over every file on up to `jobs`
+/// threads (0 = one per CPU, never more than there are files) and hands
+/// each result to `sink` on the calling thread, tagged with its input index
+/// and how long `one` took. Returns the thread count used.
+///
+/// * Every `one` runs under `catch_unwind`: a panic in the frontend is a
+///   bug in *our* code, but it is triggered by *their* bytes, and one
+///   hostile file must not take down the run or a worker. A typed error or
+///   a panic reaches the sink as a [`QuarantineReason`].
+/// * In `strict` mode a failure never reaches the sink: the pool stops
+///   claiming files past it, finishes the ones before it, and returns the
+///   failure of the *lowest input index* as a typed `CError` — the same
+///   error at any `jobs`.
+/// * Results arrive in completion order. `sink` returns how many inputs
+///   (the in-order prefix) it has consumed for good; workers block rather
+///   than start a file more than `2 × jobs` past that, which bounds what a
+///   sink that must consume in order (a [`StreamLinker`]) ever buffers.
+/// * With one job the same claim → compile → deliver body runs inline on
+///   the calling thread; no thread is spawned.
+///
+/// # Errors
+///
+/// Strict mode only: the lowest-index failure.
+pub fn compile_all<T: Send>(
     files: &[&str],
-    opts: &PipelineOptions,
-    one: impl Fn(&str) -> Result<CompiledFile, CError> + Sync,
-) -> Result<StreamedCompile, CError> {
-    // Every compile runs under `catch_unwind`: a panic in the frontend is a
-    // bug in *our* code, but it is triggered by *their* bytes, and one
-    // hostile file must not take down the run (or, in the parallel path,
-    // kill a worker thread and strand everyone waiting on the condvar).
-    let guarded = |f: &str| -> Result<CompiledFile, QuarantineReason> {
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| one(f))) {
+    jobs: usize,
+    strict: bool,
+    one: impl Fn(&str) -> Result<T, CError> + Sync,
+    mut sink: impl FnMut(usize, Duration, Result<T, QuarantineReason>) -> usize,
+) -> Result<usize, CError> {
+    /// Shared between the workers and the delivering thread.
+    struct Progress {
+        /// What `sink` last returned.
+        consumed: usize,
+        /// Files past this index are not started (strict failure, or the
+        /// delivering thread is gone).
+        stop: usize,
+    }
+    /// Runs `F` however the scope it lives in is left.
+    struct OnDrop<F: Fn()>(F);
+    impl<F: Fn()> Drop for OnDrop<F> {
+        fn drop(&mut self) {
+            (self.0)();
+        }
+    }
+    const POISON: &str = "only plain assignments run under the pool's progress lock";
+
+    let jobs = match jobs {
+        0 => std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get),
+        n => n,
+    }
+    .clamp(1, files.len().max(1));
+    let window = jobs * 2;
+    let next = AtomicUsize::new(0);
+    let progress = Mutex::new(Progress {
+        consumed: 0,
+        stop: usize::MAX,
+    });
+    let unblocked = Condvar::new();
+    let stop_past = |i: usize| {
+        let mut p = progress.lock().expect(POISON);
+        p.stop = p.stop.min(i);
+        drop(p);
+        unblocked.notify_all();
+    };
+    // Claim → compile → deliver, until the files (or the reasons to go on)
+    // run out.
+    type Delivery<T> = (usize, Duration, Result<T, QuarantineReason>);
+    let work = |deliver: &mut dyn FnMut(Delivery<T>)| loop {
+        let i = next.fetch_add(1, Relaxed);
+        if i >= files.len() {
+            break;
+        }
+        {
+            let mut p = progress.lock().expect(POISON);
+            while i <= p.stop && i >= p.consumed + window {
+                p = unblocked.wait(p).expect(POISON);
+            }
+            if i > p.stop {
+                break;
+            }
+        }
+        let t = std::time::Instant::now();
+        let r = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| one(files[i]))) {
             Ok(Ok(c)) => Ok(c),
             Ok(Err(e)) => Err(QuarantineReason::Error(e)),
             Err(payload) => Err(QuarantineReason::Panic(panic_message(payload))),
+        };
+        // Indices are claimed in order, so everything before `i` is already
+        // running or done: stopping *past* `i` still compiles all of them,
+        // and the lowest failing index is found whatever the timing.
+        if strict && r.is_err() {
+            stop_past(i);
+        }
+        deliver((i, t.elapsed(), r));
+    };
+    let mut failure: Option<(usize, QuarantineReason)> = None;
+    let mut accept = |(i, dur, r): Delivery<T>| match r {
+        Err(reason) if strict => {
+            if failure.as_ref().is_none_or(|(first, _)| i < *first) {
+                failure = Some((i, reason));
+            }
+        }
+        r => {
+            let consumed = sink(i, dur, r);
+            progress.lock().expect(POISON).consumed = consumed;
+            unblocked.notify_all();
         }
     };
-    let mut linker = StreamLinker::new("a.out");
-    let mut quarantined: Vec<(usize, QuarantineReason)> = Vec::new();
-    if !opts.parallel_compile || files.len() < 2 {
-        let mut stats = Vec::with_capacity(files.len());
-        let mut keys = Vec::with_capacity(files.len());
-        let mut durs = Vec::with_capacity(files.len());
-        let mut cache_hits = 0usize;
-        for (i, f) in files.iter().enumerate() {
-            let t = std::time::Instant::now();
-            match guarded(f) {
-                Ok(c) => {
-                    durs.push(t.elapsed());
-                    stats.push(c.stats);
-                    keys.push(c.key);
-                    cache_hits += usize::from(c.cache_hit);
-                    linker.push(i, c.unit);
-                }
-                Err(reason) => {
-                    if opts.strict {
-                        return Err(reason_to_cerror(reason));
-                    }
-                    // An empty unit keeps the linker's index sequence
-                    // intact; it contributes no objects and no assignments.
-                    durs.push(t.elapsed());
-                    stats.push(CompileStats::default());
-                    keys.push(0);
-                    quarantined.push((i, reason));
-                    linker.push(i, CompiledUnit::new(*f));
-                }
+    if jobs == 1 {
+        work(&mut accept);
+    } else {
+        let (tx, rx) = mpsc::channel();
+        std::thread::scope(|scope| {
+            for _ in 0..jobs {
+                let tx = tx.clone();
+                // A send only fails once the receiver below is gone, and
+                // then `stop` is already 0.
+                scope.spawn(|| work(&mut move |d| drop(tx.send(d))));
             }
-        }
-        return Ok(StreamedCompile {
-            linker,
-            stats,
-            keys,
-            durs,
-            cache_hits,
-            jobs: 1,
-            quarantined,
+            drop(tx);
+            // Should `sink` panic, the scope still joins the workers: wake
+            // the ones waiting on it into stopping.
+            let _wake = OnDrop(|| stop_past(0));
+            rx.into_iter().for_each(&mut accept);
         });
     }
-
-    let jobs = effective_jobs(opts.jobs).min(files.len());
-    let window = jobs * 2;
-    let strict = opts.strict;
-    let next = AtomicUsize::new(0);
-    let abort = AtomicBool::new(false);
-    // Fold progress, shared with the workers for backpressure.
-    let progress = Mutex::new(0usize);
-    let unblocked = Condvar::new();
-    let (tx, rx) = mpsc::channel::<(usize, Duration, Result<CompiledFile, QuarantineReason>)>();
-    let mut slots: Vec<Option<(CompileStats, u64, bool, Duration)>> =
-        (0..files.len()).map(|_| None).collect();
-    let mut first_err: Option<CError> = None;
-    let guarded = &guarded;
-    let (next, abort, progress, unblocked) = (&next, &abort, &progress, &unblocked);
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            let tx = tx.clone();
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, Relaxed);
-                if i >= files.len() || abort.load(Relaxed) {
-                    break;
-                }
-                {
-                    let mut folded = progress.lock().unwrap();
-                    while i >= *folded + window && !abort.load(Relaxed) {
-                        folded = unblocked.wait(folded).unwrap();
-                    }
-                }
-                if abort.load(Relaxed) {
-                    break;
-                }
-                let t = std::time::Instant::now();
-                let r = guarded(files[i]);
-                let failed = r.is_err();
-                if tx.send((i, t.elapsed(), r)).is_err() {
-                    break;
-                }
-                // Only strict mode aborts the pool: under quarantine the
-                // remaining files still compile, and the failed index is
-                // folded as an empty unit by the main loop below.
-                if failed && strict {
-                    abort.store(true, Relaxed);
-                    unblocked.notify_all();
-                }
-            });
-        }
-        drop(tx);
-        for (i, dur, r) in rx {
-            match r {
-                Ok(c) => {
-                    slots[i] = Some((c.stats, c.key, c.cache_hit, dur));
-                    linker.push(i, c.unit);
-                    let mut folded = progress.lock().unwrap();
-                    *folded = linker.folded();
-                    drop(folded);
-                    unblocked.notify_all();
-                }
-                Err(reason) if strict => {
-                    if first_err.is_none() {
-                        first_err = Some(reason_to_cerror(reason));
-                    }
-                }
-                Err(reason) => {
-                    // Quarantine: fold an empty placeholder so the strict
-                    // input-order link — and the workers blocked on its
-                    // progress — keep moving.
-                    slots[i] = Some((CompileStats::default(), 0, false, dur));
-                    quarantined.push((i, reason));
-                    linker.push(i, CompiledUnit::new(files[i]));
-                    let mut folded = progress.lock().unwrap();
-                    *folded = linker.folded();
-                    drop(folded);
-                    unblocked.notify_all();
-                }
-            }
-        }
-    });
-    if let Some(e) = first_err {
-        return Err(e);
+    match failure {
+        // Panics become a `CError` instead of re-raising, so even fail-fast
+        // callers get a value, never a poisoned thread pool.
+        Some((_, QuarantineReason::Error(e))) => Err(e),
+        Some((_, QuarantineReason::Panic(msg))) => Err(CError::parse(
+            format!("internal frontend panic: {msg}"),
+            cla_cfront::Loc::BUILTIN,
+        )),
+        None => Ok(jobs),
     }
-    let mut stats = Vec::with_capacity(files.len());
-    let mut keys = Vec::with_capacity(files.len());
-    let mut durs = Vec::with_capacity(files.len());
-    let mut cache_hits = 0usize;
-    for slot in slots {
-        let (s, k, hit, d) = slot.expect("every file compiled");
-        stats.push(s);
-        keys.push(k);
-        durs.push(d);
-        cache_hits += usize::from(hit);
-    }
-    // Workers finish out of order; the ledger reads in input order.
-    quarantined.sort_by_key(|&(i, _)| i);
-    Ok(StreamedCompile {
-        linker,
-        stats,
-        keys,
-        durs,
-        cache_hits,
-        jobs,
-        quarantined,
-    })
 }
 
 #[cfg(test)]
@@ -1008,6 +1014,25 @@ mod tests {
             ..Default::default()
         };
         assert!(analyze(&fs, &["ok.c", "bad.c"], &opts).is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "sink gave up")]
+    fn a_panicking_sink_unwinds_instead_of_stranding_the_workers() {
+        // Index 0 is delivered last, so by then the other workers sit in
+        // the backpressure wait — and must be woken for the scope to end.
+        let names: Vec<String> = (0..64).map(|i| format!("f{i}.c")).collect();
+        let files: Vec<&str> = names.iter().map(String::as_str).collect();
+        let slow_first = |f: &str| {
+            if f == "f0.c" {
+                std::thread::sleep(Duration::from_millis(50));
+            }
+            Ok(())
+        };
+        let _ = compile_all(&files, 4, false, slow_first, |i, _, _| {
+            assert!(i != 0, "sink gave up");
+            0
+        });
     }
 
     #[test]

@@ -68,12 +68,6 @@ pub struct ServeOptions {
     /// Enables wire commands used only by the test suite (`__test_panic`).
     /// Never enable in production; the default is off.
     pub enable_test_commands: bool,
-    /// Compile pool cap for building sessions from sources (0 = one thread
-    /// per CPU, 1 = serial). The server itself never compiles — this rides
-    /// along so one options struct configures a whole `serve` deployment —
-    /// and the linked database is byte-identical at any setting (see
-    /// [`Session::from_files_jobs`]).
-    pub jobs: usize,
 }
 
 impl Default for ServeOptions {
@@ -83,7 +77,6 @@ impl Default for ServeOptions {
             max_request_bytes: 1 << 20,
             slow_query_threshold_us: None,
             enable_test_commands: false,
-            jobs: 1,
         }
     }
 }

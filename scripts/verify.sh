@@ -5,6 +5,14 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+echo "==> one build path (crates/serve spawns no compile workers and guards no compile)"
+# core::pipeline owns the only compile pool and the only catch_unwind around
+# a compile; what serve may keep is server.rs's per-connection guard.
+second_pool=$(for f in crates/serve/src/*.rs; do
+    sed '/#\[cfg(test)\]/,$d' "$f" | grep -HnE --label="$f" 'thread::scope|catch_unwind\('
+done | grep -v '^crates/serve/src/server.rs:.*catch_unwind(AssertUnwindSafe(|| dispatch(' || true)
+[ -z "$second_pool" ] || { echo "a second pool or guard grew back: $second_pool"; exit 1; }
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 

@@ -864,16 +864,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             }
         );
     }
-    let handle = cla::serve::serve_with(
-        Arc::new(session),
-        reload_fs,
-        std::path::Path::new(&socket),
-        cla::serve::ServeOptions {
-            jobs,
-            ..Default::default()
-        },
-    )
-    .map_err(|e| format!("cannot bind `{socket}`: {e}"))?;
+    let handle = cla::serve::serve(Arc::new(session), reload_fs, std::path::Path::new(&socket))
+        .map_err(|e| format!("cannot bind `{socket}`: {e}"))?;
     eprintln!("cla-tool: serving on {socket} (send {{\"cmd\":\"shutdown\"}} to stop)");
     let stats = handle.join();
     println!("{}", stats.to_json().encode());
@@ -1031,13 +1023,10 @@ fn cmd_hub(args: &[String]) -> Result<(), String> {
     }
 
     let hub = Arc::new(Hub::new(HubOptions {
-        serve: cla::serve::ServeOptions {
-            jobs,
-            ..Default::default()
-        },
         capacity,
         max_inflight,
         rebuild_slots,
+        ..HubOptions::default()
     }));
     for entry in &pos {
         let (name, path) = entry

@@ -298,6 +298,106 @@ fn eviction_rehydrates_from_snapshot_with_monotonic_epochs() {
     handle.stop();
 }
 
+/// A tenant's `reload` is the pipeline's refresh: an edited header reaches
+/// exactly the files that read it, over the wire.
+#[test]
+fn tenant_reload_sees_a_header_edit() {
+    let dir = TempDir::new("header");
+    let path = |name: &str| dir.path().join(name).to_string_lossy().into_owned();
+    std::fs::write(path("defs.h"), "#define TARGET x\n").unwrap();
+    std::fs::write(
+        path("a.c"),
+        "#include \"defs.h\"\nint x, y; int *p; void fa(void) { p = &TARGET; }",
+    )
+    .unwrap();
+    std::fs::write(path("c.c"), "int z; int *r; void fc(void) { r = &z; }").unwrap();
+
+    let hub = Hub::new(HubOptions::default());
+    let source = SessionSource::Files {
+        fs: Arc::new(OsFs),
+        files: vec![path("a.c"), path("c.c")],
+        pp: PpOptions::default(),
+        lower: LowerOptions::default(),
+        lenient: false,
+    };
+    hub.open("hdr", spec(source, None)).unwrap();
+    let ask = |req: &Value| dispatch(&hub, &req.encode());
+    assert_eq!(
+        target_names(&ask(&points_to("hdr", "p"))),
+        BTreeSet::from(["x".to_string()])
+    );
+
+    std::fs::write(path("defs.h"), "#define TARGET y\n").unwrap();
+    let reply = ask(&obj([("cmd", "reload".into()), ("session", "hdr".into())]));
+    assert_eq!(reply.get("relinked").and_then(Value::as_bool), Some(true));
+    assert_eq!(reply.get("epoch").and_then(Value::as_u64), Some(1));
+    let recompiled: Vec<&str> = reply
+        .get("recompiled")
+        .and_then(Value::as_arr)
+        .unwrap()
+        .iter()
+        .filter_map(Value::as_str)
+        .collect();
+    assert_eq!(recompiled, [path("a.c")], "{reply:?}");
+    assert_eq!(
+        target_names(&ask(&points_to("hdr", "p"))),
+        BTreeSet::from(["y".to_string()])
+    );
+}
+
+/// A provider that panics on every read while `broken` is set.
+struct FlakyFs {
+    inner: MemoryFs,
+    broken: std::sync::atomic::AtomicBool,
+}
+
+impl FileProvider for FlakyFs {
+    fn read(&self, path: &str) -> Option<Arc<str>> {
+        assert!(
+            !self.broken.load(SeqCst),
+            "the disk under {path} is on fire"
+        );
+        self.inner.read(path)
+    }
+}
+
+/// A frontend panic during a tenant's rebuild is a typed build error: the
+/// tenant's slot lock is not poisoned, and the tenant answers again as
+/// soon as its sources compile.
+#[test]
+fn a_panicking_rebuild_leaves_the_tenant_usable() {
+    let mut inner = MemoryFs::new();
+    inner.add("a.c", "int x; int *p; void f(void) { p = &x; }");
+    let flaky = Arc::new(FlakyFs {
+        inner,
+        broken: false.into(),
+    });
+    let hub = Hub::new(HubOptions {
+        capacity: 1,
+        ..HubOptions::default()
+    });
+    let source = SessionSource::Files {
+        fs: Arc::clone(&flaky) as _,
+        files: vec!["a.c".to_string()],
+        pp: PpOptions::default(),
+        lower: LowerOptions::default(),
+        lenient: false,
+    };
+    hub.open("flaky", spec(source, None)).unwrap();
+    // Capacity 1: opening a second tenant evicts the first.
+    hub.open("other", spec(mem_source("int o;"), None)).unwrap();
+
+    flaky.broken.store(true, SeqCst);
+    let refused = dispatch(&hub, &points_to("flaky", "p").encode());
+    assert_eq!(refused.get("ok").and_then(Value::as_bool), Some(false));
+    let why = refused.get("error").and_then(Value::as_str).unwrap();
+    assert!(why.contains("on fire"), "{refused:?}");
+
+    flaky.broken.store(false, SeqCst);
+    let answer = dispatch(&hub, &points_to("flaky", "p").encode());
+    assert_eq!(target_names(&answer), BTreeSet::from(["x".to_string()]));
+}
+
 /// A tenant at its in-flight cap refuses immediately with a typed `busy`
 /// reply instead of queueing the connection thread.
 #[test]

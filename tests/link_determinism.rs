@@ -2,7 +2,10 @@
 //! produce byte-identical object files (so content-addressed caching and
 //! snapshot provenance hashing are stable), and a permuted unit order must
 //! still produce a semantically equivalent database — every by-name
-//! points-to answer identical, even though internal ids may differ.
+//! points-to answer identical, even though internal ids may differ. And
+//! every route through the one build path — batch or session, any pool
+//! size, first build or forced reload — must agree on the program, on the
+//! quarantine ledger and on which failure a strict build reports.
 
 use cla::cladb::StreamLinker;
 use cla::prelude::*;
@@ -121,11 +124,41 @@ fn stream_link_is_byte_identical_for_every_arrival_order() {
     assert_eq!(reversed.peak_buffered(), units.len());
 }
 
-#[test]
-fn parallel_and_serial_compile_link_byte_identically() {
-    // End to end through the pipeline: a generated multi-file tree compiled
-    // with a worker pool must link to the byte-identical database a serial
-    // compile produces, at any pool size.
+/// By-name answers of a batch analysis, in the shape a session answers in.
+fn analysis_by_name(a: &Analysis) -> BTreeMap<String, BTreeSet<String>> {
+    a.database
+        .target_names()
+        .map(|name| {
+            let mut set = BTreeSet::new();
+            for &o in a.database.targets(name) {
+                for &t in a.points_to.points_to(o) {
+                    set.insert(a.database.object(t).name.clone());
+                }
+            }
+            (name.to_string(), set)
+        })
+        .collect()
+}
+
+/// The same for a session, over the names `like` has — all of which the
+/// session must know.
+fn session_by_name(
+    session: &Session,
+    like: &BTreeMap<String, BTreeSet<String>>,
+) -> BTreeMap<String, BTreeSet<String>> {
+    like.keys()
+        .map(|name| {
+            let answer = session
+                .points_to(name)
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            let set = answer.targets.iter().map(|t| t.name.clone()).collect();
+            (name.clone(), set)
+        })
+        .collect()
+}
+
+/// The generated six-file tree every route below builds.
+fn generated_tree() -> (MemoryFs, Vec<String>) {
     let profile = cla::genc::Profile::parse(
         "name = \"det\"\ntotal_loc = 2400\nfiles = 6\nindirect_call_rate = 0.05\n",
     )
@@ -136,34 +169,184 @@ fn parallel_and_serial_compile_link_byte_identically() {
         Ok(())
     })
     .unwrap();
-    let files: Vec<String> = (0..profile.files)
+    let files = (0..profile.files)
         .map(|i| cla::genc::file_name(&profile, i))
         .collect();
+    (fs, files)
+}
+
+#[test]
+fn parallel_and_serial_compile_link_byte_identically() {
+    // End to end through the one build path: batch `analyze` at any pool
+    // size, a session's first build at any pool size and the same session
+    // after a forced reload must all produce the program a serial batch
+    // run produces — the byte-identical database where bytes can be had,
+    // the identical by-name relation and quarantine ledger everywhere —
+    // strict over the clean tree and lenient over a tree with two hostile
+    // files.
+    let (clean, files) = generated_tree();
+    let mut hostile = clean.clone();
+    hostile.add(files[1].clone(), "int broken = ;\n");
+    hostile.add(files[4].clone(), "#include \"no-such-header.h\"\n");
     let refs: Vec<&str> = files.iter().map(String::as_str).collect();
 
-    let serial = analyze(&fs, &refs, &PipelineOptions::default()).unwrap();
-    let serial_bytes = write_object(&serial.database.to_unit().unwrap());
-    assert_eq!(serial.report.jobs, 1);
-
-    for jobs in [2, 4] {
+    for (fs, strict, ledger) in [
+        (&clean, true, vec![]),
+        (&hostile, false, vec![refs[1], refs[4]]),
+    ] {
         let opts = PipelineOptions {
-            parallel_compile: true,
-            jobs,
+            strict,
             ..Default::default()
         };
-        let parallel = analyze(&fs, &refs, &opts).unwrap();
-        assert_eq!(
-            write_object(&parallel.database.to_unit().unwrap()),
-            serial_bytes,
-            "jobs={jobs} changed the linked database bytes"
+        let serial = analyze(fs, &refs, &opts).unwrap();
+        let serial_bytes = write_object(&serial.database.to_unit().unwrap());
+        let serial_answers = analysis_by_name(&serial);
+        assert_eq!(serial.report.jobs, 1);
+        assert!(serial_answers.values().any(|s| !s.is_empty()));
+        let ledger_of =
+            |q: &[Quarantined]| -> Vec<String> { q.iter().map(|q| q.file.clone()).collect() };
+        assert_eq!(ledger_of(&serial.report.quarantined), ledger);
+
+        for jobs in [0, 2, 4] {
+            let opts = PipelineOptions {
+                parallel_compile: true,
+                jobs,
+                ..opts.clone()
+            };
+            let parallel = analyze(fs, &refs, &opts).unwrap();
+            assert_eq!(
+                write_object(&parallel.database.to_unit().unwrap()),
+                serial_bytes,
+                "jobs={jobs} changed the linked database bytes"
+            );
+            assert_eq!(ledger_of(&parallel.report.quarantined), ledger);
+            // Streaming link: the reorder buffer stays bounded by the pool's
+            // backpressure window, never approaching the file count.
+            assert!(
+                parallel.report.peak_buffered_units <= (2 * parallel.report.jobs).max(1),
+                "jobs={jobs}: buffered {} units",
+                parallel.report.peak_buffered_units
+            );
+        }
+
+        for jobs in [1, 4] {
+            let build = if strict {
+                Session::from_files_jobs
+            } else {
+                Session::from_files_lenient
+            };
+            let session = build(fs, &refs, &opts.pp, &opts.lower, opts.solver, None, jobs).unwrap();
+            for reloaded in [false, true] {
+                if reloaded {
+                    let r = session.reload(Some(fs), true).unwrap();
+                    assert!(r.relinked);
+                    assert_eq!(r.recompiled.len(), refs.len() - ledger.len());
+                    assert_eq!(r.quarantined, ledger);
+                }
+                assert_eq!(
+                    session_by_name(&session, &serial_answers),
+                    serial_answers,
+                    "session jobs={jobs} reloaded={reloaded} answers differently"
+                );
+                assert_eq!(ledger_of(&session.quarantined()), ledger);
+            }
+        }
+    }
+}
+
+/// A provider whose `read` panics for one path: a frontend panic on demand.
+struct PanickyFs {
+    inner: MemoryFs,
+    bad: String,
+}
+
+impl FileProvider for PanickyFs {
+    fn read(&self, path: &str) -> Option<std::sync::Arc<str>> {
+        assert!(path != self.bad, "the disk under {path} is on fire");
+        self.inner.read(path)
+    }
+}
+
+#[test]
+fn every_route_reports_the_same_failure_as_a_value() {
+    // Twelve files; #3 breaks at the very end of a long body, #9 breaks on
+    // its first line — so in a pool #9's failure is usually the first to
+    // *arrive*. A strict build must report #3's all the same, at any pool
+    // size, from `analyze` and from a session alike.
+    let mut fs = MemoryFs::new();
+    let files: Vec<String> = (0..12).map(|i| format!("f{i}.c")).collect();
+    for (i, f) in files.iter().enumerate() {
+        fs.add(
+            f.clone(),
+            format!("int g{i}; int *p{i}; void fn{i}(void) {{ p{i} = &g{i}; }}\n"),
         );
-        // Streaming link: the reorder buffer stays bounded by the pool's
-        // backpressure window, never approaching the file count.
+    }
+    let long_body: String = (0..4000).map(|k| format!("int filler{k};\n")).collect();
+    fs.add("f3.c", format!("{long_body}int broken = ;\n"));
+    fs.add("f9.c", "#include \"missing.h\"\n");
+    let refs: Vec<&str> = files.iter().map(String::as_str).collect();
+    let (pp, lower) = (PpOptions::default(), LowerOptions::default());
+    for round in 0..50 {
+        for jobs in [1, 2, 4] {
+            let opts = PipelineOptions {
+                parallel_compile: true,
+                jobs,
+                ..Default::default()
+            };
+            let batch = analyze(&fs, &refs, &opts).unwrap_err().to_string();
+            assert!(
+                batch.contains("4001:14: expected expression"),
+                "round {round} jobs={jobs}: {batch}"
+            );
+            let served = Session::from_files_jobs(
+                &fs,
+                &refs,
+                &pp,
+                &lower,
+                SolveOptions::default(),
+                None,
+                jobs,
+            )
+            .err()
+            .expect("a strict session over a broken tree")
+            .to_string();
+            assert!(served.contains(&batch), "{served:?} vs {batch:?}");
+        }
+    }
+
+    // A panic in the frontend is a typed error when strict and a ledger
+    // entry when lenient — never an unwind through the caller.
+    let mut inner = MemoryFs::new();
+    for (i, f) in files.iter().enumerate() {
+        inner.add(f.clone(), format!("int g{i}; int *p{i} = &g{i};\n"));
+    }
+    let fs = PanickyFs {
+        inner,
+        bad: files[5].clone(),
+    };
+    for jobs in [1, 4] {
+        let strict =
+            Session::from_files_jobs(&fs, &refs, &pp, &lower, SolveOptions::default(), None, jobs);
         assert!(
-            parallel.report.peak_buffered_units <= (2 * parallel.report.jobs).max(1),
-            "jobs={jobs}: buffered {} units",
-            parallel.report.peak_buffered_units
+            matches!(&strict, Err(cla::serve::SessionError::Compile(e)) if e.to_string().contains("on fire")),
+            "jobs={jobs}: {:?}",
+            strict.err()
         );
+        let lenient = Session::from_files_lenient(
+            &fs,
+            &refs,
+            &pp,
+            &lower,
+            SolveOptions::default(),
+            None,
+            jobs,
+        )
+        .unwrap();
+        let ledger = lenient.quarantined();
+        assert_eq!(ledger.len(), 1);
+        assert_eq!(ledger[0].file, files[5]);
+        assert!(matches!(ledger[0].reason, QuarantineReason::Panic(_)));
+        assert!(lenient.points_to("p4").is_ok() && lenient.points_to("p5").is_err());
     }
 }
 

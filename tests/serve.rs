@@ -104,34 +104,24 @@ fn target_names(reply: &Value) -> BTreeSet<String> {
         .collect()
 }
 
-/// The batch oracle: link + solve the same sources in one shot, and union
-/// points-to targets per variable *name* (matching the server's semantics).
+/// The batch oracle: a fresh `analyze` of the same sources, with points-to
+/// targets unioned per variable *name* (matching the server's semantics).
+/// Only symbol-indexed names are listed: internal objects (`fa$ret`,
+/// temporaries) are not addressable over the wire.
 fn batch_answers(paths: &[String]) -> Vec<(String, BTreeSet<String>)> {
-    let units: Vec<CompiledUnit> = paths
-        .iter()
-        .map(|p| {
-            compile_file(&OsFs, p, &PpOptions::default(), &LowerOptions::default())
-                .unwrap()
-                .0
-        })
-        .collect();
-    let (program, _) = link(&units, "a.out");
-    let db = Database::open(write_object(&program)).unwrap();
-    let (pts, _) = solve_database(&db, SolveOptions::default());
-    let names: BTreeSet<String> = program.objects.iter().map(|o| o.name.clone()).collect();
+    let files: Vec<&str> = paths.iter().map(String::as_str).collect();
+    let fresh = analyze(&OsFs, &files, &PipelineOptions::default()).unwrap();
+    let names: BTreeSet<&str> = fresh.database.target_names().collect();
     names
         .into_iter()
-        // Only symbol-indexed names are queryable; internal objects
-        // (`fa$ret`, temporaries) are not addressable over the wire.
-        .filter(|name| !db.targets(name).is_empty())
         .map(|name| {
             let mut set = BTreeSet::new();
-            for &o in db.targets(&name) {
-                for &t in pts.points_to(o) {
-                    set.insert(db.object(t).name.clone());
+            for &o in fresh.database.targets(name) {
+                for &t in fresh.points_to.points_to(o) {
+                    set.insert(fresh.database.object(t).name.clone());
                 }
             }
-            (name, set)
+            (name.to_string(), set)
         })
         .collect()
 }
@@ -310,6 +300,146 @@ fn reload_reflects_source_edits_and_invalidates() {
         stats.reloads, 1,
         "the no-op check does not count as a reload"
     );
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// Every points-to answer of `session` against the batch oracle.
+fn assert_session_matches_fresh_analyze(session: &Session, paths: &[String]) {
+    let fresh = batch_answers(paths);
+    assert!(!fresh.is_empty());
+    for (name, want) in fresh {
+        let got: BTreeSet<String> = session
+            .points_to(&name)
+            .unwrap_or_else(|e| panic!("{name}: {e}"))
+            .targets
+            .iter()
+            .map(|t| t.name.clone())
+            .collect();
+        assert_eq!(got, want, "pts({name}) differs from a fresh analyze");
+    }
+}
+
+/// A reload recompiles exactly the files whose inputs changed — the file
+/// itself or a header it read — and then answers like a fresh build.
+#[test]
+fn reload_recompiles_exactly_the_files_whose_closure_changed() {
+    let (dir, paths) = write_sources(
+        "closure",
+        &[
+            ("defs.h", "#define TARGET x\n"),
+            (
+                "a.c",
+                "#include \"defs.h\"\nint x, y; int *p; void fa(void) { p = &TARGET; }",
+            ),
+            (
+                "b.c",
+                "#include \"defs.h\"\nextern int x, y; int *q; void fb(void) { q = &TARGET; }",
+            ),
+            ("c.c", "int z, w; int *r; void fc(void) { r = &z; }"),
+        ],
+    );
+    let files: Vec<&str> = paths[1..].iter().map(String::as_str).collect();
+    let session = Session::from_files(
+        &OsFs,
+        &files,
+        &PpOptions::default(),
+        &LowerOptions::default(),
+        SolveOptions::default(),
+    )
+    .unwrap();
+    assert_session_matches_fresh_analyze(&session, &paths[1..]);
+
+    // One .c edited: exactly that file.
+    std::fs::write(files[2], "int z, w; int *r; void fc(void) { r = &w; }").unwrap();
+    let r = session.reload(Some(&OsFs), false).unwrap();
+    assert_eq!(r.recompiled, [files[2]]);
+    assert!(r.relinked);
+    assert_eq!(r.epoch, 1);
+    assert_session_matches_fresh_analyze(&session, &paths[1..]);
+
+    // The shared header edited: exactly its two includers.
+    std::fs::write(&paths[0], "#define TARGET y\n").unwrap();
+    let r = session.reload(Some(&OsFs), false).unwrap();
+    assert_eq!(r.recompiled, [files[0], files[1]]);
+    assert!(r.relinked);
+    assert_eq!(r.epoch, 2);
+    let p = session.points_to("p").unwrap();
+    assert_eq!(
+        p.targets
+            .iter()
+            .map(|t| t.name.as_str())
+            .collect::<Vec<_>>(),
+        ["y"]
+    );
+    assert_session_matches_fresh_analyze(&session, &paths[1..]);
+
+    // Nothing touched: no relink, the result cache survives.
+    let r = session.reload(Some(&OsFs), false).unwrap();
+    assert!(r.recompiled.is_empty() && !r.relinked);
+    assert_eq!((r.epoch, r.invalidated_results), (2, 0));
+    assert!(session.points_to("p").unwrap().cached);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// A lenient session whose source vanishes quarantines it at the next
+/// reload — a missing file is a compile failure like any other — and
+/// heals when the file comes back.
+#[test]
+fn lenient_session_quarantines_a_deleted_source_and_heals() {
+    let (dir, paths) = write_sources(
+        "vanish",
+        &[
+            ("a.c", "int x; int *p; void fa(void) { p = &x; }"),
+            ("b.c", "extern int *p; int *q; void fb(void) { q = p; }"),
+        ],
+    );
+    let files: Vec<&str> = paths.iter().map(String::as_str).collect();
+    let session = Session::from_files_lenient(
+        &OsFs,
+        &files,
+        &PpOptions::default(),
+        &LowerOptions::default(),
+        SolveOptions::default(),
+        None,
+        1,
+    )
+    .unwrap();
+    assert_eq!(session.health().as_str(), "ok");
+
+    let b_text = std::fs::read_to_string(files[1]).unwrap();
+    std::fs::remove_file(files[1]).unwrap();
+    let r = session.reload(Some(&OsFs), false).unwrap();
+    assert!(r.relinked);
+    assert_eq!(r.quarantined, [files[1]]);
+    assert_eq!(session.health().as_str(), "partial");
+    assert_eq!(session.quarantined()[0].file, files[1]);
+    assert!(session.points_to("p").unwrap().partial);
+    assert!(session.points_to("q").is_err(), "b.c's names are gone");
+
+    std::fs::write(files[1], b_text).unwrap();
+    let r = session.reload(Some(&OsFs), false).unwrap();
+    assert_eq!(r.recompiled, [files[1]]);
+    assert!(r.quarantined.is_empty());
+    assert_eq!(session.health().as_str(), "ok");
+    assert_session_matches_fresh_analyze(&session, &paths);
+
+    // The strict twin reports the same vanished file as a compile error and
+    // keeps serving its last good graph.
+    let strict = Session::from_files(
+        &OsFs,
+        &files,
+        &PpOptions::default(),
+        &LowerOptions::default(),
+        SolveOptions::default(),
+    )
+    .unwrap();
+    std::fs::remove_file(files[1]).unwrap();
+    assert!(matches!(
+        strict.reload(Some(&OsFs), false),
+        Err(cla::serve::SessionError::Compile(_))
+    ));
+    assert_eq!(strict.health().as_str(), "degraded");
+    assert!(strict.points_to("q").is_ok());
     let _ = std::fs::remove_dir_all(dir);
 }
 
