@@ -19,12 +19,13 @@
 //! the report alone. `cla-tool db-fuzz` drives this over `examples/c/`.
 //!
 //! The mutators know nothing about what the bytes mean: they take the
-//! format's header identity and an `exercise` function that judges one
-//! mutant. This module supplies both for the object format ([`Oracle`],
-//! [`run_object_fuzz`]); `cla-snap` supplies them for `.clasnap` files, which
-//! share the header geometry, and runs the very same battery.
+//! container [`Format`] and an `exercise` function that judges one mutant.
+//! This module supplies both for the object format ([`Oracle`],
+//! [`run_object_fuzz`]); `cla-snap` supplies them for `.clasnap` files, the
+//! container's other instantiation, and runs the very same battery.
 
-use crate::format::{fnv64, DbError, HEADER_FIXED_SIZE, MAGIC, SECTION_ENTRY_SIZE, VERSION};
+use crate::container::{Format, Header, SectionEntry};
+use crate::format::{DbError, FORMAT};
 use crate::reader::Database;
 use cla_ir::{CompiledUnit, ObjId};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -225,32 +226,26 @@ pub fn bit_flip_round(
     }
 }
 
-/// Swaps two random section-table entries of a file whose header carries
-/// `magic` and `version`. On odd iterations the header checksum is
-/// recomputed so the swap is only catchable by the id-tagged per-section
-/// checksums; on even iterations the stale header checksum must reject it
-/// first.
+/// Swaps two random section-table entries of a `format` file. On odd
+/// iterations the header checksum is recomputed so the swap is only
+/// catchable by the id-tagged per-section checksums; on even iterations the
+/// stale header checksum must reject it first.
 pub fn section_shuffle_round(
     pristine: &[u8],
-    (magic, version): (u32, u32),
+    format: &Format,
     exercise: impl Fn(Vec<u8>) -> Verdict,
     seed: u64,
     iters: u64,
     report: &mut FuzzReport,
 ) {
-    // Parse just enough of the header to find the table.
-    if pristine.len() < HEADER_FIXED_SIZE {
+    let Ok(header) = Header::read(pristine, format) else {
+        return;
+    };
+    let nsections = header.table.len();
+    if nsections < 2 {
         return;
     }
-    let word = |at: usize| u32::from_le_bytes(pristine[at..at + 4].try_into().unwrap());
-    if (word(0), word(4)) != (magic, version) {
-        return;
-    }
-    let nsections = word(16) as usize;
-    let table_end = HEADER_FIXED_SIZE + nsections * SECTION_ENTRY_SIZE;
-    if nsections < 2 || pristine.len() < table_end {
-        return;
-    }
+    let bodies = &pristine[header.encoded_len()..];
     let mut rng = SplitMix64(seed ^ 0x5ec7_1045);
     for it in 0..iters {
         let a = rng.below(nsections as u64) as usize;
@@ -258,22 +253,19 @@ pub fn section_shuffle_round(
         if a == b {
             b = (b + 1) % nsections;
         }
-        let mut bytes = pristine.to_vec();
-        let ea = HEADER_FIXED_SIZE + a * SECTION_ENTRY_SIZE;
-        let eb = HEADER_FIXED_SIZE + b * SECTION_ENTRY_SIZE;
         // Swap the (offset, len, checksum) payloads but keep the ids in
         // place, so section id A now points at section B's bytes together
         // with B's matching checksum — only an id-tagged checksum or a
         // structural decode error can catch this.
-        for k in 4..SECTION_ENTRY_SIZE {
-            bytes.swap(ea + k, eb + k);
-        }
+        let mut mutant = header.clone();
+        let (ea, eb) = (header.table[a], header.table[b]);
+        mutant.table[a] = SectionEntry { id: ea.id, ..eb };
+        mutant.table[b] = SectionEntry { id: eb.id, ..ea };
         let fixed = it % 2 == 1;
         if fixed {
-            let sum = fnv64(&bytes[16..table_end]);
-            bytes[8..16].copy_from_slice(&sum.to_le_bytes());
+            mutant.seal();
         }
-        let verdict = exercise(bytes);
+        let verdict = exercise([&mutant.encode(format), bodies].concat());
         report.record(verdict, || {
             format!(
                 "section shuffle iter {it} (seed {seed}): swapped entries {a}<->{b}, \
@@ -284,13 +276,35 @@ pub fn section_shuffle_round(
     }
 }
 
+/// Appends one section under an id no reader knows, through the entry
+/// codec. Not a fault — paper §4 promises that "new sections can be
+/// transparently added", so either format's reader must decode the result
+/// exactly as it decodes `orig`.
+///
+/// # Panics
+///
+/// Panics when `orig` is not a well-formed `format` file.
+#[must_use]
+pub fn with_extra_section(orig: &[u8], format: &Format, id: u32, payload: &[u8]) -> Vec<u8> {
+    let mut header = Header::read(orig, format).expect("a pristine file");
+    let bodies = &orig[header.encoded_len()..];
+    header.table.push(SectionEntry {
+        id,
+        offset: 0,
+        len: payload.len() as u64,
+        checksum: 0, // unknown sections are skipped before their checksum is used
+    });
+    header.relayout();
+    [&header.encode(format), bodies, payload].concat()
+}
+
 /// Runs the full deterministic fuzz battery over one pristine file of the
-/// format identified by `format` (header magic and version): a truncation
-/// sweep at every byte offset, `iters` seeded bit-flip mutants, and
-/// `min(iters, 200)` section-table shuffles, each judged by `exercise`.
+/// container `format`: a truncation sweep at every byte offset, `iters`
+/// seeded bit-flip mutants, and `min(iters, 200)` section-table shuffles,
+/// each judged by `exercise`.
 pub fn run_fuzz(
     pristine: &[u8],
-    format: (u32, u32),
+    format: &Format,
     exercise: impl Fn(Vec<u8>) -> Verdict,
     seed: u64,
     iters: u64,
@@ -319,7 +333,7 @@ pub fn run_object_fuzz(pristine: &[u8], seed: u64, iters: u64) -> Result<FuzzRep
     let oracle = Oracle::new(pristine)?;
     Ok(run_fuzz(
         pristine,
-        (MAGIC, VERSION),
+        &FORMAT,
         |bytes| oracle.exercise(bytes),
         seed,
         iters,

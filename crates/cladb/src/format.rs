@@ -1,9 +1,10 @@
 //! The CLA object-file binary format.
 //!
-//! A sectioned, indexed container (in the spirit of COFF/ELF — paper §4):
+//! One instantiation ([`FORMAT`]) of the sectioned, checksummed
+//! [`container`](crate::container) (in the spirit of COFF/ELF — paper §4),
+//! with these sections:
 //!
 //! ```text
-//! header    magic, version, section table (id, offset, length)
 //! string    interned strings (names, types, file names)
 //! file      file-name table (string ids)
 //! object    object metadata records
@@ -21,6 +22,7 @@
 //! transparently added ... existing analysis systems do not need to be
 //! rewritten").
 
+use crate::container::{ContainerError, Format};
 use std::fmt;
 
 /// Magic number at offset 0: `"CLA\x01"` little-endian.
@@ -29,61 +31,25 @@ pub const MAGIC: u32 = 0x014C_4143;
 /// Format version written by this crate.
 ///
 /// * v1 — sectioned container, no integrity data.
-/// * v2 — adds a 64-bit [`fnv64`] checksum per section-table entry, a
-///   header checksum covering the section table, and a per-block checksum
-///   in the dynamic index. v1 files are rejected with
-///   [`DbError::BadVersion`] rather than misparsed.
+/// * v2 — adds a 64-bit [`fnv64`](crate::fnv64) checksum per section-table
+///   entry, a header checksum covering the section table, and a per-block
+///   checksum in the dynamic index. v1 files are rejected with
+///   [`ContainerError::BadVersion`] rather than misparsed.
 /// * v3 — adds a per-object flags byte (bit 0 = symbol is *defined*, not
 ///   merely referenced) to the object section, so a partial analysis can
 ///   find the referenced-but-undefined globals that need conservative
-///   summaries. v1/v2 files are rejected with [`DbError::BadVersion`].
+///   summaries. v1/v2 files are rejected with
+///   [`ContainerError::BadVersion`].
 pub const VERSION: u32 = 3;
 
-/// Byte size of one section-table entry on the wire
-/// (id `u32`, offset `u64`, len `u64`, checksum `u64`).
-pub const SECTION_ENTRY_SIZE: usize = 28;
-
-/// Byte size of the fixed header before the section table
-/// (magic `u32`, version `u32`, header checksum `u64`, count `u32`).
-pub const HEADER_FIXED_SIZE: usize = 20;
-
-/// FNV-1a 64-bit offset basis.
-pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// FNV-1a 64-bit prime.
-pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// The zero-dependency integrity checksum used throughout the format:
-/// FNV-1a over the bytes, folded to 64 bits. Not cryptographic — it
-/// detects bit rot, truncation, and torn writes, which is the database
-/// failure model (DESIGN.md §10).
-#[must_use]
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// [`fnv64`] with a 4-byte tag hashed ahead of the payload. Section
-/// checksums are tagged with their section id so that two sections swapped
-/// *together with* their stored checksums still fail verification — the
-/// checksum binds content *and* identity.
-#[must_use]
-pub fn fnv64_tagged(tag: u32, bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for b in tag.to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
+/// The object format as an instantiation of the shared
+/// [`container`](crate::container).
+pub static FORMAT: Format = Format {
+    magic: MAGIC,
+    version: VERSION,
+    kind: "CLA object",
+    checksum_fail_metric: "cla_db_checksum_fail_total",
+};
 
 /// Section identifiers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -116,19 +82,7 @@ impl SectionId {
 
     /// Section id from its wire value.
     pub fn from_u32(v: u32) -> Option<SectionId> {
-        use SectionId::*;
-        Some(match v {
-            1 => String,
-            2 => File,
-            3 => Object,
-            4 => Global,
-            5 => Static,
-            6 => Dynamic,
-            7 => FunSig,
-            8 => Target,
-            9 => Meta,
-            _ => return None,
-        })
+        SectionId::ALL.into_iter().find(|&id| id as u32 == v)
     }
 
     /// Human-readable section name (for dumps).
@@ -153,54 +107,33 @@ impl fmt::Display for SectionId {
     }
 }
 
-/// One entry of the section table.
-///
-/// `checksum` is [`fnv64`] over the section's *verified prefix*: the whole
-/// body for every section except `dynamic`, whose checksum covers only the
-/// eagerly read index (count + per-object entries). The dynamic blob is
-/// covered block-by-block by the checksums stored in that index, verified
-/// lazily on first demand load so cold data is never hashed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SectionEntry {
-    pub id: u32,
-    pub offset: u64,
-    pub len: u64,
-    pub checksum: u64,
-}
-
 /// Sentinel for "no string" / "no object" references on the wire.
 pub const NONE_U32: u32 = u32::MAX;
 
 /// Size in bytes of one encoded assignment record.
 pub const ASSIGN_RECORD_SIZE: usize = 19;
 
-/// Errors from reading an object file.
+/// Errors from reading or writing an object file: whatever the container
+/// or a section-body decoder found wrong with the bytes, or the file system
+/// with the file.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DbError {
-    /// Not a CLA object file (bad magic).
-    BadMagic,
-    /// Unsupported format version.
-    BadVersion(u32),
-    /// A required section is missing.
-    MissingSection(&'static str),
-    /// Structurally invalid data (truncation, bad enum value, out-of-range
-    /// reference).
-    Corrupt(String),
-    /// Stored and recomputed checksums disagree: the bytes were damaged
-    /// after they were written (bit rot, torn write, tampering).
-    Checksum(String),
+    /// The bytes are not a well-formed, undamaged object file.
+    Container(ContainerError),
     /// The object file could not be read or written.
     Io(String),
+}
+
+impl From<ContainerError> for DbError {
+    fn from(e: ContainerError) -> Self {
+        DbError::Container(e)
+    }
 }
 
 impl fmt::Display for DbError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            DbError::BadMagic => f.write_str("not a CLA object file (bad magic)"),
-            DbError::BadVersion(v) => write!(f, "unsupported CLA object version {v}"),
-            DbError::MissingSection(s) => write!(f, "missing required section `{s}`"),
-            DbError::Corrupt(msg) => write!(f, "corrupt object file: {msg}"),
-            DbError::Checksum(what) => write!(f, "checksum mismatch in {what}"),
+            DbError::Container(e) => e.fmt_for(FORMAT.kind, f),
             DbError::Io(msg) => write!(f, "object file I/O error: {msg}"),
         }
     }
@@ -229,21 +162,8 @@ mod tests {
 
     #[test]
     fn error_display() {
-        assert!(format!("{}", DbError::BadMagic).contains("magic"));
-        assert!(format!("{}", DbError::BadVersion(9)).contains('9'));
-        assert!(format!("{}", DbError::MissingSection("object")).contains("object"));
-        assert!(format!("{}", DbError::Corrupt("x".into())).contains('x'));
-        assert!(format!("{}", DbError::Checksum("block 3".into())).contains("block 3"));
-        assert!(format!("{}", DbError::Io("nope".into())).contains("nope"));
-    }
-
-    #[test]
-    fn fnv64_reference_values() {
-        // Published FNV-1a 64 test vectors.
-        assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv64(b"foobar"), 0x85944171f73967e8);
-        // Single-bit damage changes the sum.
-        assert_ne!(fnv64(b"foobar"), fnv64(b"foobas"));
+        let bad_version = DbError::from(ContainerError::BadVersion(9));
+        assert_eq!(bad_version.to_string(), "unsupported CLA object version 9");
+        assert!(DbError::Io("nope".into()).to_string().contains("nope"));
     }
 }

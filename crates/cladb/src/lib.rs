@@ -25,6 +25,7 @@
 //! # }
 //! ```
 
+pub mod container;
 mod dump;
 pub mod fault;
 mod format;
@@ -33,11 +34,9 @@ mod reader;
 pub mod transform;
 mod writer;
 
+pub use container::{fnv64, ContainerError, HEADER_FIXED_SIZE, SECTION_ENTRY_SIZE};
 pub use dump::{census, dump, is_static_assign};
-pub use format::{
-    fnv64, fnv64_tagged, DbError, SectionId, ASSIGN_RECORD_SIZE, HEADER_FIXED_SIZE, MAGIC,
-    NONE_U32, SECTION_ENTRY_SIZE, VERSION,
-};
+pub use format::{DbError, SectionId, ASSIGN_RECORD_SIZE, FORMAT, MAGIC, NONE_U32, VERSION};
 pub use linker::{link, LinkStats, Linker, StreamLinker};
 pub use reader::{Database, LoadStats};
 pub use writer::{atomic_write_bytes, block_key, sweep_stale_tmp, write_object, write_object_file};

@@ -13,62 +13,14 @@
 //! Counters are atomic so a [`Database`] can be shared read-only across the
 //! query threads of a long-running server.
 
-use crate::format::{
-    fnv64, fnv64_tagged, DbError, SectionId, ASSIGN_RECORD_SIZE, HEADER_FIXED_SIZE, MAGIC,
-    NONE_U32, SECTION_ENTRY_SIZE, VERSION,
-};
+use crate::container::{fnv64, Container, ContainerError, Cur, StringTable};
+use crate::format::{DbError, SectionId, ASSIGN_RECORD_SIZE, FORMAT, NONE_U32};
 use cla_ir::{
     AssignKind, CompiledUnit, FileIdx, FileTable, FunSig, ObjId, ObjKind, ObjectInfo, OpKind,
     PrimAssign, SrcLoc, Strength,
 };
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-
-/// A little-endian read cursor over a byte slice. Every read is bounds
-/// checked and reports a typed [`DbError::Corrupt`] on a short buffer — no
-/// read from an object file can panic, no matter how damaged the bytes are.
-struct Cur<'a> {
-    buf: &'a [u8],
-}
-
-/// The error every short cursor read maps to.
-fn short(n: usize) -> DbError {
-    DbError::Corrupt(format!("unexpected end of section ({n} more bytes needed)"))
-}
-
-impl<'a> Cur<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Cur { buf }
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len()
-    }
-
-    fn get_u8(&mut self) -> Result<u8, DbError> {
-        let (&v, rest) = self.buf.split_first().ok_or_else(|| short(1))?;
-        self.buf = rest;
-        Ok(v)
-    }
-
-    fn get_u32_le(&mut self) -> Result<u32, DbError> {
-        let (v, rest) = self.buf.split_at_checked(4).ok_or_else(|| short(4))?;
-        self.buf = rest;
-        Ok(u32::from_le_bytes(v.try_into().unwrap()))
-    }
-
-    fn get_u64_le(&mut self) -> Result<u64, DbError> {
-        let (v, rest) = self.buf.split_at_checked(8).ok_or_else(|| short(8))?;
-        self.buf = rest;
-        Ok(u64::from_le_bytes(v.try_into().unwrap()))
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DbError> {
-        let (v, rest) = self.buf.split_at_checked(n).ok_or_else(|| short(n))?;
-        self.buf = rest;
-        Ok(v)
-    }
-}
 
 /// Accounting counters for demand loading.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -84,7 +36,7 @@ pub struct LoadStats {
 /// A CLA object file opened for demand-driven reading.
 #[derive(Debug)]
 pub struct Database {
-    data: Vec<u8>,
+    file: Container,
     /// Decoded object metadata (always resident; the heavy payload is the
     /// assignments, which stay encoded).
     objects: Vec<ObjectInfo>,
@@ -114,7 +66,6 @@ pub struct Database {
     obs_bytes_dynamic: cla_obs::Counter,
     obs_pub_fetches: AtomicU64,
     obs_pub_dynamic: AtomicU64,
-    obs_checksum_fail: cla_obs::Counter,
 }
 
 /// One dynamic-index entry. `verified` lives in the same cache line as the
@@ -130,41 +81,8 @@ struct BlockEntry {
     verified: AtomicU32,
 }
 
-struct Sections {
-    map: HashMap<u32, (u64, u64, u64)>,
-}
-
-impl Sections {
-    fn get(&self, id: SectionId) -> Result<(u64, u64, u64), DbError> {
-        self.map
-            .get(&(id as u32))
-            .copied()
-            .ok_or(DbError::MissingSection(id.name()))
-    }
-}
-
-/// Bounds-checked view of `len` bytes at `off` (checked add rejects
-/// offset+len overflow).
-fn slice_bytes(data: &[u8], off: u64, len: u64) -> Result<&[u8], DbError> {
-    let end = off
-        .checked_add(len)
-        .ok_or_else(|| DbError::Corrupt("section range overflow".into()))?;
-    if end > data.len() as u64 {
-        return Err(DbError::Corrupt("section past end of file".into()));
-    }
-    Ok(&data[off as usize..end as usize])
-}
-
-fn slice<'a>(data: &'a [u8], off: u64, len: u64) -> Result<Cur<'a>, DbError> {
-    Ok(Cur::new(slice_bytes(data, off, len)?))
-}
-
-/// Checks that `buf` still holds `n` bytes before a fixed-size read.
-fn need(buf: &Cur<'_>, n: usize, what: &str) -> Result<(), DbError> {
-    if buf.remaining() < n {
-        return Err(DbError::Corrupt(format!("truncated {what}")));
-    }
-    Ok(())
+fn corrupt(msg: &str) -> DbError {
+    ContainerError::corrupt(msg).into()
 }
 
 /// Decodes one fixed-size assignment record. Takes the record by array so
@@ -174,16 +92,15 @@ fn need(buf: &Cur<'_>, n: usize, what: &str) -> Result<(), DbError> {
 #[inline]
 fn decode_assign(rec: &[u8; ASSIGN_RECORD_SIZE]) -> Result<PrimAssign, DbError> {
     let u32_at = |i: usize| u32::from_le_bytes([rec[i], rec[i + 1], rec[i + 2], rec[i + 3]]);
-    let kind = AssignKind::from_u8(rec[0])
-        .ok_or_else(|| DbError::Corrupt("bad assignment kind".into()))?;
+    let kind = AssignKind::from_u8(rec[0]).ok_or_else(|| corrupt("bad assignment kind"))?;
     let dst = ObjId(u32_at(1));
     let src = ObjId(u32_at(5));
     let strength = match rec[9] {
         0 => Strength::Weak,
         1 => Strength::Strong,
-        _ => return Err(DbError::Corrupt("bad strength".into())),
+        _ => return Err(corrupt("bad strength")),
     };
-    let op = OpKind::from_u8(rec[10]).ok_or_else(|| DbError::Corrupt("bad op kind".into()))?;
+    let op = OpKind::from_u8(rec[10]).ok_or_else(|| corrupt("bad op kind"))?;
     let file = FileIdx(u32_at(11));
     let line = u32_at(15);
     Ok(PrimAssign {
@@ -205,9 +122,22 @@ fn decode_assigns(bytes: &[u8], count: u32) -> Result<Vec<PrimAssign>, DbError> 
         out.push(decode_assign(rec.try_into().expect("chunks_exact size"))?);
     }
     if out.len() != count as usize {
-        return Err(DbError::Corrupt("truncated assignment record".into()));
+        return Err(corrupt("truncated assignment record"));
     }
     Ok(out)
+}
+
+/// Byte length of `count` encoded assignment records.
+fn records_len(count: u32) -> u64 {
+    u64::from(count) * ASSIGN_RECORD_SIZE as u64
+}
+
+/// The `len` bytes of encoded assignment records at `off` in `data`, bounds
+/// checked (checked add rejects offset + length overflow).
+fn record_bytes(data: &[u8], off: u64, len: u64) -> Result<&[u8], DbError> {
+    off.checked_add(len)
+        .and_then(|end| data.get(usize::try_from(off).ok()?..usize::try_from(end).ok()?))
+        .ok_or_else(|| corrupt("assignment records past end of file"))
 }
 
 impl Database {
@@ -226,45 +156,11 @@ impl Database {
     pub fn open(data: Vec<u8>) -> Result<Database, DbError> {
         let obs = cla_obs::global();
         let mut sp = obs.span("db", "db.open");
-        let checksum_fail = obs.counter("cla_db_checksum_fail_total");
         let section_read = |id: SectionId, bytes: u64| {
             obs.counter_with("cla_db_section_bytes_read_total", &[("section", id.name())])
                 .add(bytes);
         };
-        let mut hdr = Cur::new(&data);
-        if hdr.remaining() < HEADER_FIXED_SIZE {
-            return Err(DbError::BadMagic);
-        }
-        if hdr.get_u32_le()? != MAGIC {
-            return Err(DbError::BadMagic);
-        }
-        let version = hdr.get_u32_le()?;
-        if version != VERSION {
-            return Err(DbError::BadVersion(version));
-        }
-        let header_sum = hdr.get_u64_le()?;
-        // The table (count + entries) is covered by the header checksum, so
-        // a damaged offset/len/checksum field is caught before anything
-        // trusts it.
-        let table_start = HEADER_FIXED_SIZE - 4;
-        let nsections = hdr.get_u32_le()? as usize;
-        if hdr.remaining() < nsections.saturating_mul(SECTION_ENTRY_SIZE) {
-            return Err(DbError::Corrupt("truncated section table".into()));
-        }
-        let table_end = HEADER_FIXED_SIZE + nsections * SECTION_ENTRY_SIZE;
-        if fnv64(&data[table_start..table_end]) != header_sum {
-            checksum_fail.inc();
-            return Err(DbError::Checksum("section table".into()));
-        }
-        let mut map = HashMap::new();
-        for _ in 0..nsections {
-            let id = hdr.get_u32_le()?;
-            let offset = hdr.get_u64_le()?;
-            let len = hdr.get_u64_le()?;
-            let checksum = hdr.get_u64_le()?;
-            map.insert(id, (offset, len, checksum));
-        }
-        let sections = Sections { map };
+        let file = Container::open(data, &FORMAT)?;
         // Every known section's stored checksum must match its bytes. For
         // the dynamic section only the index prefix is covered (the blob is
         // verified per block on demand) — its verified length is computed
@@ -273,67 +169,45 @@ impl Database {
             if id == SectionId::Dynamic {
                 continue;
             }
-            let Ok((off, len, want)) = sections.get(id) else {
-                continue; // missing sections are reported where they're used
-            };
-            let body = slice_bytes(&data, off, len)?;
-            if fnv64_tagged(id as u32, body) != want {
-                checksum_fail.inc();
-                return Err(DbError::Checksum(format!("section `{}`", id.name())));
+            match file.section(id as u32, id.name()) {
+                // Missing sections are reported where they're used.
+                Ok(_) | Err(ContainerError::MissingSection(_)) => {}
+                Err(e) => return Err(e.into()),
             }
         }
+        // A section's table entry and (already verified) body.
+        let section = |id: SectionId| file.lookup(id as u32, id.name());
+        // A section this function reads whole, as a cursor.
+        let eager = |id: SectionId| -> Result<Cur<'_>, DbError> {
+            let (entry, body) = section(id)?;
+            section_read(id, entry.len);
+            Ok(Cur::new(body))
+        };
 
         // Strings.
-        let (off, len, _) = sections.get(SectionId::String)?;
-        let mut buf = slice(&data, off, len)?;
-        need(&buf, 4, "string section")?;
-        let count = buf.get_u32_le()? as usize;
-        let mut strings = Vec::with_capacity(count.min(1 << 20));
-        for _ in 0..count {
-            if buf.remaining() < 4 {
-                return Err(DbError::Corrupt("truncated string".into()));
-            }
-            let n = buf.get_u32_le()? as usize;
-            if buf.remaining() < n {
-                return Err(DbError::Corrupt("truncated string body".into()));
-            }
-            let body = buf.take(n)?;
-            strings.push(
-                String::from_utf8(body.to_vec())
-                    .map_err(|_| DbError::Corrupt("invalid utf-8 string".into()))?,
-            );
-        }
-        section_read(SectionId::String, len);
+        let mut buf = eager(SectionId::String)?;
+        let strings = StringTable::decode(&mut buf)?;
         let get_str = |sid: u32| -> Result<&str, DbError> {
             strings
                 .get(sid as usize)
                 .map(String::as_str)
-                .ok_or_else(|| DbError::Corrupt(format!("string id {sid} out of range")))
+                .ok_or_else(|| corrupt(&format!("string id {sid} out of range")))
         };
 
         // Files.
-        let (off, len, _) = sections.get(SectionId::File)?;
-        let mut buf = slice(&data, off, len)?;
-        need(&buf, 4, "file section")?;
+        let mut buf = eager(SectionId::File)?;
         let count = buf.get_u32_le()? as usize;
         let mut file_names = Vec::with_capacity(count.min(1 << 20));
         for _ in 0..count {
-            need(&buf, 4, "file entry")?;
             file_names.push(get_str(buf.get_u32_le()?)?.to_string());
         }
         let files = FileTable::from_names(file_names);
-        section_read(SectionId::File, len);
 
         // Objects.
-        let (off, len, _) = sections.get(SectionId::Object)?;
-        let mut buf = slice(&data, off, len)?;
-        need(&buf, 4, "object section")?;
+        let mut buf = eager(SectionId::Object)?;
         let count = buf.get_u32_le()? as usize;
         let mut objects = Vec::with_capacity(count.min(1 << 20));
         for _ in 0..count {
-            if buf.remaining() < 26 {
-                return Err(DbError::Corrupt("truncated object record".into()));
-            }
             let name = get_str(buf.get_u32_le()?)?.to_string();
             let link_sid = buf.get_u32_le()?;
             let link_name = if link_sid == NONE_U32 {
@@ -342,12 +216,11 @@ impl Database {
                 Some(get_str(link_sid)?.to_string())
             };
             let ty = get_str(buf.get_u32_le()?)?.to_string();
-            let kind = ObjKind::from_u8(buf.get_u8()?)
-                .ok_or_else(|| DbError::Corrupt("bad object kind".into()))?;
+            let kind = ObjKind::from_u8(buf.get_u8()?).ok_or_else(|| corrupt("bad object kind"))?;
             // Flags byte (v3): bit 0 = defined; other bits must be zero.
             let flags = buf.get_u8()?;
             if flags > 1 {
-                return Err(DbError::Corrupt("bad object flags".into()));
+                return Err(corrupt("bad object flags"));
             }
             let file = FileIdx(buf.get_u32_le()?);
             let line = buf.get_u32_le()?;
@@ -368,48 +241,32 @@ impl Database {
             });
         }
 
-        section_read(SectionId::Object, len);
-
         // Static range.
-        let (off, len, _) = sections.get(SectionId::Static)?;
-        let mut buf = slice(&data, off, len)?;
-        need(&buf, 4, "static section")?;
+        let (entry, body) = section(SectionId::Static)?;
+        let mut buf = Cur::new(body);
         let static_count = buf.get_u32_le()?;
-        let static_range = (off + 4, static_count);
+        let static_range = (entry.offset + 4, static_count);
         // Only the 4-byte header is read eagerly; the payload is counted
         // when `static_assigns` decodes it.
         section_read(SectionId::Static, 4);
 
         // Dynamic index.
-        let (off, len, dyn_sum) = sections.get(SectionId::Dynamic)?;
-        let mut buf = slice(&data, off, len)?;
-        need(&buf, 4, "dynamic section")?;
+        let (entry, body) = section(SectionId::Dynamic)?;
+        let mut buf = Cur::new(body);
         let nobjs = buf.get_u32_le()? as usize;
         if nobjs != objects.len() {
-            return Err(DbError::Corrupt("dynamic index size mismatch".into()));
+            return Err(corrupt("dynamic index size mismatch"));
         }
-        let index_len = 4u64
-            .checked_add((nobjs as u64).saturating_mul(20))
-            .ok_or_else(|| DbError::Corrupt("dynamic index size overflow".into()))?;
-        if index_len > len {
-            return Err(DbError::Corrupt("dynamic index larger than section".into()));
+        let index_len = 4 + nobjs as u64 * 20;
+        if index_len > entry.len {
+            return Err(corrupt("dynamic index larger than section"));
         }
         // The dynamic section's stored checksum covers exactly this eagerly
         // read index; the blob behind it carries per-block checksums.
-        if fnv64_tagged(
-            SectionId::Dynamic as u32,
-            slice_bytes(&data, off, index_len)?,
-        ) != dyn_sum
-        {
-            checksum_fail.inc();
-            return Err(DbError::Checksum("section `dynamic` (block index)".into()));
-        }
+        file.verify(entry, "dynamic", &body[..index_len as usize])?;
         let mut block_index = Vec::with_capacity(nobjs);
         let mut dynamic_total: u64 = 0;
         for _ in 0..nobjs {
-            if buf.remaining() < 20 {
-                return Err(DbError::Corrupt("truncated dynamic index".into()));
-            }
             let boff = buf.get_u64_le()?;
             let cnt = buf.get_u32_le()?;
             let sum = buf.get_u64_le()?;
@@ -421,31 +278,20 @@ impl Database {
                 verified: AtomicU32::new(0),
             });
         }
-        let blob_start = off + index_len;
-        let blob_len = len - index_len;
-        let dynamic_blob = (blob_start, blob_len);
+        let dynamic_blob = (entry.offset + index_len, entry.len - index_len);
         // Eagerly read: the per-object block index, not the blob itself.
         section_read(SectionId::Dynamic, index_len);
 
         // Funsigs.
-        let (off, len, _) = sections.get(SectionId::FunSig)?;
-        let mut buf = slice(&data, off, len)?;
-        need(&buf, 4, "funsig section")?;
+        let mut buf = eager(SectionId::FunSig)?;
         let count = buf.get_u32_le()? as usize;
         let mut funsigs = Vec::with_capacity(count.min(1 << 20));
         let mut funsig_by_obj = HashMap::new();
-        section_read(SectionId::FunSig, len);
         for _ in 0..count {
-            if buf.remaining() < 13 {
-                return Err(DbError::Corrupt("truncated funsig".into()));
-            }
             let obj = ObjId(buf.get_u32_le()?);
             let ret = ObjId(buf.get_u32_le()?);
             let is_indirect = buf.get_u8()? != 0;
             let nparams = buf.get_u32_le()? as usize;
-            if buf.remaining() < nparams.saturating_mul(4) {
-                return Err(DbError::Corrupt("truncated funsig params".into()));
-            }
             let mut params = Vec::with_capacity(nparams.min(1 << 16));
             for _ in 0..nparams {
                 params.push(ObjId(buf.get_u32_le()?));
@@ -460,41 +306,28 @@ impl Database {
         }
 
         // Targets.
-        let (off, len, _) = sections.get(SectionId::Target)?;
-        let mut buf = slice(&data, off, len)?;
-        need(&buf, 4, "target section")?;
+        let mut buf = eager(SectionId::Target)?;
         let count = buf.get_u32_le()? as usize;
         let mut targets: HashMap<String, Vec<ObjId>> = HashMap::new();
         for _ in 0..count {
-            if buf.remaining() < 8 {
-                return Err(DbError::Corrupt("truncated target entry".into()));
-            }
             let name = get_str(buf.get_u32_le()?)?.to_string();
             let obj = ObjId(buf.get_u32_le()?);
             targets.entry(name).or_default().push(obj);
         }
 
-        section_read(SectionId::Target, len);
-
         // Meta.
-        let (off, len, _) = sections.get(SectionId::Meta)?;
-        let mut buf = slice(&data, off, len)?;
-        need(&buf, 12, "meta section")?;
+        let mut buf = eager(SectionId::Meta)?;
         let unit_name = get_str(buf.get_u32_le()?)?.to_string();
         let total_assigns = buf.get_u64_le()?;
         if total_assigns != dynamic_total + u64::from(static_count) {
-            return Err(DbError::Corrupt(
-                "assignment totals disagree between sections".into(),
-            ));
+            return Err(corrupt("assignment totals disagree between sections"));
         }
-
-        section_read(SectionId::Meta, len);
 
         sp.set("objects", objects.len());
         sp.set("assigns_in_file", total_assigns);
-        sp.set("bytes", data.len());
+        sp.set("bytes", file.bytes().len());
         Ok(Database {
-            data,
+            file,
             objects,
             files,
             unit_name,
@@ -516,7 +349,6 @@ impl Database {
                 .counter_with("cla_db_section_bytes_read_total", &[("section", "dynamic")]),
             obs_pub_fetches: AtomicU64::new(0),
             obs_pub_dynamic: AtomicU64::new(0),
-            obs_checksum_fail: checksum_fail,
         })
     }
 
@@ -571,21 +403,16 @@ impl Database {
     ///
     /// # Errors
     ///
-    /// Returns [`DbError::Corrupt`] on malformed records.
+    /// Returns [`DbError`] on malformed records.
     pub fn static_assigns(&self) -> Result<Vec<PrimAssign>, DbError> {
         let (off, count) = self.static_range;
-        let bytes = slice_bytes(
-            &self.data,
-            off,
-            u64::from(count) * ASSIGN_RECORD_SIZE as u64,
-        )?;
+        let bytes = record_bytes(self.file.bytes(), off, records_len(count))?;
         let out = decode_assigns(bytes, count)?;
         self.loaded.fetch_add(u64::from(count), Ordering::Relaxed);
         self.static_loaded
             .fetch_add(u64::from(count), Ordering::Relaxed);
         self.obs_assigns_loaded.add(u64::from(count));
-        self.obs_bytes_static
-            .add(u64::from(count) * ASSIGN_RECORD_SIZE as u64);
+        self.obs_bytes_static.add(records_len(count));
         Ok(out)
     }
 
@@ -602,24 +429,17 @@ impl Database {
     fn block_bytes(&self, ix: usize) -> Result<&[u8], DbError> {
         let e = &self.block_index[ix];
         let (blob_start, blob_len) = self.dynamic_blob;
-        let need = u64::from(e.count) * ASSIGN_RECORD_SIZE as u64;
-        let end = e
-            .off
-            .checked_add(need)
-            .ok_or_else(|| DbError::Corrupt("block offset overflow".into()))?;
-        if end > blob_len {
-            return Err(DbError::Corrupt("block past end of dynamic blob".into()));
+        let need = records_len(e.count);
+        if e.off.checked_add(need).is_none_or(|end| end > blob_len) {
+            return Err(corrupt("block past end of dynamic blob"));
         }
-        let bytes = slice_bytes(&self.data, blob_start + e.off, need)?;
+        let bytes = record_bytes(self.file.bytes(), blob_start + e.off, need)?;
         // Lazy integrity: hash the block the first time it is fetched, then
         // remember — the bytes are immutable in memory, so the warm
         // demand-load path pays one relaxed load of a flag sitting in the
         // index entry's own cache line instead of a re-hash.
         if e.verified.load(Ordering::Relaxed) == 0 {
-            if fnv64(bytes) != e.checksum {
-                self.obs_checksum_fail.inc();
-                return Err(DbError::Checksum(format!("dynamic block {ix}")));
-            }
+            FORMAT.check(fnv64(bytes), e.checksum, || format!("dynamic block {ix}"))?;
             e.verified.store(1, Ordering::Relaxed);
         }
         Ok(bytes)
@@ -632,8 +452,8 @@ impl Database {
     ///
     /// # Errors
     ///
-    /// Returns [`DbError::Corrupt`] on malformed records and
-    /// [`DbError::Checksum`] on damaged block bytes.
+    /// Returns [`DbError`] on malformed records and on damaged block
+    /// bytes (a checksum mismatch).
     pub fn block(&self, obj: ObjId) -> Result<Vec<PrimAssign>, DbError> {
         if obj.index() >= self.block_index.len() {
             return Ok(Vec::new());
@@ -712,13 +532,13 @@ impl Database {
 
     /// Size of the object file in bytes.
     pub fn file_size(&self) -> usize {
-        self.data.len()
+        self.file.bytes().len()
     }
 
     /// [`fnv64`] of the object file's bytes: the identity a serve session
     /// keys its snapshot provenance on.
     pub fn content_hash(&self) -> u64 {
-        fnv64(&self.data)
+        fnv64(self.file.bytes())
     }
 
     /// Fully decodes the database back into a [`CompiledUnit`] (used by the
@@ -726,7 +546,7 @@ impl Database {
     ///
     /// # Errors
     ///
-    /// Returns [`DbError::Corrupt`] on malformed records.
+    /// Returns [`DbError`] on malformed records.
     pub fn to_unit(&self) -> Result<CompiledUnit, DbError> {
         let mut unit = CompiledUnit::new(self.unit_name.clone());
         unit.files = self.files.clone();
@@ -852,18 +672,18 @@ mod tests {
     fn rejects_bad_magic_and_version() {
         assert!(matches!(
             Database::open(b"oops".to_vec()),
-            Err(DbError::BadMagic)
+            Err(DbError::Container(ContainerError::BadMagic))
         ));
         assert!(matches!(
             Database::open(b"XXXXXXXXXXXXXXXXXXXXXXXX".to_vec()),
-            Err(DbError::BadMagic)
+            Err(DbError::Container(ContainerError::BadMagic))
         ));
-        let mut bytes = MAGIC.to_le_bytes().to_vec();
+        let mut bytes = crate::MAGIC.to_le_bytes().to_vec();
         bytes.extend_from_slice(&99u32.to_le_bytes());
         bytes.extend_from_slice(&[0u8; 12]);
         assert!(matches!(
             Database::open(bytes),
-            Err(DbError::BadVersion(99))
+            Err(DbError::Container(ContainerError::BadVersion(99)))
         ));
     }
 
@@ -880,7 +700,7 @@ mod tests {
         // rejected with a typed error (checksum or structural), never a
         // silently different database.
         let baseline = Database::open(full.clone()).unwrap().to_unit().unwrap();
-        for pos in crate::format::HEADER_FIXED_SIZE..full.len() {
+        for pos in crate::HEADER_FIXED_SIZE..full.len() {
             let mut bytes = full.clone();
             bytes[pos] ^= 0x10;
             match Database::open(bytes) {

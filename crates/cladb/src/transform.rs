@@ -6,9 +6,7 @@
 //! transformation that reads in databases and simulates context-sensitivity
 //! by controlled duplication of primitive assignments in the database —
 //! this requires no changes to code in the compile, link or analyze
-//! components". This module is that experiment, plus the §4 remark that an
-//! executable's "linking information is typically obsolete (and could be
-//! stripped)".
+//! components". This module is that experiment.
 
 use cla_ir::{CompiledUnit, ObjId, ObjKind, ObjectInfo, OpKind, PrimAssign};
 use std::collections::HashMap;
@@ -147,134 +145,6 @@ pub fn duplicate_contexts(unit: &CompiledUnit, contexts: usize) -> (CompiledUnit
         }
     }
     (out, stats)
-}
-
-/// Statistics from offline variable substitution.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct OvsStats {
-    /// Variables merged into their unique copy source.
-    pub merged: usize,
-    /// Assignments removed (collapsed copies + rewritten duplicates).
-    pub assigns_removed: usize,
-}
-
-/// Offline variable substitution (in the spirit of Rountev & Chandra's
-/// PLDI 2000 technique, which the paper cites as the state of the art it
-/// outperforms): a variable whose only incoming assignment is a single copy
-/// `v = u`, and whose address is never taken, provably has `pts(v) =
-/// pts(u)` — so every use of `v` can be replaced by `u` and the copy
-/// dropped before the analysis runs. A classic "pre-analysis optimizer
-/// written as a database-to-database transformer" (§4).
-///
-/// Returns the transformed database and the substitution map
-/// (`map[i]` = the representative whose points-to set variable `i` shares);
-/// query results for a merged variable should be looked up through the map.
-pub fn substitute_variables(unit: &CompiledUnit) -> (CompiledUnit, Vec<ObjId>, OvsStats) {
-    let n = unit.objects.len();
-    let mut stats = OvsStats::default();
-
-    // Candidate detection.
-    let mut addr_taken = vec![false; n];
-    let mut deref_load = vec![false; n];
-    let mut incoming: Vec<Option<Option<&PrimAssign>>> = vec![None; n];
-    use cla_ir::AssignKind as K;
-    for a in &unit.assigns {
-        match a.kind {
-            K::Addr => addr_taken[a.src.index()] = true,
-            K::Load | K::StoreLoad => deref_load[a.src.index()] = true,
-            _ => {}
-        }
-        // Incoming value assignments (anything that writes dst directly).
-        if matches!(a.kind, K::Copy | K::Addr | K::Load) {
-            let slot = &mut incoming[a.dst.index()];
-            *slot = match slot.take() {
-                None => Some(if a.kind == K::Copy { Some(a) } else { None }),
-                Some(_) => Some(None), // more than one writer: not a candidate
-            };
-        }
-        // A store *v = y writes through v's pointees, not v, but *x = y
-        // means x's pointees get extra writers: conservatively disqualify
-        // every object (they are identified only via points-to, which we
-        // do not have yet) — i.e. any addr-taken object. Already covered
-        // by addr_taken: only addr-taken objects can be store targets.
-    }
-
-    // Union-find over substitutions: v -> its unique copy source.
-    let mut parent: Vec<u32> = (0..n as u32).collect();
-    fn find(parent: &mut [u32], mut x: u32) -> u32 {
-        while parent[x as usize] != x {
-            let up = parent[parent[x as usize] as usize];
-            parent[x as usize] = up;
-            x = up;
-        }
-        x
-    }
-    for v in 0..n {
-        if addr_taken[v] {
-            continue;
-        }
-        let kind = unit.objects[v].kind;
-        // Param/Ret objects receive *dynamic* writes when indirect calls
-        // are linked at analysis time (g$i ⊇ fp$i, fp$ret ⊇ g$ret), so they
-        // are never substitution candidates.
-        if !matches!(kind, ObjKind::Var | ObjKind::Temp) {
-            continue;
-        }
-        if let Some(Some(copy)) = incoming[v] {
-            let u = copy.src.0;
-            if find(&mut parent, u) != v as u32 {
-                parent[v] = find(&mut parent, u);
-                stats.merged += 1;
-            }
-        }
-    }
-
-    // Rewrite.
-    let mut out = unit.clone();
-    let before = out.assigns.len();
-    let mut seen = std::collections::HashSet::new();
-    out.assigns = unit
-        .assigns
-        .iter()
-        .filter_map(|a| {
-            let dst = ObjId(find(&mut parent, a.dst.0));
-            let src = ObjId(find(&mut parent, a.src.0));
-            if a.kind == K::Copy && dst == src {
-                return None; // the collapsed copy itself
-            }
-            let rewritten = PrimAssign { dst, src, ..*a };
-            // Rewriting can create duplicates; keep one.
-            let key = (rewritten.kind as u8, dst.0, src.0);
-            if seen.insert(key) {
-                Some(rewritten)
-            } else {
-                None
-            }
-        })
-        .collect();
-    stats.assigns_removed = before - out.assigns.len();
-    for sig in &mut out.funsigs {
-        sig.obj = ObjId(find(&mut parent, sig.obj.0));
-        sig.ret = ObjId(find(&mut parent, sig.ret.0));
-        for p in &mut sig.params {
-            *p = ObjId(find(&mut parent, p.0));
-        }
-    }
-    let map: Vec<ObjId> = (0..n as u32).map(|i| ObjId(find(&mut parent, i))).collect();
-    let _ = deref_load; // reads through v never disqualify: pts(v)=pts(u)
-    (out, map, stats)
-}
-
-/// Strips linking information from a linked program database (the paper:
-/// the executable's "linking information is typically obsolete (and could
-/// be stripped)"). The result serializes smaller; analysis results are
-/// unchanged.
-pub fn strip_linkage(unit: &CompiledUnit) -> CompiledUnit {
-    let mut out = unit.clone();
-    for o in &mut out.objects {
-        o.link_name = None;
-    }
-    out
 }
 
 #[cfg(test)]
@@ -460,90 +330,5 @@ mod tests {
         let (same, stats) = duplicate_contexts(&unit, 1);
         assert_eq!(same.objects.len(), unit.objects.len());
         assert_eq!(stats, ContextStats::default());
-    }
-
-    #[test]
-    fn ovs_collapses_copy_chains() {
-        // d = c = b = a with only one writer each: all collapse into a.
-        let src = "int x; int *a, *b, *c, *d;
-            void f(void) { a = &x; b = a; c = b; d = c; }";
-        let unit = compile_source(src, "ovs.c", &LowerOptions::default()).unwrap();
-        let (out, map, stats) = substitute_variables(&unit);
-        assert_eq!(stats.merged, 3, "b, c, d merge into a");
-        assert!(stats.assigns_removed >= 3);
-        let a = unit.find_object("a").unwrap();
-        let d = unit.find_object("d").unwrap();
-        assert_eq!(map[d.index()], a);
-        // Solving the reduced database gives the same answer through the map.
-        let pts = NaivePts::solve(&out);
-        let x = unit.find_object("x").unwrap();
-        assert!(pts.may_point_to(map[d.index()], x));
-    }
-
-    #[test]
-    fn ovs_keeps_multi_writer_variables() {
-        let src = "int x, y; int *a, *b, *m;
-            void f(void) { a = &x; b = &y; m = a; m = b; }";
-        let unit = compile_source(src, "ovs.c", &LowerOptions::default()).unwrap();
-        let (out, map, _) = substitute_variables(&unit);
-        let m = unit.find_object("m").unwrap();
-        assert_eq!(map[m.index()], m, "two writers: m must survive");
-        let pts = NaivePts::solve(&out);
-        assert!(pts.may_point_to(m, unit.find_object("x").unwrap()));
-        assert!(pts.may_point_to(m, unit.find_object("y").unwrap()));
-    }
-
-    #[test]
-    fn ovs_keeps_address_taken_variables() {
-        // b = a, but &b is taken: a store through pp could write b, so the
-        // merge would be unsound.
-        let src = "int x, y; int *a, *b, **pp;
-            void f(void) { a = &x; b = a; pp = &b; *pp = &y; }";
-        let unit = compile_source(src, "ovs.c", &LowerOptions::default()).unwrap();
-        let (out, map, _) = substitute_variables(&unit);
-        let b = unit.find_object("b").unwrap();
-        let a = unit.find_object("a").unwrap();
-        assert_eq!(map[b.index()], b, "address-taken: b must survive");
-        let pts = NaivePts::solve(&out);
-        assert!(pts.may_point_to(b, unit.find_object("y").unwrap()));
-        assert!(!pts.may_point_to(a, unit.find_object("y").unwrap()));
-    }
-
-    #[test]
-    fn ovs_preserves_solution_on_example() {
-        let src = "int x, y, v;
-            int *p, *q, *r, **pp;
-            void f(void) {
-              p = &x; q = p; pp = &q;
-              *pp = &y; r = *pp;
-              r = &v;
-            }";
-        let unit = compile_source(src, "ovs.c", &LowerOptions::default()).unwrap();
-        let base = NaivePts::solve(&unit);
-        let (out, map, _) = substitute_variables(&unit);
-        let reduced = NaivePts::solve(&out);
-        for (i, _) in unit.objects.iter().enumerate() {
-            let o = ObjId(i as u32);
-            for (j, _) in unit.objects.iter().enumerate() {
-                let t = ObjId(j as u32);
-                assert_eq!(
-                    base.may_point_to(o, t),
-                    reduced.may_point_to(map[o.index()], t),
-                    "pts({}) changed for target {}",
-                    unit.object(o).name,
-                    unit.object(t).name
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn strip_linkage_removes_link_names() {
-        let unit = compile_source("int g; static int s;", "a.c", &LowerOptions::default()).unwrap();
-        assert!(unit.objects.iter().any(|o| o.link_name.is_some()));
-        let stripped = strip_linkage(&unit);
-        assert!(stripped.objects.iter().all(|o| o.link_name.is_none()));
-        // Stripped databases are smaller or equal on the wire.
-        assert!(write_object(&stripped).len() <= write_object(&unit).len());
     }
 }

@@ -4,51 +4,11 @@
 //! interrupted compile or link never leaves a half-written `.clao` behind
 //! for a later phase to load.
 
-use crate::format::{fnv64, fnv64_tagged, SectionEntry, SectionId, MAGIC, NONE_U32, VERSION};
+use crate::container::{assemble, fnv64, Put, Section, StringTable};
+use crate::format::{SectionId, FORMAT, NONE_U32};
 use cla_ir::{CompiledUnit, ObjId, PrimAssign};
-use std::collections::HashMap;
 use std::io::Write as _;
 use std::path::Path;
-
-/// Little-endian append helpers over a plain byte vector.
-trait Put {
-    fn put_u8(&mut self, v: u8);
-    fn put_u32_le(&mut self, v: u32);
-    fn put_u64_le(&mut self, v: u64);
-}
-
-impl Put for Vec<u8> {
-    fn put_u8(&mut self, v: u8) {
-        self.push(v);
-    }
-
-    fn put_u32_le(&mut self, v: u32) {
-        self.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn put_u64_le(&mut self, v: u64) {
-        self.extend_from_slice(&v.to_le_bytes());
-    }
-}
-
-/// String interner for one object file.
-#[derive(Default)]
-struct Strings {
-    list: Vec<String>,
-    index: HashMap<String, u32>,
-}
-
-impl Strings {
-    fn intern(&mut self, s: &str) -> u32 {
-        if let Some(&i) = self.index.get(s) {
-            return i;
-        }
-        let i = self.list.len() as u32;
-        self.list.push(s.to_string());
-        self.index.insert(s.to_string(), i);
-        i
-    }
-}
 
 fn put_assign(buf: &mut Vec<u8>, a: &PrimAssign) {
     buf.put_u8(a.kind as u8);
@@ -70,7 +30,7 @@ pub fn write_object(unit: &CompiledUnit) -> Vec<u8> {
     let obs = cla_obs::global();
     let mut sp = obs.span("db", "db.write_object");
     sp.set("unit", unit.file.as_str());
-    let mut strings = Strings::default();
+    let mut strings = StringTable::default();
 
     // ---- file section payload (names interned) ----
     let mut file_sec = Vec::new();
@@ -191,73 +151,34 @@ pub fn write_object(unit: &CompiledUnit) -> Vec<u8> {
     meta_sec.put_u32_le(strings.intern(&unit.file));
     meta_sec.put_u64_le(unit.assigns.len() as u64);
 
-    // ---- string section (interned last, after all interning) ----
-    let mut str_sec = Vec::new();
-    str_sec.put_u32_le(strings.list.len() as u32);
-    for s in &strings.list {
-        str_sec.put_u32_le(s.len() as u32);
-        str_sec.extend_from_slice(s.as_bytes());
-    }
+    // ---- string section (encoded last, after all interning) ----
+    let str_sec = strings.encode();
 
     // ---- assemble ----
-    let sections: Vec<(SectionId, Vec<u8>)> = vec![
-        (SectionId::String, str_sec),
-        (SectionId::File, file_sec),
-        (SectionId::Object, obj_sec),
-        (SectionId::Global, glob_sec),
-        (SectionId::Static, static_sec),
-        (SectionId::Dynamic, dyn_sec),
-        (SectionId::FunSig, sig_sec),
-        (SectionId::Target, tgt_sec),
-        (SectionId::Meta, meta_sec),
-    ];
-    for (id, body) in &sections {
-        obs.counter_with(
-            "cla_db_section_bytes_written_total",
-            &[("section", id.name())],
-        )
-        .add(body.len() as u64);
-    }
-    let header_len =
-        crate::format::HEADER_FIXED_SIZE + sections.len() * crate::format::SECTION_ENTRY_SIZE;
-    let mut out =
-        Vec::with_capacity(header_len + sections.iter().map(|(_, b)| b.len()).sum::<usize>());
-    let mut offset = header_len as u64;
-    let mut entries = Vec::new();
-    for (id, body) in &sections {
+    let whole = |id: SectionId, body| Section::whole(id as u32, body);
+    let sections = [
+        whole(SectionId::String, &str_sec),
+        whole(SectionId::File, &file_sec),
+        whole(SectionId::Object, &obj_sec),
+        whole(SectionId::Global, &glob_sec),
+        whole(SectionId::Static, &static_sec),
         // The dynamic section's checksum covers only its eagerly read index
         // prefix; the blob behind it is covered by the per-block checksums,
         // so demand loading never hashes data it does not decode.
-        let verified = if *id == SectionId::Dynamic {
-            &body[..dyn_index_len]
-        } else {
-            &body[..]
-        };
-        entries.push(SectionEntry {
-            id: *id as u32,
-            offset,
-            len: body.len() as u64,
-            checksum: fnv64_tagged(*id as u32, verified),
-        });
-        offset += body.len() as u64;
+        Section {
+            verified_len: dyn_index_len,
+            ..whole(SectionId::Dynamic, &dyn_sec)
+        },
+        whole(SectionId::FunSig, &sig_sec),
+        whole(SectionId::Target, &tgt_sec),
+        whole(SectionId::Meta, &meta_sec),
+    ];
+    for s in &sections {
+        let name = SectionId::from_u32(s.id).map_or("?", SectionId::name);
+        obs.counter_with("cla_db_section_bytes_written_total", &[("section", name)])
+            .add(s.body.len() as u64);
     }
-    // Section table bytes (count + entries), covered by the header checksum
-    // so damage to any offset/len/checksum field is caught before use.
-    let mut table = Vec::with_capacity(header_len - 16);
-    table.put_u32_le(sections.len() as u32);
-    for e in &entries {
-        table.put_u32_le(e.id);
-        table.put_u64_le(e.offset);
-        table.put_u64_le(e.len);
-        table.put_u64_le(e.checksum);
-    }
-    out.put_u32_le(MAGIC);
-    out.put_u32_le(VERSION);
-    out.put_u64_le(fnv64(&table));
-    out.extend_from_slice(&table);
-    for (_, body) in sections {
-        out.extend_from_slice(&body);
-    }
+    let out = assemble(&FORMAT, &sections);
     sp.set("assigns", unit.assigns.len());
     sp.set("bytes", out.len());
     out
@@ -384,7 +305,7 @@ mod tests {
         let bytes = write_object(&unit);
         assert!(bytes.len() > 64);
         // Magic at the front.
-        assert_eq!(&bytes[..4], &MAGIC.to_le_bytes());
+        assert_eq!(&bytes[..4], &crate::MAGIC.to_le_bytes());
     }
 
     #[test]

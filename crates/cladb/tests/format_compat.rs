@@ -2,8 +2,10 @@
 //! ignored, as §4 promises for COFF/ELF-style containers), version gating,
 //! and corruption detection.
 
+use cla_cladb::container::Header;
+use cla_cladb::fault::with_extra_section;
 use cla_cladb::{
-    fnv64, write_object, Database, DbError, HEADER_FIXED_SIZE, MAGIC, SECTION_ENTRY_SIZE, VERSION,
+    write_object, ContainerError, Database, DbError, FORMAT, HEADER_FIXED_SIZE, MAGIC,
 };
 use cla_ir::{compile_source, LowerOptions};
 
@@ -17,69 +19,10 @@ fn sample_bytes() -> Vec<u8> {
     write_object(&unit)
 }
 
-fn read_u32_le(buf: &[u8], off: usize) -> u32 {
-    u32::from_le_bytes(buf[off..off + 4].try_into().unwrap())
-}
-
-fn read_u64_le(buf: &[u8], off: usize) -> u64 {
-    u64::from_le_bytes(buf[off..off + 8].try_into().unwrap())
-}
-
-/// Rebuilds a v2 object file with one extra (unknown) section appended,
-/// recomputing the header checksum over the rewritten section table.
-fn with_extra_section(orig: &[u8], section_id: u32, payload: &[u8]) -> Vec<u8> {
-    assert_eq!(read_u32_le(orig, 0), MAGIC);
-    assert_eq!(read_u32_le(orig, 4), VERSION);
-    let nsections = read_u32_le(orig, 16) as usize;
-    // (id, offset, len, checksum) entries.
-    let mut entries: Vec<(u32, u64, u64, u64)> = (0..nsections)
-        .map(|i| {
-            let base = HEADER_FIXED_SIZE + i * SECTION_ENTRY_SIZE;
-            (
-                read_u32_le(orig, base),
-                read_u64_le(orig, base + 4),
-                read_u64_le(orig, base + 12),
-                read_u64_le(orig, base + 20),
-            )
-        })
-        .collect();
-    let old_header_len = HEADER_FIXED_SIZE + nsections * SECTION_ENTRY_SIZE;
-    let new_header_len = HEADER_FIXED_SIZE + (nsections + 1) * SECTION_ENTRY_SIZE;
-    let shift = (new_header_len - old_header_len) as u64;
-    for e in &mut entries {
-        e.1 += shift;
-    }
-    let body = &orig[old_header_len..];
-    entries.push((
-        section_id,
-        new_header_len as u64 + body.len() as u64,
-        payload.len() as u64,
-        0, // unknown sections are skipped before their checksum is used
-    ));
-
-    // Table = count + entries; the header checksum covers exactly this.
-    let mut table = Vec::new();
-    table.extend_from_slice(&((nsections + 1) as u32).to_le_bytes());
-    for (id, off, len, sum) in &entries {
-        table.extend_from_slice(&id.to_le_bytes());
-        table.extend_from_slice(&off.to_le_bytes());
-        table.extend_from_slice(&len.to_le_bytes());
-        table.extend_from_slice(&sum.to_le_bytes());
-    }
-    let mut out = Vec::new();
-    out.extend_from_slice(&MAGIC.to_le_bytes());
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.extend_from_slice(&fnv64(&table).to_le_bytes());
-    out.extend_from_slice(&table);
-    out.extend_from_slice(body);
-    out.extend_from_slice(payload);
-    out
-}
-
 #[test]
 fn unknown_sections_are_ignored() {
     let orig = sample_bytes();
-    let extended = with_extra_section(&orig, 999, b"future feature data");
+    let extended = with_extra_section(&orig, &FORMAT, 999, b"future feature data");
     let db_orig = Database::open(orig).unwrap();
     let db_ext = Database::open(extended).expect("readers skip unknown sections");
     assert_eq!(db_orig.objects().len(), db_ext.objects().len());
@@ -90,11 +33,28 @@ fn unknown_sections_are_ignored() {
 }
 
 #[test]
+fn duplicate_section_id_is_rejected() {
+    // Which of two same-id entries a reader would pick is a guess; the
+    // container refuses the file instead.
+    let orig = sample_bytes();
+    let mut header = Header::read(&orig, &FORMAT).unwrap();
+    let bodies = &orig[header.encoded_len()..];
+    header.table[1].id = header.table[0].id;
+    header.seal();
+    match Database::open([&header.encode(&FORMAT), bodies].concat()) {
+        Err(DbError::Container(ContainerError::Corrupt(msg))) => {
+            assert!(msg.contains("duplicate section id"), "{msg}");
+        }
+        other => panic!("expected Corrupt, got {other:?}"),
+    }
+}
+
+#[test]
 fn previous_format_version_is_rejected_with_clear_message() {
     // A v1 file (no checksum fields) must be refused up front with
     // `BadVersion`, never misparsed under the v2 layout.
     let orig = sample_bytes();
-    let nsections = read_u32_le(&orig, 16);
+    let nsections = Header::read(&orig, &FORMAT).unwrap().table.len() as u32;
     let mut v1 = Vec::new();
     v1.extend_from_slice(&MAGIC.to_le_bytes());
     v1.extend_from_slice(&1u32.to_le_bytes());
@@ -104,11 +64,11 @@ fn previous_format_version_is_rejected_with_clear_message() {
     v1.extend_from_slice(&vec![0u8; nsections as usize * 20]);
     v1.extend_from_slice(&orig[HEADER_FIXED_SIZE..]);
     match Database::open(v1) {
-        Err(DbError::BadVersion(1)) => {}
+        Err(DbError::Container(ContainerError::BadVersion(1))) => {}
         other => panic!("expected BadVersion(1), got {other:?}"),
     }
     assert_eq!(
-        DbError::BadVersion(1).to_string(),
+        DbError::from(ContainerError::BadVersion(1)).to_string(),
         "unsupported CLA object version 1"
     );
 }
@@ -120,7 +80,9 @@ fn header_checksum_catches_section_table_damage() {
     let mut bytes = orig.clone();
     bytes[HEADER_FIXED_SIZE + 5] ^= 0x01;
     match Database::open(bytes) {
-        Err(DbError::Checksum(what)) => assert!(what.contains("section table"), "{what}"),
+        Err(DbError::Container(ContainerError::Checksum(what))) => {
+            assert!(what.contains("section table"), "{what}");
+        }
         other => panic!("expected a checksum error, got {other:?}"),
     }
 }

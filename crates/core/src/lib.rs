@@ -30,7 +30,6 @@
 //! # }
 //! ```
 
-pub mod bitvector;
 pub mod deductive;
 pub mod frontfuzz;
 pub mod pipeline;
@@ -82,16 +81,6 @@ mod tests {
             let unit = unit_of(src);
             let oracle = deductive::solve_oracle(&unit);
             let got = worklist::solve(&unit);
-            assert_eq!(got, oracle, "mismatch on {src}");
-        }
-    }
-
-    #[test]
-    fn bitvector_matches_oracle_on_suite() {
-        for src in PROGRAMS {
-            let unit = unit_of(src);
-            let oracle = deductive::solve_oracle(&unit);
-            let got = bitvector::solve(&unit);
             assert_eq!(got, oracle, "mismatch on {src}");
         }
     }

@@ -116,7 +116,7 @@ struct GraphState {
     // --- graph ---
     skip: Vec<u32>,
     out: Vec<Vec<u32>>,
-    base: Vec<Vec<u32>>,
+    base: Vec<Vec<ObjId>>,
     edge_set: std::collections::HashSet<u64>,
 
     // --- demand loading / activation ---
@@ -137,11 +137,11 @@ struct GraphState {
     // --- reachability caching ---
     epoch: u32,
     cache_epoch: Vec<u32>,
-    cache: Vec<Arc<Vec<u32>>>,
-    empty: Arc<Vec<u32>>,
+    cache: Vec<LvalSet>,
+    empty: LvalSet,
     /// Hash-consed lval sets ("many lval sets are identical"); flushed at
     /// the beginning of each pass, as in the paper.
-    interner: std::collections::HashSet<Arc<Vec<u32>>>,
+    interner: std::collections::HashSet<LvalSet>,
     interner_epoch: u32,
 
     // --- tarjan scratch (stamped per call) ---
@@ -255,43 +255,27 @@ impl Warm {
         Warm { g, n_objects }
     }
 
-    /// The one sweep that turns solver-internal `u32` sets into
-    /// [`LvalSet`]s: every object's `getLvals` result, indexed by object id.
-    /// Cheap after cycle elimination (paper §5: "it is typically much
-    /// cheaper to compute all lvals for all nodes when the algorithm
-    /// terminates"), and it honours the configured options, which is the
-    /// cost the §5 ablation measures.
+    /// The one sweep that reads the relation out: every object's `getLvals`
+    /// result, indexed by object id. Cheap after cycle elimination (paper
+    /// §5: "it is typically much cheaper to compute all lvals for all nodes
+    /// when the algorithm terminates"), and it honours the configured
+    /// options, which is the cost the §5 ablation measures.
     ///
-    /// Each distinct solver allocation is converted once, so members of a
-    /// collapsed SCC and hash-consed duplicates come out as one shared
-    /// `LvalSet`. The map is keyed by allocation address and therefore
-    /// keeps every source `Arc` alive next to its conversion: without
-    /// caching the solver drops each result as soon as the next is
-    /// computed, the allocator reuses the address, and a bare address key
-    /// would hand one variable another variable's set.
+    /// The solver's hash-consed sets *are* the answer: each object gets a
+    /// clone of the `Arc` its representative's `getLvals` returned, so
+    /// members of a collapsed SCC and hash-consed duplicates share one
+    /// allocation and nothing is copied.
     fn lval_sets(&mut self) -> Vec<LvalSet> {
-        let empty: LvalSet = Arc::new(Vec::new());
-        let mut converted: HashMap<*const Vec<u32>, (Arc<Vec<u32>>, LvalSet)> = HashMap::new();
-        let mut sets = Vec::with_capacity(self.n_objects);
-        for o in 0..self.n_objects as u32 {
-            let r = self.g.find(o);
-            let raw = if self.g.active[r as usize] {
-                self.g.get_lvals(r)
-            } else {
-                Arc::clone(&self.g.empty)
-            };
-            let set = if raw.is_empty() {
-                &empty
-            } else {
-                let entry = converted.entry(Arc::as_ptr(&raw)).or_insert_with(|| {
-                    let set = Arc::new(raw.iter().map(|&v| ObjId(v)).collect());
-                    (raw, set)
-                });
-                &entry.1
-            };
-            sets.push(Arc::clone(set));
-        }
-        sets
+        (0..self.n_objects as u32)
+            .map(|o| {
+                let r = self.g.find(o);
+                if self.g.active[r as usize] {
+                    self.g.get_lvals(r)
+                } else {
+                    Arc::clone(&self.g.empty)
+                }
+            })
+            .collect()
     }
 
     /// Materializes the complete solution (every object's set); objects
@@ -463,8 +447,8 @@ impl Solver<'_> {
                     let xr = self.g.find(x);
                     if self.g.active[xr as usize] {
                         let lv = self.g.get_lvals(xr);
-                        for &z in lv.iter() {
-                            self.g.add_edge(z, y);
+                        for z in lv.iter() {
+                            self.g.add_edge(z.0, y);
                         }
                     }
                 }
@@ -472,8 +456,8 @@ impl Solver<'_> {
                     let yr = self.g.find(y);
                     if self.g.active[yr as usize] {
                         let lv = self.g.get_lvals(yr);
-                        for &z in lv.iter() {
-                            self.g.add_edge(yderef, z);
+                        for z in lv.iter() {
+                            self.g.add_edge(yderef, z.0);
                         }
                     }
                 }
@@ -492,8 +476,8 @@ impl Solver<'_> {
                 continue;
             }
             let lv = self.g.get_lvals(fp);
-            for &gfun in lv.iter() {
-                let Some((gparams, gret)) = self.g.direct_sigs.get(&gfun) else {
+            for gfun in lv.iter() {
+                let Some((gparams, gret)) = self.g.direct_sigs.get(&gfun.0) else {
                     continue;
                 };
                 let gparams = gparams.clone();
@@ -616,7 +600,7 @@ impl GraphState {
 
     /// Interns a sorted, deduplicated lval set: identical sets are shared
     /// (paper §5, enhancement three). The table is flushed per pass.
-    fn intern_set(&mut self, set: Vec<u32>) -> Arc<Vec<u32>> {
+    fn intern_set(&mut self, mut set: Vec<ObjId>) -> LvalSet {
         if set.is_empty() {
             return Arc::clone(&self.empty);
         }
@@ -628,6 +612,10 @@ impl GraphState {
             self.stats.sets_shared += 1;
             return Arc::clone(existing);
         }
+        // This allocation is handed out as the answer and lives as long as
+        // it does; `sort` + `dedup` left it the capacity of every duplicate
+        // that was merged into it.
+        set.shrink_to_fit();
         let rc = Arc::new(set);
         self.interner.insert(Arc::clone(&rc));
         rc
@@ -658,7 +646,7 @@ impl GraphState {
             }
             AssignKind::Addr => {
                 let d = self.find(a.dst.0);
-                let v = a.src.0;
+                let v = a.src;
                 let set = &mut self.base[d as usize];
                 if let Err(pos) = set.binary_search(&v) {
                     set.insert(pos, v);
@@ -752,7 +740,7 @@ impl GraphState {
 
     /// The points-to set of node `start` (object ids, sorted), computed by
     /// graph reachability with cycle elimination and per-pass caching.
-    fn get_lvals(&mut self, start: u32) -> Arc<Vec<u32>> {
+    fn get_lvals(&mut self, start: u32) -> LvalSet {
         self.stats.getlvals_calls += 1;
         if !self.opts.cache {
             // No cross-query caching: results live only within one call.
@@ -773,16 +761,16 @@ impl GraphState {
     /// Iterative Tarjan SCC traversal: computes lvals bottom-up in reverse
     /// topological order, unifying every SCC it pops, and caching the result
     /// for every node it completes.
-    fn tarjan_lvals(&mut self, start: u32) -> Arc<Vec<u32>> {
+    fn tarjan_lvals(&mut self, start: u32) -> LvalSet {
         self.call_id += 1;
         let cid = self.call_id;
         let mut next_index: u32 = 0;
         let mut scc_stack: Vec<u32> = Vec::new();
         // Frame: (node, next-edge cursor, accumulated lvals).
-        let mut frames: Vec<(u32, usize, Vec<u32>)> = Vec::new();
+        let mut frames: Vec<(u32, usize, Vec<ObjId>)> = Vec::new();
 
         let push_frame = |s: &mut Self,
-                          frames: &mut Vec<(u32, usize, Vec<u32>)>,
+                          frames: &mut Vec<(u32, usize, Vec<ObjId>)>,
                           scc_stack: &mut Vec<u32>,
                           next_index: &mut u32,
                           n: u32| {
@@ -889,8 +877,8 @@ impl GraphState {
     /// behaviour the §5 ablation measures (>50,000x on gimp). Only the
     /// queried root may be cached: inner nodes of cycles see
     /// under-approximated sets.
-    fn plain_dfs_lvals(&mut self, start: u32) -> Arc<Vec<u32>> {
-        let mut acc: Vec<u32> = Vec::new();
+    fn plain_dfs_lvals(&mut self, start: u32) -> LvalSet {
+        let mut acc: Vec<ObjId> = Vec::new();
         // Frames: (node, next edge index). `on_stack` is the onPath bit.
         let mut frames: Vec<(u32, usize)> = Vec::new();
         self.on_stack[start as usize] = true;
@@ -946,7 +934,7 @@ impl GraphState {
         // Merge caches so this pass never under-approximates after a merge.
         if self.cache_epoch[u as usize] == self.epoch {
             if self.cache_epoch[v as usize] == self.epoch {
-                let mut merged: Vec<u32> = (*self.cache[v as usize]).clone();
+                let mut merged: Vec<ObjId> = (*self.cache[v as usize]).clone();
                 merged.extend_from_slice(&self.cache[u as usize]);
                 merged.sort_unstable();
                 merged.dedup();
@@ -992,7 +980,7 @@ impl GraphState {
         let base_bytes: usize = self
             .base
             .iter()
-            .map(|v| v.capacity() * size_of::<u32>())
+            .map(|v| v.capacity() * size_of::<ObjId>())
             .sum();
         let pending_bytes: usize = self
             .pending
@@ -1004,9 +992,9 @@ impl GraphState {
         let cache_bytes: usize = self
             .interner
             .iter()
-            .map(|c| c.capacity() * size_of::<u32>())
+            .map(|c| c.capacity() * size_of::<ObjId>())
             .sum::<usize>()
-            + self.cache.len() * size_of::<Arc<Vec<u32>>>();
+            + self.cache.len() * size_of::<LvalSet>();
         nodes * (size_of::<u32>() * 5 + size_of::<bool>() * 2)
             + edge_bytes
             + base_bytes

@@ -229,7 +229,7 @@ pub struct Hub {
     /// Active rebuilds, capped at `opts.rebuild_slots` via `rebuild_cv`.
     rebuilds: Mutex<usize>,
     rebuild_cv: Condvar,
-    shutdown: AtomicBool,
+    shutdown: Arc<AtomicBool>,
     gauge_resident: Gauge,
     ctr_evictions: Counter,
     ctr_rehydrations: Counter,
@@ -244,7 +244,7 @@ impl Hub {
             clock: AtomicU64::new(0),
             rebuilds: Mutex::new(0),
             rebuild_cv: Condvar::new(),
-            shutdown: AtomicBool::new(false),
+            shutdown: Arc::new(AtomicBool::new(false)),
             gauge_resident: obs.gauge("cla_hub_resident_sessions"),
             ctr_evictions: obs.counter("cla_hub_evictions_total"),
             ctr_rehydrations: obs.counter("cla_hub_rehydrations_total"),
@@ -258,6 +258,11 @@ impl Hub {
     /// The hub-level shutdown flag, shared with the accept loop.
     pub fn shutdown_flag(&self) -> &AtomicBool {
         &self.shutdown
+    }
+
+    /// The same flag as an owner, for the listener thread.
+    pub(crate) fn shutdown_handle(&self) -> Arc<AtomicBool> {
+        Arc::clone(&self.shutdown)
     }
 
     /// Registers and eagerly builds a named session, so `open` fails fast

@@ -1,18 +1,17 @@
-//! The TCP front end: an accept loop over [`cla_serve::serve_connection`]
-//! plus the hub-level command dispatcher.
+//! The TCP front end: [`cla_serve::Listener`] running every connection
+//! through [`cla_serve::serve_connection`], plus the hub-level command
+//! dispatcher.
 
 use crate::registry::{Hub, HubError, SessionSource, SessionSpec};
 use cla_cfront::{FileProvider, OsFs, PpOptions};
 use cla_core::SolveOptions;
 use cla_ir::LowerOptions;
 use cla_serve::json::{obj, parse, Value};
-use cla_serve::{handle_request, serve_connection};
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use cla_serve::{handle_request, serve_connection, Listener};
+use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 fn err_reply(msg: &str) -> Value {
     obj([("ok", false.into()), ("error", msg.into())])
@@ -206,10 +205,10 @@ fn handle_open(hub: &Hub, req: &Value) -> Value {
     }
 }
 
-/// A running hub bound to a TCP address.
+/// A running hub bound to a TCP address. Dropping it stops the hub.
 pub struct HubHandle {
     addr: SocketAddr,
-    accept: Option<JoinHandle<()>>,
+    listener: Listener,
     hub: Arc<Hub>,
 }
 
@@ -219,58 +218,31 @@ pub struct HubHandle {
 /// same idle-timeout and request-size limits as Unix-socket clients.
 pub fn hub_serve(hub: Arc<Hub>, addr: &str) -> std::io::Result<HubHandle> {
     let listener = TcpListener::bind(addr)?;
-    let local = listener.local_addr()?;
-    let accept = {
+    let addr = listener.local_addr()?;
+    let listener = {
         let hub = Arc::clone(&hub);
-        std::thread::spawn(move || {
-            // Polling accept: shutdown must not depend on the one wake
-            // connect from `on_shutdown`/`stop` arriving — if it's lost,
-            // a blocking accept would leave `join()` stuck forever.
-            let _ = listener.set_nonblocking(true);
-            loop {
-                if hub.shutdown_flag().load(SeqCst) {
-                    break;
-                }
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let _ = stream.set_nonblocking(false);
-                        let hub = Arc::clone(&hub);
-                        std::thread::spawn(move || serve_tcp_client(&hub, stream, local));
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(std::time::Duration::from_millis(25));
-                    }
-                    Err(_) => {}
-                }
-            }
-        })
+        Listener::spawn(
+            listener,
+            hub.shutdown_handle(),
+            hub.options().serve.read_timeout,
+            move |mut reader, mut writer| {
+                serve_connection(
+                    &mut reader,
+                    &mut writer,
+                    hub.shutdown_flag(),
+                    &hub.options().serve,
+                    || {},
+                    |line| dispatch(&hub, line),
+                    || {},
+                );
+            },
+        )?
     };
     Ok(HubHandle {
-        addr: local,
-        accept: Some(accept),
+        addr,
+        listener,
         hub,
     })
-}
-
-fn serve_tcp_client(hub: &Hub, stream: TcpStream, local: SocketAddr) {
-    let _ = stream.set_read_timeout(hub.options().serve.read_timeout);
-    // One small reply per request: batching hurts tail latency here.
-    let _ = stream.set_nodelay(true);
-    let Ok(mut writer) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(stream);
-    serve_connection(
-        &mut reader,
-        &mut writer,
-        hub.shutdown_flag(),
-        &hub.options().serve,
-        || {},
-        |line| dispatch(hub, line),
-        || {
-            let _ = TcpStream::connect(local);
-        },
-    );
 }
 
 impl HubHandle {
@@ -286,27 +258,11 @@ impl HubHandle {
 
     /// Stops accepting and waits for the accept loop.
     pub fn stop(mut self) {
-        self.hub.shutdown_flag().store(true, SeqCst);
-        let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
+        self.listener.stop();
     }
 
     /// Waits for a client's `shutdown` command to stop the hub.
     pub fn join(mut self) {
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for HubHandle {
-    fn drop(&mut self) {
-        self.hub.shutdown_flag().store(true, SeqCst);
-        let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
+        self.listener.join();
     }
 }

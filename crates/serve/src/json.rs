@@ -165,19 +165,7 @@ pub fn obj<I: IntoIterator<Item = (&'static str, Value)>>(pairs: I) -> Value {
 
 fn encode_str(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
+    cla_obs::escape_json(s, out);
     out.push('"');
 }
 

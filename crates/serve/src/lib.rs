@@ -14,8 +14,8 @@ mod session;
 
 pub use client::{Client, ClientError, Endpoint};
 pub use server::{
-    handle_request, publish_latency_percentiles, serve, serve_connection, serve_with, ServeOptions,
-    ServerHandle,
+    handle_request, publish_latency_percentiles, serve, serve_connection, serve_with, Listener,
+    ServeOptions, ServerHandle, Transport,
 };
 pub use session::{
     object_provenance, AliasAnswer, DependAnswer, DependentLine, Health, PointsToAnswer,

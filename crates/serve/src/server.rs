@@ -43,7 +43,8 @@
 use crate::json::{obj, parse, Value};
 use crate::session::{Session, SessionStats};
 use cla_cfront::FileProvider;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -81,11 +82,131 @@ impl Default for ServeOptions {
     }
 }
 
+/// How often an idle accept loop looks at its shutdown flag. This bounds
+/// how long `stop`, `join` and `Drop` wait, and how long a connection made
+/// while the loop sleeps waits for its first reply.
+const ACCEPT_POLL: Duration = Duration::from_millis(10);
+
+/// A bound listening socket the [`Listener`] can run: a non-blocking accept
+/// that hands each connection over as blocking read and write halves with
+/// the transport's stream options already applied. This is the one spot
+/// per-transport options live (`TCP_NODELAY`, the read timeout that lets
+/// [`serve_connection`] see an idle client).
+pub trait Transport: Send + 'static {
+    type Stream: Read + Write + Send + 'static;
+
+    fn set_nonblocking(&self, nonblocking: bool) -> std::io::Result<()>;
+
+    /// The next pending connection, or `WouldBlock`.
+    fn accept_halves(
+        &self,
+        read_timeout: Option<Duration>,
+    ) -> std::io::Result<(Self::Stream, Self::Stream)>;
+}
+
+/// Both socket families accept and prepare a connection the same way; what
+/// differs is the types and one stream option.
+macro_rules! transport {
+    ($listener:ty => $stream:ty $(, $option:ident)?) => {
+        impl Transport for $listener {
+            type Stream = $stream;
+
+            fn set_nonblocking(&self, nonblocking: bool) -> std::io::Result<()> {
+                <$listener>::set_nonblocking(self, nonblocking)
+            }
+
+            fn accept_halves(
+                &self,
+                read_timeout: Option<Duration>,
+            ) -> std::io::Result<($stream, $stream)> {
+                let (stream, _) = self.accept()?;
+                stream.set_nonblocking(false)?;
+                stream.set_read_timeout(read_timeout)?;
+                $(stream.$option(true)?;)?
+                Ok((stream.try_clone()?, stream))
+            }
+        }
+    };
+}
+
+transport!(UnixListener => UnixStream);
+// One small reply per request: batching hurts tail latency here.
+transport!(TcpListener => TcpStream, set_nodelay);
+
+/// The one accept loop: a thread that polls a [`Transport`] and gives every
+/// connection its own thread, until the shared shutdown flag is set — by
+/// [`Listener::stop`], by `Drop`, or by a client's `shutdown` command. The
+/// loop polls rather than blocks in `accept`, so shutting down never
+/// depends on a wake-up connection reaching the socket: that connection is
+/// lost when a Unix socket's path has been unlinked or bound again by
+/// another server, and a lost wake-up would hang `stop` forever.
+pub struct Listener {
+    accept: Option<JoinHandle<()>>,
+    shutdown: Arc<AtomicBool>,
+}
+
+impl Listener {
+    /// Starts accepting on `transport`. `serve` runs on a fresh thread per
+    /// connection with the buffered read half and the write half.
+    ///
+    /// # Errors
+    ///
+    /// When the listening socket cannot be made non-blocking.
+    pub fn spawn<T: Transport>(
+        transport: T,
+        shutdown: Arc<AtomicBool>,
+        read_timeout: Option<Duration>,
+        serve: impl Fn(BufReader<T::Stream>, T::Stream) + Send + Sync + 'static,
+    ) -> std::io::Result<Listener> {
+        transport.set_nonblocking(true)?;
+        let serve = Arc::new(serve);
+        let flag = Arc::clone(&shutdown);
+        let accept = std::thread::spawn(move || {
+            while !flag.load(SeqCst) {
+                match transport.accept_halves(read_timeout) {
+                    Ok((reader, writer)) => {
+                        let serve = Arc::clone(&serve);
+                        std::thread::spawn(move || serve(BufReader::new(reader), writer));
+                    }
+                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                        std::thread::sleep(ACCEPT_POLL);
+                    }
+                    // A connection that died in the backlog, or one whose
+                    // options could not be set: drop it, keep accepting.
+                    Err(_) => {}
+                }
+            }
+        });
+        Ok(Listener {
+            accept: Some(accept),
+            shutdown,
+        })
+    }
+
+    /// Sets the shutdown flag and waits for the accept loop to exit.
+    pub fn stop(&mut self) {
+        self.shutdown.store(true, SeqCst);
+        self.join();
+    }
+
+    /// Waits for the accept loop to see the shutdown flag.
+    pub fn join(&mut self) {
+        if let Some(h) = self.accept.take() {
+            let _ = h.join();
+        }
+    }
+}
+
+impl Drop for Listener {
+    fn drop(&mut self) {
+        self.stop();
+    }
+}
+
 /// A running server bound to a Unix socket.
 pub struct ServerHandle {
     path: PathBuf,
-    accept: Option<JoinHandle<()>>,
-    shutdown: Arc<AtomicBool>,
+    listener: Listener,
     session: Arc<Session>,
 }
 
@@ -114,31 +235,35 @@ pub fn serve_with(
     let _ = std::fs::remove_file(socket);
     let listener = UnixListener::bind(socket)?;
     let shutdown = Arc::new(AtomicBool::new(false));
-    let accept = {
+    let listener = {
         let session = Arc::clone(&session);
         let shutdown = Arc::clone(&shutdown);
-        let path = socket.to_path_buf();
-        std::thread::spawn(move || {
-            for stream in listener.incoming() {
-                if shutdown.load(SeqCst) {
-                    break;
-                }
-                let Ok(stream) = stream else { continue };
-                let session = Arc::clone(&session);
-                let fs = fs.clone();
-                let shutdown = Arc::clone(&shutdown);
-                let path = path.clone();
-                let opts = opts.clone();
-                std::thread::spawn(move || {
-                    serve_client(&session, fs.as_deref(), stream, &shutdown, &path, &opts);
-                });
-            }
-        })
+        Listener::spawn(
+            listener,
+            Arc::clone(&shutdown),
+            opts.read_timeout,
+            move |mut reader, mut writer| {
+                let fs = fs.as_deref();
+                serve_connection(
+                    &mut reader,
+                    &mut writer,
+                    &shutdown,
+                    &opts,
+                    // A degraded session retries its reload here, piggybacked
+                    // on incoming traffic: recovery is automatic once the
+                    // fault is fixed, with no background thread to manage.
+                    || {
+                        session.maybe_recover(fs.map(|f| f as &dyn FileProvider));
+                    },
+                    |line| handle_request(&session, fs, line, &shutdown, &opts),
+                    || {},
+                );
+            },
+        )?
     };
     Ok(ServerHandle {
         path: socket.to_path_buf(),
-        accept: Some(accept),
-        shutdown,
+        listener,
         session,
     })
 }
@@ -156,40 +281,27 @@ impl ServerHandle {
 
     /// True once a shutdown request was seen (or `stop` was called).
     pub fn is_shut_down(&self) -> bool {
-        self.shutdown.load(SeqCst)
+        self.listener.shutdown.load(SeqCst)
     }
 
     /// Stops accepting, waits for the accept loop, removes the socket file,
     /// and returns the final stats snapshot.
     pub fn stop(mut self) -> SessionStats {
-        self.shutdown.store(true, SeqCst);
-        // Unblock the accept loop with a throwaway connection.
-        let _ = UnixStream::connect(&self.path);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        let _ = std::fs::remove_file(&self.path);
+        self.listener.stop();
         self.session.stats()
     }
 
     /// Waits for the server to be shut down by a client (`shutdown` command)
     /// and returns the final stats snapshot.
     pub fn join(mut self) -> SessionStats {
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        let _ = std::fs::remove_file(&self.path);
+        self.listener.join();
         self.session.stats()
     }
 }
 
 impl Drop for ServerHandle {
     fn drop(&mut self) {
-        self.shutdown.store(true, SeqCst);
-        let _ = UnixStream::connect(&self.path);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
+        self.listener.stop();
         let _ = std::fs::remove_file(&self.path);
     }
 }
@@ -268,8 +380,7 @@ pub(crate) fn read_request<R: BufRead>(reader: &mut R, max: usize) -> Request {
 /// it for degraded-session recovery). `dispatch` answers one request line;
 /// a panic inside it is caught and counted, the client gets a structured
 /// error, and only this connection dies. `on_shutdown` runs when a
-/// dispatched request flips the shutdown flag (used to unblock the accept
-/// loop with a throwaway connection).
+/// dispatched request flips the shutdown flag.
 pub fn serve_connection<R: BufRead, W: Write>(
     reader: &mut R,
     writer: &mut W,
@@ -342,43 +453,11 @@ pub fn serve_connection<R: BufRead, W: Write>(
             }
         }
         if shutdown.load(SeqCst) {
-            // This request shut the server down: let the caller unblock
-            // its accept loop.
+            // This request shut the server down.
             on_shutdown();
             break;
         }
     }
-}
-
-fn serve_client(
-    session: &Session,
-    fs: Option<&(dyn FileProvider + Send + Sync)>,
-    stream: UnixStream,
-    shutdown: &AtomicBool,
-    path: &Path,
-    opts: &ServeOptions,
-) {
-    let _ = stream.set_read_timeout(opts.read_timeout);
-    let Ok(mut writer) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(stream);
-    serve_connection(
-        &mut reader,
-        &mut writer,
-        shutdown,
-        opts,
-        // A degraded session retries its reload here, piggybacked on
-        // incoming traffic: recovery is automatic once the fault is fixed,
-        // with no background thread to manage.
-        || {
-            session.maybe_recover(fs.map(|f| f as &dyn FileProvider));
-        },
-        |line| handle_request(session, fs, line, shutdown, opts),
-        || {
-            let _ = UnixStream::connect(path);
-        },
-    );
 }
 
 fn err_reply(msg: &str) -> Value {
@@ -754,6 +833,43 @@ mod tests {
             line.clear();
         }
         lines
+    }
+
+    /// Runs `f` on its own thread and fails if it has not returned in 10 s:
+    /// the failure mode under test is a hang.
+    fn within_deadline(what: &str, f: impl FnOnce() + Send + 'static) {
+        let (done, returned) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            f();
+            let _ = done.send(());
+        });
+        returned
+            .recv_timeout(Duration::from_secs(10))
+            .unwrap_or_else(|_| panic!("{what} did not return"));
+    }
+
+    #[test]
+    fn shutdown_does_not_depend_on_reaching_the_socket_path() {
+        let fs = sample_fs();
+        // Unlinked: nothing can connect to the path any more.
+        let server = sample_server(&fs);
+        std::fs::remove_file(server.path()).unwrap();
+        within_deadline("stop() after the path was unlinked", move || {
+            server.stop();
+        });
+        // Bound again: `serve_with` unlinks before binding, so a connect to
+        // the path reaches the second server, never the first.
+        let first = sample_server(&fs);
+        let second = serve(sample_session(&fs), None, first.path()).unwrap();
+        let mut c = UnixStream::connect(second.path()).unwrap();
+        within_deadline("drop after the path was bound again", move || drop(first));
+        // The connection made before the first server took the path's file
+        // with it still answers, and the second server stops as promptly.
+        let v = ask(&mut c, r#"{"cmd":"points-to","var":"q"}"#);
+        assert_eq!(v.get("ok").and_then(Value::as_bool), Some(true));
+        within_deadline("stop() of the second server", move || {
+            second.stop();
+        });
     }
 
     #[test]

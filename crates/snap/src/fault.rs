@@ -4,14 +4,14 @@
 //! format. The invariant is the same: a mutant either fails with a typed
 //! [`crate::SnapError`] or decodes to the pristine snapshot exactly
 //! (provenance, names, per-object sets, stats) — never a panic, never
-//! silently wrong answers. Because the snapshot header shares the object
-//! format's geometry, the battery is the object harness's own — truncation
+//! silently wrong answers. Because both formats are one container, the
+//! battery is the object harness's own — truncation
 //! at every byte offset, seeded 1–4-bit flips, and section-table entry swaps
 //! with the header checksum alternately stale and recomputed (the
 //! recomputed case is only catchable by the id-tagged section checksums);
 //! this module only supplies the oracle that judges a mutant.
 
-use crate::format::{SnapError, MAGIC, VERSION};
+use crate::format::{SnapError, FORMAT};
 use crate::reader::Snapshot;
 use cla_cladb::fault::{judge, run_fuzz, FuzzReport, Verdict};
 use cla_core::pipeline::Provenance;
@@ -67,7 +67,7 @@ pub fn run_snap_fuzz(pristine: &[u8], seed: u64, iters: u64) -> Result<FuzzRepor
     let oracle = SnapOracle::new(pristine)?;
     Ok(run_fuzz(
         pristine,
-        (MAGIC, VERSION),
+        &FORMAT,
         |bytes| oracle.exercise(bytes),
         seed,
         iters,

@@ -1,20 +1,15 @@
 //! Snapshot file format constants and the typed error.
 //!
-//! A `.clasnap` file persists a solved [`cla_core::SealedGraph`] in the same
-//! sectioned, checksummed shape as the cladb object format (DESIGN.md §11):
-//! a fixed header (`magic`, `version`, header checksum, section count)
-//! followed by a section table and the section bodies. The header checksum
-//! covers the table; each section carries an id-tagged FNV-1a-64 checksum
-//! verified on first access, so opening a snapshot validates only the header
-//! and the provenance record — the multi-megabyte set payload is not hashed
-//! until (unless) a caller actually loads the graph.
-//!
-//! Geometry is shared with the object format — [`HEADER_FIXED_SIZE`] and
-//! [`SECTION_ENTRY_SIZE`] are re-exported from `cla-cladb` — so the PR 4
-//! fault-injection sweeps (truncation, bit flips, section-table shuffles
-//! with a recomputed header checksum) apply to snapshots unchanged.
+//! A `.clasnap` file persists a solved [`cla_core::SealedGraph`] in the
+//! sectioned, checksummed container `cla_cladb::container` defines — the
+//! same one `.clao` object files use (DESIGN.md §10), instantiated here as
+//! [`FORMAT`]. What is the snapshot's own is which sections exist and when
+//! they are verified: opening validates only the header and the provenance
+//! record, and every other section's id-tagged checksum is checked on first
+//! access, so the multi-megabyte set payload is not hashed until (unless) a
+//! caller actually loads the graph.
 
-pub use cla_cladb::{HEADER_FIXED_SIZE, SECTION_ENTRY_SIZE};
+use cla_cladb::container::{ContainerError, Format};
 
 /// Snapshot file magic: `CLAS` in little-endian byte order. Distinct from
 /// the object-file magic so neither reader ever half-decodes the other's
@@ -22,12 +17,19 @@ pub use cla_cladb::{HEADER_FIXED_SIZE, SECTION_ENTRY_SIZE};
 pub const MAGIC: u32 = 0x5341_4C43;
 
 /// Snapshot format version. Bumped on any layout change; old versions are
-/// rejected with [`SnapError::BadVersion`], never migrated silently.
+/// rejected with [`ContainerError::BadVersion`], never migrated silently.
 pub const VERSION: u32 = 1;
 
-/// Section identifiers. Same 28-byte table-entry encoding as the object
-/// format; ids are tag inputs to the per-section checksums, so two sections
-/// swapped wholesale in the table are still caught.
+/// The snapshot format as an instantiation of the shared container.
+pub static FORMAT: Format = Format {
+    magic: MAGIC,
+    version: VERSION,
+    kind: "snapshot",
+    checksum_fail_metric: "cla_snap_checksum_fail_total",
+};
+
+/// Section identifiers. Ids are tag inputs to the per-section checksums,
+/// so two sections swapped wholesale in the table are still caught.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u32)]
 pub enum SnapSectionId {
@@ -81,22 +83,14 @@ impl SnapSectionId {
     }
 }
 
-/// Error type for snapshot decoding. Mirrors `DbError`'s taxonomy plus a
-/// [`SnapError::Provenance`] variant: a structurally valid snapshot of the
-/// *wrong inputs* is not corruption, it is a cache miss that the caller
-/// answers with a full re-solve.
+/// Error type for snapshot decoding: the container's taxonomy plus
+/// [`SnapError::Provenance`] — a structurally valid snapshot of the *wrong
+/// inputs* is not corruption, it is a cache miss that the caller answers
+/// with a full re-solve.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SnapError {
-    /// Not a snapshot file (bad or short magic).
-    BadMagic,
-    /// A snapshot from an unsupported format version.
-    BadVersion(u32),
-    /// A required section is absent.
-    MissingSection(&'static str),
-    /// Structurally invalid bytes.
-    Corrupt(String),
-    /// A checksum mismatch (damaged bytes).
-    Checksum(String),
+    /// The bytes are not a well-formed, undamaged snapshot.
+    Container(ContainerError),
     /// The file could not be read or written.
     Io(String),
     /// Valid snapshot, wrong provenance (stale inputs or options).
@@ -106,11 +100,7 @@ pub enum SnapError {
 impl std::fmt::Display for SnapError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SnapError::BadMagic => write!(f, "not a snapshot file (bad magic)"),
-            SnapError::BadVersion(v) => write!(f, "unsupported snapshot version {v}"),
-            SnapError::MissingSection(s) => write!(f, "missing snapshot section: {s}"),
-            SnapError::Corrupt(m) => write!(f, "corrupt snapshot: {m}"),
-            SnapError::Checksum(m) => write!(f, "snapshot checksum mismatch: {m}"),
+            SnapError::Container(e) => e.fmt_for(FORMAT.kind, f),
             SnapError::Io(m) => write!(f, "snapshot i/o error: {m}"),
             SnapError::Provenance(m) => write!(f, "snapshot provenance mismatch: {m}"),
         }
@@ -118,6 +108,12 @@ impl std::fmt::Display for SnapError {
 }
 
 impl std::error::Error for SnapError {}
+
+impl From<ContainerError> for SnapError {
+    fn from(e: ContainerError) -> Self {
+        SnapError::Container(e)
+    }
+}
 
 impl From<std::io::Error> for SnapError {
     fn from(e: std::io::Error) -> Self {
@@ -145,8 +141,8 @@ mod tests {
 
     #[test]
     fn errors_display_their_kind() {
-        assert!(SnapError::BadMagic.to_string().contains("magic"));
-        assert!(SnapError::BadVersion(9).to_string().contains('9'));
+        let bad_version = SnapError::from(ContainerError::BadVersion(9));
+        assert_eq!(bad_version.to_string(), "unsupported snapshot version 9");
         assert!(SnapError::Provenance("x".into())
             .to_string()
             .contains("provenance"));

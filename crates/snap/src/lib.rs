@@ -51,8 +51,8 @@ mod store;
 mod writer;
 
 pub use cache::{DiskCache, DEFAULT_MAX_BYTES};
-pub use format::{SnapError, SnapSectionId, MAGIC, VERSION};
-pub use reader::{SnapSection, Snapshot};
+pub use format::{SnapError, SnapSectionId, FORMAT, MAGIC, VERSION};
+pub use reader::Snapshot;
 pub use store::{SnapshotStore, SNAPSHOT_FILE};
 pub use writer::{encode_snapshot, save_snapshot};
 
@@ -178,7 +178,7 @@ mod tests {
         let obj = cla_cladb::write_object(&unit);
         assert!(matches!(
             Snapshot::from_bytes(obj),
-            Err(SnapError::BadMagic)
+            Err(SnapError::Container(cla_cladb::ContainerError::BadMagic))
         ));
     }
 }

@@ -12,71 +12,17 @@
 //! snapshot, however damaged, can panic the loader (the `cla-tool db-fuzz
 //! --snapshot` harness enforces this over seeded mutants).
 
-use crate::format::{
-    SnapError, SnapSectionId, HEADER_FIXED_SIZE, MAGIC, SECTION_ENTRY_SIZE, VERSION,
-};
-use cla_cladb::{fnv64, fnv64_tagged, NONE_U32};
+use crate::format::{SnapError, SnapSectionId, FORMAT};
+use cla_cladb::container::{Container, ContainerError, Cur, SectionEntry, StringTable};
+use cla_cladb::NONE_U32;
 use cla_core::pipeline::Provenance;
 use cla_core::{SealedGraph, SolveOptions, SolveStats};
 use cla_ir::ObjId;
 use std::path::Path;
 use std::sync::Arc;
 
-/// Bounds-checked little-endian cursor (same discipline as the object
-/// reader: a short buffer is a typed error, never a panic).
-struct Cur<'a> {
-    buf: &'a [u8],
-}
-
-fn short(n: usize) -> SnapError {
-    SnapError::Corrupt(format!("unexpected end of section ({n} more bytes needed)"))
-}
-
-impl<'a> Cur<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Cur { buf }
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len()
-    }
-
-    fn get_u8(&mut self) -> Result<u8, SnapError> {
-        let (&v, rest) = self.buf.split_first().ok_or_else(|| short(1))?;
-        self.buf = rest;
-        Ok(v)
-    }
-
-    fn get_u32_le(&mut self) -> Result<u32, SnapError> {
-        let (v, rest) = self.buf.split_at_checked(4).ok_or_else(|| short(4))?;
-        self.buf = rest;
-        Ok(u32::from_le_bytes(v.try_into().unwrap()))
-    }
-
-    fn get_u64_le(&mut self) -> Result<u64, SnapError> {
-        let (v, rest) = self.buf.split_at_checked(8).ok_or_else(|| short(8))?;
-        self.buf = rest;
-        Ok(u64::from_le_bytes(v.try_into().unwrap()))
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapError> {
-        let (v, rest) = self.buf.split_at_checked(n).ok_or_else(|| short(n))?;
-        self.buf = rest;
-        Ok(v)
-    }
-}
-
-/// One decoded section-table entry (exposed for `snapshot-info`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SnapSection {
-    /// Raw section id (may be unknown to this reader version).
-    pub id: u32,
-    /// Byte offset of the body within the file.
-    pub offset: u64,
-    /// Body length in bytes.
-    pub len: u64,
-    /// Id-tagged FNV-1a-64 checksum of the body.
-    pub checksum: u64,
+fn corrupt(msg: &str) -> SnapError {
+    ContainerError::corrupt(msg).into()
 }
 
 /// A snapshot file opened for demand-driven loading. Opening verifies the
@@ -84,8 +30,7 @@ pub struct SnapSection {
 /// [`Snapshot::names`] verify their sections on first use.
 #[derive(Debug)]
 pub struct Snapshot {
-    data: Vec<u8>,
-    table: Vec<SnapSection>,
+    file: Container,
     prov: Provenance,
     object_count: u32,
 }
@@ -97,43 +42,11 @@ impl Snapshot {
     ///
     /// [`SnapError`] on malformed or damaged input.
     pub fn from_bytes(data: Vec<u8>) -> Result<Snapshot, SnapError> {
-        let mut hdr = Cur::new(&data);
-        if hdr.remaining() < HEADER_FIXED_SIZE {
-            return Err(SnapError::BadMagic);
-        }
-        if hdr.get_u32_le()? != MAGIC {
-            return Err(SnapError::BadMagic);
-        }
-        let version = hdr.get_u32_le()?;
-        if version != VERSION {
-            return Err(SnapError::BadVersion(version));
-        }
-        let header_sum = hdr.get_u64_le()?;
-        let table_start = HEADER_FIXED_SIZE - 4;
-        let nsections = hdr.get_u32_le()? as usize;
-        if hdr.remaining() < nsections.saturating_mul(SECTION_ENTRY_SIZE) {
-            return Err(SnapError::Corrupt("truncated section table".into()));
-        }
-        let table_end = HEADER_FIXED_SIZE + nsections * SECTION_ENTRY_SIZE;
-        if fnv64(&data[table_start..table_end]) != header_sum {
-            cla_obs::global()
-                .counter("cla_snap_checksum_fail_total")
-                .inc();
-            return Err(SnapError::Checksum("section table".into()));
-        }
-        let mut table = Vec::with_capacity(nsections);
-        for _ in 0..nsections {
-            table.push(SnapSection {
-                id: hdr.get_u32_le()?,
-                offset: hdr.get_u64_le()?,
-                len: hdr.get_u64_le()?,
-                checksum: hdr.get_u64_le()?,
-            });
-        }
-        let mut prov_sec = section_body(&data, &table, SnapSectionId::Prov)?;
+        let file = Container::open(data, &FORMAT)?;
+        let mut prov_sec = section(&file, SnapSectionId::Prov)?;
         let flags = prov_sec.get_u8()?;
         if flags & !0b11 != 0 {
-            return Err(SnapError::Corrupt("bad solver flag bits".into()));
+            return Err(corrupt("bad solver flag bits"));
         }
         let solver = SolveOptions {
             cache: flags & 0b01 != 0,
@@ -143,19 +56,13 @@ impl Snapshot {
         let ninputs = prov_sec.get_u32_le()? as usize;
         let mut inputs = Vec::with_capacity(ninputs.min(1024));
         for _ in 0..ninputs {
-            let len = prov_sec.get_u32_le()? as usize;
-            let name = std::str::from_utf8(prov_sec.take(len)?)
-                .map_err(|_| SnapError::Corrupt("input name is not UTF-8".into()))?
-                .to_string();
+            let name = prov_sec.get_str()?.to_string();
             inputs.push((name, prov_sec.get_u64_le()?));
         }
         let object_count = prov_sec.get_u32_le()?;
-        if prov_sec.remaining() != 0 {
-            return Err(SnapError::Corrupt("trailing bytes in prov section".into()));
-        }
+        prov_sec.finish("prov")?;
         Ok(Snapshot {
-            data,
-            table,
+            file,
             prov: Provenance {
                 inputs,
                 options_fp,
@@ -189,15 +96,8 @@ impl Snapshot {
     /// The decoded section table (for `snapshot-info`; already covered by
     /// the verified header checksum).
     #[must_use]
-    pub fn section_table(&self) -> &[SnapSection] {
-        &self.table
-    }
-
-    /// The verified body of `id` as a cursor. This is the demand-verify
-    /// point: the id-tagged section checksum is recomputed here, on access,
-    /// not at open.
-    fn section(&self, id: SnapSectionId) -> Result<Cur<'_>, SnapError> {
-        section_body(&self.data, &self.table, id)
+    pub fn section_table(&self) -> &[SectionEntry] {
+        self.file.table()
     }
 
     /// Rebuilds the query-ready [`SealedGraph`] — no solver run, no source.
@@ -215,9 +115,9 @@ impl Snapshot {
         let obs = cla_obs::global();
         let mut sp = obs.span("snap", "snap.load");
         sp.set("objects", self.object_count as usize);
-        sp.set("bytes", self.data.len());
+        sp.set("bytes", self.file.bytes().len());
 
-        let mut sets_sec = self.section(SnapSectionId::Sets)?;
+        let mut sets_sec = section(&self.file, SnapSectionId::Sets)?;
         let nsets = sets_sec.get_u32_le()? as usize;
         let mut sets: Vec<Arc<Vec<ObjId>>> = Vec::with_capacity(nsets.min(1 << 20));
         for _ in 0..nsets {
@@ -227,29 +127,25 @@ impl Snapshot {
             for _ in 0..len {
                 let v = sets_sec.get_u32_le()?;
                 if v >= self.object_count {
-                    return Err(SnapError::Corrupt("set member out of range".into()));
+                    return Err(corrupt("set member out of range"));
                 }
                 if prev.is_some_and(|p| p >= v) {
-                    return Err(SnapError::Corrupt("set not strictly sorted".into()));
+                    return Err(corrupt("set not strictly sorted"));
                 }
                 prev = Some(v);
                 set.push(ObjId(v));
             }
             if set.is_empty() {
-                return Err(SnapError::Corrupt("empty encoded set".into()));
+                return Err(corrupt("empty encoded set"));
             }
             sets.push(Arc::new(set));
         }
-        if sets_sec.remaining() != 0 {
-            return Err(SnapError::Corrupt("trailing bytes in sets section".into()));
-        }
+        sets_sec.finish("sets")?;
 
-        let mut reps_sec = self.section(SnapSectionId::Reps)?;
+        let mut reps_sec = section(&self.file, SnapSectionId::Reps)?;
         let nobjs = reps_sec.get_u32_le()?;
         if nobjs != self.object_count {
-            return Err(SnapError::Corrupt(
-                "reps count disagrees with provenance".into(),
-            ));
+            return Err(corrupt("reps count disagrees with provenance"));
         }
         let empty: Arc<Vec<ObjId>> = Arc::new(Vec::new());
         let mut per_object = Vec::with_capacity(nobjs as usize);
@@ -260,15 +156,13 @@ impl Snapshot {
             } else {
                 let set = sets
                     .get(id as usize)
-                    .ok_or_else(|| SnapError::Corrupt("set id out of range".into()))?;
+                    .ok_or_else(|| corrupt("set id out of range"))?;
                 per_object.push(Arc::clone(set));
             }
         }
-        if reps_sec.remaining() != 0 {
-            return Err(SnapError::Corrupt("trailing bytes in reps section".into()));
-        }
+        reps_sec.finish("reps")?;
 
-        let mut stats_sec = self.section(SnapSectionId::Stats)?;
+        let mut stats_sec = section(&self.file, SnapSectionId::Stats)?;
         let stats = SolveStats {
             passes: stats_sec.get_u64_le()? as usize,
             getlvals_calls: stats_sec.get_u64_le()?,
@@ -281,9 +175,7 @@ impl Snapshot {
             nodes: stats_sec.get_u64_le()? as usize,
             approx_bytes: stats_sec.get_u64_le()? as usize,
         };
-        if stats_sec.remaining() != 0 {
-            return Err(SnapError::Corrupt("trailing bytes in stats section".into()));
-        }
+        stats_sec.finish("stats")?;
 
         obs.counter("cla_snap_loads_total").inc();
         Ok(SealedGraph::from_parts(per_object, stats))
@@ -296,38 +188,23 @@ impl Snapshot {
     ///
     /// [`SnapError`] on damaged or inconsistent sections.
     pub fn names(&self) -> Result<Vec<String>, SnapError> {
-        let mut str_sec = self.section(SnapSectionId::Strings)?;
-        let nstrings = str_sec.get_u32_le()? as usize;
-        let mut strings = Vec::with_capacity(nstrings.min(1 << 20));
-        for _ in 0..nstrings {
-            let len = str_sec.get_u32_le()? as usize;
-            let s = std::str::from_utf8(str_sec.take(len)?)
-                .map_err(|_| SnapError::Corrupt("object name is not UTF-8".into()))?;
-            strings.push(s.to_string());
-        }
-        if str_sec.remaining() != 0 {
-            return Err(SnapError::Corrupt(
-                "trailing bytes in strings section".into(),
-            ));
-        }
-        let mut names_sec = self.section(SnapSectionId::Names)?;
+        let mut str_sec = section(&self.file, SnapSectionId::Strings)?;
+        let strings = StringTable::decode(&mut str_sec)?;
+        str_sec.finish("strings")?;
+        let mut names_sec = section(&self.file, SnapSectionId::Names)?;
         let nnames = names_sec.get_u32_le()?;
         if nnames != self.object_count {
-            return Err(SnapError::Corrupt(
-                "names count disagrees with provenance".into(),
-            ));
+            return Err(corrupt("names count disagrees with provenance"));
         }
         let mut names = Vec::with_capacity(nnames as usize);
         for _ in 0..nnames {
             let sid = names_sec.get_u32_le()? as usize;
             let s = strings
                 .get(sid)
-                .ok_or_else(|| SnapError::Corrupt("name string id out of range".into()))?;
+                .ok_or_else(|| corrupt("name string id out of range"))?;
             names.push(s.clone());
         }
-        if names_sec.remaining() != 0 {
-            return Err(SnapError::Corrupt("trailing bytes in names section".into()));
-        }
+        names_sec.finish("names")?;
         Ok(names)
     }
 
@@ -349,31 +226,9 @@ impl Snapshot {
     }
 }
 
-/// Looks up section `id` in the table, bounds checks its range, and
-/// verifies its id-tagged checksum — the demand-verify primitive shared by
-/// `from_bytes` (provenance) and the lazy accessors.
-fn section_body<'a>(
-    data: &'a [u8],
-    table: &[SnapSection],
-    id: SnapSectionId,
-) -> Result<Cur<'a>, SnapError> {
-    let entry = table
-        .iter()
-        .find(|e| e.id == id as u32)
-        .ok_or(SnapError::MissingSection(id.name()))?;
-    let end = entry
-        .offset
-        .checked_add(entry.len)
-        .ok_or_else(|| SnapError::Corrupt("section range overflow".into()))?;
-    if end > data.len() as u64 {
-        return Err(SnapError::Corrupt("section past end of file".into()));
-    }
-    let body = &data[entry.offset as usize..end as usize];
-    if fnv64_tagged(id as u32, body) != entry.checksum {
-        cla_obs::global()
-            .counter("cla_snap_checksum_fail_total")
-            .inc();
-        return Err(SnapError::Checksum(id.name().into()));
-    }
-    Ok(Cur::new(body))
+/// The verified body of section `id` as a cursor. This is the demand-verify
+/// point shared by `from_bytes` (provenance) and the lazy accessors: the
+/// id-tagged section checksum is recomputed here, on access, not at open.
+fn section(file: &Container, id: SnapSectionId) -> Result<Cur<'_>, SnapError> {
+    Ok(Cur::new(file.section(id as u32, id.name())?))
 }

@@ -4,26 +4,14 @@
 //! mid-save never leaves a half-written snapshot for a later warm start to
 //! trip over.
 
-use crate::format::{SnapSectionId, HEADER_FIXED_SIZE, MAGIC, SECTION_ENTRY_SIZE, VERSION};
-use cla_cladb::{atomic_write_bytes, fnv64, fnv64_tagged, NONE_U32};
+use crate::format::{SnapSectionId, FORMAT};
+use cla_cladb::container::{assemble, Put, Section, StringTable};
+use cla_cladb::{atomic_write_bytes, NONE_U32};
 use cla_core::pipeline::Provenance;
 use cla_core::SealedGraph;
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
-
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_u32(buf, s.len() as u32);
-    buf.extend_from_slice(s.as_bytes());
-}
 
 /// Packs the solver options into the provenance flag byte.
 pub(crate) fn solver_flags(opts: cla_core::SolveOptions) -> u8 {
@@ -43,57 +31,45 @@ pub(crate) fn solver_flags(opts: cla_core::SolveOptions) -> u8 {
 pub fn encode_snapshot(prov: &Provenance, sealed: &SealedGraph, names: &[String]) -> Vec<u8> {
     // ---- prov ----
     let mut prov_sec = Vec::new();
-    prov_sec.push(solver_flags(prov.solver));
-    put_u64(&mut prov_sec, prov.options_fp);
-    put_u32(&mut prov_sec, prov.inputs.len() as u32);
+    prov_sec.put_u8(solver_flags(prov.solver));
+    prov_sec.put_u64_le(prov.options_fp);
+    prov_sec.put_u32_le(prov.inputs.len() as u32);
     for (name, hash) in &prov.inputs {
-        put_str(&mut prov_sec, name);
-        put_u64(&mut prov_sec, *hash);
+        prov_sec.put_str(name);
+        prov_sec.put_u64_le(*hash);
     }
-    put_u32(&mut prov_sec, sealed.object_count() as u32);
+    prov_sec.put_u32_le(sealed.object_count() as u32);
 
     // ---- strings + names ----
-    let mut interned: Vec<&str> = Vec::new();
-    let mut index: HashMap<&str, u32> = HashMap::new();
+    let mut strings = StringTable::default();
     let mut names_sec = Vec::new();
-    put_u32(&mut names_sec, names.len() as u32);
+    names_sec.put_u32_le(names.len() as u32);
     for name in names {
-        let sid = *index.entry(name.as_str()).or_insert_with(|| {
-            interned.push(name.as_str());
-            (interned.len() - 1) as u32
-        });
-        put_u32(&mut names_sec, sid);
+        names_sec.put_u32_le(strings.intern(name));
     }
-    let mut str_sec = Vec::new();
-    put_u32(&mut str_sec, interned.len() as u32);
-    for s in &interned {
-        put_str(&mut str_sec, s);
-    }
+    let str_sec = strings.encode();
 
     // ---- reps + sets (sharing encoded once, referenced by id) ----
     let mut set_ids: HashMap<*const Vec<cla_ir::ObjId>, u32> = HashMap::new();
-    let mut sets_sec = Vec::new();
-    let mut nsets = 0u32;
-    let mut sets_body = Vec::new();
+    let mut sets_sec = vec![0; 4]; // the set count, known after the loop
     let mut reps_sec = Vec::new();
-    put_u32(&mut reps_sec, sealed.sets().len() as u32);
+    reps_sec.put_u32_le(sealed.sets().len() as u32);
     for set in sealed.sets() {
         if set.is_empty() {
-            put_u32(&mut reps_sec, NONE_U32);
+            reps_sec.put_u32_le(NONE_U32);
             continue;
         }
+        let next_id = set_ids.len() as u32;
         let id = *set_ids.entry(Arc::as_ptr(set)).or_insert_with(|| {
-            put_u32(&mut sets_body, set.len() as u32);
+            sets_sec.put_u32_le(set.len() as u32);
             for o in set.iter() {
-                put_u32(&mut sets_body, o.0);
+                sets_sec.put_u32_le(o.0);
             }
-            nsets += 1;
-            nsets - 1
+            next_id
         });
-        put_u32(&mut reps_sec, id);
+        reps_sec.put_u32_le(id);
     }
-    put_u32(&mut sets_sec, nsets);
-    sets_sec.extend_from_slice(&sets_body);
+    sets_sec[..4].copy_from_slice(&(set_ids.len() as u32).to_le_bytes());
 
     // ---- stats ----
     let st = sealed.stats();
@@ -110,39 +86,21 @@ pub fn encode_snapshot(prov: &Provenance, sealed: &SealedGraph, names: &[String]
         st.nodes as u64,
         st.approx_bytes as u64,
     ] {
-        put_u64(&mut stats_sec, v);
+        stats_sec.put_u64_le(v);
     }
 
-    // ---- assemble: same header geometry as the object format ----
-    let sections: Vec<(SnapSectionId, Vec<u8>)> = vec![
-        (SnapSectionId::Prov, prov_sec),
-        (SnapSectionId::Strings, str_sec),
-        (SnapSectionId::Names, names_sec),
-        (SnapSectionId::Reps, reps_sec),
-        (SnapSectionId::Sets, sets_sec),
-        (SnapSectionId::Stats, stats_sec),
-    ];
-    let header_len = HEADER_FIXED_SIZE + sections.len() * SECTION_ENTRY_SIZE;
-    let mut offset = header_len as u64;
-    let mut table = Vec::with_capacity(header_len - 16);
-    put_u32(&mut table, sections.len() as u32);
-    for (id, body) in &sections {
-        put_u32(&mut table, *id as u32);
-        put_u64(&mut table, offset);
-        put_u64(&mut table, body.len() as u64);
-        put_u64(&mut table, fnv64_tagged(*id as u32, body));
-        offset += body.len() as u64;
-    }
-    let mut out =
-        Vec::with_capacity(header_len + sections.iter().map(|(_, b)| b.len()).sum::<usize>());
-    put_u32(&mut out, MAGIC);
-    put_u32(&mut out, VERSION);
-    put_u64(&mut out, fnv64(&table));
-    out.extend_from_slice(&table);
-    for (_, body) in sections {
-        out.extend_from_slice(&body);
-    }
-    out
+    let whole = |id: SnapSectionId, body| Section::whole(id as u32, body);
+    assemble(
+        &FORMAT,
+        &[
+            whole(SnapSectionId::Prov, &prov_sec),
+            whole(SnapSectionId::Strings, &str_sec),
+            whole(SnapSectionId::Names, &names_sec),
+            whole(SnapSectionId::Reps, &reps_sec),
+            whole(SnapSectionId::Sets, &sets_sec),
+            whole(SnapSectionId::Stats, &stats_sec),
+        ],
+    )
 }
 
 /// Encodes and persists a snapshot crash-safely at `path`. Returns the

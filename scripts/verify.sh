@@ -13,6 +13,19 @@ second_pool=$(for f in crates/serve/src/*.rs; do
 done | grep -v '^crates/serve/src/server.rs:.*catch_unwind(AssertUnwindSafe(|| dispatch(' || true)
 [ -z "$second_pool" ] || { echo "a second pool or guard grew back: $second_pool"; exit 1; }
 
+echo "==> one container, one accept loop (cladb::container owns the file layout, serve::server owns accept)"
+# .clao and .clasnap are parsed, verified and assembled by cladb/src/container.rs:
+# no second cursor, and no table arithmetic outside it (fault.rs may rewrite
+# tables through its codec; lib.rs re-exports the constant).
+cursors=$(grep -rn 'struct Cur\b' crates/*/src | grep -v '^crates/cladb/src/container.rs:' || true)
+[ -z "$cursors" ] || { echo "a second read cursor grew back: $cursors"; exit 1; }
+geometry=$(grep -rln 'SECTION_ENTRY_SIZE' crates/*/src src \
+    | grep -vE '^crates/cladb/src/(container|fault|lib)\.rs$' || true)
+[ -z "$geometry" ] || { echo "section-table arithmetic outside the container: $geometry"; exit 1; }
+# The Unix server and the TCP hub run on serve::server's one Listener.
+acceptors=$(grep -rlE '\.accept\(\)|\.incoming\(\)' crates/*/src || true)
+[ "$acceptors" = "crates/serve/src/server.rs" ] || { echo "accept loops in: $acceptors"; exit 1; }
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 

@@ -27,8 +27,8 @@
 //! harness at the snapshot format instead of the object format.
 //!
 //! Compile accepts `-I <dir>` include paths, `-D NAME[=VALUE]` defines,
-//! `--field-independent`, and `--solver pretransitive|worklist|steensgaard|
-//! bitvector` on `solve`.
+//! `--field-independent`, and `--solver pretransitive|worklist|steensgaard`
+//! on `solve`.
 //!
 //! Three observability flags work with every command: `--trace FILE`
 //! records a Chrome `trace_event` JSONL trace (load it in `chrome://tracing`
@@ -133,7 +133,7 @@ const USAGE: &str = "usage:
   cla-tool analyze <src.c>... [-I dir] [-D NAME[=V]] [--field-independent] [--parallel] [--jobs N] [--snapshot DIR] [--print var...]
   cla-tool gen <profile.toml> --out DIR [--seed N]
   cla-tool dump <prog.clao>
-  cla-tool solve <prog.clao> [--solver NAME] [--print var...]
+  cla-tool solve <prog.clao> [--solver pretransitive|worklist|steensgaard] [--print var...]
   cla-tool depend <prog.clao> --target NAME [--tree] [--non-target NAME]...
   cla-tool ctx <prog.clao> -k N -o out.clao
   cla-tool serve <prog.clao> --socket PATH [--snapshot DIR]
@@ -719,10 +719,9 @@ fn cmd_solve(args: &[String]) -> Result<(), String> {
         "pretransitive" => solve_database(&db, SolveOptions::default()).0,
         "worklist" => cla::core::worklist::solve(&db.to_unit().map_err(|e| e.to_string())?),
         "steensgaard" => cla::core::steensgaard::solve(&db.to_unit().map_err(|e| e.to_string())?),
-        "bitvector" => cla::core::bitvector::solve(&db.to_unit().map_err(|e| e.to_string())?),
         other => {
             return Err(format!(
-                "unknown solver `{other}` (pretransitive, worklist, steensgaard, bitvector)"
+                "unknown solver `{other}` (pretransitive, worklist, steensgaard)"
             ))
         }
     };

@@ -64,8 +64,8 @@ fn compile_solve_depend_roundtrip() {
     assert!(text.contains("pts(q) = {shared}"), "{text}");
     assert!(text.contains("pointer-variables=2"), "{text}");
 
-    // All four solvers run.
-    for solver in ["pretransitive", "worklist", "steensgaard", "bitvector"] {
+    // All three solvers run.
+    for solver in ["pretransitive", "worklist", "steensgaard"] {
         let out = run(tool().args(["solve", &obj, "--solver", solver]));
         let text = String::from_utf8_lossy(&out.stdout).into_owned();
         assert!(text.contains(&format!("solver={solver}")), "{text}");

@@ -7,7 +7,7 @@ use cla::cladb::fault::{
     bit_flip_round, run_object_fuzz, section_shuffle_round, truncation_sweep, with_quiet_panics,
     FuzzReport, Oracle,
 };
-use cla::cladb::{MAGIC, VERSION};
+use cla::cladb::FORMAT;
 use cla::prelude::*;
 use std::path::Path;
 
@@ -68,14 +68,7 @@ fn section_table_shuffles_are_caught_even_with_a_fixed_header_checksum() {
     let oracle = Oracle::new(&bytes).expect("pristine example must decode");
     let mut report = FuzzReport::default();
     with_quiet_panics(|| {
-        section_shuffle_round(
-            &bytes,
-            (MAGIC, VERSION),
-            |b| oracle.exercise(b),
-            7,
-            100,
-            &mut report,
-        );
+        section_shuffle_round(&bytes, &FORMAT, |b| oracle.exercise(b), 7, 100, &mut report);
     });
     assert_eq!(report.exercised, 100, "example must have >= 2 sections");
     assert!(report.ok(), "section shuffle found holes:\n{report}");

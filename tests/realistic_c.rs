@@ -244,8 +244,6 @@ fn solver_agreement_on_realistic_code() {
     let program = a.database.to_unit().unwrap();
     let wl = cla::core::worklist::solve(&program);
     assert_eq!(a.points_to, wl, "pre-transitive (demand) vs worklist");
-    let bv = cla::core::bitvector::solve(&program);
-    assert_eq!(a.points_to, bv, "pre-transitive vs bit-vector");
     let st = cla::core::steensgaard::solve(&program);
     assert!(a.points_to.subsumed_by(&st));
 }

@@ -9,7 +9,7 @@ use cla::cladb::fault::{
 };
 use cla::prelude::*;
 use cla::snap::fault::{run_snap_fuzz, SnapOracle};
-use cla::snap::{MAGIC, VERSION};
+use cla::snap::FORMAT;
 
 /// Builds real snapshot bytes from a generated multi-file workload: solve,
 /// seal, encode. Exercises every snapshot section including shared sets.
@@ -74,14 +74,7 @@ fn snapshot_section_shuffles_are_caught() {
     let oracle = SnapOracle::new(&bytes).expect("pristine snapshot must decode");
     let mut report = FuzzReport::default();
     with_quiet_panics(|| {
-        section_shuffle_round(
-            &bytes,
-            (MAGIC, VERSION),
-            |b| oracle.exercise(b),
-            9,
-            100,
-            &mut report,
-        );
+        section_shuffle_round(&bytes, &FORMAT, |b| oracle.exercise(b), 9, 100, &mut report);
     });
     assert_eq!(report.exercised, 100);
     assert!(report.ok(), "section shuffle found holes:\n{report}");

@@ -154,6 +154,55 @@ fn workload_round_trip_is_observationally_exact() {
 }
 
 #[test]
+fn a_snapshot_with_an_unknown_extra_section_loads_unchanged() {
+    // Paper §4: "new sections can be transparently added". The object
+    // format's case is `crates/cladb/tests/format_compat.rs`; this is the
+    // same helper over the container's other instantiation.
+    let dir = TempDir::new("extra-section");
+    let (fs, names) = workload_fs("nethack", 0.05, 11);
+    analyze_snapshotted(&fs, &names, dir.path());
+    let path = SnapshotStore::open(dir.path()).unwrap().snapshot_path();
+    let orig = std::fs::read(&path).unwrap();
+    let extended = cla::cladb::fault::with_extra_section(
+        &orig,
+        &cla::snap::FORMAT,
+        999,
+        b"future feature data",
+    );
+    assert!(extended.len() > orig.len());
+
+    let old = Snapshot::from_bytes(orig).unwrap();
+    let new = Snapshot::from_bytes(extended.clone()).expect("readers skip unknown sections");
+    assert_eq!(new.section_table().len(), old.section_table().len() + 1);
+    assert_eq!(new.provenance(), old.provenance());
+    assert_eq!(new.names().unwrap(), old.names().unwrap());
+    let (new_graph, old_graph) = (new.load_sealed().unwrap(), old.load_sealed().unwrap());
+    assert_eq!(new_graph.sets(), old_graph.sets());
+    assert_eq!(new_graph.stats(), old_graph.stats());
+
+    // And through the store: the extended file is still a warm start.
+    std::fs::write(&path, &extended).unwrap();
+    let (warm, (loads, _, mismatches)) = analyze_snapshotted(&fs, &names, dir.path());
+    assert!(warm.report.snapshot_loaded);
+    assert_eq!((loads, mismatches), (1, 0));
+
+    // A second section under a *known* id is not an extension but an
+    // ambiguity, and is refused like in the object format.
+    let twice = cla::cladb::fault::with_extra_section(
+        &extended,
+        &cla::snap::FORMAT,
+        cla::snap::SnapSectionId::Sets as u32,
+        b"",
+    );
+    match Snapshot::from_bytes(twice) {
+        Err(cla::snap::SnapError::Container(cla::cladb::ContainerError::Corrupt(msg))) => {
+            assert!(msg.contains("duplicate section id"), "{msg}");
+        }
+        other => panic!("expected Corrupt, got {other:?}"),
+    }
+}
+
+#[test]
 fn provenance_mismatch_forces_a_full_resolve() {
     let dir = TempDir::new("provenance");
     let mut fs = MemoryFs::new();

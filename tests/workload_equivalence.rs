@@ -5,7 +5,7 @@
 //! real multi-file programs, through the preprocessor, parser, lowering,
 //! linker, object file, and all four solvers.
 
-use cla::core::{bitvector, steensgaard, worklist};
+use cla::core::{steensgaard, worklist};
 use cla::prelude::*;
 
 fn check(spec_name: &str, seed: u64, scale: f64) {
@@ -40,11 +40,6 @@ fn check(spec_name: &str, seed: u64, scale: f64) {
     assert_eq!(
         analysis.points_to, wl,
         "{spec_name} seed={seed}: demand pre-transitive vs worklist"
-    );
-    let bv = bitvector::solve(&program);
-    assert_eq!(
-        analysis.points_to, bv,
-        "{spec_name} seed={seed}: vs bit-vector"
     );
     let st = steensgaard::solve(&program);
     assert!(
