@@ -1,5 +1,6 @@
 //! Micro-benchmarks of the system's kernels: lexing, parsing, lowering,
-//! object-file encode/decode, and the three solvers.
+//! object-file encode/decode, the three solvers, the dependence index and
+//! the wire parser.
 //!
 //! Self-timed (median of repeated runs) rather than statistics-heavy: the
 //! harness needs to run in minimal environments with no benchmarking
@@ -10,7 +11,9 @@ use std::time::{Duration, Instant};
 
 use cla_cfront::{lexer, parser, pp, FileId, MemoryFs, PpOptions};
 use cla_cladb::{write_object, Database};
+use cla_core::pipeline::{analyze, PipelineOptions};
 use cla_core::{solve_database, solve_unit, steensgaard, worklist, SolveOptions};
+use cla_depend::{DependOptions, DependenceAnalysis, FlowIndex};
 use cla_ir::{compile_file, CompiledUnit, LowerOptions};
 use cla_workload::{by_name, generate, GenOptions};
 
@@ -182,10 +185,84 @@ fn bench_solvers(program: &CompiledUnit) {
     });
 }
 
+/// The dependence walk on the tree `clabench` keeps resident (52 500 lines
+/// in 16 files): building the index, a one-shot `new().analyze()` that pays
+/// for the build, and a query against an index that exists.
+fn bench_depend() {
+    let profile = cla_genc::Profile::parse(
+        "name = \"mid\"\ntotal_loc = 52500\nfiles = 16\ncall_fanout = 3.0\ncall_depth = 8\n\
+         cross_file_fraction = 0.15\nindirect_call_rate = 0.03\npointer_density = 0.30\n\
+         struct_types = 96\nstruct_field_ptr_mix = 0.5\nglobal_traffic = 0.06\n",
+    )
+    .unwrap();
+    let (mut fs, mut files) = (MemoryFs::new(), Vec::new());
+    cla_genc::generate_with(&profile, 1, &mut |name, text| {
+        fs.add(name.to_owned(), text.to_owned());
+        if name.ends_with(".c") {
+            files.push(name.to_owned());
+        }
+        Ok(())
+    })
+    .unwrap();
+    let files: Vec<&str> = files.iter().map(String::as_str).collect();
+    let mid = analyze(&fs, &files, &PipelineOptions::default()).expect("analyze");
+    let (db, pts) = (mid.database, mid.points_to);
+    let mut targets: Vec<&str> = db.target_names().collect();
+    targets.sort_unstable();
+    let targets: Vec<&str> = targets.into_iter().step_by(101).collect();
+    let opts = DependOptions::default();
+    let mut next = 0;
+    let mut target = || {
+        next = (next + 1) % targets.len();
+        targets[next]
+    };
+
+    bench("depend_index_build_mid", || {
+        FlowIndex::build(&db, &pts).unwrap().edges()
+    });
+    bench("depend_oneshot_mid", || {
+        let report = DependenceAnalysis::new(&db, &pts).analyze(target(), &opts);
+        report.unwrap().dependents().len()
+    });
+    let dep = DependenceAnalysis::new(&db, &pts);
+    // One turn through the targets per sample, so the row is their mean.
+    let (turn, samples) = median_of(
+        || (),
+        |()| {
+            (0..targets.len())
+                .map(|_| dep.analyze(target(), &opts).unwrap().dependents().len())
+                .sum::<usize>()
+        },
+    );
+    let index = FlowIndex::build(&db, &pts).unwrap();
+    println!(
+        "{:32} {:>12.2?}   ({samples} samples, mean of {} targets; {} edges, {} bytes)",
+        "depend_query_mid",
+        turn / targets.len() as u32,
+        targets.len(),
+        index.edges(),
+        index.bytes()
+    );
+}
+
+/// One `points-to` reply of about 100 KB, the size the wire parser used to
+/// need 60 ms for.
+fn bench_json() {
+    use cla_serve::json::{obj, parse, Value};
+    let targets: Vec<Value> = (0..3_200u64)
+        .map(|id| obj([("id", id.into()), ("name", format!("gv{id}_field").into())]))
+        .collect();
+    let line = obj([("ok", true.into()), ("targets", Value::Arr(targets))]).encode();
+    bench("json_parse_100k", || parse(black_box(&line)).is_ok());
+    println!("{:32} ({} bytes)", "", line.len());
+}
+
 fn main() {
     cla_bench::header("micro-benchmarks: frontend, database, solver kernels");
     let (program, src) = sample_program();
     bench_frontend(&src);
     bench_database(&program);
     bench_solvers(&program);
+    bench_depend();
+    bench_json();
 }

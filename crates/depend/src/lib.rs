@@ -31,12 +31,14 @@
 //! # }
 //! ```
 
-use cla_cladb::Database;
+use cla_cladb::{Database, DbError};
 use cla_core::{PointsTo, PointsToQuery};
 use cla_ir::{AssignKind, ObjId, OpKind, SrcLoc, Strength};
 use std::cmp::Reverse;
+use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::fmt::Write as _;
+use std::sync::OnceLock;
 
 /// Options controlling a dependence query.
 #[derive(Debug, Clone, Default)]
@@ -111,8 +113,16 @@ pub struct DependReport {
     /// The target objects (several when the name is ambiguous).
     pub targets: Vec<ObjId>,
     dependents: Vec<Dependent>,
-    /// Best-chain predecessor: obj -> (source obj, edge).
-    parents: HashMap<ObjId, (ObjId, EdgeInfo)>,
+    /// Every object the walk reached, the targets included.
+    reached: HashMap<ObjId, Reached>,
+}
+
+/// What the walk knows about one reached object.
+#[derive(Debug, Clone, Copy)]
+struct Reached {
+    cost: ChainCost,
+    /// Best-chain predecessor (source obj, edge); `None` for a target.
+    parent: Option<(ObjId, EdgeInfo)>,
 }
 
 impl DependReport {
@@ -131,17 +141,189 @@ impl DependReport {
         let mut guard = 0;
         loop {
             steps.push(ChainStep { obj: cur, via });
-            match self.parents.get(&cur) {
-                Some(&(src, edge)) => {
+            match self.parent(cur) {
+                Some((src, edge)) => {
                     via = Some(edge);
                     cur = src;
                 }
                 None => break,
             }
             guard += 1;
-            assert!(guard <= self.parents.len() + 1, "cycle in chain parents");
+            assert!(guard <= self.reached.len() + 1, "cycle in chain parents");
         }
         steps
+    }
+
+    fn parent(&self, obj: ObjId) -> Option<(ObjId, EdgeInfo)> {
+        self.reached.get(&obj)?.parent
+    }
+}
+
+/// One record of a [`FlowIndex`]: where a value goes next, and the
+/// assignment that carries it there.
+#[derive(Debug, Clone, Copy)]
+struct FlowEdge {
+    dst: ObjId,
+    via: EdgeInfo,
+}
+
+/// The forward value-flow graph of one `(Database, points-to)` pair, with
+/// every store, load and store-load already resolved through the points-to
+/// sets: `z -> v` for `*p = z`, `w -> x` for `x = *q` and `w -> v` for
+/// `*p = *q` (`v` in `pts(p)`, `w` in `pts(q)`), next to the plain copies.
+/// It depends on the pair only, never on a target, so it is built once —
+/// one pass over the database's blocks — and a query walks it in time
+/// proportional to its answer.
+#[derive(Debug)]
+pub struct FlowIndex {
+    /// `edges[own[o]..own[o + 1]]`: the copies and stores of `o`'s own
+    /// block, in block order.
+    own: Vec<u32>,
+    /// `edges[read[o]..read[o + 1]]`: the loads and store-loads that read
+    /// `o` through a pointer, in database order.
+    read: Vec<u32>,
+    /// The walk relaxes an object's `own` edges, then its `read` edges, and
+    /// ties between equally good chains go to the first.
+    edges: Vec<FlowEdge>,
+}
+
+impl FlowIndex {
+    /// Decodes every block of `db` once and resolves it through `pts`.
+    ///
+    /// # Errors
+    ///
+    /// The [`DbError`] of the first block that fails to decode or verify.
+    pub fn build<P: PointsToQuery>(db: &Database, pts: &P) -> Result<FlowIndex, DbError> {
+        let n = db.objects().len();
+        let mut own = Vec::with_capacity(n + 1);
+        let mut edges = Vec::new();
+        // Keyed by the pointees of whatever was dereferenced, so these come
+        // out in no order of source: (object read, edge).
+        let mut reads = Vec::new();
+        for src in (0..n as u32).map(ObjId) {
+            own.push(edges.len() as u32);
+            if db.block_len(src) == 0 {
+                continue;
+            }
+            for a in db.block(src)? {
+                let via = EdgeInfo {
+                    strength: a.strength,
+                    op: a.op,
+                    loc: a.loc,
+                };
+                let to = |dst| FlowEdge { dst, via };
+                match a.kind {
+                    AssignKind::Copy => edges.push(to(a.dst)),
+                    AssignKind::Store => edges.extend(pts.pointees(a.dst).iter().map(|&v| to(v))),
+                    AssignKind::Load => {
+                        reads.extend(pts.pointees(a.src).iter().map(|&w| (w, to(a.dst))));
+                    }
+                    AssignKind::StoreLoad => {
+                        for &w in pts.pointees(a.src) {
+                            reads.extend(pts.pointees(a.dst).iter().map(|&v| (w, to(v))));
+                        }
+                    }
+                    AssignKind::Addr => {}
+                }
+            }
+        }
+        own.push(edges.len() as u32);
+        assert!(
+            u32::try_from(edges.len() + reads.len()).is_ok(),
+            "flow index past 2^32 edges"
+        );
+        // Stable counting sort of the reads, placed behind the own edges.
+        let mut read = vec![0u32; n + 1];
+        for (w, _) in &reads {
+            read[w.index() + 1] += 1;
+        }
+        read[0] = edges.len() as u32;
+        for o in 0..n {
+            read[o + 1] += read[o];
+        }
+        if let Some(&(_, unset)) = reads.first() {
+            edges.resize(edges.len() + reads.len(), unset);
+        }
+        let mut next = read.clone();
+        for (w, edge) in reads {
+            edges[next[w.index()] as usize] = edge;
+            next[w.index()] += 1;
+        }
+        Ok(FlowIndex { own, read, edges })
+    }
+
+    /// The edges leaving `o`, in the order the walk relaxes them.
+    fn out(&self, o: ObjId) -> impl Iterator<Item = &FlowEdge> {
+        let of = |offsets: &[u32]| match offsets.get(o.index()..o.index() + 2) {
+            Some(w) => w[0] as usize..w[1] as usize,
+            None => 0..0,
+        };
+        self.edges[of(&self.own)]
+            .iter()
+            .chain(&self.edges[of(&self.read)])
+    }
+
+    /// Number of edge records.
+    pub fn edges(&self) -> usize {
+        self.edges.len()
+    }
+
+    /// Heap bytes the index holds.
+    pub fn bytes(&self) -> usize {
+        use std::mem::size_of_val;
+        size_of_val(&self.own[..]) + size_of_val(&self.read[..]) + size_of_val(&self.edges[..])
+    }
+
+    /// Dijkstra from `targets` with lexicographic (weak links, length)
+    /// cost, never entering an object named in `opts.non_targets`.
+    pub fn walk(&self, db: &Database, targets: &[ObjId], opts: &DependOptions) -> DependReport {
+        let blocked: HashSet<ObjId> = opts
+            .non_targets
+            .iter()
+            .flat_map(|n| db.targets(n).iter().copied())
+            .collect();
+        let mut reached: HashMap<ObjId, Reached> = HashMap::new();
+        let mut heap: BinaryHeap<Reverse<(ChainCost, ObjId)>> = BinaryHeap::new();
+        for &t in targets.iter().filter(|t| !blocked.contains(t)) {
+            let cost = ChainCost::ZERO;
+            reached.insert(t, Reached { cost, parent: None });
+            heap.push(Reverse((cost, t)));
+        }
+        while let Some(Reverse((cost, o))) = heap.pop() {
+            if reached[&o].cost < cost {
+                continue; // stale heap entry
+            }
+            for e in self.out(o) {
+                if blocked.contains(&e.dst) {
+                    continue;
+                }
+                let next = Reached {
+                    cost: cost.step(e.via.strength),
+                    parent: Some((o, e.via)),
+                };
+                match reached.entry(e.dst) {
+                    Entry::Occupied(r) if r.get().cost <= next.cost => continue,
+                    Entry::Occupied(mut r) => *r.get_mut() = next,
+                    Entry::Vacant(slot) => {
+                        slot.insert(next);
+                    }
+                }
+                heap.push(Reverse((next.cost, e.dst)));
+            }
+        }
+
+        // Only a target has no parent: nothing undercuts the zero cost.
+        let mut dependents: Vec<Dependent> = reached
+            .iter()
+            .filter(|(_, r)| r.parent.is_some())
+            .map(|(&obj, r)| Dependent { obj, cost: r.cost })
+            .collect();
+        dependents.sort_by_key(|d| (d.cost, &db.object(d.obj).name, d.obj));
+        DependReport {
+            targets: targets.to_vec(),
+            dependents,
+            reached,
+        }
     }
 }
 
@@ -157,138 +339,68 @@ impl DependReport {
 pub struct DependenceAnalysis<'a, P = PointsTo> {
     db: &'a Database,
     pts: &'a P,
+    /// Built by the first query, at most once per value.
+    index: OnceLock<Result<FlowIndex, DbError>>,
 }
 
 impl<'a, P: PointsToQuery> DependenceAnalysis<'a, P> {
     /// Creates an analysis over a linked database and its points-to result.
     pub fn new(db: &'a Database, pts: &'a P) -> Self {
-        DependenceAnalysis { db, pts }
+        DependenceAnalysis {
+            db,
+            pts,
+            index: OnceLock::new(),
+        }
+    }
+
+    /// The flow index of this `(db, pts)` pair, built on first use; a
+    /// failure is remembered, not retried.
+    fn index(&self) -> Result<&FlowIndex, DbError> {
+        let built = self
+            .index
+            .get_or_init(|| FlowIndex::build(self.db, self.pts));
+        built.as_ref().map_err(DbError::clone)
     }
 
     /// Runs a dependence query for every object named `target_name`
-    /// (resolved through the database's target section). Returns `None`
-    /// when the name matches nothing.
-    pub fn analyze(&self, target_name: &str, opts: &DependOptions) -> Option<DependReport> {
-        let targets: Vec<ObjId> = self.db.targets(target_name).to_vec();
+    /// (resolved through the database's target section). `Ok(None)` when
+    /// the name matches nothing.
+    ///
+    /// # Errors
+    ///
+    /// See [`FlowIndex::build`].
+    pub fn try_analyze(
+        &self,
+        target_name: &str,
+        opts: &DependOptions,
+    ) -> Result<Option<DependReport>, DbError> {
+        let targets = self.db.targets(target_name);
         if targets.is_empty() {
-            return None;
+            return Ok(None);
         }
-        Some(self.analyze_objects(&targets, opts))
+        Ok(Some(self.index()?.walk(self.db, targets, opts)))
+    }
+
+    /// [`try_analyze`](Self::try_analyze) for one-shot batch callers that
+    /// opened and verified the database themselves.
+    ///
+    /// # Panics
+    ///
+    /// When the database turns out to be damaged.
+    pub fn analyze(&self, target_name: &str, opts: &DependOptions) -> Option<DependReport> {
+        self.try_analyze(target_name, opts)
+            .unwrap_or_else(|e| panic!("dependence index: {e}"))
     }
 
     /// Runs a dependence query from explicit target objects.
+    ///
+    /// # Panics
+    ///
+    /// As [`analyze`](Self::analyze).
     pub fn analyze_objects(&self, targets: &[ObjId], opts: &DependOptions) -> DependReport {
-        let blocked: HashSet<ObjId> = opts
-            .non_targets
-            .iter()
-            .flat_map(|n| self.db.targets(n).iter().copied())
-            .collect();
-
-        // Overlay edges from loads (x = *q gives w -> x for w in pts(q))
-        // and store-loads (*p = *q gives w -> v for w in pts(q), v in
-        // pts(p)). Store edges (z -> pts(p) for *p = z) are discovered from
-        // z's demand-loaded block.
-        let mut overlay: HashMap<ObjId, Vec<(ObjId, EdgeInfo)>> = HashMap::new();
-        for i in 0..self.db.objects().len() {
-            let src = ObjId(i as u32);
-            if self.db.block_len(src) == 0 {
-                continue;
-            }
-            for a in self.db.block(src).expect("valid database") {
-                let edge = EdgeInfo {
-                    strength: a.strength,
-                    op: a.op,
-                    loc: a.loc,
-                };
-                match a.kind {
-                    AssignKind::Load => {
-                        for &w in self.pts.pointees(a.src) {
-                            overlay.entry(w).or_default().push((a.dst, edge));
-                        }
-                    }
-                    AssignKind::StoreLoad => {
-                        for &w in self.pts.pointees(a.src) {
-                            for &v in self.pts.pointees(a.dst) {
-                                overlay.entry(w).or_default().push((v, edge));
-                            }
-                        }
-                    }
-                    _ => {}
-                }
-            }
-        }
-
-        // Dijkstra with lexicographic (weak links, length) cost.
-        let mut best: HashMap<ObjId, ChainCost> = HashMap::new();
-        let mut parents: HashMap<ObjId, (ObjId, EdgeInfo)> = HashMap::new();
-        let mut heap: BinaryHeap<Reverse<(ChainCost, ObjId)>> = BinaryHeap::new();
-        for &t in targets {
-            if blocked.contains(&t) {
-                continue;
-            }
-            best.insert(t, ChainCost::ZERO);
-            heap.push(Reverse((ChainCost::ZERO, t)));
-        }
-        while let Some(Reverse((cost, o))) = heap.pop() {
-            if best.get(&o).is_some_and(|&c| c < cost) {
-                continue; // stale heap entry
-            }
-            let relax =
-                |dst: ObjId,
-                 edge: EdgeInfo,
-                 best: &mut HashMap<ObjId, ChainCost>,
-                 parents: &mut HashMap<ObjId, (ObjId, EdgeInfo)>,
-                 heap: &mut BinaryHeap<Reverse<(ChainCost, ObjId)>>| {
-                    if blocked.contains(&dst) {
-                        return;
-                    }
-                    let next = cost.step(edge.strength);
-                    if best.get(&dst).is_none_or(|&c| next < c) {
-                        best.insert(dst, next);
-                        parents.insert(dst, (o, edge));
-                        heap.push(Reverse((next, dst)));
-                    }
-                };
-            // Demand-loaded forward edges: the block for o holds every
-            // assignment whose source is o (paper §4's dependence walk).
-            for a in self.db.block(o).expect("valid database") {
-                let edge = EdgeInfo {
-                    strength: a.strength,
-                    op: a.op,
-                    loc: a.loc,
-                };
-                match a.kind {
-                    AssignKind::Copy => relax(a.dst, edge, &mut best, &mut parents, &mut heap),
-                    AssignKind::Store => {
-                        for &v in self.pts.pointees(a.dst) {
-                            relax(v, edge, &mut best, &mut parents, &mut heap);
-                        }
-                    }
-                    // Loads/store-loads from o read o's *pointees*, not o.
-                    AssignKind::Load | AssignKind::StoreLoad | AssignKind::Addr => {}
-                }
-            }
-            if let Some(out) = overlay.get(&o) {
-                for &(dst, edge) in out {
-                    relax(dst, edge, &mut best, &mut parents, &mut heap);
-                }
-            }
-        }
-
-        let target_set: HashSet<ObjId> = targets.iter().copied().collect();
-        let mut dependents: Vec<Dependent> = best
-            .iter()
-            .filter(|(o, _)| !target_set.contains(o))
-            .map(|(&obj, &cost)| Dependent { obj, cost })
-            .collect();
-        dependents.sort_by(|a, b| {
-            (a.cost, &self.db.object(a.obj).name).cmp(&(b.cost, &self.db.object(b.obj).name))
-        });
-        DependReport {
-            targets: targets.to_vec(),
-            dependents,
-            parents,
-        }
+        let index = self.index();
+        let index = index.unwrap_or_else(|e| panic!("dependence index: {e}"));
+        index.walk(self.db, targets, opts)
     }
 
     /// Renders the best chain for `obj` in the paper's Figure 1 style:
@@ -344,7 +456,7 @@ impl<'a, P: PointsToQuery> DependenceAnalysis<'a, P> {
         use std::collections::HashMap as Map;
         let mut children: Map<ObjId, Vec<ObjId>> = Map::new();
         for d in report.dependents() {
-            if let Some(&(src, _)) = report.parents.get(&d.obj) {
+            if let Some((src, _)) = report.parent(d.obj) {
                 children.entry(src).or_default().push(d.obj);
             }
         }
@@ -370,8 +482,7 @@ impl<'a, P: PointsToQuery> DependenceAnalysis<'a, P> {
         let files = self.db.files();
         let indent = "  ".repeat(depth);
         let via = report
-            .parents
-            .get(&node)
+            .parent(node)
             .map(|(_, e)| format!(" [{} {} @ {}]", e.strength, e.op, files.display(e.loc)))
             .unwrap_or_default();
         let _ = writeln!(out, "{indent}{}/{}{via}", info.name, info.ty);

@@ -21,7 +21,7 @@
 //! | `{"cmd":"open","session":S,"files":[P,…][,"include":[D,…]][,"lenient":B][,"snapshot_dir":D][,"jobs":N]}` | `{"ok":true,"session":S,"epoch":N,"snapshot_loaded":B}` |
 //! | `{"cmd":"open","session":S,"object":P[,"snapshot_dir":D]}` | same |
 //! | `{"cmd":"close","session":S}` | `{"ok":true,"session":S,"closed":true}` |
-//! | `{"cmd":"sessions"}` | `{"ok":true,"capacity":N,"resident":N,"sessions":[{"session":S,"state":"resident"\|"evicted"\|"rebuilding","epoch":N,…},…]}` |
+//! | `{"cmd":"sessions"}` | `{"ok":true,"capacity":N,"resident":N,"sessions":[{"session":S,"state":"resident"\|"evicted"\|"rebuilding","epoch":N,…[,"flow_index_edges":N,"flow_index_bytes":N]},…]}` — the last two once a `depend` built the tenant's index |
 //! | `{"cmd":"metrics"}` | `{"ok":true,"metrics":"…"}` — global exposition with per-tenant series |
 //! | `{"cmd":"shutdown"}` | `{"ok":true,"sessions":N}`, then the hub stops accepting |
 //!

@@ -186,6 +186,9 @@ pub struct SessionInfo {
     pub health: Option<&'static str>,
     /// Resident only: whether the current graph came from a snapshot.
     pub snapshot_loaded: Option<bool>,
+    /// Resident, and a `depend` was asked this epoch: `(edge records, heap
+    /// bytes)` of the dependence flow index the tenant holds.
+    pub flow_index: Option<(usize, usize)>,
 }
 
 /// Per-tenant counters snapshot (exposed for tests and the bench harness).
@@ -493,17 +496,18 @@ impl Hub {
         tenants
             .iter()
             .map(|t| {
-                let (state, epoch, health, snapshot_loaded) = match t.slot.try_lock() {
+                let (state, epoch, health, snapshot_loaded, flow_index) = match t.slot.try_lock() {
                     Ok(slot) => match slot.as_ref() {
                         Some(s) => (
                             "resident",
                             s.snapshot().1,
                             Some(s.health().as_str()),
                             Some(s.snapshot_loaded()),
+                            s.flow_index_size(),
                         ),
-                        None => ("evicted", t.last_epoch.load(Relaxed), None, None),
+                        None => ("evicted", t.last_epoch.load(Relaxed), None, None, None),
                     },
-                    Err(_) => ("rebuilding", t.last_epoch.load(Relaxed), None, None),
+                    Err(_) => ("rebuilding", t.last_epoch.load(Relaxed), None, None, None),
                 };
                 SessionInfo {
                     name: t.name.clone(),
@@ -516,6 +520,7 @@ impl Hub {
                     rehydrations: t.ctr_rehydrations.get(),
                     health,
                     snapshot_loaded,
+                    flow_index,
                 }
             })
             .collect()

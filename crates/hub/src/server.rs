@@ -96,6 +96,10 @@ pub fn dispatch(hub: &Hub, line: &str) -> Value {
                                 if let Some(s) = i.snapshot_loaded {
                                     pairs.push(("snapshot_loaded", s.into()));
                                 }
+                                if let Some((edges, bytes)) = i.flow_index {
+                                    pairs.push(("flow_index_edges", edges.into()));
+                                    pairs.push(("flow_index_bytes", bytes.into()));
+                                }
                                 obj(pairs)
                             })
                             .collect(),

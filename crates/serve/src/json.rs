@@ -272,50 +272,45 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or_else(|| self.err("bad escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            if self.pos + 4 > self.bytes.len() {
-                                return Err(self.err("short \\u escape"));
-                            }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            self.pos += 4;
-                            // Surrogate pairs are outside the protocol's
-                            // alphabet; map them to the replacement char.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        _ => return Err(self.err("bad escape")),
+            // Everything up to the next quote or backslash is copied as one
+            // run and validated once, so a string costs its own length.
+            // Both are ASCII, so a run of a `&str` ends on a boundary.
+            let rest = &self.bytes[self.pos..];
+            let Some(run) = rest.iter().position(|&b| b == b'"' || b == b'\\') else {
+                self.pos = self.bytes.len();
+                return Err(self.err("unterminated string"));
+            };
+            let text = std::str::from_utf8(&rest[..run]).map_err(|_| self.err("invalid utf-8"))?;
+            out.push_str(text);
+            self.pos += run + 1;
+            if rest[run] == b'"' {
+                return Ok(out);
+            }
+            let esc = self.peek().ok_or_else(|| self.err("bad escape"))?;
+            self.pos += 1;
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'b' => out.push('\u{8}'),
+                b'f' => out.push('\u{c}'),
+                b'u' => {
+                    if self.pos + 4 > self.bytes.len() {
+                        return Err(self.err("short \\u escape"));
                     }
+                    let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
+                        .map_err(|_| self.err("bad \\u escape"))?;
+                    let code =
+                        u32::from_str_radix(hex, 16).map_err(|_| self.err("bad \\u escape"))?;
+                    self.pos += 4;
+                    // Surrogate pairs are outside the protocol's
+                    // alphabet; map them to the replacement char.
+                    out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                 }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so
-                    // boundaries are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                _ => return Err(self.err("bad escape")),
             }
         }
     }
@@ -399,6 +394,75 @@ mod tests {
         assert_eq!(parse(&enc).unwrap(), v);
         // Parsing standard escapes produced elsewhere also works.
         assert_eq!(parse(r#""A\n\/""#).unwrap(), Value::Str("A\n/".to_string()));
+    }
+
+    #[test]
+    fn runs_and_escapes_meet_on_any_boundary() {
+        // Multi-byte scalars directly before and after an escape, before
+        // the closing quote, and as the whole string; `\u` escapes first,
+        // last, back to back and against a multi-byte neighbour.
+        for (src, want) in [
+            (r#""é\n→""#, "é\n→"),
+            (r#""\té""#, "\té"),
+            (r#""a→""#, "a→"),
+            (r#""→""#, "→"),
+            (r#""""#, ""),
+            (r#""\u0041""#, "A"),
+            (r#""\u00e9\u2192""#, "é→"),
+            (r#""x\u0041y""#, "xAy"),
+            (r#""→\u0041→""#, "→A→"),
+            (r#""\\\"\/""#, "\\\"/"),
+            (r#""\ud800""#, "\u{fffd}"),
+        ] {
+            assert_eq!(parse(src), Ok(Value::Str(want.to_string())), "{src}");
+        }
+    }
+
+    #[test]
+    fn strings_that_end_early_are_errors_at_the_end() {
+        // Unterminated mid-run (after a multi-byte scalar too), in the
+        // middle of an escape, and in the middle of a `\u`.
+        for bad in [
+            r#""abc"#,
+            r#""ab→"#,
+            r#""abc\"#,
+            r#""abc\u00"#,
+            r#""abc\u00→""#,
+            r#""abc\q""#,
+            r#"{"k":"v"#,
+        ] {
+            let e = parse(bad).unwrap_err();
+            assert!(e.at <= bad.len(), "{bad:?}: {e:?}");
+        }
+        assert_eq!(parse(r#""abc"#).unwrap_err().at, 4);
+        assert_eq!(parse(r#""abc"#).unwrap_err().msg, "unterminated string");
+    }
+
+    #[test]
+    fn a_megabyte_reply_parses_in_time_linear_in_its_length() {
+        // A `points-to` reply with 28 000 targets. A parser that looks at
+        // the rest of the line for every character needs minutes for this
+        // even when optimised; linear in the line it is milliseconds.
+        let targets: Vec<Value> = (0..28_000u64)
+            .map(|id| obj([("id", id.into()), ("name", format!("gv{id}_fieldé").into())]))
+            .collect();
+        let line = obj([
+            ("ok", true.into()),
+            ("var", "p".into()),
+            ("targets", Value::Arr(targets)),
+            ("cached", false.into()),
+        ])
+        .encode();
+        assert!(line.len() > 1_000_000, "{} bytes", line.len());
+        let t = std::time::Instant::now();
+        let v = parse(&line).unwrap();
+        let took = t.elapsed();
+        assert_eq!(
+            v.get("targets").and_then(Value::as_arr).unwrap().len(),
+            28_000
+        );
+        assert_eq!(v.encode(), line);
+        assert!(took.as_secs() < 2, "{} bytes took {took:?}", line.len());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! | request | reply |
 //! |---|---|
 //! | `{"cmd":"points-to","var":V}` | `{"ok":true,"var":V,"resolved":N,"targets":[{"id":I,"name":S},…],"cached":B,"us":N,"epoch":N,"partial":B}` |
-//! | `{"cmd":"alias","a":A,"b":B}` | `{"ok":true,"a":A,"b":B,"alias":B,"cached":B,"us":N,"epoch":N,"partial":B}` |
+//! | `{"cmd":"alias","a":A,"b":B}` | `{"ok":true,"a":A,"b":B,"alias":B,"cached":false,"us":N,"epoch":N,"partial":B}` — never cached |
 //! | `{"cmd":"depend","target":T,"non-targets":[S,…]}` | `{"ok":true,"target":T,"dependents":[{"name":S,"weak_links":N,"length":N},…],"cached":B,"us":N,"epoch":N,"partial":B}` |
 //! | `{"cmd":"stats"}` | `{"ok":true,"stats":{…}}` |
 //! | `{"cmd":"metrics"}` | `{"ok":true,"metrics":"…"}` — Prometheus text exposition of every registered counter/histogram |

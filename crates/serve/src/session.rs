@@ -8,8 +8,13 @@
 //!   ([`cla_core::SealedGraph`]) are loaded once and shared; queries run
 //!   concurrently under a read lock against plain immutable data — no
 //!   query ever takes a solver mutex, so N clients scale to N cores;
-//! * repeated queries are answered from a bounded LRU of finished results
-//!   without touching the snapshot at all;
+//! * repeated `points-to` and `depend` queries are answered from a bounded
+//!   LRU of finished results without touching the snapshot at all (`alias`
+//!   goes straight to the sealed sets: its pairs rarely repeat, and two
+//!   set lookups cost about what a cache probe does);
+//! * the first `depend` of an epoch builds that epoch's
+//!   [`cla_depend::FlowIndex`]; every later one walks it in time
+//!   proportional to its answer;
 //! * [`Session::reload`] recompiles only the sources whose inputs changed
 //!   (the file or any header it read) through the pipeline's compile pool,
 //!   relinks, solves and seals a new snapshot *off to the side*, then
@@ -25,14 +30,14 @@ use cla_core::pipeline::{
     Provenance, Quarantined, SnapshotHook,
 };
 use cla_core::{SealedGraph, SolveOptions, SolveStats};
-use cla_depend::{DependOptions, DependenceAnalysis};
+use cla_depend::{DependOptions, FlowIndex};
 use cla_ir::{CompiledUnit, LowerOptions, ObjId};
 use cla_obs::{nearest_rank, Counter, Gauge, Histogram, LATENCY_BUCKETS_US};
 use cla_snap::SnapshotStore;
 use std::collections::{HashMap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::{Duration, Instant};
 
 /// How many finished query results the session retains.
@@ -217,9 +222,15 @@ pub struct SessionStats {
     pub cmd_stats: u64,
     /// Reload requests attempted, whether or not anything changed.
     pub cmd_reload: u64,
-    /// Queries answered from the session's result cache.
+    /// `points-to` and `depend` queries answered from the session's result
+    /// cache, and those that had to be computed. `alias` never consults the
+    /// cache and counts as neither.
     pub result_cache_hits: u64,
     pub result_cache_misses: u64,
+    /// Edge records and heap bytes of this epoch's dependence flow index;
+    /// both 0 until the epoch's first `depend` has built it.
+    pub flow_index_edges: u64,
+    pub flow_index_bytes: u64,
     /// Reloads that actually swapped the database.
     pub reloads: u64,
     /// Reload attempts that failed (the state was left untouched).
@@ -339,6 +350,8 @@ impl SessionStats {
             ("complex_in_core", self.solver.complex_in_core.into()),
             ("graph_nodes", self.solver.nodes.into()),
             ("approx_bytes", self.solver.approx_bytes.into()),
+            ("flow_index_edges", self.flow_index_edges.into()),
+            ("flow_index_bytes", self.flow_index_bytes.into()),
             ("snapshot_loaded", self.snapshot_loaded.into()),
             ("snapshot_loads", self.snapshot_loads.into()),
             ("snapshot_saves", self.snapshot_saves.into()),
@@ -379,10 +392,13 @@ impl SessionStats {
 }
 
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct QueryKey {
-    kind: u8,
-    a: String,
-    b: String,
+enum QueryKey {
+    PointsTo(String),
+    Depend {
+        target: String,
+        /// Joined by U+001F.
+        non_targets: String,
+    },
 }
 
 enum CachedAnswer {
@@ -390,7 +406,6 @@ enum CachedAnswer {
         resolved: usize,
         targets: Arc<Vec<Target>>,
     },
-    Alias(bool),
     Depend(Arc<Vec<DependentLine>>),
 }
 
@@ -407,11 +422,24 @@ struct CacheEntry {
 struct Loaded {
     db: Database,
     sealed: Arc<SealedGraph>,
+    /// The dependence flow index of `(db, sealed)`: built by the epoch's
+    /// first `depend` (concurrent ones wait for that one build), dropped
+    /// with the epoch, never persisted. A build failure — a damaged block
+    /// — is as permanent as the bytes, so it is kept and handed to every
+    /// later `depend` of the epoch.
+    flow: OnceLock<Result<FlowIndex, DbError>>,
     results: RwLock<HashMap<QueryKey, CacheEntry>>,
     /// Units that failed to compile and were skipped (lenient sessions
     /// only; always empty for strict ones). Swapped with the state, so the
     /// ledger always describes the snapshot answering queries.
     quarantined: Vec<Quarantined>,
+}
+
+impl Loaded {
+    fn flow_size(&self) -> Option<(usize, usize)> {
+        let index = self.flow.get()?.as_ref().ok()?;
+        Some((index.edges(), index.bytes()))
+    }
 }
 
 /// A fixed-capacity, lock-free ring of recent latency samples.
@@ -717,6 +745,7 @@ fn load(db: Database, store: Option<&SnapshotStore>, prov: &Provenance) -> (Load
     let loaded = Loaded {
         db,
         sealed: Arc::new(sealed),
+        flow: OnceLock::new(),
         results: RwLock::new(HashMap::new()),
         quarantined: Vec::new(),
     };
@@ -913,11 +942,7 @@ impl Session {
     /// that name).
     pub fn points_to(&self, var: &str) -> Result<PointsToAnswer, SessionError> {
         let t0 = Instant::now();
-        let key = QueryKey {
-            kind: 0,
-            a: var.to_string(),
-            b: String::new(),
-        };
+        let key = QueryKey::PointsTo(var.to_string());
         let st = self.state.read().unwrap();
         // The epoch is bumped while the write lock is held, so reading it
         // under the read lock pins it to the snapshot answering the query.
@@ -929,7 +954,7 @@ impl Session {
                 resolved,
                 targets,
                 cached: true,
-                micros: self.done(t0, true, Cmd::PointsTo, var),
+                micros: self.done(t0, Some(true), Cmd::PointsTo, var),
                 epoch,
                 partial,
             });
@@ -966,37 +991,20 @@ impl Session {
             resolved,
             targets,
             cached: false,
-            micros: self.done(t0, false, Cmd::PointsTo, var),
+            micros: self.done(t0, Some(false), Cmd::PointsTo, var),
             epoch,
             partial,
         })
     }
 
     /// Whether `*a` and `*b` may name the same object (any pairing of the
-    /// objects resolving to the two names).
+    /// objects resolving to the two names). Always computed from the sealed
+    /// sets, never `cached`.
     pub fn alias(&self, a: &str, b: &str) -> Result<AliasAnswer, SessionError> {
         let t0 = Instant::now();
-        // Alias is symmetric: canonicalize the key.
-        let (ka, kb) = if a <= b { (a, b) } else { (b, a) };
-        let key = QueryKey {
-            kind: 1,
-            a: ka.to_string(),
-            b: kb.to_string(),
-        };
         let st = self.state.read().unwrap();
         let epoch = self.epoch.load(Relaxed);
         let partial = !st.quarantined.is_empty();
-        if let Some(CachedAnswer::Alias(alias)) = self.cache_get(&st, &key) {
-            return Ok(AliasAnswer {
-                a: a.to_string(),
-                b: b.to_string(),
-                alias,
-                cached: true,
-                micros: self.done(t0, true, Cmd::Alias, &format!("{a},{b}")),
-                epoch,
-                partial,
-            });
-        }
         let ids_a = st.db.targets(a);
         if ids_a.is_empty() {
             return Err(SessionError::UnknownVariable(a.to_string()));
@@ -1008,13 +1016,12 @@ impl Session {
         let alias = ids_a
             .iter()
             .any(|&oa| ids_b.iter().any(|&ob| st.sealed.may_alias(oa, ob)));
-        self.cache_put(&st, key, CachedAnswer::Alias(alias));
         Ok(AliasAnswer {
             a: a.to_string(),
             b: b.to_string(),
             alias,
             cached: false,
-            micros: self.done(t0, false, Cmd::Alias, &format!("{a},{b}")),
+            micros: self.done(t0, None, Cmd::Alias, &format!("{a},{b}")),
             epoch,
             partial,
         })
@@ -1028,10 +1035,9 @@ impl Session {
         non_targets: &[String],
     ) -> Result<DependAnswer, SessionError> {
         let t0 = Instant::now();
-        let key = QueryKey {
-            kind: 2,
-            a: target.to_string(),
-            b: non_targets.join("\u{1f}"),
+        let key = QueryKey::Depend {
+            target: target.to_string(),
+            non_targets: non_targets.join("\u{1f}"),
         };
         let st = self.state.read().unwrap();
         let epoch = self.epoch.load(Relaxed);
@@ -1041,21 +1047,21 @@ impl Session {
                 target: target.to_string(),
                 dependents,
                 cached: true,
-                micros: self.done(t0, true, Cmd::Depend, target),
+                micros: self.done(t0, Some(true), Cmd::Depend, target),
                 epoch,
                 partial,
             });
         }
-        // The dependence walk reads the sealed snapshot directly; no
-        // materialized PointsTo and no solver lock, so concurrent depend
-        // queries run in parallel.
-        let da = DependenceAnalysis::new(&st.db, st.sealed.as_ref());
+        let targets = st.db.targets(target);
+        if targets.is_empty() {
+            return Err(SessionError::UnknownVariable(target.to_string()));
+        }
+        // The walk reads the epoch's immutable index and takes no lock, so
+        // concurrent depend queries run in parallel.
         let opts = DependOptions {
             non_targets: non_targets.to_vec(),
         };
-        let report = da
-            .analyze(target, &opts)
-            .ok_or_else(|| SessionError::UnknownVariable(target.to_string()))?;
+        let report = self.flow_index(&st)?.walk(&st.db, targets, &opts);
         let dependents: Arc<Vec<DependentLine>> = Arc::new(
             report
                 .dependents()
@@ -1072,10 +1078,36 @@ impl Session {
             target: target.to_string(),
             dependents,
             cached: false,
-            micros: self.done(t0, false, Cmd::Depend, target),
+            micros: self.done(t0, Some(false), Cmd::Depend, target),
             epoch,
             partial,
         })
+    }
+
+    /// The epoch's flow index, built here by the first `depend` to ask.
+    fn flow_index<'s>(&self, st: &'s Loaded) -> Result<&'s FlowIndex, SessionError> {
+        st.flow
+            .get_or_init(|| {
+                let obs = cla_obs::global();
+                let mut sp = obs.span("depend", "depend.index_build");
+                let built = FlowIndex::build(&st.db, st.sealed.as_ref());
+                if let Ok(index) = &built {
+                    sp.set("edges", index.edges());
+                    sp.set("bytes", index.bytes());
+                }
+                obs.counter("cla_depend_index_builds_total").inc();
+                obs.counter("cla_depend_index_build_us_total")
+                    .add(sp.elapsed().as_micros() as u64);
+                built
+            })
+            .as_ref()
+            .map_err(|e| SessionError::Db(e.clone()))
+    }
+
+    /// `(edge records, heap bytes)` of the epoch's flow index; `None` until
+    /// the epoch's first `depend` has built it.
+    pub fn flow_index_size(&self) -> Option<(usize, usize)> {
+        self.state.read().unwrap().flow_size()
     }
 
     /// All queryable variable names with a non-empty points-to set (for
@@ -1317,9 +1349,10 @@ impl Session {
     /// [`LATENCY_WINDOW`] samples no matter how long the session has run.
     pub fn stats(&self) -> SessionStats {
         self.cmd_stats.fetch_add(1, Relaxed);
-        let (solver, quarantined) = {
+        let (solver, quarantined, (flow_edges, flow_bytes)) = {
             let st = self.state.read().unwrap();
-            (st.sealed.stats(), st.quarantined.len() as u64)
+            let flow = st.flow_size().unwrap_or((0, 0));
+            (st.sealed.stats(), st.quarantined.len() as u64, flow)
         };
         let mut lat = self.latencies.snapshot();
         lat.sort_unstable();
@@ -1356,6 +1389,8 @@ impl Session {
             cmd_reload: self.cmd_reload.load(Relaxed),
             result_cache_hits: self.hits.load(Relaxed),
             result_cache_misses: self.misses.load(Relaxed),
+            flow_index_edges: flow_edges as u64,
+            flow_index_bytes: flow_bytes as u64,
             reloads: self.reloads.load(Relaxed),
             reload_failures: self.reload_failures.load(Relaxed),
             degraded,
@@ -1405,7 +1440,6 @@ impl Session {
                 resolved: *resolved,
                 targets: Arc::clone(targets),
             },
-            CachedAnswer::Alias(b) => CachedAnswer::Alias(*b),
             CachedAnswer::Depend(d) => CachedAnswer::Depend(Arc::clone(d)),
         })
     }
@@ -1432,14 +1466,14 @@ impl Session {
         );
     }
 
-    /// Records one finished query; returns its latency in microseconds.
-    fn done(&self, t0: Instant, hit: bool, cmd: Cmd, detail: &str) -> u64 {
+    /// Records one finished query and, for a command that consults the
+    /// result cache, whether it hit; returns its latency in microseconds.
+    fn done(&self, t0: Instant, hit: Option<bool>, cmd: Cmd, detail: &str) -> u64 {
         let micros = t0.elapsed().as_micros() as u64;
         self.queries.fetch_add(1, Relaxed);
-        if hit {
-            self.hits.fetch_add(1, Relaxed);
-        } else {
-            self.misses.fetch_add(1, Relaxed);
+        if let Some(hit) = hit {
+            let counter = if hit { &self.hits } else { &self.misses };
+            counter.fetch_add(1, Relaxed);
         }
         self.latencies.record(micros);
         let (counter, hist) = match cmd {
@@ -1581,9 +1615,13 @@ mod tests {
     fn alias_queries() {
         let (s, _) = sample_session();
         assert!(s.alias("p", "q").unwrap().alias);
-        // Symmetric query hits the canonicalized cache entry.
-        assert!(s.alias("q", "p").unwrap().cached);
+        // Alias is symmetric, and answered from the sets every time.
+        let again = s.alias("q", "p").unwrap();
+        assert!(again.alias && !again.cached);
         assert!(!s.alias("pp", "q").unwrap().alias);
+        let st = s.stats();
+        assert_eq!((st.cmd_alias, st.queries), (3, 3));
+        assert_eq!(st.result_cache_hits + st.result_cache_misses, 0);
         assert!(s.points_to("nope").is_err());
         assert!(s.alias("p", "nope").is_err());
     }

@@ -26,6 +26,15 @@ geometry=$(grep -rln 'SECTION_ENTRY_SIZE' crates/*/src src \
 acceptors=$(grep -rlE '\.accept\(\)|\.incoming\(\)' crates/*/src || true)
 [ "$acceptors" = "crates/serve/src/server.rs" ] || { echo "accept loops in: $acceptors"; exit 1; }
 
+echo "==> one dependence walk (FlowIndex::build makes the one pass over the blocks; a damaged one is an error, not a panic)"
+# The per-query overlay decoded every block per query and unwrapped each one.
+# What may read a block under crates/depend and crates/serve is build's loop.
+block_reads=$(for f in crates/depend/src/*.rs crates/serve/src/*.rs; do
+    sed '/#\[cfg(test)\]/,$d' "$f" | grep -HnE --label="$f" 'expect\("valid database"\)|\.block\('
+done || true)
+[ "$(echo "$block_reads" | sed 's/:[0-9]*: */:/')" = 'crates/depend/src/lib.rs:for a in db.block(src)? {' ] \
+    || { echo "block reads outside FlowIndex::build, or unwrapped: $block_reads"; exit 1; }
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 

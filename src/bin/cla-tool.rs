@@ -767,7 +767,8 @@ fn cmd_depend(args: &[String]) -> Result<(), String> {
     let (pts, _) = solve_database(&db, SolveOptions::default());
     let dep = DependenceAnalysis::new(&db, &pts);
     let report = dep
-        .analyze(&target, &DependOptions { non_targets })
+        .try_analyze(&target, &DependOptions { non_targets })
+        .map_err(|e| e.to_string())?
         .ok_or_else(|| format!("no object named `{target}`"))?;
     println!("{} dependents of `{target}`:", report.dependents().len());
     if tree {
