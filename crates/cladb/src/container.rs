@@ -420,7 +420,7 @@ pub fn assemble(format: &Format, sections: &[Section<'_>]) -> Vec<u8> {
 /// section table. Opening checks the header only; each section is bounds
 /// checked when looked up and checksummed when the client asks, which is
 /// what lets a format verify eagerly, lazily or by prefix.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Container {
     data: Vec<u8>,
     table: Vec<SectionEntry>,

@@ -3,8 +3,11 @@
 //! The architectural contribution of the paper: program facts (primitive
 //! assignments, function signatures, symbol tables) live in a compact,
 //! heavily indexed, sectioned object file. The *compile* phase (`cla-ir`)
-//! produces one database per source file; [`link`] merges them into a
-//! program database with global symbols unified; [`Database`] serves the
+//! produces one database per source file; the link phase merges them into
+//! a program database with global symbols unified — builds with the
+//! [`ObjectLinker`], which folds the encoded objects ([`UnitObject`]) as
+//! they are, tests and benches with the unit-level [`link`] it is held
+//! byte-identical to; [`Database`] serves the
 //! *analyze* phase with demand loading — only the blocks an analysis touches
 //! are ever decoded, and a decoded block may be discarded and re-read later
 //! (load-and-throw-away), keeping the in-core footprint small.
@@ -30,15 +33,19 @@ mod dump;
 pub mod fault;
 mod format;
 mod linker;
+mod objlink;
 mod reader;
 pub mod transform;
+mod unit;
 mod writer;
 
 pub use container::{fnv64, ContainerError, HEADER_FIXED_SIZE, SECTION_ENTRY_SIZE};
 pub use dump::{census, dump, is_static_assign};
 pub use format::{DbError, SectionId, ASSIGN_RECORD_SIZE, FORMAT, MAGIC, NONE_U32, VERSION};
-pub use linker::{link, LinkStats, Linker, StreamLinker};
+pub use linker::{add_unknown_summaries, link, LinkStats, Linker};
+pub use objlink::{LinkTimes, LinkedObject, ObjectLinker, StreamLinker};
 pub use reader::{Database, LoadStats};
+pub use unit::UnitObject;
 pub use writer::{atomic_write_bytes, block_key, sweep_stale_tmp, write_object, write_object_file};
 
 #[cfg(test)]

@@ -1,13 +1,21 @@
-//! The CLA linker.
+//! The reference linker, over decoded units.
 //!
 //! Merges the databases of many separately compiled units into one program
 //! database: objects with external linkage are unified by link name (the
 //! same global symbol may be referenced in many files — paper §4), file-local
 //! objects are kept distinct, assignments and signatures are remapped, and
 //! indexing information is recomputed when the result is re-serialized.
+//!
+//! No build route links this way: builds fold encoded objects with the
+//! [`ObjectLinker`](crate::ObjectLinker), whose output must equal
+//! `write_object` of this linker's byte for byte. This one states the rules
+//! in the plainest form — `String`s, `ObjectInfo`s, a `HashMap` — and stays
+//! as the oracle of that equality (`tests/link_determinism.rs`) and as the
+//! way tests, benches and `benchmarks/clabench` link units they hold
+//! decoded.
 
 use cla_ir::{CompiledUnit, FileIdx, FunSig, ObjId, PrimAssign, SrcLoc};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 /// Statistics from one link.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -32,13 +40,8 @@ pub fn link(units: &[CompiledUnit], program_name: &str) -> (CompiledUnit, LinkSt
     linker.finish()
 }
 
-/// The incremental linker: units fold into the program database one at a
-/// time, so a compile pipeline can link each unit the moment it is compiled
-/// and drop it — peak memory holds the program under construction plus one
-/// unit, not every unit at once.
-///
-/// Folding the same units in the same order produces byte-identical output
-/// to [`link`] (which is now a thin wrapper over this type).
+/// The incremental form of [`link`]: units fold into the program database
+/// one at a time.
 #[derive(Debug)]
 pub struct Linker {
     out: CompiledUnit,
@@ -203,74 +206,55 @@ impl Linker {
     }
 }
 
-/// A [`Linker`] fed by an out-of-order producer (a parallel compile pool).
-///
-/// Units arrive tagged with their position in the input file list and may
-/// arrive in any order; the stream linker folds each one the moment every
-/// earlier unit has been folded, buffering only the out-of-order window in
-/// between. The folded program is therefore byte-identical to linking the
-/// same units serially in input order — completion order never leaks into
-/// the output — while peak memory holds the program under construction
-/// plus the buffered window, not the whole codebase.
-#[derive(Debug)]
-pub struct StreamLinker {
-    inner: Linker,
-    /// Index the next fold is waiting for.
-    next: usize,
-    /// Completed units that arrived ahead of `next`.
-    pending: BTreeMap<usize, CompiledUnit>,
-    peak_buffered: usize,
-}
-
-impl StreamLinker {
-    pub fn new(program_name: &str) -> Self {
-        StreamLinker {
-            inner: Linker::new(program_name),
-            next: 0,
-            pending: BTreeMap::new(),
-            peak_buffered: 0,
+/// The unknown-summary rule of
+/// [`ObjectLinker::finish`](crate::ObjectLinker::finish) over a linked
+/// [`CompiledUnit`]: the reference form, for the same comparison. Returns
+/// how many undefined globals were summarized.
+pub fn add_unknown_summaries(program: &mut CompiledUnit) -> usize {
+    use cla_ir::{AssignKind, ObjKind, ObjectInfo, OpKind, Strength};
+    let undefined: Vec<ObjId> = program
+        .objects
+        .iter()
+        .enumerate()
+        .filter(|(_, o)| {
+            o.link_name.is_some() && !o.defined && matches!(o.kind, ObjKind::Var | ObjKind::Func)
+        })
+        .map(|(i, _)| ObjId(i as u32))
+        .collect();
+    if undefined.is_empty() {
+        return 0;
+    }
+    let unknown = program.push_object(ObjectInfo::global(
+        "<unknown>",
+        ObjKind::Heap,
+        "",
+        SrcLoc::NONE,
+    ));
+    let edge = |kind, dst, src| PrimAssign {
+        kind,
+        dst,
+        src,
+        strength: Strength::Weak,
+        op: OpKind::Direct,
+        loc: SrcLoc::NONE,
+    };
+    program.push_assign(edge(AssignKind::Addr, unknown, unknown));
+    let summarized_sigs: Vec<(ObjId, Vec<ObjId>)> = program
+        .funsigs
+        .iter()
+        .filter(|s| undefined.binary_search(&s.obj).is_ok() && !s.is_indirect)
+        .map(|s| (s.ret, s.params.clone()))
+        .collect();
+    for &g in &undefined {
+        program.push_assign(edge(AssignKind::Addr, g, unknown));
+    }
+    for (ret, params) in summarized_sigs {
+        program.push_assign(edge(AssignKind::Addr, ret, unknown));
+        for p in params {
+            program.push_assign(edge(AssignKind::Copy, unknown, p));
         }
     }
-
-    /// Accepts the compiled unit for input position `index` (0-based,
-    /// each position exactly once), folding it — and any buffered
-    /// successors it unblocks — as soon as the order allows.
-    pub fn push(&mut self, index: usize, unit: CompiledUnit) {
-        debug_assert!(
-            index >= self.next && !self.pending.contains_key(&index),
-            "unit {index} delivered twice"
-        );
-        self.pending.insert(index, unit);
-        self.peak_buffered = self.peak_buffered.max(self.pending.len());
-        while let Some(unit) = self.pending.remove(&self.next) {
-            self.inner.add_unit(&unit);
-            self.next += 1;
-        }
-    }
-
-    /// Units folded into the program so far (the in-order prefix).
-    pub fn folded(&self) -> usize {
-        self.next
-    }
-
-    /// High-water mark of units buffered while waiting for an earlier one
-    /// to finish compiling — the streaming link's actual memory exposure.
-    pub fn peak_buffered(&self) -> usize {
-        self.peak_buffered
-    }
-
-    /// Finalizes the program. Panics if any input position never arrived
-    /// (a producer bug: every index below the highest pushed one must be
-    /// delivered before finishing).
-    pub fn finish(self) -> (CompiledUnit, LinkStats) {
-        assert!(
-            self.pending.is_empty(),
-            "stream link finished with {} unfolded units (next expected: {})",
-            self.pending.len(),
-            self.next
-        );
-        self.inner.finish()
-    }
+    undefined.len()
 }
 
 #[cfg(test)]

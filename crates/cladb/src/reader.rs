@@ -541,8 +541,9 @@ impl Database {
         fnv64(self.file.bytes())
     }
 
-    /// Fully decodes the database back into a [`CompiledUnit`] (used by the
-    /// linker and the non-demand-driven baseline solvers).
+    /// Fully decodes the database back into a [`CompiledUnit`] (for the
+    /// non-demand-driven baseline solvers, transforms, dumps and the
+    /// reference linker's callers; no build decodes an object to link it).
     ///
     /// # Errors
     ///

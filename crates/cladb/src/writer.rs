@@ -5,12 +5,27 @@
 //! for a later phase to load.
 
 use crate::container::{assemble, fnv64, Put, Section, StringTable};
-use crate::format::{SectionId, FORMAT, NONE_U32};
-use cla_ir::{CompiledUnit, ObjId, PrimAssign};
+use crate::format::{SectionId, ASSIGN_RECORD_SIZE, FORMAT, NONE_U32};
+use cla_ir::{CompiledUnit, FunSig, ObjId, PrimAssign};
 use std::io::Write as _;
 use std::path::Path;
 
-fn put_assign(buf: &mut Vec<u8>, a: &PrimAssign) {
+/// Byte size of one entry of the dynamic section's block index.
+pub(crate) const BLOCK_ENTRY_SIZE: usize = 20;
+
+/// Where the destination object, the source object and the location's file
+/// index sit inside an encoded assignment record: the three fields a link
+/// relocates.
+pub(crate) const RECORD_DST: usize = 1;
+pub(crate) const RECORD_SRC: usize = 5;
+pub(crate) const RECORD_FILE: usize = 11;
+
+/// The little-endian `u32` at `at` in `bytes`.
+pub(crate) fn u32_at(bytes: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(bytes[at..at + 4].try_into().expect("a 4-byte slice"))
+}
+
+pub(crate) fn put_assign(buf: &mut Vec<u8>, a: &PrimAssign) {
     buf.put_u8(a.kind as u8);
     buf.put_u32_le(a.dst.0);
     buf.put_u32_le(a.src.0);
@@ -65,12 +80,7 @@ pub fn write_object(unit: &CompiledUnit) -> Vec<u8> {
         .enumerate()
         .filter_map(|(i, o)| o.link_name.as_ref().map(|l| (strings.intern(l), i as u32)))
         .collect();
-    let mut glob_sec = Vec::new();
-    glob_sec.put_u32_le(globals.len() as u32);
-    for (sid, oid) in &globals {
-        glob_sec.put_u32_le(*sid);
-        glob_sec.put_u32_le(*oid);
-    }
+    let glob_sec = pair_section(&globals);
 
     // ---- static + dynamic sections ----
     let mut static_sec = Vec::new();
@@ -84,48 +94,15 @@ pub fn write_object(unit: &CompiledUnit) -> Vec<u8> {
         put_assign(&mut static_sec, a);
     }
 
-    // Group dynamic assignments by source object.
-    let nobjs = unit.objects.len();
-    let mut blocks: Vec<Vec<&PrimAssign>> = vec![Vec::new(); nobjs];
+    let mut dynamics = Vec::new();
     for a in &unit.assigns {
         if a.kind != cla_ir::AssignKind::Addr {
-            blocks[a.src.index()].push(a);
+            put_assign(&mut dynamics, a);
         }
     }
-    let mut dyn_sec = Vec::new();
-    dyn_sec.put_u32_le(nobjs as u32);
-    // Index: per object, (relative blob offset, count, block checksum). The
-    // checksum covers the block's encoded bytes and is verified lazily by
-    // the reader on the block's first demand load.
-    let mut blob = Vec::new();
-    let mut index = Vec::with_capacity(nobjs);
-    for block in &blocks {
-        let start = blob.len();
-        for a in block {
-            put_assign(&mut blob, a);
-        }
-        index.push((start as u64, block.len() as u32, fnv64(&blob[start..])));
-    }
-    for (off, count, sum) in &index {
-        dyn_sec.put_u64_le(*off);
-        dyn_sec.put_u32_le(*count);
-        dyn_sec.put_u64_le(*sum);
-    }
-    let dyn_index_len = dyn_sec.len();
-    dyn_sec.extend_from_slice(&blob);
+    let (dyn_sec, dyn_index_len) = dynamic_section(unit.objects.len(), &dynamics);
 
-    // ---- funsig section ----
-    let mut sig_sec = Vec::new();
-    sig_sec.put_u32_le(unit.funsigs.len() as u32);
-    for s in &unit.funsigs {
-        sig_sec.put_u32_le(s.obj.0);
-        sig_sec.put_u32_le(s.ret.0);
-        sig_sec.put_u8(u8::from(s.is_indirect));
-        sig_sec.put_u32_le(s.params.len() as u32);
-        for p in &s.params {
-            sig_sec.put_u32_le(p.0);
-        }
-    }
+    let sig_sec = funsig_section(unit.funsigs.iter());
 
     // ---- target section: display name -> object ----
     // Heap sites ride along with the program objects: they show up inside
@@ -139,12 +116,7 @@ pub fn write_object(unit: &CompiledUnit) -> Vec<u8> {
         .map(|(i, o)| (strings.intern(&o.name), i as u32))
         .collect();
     targets.sort_unstable();
-    let mut tgt_sec = Vec::new();
-    tgt_sec.put_u32_le(targets.len() as u32);
-    for (sid, oid) in &targets {
-        tgt_sec.put_u32_le(*sid);
-        tgt_sec.put_u32_le(*oid);
-    }
+    let tgt_sec = pair_section(&targets);
 
     // ---- meta section ----
     let mut meta_sec = Vec::new();
@@ -154,34 +126,122 @@ pub fn write_object(unit: &CompiledUnit) -> Vec<u8> {
     // ---- string section (encoded last, after all interning) ----
     let str_sec = strings.encode();
 
-    // ---- assemble ----
-    let whole = |id: SectionId, body| Section::whole(id as u32, body);
-    let sections = [
-        whole(SectionId::String, &str_sec),
-        whole(SectionId::File, &file_sec),
-        whole(SectionId::Object, &obj_sec),
-        whole(SectionId::Global, &glob_sec),
-        whole(SectionId::Static, &static_sec),
-        // The dynamic section's checksum covers only its eagerly read index
-        // prefix; the blob behind it is covered by the per-block checksums,
-        // so demand loading never hashes data it does not decode.
-        Section {
-            verified_len: dyn_index_len,
-            ..whole(SectionId::Dynamic, &dyn_sec)
-        },
-        whole(SectionId::FunSig, &sig_sec),
-        whole(SectionId::Target, &tgt_sec),
-        whole(SectionId::Meta, &meta_sec),
-    ];
-    for s in &sections {
-        let name = SectionId::from_u32(s.id).map_or("?", SectionId::name);
-        obs.counter_with("cla_db_section_bytes_written_total", &[("section", name)])
-            .add(s.body.len() as u64);
-    }
-    let out = assemble(&FORMAT, &sections);
+    let out = assemble_object(
+        [
+            &str_sec,
+            &file_sec,
+            &obj_sec,
+            &glob_sec,
+            &static_sec,
+            &dyn_sec,
+            &sig_sec,
+            &tgt_sec,
+            &meta_sec,
+        ],
+        dyn_index_len,
+    );
     sp.set("assigns", unit.assigns.len());
     sp.set("bytes", out.len());
     out
+}
+
+/// A section of `(string id, object id)` pairs behind their count: the
+/// global and the target section.
+pub(crate) fn pair_section(pairs: &[(u32, u32)]) -> Vec<u8> {
+    let mut sec = Vec::with_capacity(4 + 8 * pairs.len());
+    sec.put_u32_le(pairs.len() as u32);
+    for &(sid, oid) in pairs {
+        sec.put_u32_le(sid);
+        sec.put_u32_le(oid);
+    }
+    sec
+}
+
+/// The funsig section for `sigs`, in the order given.
+pub(crate) fn funsig_section<'a>(sigs: impl ExactSizeIterator<Item = &'a FunSig>) -> Vec<u8> {
+    let mut sec = Vec::new();
+    sec.put_u32_le(sigs.len() as u32);
+    for s in sigs {
+        sec.put_u32_le(s.obj.0);
+        sec.put_u32_le(s.ret.0);
+        sec.put_u8(u8::from(s.is_indirect));
+        sec.put_u32_le(s.params.len() as u32);
+        for p in &s.params {
+            sec.put_u32_le(p.0);
+        }
+    }
+    sec
+}
+
+/// Seals the nine section bodies of an object file, given in
+/// [`SectionId::ALL`] order, counting their sizes under
+/// `cla_db_section_bytes_written_total`.
+pub(crate) fn assemble_object(bodies: [&[u8]; 9], dyn_index_len: usize) -> Vec<u8> {
+    let obs = cla_obs::global();
+    let sections: Vec<Section<'_>> = (SectionId::ALL.into_iter().zip(bodies))
+        .map(|(id, body)| {
+            obs.counter_with(
+                "cla_db_section_bytes_written_total",
+                &[("section", id.name())],
+            )
+            .add(body.len() as u64);
+            Section {
+                // The dynamic section's checksum covers only its eagerly
+                // read index prefix; the blob behind it is covered by the
+                // per-block checksums, so demand loading never hashes data
+                // it does not decode.
+                verified_len: match id {
+                    SectionId::Dynamic => dyn_index_len,
+                    _ => body.len(),
+                },
+                ..Section::whole(id as u32, body)
+            }
+        })
+        .collect();
+    assemble(&FORMAT, &sections)
+}
+
+/// Builds the dynamic section from the encoded non-address records of a
+/// unit or program in arrival order: one stable counting sort over one
+/// offsets array groups them into per-object blocks keyed by their *source*
+/// object. The index in front holds, per object, (relative blob offset,
+/// count, block checksum); the checksum covers the block's encoded bytes and
+/// is verified lazily by the reader on the block's first demand load.
+/// Returns the section body and the length of that index, the prefix the
+/// section's own checksum covers.
+///
+/// # Panics
+///
+/// Panics when a record's source object is not below `nobjs`.
+pub(crate) fn dynamic_section(nobjs: usize, records: &[u8]) -> (Vec<u8>, usize) {
+    let source = |rec: &[u8]| u32_at(rec, RECORD_SRC) as usize;
+    // `ends[o]` counts the records of the objects before `o`, then, as the
+    // scatter advances it, ends up at the end of `o`'s block.
+    let mut ends = vec![0usize; nobjs + 1];
+    for rec in records.chunks_exact(ASSIGN_RECORD_SIZE) {
+        ends[source(rec) + 1] += 1;
+    }
+    for o in 0..nobjs {
+        ends[o + 1] += ends[o];
+    }
+    let index_len = 4 + nobjs * BLOCK_ENTRY_SIZE;
+    let mut sec = vec![0u8; index_len + records.len()];
+    let (index, blob) = sec.split_at_mut(index_len);
+    for rec in records.chunks_exact(ASSIGN_RECORD_SIZE) {
+        let at = ends[source(rec)] * ASSIGN_RECORD_SIZE;
+        blob[at..at + ASSIGN_RECORD_SIZE].copy_from_slice(rec);
+        ends[source(rec)] += 1;
+    }
+    index[..4].copy_from_slice(&(nobjs as u32).to_le_bytes());
+    let mut start = 0;
+    for (entry, &end) in index[4..].chunks_exact_mut(BLOCK_ENTRY_SIZE).zip(&ends) {
+        let block = &blob[start * ASSIGN_RECORD_SIZE..end * ASSIGN_RECORD_SIZE];
+        entry[..8].copy_from_slice(&((start * ASSIGN_RECORD_SIZE) as u64).to_le_bytes());
+        entry[8..12].copy_from_slice(&((end - start) as u32).to_le_bytes());
+        entry[12..].copy_from_slice(&fnv64(block).to_le_bytes());
+        start = end;
+    }
+    (sec, index_len)
 }
 
 /// Writes `bytes` to `path` crash-safely: the data goes to a temporary file

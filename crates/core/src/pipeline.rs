@@ -9,8 +9,11 @@
 use crate::pretransitive::{SealedGraph, SolveOptions, SolveStats, Warm};
 use crate::solution::PointsTo;
 use cla_cfront::{CError, FileProvider, PpOptions, Preprocessed};
-use cla_cladb::{fnv64, write_object, Database, DbError, LinkStats, LoadStats, StreamLinker};
-use cla_ir::{compile_preprocessed, AssignCounts, CompileStats, CompiledUnit, LowerOptions};
+use cla_cladb::{
+    fnv64, Database, DbError, LinkStats, LinkTimes, LoadStats, ObjectLinker, StreamLinker,
+    UnitObject,
+};
+use cla_ir::{compile_preprocessed, AssignCounts, CompileStats, LowerOptions};
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::{mpsc, Condvar, Mutex};
@@ -74,7 +77,7 @@ pub struct PipelineOptions {
     pub strict: bool,
     /// With quarantined units present, give every referenced-but-undefined
     /// global symbol a conservative PIP-style unknown summary at link time
-    /// (see `add_unknown_summaries`): sound-leaning answers instead of
+    /// (see [`ObjectLinker::finish`]): sound-leaning answers instead of
     /// silently missing flows. Off by default — answers stay minimal.
     pub unknown_summaries: bool,
 }
@@ -152,13 +155,19 @@ impl Quarantined {
 /// concurrent use — the pipeline calls them from its compile thread pool.
 pub trait CompileCache: Send + Sync {
     /// The object bytes previously stored under `key`, if any. Returning
-    /// damaged bytes is safe: the pipeline re-opens them through the
-    /// checksummed reader and falls back to a fresh compile on any error.
+    /// damaged bytes is safe: the pipeline admits them only through
+    /// [`UnitObject::verify`] and falls back to a fresh compile on any
+    /// error.
     fn load(&self, key: u64) -> Option<Vec<u8>>;
     /// Persists object bytes under `key` (best effort; errors are the
     /// implementation's to swallow — a failed store only costs a future
     /// recompile).
     fn store(&self, key: u64, bytes: &[u8]);
+    /// The bytes [`load`](CompileCache::load) just returned for `key` failed
+    /// verification: what looked like a hit is a miss, and the entry is
+    /// about to be overwritten by a [`store`](CompileCache::store). For the
+    /// implementation's own accounting; nothing to do by default.
+    fn reject(&self, _key: u64) {}
 }
 
 /// Identity of one analysis run: what was analyzed and with which options.
@@ -298,6 +307,12 @@ pub struct Report {
     pub compile_time: Duration,
     pub link_time: Duration,
     pub solve_time: Duration,
+    /// The link by phase. Folding (`symbols`, `merge`) overlaps compilation
+    /// and is inside `compile_time`; `assemble` and `open_time` make up
+    /// `link_time`.
+    pub link_times: LinkTimes,
+    /// `Database::open` of the assembled program object.
+    pub open_time: Duration,
     /// Files whose object came out of the compile cache (0 without a cache).
     pub compile_cache_hits: usize,
     /// Files that were actually compiled this run.
@@ -306,10 +321,10 @@ pub struct Report {
     pub snapshot_loaded: bool,
     /// Compile worker threads actually used (1 without `parallel_compile`).
     pub jobs: usize,
-    /// High-water mark of compiled units held in memory while the
-    /// streaming link waited for an earlier unit: the compile+link phase's
-    /// real memory exposure, bounded by twice the thread-pool size, never
-    /// by the codebase.
+    /// High-water mark of unit objects — encoded bytes, not decoded units —
+    /// held in memory while the streaming link waited for an earlier one:
+    /// the compile+link phase's real memory exposure, bounded by twice the
+    /// thread-pool size, never by the codebase.
     pub peak_buffered_units: usize,
     /// Process peak resident set size in bytes at the end of the run
     /// (Linux `VmHWM`; 0 where unavailable).
@@ -404,8 +419,8 @@ pub fn analyze_with(
     // moment it (and every earlier unit) is compiled, then drops — units
     // are never collected, so peak memory is the program under construction
     // plus the pool's reorder window. Folding overlaps compilation, so
-    // `compile_time` covers both and `link_time` covers finalization +
-    // serialization + open.
+    // `compile_time` covers both and `link_time` covers assembling the
+    // program object and opening it.
     let mut sp = obs.span("pipeline", "pipeline.compile");
     sp.set("files", files.len());
     let mut linker = StreamLinker::new("a.out");
@@ -435,13 +450,13 @@ pub fn analyze_with(
                     stats[i] = c.stats;
                     keys[i] = c.key;
                     compile_cache_hits += usize::from(c.cache_hit);
-                    c.unit
+                    c.object
                 }
                 // An empty unit keeps the linker's index sequence intact; it
                 // contributes no objects and no assignments.
                 Err(reason) => {
                     failed.push((i, reason));
-                    CompiledUnit::new(files[i])
+                    UnitObject::empty(files[i])
                 }
             };
             linker.push(i, unit);
@@ -480,6 +495,8 @@ pub fn analyze_with(
     let Linked {
         db,
         link_stats,
+        link_times,
+        open_time,
         program_variables,
         assign_counts,
         unknown_summaries,
@@ -519,6 +536,8 @@ pub fn analyze_with(
         compile_time,
         link_time,
         solve_time,
+        link_times,
+        open_time,
         compile_cache_hits,
         compile_cache_misses,
         snapshot_loaded,
@@ -536,10 +555,11 @@ pub fn analyze_with(
     })
 }
 
-/// One compiled input: the unit, its measurements and what it was built
-/// from.
+/// One compiled input: the unit's object, its measurements and what it was
+/// built from.
 pub struct CompiledFile {
-    pub unit: CompiledUnit,
+    /// The unit as the link phase takes it: encoded, and intact.
+    pub object: UnitObject,
     pub stats: CompileStats,
     /// Every source read for this file (see [`Closure`]).
     pub closure: Closure,
@@ -552,10 +572,11 @@ pub struct CompiledFile {
 /// The per-file compile of every build route (batch [`analyze_with`] and
 /// the serve sessions' load and reload): preprocess — which yields the
 /// file's [`Closure`] and cache key — reuse the stored object on a cache
-/// hit, and parse + lower that same preprocessed unit (storing the result)
-/// on a miss. A cache entry that fails to open or decode is treated as a
-/// miss — the checksummed object reader makes feeding damaged bytes back
-/// safe.
+/// hit, and parse + lower + encode that same preprocessed unit (storing the
+/// result) on a miss. A hit is handed over undecoded, after
+/// [`UnitObject::verify`] has run every integrity check of the format over
+/// it; an entry that fails one is [rejected](CompileCache::reject) and
+/// treated as a miss.
 ///
 /// # Errors
 ///
@@ -571,31 +592,34 @@ pub fn compile_one_keyed(
     let pre = cla_cfront::preprocess_file(fs, f, pp)?;
     let closure = closure_of(&pre);
     let key = closure_key(&closure, f, options_fp);
-    if let Some(unit) = cache
-        .and_then(|cache| cache.load(key))
-        .and_then(|bytes| Database::open(bytes).and_then(|db| db.to_unit()).ok())
-    {
-        // The keying preprocess saw the same bytes the original compile
-        // did, so the hit's stats match a fresh compile.
-        let stats = CompileStats {
-            source_bytes: pre.stats.bytes_in,
-            preprocessed_lines: pre.stats.lines_out,
-            tokens: pre.stats.tokens_out,
-        };
-        return Ok(CompiledFile {
-            unit,
-            stats,
-            closure,
-            key,
-            cache_hit: true,
-        });
+    if let Some((cache, bytes)) = cache.and_then(|c| Some((c, c.load(key)?))) {
+        match UnitObject::verify(bytes) {
+            Ok(object) => {
+                // The keying preprocess saw the same bytes the original
+                // compile did, so the hit's stats match a fresh compile.
+                let stats = CompileStats {
+                    source_bytes: pre.stats.bytes_in,
+                    preprocessed_lines: pre.stats.lines_out,
+                    tokens: pre.stats.tokens_out,
+                };
+                return Ok(CompiledFile {
+                    object,
+                    stats,
+                    closure,
+                    key,
+                    cache_hit: true,
+                });
+            }
+            Err(_) => cache.reject(key),
+        }
     }
     let (unit, stats) = compile_preprocessed(pre, f, &pp.limits, lower)?;
+    let object = UnitObject::encode(&unit);
     if let Some(cache) = cache {
-        cache.store(key, &write_object(&unit));
+        cache.store(key, object.bytes());
     }
     Ok(CompiledFile {
-        unit,
+        object,
         stats,
         closure,
         key,
@@ -615,108 +639,39 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// PIP-style conservative summaries for incomplete programs (*Making
-/// Andersen's Points-to Analysis Sound and Practical for Incomplete C
-/// Programs*): once units are quarantined, any global that is referenced
-/// but never defined may live in a lost unit and do anything. One abstract
-/// object `<unknown>` stands for everything such symbols could reach:
-///
-/// * `g = &<unknown>` for every undefined global `g` — dereferencing it
-///   reaches the unknown blob instead of nothing;
-/// * `<unknown> = &<unknown>` — chains of dereferences stay closed;
-/// * for every call signature of an undefined function: `f$ret =
-///   &<unknown>` and `<unknown> = f$N` — results come from the blob,
-///   arguments escape into it.
-///
-/// Returns how many undefined globals were summarized.
-fn add_unknown_summaries(program: &mut cla_ir::CompiledUnit) -> usize {
-    use cla_ir::{AssignKind, ObjId, ObjKind, ObjectInfo, OpKind, PrimAssign, SrcLoc, Strength};
-    // A global is undefined when no surviving unit defines it (the linker
-    // ORs the per-unit `defined` bits). Param/ret objects are global-linked
-    // too but are summarized through their function's signature, not here.
-    let undefined: Vec<ObjId> = program
-        .objects
-        .iter()
-        .enumerate()
-        .filter(|(_, o)| {
-            o.link_name.is_some() && !o.defined && matches!(o.kind, ObjKind::Var | ObjKind::Func)
-        })
-        .map(|(i, _)| ObjId(i as u32))
-        .collect();
-    if undefined.is_empty() {
-        return 0;
-    }
-    let unknown = program.push_object(ObjectInfo::global(
-        "<unknown>",
-        ObjKind::Heap,
-        "",
-        SrcLoc::NONE,
-    ));
-    let edge = |kind, dst, src| PrimAssign {
-        kind,
-        dst,
-        src,
-        strength: Strength::Weak,
-        op: OpKind::Direct,
-        loc: SrcLoc::NONE,
-    };
-    program.push_assign(edge(AssignKind::Addr, unknown, unknown));
-    let undefined_set: std::collections::HashSet<ObjId> = undefined.iter().copied().collect();
-    let summarized_sigs: Vec<(ObjId, Vec<ObjId>)> = program
-        .funsigs
-        .iter()
-        .filter(|s| undefined_set.contains(&s.obj) && !s.is_indirect)
-        .map(|s| (s.ret, s.params.clone()))
-        .collect();
-    for &g in &undefined {
-        program.push_assign(edge(AssignKind::Addr, g, unknown));
-    }
-    for (ret, params) in summarized_sigs {
-        program.push_assign(edge(AssignKind::Addr, ret, unknown));
-        for p in params {
-            program.push_assign(edge(AssignKind::Copy, unknown, p));
-        }
-    }
-    undefined.len()
-}
-
-/// A freshly linked program, serialized and reopened for demand loading.
+/// A freshly linked program, opened for demand loading.
 pub struct Linked {
     pub db: Database,
     pub link_stats: LinkStats,
+    pub link_times: LinkTimes,
+    pub open_time: Duration,
     pub program_variables: usize,
     pub assign_counts: AssignCounts,
     /// Undefined globals given unknown summaries (0 unless asked for).
     pub unknown_summaries: usize,
 }
 
-/// The one tail of every build: a finished link (`Linker::finish` or
-/// `StreamLinker::finish`) gets its optional unknown summaries, is written
-/// as an object file and opened as the [`Database`] the solver reads.
+/// The one tail of every build: the linker every unit object has been
+/// folded into (`ObjectLinker` or `StreamLinker::finish`) lays out the
+/// program object — with its unknown summaries, if asked for — and the
+/// bytes it assembled are opened as the [`Database`] the solver reads.
 ///
 /// # Errors
 ///
-/// A database error if the freshly written object fails to open (a writer
-/// bug — a typed error all the same, not a panic).
-pub fn open_linked(
-    (mut program, link_stats): (CompiledUnit, LinkStats),
-    summarize_unknown: bool,
-) -> Result<Linked, DbError> {
-    let unknown_summaries = if summarize_unknown {
-        add_unknown_summaries(&mut program)
-    } else {
-        0
-    };
-    let bytes = write_object(&program);
-    let program_variables = program.program_variable_count();
-    let assign_counts = program.assign_counts();
-    drop(program);
+/// A database error if the freshly assembled object fails to open (a
+/// linker bug — a typed error all the same, not a panic).
+pub fn open_linked(linker: ObjectLinker, summarize_unknown: bool) -> Result<Linked, DbError> {
+    let linked = linker.finish(summarize_unknown);
+    let t = std::time::Instant::now();
+    let db = Database::open(linked.bytes)?;
     Ok(Linked {
-        db: Database::open(bytes)?,
-        link_stats,
-        program_variables,
-        assign_counts,
-        unknown_summaries,
+        db,
+        link_stats: linked.stats,
+        link_times: linked.times,
+        open_time: t.elapsed(),
+        program_variables: linked.program_variables,
+        assign_counts: linked.assign_counts,
+        unknown_summaries: linked.unknown_summaries,
     })
 }
 

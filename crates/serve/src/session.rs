@@ -24,14 +24,14 @@
 
 use crate::json::{obj, Value};
 use cla_cfront::{CError, FileProvider, PpOptions};
-use cla_cladb::{fnv64, Database, DbError, Linker};
+use cla_cladb::{fnv64, Database, DbError, ObjectLinker, UnitObject};
 use cla_core::pipeline::{
     compile_all, compile_one_keyed, load_or_solve, open_linked, options_fingerprint, Closure,
     Provenance, Quarantined, SnapshotHook,
 };
 use cla_core::{SealedGraph, SolveOptions, SolveStats};
 use cla_depend::{DependOptions, FlowIndex};
-use cla_ir::{CompiledUnit, LowerOptions, ObjId};
+use cla_ir::{LowerOptions, ObjId};
 use cla_obs::{nearest_rank, Counter, Gauge, Histogram, LATENCY_BUCKETS_US};
 use cla_snap::SnapshotStore;
 use std::collections::{HashMap, VecDeque};
@@ -488,11 +488,12 @@ const PROGRAM: &str = "a.out";
 /// Compilation inputs retained for incremental reload.
 struct Sources {
     files: Vec<String>,
-    /// Parallel to `files`: each compiled unit with the closure it was
-    /// built from. A file that has not compiled (yet, or at its last try)
-    /// holds an empty unit — which keeps its slot in the link order — and
-    /// an empty closure.
-    table: Vec<(CompiledUnit, Closure)>,
+    /// Parallel to `files`: each unit's encoded object with the closure it
+    /// was built from, so a reload relinks the untouched units without
+    /// re-encoding them. A file that has not compiled (yet, or at its last
+    /// try) holds an empty unit's object — which keeps its slot in the link
+    /// order — and an empty closure.
+    table: Vec<(UnitObject, Closure)>,
     pp: PpOptions,
     lower: LowerOptions,
     /// Quarantine-and-continue: a failing unit is skipped (empty unit, a
@@ -565,11 +566,11 @@ impl Sources {
             self.table[i] = match compiled {
                 Ok(c) => {
                     recompiled.push(file.clone());
-                    (c.unit, c.closure)
+                    (c.object, c.closure)
                 }
                 Err(reason) => {
                     ledger.push(Quarantined::note(file.clone(), reason));
-                    (CompiledUnit::new(file), Closure::new())
+                    (UnitObject::empty(file), Closure::new())
                 }
             };
         }
@@ -588,13 +589,11 @@ impl Sources {
         store: Option<&SnapshotStore>,
         solver: SolveOptions,
     ) -> Result<(Loaded, bool), SessionError> {
-        let mut linker = Linker::new(PROGRAM);
+        let mut linker = ObjectLinker::new(PROGRAM);
         for (unit, _) in &self.table {
-            linker.add_unit(unit);
+            linker.add(unit);
         }
-        let db = open_linked(linker.finish(), false)
-            .map_err(SessionError::Db)?
-            .db;
+        let db = open_linked(linker, false).map_err(SessionError::Db)?.db;
         let prov = object_provenance(PROGRAM, db.content_hash(), solver);
         let (mut loaded, from_snap) = load(db, store, &prov);
         loaded.quarantined = ledger;
@@ -889,7 +888,7 @@ impl Session {
             files: files.iter().map(|f| f.to_string()).collect(),
             table: files
                 .iter()
-                .map(|f| (CompiledUnit::new(*f), Closure::new()))
+                .map(|f| (UnitObject::empty(f), Closure::new()))
                 .collect(),
             pp: pp.clone(),
             lower: lower.clone(),

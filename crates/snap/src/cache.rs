@@ -3,9 +3,11 @@
 //! Persists what PR 1's in-memory hash-diff reload only kept per process:
 //! a compile whose preprocessed closure hashes to a cached key is skipped
 //! entirely across restarts. Entries are ordinary `.clao` files named by
-//! their 16-hex-digit key, written crash-safely, and re-validated through
-//! the checksummed object reader on every hit — a damaged entry is a miss
-//! that gets recompiled and overwritten, never an error.
+//! their 16-hex-digit key, written crash-safely, and re-validated by the
+//! pipeline on every hit (`UnitObject::verify`: every section and block
+//! checksum) — a damaged entry is a miss that gets recompiled and
+//! overwritten, never an error, and is counted as one
+//! ([`CompileCache::reject`]).
 //!
 //! Eviction is a size-capped LRU sweep: when the directory grows past the
 //! configured cap, oldest-modified entries are removed until it fits. Hits
@@ -30,6 +32,8 @@ pub struct DiskCache {
     approx_bytes: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
+    /// Entries that were read but failed the pipeline's verification.
+    corrupt: AtomicU64,
     /// Stale temporaries reclaimed when the cache was opened.
     reclaimed: usize,
 }
@@ -59,6 +63,7 @@ impl DiskCache {
             approx_bytes: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+            corrupt: AtomicU64::new(0),
             reclaimed,
         };
         let total = cache.sweep()?;
@@ -76,13 +81,21 @@ impl DiskCache {
         self.reclaimed
     }
 
-    /// (hits, misses) so far for this handle.
+    /// (hits, misses) so far for this handle. A damaged entry is a miss: it
+    /// counts as a hit while the pipeline verifies it and moves over when
+    /// it is [rejected](CompileCache::reject).
     #[must_use]
     pub fn counters(&self) -> (u64, u64) {
         (
             self.hits.load(Ordering::Relaxed),
             self.misses.load(Ordering::Relaxed),
         )
+    }
+
+    /// Entries found damaged so far for this handle (each also a miss).
+    #[must_use]
+    pub fn corrupt(&self) -> u64 {
+        self.corrupt.load(Ordering::Relaxed)
     }
 
     /// Enforces the size cap: lists entries, and while the total exceeds
@@ -145,6 +158,19 @@ impl CompileCache for DiskCache {
                 None
             }
         }
+    }
+
+    fn reject(&self, _key: u64) {
+        // `load` could only count the read as a hit. The process-wide
+        // counters only go up, so there a damaged entry stays in
+        // `cla_snap_cache_hits_total` and shows in the two below: accepted
+        // hits are `hits - corrupt`.
+        self.hits.fetch_sub(1, Ordering::Relaxed);
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        self.corrupt.fetch_add(1, Ordering::Relaxed);
+        let obs = cla_obs::global();
+        obs.counter("cla_snap_cache_corrupt_total").inc();
+        obs.counter("cla_snap_cache_misses_total").inc();
     }
 
     fn store(&self, key: u64, bytes: &[u8]) {

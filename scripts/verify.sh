@@ -35,6 +35,18 @@ done || true)
 [ "$(echo "$block_reads" | sed 's/:[0-9]*: */:/')" = 'crates/depend/src/lib.rs:for a in db.block(src)? {' ] \
     || { echo "block reads outside FlowIndex::build, or unwrapped: $block_reads"; exit 1; }
 
+echo "==> one production linker (builds fold encoded unit objects; the unit-level linker is the tests' reference)"
+# No build route decodes an object to link it: core::pipeline, serve, hub and
+# `cla-tool compile` go through cladb's ObjectLinker. `Linker::add_unit`,
+# `link` and `Database::to_unit` stay for tests, crates/bench and clabench.
+unit_links=$(for f in crates/core/src/pipeline.rs crates/serve/src/*.rs crates/hub/src/*.rs; do
+    sed '/#\[cfg(test)\]/,$d' "$f" | grep -HnE --label="$f" '\.to_unit\(\)|add_unit\('
+done || true)
+[ -z "$unit_links" ] || { echo "a build route links decoded units: $unit_links"; exit 1; }
+tool_links=$(grep -nE '\blink\(&|add_unit\(' src/bin/cla-tool.rs || true)
+sed -n '/^fn cmd_compile/,/^}/p' src/bin/cla-tool.rs | grep -q 'link_objects(' && [ -z "$tool_links" ] \
+    || { echo "cla-tool compile must link through ObjectLinker: $tool_links"; exit 1; }
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 

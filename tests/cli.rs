@@ -162,6 +162,12 @@ fn analyze_records_trace_and_metrics() {
     ]));
     let text = String::from_utf8_lossy(&out.stdout).into_owned();
     assert!(text.contains("pts(latest) = {first, second}"), "{text}");
+    // The phase line is split further for the link, by the spans' names.
+    let phases = text.lines().find(|l| l.starts_with("link-phases: "));
+    let phases = phases.unwrap_or_else(|| panic!("no link split in:\n{text}"));
+    for phase in ["symbols=", "merge=", "assemble=", "open="] {
+        assert!(phases.contains(phase), "{phases}");
+    }
     // Prometheus text follows the report: layer counters are all present.
     for metric in [
         "cla_front_files_total 2",
@@ -181,6 +187,9 @@ fn analyze_records_trace_and_metrics() {
     let raw = std::fs::read_to_string(&trace).unwrap();
     assert!(raw.starts_with("[\n"), "not a streaming trace array");
     assert!(raw.contains("\"ph\":\"B\"") && raw.contains("\"ph\":\"E\""));
+    for span in ["link.symbols", "link.merge", "link.assemble", "db.open"] {
+        assert!(raw.contains(&format!("\"name\":\"{span}\"")), "{span}");
+    }
 
     // A corrupted trace makes the validator exit non-zero.
     let bad = write(

@@ -5,9 +5,11 @@
 //! points-to answer identical, even though internal ids may differ. And
 //! every route through the one build path — batch or session, any pool
 //! size, first build or forced reload — must agree on the program, on the
-//! quarantine ledger and on which failure a strict build reports.
+//! quarantine ledger and on which failure a strict build reports. And
+//! the block linker that every one of those routes links with must produce
+//! the bytes `write_object` gives the reference unit linker's program.
 
-use cla::cladb::StreamLinker;
+use cla::cladb::{add_unknown_summaries, fnv64, LinkStats, StreamLinker, UnitObject};
 use cla::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -70,55 +72,97 @@ fn recompiling_from_scratch_is_also_byte_identical() {
     assert_eq!(write_object(&a), write_object(&b));
 }
 
+/// The program the reference unit linker makes of `units`, as bytes.
+fn reference_link(units: &[CompiledUnit], summarize: bool) -> (Vec<u8>, LinkStats) {
+    let (mut program, stats) = link(units, "a.out");
+    if summarize {
+        add_unknown_summaries(&mut program);
+    }
+    (write_object(&program), stats)
+}
+
+/// Every order of `0..n` (Heap's algorithm).
+fn permutations(n: usize) -> Vec<Vec<usize>> {
+    fn go(k: usize, items: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
+        if k <= 1 {
+            out.push(items.clone());
+            return;
+        }
+        for i in 0..k {
+            go(k - 1, items, out);
+            items.swap(if k.is_multiple_of(2) { i } else { 0 }, k - 1);
+        }
+    }
+    let mut out = Vec::new();
+    go(n, &mut (0..n).collect(), &mut out);
+    out
+}
+
+/// The units of [`generated_tree`], compiled one by one.
+fn generated_units() -> Vec<CompiledUnit> {
+    let (fs, files) = generated_tree();
+    let (pp, lower) = (PpOptions::default(), LowerOptions::default());
+    (files.iter())
+        .map(|f| compile_file(&fs, f, &pp, &lower).unwrap().0)
+        .collect()
+}
+
 #[test]
 fn stream_link_is_byte_identical_for_every_arrival_order() {
     // A parallel compile pool finishes units in whatever order the scheduler
-    // picks. The stream linker must absorb any completion order and still
-    // produce the bytes of a serial in-order link: completion order is
-    // allowed to change the buffered window, never the output.
-    let units = compile_units();
-    let (serial, serial_stats) = link(&units, "a.out");
-    let serial_bytes = write_object(&serial);
-
-    let arrivals: [[usize; 3]; 6] = [
-        [0, 1, 2],
-        [0, 2, 1],
-        [1, 0, 2],
-        [1, 2, 0],
-        [2, 0, 1],
-        [2, 1, 0],
-    ];
-    for order in arrivals {
-        let mut stream = StreamLinker::new("a.out");
-        for &i in &order {
-            stream.push(i, units[i].clone());
+    // picks. The stream linker must absorb any completion order of their
+    // objects and still produce the bytes of the reference: the unit linker
+    // folding decoded units serially in input order, re-encoded by
+    // `write_object`. Completion order is allowed to change the buffered
+    // window, never the output. Three shapes of build: every unit there
+    // (strict), one replaced by the empty placeholder a quarantined file
+    // leaves (lenient), and that with unknown summaries for what the lost
+    // unit defined.
+    for units in [compile_units(), generated_units()] {
+        let mut lenient = units.clone();
+        lenient[1] = CompiledUnit::new(lenient[1].file.clone());
+        for (units, summarize) in [(&units, false), (&lenient, false), (&lenient, true)] {
+            let (serial_bytes, serial_stats) = reference_link(units, summarize);
+            let objects: Vec<UnitObject> = units.iter().map(UnitObject::encode).collect();
+            if summarize {
+                let (bare, _) = reference_link(units, false);
+                assert_ne!(bare, serial_bytes, "the placeholder left nothing undefined");
+            }
+            for order in permutations(units.len()) {
+                let mut stream = StreamLinker::new("a.out");
+                for &i in &order {
+                    stream.push(i, objects[i].clone());
+                }
+                assert_eq!(
+                    stream.folded(),
+                    units.len(),
+                    "order {order:?} left units buffered"
+                );
+                let peak = stream.peak_buffered();
+                assert!(
+                    (1..=units.len()).contains(&peak),
+                    "order {order:?}: implausible reorder-buffer peak {peak}"
+                );
+                let linked = stream.finish().finish(summarize);
+                assert!(
+                    linked.bytes == serial_bytes,
+                    "arrival order {order:?} (summaries: {summarize}) leaked into the linked bytes"
+                );
+                assert_eq!(linked.stats, serial_stats);
+                assert_eq!(linked.unknown_summaries > 0, summarize);
+            }
         }
-        assert_eq!(
-            stream.folded(),
-            units.len(),
-            "order {order:?} left units buffered"
-        );
-        let peak = stream.peak_buffered();
-        assert!(
-            (1..=units.len()).contains(&peak),
-            "order {order:?}: implausible reorder-buffer peak {peak}"
-        );
-        let (prog, stats) = stream.finish();
-        assert_eq!(
-            write_object(&prog),
-            serial_bytes,
-            "arrival order {order:?} leaked into the linked bytes"
-        );
-        assert_eq!(stats, serial_stats);
     }
 
     // The boundary cases of the buffered window: in-order arrival never
     // holds more than the unit in hand; fully reversed arrival holds all.
+    let units = compile_units();
     let mut in_order = StreamLinker::new("a.out");
     let mut reversed = StreamLinker::new("a.out");
     for i in 0..units.len() {
-        in_order.push(i, units[i].clone());
-        reversed.push(units.len() - 1 - i, units[units.len() - 1 - i].clone());
+        in_order.push(i, UnitObject::encode(&units[i]));
+        let last = units.len() - 1 - i;
+        reversed.push(last, UnitObject::encode(&units[last]));
     }
     assert_eq!(in_order.peak_buffered(), 1);
     assert_eq!(reversed.peak_buffered(), units.len());
@@ -372,4 +416,101 @@ fn permuted_unit_order_gives_a_semantically_equal_database() {
         );
         assert_eq!(stats.units, 3);
     }
+}
+
+/// A scratch directory that is removed however the test ends.
+struct TempDir(std::path::PathBuf);
+
+impl TempDir {
+    fn new(tag: &str) -> TempDir {
+        let dir = std::env::temp_dir().join(format!("cla-link-it-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        TempDir(dir)
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+#[test]
+fn cold_cache_warm_and_session_builds_link_the_reference_bytes() {
+    // Where a unit's object comes from — encoded by the worker that just
+    // compiled it, admitted undecoded from the compile cache, or kept by a
+    // session across reloads — must not show in the program: every route
+    // links the bytes the reference makes of the same sources.
+    let (fs, files) = generated_tree();
+    let refs: Vec<&str> = files.iter().map(String::as_str).collect();
+    let opts = PipelineOptions::default();
+    let identity = |bytes: &[u8]| (bytes.len(), fnv64(bytes));
+    let of_db = |db: &Database| (db.file_size(), db.content_hash());
+    let (reference, stats) = reference_link(&generated_units(), false);
+
+    let cold = analyze(&fs, &refs, &opts).unwrap();
+    assert_eq!(of_db(&cold.database), identity(&reference));
+    assert_eq!(cold.report.link_stats, stats);
+
+    let dir = TempDir::new("routes");
+    let cache = DiskCache::open(&dir.0.join("cache")).unwrap();
+    let store = SnapshotStore::open(&dir.0.join("batch")).unwrap();
+    let hooks = AnalyzeHooks {
+        compile_cache: Some(&cache),
+        snapshots: Some(&store),
+    };
+    for hits in [0, files.len()] {
+        let run = analyze_with(&fs, &refs, &opts, &hooks).unwrap();
+        assert_eq!(run.report.compile_cache_hits, hits);
+        assert_eq!(run.report.snapshot_loaded, hits > 0);
+        assert_eq!(of_db(&run.database), identity(&reference));
+        assert_eq!(run.points_to, cold.points_to);
+        let (r, c) = (&run.report, &cold.report);
+        assert_eq!(r.link_stats, c.link_stats);
+        assert_eq!(r.program_variables, c.program_variables);
+        assert_eq!(r.assign_counts, c.assign_counts);
+        assert_eq!(r.peak_buffered_units, c.peak_buffered_units);
+    }
+    assert_eq!(cache.counters(), (files.len() as u64, files.len() as u64));
+
+    // A session keys its snapshot on the hash of the bytes it linked: read
+    // it back from the store after each build.
+    let snaps = dir.0.join("session");
+    let linked_hash = || {
+        let snap = Snapshot::open(&snaps.join(cla::snap::SNAPSHOT_FILE)).unwrap();
+        snap.provenance().inputs[0].1
+    };
+    let session = Session::from_files_jobs(
+        &fs,
+        &refs,
+        &opts.pp,
+        &opts.lower,
+        opts.solver,
+        Some(&snaps),
+        2,
+    )
+    .unwrap();
+    assert_eq!(linked_hash(), fnv64(&reference));
+
+    let mut edited = fs.clone();
+    let original = fs.read(&files[2]).unwrap();
+    edited.add(
+        files[2].clone(),
+        format!("{original}\nint edit_x; int *edit_p; void edit_f(void) {{ edit_p = &edit_x; }}\n"),
+    );
+    let r = session.reload(Some(&edited), false).unwrap();
+    assert_eq!(r.recompiled, [files[2].clone()]);
+    let edited_cold = analyze(&edited, &refs, &opts).unwrap();
+    assert_ne!(edited_cold.database.content_hash(), fnv64(&reference));
+    assert_eq!(linked_hash(), edited_cold.database.content_hash());
+    assert_eq!(
+        session.points_to("edit_p").unwrap().targets[0].name,
+        "edit_x"
+    );
+
+    let r = session.reload(Some(&fs), false).unwrap();
+    assert_eq!(r.recompiled, [files[2].clone()]);
+    assert_eq!(linked_hash(), fnv64(&reference));
+    assert!(session.points_to("edit_p").is_err());
 }

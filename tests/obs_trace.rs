@@ -37,9 +37,15 @@ fn pipeline_trace_is_balanced_and_layers_all_appear() {
 
     // Every B has a matching E on the same thread, properly nested.
     let mut open: HashMap<u64, Vec<String>> = HashMap::new();
+    // Span name → the span it began under, once per begin.
+    let mut begun: Vec<(String, Option<String>)> = Vec::new();
     for ev in &events {
         match ev.ph {
-            Phase::Begin => open.entry(ev.tid).or_default().push(ev.name.clone()),
+            Phase::Begin => {
+                let stack = open.entry(ev.tid).or_default();
+                begun.push((ev.name.clone(), stack.last().cloned()));
+                stack.push(ev.name.clone());
+            }
             Phase::End => {
                 let top = open.entry(ev.tid).or_default().pop();
                 assert_eq!(top.as_deref(), Some(ev.name.as_str()), "mismatched E");
@@ -55,6 +61,23 @@ fn pipeline_trace_is_balanced_and_layers_all_appear() {
     for cat in ["pipeline", "front", "db", "solve"] {
         assert!(cats.contains(cat), "no `{cat}` spans in {cats:?}");
     }
+
+    // A slow link is explainable from the trace alone: each unit is encoded
+    // where it is compiled and folded (symbols, then merge) while the
+    // compile phase runs, and the link phase is one assemble of the program
+    // object and one open of the bytes it assembled.
+    let under = |name: &str| -> Vec<Option<&str>> {
+        (begun.iter())
+            .filter(|(n, _)| n == name)
+            .map(|(_, parent)| parent.as_deref())
+            .collect()
+    };
+    let compiling = Some("pipeline.compile");
+    assert_eq!(under("db.write_object"), [compiling; 2]);
+    assert_eq!(under("link.symbols"), [compiling; 2]);
+    assert_eq!(under("link.merge"), [compiling; 2]);
+    assert_eq!(under("link.assemble"), [Some("pipeline.link")]);
+    assert_eq!(under("db.open"), [Some("pipeline.link")]);
 
     // Satellite 1: the Report's phase times come from the same spans the
     // trace records, so each pipeline span's duration matches the Report.
@@ -84,6 +107,9 @@ fn pipeline_trace_is_balanced_and_layers_all_appear() {
             "`{name}`: trace says {traced}us, Report says {reported_us}us"
         );
     }
+    let assemble_us = r.link_times.assemble.as_micros() as u64;
+    assert!(dur_of("link.assemble").abs_diff(assemble_us) <= 250);
+    assert!(r.link_times.assemble + r.open_time <= r.link_time);
 
     // Per-pass solver spans carry the Figure 5 delta fields.
     let pass = events

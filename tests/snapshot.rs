@@ -375,6 +375,88 @@ fn corrupt_cache_entry_falls_back_to_the_compiler() {
 }
 
 #[test]
+fn a_damaged_block_or_string_in_a_cache_entry_is_one_counted_miss() {
+    // A cache hit reaches the linker undecoded, so everything `to_unit`
+    // used to trip over while decoding must be caught before the hand-over:
+    // above all a fault in a dynamic block, which `Database::open` alone
+    // lets through (blocks are verified on first fetch).
+    use cla::cladb::container::Header;
+    use cla::cladb::{SectionId, FORMAT};
+    let mut fs = MemoryFs::new();
+    fs.add("a.c", "int x, y; int *p; void f(void) { p = &x; y = x; }");
+    fs.add(
+        "b.c",
+        "extern int *p; int *q, **pp; void g(void) { q = p; *pp = q; }",
+    );
+    let refs = ["a.c", "b.c"];
+    let corrupt_total = || {
+        let text = cla::obs::global().prometheus_text();
+        let samples = cla::obs::parse_exposition(&text).unwrap();
+        (samples.iter())
+            .find(|s| s.name == "cla_snap_cache_corrupt_total")
+            .map_or(0.0, |s| s.value)
+    };
+    for section in [SectionId::Dynamic, SectionId::String] {
+        let dir = TempDir::new(&format!("damaged-{section}"));
+        let run = || {
+            let cache = DiskCache::open(&dir.path().join("cache")).unwrap();
+            let store = SnapshotStore::open(dir.path()).unwrap();
+            let hooks = AnalyzeHooks {
+                compile_cache: Some(&cache),
+                snapshots: Some(&store),
+            };
+            let a = analyze_with(&fs, &refs, &PipelineOptions::default(), &hooks).unwrap();
+            (a, cache.counters(), cache.corrupt())
+        };
+        let (cold, counters, _) = run();
+        assert_eq!(counters, (0, 2));
+
+        let mut entries: Vec<PathBuf> = std::fs::read_dir(dir.path().join("cache"))
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect();
+        entries.sort();
+        let pristine = std::fs::read(&entries[0]).unwrap();
+        let table = Header::read(&pristine, &FORMAT).unwrap().table;
+        let entry = table.iter().find(|e| e.id == section as u32).unwrap();
+        let at = match section {
+            // The last byte of the section lies in the blob of blocks.
+            SectionId::Dynamic => entry.offset + entry.len - 1,
+            _ => entry.offset + entry.len / 2,
+        } as usize;
+        let mut damaged = pristine.clone();
+        damaged[at] ^= 0x20;
+        if section == SectionId::Dynamic {
+            assert!(Database::open(damaged.clone()).is_ok());
+        }
+        std::fs::write(&entries[0], &damaged).unwrap();
+
+        let before = corrupt_total();
+        let (recovered, counters, corrupt) = run();
+        assert_eq!(recovered.points_to, cold.points_to, "{section}");
+        assert_eq!(
+            (
+                recovered.report.compile_cache_hits,
+                recovered.report.compile_cache_misses
+            ),
+            (1, 1),
+            "{section}"
+        );
+        assert_eq!((counters, corrupt), ((1, 1), 1), "{section}");
+        assert!(corrupt_total() >= before + 1.0);
+        assert_eq!(
+            recovered.database.content_hash(),
+            cold.database.content_hash()
+        );
+        // The recompile overwrote the damaged entry.
+        assert_eq!(std::fs::read(&entries[0]).unwrap(), pristine);
+        let (healed, counters, corrupt) = run();
+        assert_eq!(healed.report.compile_cache_hits, 2);
+        assert_eq!((counters, corrupt), ((2, 0), 0));
+    }
+}
+
+#[test]
 fn corrupt_snapshot_file_falls_back_to_a_full_solve() {
     let dir = TempDir::new("corrupt-snap");
     let mut fs = MemoryFs::new();
