@@ -248,12 +248,13 @@ impl<'a> StringTable<'a> {
         out
     }
 
-    /// Reads a table back; a string's id is its index.
-    pub fn decode(cur: &mut Cur<'_>) -> Result<Vec<String>, ContainerError> {
+    /// Reads a table back, its strings borrowed from the section body; a
+    /// string's id is its index.
+    pub fn decode<'b>(cur: &mut Cur<'b>) -> Result<Vec<&'b str>, ContainerError> {
         let count = cur.get_u32_le()? as usize;
         let mut strings = Vec::with_capacity(count.min(1 << 20));
         for _ in 0..count {
-            strings.push(cur.get_str()?.to_string());
+            strings.push(cur.get_str()?);
         }
         Ok(strings)
     }

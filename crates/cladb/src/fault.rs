@@ -6,14 +6,20 @@
 //! > pristine file, or a typed [`DbError`] — never a panic, never a silently
 //! > wrong answer.
 //!
-//! This module damages a real object file in three deterministic ways and
+//! This module damages a real object file in four deterministic ways and
 //! checks the invariant for each mutant:
 //!
 //! * **truncation sweep** — cut the file at every byte offset (a torn write);
 //! * **seeded bit flips** — flip 1–4 random bits per iteration (bit rot);
 //! * **section-table shuffle** — swap section-table entries, with and without
 //!   a recomputed header checksum (buggy tooling / tampering; the tagged
-//!   section checksums must still catch a consistent swap).
+//!   section checksums must still catch a consistent swap);
+//! * **resealed reference** (object format only) — push one id out of its
+//!   table, set an `is_indirect` byte to a value no writer emits or append a
+//!   byte to a section, then recompute every checksum over the damage (a
+//!   buggy or hostile writer). No checksum can catch these: only the range
+//!   checks stand between such a file and an out-of-bounds index in whatever
+//!   reads it, so an admitted mutant must also survive its consumer.
 //!
 //! Everything is seeded ([`SplitMix64`]) so a failing mutant reproduces from
 //! the report alone. `cla-tool db-fuzz` drives this over `examples/c/`.
@@ -24,11 +30,18 @@
 //! [`run_object_fuzz`]); `cla-snap` supplies them for `.clasnap` files, the
 //! container's other instantiation, and runs the very same battery.
 
-use crate::container::{Format, Header, SectionEntry};
-use crate::format::{DbError, FORMAT};
+use crate::container::{fnv64, Container, Format, Header, Put, SectionEntry};
+use crate::format::{DbError, SectionId, FORMAT};
 use crate::reader::Database;
-use cla_ir::{CompiledUnit, ObjId};
+use crate::record::{
+    decode_assign, ids, pairs, put_assign, put_pair, BlockEntry, ObjectRecord, SigRecord,
+    ASSIGN_RECORD_SIZE, PAIR_SIZE,
+};
+use crate::unit::UnitView;
+use crate::writer::assemble_object;
+use cla_ir::{CompiledUnit, FunSig, ObjId, PrimAssign};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::rc::Rc;
 
 /// The split-mix 64 generator — tiny, seedable, statistically fine for
 /// fuzzing. The same generator the serve tests use; no external RNG crates.
@@ -148,6 +161,13 @@ impl Oracle {
     /// Opens and fully decodes a mutant, comparing against the pristine
     /// contents.
     pub fn exercise(&self, bytes: Vec<u8>) -> Verdict {
+        self.exercise_and(bytes, |_| ())
+    }
+
+    /// [`Oracle::exercise`], then `consume` over every mutant that was
+    /// admitted — a solver, which indexes by the ids it reads. A panic in it
+    /// is the mutant's verdict.
+    pub fn exercise_and(&self, bytes: Vec<u8>, consume: impl FnOnce(&Database)) -> Verdict {
         judge(|| -> Result<bool, DbError> {
             let db = Database::open(bytes)?;
             // Touch every read path: statics, every demand-loaded block, the
@@ -157,6 +177,7 @@ impl Oracle {
                 db.block(ObjId(ix as u32))?;
             }
             let unit = db.to_unit()?;
+            consume(&db);
             Ok(unit.objects == self.unit.objects
                 && unit.assigns == self.unit.assigns
                 && unit.funsigs == self.unit.funsigs
@@ -276,6 +297,207 @@ pub fn section_shuffle_round(
     }
 }
 
+/// One edit to the nine section bodies of an object file ([`SectionId::ALL`]
+/// order), given how far past its table's end to push the id it damages.
+struct Damage {
+    what: String,
+    apply: Box<Edit>,
+}
+type Edit = dyn Fn(&mut [Vec<u8>], u32);
+
+/// Position of `id`'s body among the nine.
+fn body_of(id: SectionId) -> usize {
+    (SectionId::ALL.iter().position(|&s| s == id)).expect("ALL lists every section")
+}
+
+/// Every reference `pristine` holds, each with the edit that pushes it out
+/// of range *through the record's codec*: an encoded record is decoded, one
+/// field changed, and the record encoded back.
+fn reference_damages(view: &UnitView<'_>, bodies: &[Vec<u8>]) -> Vec<Damage> {
+    let nstrings = view.strings.len() as u32;
+    let nobjs = view.object_count() as u32;
+    let nfiles = view.files().len() as u32;
+    let mut out: Vec<Damage> = Vec::new();
+    // A field of each record of an array of `size`-byte records starting at
+    // `from` in `section`'s body.
+    let mut array = |section: SectionId,
+                     from: usize,
+                     size: usize,
+                     field: &'static str,
+                     limit: u32,
+                     set: fn(&[u8], u32) -> Vec<u8>| {
+        let body = body_of(section);
+        for at in (from..bodies[body].len()).step_by(size) {
+            out.push(Damage {
+                what: format!("{section} record at {at}: {field} past {limit}"),
+                apply: Box::new(move |bodies, excess| {
+                    let rec = &mut bodies[body][at..at + size];
+                    let damaged = set(rec, limit + excess);
+                    rec.copy_from_slice(&damaged);
+                }),
+            });
+        }
+    };
+    fn assign(rec: &[u8], edit: impl FnOnce(&mut PrimAssign)) -> Vec<u8> {
+        let rec = rec.try_into().expect("one assignment record");
+        let mut a = decode_assign(rec).expect("a pristine record");
+        edit(&mut a);
+        let mut out = Vec::new();
+        put_assign(&mut out, &a);
+        out
+    }
+    fn object(rec: &[u8], edit: impl FnOnce(&mut ObjectRecord)) -> Vec<u8> {
+        let mut o = ObjectRecord::decode(rec.try_into().expect("one object record"));
+        edit(&mut o);
+        let mut out = Vec::new();
+        o.put(&mut out);
+        out
+    }
+    fn pair(rec: &[u8], edit: impl FnOnce(&mut (u32, u32))) -> Vec<u8> {
+        let mut p = pairs(rec).next().expect("one pair");
+        edit(&mut p);
+        let mut out = Vec::new();
+        put_pair(&mut out, p);
+        out
+    }
+    let id = |_: &[u8], v: u32| v.to_le_bytes().to_vec();
+    let index_len = BlockEntry::index_len(nobjs as usize);
+    for (section, from) in [(SectionId::Static, 4), (SectionId::Dynamic, index_len)] {
+        let size = ASSIGN_RECORD_SIZE;
+        array(section, from, size, "dst", nobjs, |r, v| {
+            assign(r, |a| a.dst = ObjId(v))
+        });
+        array(section, from, size, "src", nobjs, |r, v| {
+            assign(r, |a| a.src = ObjId(v))
+        });
+        array(section, from, size, "loc.file", nfiles, |r, v| {
+            assign(r, |a| a.loc.file.0 = v)
+        });
+    }
+    let size = ObjectRecord::SIZE;
+    array(SectionId::Object, 4, size, "name", nstrings, |r, v| {
+        object(r, |o| o.name = v)
+    });
+    array(SectionId::Object, 4, size, "link", nstrings, |r, v| {
+        object(r, |o| o.link = v)
+    });
+    array(SectionId::Object, 4, size, "ty", nstrings, |r, v| {
+        object(r, |o| o.ty = v)
+    });
+    array(SectionId::Object, 4, size, "file", nfiles, |r, v| {
+        object(r, |o| o.file = v)
+    });
+    array(SectionId::Object, 4, size, "in_func", nobjs, |r, v| {
+        object(r, |o| o.in_func = v)
+    });
+    for section in [SectionId::Global, SectionId::Target] {
+        array(section, 4, PAIR_SIZE, "string", nstrings, |r, v| {
+            pair(r, |p| p.0 = v)
+        });
+        array(section, 4, PAIR_SIZE, "object", nobjs, |r, v| {
+            pair(r, |p| p.1 = v)
+        });
+    }
+    array(SectionId::File, 4, 4, "name", nstrings, id);
+    // The meta section: the unit's name, then the assignment total.
+    array(SectionId::Meta, 0, 12, "unit name", nstrings, |r, v| {
+        [&v.to_le_bytes(), &r[4..]].concat()
+    });
+
+    // Signatures vary in length: re-encode the section around the one edited.
+    let encoded: Vec<_> = (view.funsigs())
+        .map(|sig| sig.expect("a pristine signature"))
+        .collect();
+    let sigs: Rc<Vec<FunSig>> = Rc::new(encoded.iter().map(|sig| sig.decode(ObjId)).collect());
+    let mut sig_at = 4;
+    for (i, sig) in encoded.iter().enumerate() {
+        for field in 0..2 + ids(sig.params).len() {
+            let sigs = Rc::clone(&sigs);
+            out.push(Damage {
+                what: format!("funsig {i}: id {field} past {nobjs}"),
+                apply: Box::new(move |bodies, excess| {
+                    let mut sigs = Vec::clone(&sigs);
+                    let sig = &mut sigs[i];
+                    *[&mut sig.obj, &mut sig.ret]
+                        .into_iter()
+                        .chain(&mut sig.params)
+                        .nth(field)
+                        .expect("a field counted above") = ObjId(nobjs + excess);
+                    let sec = &mut bodies[body_of(SectionId::FunSig)];
+                    sec.truncate(4);
+                    sigs.iter().for_each(|sig| SigRecord::put(sec, sig));
+                }),
+            });
+        }
+        let at = sig_at + SigRecord::INDIRECT_AT;
+        out.push(Damage {
+            what: format!("funsig {i}: is_indirect byte neither 0 nor 1"),
+            apply: Box::new(move |bodies, excess| {
+                bodies[body_of(SectionId::FunSig)][at] = 2 + (excess % 254) as u8;
+            }),
+        });
+        sig_at += sig.encoded_len();
+    }
+    for section in SectionId::ALL {
+        out.push(Damage {
+            what: format!("{section}: one trailing byte"),
+            apply: Box::new(move |bodies, excess| bodies[body_of(section)].put_u8(excess as u8)),
+        });
+    }
+    out
+}
+
+/// Damages one reference of a pristine *object* file per iteration (see
+/// the module comment) and recomputes the block, section and header
+/// checksums over the damage, so only a range or shape check can reject the
+/// mutant.
+pub fn resealed_round(
+    pristine: &[u8],
+    exercise: impl Fn(Vec<u8>) -> Verdict,
+    seed: u64,
+    iters: u64,
+    report: &mut FuzzReport,
+) {
+    let Ok(file) = Container::open(pristine.to_vec(), &FORMAT) else {
+        return;
+    };
+    let Ok(view) = UnitView::layout(&file) else {
+        return;
+    };
+    let bodies: Vec<Vec<u8>> = (SectionId::ALL.iter())
+        .map(|&id| {
+            file.lookup(id as u32, id.name())
+                .map(|(_, body)| body.to_vec())
+        })
+        .collect::<Result<_, _>>()
+        .expect("layout found all nine");
+    let damages = reference_damages(&view, &bodies);
+    let index_len = BlockEntry::index_len(view.object_count());
+    let mut rng = SplitMix64(seed ^ 0x5ea1_ed1d);
+    for it in 0..iters {
+        let damage = &damages[rng.below(damages.len() as u64) as usize];
+        let mut bodies = bodies.clone();
+        (damage.apply)(&mut bodies, rng.below(1000) as u32);
+        // Reseal bottom up: each block's checksum in the index, then (in
+        // `assemble_object`) every section's and the header's.
+        let (index, blob) = bodies[body_of(SectionId::Dynamic)].split_at_mut(index_len);
+        for entry in index[4..].chunks_exact_mut(BlockEntry::SIZE) {
+            let mut block = BlockEntry::decode(entry);
+            block.checksum = fnv64(block.records(blob).unwrap_or(&[]));
+            entry.copy_from_slice(&block.encode());
+        }
+        let bodies: Vec<&[u8]> = bodies.iter().map(Vec::as_slice).collect();
+        let mutant = assemble_object(bodies.try_into().expect("nine bodies"), index_len);
+        let verdict = exercise(mutant);
+        report.record(verdict, || {
+            format!(
+                "resealed reference iter {it} (seed {seed}): {}",
+                damage.what
+            )
+        });
+    }
+}
+
 /// Appends one section under an id no reader knows, through the entry
 /// codec. Not a fault — paper §4 promises that "new sections can be
 /// transparently added", so either format's reader must decode the result
@@ -325,19 +547,23 @@ pub fn run_fuzz(
     report
 }
 
-/// [`run_fuzz`] over one pristine object file.
+/// [`run_fuzz`] over one pristine object file, then `min(iters, 200)`
+/// [`resealed_round`] mutants. `consume` is run over every mutant the reader
+/// admits ([`Oracle::exercise_and`]): hand it a solver.
 ///
 /// Returns `Err` if the pristine input itself does not decode (the harness
 /// needs a valid oracle before it can judge mutants).
-pub fn run_object_fuzz(pristine: &[u8], seed: u64, iters: u64) -> Result<FuzzReport, DbError> {
+pub fn run_object_fuzz(
+    pristine: &[u8],
+    seed: u64,
+    iters: u64,
+    consume: impl Fn(&Database),
+) -> Result<FuzzReport, DbError> {
     let oracle = Oracle::new(pristine)?;
-    Ok(run_fuzz(
-        pristine,
-        &FORMAT,
-        |bytes| oracle.exercise(bytes),
-        seed,
-        iters,
-    ))
+    let exercise = |bytes| oracle.exercise_and(bytes, &consume);
+    let mut report = run_fuzz(pristine, &FORMAT, exercise, seed, iters);
+    with_quiet_panics(|| resealed_round(pristine, exercise, seed, iters.min(200), &mut report));
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -363,6 +589,42 @@ mod tests {
         write_object(&prog)
     }
 
+    /// Stands in for a solver: indexes a table with every id the database
+    /// hands out, as `GraphState::add_assign` does.
+    fn follow_every_id(db: &Database) {
+        let mut seen = vec![0u32; db.objects().len()];
+        let unit = db.to_unit().unwrap();
+        for a in &unit.assigns {
+            seen[a.dst.index()] += 1;
+            seen[a.src.index()] += 1;
+        }
+        for sig in db.funsigs() {
+            seen[sig.obj.index()] += 1;
+            seen[sig.ret.index()] += 1;
+            sig.params.iter().for_each(|p| seen[p.index()] += 1);
+        }
+        for o in db.objects() {
+            if let Some(f) = o.in_func {
+                seen[f.index()] += 1;
+            }
+        }
+    }
+
+    #[test]
+    fn every_resealed_reference_is_rejected() {
+        let bytes = sample_object();
+        let oracle = Oracle::new(&bytes).unwrap();
+        let mut report = FuzzReport::default();
+        with_quiet_panics(|| {
+            let exercise = |b| oracle.exercise_and(b, follow_every_id);
+            resealed_round(&bytes, exercise, 3, 400, &mut report);
+        });
+        assert!(report.ok(), "{report}");
+        // Every damage is out of range or out of shape: none may be
+        // admitted, let alone decode as the pristine file does.
+        assert_eq!((report.exercised, report.rejected), (400, 400), "{report}");
+    }
+
     #[test]
     fn splitmix_is_deterministic() {
         let mut a = SplitMix64(42);
@@ -377,17 +639,17 @@ mod tests {
     #[test]
     fn fuzz_battery_finds_no_holes_in_sample() {
         let bytes = sample_object();
-        let report = run_object_fuzz(&bytes, 1, 150).unwrap();
+        let report = run_object_fuzz(&bytes, 1, 150, follow_every_id).unwrap();
         assert!(report.ok(), "fuzz found holes:\n{report}");
-        // The battery really ran: full sweep + flips + shuffles.
-        assert!(report.exercised as usize >= bytes.len() + 150);
+        // The battery really ran: full sweep + flips + shuffles + reseals.
+        assert!(report.exercised as usize >= bytes.len() + 150 + 150 + 150);
         // Damage is overwhelmingly detected, not silently identical.
         assert!(report.rejected > report.identical);
     }
 
     #[test]
     fn fuzz_requires_a_valid_oracle() {
-        assert!(run_object_fuzz(b"garbage", 1, 10).is_err());
+        assert!(run_object_fuzz(b"garbage", 1, 10, |_| ()).is_err());
     }
 
     #[test]

@@ -110,9 +110,6 @@ impl fmt::Display for SectionId {
 /// Sentinel for "no string" / "no object" references on the wire.
 pub const NONE_U32: u32 = u32::MAX;
 
-/// Size in bytes of one encoded assignment record.
-pub const ASSIGN_RECORD_SIZE: usize = 19;
-
 /// Errors from reading or writing an object file: whatever the container
 /// or a section-body decoder found wrong with the bytes, or the file system
 /// with the file.

@@ -12,6 +12,18 @@
 //! are ever decoded, and a decoded block may be discarded and re-read later
 //! (load-and-throw-away), keeping the in-core footprint small.
 //!
+//! The format has one of everything. `container` owns the file layout,
+//! `record` each fixed-size record (size, fields, codec, enum bytes),
+//! `writer::write_sections` writes the nine section bodies for the unit
+//! writer and the linker alike, and `unit`'s borrowed `UnitView` is the one
+//! reader that cuts and judges them: the linker folds it and [`Database`]
+//! is built from it. Bytes are admitted three ways, by that one checker:
+//! [`Database::open`] (sections and ids outside the blob now, each block on
+//! its first fetch, [`Database::verify_all`] for the rest),
+//! [`UnitObject::verify`] (everything up front) and
+//! [`Database::from_object`] (nothing again: a [`UnitObject`] is intact by
+//! construction).
+//!
 //! ```
 //! use cla_ir::{compile_source, LowerOptions};
 //! use cla_cladb::{write_object, Database, link};
@@ -35,16 +47,18 @@ mod format;
 mod linker;
 mod objlink;
 mod reader;
+mod record;
 pub mod transform;
 mod unit;
 mod writer;
 
 pub use container::{fnv64, ContainerError, HEADER_FIXED_SIZE, SECTION_ENTRY_SIZE};
 pub use dump::{census, dump, is_static_assign};
-pub use format::{DbError, SectionId, ASSIGN_RECORD_SIZE, FORMAT, MAGIC, NONE_U32, VERSION};
+pub use format::{DbError, SectionId, FORMAT, MAGIC, NONE_U32, VERSION};
 pub use linker::{add_unknown_summaries, link, LinkStats, Linker};
 pub use objlink::{LinkTimes, LinkedObject, ObjectLinker, StreamLinker};
 pub use reader::{Database, LoadStats};
+pub use record::ASSIGN_RECORD_SIZE;
 pub use unit::UnitObject;
 pub use writer::{atomic_write_bytes, block_key, sweep_stale_tmp, write_object, write_object_file};
 

@@ -15,13 +15,11 @@
 //! benches; no build route decodes an object to re-encode it.
 
 use crate::container::Put;
-use crate::format::{ASSIGN_RECORD_SIZE, NONE_U32};
+use crate::format::NONE_U32;
 use crate::linker::LinkStats;
-use crate::unit::{UnitObject, OBJECT_RECORD_SIZE};
-use crate::writer::{
-    assemble_object, dynamic_section, funsig_section, pair_section, put_assign, u32_at, RECORD_DST,
-    RECORD_FILE, RECORD_SRC,
-};
+use crate::record::{assign_kind, assign_records, put_assign, relocate_assign, ObjectRecord};
+use crate::unit::UnitObject;
+use crate::writer::write_sections;
 use cla_ir::{
     AssignCounts, AssignKind, FunSig, ObjId, ObjKind, OpKind, PrimAssign, SrcLoc, Strength,
 };
@@ -111,20 +109,6 @@ fn slot(table: &mut Vec<u32>, id: u32) -> &mut u32 {
     &mut table[i]
 }
 
-/// One object of the program: the object section's record with its strings
-/// as [`NamePool`] ids.
-#[derive(Debug, Clone, Copy)]
-struct Obj {
-    name: u32,
-    link: u32,
-    ty: u32,
-    kind: u8,
-    flags: u8,
-    file: u32,
-    line: u32,
-    in_func: u32,
-}
-
 /// Wall time of a link by phase, read off the clocks of its `link.symbols`,
 /// `link.merge` and `link.assemble` spans. The first two add up over the
 /// folds, which a streaming build overlaps with compilation.
@@ -135,11 +119,13 @@ pub struct LinkTimes {
     pub assemble: Duration,
 }
 
-/// What [`ObjectLinker::finish`] hands back: the program object's bytes and
-/// the figures a run reports of the program they encode.
+/// What [`ObjectLinker::finish`] hands back: the program object — intact by
+/// construction, so [`Database::from_object`](crate::Database::from_object)
+/// opens it without hashing it again — and the figures a run reports of the
+/// program it encodes.
 #[derive(Debug)]
 pub struct LinkedObject {
-    pub bytes: Vec<u8>,
+    pub object: UnitObject,
     /// The link proper, before any unknown summary was added.
     pub stats: LinkStats,
     pub times: LinkTimes,
@@ -165,7 +151,8 @@ pub struct ObjectLinker {
     files: Vec<u32>,
     /// Pool id → index in `files`.
     file_of_name: Vec<u32>,
-    objects: Vec<Obj>,
+    /// The program's objects, their strings as pool ids.
+    objects: Vec<ObjectRecord>,
     /// Pool id of a link name → the object it names.
     obj_of_link: Vec<u32>,
     /// Relocated address-of records, in arrival order.
@@ -265,15 +252,13 @@ impl ObjectLinker {
                 if link != NONE_U32 {
                     self.obj_of_link[link as usize] = id;
                 }
-                self.objects.push(Obj {
+                self.objects.push(ObjectRecord {
                     name: intern(rec.name),
                     link,
                     ty: intern(rec.ty),
-                    kind: rec.kind,
-                    flags: rec.flags,
                     file: remap_file(rec.file),
-                    line: rec.line,
                     in_func: NONE_U32, // fixed up below
+                    ..rec
                 });
                 obj_map.push(id);
             } else {
@@ -306,45 +291,31 @@ impl ObjectLinker {
         let merge_sp = cla_obs::global().span("link", "link.merge");
         let mut relocate = |out: &mut Vec<u8>, records: &[u8]| {
             out.reserve(records.len());
-            for rec in records.chunks_exact(ASSIGN_RECORD_SIZE) {
-                let mut rec: [u8; ASSIGN_RECORD_SIZE] = rec.try_into().expect("chunks_exact");
+            for rec in assign_records(records) {
                 self.counts
-                    .add(AssignKind::from_u8(rec[0]).expect("a unit object's records are checked"));
-                for at in [RECORD_DST, RECORD_SRC] {
-                    let id = obj_map[u32_at(&rec, at) as usize];
-                    rec[at..at + 4].copy_from_slice(&id.to_le_bytes());
-                }
-                let file = remap_file(u32_at(&rec, RECORD_FILE));
-                rec[RECORD_FILE..RECORD_FILE + 4].copy_from_slice(&file.to_le_bytes());
+                    .add(assign_kind(rec).expect("a unit object's records are checked"));
+                let mut rec = *rec;
+                relocate_assign(&mut rec, |obj| obj_map[obj as usize], remap_file);
                 out.extend_from_slice(&rec);
             }
         };
-        relocate(&mut self.statics, view.statics);
+        relocate(&mut self.statics, view.statics());
         for block in view.blocks() {
             relocate(&mut self.dynamics, block);
         }
         for sig in view.funsigs() {
             let sig = sig.expect("a unit object's signatures are checked");
-            let obj = ObjId(obj_map[sig.obj as usize]);
-            let params = (sig.params.chunks_exact(4))
-                .map(|p| ObjId(obj_map[u32_at(p, 0) as usize]))
-                .collect();
-            let remapped = FunSig {
-                obj,
-                params,
-                ret: ObjId(obj_map[sig.ret as usize]),
-                is_indirect: sig.is_indirect,
-            };
+            let remapped = sig.decode(|obj| ObjId(obj_map[obj as usize]));
             if sig.is_indirect {
                 self.indirect.push(remapped);
-            } else if let Some(&have) = self.direct_of_obj.get(&obj) {
+            } else if let Some(&have) = self.direct_of_obj.get(&remapped.obj) {
                 // Keep the longest parameter list seen (call sites may pass
                 // more arguments than the shortest declaration).
                 if remapped.params.len() > self.direct[have].params.len() {
                     self.direct[have].params = remapped.params;
                 }
             } else {
-                self.direct_of_obj.insert(obj, self.direct.len());
+                self.direct_of_obj.insert(remapped.obj, self.direct.len());
                 self.direct.push(remapped);
             }
         }
@@ -384,7 +355,7 @@ impl ObjectLinker {
         }
         let name = self.names.intern("<unknown>");
         let unknown = ObjId(self.objects.len() as u32);
-        self.objects.push(Obj {
+        self.objects.push(ObjectRecord {
             name,
             link: name,
             ty: EMPTY,
@@ -435,7 +406,7 @@ impl ObjectLinker {
         let mut sp = cla_obs::global().span("link", "link.assemble");
         let mut stats = self.stats;
         stats.objects_out = self.objects.len();
-        stats.assigns = (self.statics.len() + self.dynamics.len()) / ASSIGN_RECORD_SIZE;
+        stats.assigns = self.counts.total();
         let unknown_summaries = if summarize_unknown {
             self.add_unknown_summaries()
         } else {
@@ -459,82 +430,40 @@ impl ObjectLinker {
             }
             *at
         };
-
-        let mut file_sec = Vec::with_capacity(4 + 4 * self.files.len());
-        file_sec.put_u32_le(self.files.len() as u32);
-        for &name in &self.files {
-            file_sec.put_u32_le(sid(name));
-        }
-
+        let files: Vec<u32> = self.files.iter().map(|&name| sid(name)).collect();
         let nobjs = self.objects.len();
-        let mut obj_sec = Vec::with_capacity(4 + OBJECT_RECORD_SIZE * nobjs);
-        let (mut globals, mut targets) = (Vec::new(), Vec::new());
         let mut program_variables = 0;
-        obj_sec.put_u32_le(nobjs as u32);
-        for (i, o) in self.objects.iter().enumerate() {
-            let name = sid(o.name);
-            obj_sec.put_u32_le(name);
-            if o.link == NONE_U32 {
-                obj_sec.put_u32_le(NONE_U32);
-            } else {
-                let link = sid(o.link);
-                obj_sec.put_u32_le(link);
-                globals.push((link, i as u32));
+        for o in &mut self.objects {
+            o.name = sid(o.name);
+            if o.link != NONE_U32 {
+                o.link = sid(o.link);
             }
-            obj_sec.put_u32_le(sid(o.ty));
-            obj_sec.put_u8(o.kind);
-            obj_sec.put_u8(o.flags);
-            obj_sec.put_u32_le(o.file);
-            obj_sec.put_u32_le(o.line);
-            obj_sec.put_u32_le(o.in_func);
-            let kind = ObjKind::from_u8(o.kind).expect("a unit object's kinds are checked");
+            o.ty = sid(o.ty);
+            let kind = o.kind().expect("a unit object's kinds are checked");
             program_variables += usize::from(kind.is_program_object());
-            // Heap sites ride along with the program objects: they show up
-            // inside points-to sets, so queries must find them by name too.
-            if kind.is_program_object() || kind == ObjKind::Heap {
-                targets.push((name, i as u32));
-            }
         }
-        targets.sort_unstable();
-        let (glob_sec, tgt_sec) = (pair_section(&globals), pair_section(&targets));
-
-        let mut static_sec = Vec::with_capacity(4 + self.statics.len());
-        static_sec.put_u32_le((self.statics.len() / ASSIGN_RECORD_SIZE) as u32);
-        static_sec.extend_from_slice(&self.statics);
-        let (dyn_sec, dyn_index_len) = dynamic_section(nobjs, &self.dynamics);
+        let program = sid(program);
+        str_sec[..4].copy_from_slice(&placed.to_le_bytes());
 
         // Direct signatures are unique per object and the sort is stable,
         // so the order depends only on the units and their order.
         let mut sigs: Vec<&FunSig> = self.direct.iter().chain(&self.indirect).collect();
         sigs.sort_by_key(|s| s.obj);
-        let sig_sec = funsig_section(sigs.into_iter());
-
-        let mut meta_sec = Vec::new();
-        meta_sec.put_u32_le(sid(program));
-        meta_sec.put_u64_le(self.counts.total() as u64);
-        str_sec[..4].copy_from_slice(&placed.to_le_bytes());
-
-        let bytes = assemble_object(
-            [
-                &str_sec,
-                &file_sec,
-                &obj_sec,
-                &glob_sec,
-                &static_sec,
-                &dyn_sec,
-                &sig_sec,
-                &tgt_sec,
-                &meta_sec,
-            ],
-            dyn_index_len,
-        );
+        let object = UnitObject::sealed(write_sections(
+            &str_sec,
+            &files,
+            &self.objects,
+            [&self.statics, &self.dynamics],
+            sigs.into_iter(),
+            program,
+        ));
         sp.set("objects", nobjs);
         sp.set("assigns", self.counts.total());
-        sp.set("bytes", bytes.len());
+        sp.set("bytes", object.bytes().len());
         let mut times = self.times;
         times.assemble = sp.finish();
         LinkedObject {
-            bytes,
+            object,
             stats,
             times,
             program_variables,
@@ -653,7 +582,7 @@ mod tests {
         assert_eq!(linker.units(), units.len());
         let linked = linker.finish(summarize);
         assert!(
-            linked.bytes == write_object(&program),
+            linked.object.bytes() == write_object(&program),
             "linked bytes differ from the reference's"
         );
         assert_eq!(linked.stats, stats);
@@ -720,7 +649,7 @@ mod tests {
         ]);
         let linked = link_both(&units, true);
         assert_eq!(linked.unknown_summaries, 2);
-        let db = Database::open(linked.bytes).unwrap();
+        let db = Database::from_object(linked.object).unwrap();
         assert_eq!(db.targets("<unknown>").len(), 1);
         // `<unknown> = &<unknown>`, one address per undefined global, the
         // call's result; its argument escapes by a copy.
@@ -772,11 +701,11 @@ mod tests {
         let mut linker = ObjectLinker::new("prog");
         linker.add(&object);
         let linked = linker.finish(false);
-        assert!(linked.bytes == write_object(&reference));
+        assert!(linked.object.bytes() == write_object(&reference));
         assert_eq!(linked.stats, stats);
         assert_eq!((stats.objects_out, stats.symbols_merged), (3, 1));
         // The merged `g` took the twin's location, type and definedness.
-        let db = Database::open(linked.bytes).unwrap();
+        let db = Database::from_object(linked.object).unwrap();
         let merged = db.object(db.targets("g")[0]);
         assert!(
             merged.defined && merged.ty == "int" && db.files().display(merged.loc) == "twins.c:2"

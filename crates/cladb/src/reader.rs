@@ -1,9 +1,13 @@
 //! Object-file reader with demand loading.
 //!
-//! [`Database`] decodes the cheap index sections eagerly (strings, object
-//! metadata, block index) and leaves the assignment payload untouched until
-//! a block is requested — the paper's "only those parts of the object file
-//! that are required are loaded". Accounting counters record how many
+//! [`Database`] builds the cheap tables eagerly (object metadata, file
+//! names, signatures, the target index) and leaves the assignment payload
+//! untouched until a block is requested — the paper's "only those parts of
+//! the object file that are required are loaded". It decodes no section
+//! itself: the bodies are cut and judged by the [`UnitView`] the linker
+//! folds, records by the `record` codecs, and what stays resident beside
+//! the bytes is where the assignment records sit in them ([`Records`]).
+//! Accounting counters record how many
 //! assignments were loaded, supporting Table 3's in-core/loaded/in-file
 //! columns. The paper used `mmap` for re-readable storage; we hold the byte
 //! buffer in memory and decode ranges on demand, which preserves the
@@ -13,14 +17,13 @@
 //! Counters are atomic so a [`Database`] can be shared read-only across the
 //! query threads of a long-running server.
 
-use crate::container::{fnv64, Container, ContainerError, Cur, StringTable};
-use crate::format::{DbError, SectionId, ASSIGN_RECORD_SIZE, FORMAT, NONE_U32};
-use cla_ir::{
-    AssignKind, CompiledUnit, FileIdx, FileTable, FunSig, ObjId, ObjKind, ObjectInfo, OpKind,
-    PrimAssign, SrcLoc, Strength,
-};
+use crate::container::{fnv64, Container};
+use crate::format::{DbError, SectionId, FORMAT, NONE_U32};
+use crate::record::{assign_records, decode_assign, ASSIGN_RECORD_SIZE};
+use crate::unit::{Records, UnitObject, UnitView};
+use cla_ir::{CompiledUnit, FileIdx, FileTable, FunSig, ObjId, ObjectInfo, PrimAssign, SrcLoc};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Accounting counters for demand loading.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -42,10 +45,13 @@ pub struct Database {
     objects: Vec<ObjectInfo>,
     files: FileTable,
     unit_name: String,
-    /// Per-object index into the dynamic blob.
-    block_index: Vec<BlockEntry>,
-    dynamic_blob: (u64, u64),
-    static_range: (u64, u32),
+    /// Where the assignment records sit in `file`.
+    records: Records,
+    /// Per block: set once the block's checksum and records have been
+    /// checked against the (immutable) in-memory bytes, so a re-fetch pays
+    /// one relaxed load instead of a re-hash. Racing checkers idempotently
+    /// store the same `true`.
+    verified: Vec<AtomicBool>,
     funsigs: Vec<FunSig>,
     funsig_by_obj: HashMap<ObjId, usize>,
     targets: HashMap<String, Vec<ObjId>>,
@@ -68,276 +74,115 @@ pub struct Database {
     obs_pub_dynamic: AtomicU64,
 }
 
-/// One dynamic-index entry. `verified` lives in the same cache line as the
-/// fields the demand loader reads anyway, so the warm-path integrity check
-/// is one relaxed load with no extra memory traffic; it flips to 1 after
-/// the block's checksum has been verified against the (immutable)
-/// in-memory bytes, and racing verifiers idempotently store the same 1.
-#[derive(Debug)]
-struct BlockEntry {
-    off: u64,
-    checksum: u64,
-    count: u32,
-    verified: AtomicU32,
-}
-
-fn corrupt(msg: &str) -> DbError {
-    ContainerError::corrupt(msg).into()
-}
-
-/// Decodes one fixed-size assignment record. Takes the record by array so
-/// the field reads need no per-read bounds or `Result` plumbing — callers
-/// validate the enclosing slice length once (`chunks_exact`), which keeps
-/// the demand-load decode as cheap as the pre-checksum reader.
+/// Decodes an array of encoded assignment records.
 #[inline]
-fn decode_assign(rec: &[u8; ASSIGN_RECORD_SIZE]) -> Result<PrimAssign, DbError> {
-    let u32_at = |i: usize| u32::from_le_bytes([rec[i], rec[i + 1], rec[i + 2], rec[i + 3]]);
-    let kind = AssignKind::from_u8(rec[0]).ok_or_else(|| corrupt("bad assignment kind"))?;
-    let dst = ObjId(u32_at(1));
-    let src = ObjId(u32_at(5));
-    let strength = match rec[9] {
-        0 => Strength::Weak,
-        1 => Strength::Strong,
-        _ => return Err(corrupt("bad strength")),
-    };
-    let op = OpKind::from_u8(rec[10]).ok_or_else(|| corrupt("bad op kind"))?;
-    let file = FileIdx(u32_at(11));
-    let line = u32_at(15);
-    Ok(PrimAssign {
-        kind,
-        dst,
-        src,
-        strength,
-        op,
-        loc: SrcLoc { file, line },
-    })
-}
-
-/// Decodes `count` contiguous assignment records from an exactly sized
-/// byte slice (callers slice `count * ASSIGN_RECORD_SIZE` bytes).
-#[inline]
-fn decode_assigns(bytes: &[u8], count: u32) -> Result<Vec<PrimAssign>, DbError> {
-    let mut out = Vec::with_capacity(count as usize);
-    for rec in bytes.chunks_exact(ASSIGN_RECORD_SIZE) {
-        out.push(decode_assign(rec.try_into().expect("chunks_exact size"))?);
-    }
-    if out.len() != count as usize {
-        return Err(corrupt("truncated assignment record"));
+fn decode_assigns(bytes: &[u8]) -> Result<Vec<PrimAssign>, DbError> {
+    let records = assign_records(bytes);
+    let mut out = Vec::with_capacity(records.len());
+    for rec in records {
+        out.push(decode_assign(rec)?);
     }
     Ok(out)
-}
-
-/// Byte length of `count` encoded assignment records.
-fn records_len(count: u32) -> u64 {
-    u64::from(count) * ASSIGN_RECORD_SIZE as u64
-}
-
-/// The `len` bytes of encoded assignment records at `off` in `data`, bounds
-/// checked (checked add rejects offset + length overflow).
-fn record_bytes(data: &[u8], off: u64, len: u64) -> Result<&[u8], DbError> {
-    off.checked_add(len)
-        .and_then(|end| data.get(usize::try_from(off).ok()?..usize::try_from(end).ok()?))
-        .ok_or_else(|| corrupt("assignment records past end of file"))
 }
 
 impl Database {
     /// Opens an object file from bytes.
     ///
-    /// Integrity verified here: the header checksum (covering the section
-    /// table), then each known section's checksum — whole body for every
-    /// section except `dynamic`, whose verified prefix is the eagerly read
-    /// block index. The dynamic blob is verified lazily, block by block, on
-    /// first demand load (see [`Database::block`]), so opening never hashes
-    /// payload bytes the analysis might not touch.
+    /// Integrity verified here is the eager half of what
+    /// [`UnitObject::verify`] checks: the header checksum (covering the
+    /// section table), each section's checksum — whole body for every
+    /// section except `dynamic`, whose verified prefix is the block index —
+    /// and the range of every id outside the dynamic blob. The blob is
+    /// checked lazily, block by block, on first demand load (see
+    /// [`Database::block`]), so opening never hashes payload bytes the
+    /// analysis might not touch; [`Database::verify_all`] runs that other
+    /// half at once.
     ///
     /// # Errors
     ///
     /// Returns [`DbError`] on malformed or damaged input.
     pub fn open(data: Vec<u8>) -> Result<Database, DbError> {
+        Database::build(Container::open(data, &FORMAT)?, false)
+    }
+
+    /// Opens an object this process holds as intact — what
+    /// [`ObjectLinker::finish`](crate::ObjectLinker::finish) just assembled
+    /// and checksummed, or what [`UnitObject::verify`] admitted — without
+    /// judging it again: no section is re-hashed and every block counts as
+    /// verified.
+    ///
+    /// # Errors
+    ///
+    /// A [`DbError`] only if the object's writer mislaid a section (a bug
+    /// in this crate — a typed error all the same).
+    pub fn from_object(object: UnitObject) -> Result<Database, DbError> {
+        Database::build(object.into_file(), true)
+    }
+
+    /// The one builder: everything is read through the [`UnitView`] the
+    /// linker folds. `trusted` skips what a [`UnitObject`] already proves.
+    fn build(file: Container, trusted: bool) -> Result<Database, DbError> {
         let obs = cla_obs::global();
         let mut sp = obs.span("db", "db.open");
-        let section_read = |id: SectionId, bytes: u64| {
-            obs.counter_with("cla_db_section_bytes_read_total", &[("section", id.name())])
-                .add(bytes);
-        };
-        let file = Container::open(data, &FORMAT)?;
-        // Every known section's stored checksum must match its bytes. For
-        // the dynamic section only the index prefix is covered (the blob is
-        // verified per block on demand) — its verified length is computed
-        // from the object count below, so here we check the others.
-        for id in SectionId::ALL {
-            if id == SectionId::Dynamic {
-                continue;
-            }
-            match file.section(id as u32, id.name()) {
-                // Missing sections are reported where they're used.
-                Ok(_) | Err(ContainerError::MissingSection(_)) => {}
-                Err(e) => return Err(e.into()),
-            }
-        }
-        // A section's table entry and (already verified) body.
-        let section = |id: SectionId| file.lookup(id as u32, id.name());
-        // A section this function reads whole, as a cursor.
-        let eager = |id: SectionId| -> Result<Cur<'_>, DbError> {
-            let (entry, body) = section(id)?;
-            section_read(id, entry.len);
-            Ok(Cur::new(body))
-        };
-
-        // Strings.
-        let mut buf = eager(SectionId::String)?;
-        let strings = StringTable::decode(&mut buf)?;
-        let get_str = |sid: u32| -> Result<&str, DbError> {
-            strings
-                .get(sid as usize)
-                .map(String::as_str)
-                .ok_or_else(|| corrupt(&format!("string id {sid} out of range")))
-        };
-
-        // Files.
-        let mut buf = eager(SectionId::File)?;
-        let count = buf.get_u32_le()? as usize;
-        let mut file_names = Vec::with_capacity(count.min(1 << 20));
-        for _ in 0..count {
-            file_names.push(get_str(buf.get_u32_le()?)?.to_string());
-        }
-        let files = FileTable::from_names(file_names);
-
-        // Objects.
-        let mut buf = eager(SectionId::Object)?;
-        let count = buf.get_u32_le()? as usize;
-        let mut objects = Vec::with_capacity(count.min(1 << 20));
-        for _ in 0..count {
-            let name = get_str(buf.get_u32_le()?)?.to_string();
-            let link_sid = buf.get_u32_le()?;
-            let link_name = if link_sid == NONE_U32 {
-                None
-            } else {
-                Some(get_str(link_sid)?.to_string())
-            };
-            let ty = get_str(buf.get_u32_le()?)?.to_string();
-            let kind = ObjKind::from_u8(buf.get_u8()?).ok_or_else(|| corrupt("bad object kind"))?;
-            // Flags byte (v3): bit 0 = defined; other bits must be zero.
-            let flags = buf.get_u8()?;
-            if flags > 1 {
-                return Err(corrupt("bad object flags"));
-            }
-            let file = FileIdx(buf.get_u32_le()?);
-            let line = buf.get_u32_le()?;
-            let in_func_raw = buf.get_u32_le()?;
-            let in_func = if in_func_raw == NONE_U32 {
-                None
-            } else {
-                Some(ObjId(in_func_raw))
-            };
+        let view = UnitView::layout(&file)?;
+        let verified_bytes = if trusted { 0 } else { view.check_eager()? };
+        let string = |sid: u32| view.strings[sid as usize].to_string();
+        let files = FileTable::from_names(view.files().map(string).collect());
+        let mut objects = Vec::with_capacity(view.object_count());
+        for rec in view.objects() {
             objects.push(ObjectInfo {
-                name,
-                link_name,
-                kind,
-                ty,
-                loc: SrcLoc { file, line },
-                in_func,
-                defined: flags & 1 != 0,
+                name: string(rec.name),
+                link_name: (rec.link != NONE_U32).then(|| string(rec.link)),
+                kind: rec.kind()?,
+                ty: string(rec.ty),
+                loc: SrcLoc {
+                    file: FileIdx(rec.file),
+                    line: rec.line,
+                },
+                in_func: (rec.in_func != NONE_U32).then_some(ObjId(rec.in_func)),
+                defined: rec.flags & 1 != 0,
             });
         }
-
-        // Static range.
-        let (entry, body) = section(SectionId::Static)?;
-        let mut buf = Cur::new(body);
-        let static_count = buf.get_u32_le()?;
-        let static_range = (entry.offset + 4, static_count);
-        // Only the 4-byte header is read eagerly; the payload is counted
-        // when `static_assigns` decodes it.
-        section_read(SectionId::Static, 4);
-
-        // Dynamic index.
-        let (entry, body) = section(SectionId::Dynamic)?;
-        let mut buf = Cur::new(body);
-        let nobjs = buf.get_u32_le()? as usize;
-        if nobjs != objects.len() {
-            return Err(corrupt("dynamic index size mismatch"));
-        }
-        let index_len = 4 + nobjs as u64 * 20;
-        if index_len > entry.len {
-            return Err(corrupt("dynamic index larger than section"));
-        }
-        // The dynamic section's stored checksum covers exactly this eagerly
-        // read index; the blob behind it carries per-block checksums.
-        file.verify(entry, "dynamic", &body[..index_len as usize])?;
-        let mut block_index = Vec::with_capacity(nobjs);
-        let mut dynamic_total: u64 = 0;
-        for _ in 0..nobjs {
-            let boff = buf.get_u64_le()?;
-            let cnt = buf.get_u32_le()?;
-            let sum = buf.get_u64_le()?;
-            dynamic_total += u64::from(cnt);
-            block_index.push(BlockEntry {
-                off: boff,
-                checksum: sum,
-                count: cnt,
-                verified: AtomicU32::new(0),
-            });
-        }
-        let dynamic_blob = (entry.offset + index_len, entry.len - index_len);
-        // Eagerly read: the per-object block index, not the blob itself.
-        section_read(SectionId::Dynamic, index_len);
-
-        // Funsigs.
-        let mut buf = eager(SectionId::FunSig)?;
-        let count = buf.get_u32_le()? as usize;
-        let mut funsigs = Vec::with_capacity(count.min(1 << 20));
+        let mut funsigs = Vec::new();
         let mut funsig_by_obj = HashMap::new();
-        for _ in 0..count {
-            let obj = ObjId(buf.get_u32_le()?);
-            let ret = ObjId(buf.get_u32_le()?);
-            let is_indirect = buf.get_u8()? != 0;
-            let nparams = buf.get_u32_le()? as usize;
-            let mut params = Vec::with_capacity(nparams.min(1 << 16));
-            for _ in 0..nparams {
-                params.push(ObjId(buf.get_u32_le()?));
-            }
-            funsig_by_obj.insert(obj, funsigs.len());
-            funsigs.push(FunSig {
-                obj,
-                params,
-                ret,
-                is_indirect,
-            });
+        for sig in view.funsigs() {
+            let sig = sig?.decode(ObjId);
+            funsig_by_obj.insert(sig.obj, funsigs.len());
+            funsigs.push(sig);
         }
-
-        // Targets.
-        let mut buf = eager(SectionId::Target)?;
-        let count = buf.get_u32_le()? as usize;
         let mut targets: HashMap<String, Vec<ObjId>> = HashMap::new();
-        for _ in 0..count {
-            let name = get_str(buf.get_u32_le()?)?.to_string();
-            let obj = ObjId(buf.get_u32_le()?);
-            targets.entry(name).or_default().push(obj);
+        for (name, obj) in view.targets() {
+            targets.entry(string(name)).or_default().push(ObjId(obj));
         }
-
-        // Meta.
-        let mut buf = eager(SectionId::Meta)?;
-        let unit_name = get_str(buf.get_u32_le()?)?.to_string();
-        let total_assigns = buf.get_u64_le()?;
-        if total_assigns != dynamic_total + u64::from(static_count) {
-            return Err(corrupt("assignment totals disagree between sections"));
+        for id in SectionId::ALL {
+            // What opening reads of each section: the static records and the
+            // blob are counted as they are decoded.
+            let read = match id {
+                SectionId::Static => 4,
+                SectionId::Dynamic => view.records.index_len(),
+                _ => file.lookup(id as u32, id.name())?.1.len(),
+            };
+            obs.counter_with("cla_db_section_bytes_read_total", &[("section", id.name())])
+                .add(read as u64);
         }
-
         sp.set("objects", objects.len());
-        sp.set("assigns_in_file", total_assigns);
+        sp.set("assigns_in_file", view.assigns);
         sp.set("bytes", file.bytes().len());
+        sp.set("strings", view.strings.len());
+        sp.set("verified_bytes", verified_bytes);
         Ok(Database {
-            file,
             objects,
             files,
-            unit_name,
-            block_index,
-            dynamic_blob,
-            static_range,
+            unit_name: view.unit_name.to_string(),
+            verified: (0..view.object_count())
+                .map(|_| AtomicBool::new(trusted))
+                .collect(),
+            records: view.records,
             funsigs,
             funsig_by_obj,
             targets,
-            assigns_in_file: total_assigns,
+            assigns_in_file: view.assigns,
+            file,
             loaded: AtomicU64::new(0),
             fetches: AtomicU64::new(0),
             static_loaded: AtomicU64::new(0),
@@ -405,43 +250,35 @@ impl Database {
     ///
     /// Returns [`DbError`] on malformed records.
     pub fn static_assigns(&self) -> Result<Vec<PrimAssign>, DbError> {
-        let (off, count) = self.static_range;
-        let bytes = record_bytes(self.file.bytes(), off, records_len(count))?;
-        let out = decode_assigns(bytes, count)?;
-        self.loaded.fetch_add(u64::from(count), Ordering::Relaxed);
-        self.static_loaded
-            .fetch_add(u64::from(count), Ordering::Relaxed);
-        self.obs_assigns_loaded.add(u64::from(count));
-        self.obs_bytes_static.add(records_len(count));
+        let bytes = self.records.statics(self.file.bytes());
+        let out = decode_assigns(bytes)?;
+        let count = out.len() as u64;
+        self.loaded.fetch_add(count, Ordering::Relaxed);
+        self.static_loaded.fetch_add(count, Ordering::Relaxed);
+        self.obs_assigns_loaded.add(count);
+        self.obs_bytes_static.add(bytes.len() as u64);
         Ok(out)
     }
 
     /// Number of assignments in the block for `obj`, without decoding it.
     pub fn block_len(&self, obj: ObjId) -> usize {
-        self.block_index
-            .get(obj.index())
-            .map_or(0, |e| e.count as usize)
+        if obj.index() >= self.verified.len() {
+            return 0;
+        }
+        self.records.entry(self.file.bytes(), obj.index()).count as usize
     }
 
-    /// Bounds-checks block `ix` and verifies its checksum on first touch.
-    /// Returns the block's raw bytes.
+    /// Block `ix`'s raw bytes, put through the per-block half of the check
+    /// ([`Records::check_block`]: checksum, then every record's ids) the
+    /// first time they are fetched.
     #[inline]
     fn block_bytes(&self, ix: usize) -> Result<&[u8], DbError> {
-        let e = &self.block_index[ix];
-        let (blob_start, blob_len) = self.dynamic_blob;
-        let need = records_len(e.count);
-        if e.off.checked_add(need).is_none_or(|end| end > blob_len) {
-            return Err(corrupt("block past end of dynamic blob"));
+        let data = self.file.bytes();
+        if self.verified[ix].load(Ordering::Relaxed) {
+            return Ok(self.records.block(data, ix)?);
         }
-        let bytes = record_bytes(self.file.bytes(), blob_start + e.off, need)?;
-        // Lazy integrity: hash the block the first time it is fetched, then
-        // remember — the bytes are immutable in memory, so the warm
-        // demand-load path pays one relaxed load of a flag sitting in the
-        // index entry's own cache line instead of a re-hash.
-        if e.verified.load(Ordering::Relaxed) == 0 {
-            FORMAT.check(fnv64(bytes), e.checksum, || format!("dynamic block {ix}"))?;
-            e.verified.store(1, Ordering::Relaxed);
-        }
+        let bytes = self.records.check_block(data, ix)?;
+        self.verified[ix].store(true, Ordering::Relaxed);
         Ok(bytes)
     }
 
@@ -455,29 +292,29 @@ impl Database {
     /// Returns [`DbError`] on malformed records and on damaged block
     /// bytes (a checksum mismatch).
     pub fn block(&self, obj: ObjId) -> Result<Vec<PrimAssign>, DbError> {
-        if obj.index() >= self.block_index.len() {
+        if obj.index() >= self.verified.len() {
             return Ok(Vec::new());
         }
-        let count = self.block_index[obj.index()].count;
-        let out = decode_assigns(self.block_bytes(obj.index())?, count)?;
+        let out = decode_assigns(self.block_bytes(obj.index())?)?;
         self.fetches.fetch_add(1, Ordering::Relaxed);
-        self.loaded.fetch_add(u64::from(count), Ordering::Relaxed);
+        self.loaded.fetch_add(out.len() as u64, Ordering::Relaxed);
         Ok(out)
     }
 
-    /// Verifies every lazily checked checksum in the file (all dynamic
-    /// blocks) in one pass. `Database::open` already verified the header,
-    /// section table, and every eager section, so after `verify_all`
-    /// returns `Ok` there is no byte the analysis can read whose integrity
-    /// has not been confirmed. Used before swapping a reloaded database
-    /// into a serving session, where a mid-solve checksum failure would be
-    /// far more disruptive than this one sequential scan.
+    /// Runs the per-block half of the check over every block not yet
+    /// fetched, in one pass. `Database::open` ran the eager half, so after
+    /// `verify_all` returns `Ok` the file has passed everything
+    /// [`UnitObject::verify`] checks and there is no byte or id the
+    /// analysis can read that has not been confirmed. Used before a
+    /// database reaches a solver, which indexes by the ids it reads and
+    /// where a mid-solve failure would be far more disruptive than this one
+    /// sequential scan.
     ///
     /// # Errors
     ///
     /// The first [`DbError`] any block fails with.
     pub fn verify_all(&self) -> Result<(), DbError> {
-        for ix in 0..self.block_index.len() {
+        for ix in 0..self.verified.len() {
             self.block_bytes(ix)?;
         }
         Ok(())
@@ -564,8 +401,9 @@ impl Database {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::container::ContainerError;
     use crate::writer::write_object;
-    use cla_ir::{compile_source, LowerOptions};
+    use cla_ir::{compile_source, AssignKind, LowerOptions};
 
     fn db_for(src: &str) -> Database {
         let unit = compile_source(src, "a.c", &LowerOptions::default()).unwrap();

@@ -1,93 +1,141 @@
-//! One unit's encoded object as the unit of exchange of the build path.
+//! The one reader of object-file section bodies, and the encoded object as
+//! the unit of exchange of the build path.
 //!
 //! The compile phase hands the link phase object *files* (paper §4), not the
 //! compiler's in-memory form: a [`UnitObject`] is the bytes [`write_object`]
-//! produced for one translation unit together with the guarantee that they
-//! are intact, and a [`UnitView`] is the borrowed reading of those bytes the
-//! [`ObjectLinker`](crate::ObjectLinker) folds — string table as `&str`s,
-//! fixed-size records as byte slices, nothing decoded into `ObjectInfo` or
-//! `String`.
+//! (or the linker) produced together with the guarantee that they are
+//! intact, and a [`UnitView`] is the borrowed reading of those bytes —
+//! string table as `&str`s, fixed-size records as byte slices, nothing
+//! decoded into `ObjectInfo` or `String` — that the
+//! [`ObjectLinker`](crate::ObjectLinker) folds and a
+//! [`Database`](crate::Database) is built from.
 //!
-//! There are two ways to hold a `UnitObject`. [`UnitObject::encode`] wraps
-//! what this process just wrote. [`UnitObject::verify`] takes bytes from
-//! anywhere else — a compile cache — and runs every integrity check the
-//! format has before they may reach the linker: header and section table,
-//! every section checksum, every dynamic block's checksum, and every
-//! reference a fold follows (string ids, object ids, file indices, enum
-//! bytes), so the fold itself never meets a value it has to doubt.
+//! The view is also the one checker. Its eager half
+//! ([`UnitView::check_eager`]) covers every section checksum and every id
+//! outside the dynamic blob; its per-block half ([`Records::check_block`])
+//! one block's checksum and records. [`UnitObject::verify`] runs both over
+//! bytes from anywhere else — a compile cache — before they may reach the
+//! linker; `Database::open` runs the first and leaves the second to each
+//! block's first fetch or to `verify_all`; `Database::from_object` runs
+//! neither, because the only ways to hold a `UnitObject` are to have written
+//! it ([`UnitObject::encode`], `ObjectLinker::finish`) or verified it.
 
-use crate::container::{fnv64, Container, ContainerError, Cur};
-use crate::format::{DbError, SectionId, ASSIGN_RECORD_SIZE, FORMAT, NONE_U32};
-use crate::writer::{u32_at, write_object, BLOCK_ENTRY_SIZE, RECORD_DST, RECORD_FILE, RECORD_SRC};
-use cla_ir::{AssignKind, CompiledUnit, ObjKind, OpKind};
-
-/// Byte size of one record of the object section.
-pub(crate) const OBJECT_RECORD_SIZE: usize = 26;
-
-/// One record of the object section, as stored: string ids unresolved.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ObjectRecord {
-    pub name: u32,
-    /// [`NONE_U32`] for an object without linkage.
-    pub link: u32,
-    pub ty: u32,
-    pub kind: u8,
-    /// Bit 0 = defined.
-    pub flags: u8,
-    /// `u32::MAX` when the object has no location.
-    pub file: u32,
-    pub line: u32,
-    /// [`NONE_U32`] outside a function.
-    pub in_func: u32,
-}
-
-impl ObjectRecord {
-    fn decode(rec: &[u8]) -> ObjectRecord {
-        ObjectRecord {
-            name: u32_at(rec, 0),
-            link: u32_at(rec, 4),
-            ty: u32_at(rec, 8),
-            kind: rec[12],
-            flags: rec[13],
-            file: u32_at(rec, 14),
-            line: u32_at(rec, 18),
-            in_func: u32_at(rec, 22),
-        }
-    }
-}
-
-/// One signature of the funsig section, parameters still encoded.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct SigRecord<'a> {
-    pub obj: u32,
-    pub ret: u32,
-    pub is_indirect: bool,
-    /// `u32` object ids, little-endian, back to back.
-    pub params: &'a [u8],
-}
-
-/// The borrowed reading of one unit object. Section bodies are held as the
-/// byte slices they are in the file, cut to their record arrays.
-#[derive(Debug)]
-pub(crate) struct UnitView<'a> {
-    pub(crate) strings: Vec<&'a str>,
-    /// String ids of the file table, 4 bytes each.
-    files: &'a [u8],
-    /// [`OBJECT_RECORD_SIZE`]-byte records.
-    objects: &'a [u8],
-    /// The static section's address-of records.
-    pub(crate) statics: &'a [u8],
-    /// [`BLOCK_ENTRY_SIZE`]-byte entries, one per object.
-    index: &'a [u8],
-    blob: &'a [u8],
-    funsig_count: u32,
-    funsigs: &'a [u8],
-    /// The assignment total the meta section states.
-    assigns: u64,
-}
+use crate::container::{fnv64, Container, ContainerError, Cur, StringTable};
+use crate::format::{DbError, SectionId, FORMAT, NONE_U32};
+use crate::record::{
+    assign_records, decode_assign, ids, pairs, AssignRecord, BlockEntry, ObjectRecord, SigRecord,
+    ASSIGN_RECORD_SIZE, PAIR_SIZE,
+};
+use crate::writer::write_object;
+use cla_ir::{AssignKind, CompiledUnit};
+use std::ops::Range;
 
 fn corrupt(msg: &str) -> ContainerError {
     ContainerError::corrupt(msg)
+}
+
+/// Where the assignment records of an object file sit in its bytes, and the
+/// table sizes their ids are judged against: everything the per-block half
+/// of the check needs. Offsets rather than slices, so a
+/// [`Database`](crate::Database) keeps one beside the bytes it owns and
+/// fetches, and on first fetch checks, a block through the same code
+/// [`UnitObject::verify`] runs over all of them.
+#[derive(Debug, Clone)]
+pub(crate) struct Records {
+    /// The static section's address-of records.
+    statics: Range<usize>,
+    /// The dynamic section's [`BlockEntry`]s, one per object.
+    index: Range<usize>,
+    /// The blocks behind the index.
+    blob: Range<usize>,
+    nfiles: u32,
+}
+
+impl Records {
+    /// Blocks in the index: one per object the file declares.
+    pub(crate) fn block_count(&self) -> usize {
+        self.index.len() / BlockEntry::SIZE
+    }
+
+    /// Byte length of the index, count included: the prefix of the dynamic
+    /// section that is read, and checksummed, eagerly.
+    pub(crate) fn index_len(&self) -> usize {
+        BlockEntry::index_len(self.block_count())
+    }
+
+    pub(crate) fn statics<'a>(&self, data: &'a [u8]) -> &'a [u8] {
+        &data[self.statics.clone()]
+    }
+
+    pub(crate) fn entry(&self, data: &[u8], ix: usize) -> BlockEntry {
+        BlockEntry::decode(&data[self.index.clone()][ix * BlockEntry::SIZE..][..BlockEntry::SIZE])
+    }
+
+    /// The encoded records of object `ix`'s block, as they are: bounds
+    /// checked, nothing more.
+    pub(crate) fn block<'a>(&self, data: &'a [u8], ix: usize) -> Result<&'a [u8], ContainerError> {
+        (self.entry(data, ix).records(&data[self.blob.clone()]))
+            .ok_or_else(|| corrupt("block past end of dynamic blob"))
+    }
+
+    /// Checks one assignment record; `owner` is the object whose block it
+    /// sits in (`None` for the static section).
+    fn check_record(&self, rec: &AssignRecord, owner: Option<u32>) -> Result<(), ContainerError> {
+        let nobjs = self.block_count() as u32;
+        let a = decode_assign(rec)?;
+        // The writer's partition: address-of records in the static section,
+        // everything else in the block of its source object.
+        if (a.kind == AssignKind::Addr) != owner.is_none() {
+            return Err(corrupt("assignment in the wrong section"));
+        }
+        if a.dst.0 >= nobjs || a.src.0 >= nobjs || owner.is_some_and(|o| o != a.src.0) {
+            return Err(corrupt("assignment object out of range"));
+        }
+        if a.loc.file.0 != u32::MAX && a.loc.file.0 >= self.nfiles {
+            return Err(corrupt("assignment file out of range"));
+        }
+        Ok(())
+    }
+
+    /// The per-block half of the check: block `ix`'s checksum, then every
+    /// record in it. Returns the block's records.
+    pub(crate) fn check_block<'a>(
+        &self,
+        data: &'a [u8],
+        ix: usize,
+    ) -> Result<&'a [u8], ContainerError> {
+        let block = self.block(data, ix)?;
+        let sum = self.entry(data, ix).checksum;
+        FORMAT.check(fnv64(block), sum, || format!("dynamic block {ix}"))?;
+        for rec in assign_records(block) {
+            self.check_record(rec, Some(ix as u32))?;
+        }
+        Ok(block)
+    }
+}
+
+/// The borrowed reading of one object file: the only code that cuts the
+/// nine section bodies ([`UnitView::layout`]) and judges them
+/// ([`UnitView::check_eager`], [`Records::check_block`]). Bodies are held as
+/// the byte slices they are in the file, cut to their record arrays.
+#[derive(Debug)]
+pub(crate) struct UnitView<'a> {
+    file: &'a Container,
+    pub(crate) strings: Vec<&'a str>,
+    pub(crate) unit_name: &'a str,
+    /// String ids of the file table.
+    files: &'a [u8],
+    /// [`ObjectRecord`]s.
+    objects: &'a [u8],
+    /// The `(link name, object)` pairs of the global section.
+    globals: &'a [u8],
+    /// The `(display name, object)` pairs of the target section.
+    targets: &'a [u8],
+    pub(crate) records: Records,
+    funsig_count: u32,
+    funsigs: &'a [u8],
+    /// The assignment total the meta section states.
+    pub(crate) assigns: u64,
 }
 
 /// A section that is a `u32` count followed by exactly that many
@@ -107,79 +155,83 @@ fn counted<'a>(body: &'a [u8], record: usize, name: &str) -> Result<&'a [u8], Co
 impl<'a> UnitView<'a> {
     /// Cuts the sections of `file` into the view's slices. Checks shapes —
     /// presence, counts against lengths, UTF-8 — and no checksum.
-    fn layout(file: &'a Container) -> Result<UnitView<'a>, ContainerError> {
-        let body = |id: SectionId| file.lookup(id as u32, id.name()).map(|(_, body)| body);
+    pub(crate) fn layout(file: &'a Container) -> Result<UnitView<'a>, ContainerError> {
+        let section = |id: SectionId| file.lookup(id as u32, id.name());
+        let body = |id: SectionId| section(id).map(|(_, body)| body);
         let mut cur = Cur::new(body(SectionId::String)?);
-        let count = cur.get_u32_le()? as usize;
-        let mut strings = Vec::with_capacity(count.min(1 << 20));
-        for _ in 0..count {
-            strings.push(cur.get_str()?);
-        }
+        let strings = StringTable::decode(&mut cur)?;
         cur.finish("string")?;
-        let objects = counted(body(SectionId::Object)?, OBJECT_RECORD_SIZE, "object")?;
-        let nobjs = objects.len() / OBJECT_RECORD_SIZE;
-        let dynamic = body(SectionId::Dynamic)?;
-        let index_len = 4 + nobjs * BLOCK_ENTRY_SIZE;
+        let files = counted(body(SectionId::File)?, 4, "file")?;
+        let objects = counted(body(SectionId::Object)?, ObjectRecord::SIZE, "object")?;
+        let nobjs = objects.len() / ObjectRecord::SIZE;
+        let (entry, statics) = section(SectionId::Static)?;
+        counted(statics, ASSIGN_RECORD_SIZE, "static")?;
+        let at = entry.offset as usize;
+        let statics = at + 4..at + statics.len();
+        let (entry, dynamic) = section(SectionId::Dynamic)?;
+        let index_len = BlockEntry::index_len(nobjs);
         if Cur::new(dynamic).get_u32_le()? as usize != nobjs || dynamic.len() < index_len {
             return Err(corrupt("dynamic index size mismatch"));
         }
+        let at = entry.offset as usize;
         let funsigs = body(SectionId::FunSig)?;
         let funsig_count = Cur::new(funsigs).get_u32_le()?;
         let mut meta = Cur::new(body(SectionId::Meta)?);
-        if meta.get_u32_le()? as usize >= strings.len() {
-            return Err(corrupt("unit name out of range"));
-        }
+        let unit_name = (strings.get(meta.get_u32_le()? as usize))
+            .ok_or_else(|| corrupt("unit name out of range"))?;
         let assigns = meta.get_u64_le()?;
         meta.finish("meta")?;
         Ok(UnitView {
-            strings,
-            files: counted(body(SectionId::File)?, 4, "file")?,
+            file,
+            unit_name,
+            files,
             objects,
-            statics: counted(body(SectionId::Static)?, ASSIGN_RECORD_SIZE, "static")?,
-            index: &dynamic[4..index_len],
-            blob: &dynamic[index_len..],
+            globals: counted(body(SectionId::Global)?, PAIR_SIZE, "global")?,
+            targets: counted(body(SectionId::Target)?, PAIR_SIZE, "target")?,
+            records: Records {
+                statics,
+                index: at + 4..at + index_len,
+                blob: at + index_len..at + dynamic.len(),
+                nfiles: ids(files).len() as u32,
+            },
             funsig_count,
             funsigs: &funsigs[4..],
             assigns,
+            strings,
         })
     }
 
     /// Number of objects the unit declares.
     pub(crate) fn object_count(&self) -> usize {
-        self.objects.len() / OBJECT_RECORD_SIZE
+        self.records.block_count()
     }
 
     /// String ids of the file table, in file-index order.
-    pub(crate) fn files(&self) -> impl ExactSizeIterator<Item = u32> + 'a {
-        self.files.chunks_exact(4).map(|sid| u32_at(sid, 0))
+    pub(crate) fn files(&self) -> impl ExactSizeIterator<Item = u32> + Clone + 'a {
+        ids(self.files)
     }
 
     pub(crate) fn objects(&self) -> impl ExactSizeIterator<Item = ObjectRecord> + 'a {
-        self.objects
-            .chunks_exact(OBJECT_RECORD_SIZE)
-            .map(ObjectRecord::decode)
+        (self.objects.as_chunks().0.iter()).map(ObjectRecord::decode)
     }
 
-    /// The encoded records of object `ix`'s block and its stored checksum,
-    /// or `None` when the index entry points outside the blob.
-    fn block(&self, ix: usize) -> Option<(&'a [u8], u64)> {
-        let entry = &self.index[ix * BLOCK_ENTRY_SIZE..][..BLOCK_ENTRY_SIZE];
-        let off = u64::from_le_bytes(entry[..8].try_into().expect("8 bytes"));
-        let len = u64::from(u32_at(entry, 8)) * ASSIGN_RECORD_SIZE as u64;
-        let sum = u64::from_le_bytes(entry[12..].try_into().expect("8 bytes"));
-        let end = off.checked_add(len)?;
-        let bytes = self
-            .blob
-            .get(usize::try_from(off).ok()?..usize::try_from(end).ok()?)?;
-        Some((bytes, sum))
+    /// The `(display name, object)` pairs of the target index.
+    pub(crate) fn targets(&self) -> impl ExactSizeIterator<Item = (u32, u32)> + 'a {
+        pairs(self.targets)
+    }
+
+    /// The static section's address-of records.
+    pub(crate) fn statics(&self) -> &'a [u8] {
+        self.records.statics(self.file.bytes())
     }
 
     /// Every dynamic block's records, in object order: the order
     /// [`Database::to_unit`](crate::Database::to_unit) lists them in.
     pub(crate) fn blocks(&self) -> impl Iterator<Item = &'a [u8]> + '_ {
-        // `verify` proved every entry in range; an unverified view is one
-        // `write_object` just laid out.
-        (0..self.object_count()).map(|ix| self.block(ix).map_or(&[][..], |(bytes, _)| bytes))
+        // `check` proved every entry in range; an unchecked view is one
+        // this process laid out.
+        let data = self.file.bytes();
+        (0..self.object_count()).map(move |ix| self.records.block(data, ix).unwrap_or(&[]))
     }
 
     /// The signatures, or the first malformed one.
@@ -187,65 +239,27 @@ impl<'a> UnitView<'a> {
         &self,
     ) -> impl Iterator<Item = Result<SigRecord<'a>, ContainerError>> + '_ {
         let mut cur = Cur::new(self.funsigs);
-        (0..self.funsig_count).map(move |_| {
-            let obj = cur.get_u32_le()?;
-            let ret = cur.get_u32_le()?;
-            let is_indirect = match cur.get_u8()? {
-                0 => false,
-                1 => true,
-                _ => return Err(corrupt("bad indirect flag")),
-            };
-            let nparams = cur.get_u32_le()? as usize;
-            let params = cur.take(nparams.checked_mul(4).ok_or_else(|| corrupt("bad arity"))?)?;
-            Ok(SigRecord {
-                obj,
-                ret,
-                is_indirect,
-                params,
-            })
-        })
+        (0..self.funsig_count).map(move |_| SigRecord::read(&mut cur))
     }
 
-    /// Checks one assignment record; `owner` is the object whose block it
-    /// sits in (`None` for the static section).
-    fn check_record(&self, rec: &[u8], owner: Option<u32>) -> Result<(), ContainerError> {
-        let nobjs = self.object_count() as u32;
-        let nfiles = (self.files.len() / 4) as u32;
-        let kind = AssignKind::from_u8(rec[0]).ok_or_else(|| corrupt("bad assignment kind"))?;
-        // The writer's partition: address-of records in the static section,
-        // everything else in the block of its source object.
-        if (kind == AssignKind::Addr) != owner.is_none() {
-            return Err(corrupt("assignment in the wrong section"));
-        }
-        if rec[9] > 1 {
-            return Err(corrupt("bad strength"));
-        }
-        OpKind::from_u8(rec[10]).ok_or_else(|| corrupt("bad op kind"))?;
-        let src = u32_at(rec, RECORD_SRC);
-        if u32_at(rec, RECORD_DST) >= nobjs || src >= nobjs || owner.is_some_and(|o| o != src) {
-            return Err(corrupt("assignment object out of range"));
-        }
-        let file = u32_at(rec, RECORD_FILE);
-        if file != u32::MAX && file >= nfiles {
-            return Err(corrupt("assignment file out of range"));
-        }
-        Ok(())
-    }
-
-    /// Everything [`UnitView::layout`] left unchecked: the checksum of every
-    /// section and block, and the range of every id a fold follows.
-    fn check(&self, file: &Container) -> Result<(), ContainerError> {
+    /// The eager half of the check, everything [`UnitView::layout`] left
+    /// open but the blob: the checksum of every section (`dynamic` by its
+    /// index) and the range of every id outside a block. Returns how many
+    /// bytes it hashed.
+    pub(crate) fn check_eager(&self) -> Result<u64, ContainerError> {
+        let mut hashed = 0;
         for id in SectionId::ALL {
-            if id != SectionId::Dynamic {
-                file.section(id as u32, id.name())?;
-            }
+            let (entry, body) = self.file.lookup(id as u32, id.name())?;
+            let covered = match id {
+                SectionId::Dynamic => &body[..self.records.index_len()],
+                _ => body,
+            };
+            self.file.verify(entry, id.name(), covered)?;
+            hashed += covered.len() as u64;
         }
-        let (entry, body) = file.lookup(SectionId::Dynamic as u32, "dynamic")?;
-        file.verify(entry, "dynamic", &body[..4 + self.index.len()])?;
-
+        let data = self.file.bytes();
         let nstrings = self.strings.len() as u32;
         let nobjs = self.object_count() as u32;
-        let nfiles = self.files().len() as u32;
         if self.files().any(|sid| sid >= nstrings) {
             return Err(corrupt("file name out of range"));
         }
@@ -254,52 +268,59 @@ impl<'a> UnitView<'a> {
             {
                 return Err(corrupt("object string out of range"));
             }
-            if ObjKind::from_u8(o.kind).is_none() {
-                return Err(corrupt("bad object kind"));
-            }
-            if o.flags > 1 {
-                return Err(corrupt("bad object flags"));
-            }
-            if (o.file != u32::MAX && o.file >= nfiles)
+            o.kind()?;
+            if (o.file != u32::MAX && o.file >= self.records.nfiles)
                 || (o.in_func != NONE_U32 && o.in_func >= nobjs)
             {
                 return Err(corrupt("object reference out of range"));
             }
         }
-        for rec in self.statics.chunks_exact(ASSIGN_RECORD_SIZE) {
-            self.check_record(rec, None)?;
+        if pairs(self.globals)
+            .chain(self.targets())
+            .any(|(s, o)| s >= nstrings || o >= nobjs)
+        {
+            return Err(corrupt("global or target pair out of range"));
         }
-        let mut total = (self.statics.len() / ASSIGN_RECORD_SIZE) as u64;
-        for ix in 0..nobjs {
-            let (block, sum) = self
-                .block(ix as usize)
-                .ok_or_else(|| corrupt("block past end of dynamic blob"))?;
-            FORMAT.check(fnv64(block), sum, || format!("dynamic block {ix}"))?;
-            for rec in block.chunks_exact(ASSIGN_RECORD_SIZE) {
-                self.check_record(rec, Some(ix))?;
-            }
-            total += (block.len() / ASSIGN_RECORD_SIZE) as u64;
+        let statics = assign_records(self.statics());
+        for rec in statics {
+            self.records.check_record(rec, None)?;
         }
-        if total != self.assigns {
+        let dynamic: u64 = (0..nobjs as usize)
+            .map(|ix| u64::from(self.records.entry(data, ix).count))
+            .sum();
+        if statics.len() as u64 + dynamic != self.assigns {
             return Err(corrupt("assignment totals disagree between sections"));
+        }
+        if dynamic * ASSIGN_RECORD_SIZE as u64 != self.records.blob.len() as u64 {
+            return Err(corrupt("dynamic blob is not the blocks of its index"));
         }
         let mut sig_bytes = 0;
         for sig in self.funsigs() {
             let sig = sig?;
-            let params = sig.params.chunks_exact(4).map(|p| u32_at(p, 0));
-            if sig.obj >= nobjs || sig.ret >= nobjs || params.clone().any(|p| p >= nobjs) {
+            if sig.obj >= nobjs || sig.ret >= nobjs || ids(sig.params).any(|p| p >= nobjs) {
                 return Err(corrupt("signature object out of range"));
             }
-            sig_bytes += 13 + sig.params.len();
+            sig_bytes += sig.encoded_len();
         }
         if sig_bytes != self.funsigs.len() {
             return Err(corrupt("trailing bytes in funsig section"));
+        }
+        Ok(hashed)
+    }
+
+    /// Both halves: every integrity check the format has.
+    fn check(&self) -> Result<(), ContainerError> {
+        self.check_eager()?;
+        for ix in 0..self.object_count() {
+            self.records.check_block(self.file.bytes(), ix)?;
         }
         Ok(())
     }
 }
 
-/// The encoded object of one translation unit, known to be intact.
+/// The encoded object of one translation unit or one linked program, known
+/// to be intact: written and checksummed in this process, or admitted by
+/// [`UnitObject::verify`].
 #[derive(Debug, Clone)]
 pub struct UnitObject {
     file: Container,
@@ -309,8 +330,12 @@ impl UnitObject {
     /// Encodes a freshly compiled unit ([`write_object`]).
     #[must_use]
     pub fn encode(unit: &CompiledUnit) -> UnitObject {
-        let file = Container::open(write_object(unit), &FORMAT)
-            .expect("write_object seals the header it writes");
+        UnitObject::sealed(write_object(unit))
+    }
+
+    /// Wraps object bytes this process has just assembled.
+    pub(crate) fn sealed(bytes: Vec<u8>) -> UnitObject {
+        let file = Container::open(bytes, &FORMAT).expect("a header this process just sealed");
         UnitObject { file }
     }
 
@@ -322,7 +347,10 @@ impl UnitObject {
     }
 
     /// Admits object bytes from outside this process, running every
-    /// integrity check the format has (see the module comment).
+    /// integrity check the format has (see the module comment): what
+    /// [`Database::open`](crate::Database::open) followed by
+    /// [`Database::verify_all`](crate::Database::verify_all) runs, with the
+    /// same verdict.
     ///
     /// # Errors
     ///
@@ -332,7 +360,7 @@ impl UnitObject {
         let mut sp = cla_obs::global().span("db", "db.verify_object");
         sp.set("bytes", bytes.len());
         let file = Container::open(bytes, &FORMAT)?;
-        UnitView::layout(&file)?.check(&file)?;
+        UnitView::layout(&file)?.check()?;
         Ok(UnitObject { file })
     }
 
@@ -345,6 +373,12 @@ impl UnitObject {
     /// The borrowed reading a linker folds.
     pub(crate) fn view(&self) -> UnitView<'_> {
         UnitView::layout(&self.file).expect("a unit object is laid out as its writer left it")
+    }
+
+    /// The file, for [`Database::from_object`](crate::Database::from_object)
+    /// to read without judging it again.
+    pub(crate) fn into_file(self) -> Container {
+        self.file
     }
 }
 
@@ -369,7 +403,7 @@ mod tests {
         assert_eq!(view.assigns, unit.assigns.len() as u64);
         assert_eq!(view.funsigs().count(), unit.funsigs.len());
         let dynamic: usize = view.blocks().map(|b| b.len() / ASSIGN_RECORD_SIZE).sum();
-        let statics = view.statics.len() / ASSIGN_RECORD_SIZE;
+        let statics = view.statics().len() / ASSIGN_RECORD_SIZE;
         assert_eq!(statics + dynamic, unit.assigns.len());
         assert_eq!(UnitObject::encode(&unit).bytes(), object.bytes());
     }
@@ -390,20 +424,43 @@ mod tests {
     }
 
     #[test]
-    fn resealed_bad_references_are_rejected() {
+    fn resealed_bad_references_are_rejected_however_the_bytes_are_admitted() {
         // Damage under a recomputed checksum: only the range checks stand
-        // between these bytes and an out-of-bounds index in the fold.
-        let mut unit = compile_source(SRC, "a.c", &LowerOptions::default()).unwrap();
-        let n = unit.objects.len() as u32;
-        unit.funsigs[0].params.push(cla_ir::ObjId(n));
-        assert!(UnitObject::verify(write_object(&unit)).is_err());
-        unit.funsigs[0].params.pop();
-        unit.objects[1].in_func = Some(cla_ir::ObjId(n + 7));
-        assert!(UnitObject::verify(write_object(&unit)).is_err());
-        unit.objects[1].in_func = None;
-        unit.assigns[0].loc.file = cla_ir::FileIdx(40);
-        assert!(UnitObject::verify(write_object(&unit)).is_err());
+        // between these bytes and an out-of-bounds index in a fold or a
+        // solve. One table, both routes in.
+        use crate::Database;
+        use cla_ir::{AssignKind, FileIdx, ObjId};
+        type Damage = fn(&mut CompiledUnit, u32);
+        let cases: [(&str, Damage); 5] = [
+            ("funsig param", |u, n| u.funsigs[0].params.push(ObjId(n))),
+            ("in_func", |u, n| u.objects[1].in_func = Some(ObjId(n + 7))),
+            ("Addr dst", |u, n| {
+                let at = u.assigns.iter().position(|a| a.kind == AssignKind::Addr);
+                u.assigns[at.unwrap()].dst = ObjId(n);
+            }),
+            ("Copy dst", |u, n| {
+                let at = u.assigns.iter().position(|a| a.kind == AssignKind::Copy);
+                u.assigns[at.unwrap()].dst = ObjId(n + 1);
+            }),
+            ("loc.file", |u, _| u.assigns[0].loc.file = FileIdx(40)),
+        ];
+        let pristine = compile_source(SRC, "a.c", &LowerOptions::default()).unwrap();
+        let routes = |bytes: Vec<u8>| {
+            let linker = UnitObject::verify(bytes.clone()).map(|_| ());
+            let solver = Database::open(bytes).and_then(|db| db.verify_all());
+            (linker, solver)
+        };
+        assert_eq!(routes(write_object(&pristine)), (Ok(()), Ok(())));
+        for (what, damage) in cases {
+            let mut unit = pristine.clone();
+            damage(&mut unit, pristine.objects.len() as u32);
+            let (linker, solver) = routes(write_object(&unit));
+            assert!(matches!(linker, Err(DbError::Container(_))), "{what}");
+            assert_eq!(linker, solver, "{what}: the two routes disagree");
+        }
+        // A record without a location is in range.
+        let mut unit = pristine;
         unit.assigns[0].loc = cla_ir::SrcLoc::NONE;
-        assert!(UnitObject::verify(write_object(&unit)).is_ok());
+        assert_eq!(routes(write_object(&unit)), (Ok(()), Ok(())));
     }
 }

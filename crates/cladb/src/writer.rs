@@ -5,35 +5,14 @@
 //! for a later phase to load.
 
 use crate::container::{assemble, fnv64, Put, Section, StringTable};
-use crate::format::{SectionId, ASSIGN_RECORD_SIZE, FORMAT, NONE_U32};
+use crate::format::{SectionId, FORMAT, NONE_U32};
+use crate::record::{
+    assign_records, assign_src, put_assign, put_pair, BlockEntry, ObjectRecord, SigRecord,
+    ASSIGN_RECORD_SIZE, PAIR_SIZE,
+};
 use cla_ir::{CompiledUnit, FunSig, ObjId, PrimAssign};
 use std::io::Write as _;
 use std::path::Path;
-
-/// Byte size of one entry of the dynamic section's block index.
-pub(crate) const BLOCK_ENTRY_SIZE: usize = 20;
-
-/// Where the destination object, the source object and the location's file
-/// index sit inside an encoded assignment record: the three fields a link
-/// relocates.
-pub(crate) const RECORD_DST: usize = 1;
-pub(crate) const RECORD_SRC: usize = 5;
-pub(crate) const RECORD_FILE: usize = 11;
-
-/// The little-endian `u32` at `at` in `bytes`.
-pub(crate) fn u32_at(bytes: &[u8], at: usize) -> u32 {
-    u32::from_le_bytes(bytes[at..at + 4].try_into().expect("a 4-byte slice"))
-}
-
-pub(crate) fn put_assign(buf: &mut Vec<u8>, a: &PrimAssign) {
-    buf.put_u8(a.kind as u8);
-    buf.put_u32_le(a.dst.0);
-    buf.put_u32_le(a.src.0);
-    buf.put_u8(a.strength as u8);
-    buf.put_u8(a.op as u8);
-    buf.put_u32_le(a.loc.file.0);
-    buf.put_u32_le(a.loc.line);
-}
 
 /// Serializes a compiled unit to object-file bytes.
 ///
@@ -47,128 +26,126 @@ pub fn write_object(unit: &CompiledUnit) -> Vec<u8> {
     sp.set("unit", unit.file.as_str());
     let mut strings = StringTable::default();
 
-    // ---- file section payload (names interned) ----
-    let mut file_sec = Vec::new();
-    file_sec.put_u32_le(unit.files.names().len() as u32);
-    for name in unit.files.names() {
-        let sid = strings.intern(name);
-        file_sec.put_u32_le(sid);
-    }
-
-    // ---- object section ----
-    let mut obj_sec = Vec::new();
-    obj_sec.put_u32_le(unit.objects.len() as u32);
-    for o in &unit.objects {
-        obj_sec.put_u32_le(strings.intern(&o.name));
-        match &o.link_name {
-            Some(l) => obj_sec.put_u32_le(strings.intern(l)),
-            None => obj_sec.put_u32_le(NONE_U32),
-        }
-        obj_sec.put_u32_le(strings.intern(&o.ty));
-        obj_sec.put_u8(o.kind as u8);
-        // Flags byte (v3): bit 0 = defined. Spare bits reserved.
-        obj_sec.put_u8(u8::from(o.defined));
-        obj_sec.put_u32_le(o.loc.file.0);
-        obj_sec.put_u32_le(o.loc.line);
-        obj_sec.put_u32_le(o.in_func.map_or(NONE_U32, |f| f.0));
-    }
-
-    // ---- global (linking) section ----
-    let globals: Vec<(u32, u32)> = unit
-        .objects
-        .iter()
-        .enumerate()
-        .filter_map(|(i, o)| o.link_name.as_ref().map(|l| (strings.intern(l), i as u32)))
+    // Strings are interned in the order that fixes their ids: file names,
+    // each object's name, link name and type, the unit's name.
+    let files: Vec<u32> = (unit.files.names().iter())
+        .map(|name| strings.intern(name))
         .collect();
-    let glob_sec = pair_section(&globals);
-
-    // ---- static + dynamic sections ----
-    let mut static_sec = Vec::new();
-    let statics: Vec<&PrimAssign> = unit
-        .assigns
-        .iter()
-        .filter(|a| a.kind == cla_ir::AssignKind::Addr)
+    let objects: Vec<ObjectRecord> = (unit.objects.iter())
+        .map(|o| ObjectRecord {
+            name: strings.intern(&o.name),
+            link: (o.link_name.as_ref()).map_or(NONE_U32, |l| strings.intern(l)),
+            ty: strings.intern(&o.ty),
+            kind: o.kind as u8,
+            flags: u8::from(o.defined),
+            file: o.loc.file.0,
+            line: o.loc.line,
+            in_func: o.in_func.map_or(NONE_U32, |f| f.0),
+        })
         .collect();
-    static_sec.put_u32_le(statics.len() as u32);
-    for a in &statics {
-        put_assign(&mut static_sec, a);
-    }
-
-    let mut dynamics = Vec::new();
+    let name = strings.intern(&unit.file);
+    let (mut statics, mut dynamics) = (Vec::new(), Vec::new());
     for a in &unit.assigns {
-        if a.kind != cla_ir::AssignKind::Addr {
-            put_assign(&mut dynamics, a);
-        }
+        let out = match block_key(a) {
+            None => &mut statics,
+            Some(_) => &mut dynamics,
+        };
+        put_assign(out, a);
     }
-    let (dyn_sec, dyn_index_len) = dynamic_section(unit.objects.len(), &dynamics);
-
-    let sig_sec = funsig_section(unit.funsigs.iter());
-
-    // ---- target section: display name -> object ----
-    // Heap sites ride along with the program objects: they show up inside
-    // points-to sets (`heap@a.c:12`, the `<unknown>` summary object), so
-    // they must be addressable by name in queries too.
-    let mut targets: Vec<(u32, u32)> = unit
-        .objects
-        .iter()
-        .enumerate()
-        .filter(|(_, o)| o.kind.is_program_object() || o.kind == cla_ir::ObjKind::Heap)
-        .map(|(i, o)| (strings.intern(&o.name), i as u32))
-        .collect();
-    targets.sort_unstable();
-    let tgt_sec = pair_section(&targets);
-
-    // ---- meta section ----
-    let mut meta_sec = Vec::new();
-    meta_sec.put_u32_le(strings.intern(&unit.file));
-    meta_sec.put_u64_le(unit.assigns.len() as u64);
-
-    // ---- string section (encoded last, after all interning) ----
-    let str_sec = strings.encode();
-
-    let out = assemble_object(
-        [
-            &str_sec,
-            &file_sec,
-            &obj_sec,
-            &glob_sec,
-            &static_sec,
-            &dyn_sec,
-            &sig_sec,
-            &tgt_sec,
-            &meta_sec,
-        ],
-        dyn_index_len,
+    let out = write_sections(
+        &strings.encode(),
+        &files,
+        &objects,
+        [&statics, &dynamics],
+        unit.funsigs.iter(),
+        name,
     );
     sp.set("assigns", unit.assigns.len());
     sp.set("bytes", out.len());
     out
 }
 
+/// Writes the nine section bodies of an object file and seals them: the one
+/// layout [`write_object`] and the block linker share. `strings` is the
+/// encoded string table `files`, `objects` and `name` hold ids of;
+/// `statics` are the encoded address-of records, `dynamics` every other
+/// record in arrival order; the global and target indexes and the
+/// assignment total are derived here.
+pub(crate) fn write_sections<'a>(
+    strings: &[u8],
+    files: &[u32],
+    objects: &[ObjectRecord],
+    [statics, dynamics]: [&[u8]; 2],
+    sigs: impl ExactSizeIterator<Item = &'a FunSig>,
+    name: u32,
+) -> Vec<u8> {
+    let mut file_sec = Vec::with_capacity(4 + 4 * files.len());
+    file_sec.put_u32_le(files.len() as u32);
+    for &sid in files {
+        file_sec.put_u32_le(sid);
+    }
+    let mut obj_sec = Vec::with_capacity(4 + ObjectRecord::SIZE * objects.len());
+    obj_sec.put_u32_le(objects.len() as u32);
+    let (mut globals, mut targets) = (Vec::new(), Vec::new());
+    for (i, o) in objects.iter().enumerate() {
+        o.put(&mut obj_sec);
+        if o.link != NONE_U32 {
+            globals.push((o.link, i as u32));
+        }
+        // The target index maps display names to objects. Heap sites ride
+        // along with the program objects: they show up inside points-to sets
+        // (`heap@a.c:12`, the `<unknown>` summary object), so they must be
+        // addressable by name in queries too.
+        let kind = o.kind().expect("a kind this process encoded");
+        if kind.is_program_object() || kind == cla_ir::ObjKind::Heap {
+            targets.push((o.name, i as u32));
+        }
+    }
+    targets.sort_unstable();
+    let (nstatics, ndynamics) = (
+        assign_records(statics).len(),
+        assign_records(dynamics).len(),
+    );
+    let mut static_sec = Vec::with_capacity(4 + statics.len());
+    static_sec.put_u32_le(nstatics as u32);
+    static_sec.extend_from_slice(statics);
+    let (dyn_sec, dyn_index_len) = dynamic_section(objects.len(), dynamics);
+    let mut meta_sec = Vec::new();
+    meta_sec.put_u32_le(name);
+    meta_sec.put_u64_le((nstatics + ndynamics) as u64);
+    assemble_object(
+        [
+            strings,
+            &file_sec,
+            &obj_sec,
+            &pair_section(&globals),
+            &static_sec,
+            &dyn_sec,
+            &funsig_section(sigs),
+            &pair_section(&targets),
+            &meta_sec,
+        ],
+        dyn_index_len,
+    )
+}
+
 /// A section of `(string id, object id)` pairs behind their count: the
 /// global and the target section.
-pub(crate) fn pair_section(pairs: &[(u32, u32)]) -> Vec<u8> {
-    let mut sec = Vec::with_capacity(4 + 8 * pairs.len());
+fn pair_section(pairs: &[(u32, u32)]) -> Vec<u8> {
+    let mut sec = Vec::with_capacity(4 + PAIR_SIZE * pairs.len());
     sec.put_u32_le(pairs.len() as u32);
-    for &(sid, oid) in pairs {
-        sec.put_u32_le(sid);
-        sec.put_u32_le(oid);
+    for &pair in pairs {
+        put_pair(&mut sec, pair);
     }
     sec
 }
 
 /// The funsig section for `sigs`, in the order given.
-pub(crate) fn funsig_section<'a>(sigs: impl ExactSizeIterator<Item = &'a FunSig>) -> Vec<u8> {
+fn funsig_section<'a>(sigs: impl ExactSizeIterator<Item = &'a FunSig>) -> Vec<u8> {
     let mut sec = Vec::new();
     sec.put_u32_le(sigs.len() as u32);
-    for s in sigs {
-        sec.put_u32_le(s.obj.0);
-        sec.put_u32_le(s.ret.0);
-        sec.put_u8(u8::from(s.is_indirect));
-        sec.put_u32_le(s.params.len() as u32);
-        for p in &s.params {
-            sec.put_u32_le(p.0);
-        }
+    for sig in sigs {
+        SigRecord::put(&mut sec, sig);
     }
     sec
 }
@@ -213,32 +190,36 @@ pub(crate) fn assemble_object(bodies: [&[u8]; 9], dyn_index_len: usize) -> Vec<u
 /// # Panics
 ///
 /// Panics when a record's source object is not below `nobjs`.
-pub(crate) fn dynamic_section(nobjs: usize, records: &[u8]) -> (Vec<u8>, usize) {
-    let source = |rec: &[u8]| u32_at(rec, RECORD_SRC) as usize;
+fn dynamic_section(nobjs: usize, records: &[u8]) -> (Vec<u8>, usize) {
+    let records = assign_records(records);
     // `ends[o]` counts the records of the objects before `o`, then, as the
     // scatter advances it, ends up at the end of `o`'s block.
     let mut ends = vec![0usize; nobjs + 1];
-    for rec in records.chunks_exact(ASSIGN_RECORD_SIZE) {
-        ends[source(rec) + 1] += 1;
+    for rec in records {
+        ends[assign_src(rec) as usize + 1] += 1;
     }
     for o in 0..nobjs {
         ends[o + 1] += ends[o];
     }
-    let index_len = 4 + nobjs * BLOCK_ENTRY_SIZE;
-    let mut sec = vec![0u8; index_len + records.len()];
+    let index_len = BlockEntry::index_len(nobjs);
+    let mut sec = vec![0u8; index_len + records.len() * ASSIGN_RECORD_SIZE];
     let (index, blob) = sec.split_at_mut(index_len);
-    for rec in records.chunks_exact(ASSIGN_RECORD_SIZE) {
-        let at = ends[source(rec)] * ASSIGN_RECORD_SIZE;
-        blob[at..at + ASSIGN_RECORD_SIZE].copy_from_slice(rec);
-        ends[source(rec)] += 1;
+    let (blocks, _) = blob.as_chunks_mut();
+    for rec in records {
+        let end = &mut ends[assign_src(rec) as usize];
+        blocks[*end] = *rec;
+        *end += 1;
     }
     index[..4].copy_from_slice(&(nobjs as u32).to_le_bytes());
     let mut start = 0;
-    for (entry, &end) in index[4..].chunks_exact_mut(BLOCK_ENTRY_SIZE).zip(&ends) {
-        let block = &blob[start * ASSIGN_RECORD_SIZE..end * ASSIGN_RECORD_SIZE];
-        entry[..8].copy_from_slice(&((start * ASSIGN_RECORD_SIZE) as u64).to_le_bytes());
-        entry[8..12].copy_from_slice(&((end - start) as u32).to_le_bytes());
-        entry[12..].copy_from_slice(&fnv64(block).to_le_bytes());
+    for (entry, &end) in index[4..].chunks_exact_mut(BlockEntry::SIZE).zip(&ends) {
+        let block = blocks[start..end].as_flattened();
+        let written = BlockEntry {
+            offset: (start * ASSIGN_RECORD_SIZE) as u64,
+            count: (end - start) as u32,
+            checksum: fnv64(block),
+        };
+        entry.copy_from_slice(&written.encode());
         start = end;
     }
     (sec, index_len)

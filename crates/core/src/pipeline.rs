@@ -654,7 +654,9 @@ pub struct Linked {
 /// The one tail of every build: the linker every unit object has been
 /// folded into (`ObjectLinker` or `StreamLinker::finish`) lays out the
 /// program object — with its unknown summaries, if asked for — and the
-/// bytes it assembled are opened as the [`Database`] the solver reads.
+/// `UnitObject` that comes back, written and checksummed in this process,
+/// is opened as the [`Database`] the solver reads without being hashed or
+/// range-checked again ([`Database::from_object`]).
 ///
 /// # Errors
 ///
@@ -663,7 +665,7 @@ pub struct Linked {
 pub fn open_linked(linker: ObjectLinker, summarize_unknown: bool) -> Result<Linked, DbError> {
     let linked = linker.finish(summarize_unknown);
     let t = std::time::Instant::now();
-    let db = Database::open(linked.bytes)?;
+    let db = Database::from_object(linked.object)?;
     Ok(Linked {
         db,
         link_stats: linked.stats,

@@ -202,7 +202,7 @@ impl Snapshot {
             let s = strings
                 .get(sid)
                 .ok_or_else(|| corrupt("name string id out of range"))?;
-            names.push(s.clone());
+            names.push((*s).to_string());
         }
         names_sec.finish("names")?;
         Ok(names)

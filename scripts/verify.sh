@@ -47,6 +47,24 @@ tool_links=$(grep -nE '\blink\(&|add_unit\(' src/bin/cla-tool.rs || true)
 sed -n '/^fn cmd_compile/,/^}/p' src/bin/cla-tool.rs | grep -q 'link_objects(' && [ -z "$tool_links" ] \
     || { echo "cla-tool compile must link through ObjectLinker: $tool_links"; exit 1; }
 
+echo "==> one body reader, one record codec (Database opens through the UnitView the linker folds; cladb/src/record.rs alone spells the records out)"
+# `UnitView::layout` cuts the nine section bodies and `check_eager` /
+# `Records::check_block` judge them; the solver's reader and the linker read
+# through that view and decode no section themselves.
+body_reads=$(for f in crates/cladb/src/reader.rs crates/cladb/src/objlink.rs; do
+    sed '/#\[cfg(test)\]/,$d' "$f" | grep -HnE --label="$f" 'get_u32_le|get_u8|get_u64_le|get_str'
+done || true)
+[ -z "$body_reads" ] || { echo "a second section decoder grew back: $body_reads"; exit 1; }
+# Record sizes (19, 20, 26, 13 + 4n) and field offsets live in record.rs; the
+# rest of the crate names records, never byte counts. container.rs owns the
+# file header's own geometry, fault.rs bounds its report lists.
+record_layout=$(for f in crates/cladb/src/*.rs; do
+    case "$f" in */record.rs|*/container.rs|*/fault.rs) continue ;; esac
+    sed '/#\[cfg(test)\]/,$d' "$f" | grep -vE '^\s*//' \
+        | grep -HnE --label="$f" '\b(19|20|26)\b|13 \+|const [A-Z_]*SIZE: usize'
+done || true)
+[ -z "$record_layout" ] || { echo "record layout outside cladb/src/record.rs: $record_layout"; exit 1; }
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 

@@ -228,9 +228,14 @@ impl<'a> Args<'a> {
     }
 }
 
+/// Opens a `.clao` and checks every block before a solver, which indexes by
+/// the ids it reads, may touch it: a damaged file is an error here, never a
+/// panic later.
 fn load_database(path: &str) -> Result<Database, String> {
     let bytes = std::fs::read(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
-    Database::open(bytes).map_err(|e| format!("`{path}`: {e}"))
+    let db = Database::open(bytes).map_err(|e| format!("`{path}`: {e}"))?;
+    db.verify_all().map_err(|e| format!("`{path}`: {e}"))?;
+    Ok(db)
 }
 
 /// Links compiled units the way every build does: each encoded to its
@@ -286,10 +291,11 @@ fn cmd_compile(args: &[String]) -> Result<(), String> {
         );
         units.push(unit);
     }
-    let cla_cladb::LinkedObject { bytes, stats, .. } = link_objects(&out, &units);
+    let cla_cladb::LinkedObject { object, stats, .. } = link_objects(&out, &units);
+    let bytes = object.bytes();
     // Temp + fsync + rename: an interrupted compile never leaves a
     // half-written .clao for a later phase to load.
-    cla_cladb::atomic_write_bytes(std::path::Path::new(&out), &bytes)
+    cla_cladb::atomic_write_bytes(std::path::Path::new(&out), bytes)
         .map_err(|e| format!("cannot write `{out}`: {e}"))?;
     eprintln!(
         "linked {} units -> {out}: {} objects ({} symbols merged), {} assignments, {} bytes",
@@ -1230,7 +1236,7 @@ fn cmd_db_fuzz(args: &[String]) -> Result<(), String> {
             let (unit, _) = compile_file(&OsFs, src, &pp, &lower).map_err(|e| e.to_string())?;
             units.push(unit);
         }
-        link_objects("fuzz-target", &units).bytes
+        link_objects("fuzz-target", &units).object.bytes().to_vec()
     };
 
     // `--snapshot` retargets the harness: solve the program, seal it, and
@@ -1252,14 +1258,22 @@ fn cmd_db_fuzz(args: &[String]) -> Result<(), String> {
     };
 
     eprintln!(
-        "db-fuzz: {format} format, {} bytes, seed {seed}, {iters} bit-flip iters (+ full truncation sweep + section shuffles)",
-        bytes.len()
+        "db-fuzz: {format} format, {} bytes, seed {seed}, {iters} bit-flip iters (+ full truncation sweep + section shuffles{})",
+        bytes.len(),
+        if fuzz_snapshot {
+            ""
+        } else {
+            " + resealed references"
+        }
     );
     let report = if fuzz_snapshot {
         cla::snap::fault::run_snap_fuzz(&bytes, seed, iters)
             .map_err(|e| format!("pristine snapshot does not decode: {e}"))?
     } else {
-        cla_cladb::fault::run_object_fuzz(&bytes, seed, iters)
+        // An admitted mutant must also survive the solver, which indexes
+        // by every id the database hands it.
+        let solve = |db: &Database| drop(cla::core::solve_database(db, SolveOptions::default()));
+        cla_cladb::fault::run_object_fuzz(&bytes, seed, iters, solve)
             .map_err(|e| format!("pristine input does not decode: {e}"))?
     };
     println!("{report}");

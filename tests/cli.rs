@@ -364,6 +364,54 @@ fn bench_diff_gates_on_phase_regressions() {
 }
 
 #[test]
+fn a_resealed_object_with_bad_references_is_a_typed_error_not_a_solver_panic() {
+    // Every checksum in these files is valid — `write_object` computed them
+    // over the damage — so only the range checks behind `load_database`
+    // stand between the ids and an out-of-bounds index in the solver.
+    use cla::prelude::*;
+    let dir = tmpdir("resealed");
+    let src = "int x, y, *p, **pp; int *id(int *v) { return v; }
+               void f(void) { p = &x; pp = &p; *pp = &y; y = x; p = id(*pp); }";
+    let pristine = compile_source(src, "a.c", &LowerOptions::default()).unwrap();
+    let past = ObjId(pristine.objects.len() as u32 + 3);
+    let first = |unit: &CompiledUnit, kind| unit.assigns.iter().position(|a| a.kind == kind);
+    type Damage<'a> = &'a dyn Fn(&mut CompiledUnit);
+    let cases: [(&str, Damage); 5] = [
+        ("funsig-param", &|u| u.funsigs[0].params.push(past)),
+        ("in-func", &|u| u.objects[1].in_func = Some(past)),
+        ("addr-dst", &|u| {
+            let at = first(u, AssignKind::Addr).unwrap();
+            u.assigns[at].dst = past;
+        }),
+        ("copy-dst", &|u| {
+            let at = first(u, AssignKind::Copy).unwrap();
+            u.assigns[at].dst = past;
+        }),
+        ("loc-file", &|u| {
+            u.assigns[0].loc.file = cla::ir::FileIdx(40)
+        }),
+    ];
+    for (name, damage) in cases {
+        let mut unit = pristine.clone();
+        damage(&mut unit);
+        let obj = dir.join(format!("{name}.clao"));
+        std::fs::write(&obj, write_object(&unit)).unwrap();
+        let obj = obj.to_string_lossy().into_owned();
+        for cmd in ["solve", "depend", "dump"] {
+            let out = tool().args([cmd, &obj, "--target", "x"]).output().unwrap();
+            let err = String::from_utf8_lossy(&out.stderr).into_owned();
+            assert_eq!(out.status.code(), Some(1), "{cmd} {name}: {err}");
+            assert!(
+                err.contains(&format!("`{obj}`: corrupt CLA object file")),
+                "{cmd} {name}: {err}"
+            );
+            assert!(!err.contains("panicked"), "{cmd} {name}: {err}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn errors_exit_nonzero() {
     let out = tool().args(["dump", "/nonexistent.clao"]).output().unwrap();
     assert!(!out.status.success());

@@ -4,10 +4,11 @@
 //! a silently wrong answer.
 
 use cla::cladb::fault::{
-    bit_flip_round, run_object_fuzz, section_shuffle_round, truncation_sweep, with_quiet_panics,
-    FuzzReport, Oracle,
+    bit_flip_round, resealed_round, run_fuzz, run_object_fuzz, section_shuffle_round,
+    truncation_sweep, with_quiet_panics, FuzzReport, Oracle, Verdict,
 };
-use cla::cladb::FORMAT;
+use cla::cladb::{UnitObject, FORMAT};
+use cla::core::{solve_database, SolveOptions};
 use cla::prelude::*;
 use std::path::Path;
 
@@ -78,11 +79,88 @@ fn section_table_shuffles_are_caught_even_with_a_fixed_header_checksum() {
     assert_eq!(report.rejected, report.exercised, "{report}");
 }
 
+/// What a build does with a database it admitted: the solver indexes by
+/// every id it reads.
+fn solve(db: &Database) {
+    let _ = solve_database(db, SolveOptions::default());
+}
+
+#[test]
+fn resealed_references_are_rejected_by_range_checks_alone() {
+    let bytes = example_object_bytes();
+    let oracle = Oracle::new(&bytes).expect("pristine example must decode");
+    let mut report = FuzzReport::default();
+    with_quiet_panics(|| {
+        let exercise = |b| oracle.exercise_and(b, solve);
+        resealed_round(&bytes, exercise, 11, 400, &mut report);
+    });
+    assert_eq!(report.exercised, 400);
+    assert!(report.ok(), "resealed round found holes:\n{report}");
+    // Every checksum over the damage is valid and every damage is out of
+    // range or out of shape: none may be admitted, let alone solved.
+    assert_eq!(report.rejected, report.exercised, "{report}");
+}
+
+#[test]
+fn verify_and_open_plus_verify_all_give_one_verdict_on_every_mutant() {
+    // However bytes are admitted, one checker judges them: the linker's
+    // route (`UnitObject::verify`) and the solver's (`Database::open`, then
+    // `verify_all`) agree on every mutant of every round.
+    let bytes = example_object_bytes();
+    let agree = |b: Vec<u8>| {
+        let verified = UnitObject::verify(b.clone()).is_ok();
+        let opened = Database::open(b).and_then(|db| db.verify_all()).is_ok();
+        match (verified, opened) {
+            (true, true) => Verdict::Identical,
+            (false, false) => Verdict::Rejected,
+            _ => Verdict::WrongData,
+        }
+    };
+    let mut report = run_fuzz(&bytes, &FORMAT, agree, 5, 300);
+    with_quiet_panics(|| resealed_round(&bytes, agree, 5, 300, &mut report));
+    assert!(report.ok(), "the two routes disagree:\n{report}");
+    assert_eq!(report.exercised as usize, bytes.len() + 300 + 200 + 300);
+    // Not vacuously: the undamaged file is admitted by both, and nearly
+    // every mutant (all but a flip that cancels itself) by neither.
+    assert_eq!(agree(bytes.clone()), Verdict::Identical);
+    assert!(report.rejected > report.identical);
+}
+
+#[test]
+fn a_trusted_object_reads_exactly_as_its_bytes_opened_cold() {
+    let bytes = example_object_bytes();
+    let trusted = Database::from_object(UnitObject::verify(bytes.clone()).unwrap()).unwrap();
+    let cold = Database::open(bytes).unwrap();
+    assert_eq!(trusted.unit_name(), cold.unit_name());
+    assert_eq!(trusted.objects(), cold.objects());
+    assert_eq!(trusted.files(), cold.files());
+    assert_eq!(trusted.funsigs(), cold.funsigs());
+    assert_eq!(trusted.static_assigns(), cold.static_assigns());
+    let mut names: Vec<&str> = cold.target_names().collect();
+    names.sort_unstable();
+    let mut trusted_names: Vec<&str> = trusted.target_names().collect();
+    trusted_names.sort_unstable();
+    assert_eq!(trusted_names, names);
+    for name in names {
+        assert_eq!(trusted.targets(name), cold.targets(name), "{name}");
+    }
+    for ix in 0..cold.objects().len() as u32 {
+        assert_eq!(
+            trusted.block(ObjId(ix)),
+            cold.block(ObjId(ix)),
+            "block {ix}"
+        );
+        assert_eq!(trusted.funsig(ObjId(ix)), cold.funsig(ObjId(ix)));
+    }
+    assert!(trusted.verify_all().is_ok());
+    assert_eq!(trusted.content_hash(), cold.content_hash());
+}
+
 #[test]
 fn fuzz_battery_is_deterministic_across_runs() {
     let bytes = example_object_bytes();
-    let a = run_object_fuzz(&bytes, 42, 50).unwrap();
-    let b = run_object_fuzz(&bytes, 42, 50).unwrap();
+    let a = run_object_fuzz(&bytes, 42, 50, solve).unwrap();
+    let b = run_object_fuzz(&bytes, 42, 50, solve).unwrap();
     assert!(a.ok() && b.ok(), "a:\n{a}\nb:\n{b}");
     assert_eq!(a.exercised, b.exercised);
     assert_eq!(a.rejected, b.rejected);

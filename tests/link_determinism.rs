@@ -145,7 +145,7 @@ fn stream_link_is_byte_identical_for_every_arrival_order() {
                 );
                 let linked = stream.finish().finish(summarize);
                 assert!(
-                    linked.bytes == serial_bytes,
+                    linked.object.bytes() == serial_bytes,
                     "arrival order {order:?} (summaries: {summarize}) leaked into the linked bytes"
                 );
                 assert_eq!(linked.stats, serial_stats);

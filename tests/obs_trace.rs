@@ -79,6 +79,35 @@ fn pipeline_trace_is_balanced_and_layers_all_appear() {
     assert_eq!(under("link.assemble"), [Some("pipeline.link")]);
     assert_eq!(under("db.open"), [Some("pipeline.link")]);
 
+    // Whether an open hashed anything is in the trace: the linker hands its
+    // program object over as a `UnitObject`, intact by construction, so the
+    // open under `pipeline.link` verifies nothing — and the same bytes
+    // opened cold are hashed section by section.
+    let open_args = |events: &[obs::TraceEvent]| -> HashMap<&'static str, obs::ArgValue> {
+        let end = (events.iter())
+            .find(|e| e.name == "db.open" && matches!(e.ph, Phase::End))
+            .expect("no db.open span");
+        end.args.iter().cloned().collect()
+    };
+    let linked = open_args(&events);
+    assert_eq!(linked["verified_bytes"], obs::ArgValue::U64(0));
+    let units: Vec<CompiledUnit> = ["a.c", "b.c"]
+        .iter()
+        .map(|f| {
+            compile_file(&fs, f, &PpOptions::default(), &LowerOptions::default())
+                .unwrap()
+                .0
+        })
+        .collect();
+    let bytes = write_object(&link(&units, "a.out").0);
+    assert_eq!(cla::cladb::fnv64(&bytes), analysis.database.content_hash());
+    obs.set_trace_sink(Some(sink.clone()));
+    Database::open(bytes).unwrap();
+    obs.set_trace_sink(None);
+    let cold = open_args(&sink.take());
+    assert!(matches!(cold["verified_bytes"], obs::ArgValue::U64(n) if n > 0));
+    assert_eq!(cold["strings"], linked["strings"]);
+
     // Satellite 1: the Report's phase times come from the same spans the
     // trace records, so each pipeline span's duration matches the Report.
     let dur_of = |name: &str| {
