@@ -1,6 +1,6 @@
 //! Micro-benchmarks of the system's kernels: lexing, parsing, lowering,
-//! object-file encode/decode, the three solvers, the dependence index and
-//! the wire parser.
+//! object-file encode/decode, the three solvers, the solver's set algebra,
+//! the dependence index and the wire parser.
 //!
 //! Self-timed (median of repeated runs) rather than statistics-heavy: the
 //! harness needs to run in minimal environments with no benchmarking
@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 use cla_cfront::{lexer, parser, pp, FileId, MemoryFs, PpOptions};
 use cla_cladb::{write_object, Database};
 use cla_core::pipeline::{analyze, PipelineOptions};
-use cla_core::{solve_database, solve_unit, steensgaard, worklist, SolveOptions};
+use cla_core::{solve_database, solve_unit, steensgaard, worklist, LvalStore, SolveOptions, Warm};
 use cla_depend::{DependOptions, DependenceAnalysis, FlowIndex};
 use cla_ir::{compile_file, CompiledUnit, LowerOptions};
 use cla_workload::{by_name, generate, GenOptions};
@@ -185,6 +185,52 @@ fn bench_solvers(program: &CompiledUnit) {
     });
 }
 
+/// The solver's set algebra: a union that is answered by sharing its
+/// largest part, one that has to write a new set, and the all-variables
+/// sweep they add up to on the program `clabench table3_analyze` solves.
+fn bench_lval_algebra() {
+    let ids = |range: std::ops::Range<u32>, step: usize| -> Vec<cla_ir::ObjId> {
+        range.step_by(step).map(cla_ir::ObjId).collect()
+    };
+    let mut store = LvalStore::default();
+    let big = store.union(&mut [], &ids(0..60_000, 3));
+    let inside = store.union(&mut [], &ids(0..60_000, 30));
+    let beside = store.union(&mut [], &ids(1..60_000, 30));
+    // Eight successors with the one large set, one with a subset of it, and
+    // base lvals it already holds: nothing is new, nothing is written.
+    bench("lval_union_share", || {
+        let mut parts = vec![big.clone(); 8];
+        parts.push(inside.clone());
+        store.union(&mut parts, &ids(0..3_000, 300)).len()
+    });
+    // The same, and one successor whose 2 000 lvals the large set lacks.
+    bench("lval_union_merge", || {
+        let mut parts = vec![big.clone(); 8];
+        parts.extend([inside.clone(), beside.clone()]);
+        store.union(&mut parts, &ids(1..3_000, 300)).len()
+    });
+
+    let spec = by_name("lucent").unwrap();
+    let w = generate(spec, &GenOptions::at_scale(0.7));
+    let mut fs = MemoryFs::new();
+    for (p, c) in &w.files {
+        fs.add(p.clone(), c.clone());
+    }
+    let units: Vec<CompiledUnit> = (w.source_files().iter())
+        .map(|f| {
+            compile_file(&fs, f, &PpOptions::default(), &LowerOptions::default())
+                .expect("compile")
+                .0
+        })
+        .collect();
+    let db = Database::open(write_object(&cla_cladb::link(&units, "lucent").0)).unwrap();
+    bench("solve_sweep_lucent", || {
+        Warm::from_database(&db, SolveOptions::default())
+            .extract_points_to(db.objects())
+            .relations()
+    });
+}
+
 /// The dependence walk on the tree `clabench` keeps resident (52 500 lines
 /// in 16 files): building the index, a one-shot `new().analyze()` that pays
 /// for the build, and a query against an index that exists.
@@ -263,6 +309,7 @@ fn main() {
     bench_frontend(&src);
     bench_database(&program);
     bench_solvers(&program);
+    bench_lval_algebra();
     bench_depend();
     bench_json();
 }

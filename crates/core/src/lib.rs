@@ -38,7 +38,9 @@ mod solution;
 pub mod steensgaard;
 pub mod worklist;
 
-pub use pretransitive::{solve_database, solve_unit, SealedGraph, SolveOptions, SolveStats, Warm};
+pub use pretransitive::{
+    solve_database, solve_unit, LvalStore, SealedGraph, SolveOptions, SolveStats, Warm,
+};
 pub use solution::{sets_intersect, LvalSet, PointsTo, PointsToQuery};
 
 #[cfg(test)]

@@ -89,6 +89,192 @@ pub struct SolveStats {
     pub approx_bytes: usize,
 }
 
+/// What the set algebra did, cumulative over a solve: carried as deltas by
+/// the `solve.pass` / `solve.seal` / `solve.extract` spans and mirrored in
+/// the `cla_solve_union_*_total` counters.
+#[derive(Debug, Default, Clone, Copy)]
+struct UnionLedger {
+    /// Calls of the union routine.
+    unions: u64,
+    /// Unions answered with a set that already existed.
+    shared: u64,
+    /// Elements of the operands other than the largest, tested against it.
+    scanned: u64,
+    /// Elements of the sets the unions wrote.
+    written: u64,
+    /// Sets newly entered into the store.
+    distinct: u64,
+}
+
+impl UnionLedger {
+    /// Records what happened since the ledger read `was`, on `sp` and in
+    /// the registry's `cla_solve_union_{calls,shared,scanned,written,distinct}_total`.
+    fn publish_since(self, was: UnionLedger, sp: &mut cla_obs::Span<'_>) {
+        for (key, series, delta) in [
+            ("unions", "calls", self.unions - was.unions),
+            ("unions_shared", "shared", self.shared - was.shared),
+            ("elements_scanned", "scanned", self.scanned - was.scanned),
+            ("elements_written", "written", self.written - was.written),
+            ("sets_distinct", "distinct", self.distinct - was.distinct),
+        ] {
+            sp.set(key, delta);
+            let series = format!("cla_solve_union_{series}_total");
+            cla_obs::global().counter(&series).add(delta);
+        }
+    }
+}
+
+/// The hash-consed store of lval sets and the one routine that joins them
+/// (paper §5, enhancement three: "many lval sets are identical").
+///
+/// Every non-empty set the solver hands out during one epoch is entered
+/// here exactly once, so within an epoch equal sets are one allocation and
+/// pointer equality is set equality. [`LvalStore::union`] leans on that: it
+/// never copies, sorts or hashes an operand, only what the result adds.
+#[derive(Debug, Default)]
+pub struct LvalStore {
+    empty: LvalSet,
+    /// The sets entered this epoch, by content hash; a set whose hash is
+    /// taken by another sits under the next free key.
+    sets: HashMap<u64, LvalSet>,
+    /// Scratch: the elements a union adds to its largest part.
+    extras: Vec<ObjId>,
+    /// Scratch: `marks[id] == stamp` says `id` is in the running union.
+    marks: Vec<u32>,
+    stamp: u32,
+    /// Results that reused an existing set ([`SolveStats::sets_shared`]).
+    shared: u64,
+    ledger: UnionLedger,
+}
+
+impl LvalStore {
+    /// The union of `parts` — sets this store handed out — and the unsorted,
+    /// possibly repeating `raw` lvals, as the one shared set of that
+    /// content. Reorders `parts`.
+    ///
+    /// A part equal to the result *is* the result: the largest part is
+    /// returned as it stands when nothing else contributes, and written
+    /// anew, once, only when something does.
+    pub fn union(&mut self, parts: &mut [LvalSet], raw: &[ObjId]) -> LvalSet {
+        parts.sort_unstable_by_key(Arc::as_ptr);
+        let big = parts.iter().max_by_key(|p| p.len());
+        let shared = self.shared;
+        let set = match (self.union_sorted(big.map_or(&[], |b| b), parts, raw), big) {
+            (Some(written), _) => self.intern(written),
+            (None, Some(big)) if !big.is_empty() => {
+                self.shared += 1;
+                Arc::clone(big)
+            }
+            (None, _) => Arc::clone(&self.empty),
+        };
+        self.ledger.shared += self.shared - shared;
+        set
+    }
+
+    /// `big ∪ parts ∪ raw` over sorted, deduplicated `big`, or `None` when
+    /// that is `big` itself. One set is one address: `parts` come ordered
+    /// by it, so repeats are neighbours, and `big` may be among them; `raw`
+    /// may repeat. Work is bounded by the operands that are not `big`, by
+    /// `big` only once they outweigh a sixteenth of it, and by the result
+    /// when one is written.
+    fn union_sorted(
+        &mut self,
+        big: &[ObjId],
+        parts: &[LvalSet],
+        raw: &[ObjId],
+    ) -> Option<Vec<ObjId>> {
+        self.ledger.unions += 1;
+        let smaller = parts.iter().enumerate().filter_map(|(i, p)| {
+            let repeat = i > 0 && Arc::ptr_eq(p, &parts[i - 1]);
+            (!repeat && p.as_ptr() != big.as_ptr()).then_some(p.as_slice())
+        });
+        // Nothing but `big`: no id to test, and the answer is `big`.
+        let top = smaller
+            .clone()
+            .filter_map(<[ObjId]>::last)
+            .chain(raw)
+            .max()?;
+        let scanned = raw.len() + smaller.clone().map(<[ObjId]>::len).sum::<usize>();
+        self.ledger.scanned += scanned as u64;
+        if self.marks.len() <= top.index() {
+            self.marks.resize(top.index() + 1, 0);
+        }
+        // A fresh stamp unmarks every id at once (a wrap would take 2^32
+        // unions). A few lvals probe a large `big`; more and it is marked.
+        self.stamp += 1;
+        let (marks, stamp) = (&mut self.marks[..], self.stamp);
+        let probe = scanned * 16 < big.len();
+        if !probe {
+            for b in big.iter().take_while(|&b| b <= top) {
+                marks[b.index()] = stamp;
+            }
+        }
+        self.extras.clear();
+        for &e in smaller.flatten().chain(raw) {
+            let mark = &mut marks[e.index()];
+            if *mark != stamp && !(probe && big.binary_search(&e).is_ok()) {
+                *mark = stamp;
+                self.extras.push(e);
+            }
+        }
+        if self.extras.is_empty() {
+            return None;
+        }
+        self.extras.sort_unstable();
+        // One linear write: `big` with the extras spliced in.
+        let mut out = Vec::with_capacity(big.len() + self.extras.len());
+        let mut rest = big;
+        for &e in &self.extras {
+            let (below, above) = rest.split_at(rest.partition_point(|&b| b < e));
+            out.extend_from_slice(below);
+            out.push(e);
+            rest = above;
+        }
+        out.extend_from_slice(rest);
+        self.ledger.written += out.len() as u64;
+        Some(out)
+    }
+
+    /// Enters a sorted, deduplicated set: the existing allocation when the
+    /// store holds that content, `set` itself otherwise.
+    fn intern(&mut self, set: Vec<ObjId>) -> LvalSet {
+        if set.is_empty() {
+            return Arc::clone(&self.empty);
+        }
+        // One word-at-a-time pass over a set that was just written.
+        let mut hash = set.len() as u64;
+        for pair in set.chunks(2) {
+            let word = u64::from(pair[0].0) << 32 | u64::from(pair[pair.len() - 1].0);
+            hash = (hash.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+        }
+        self.intern_hashed(hash, set)
+    }
+
+    /// [`LvalStore::intern`] under a given hash. Equality is confirmed on
+    /// the content and colliding sets chain through the following keys, so
+    /// what is shared never depends on the hash function.
+    fn intern_hashed(&mut self, mut key: u64, mut set: Vec<ObjId>) -> LvalSet {
+        use std::collections::hash_map::Entry;
+        loop {
+            match self.sets.entry(key) {
+                Entry::Occupied(held) if **held.get() == set => {
+                    self.shared += 1;
+                    return Arc::clone(held.get());
+                }
+                Entry::Occupied(_) => key = key.wrapping_add(1),
+                Entry::Vacant(free) => {
+                    // This allocation is handed out as the answer and lives
+                    // as long as it does; `sort` + `dedup` may have left it
+                    // the capacity of every duplicate merged into it.
+                    set.shrink_to_fit();
+                    self.ledger.distinct += 1;
+                    return Arc::clone(free.insert(Arc::new(set)));
+                }
+            }
+        }
+    }
+}
+
 /// Registered complex assignment, in terms of graph nodes.
 #[derive(Debug, Clone, Copy)]
 enum Complex {
@@ -122,7 +308,9 @@ struct GraphState {
     // --- demand loading / activation ---
     active: Vec<bool>,
     pending: Vec<Vec<u32>>,
-    /// Objects attached to a node whose blocks have not been loaded yet.
+    /// Objects unified into a node whose blocks have not been loaded yet.
+    /// An object node's own block is implicit (`loaded` says whether it is
+    /// still owed), so a program that unifies nothing allocates nothing here.
     node_objs: Vec<Vec<u32>>,
     loaded: Vec<bool>,
     act_queue: Vec<u32>,
@@ -138,18 +326,25 @@ struct GraphState {
     epoch: u32,
     cache_epoch: Vec<u32>,
     cache: Vec<LvalSet>,
-    empty: LvalSet,
-    /// Hash-consed lval sets ("many lval sets are identical"); flushed at
-    /// the beginning of each pass, as in the paper.
-    interner: std::collections::HashSet<LvalSet>,
-    interner_epoch: u32,
+    /// Hash-consed lval sets ("many lval sets are identical"); flushed with
+    /// every epoch, as in the paper.
+    store: LvalStore,
 
-    // --- tarjan scratch (stamped per call) ---
+    // --- tarjan scratch (stamped per call, stacks reused across calls) ---
     call_id: u32,
     visit_call: Vec<u32>,
     index: Vec<u32>,
     lowlink: Vec<u32>,
     on_stack: Vec<bool>,
+    /// Open frames: (node, next-edge cursor, start of its `parts`, start of
+    /// its `raw`). A frame's lvals are the tails of the two stacks below, so
+    /// a finished non-root node hands its lvals to its parent by returning.
+    frames: Vec<(u32, u32, u32, u32)>,
+    scc_stack: Vec<u32>,
+    /// Sets of finished successors, by reference.
+    parts: Vec<LvalSet>,
+    /// `baseElements` of the nodes completed so far, unsorted.
+    raw: Vec<ObjId>,
 
     stats: SolveStats,
 }
@@ -178,7 +373,7 @@ pub fn solve_unit(unit: &CompiledUnit, opts: SolveOptions) -> (PointsTo, SolveSt
 ///
 /// Panics when the database's assignment payload is corrupt (a database
 /// that [`Database::open`] accepted but whose records fail to decode).
-/// Validate untrusted files with [`Database::to_unit`] first.
+/// Validate untrusted files with [`Database::verify_all`] first.
 pub fn solve_database(db: &Database, opts: SolveOptions) -> (PointsTo, SolveStats) {
     let mut warm = Warm::from_database(db, opts);
     let pts = warm.extract_points_to(db.objects());
@@ -251,7 +446,7 @@ impl Warm {
         // warm graph, so the materializing sweep reads every set it has
         // already computed from the cache (visible as
         // `SolveStats::cache_hits`).
-        g.epoch += 1;
+        g.next_epoch();
         Warm { g, n_objects }
     }
 
@@ -265,28 +460,37 @@ impl Warm {
     /// clone of the `Arc` its representative's `getLvals` returned, so
     /// members of a collapsed SCC and hash-consed duplicates share one
     /// allocation and nothing is copied.
-    fn lval_sets(&mut self) -> Vec<LvalSet> {
-        (0..self.n_objects as u32)
+    ///
+    /// Timed as `span` (`solve.extract` or `solve.seal`), which carries the
+    /// sweep's share of the union ledger.
+    fn lval_sets(&mut self, span: &'static str) -> Vec<LvalSet> {
+        let mut sp = cla_obs::global().span("solve", span);
+        sp.set("objects", self.n_objects);
+        let before = self.g.store.ledger;
+        let sets = (0..self.n_objects as u32)
             .map(|o| {
                 let r = self.g.find(o);
                 if self.g.active[r as usize] {
                     self.g.get_lvals(r)
                 } else {
-                    Arc::clone(&self.g.empty)
+                    Arc::clone(&self.g.store.empty)
                 }
             })
-            .collect()
+            .collect();
+        self.g.store.ledger.publish_since(before, &mut sp);
+        sets
     }
 
     /// Materializes the complete solution (every object's set); objects
     /// with one solver set share one [`LvalSet`].
     pub fn extract_points_to(&mut self, objects: &[ObjectInfo]) -> PointsTo {
-        PointsTo::from_shared(self.lval_sets(), objects)
+        PointsTo::from_shared(self.lval_sets("solve.extract"), objects)
     }
 
     /// Current counters, including live in-core/size figures.
     pub fn stats(&self) -> SolveStats {
         let mut st = self.g.stats;
+        st.sets_shared = self.g.store.shared;
         st.complex_in_core = self.g.complex.len();
         st.nodes = self.g.skip.len();
         st.approx_bytes = self.g.approx_bytes();
@@ -308,9 +512,7 @@ impl Warm {
     /// with no interior mutability at all, so any number of threads can read
     /// it concurrently without locks.
     pub fn seal(mut self) -> SealedGraph {
-        let mut sp = cla_obs::global().span("solve", "solve.seal");
-        sp.set("objects", self.n_objects);
-        let sets = self.lval_sets();
+        let sets = self.lval_sets("solve.seal");
         SealedGraph {
             sets,
             stats: self.stats(),
@@ -415,14 +617,16 @@ impl Solver<'_> {
             return;
         };
         while let Some(n) = self.g.act_queue.pop() {
-            let objs = std::mem::take(&mut self.g.node_objs[n as usize]);
-            for o in &objs {
-                if self.g.loaded[*o as usize] {
+            // The node's own block first, then those of the objects unified
+            // into it (temporaries have no block and are born `loaded`).
+            let merged = std::mem::take(&mut self.g.node_objs[n as usize]);
+            for o in std::iter::once(n).chain(merged) {
+                if self.g.loaded[o as usize] {
                     continue;
                 }
-                self.g.loaded[*o as usize] = true;
+                self.g.loaded[o as usize] = true;
                 self.g.blocks_loaded += 1;
-                let block = db.block(ObjId(*o)).expect("valid database");
+                let block = db.block(ObjId(o)).expect("valid database");
                 for a in &block {
                     self.g.add_assign(a);
                 }
@@ -437,7 +641,7 @@ impl Solver<'_> {
     fn pass(&mut self) -> bool {
         let edges_before = self.g.stats.edges_added;
         let loads_before = self.g.blocks_loaded;
-        self.g.epoch += 1;
+        self.g.next_epoch();
         self.drain_activations();
 
         let mut i = 0;
@@ -504,6 +708,7 @@ impl Solver<'_> {
             self.g.stats.passes += 1;
             let before = self.g.stats;
             let loads_before = self.g.blocks_loaded;
+            let unions_before = self.g.store.ledger;
             let mut sp = obs.span("solve", "solve.pass");
             sp.set("pass", self.g.stats.passes);
             let changed = self.pass();
@@ -515,6 +720,7 @@ impl Solver<'_> {
             sp.set("unifications", st.unifications - before.unifications);
             sp.set("edges_added", st.edges_added - before.edges_added);
             sp.set("blocks_loaded", self.g.blocks_loaded - loads_before);
+            self.g.store.ledger.publish_since(unions_before, &mut sp);
             drop(sp);
             obs.counter("cla_solve_passes_total").inc();
             obs.counter("cla_solve_getlvals_total")
@@ -535,6 +741,7 @@ impl Solver<'_> {
 impl GraphState {
     fn new(n_objects: usize, demand: bool, opts: SolveOptions) -> Self {
         let n = n_objects;
+        let store = LvalStore::default();
         GraphState {
             opts,
             skip: (0..n as u32).collect(),
@@ -543,7 +750,7 @@ impl GraphState {
             edge_set: std::collections::HashSet::new(),
             active: vec![false; n],
             pending: vec![Vec::new(); n],
-            node_objs: (0..n as u32).map(|i| vec![i]).collect(),
+            node_objs: vec![Vec::new(); n],
             loaded: vec![!demand; n],
             act_queue: Vec::new(),
             blocks_loaded: 0,
@@ -553,15 +760,17 @@ impl GraphState {
             direct_sigs: HashMap::new(),
             epoch: 0,
             cache_epoch: vec![0; n],
-            cache: (0..n).map(|_| Arc::new(Vec::new())).collect(),
-            empty: Arc::new(Vec::new()),
-            interner: std::collections::HashSet::new(),
-            interner_epoch: 0,
+            cache: vec![Arc::clone(&store.empty); n],
+            store,
             call_id: 0,
             visit_call: vec![0; n],
             index: vec![0; n],
             lowlink: vec![0; n],
             on_stack: vec![false; n],
+            frames: Vec::new(),
+            scc_stack: Vec::new(),
+            parts: Vec::new(),
+            raw: Vec::new(),
             stats: SolveStats::default(),
         }
     }
@@ -576,7 +785,7 @@ impl GraphState {
         self.node_objs.push(Vec::new());
         self.loaded.push(true);
         self.cache_epoch.push(0);
-        self.cache.push(Arc::clone(&self.empty));
+        self.cache.push(Arc::clone(&self.store.empty));
         self.visit_call.push(0);
         self.index.push(0);
         self.lowlink.push(0);
@@ -598,27 +807,11 @@ impl GraphState {
         root
     }
 
-    /// Interns a sorted, deduplicated lval set: identical sets are shared
-    /// (paper §5, enhancement three). The table is flushed per pass.
-    fn intern_set(&mut self, mut set: Vec<ObjId>) -> LvalSet {
-        if set.is_empty() {
-            return Arc::clone(&self.empty);
-        }
-        if self.interner_epoch != self.epoch {
-            self.interner.clear();
-            self.interner_epoch = self.epoch;
-        }
-        if let Some(existing) = self.interner.get(&set) {
-            self.stats.sets_shared += 1;
-            return Arc::clone(existing);
-        }
-        // This allocation is handed out as the answer and lives as long as
-        // it does; `sort` + `dedup` left it the capacity of every duplicate
-        // that was merged into it.
-        set.shrink_to_fit();
-        let rc = Arc::new(set);
-        self.interner.insert(Arc::clone(&rc));
-        rc
+    /// Starts a new epoch: everything cached so far is stale, and the set
+    /// store forgets its sets with it (those handed out live on).
+    fn next_epoch(&mut self) {
+        self.epoch += 1;
+        self.store.sets.clear();
     }
 
     fn register_sigs(&mut self, sigs: &[FunSig]) {
@@ -744,7 +937,7 @@ impl GraphState {
         self.stats.getlvals_calls += 1;
         if !self.opts.cache {
             // No cross-query caching: results live only within one call.
-            self.epoch += 1;
+            self.next_epoch();
         }
         let start = self.find(start);
         if self.cache_epoch[start as usize] == self.epoch {
@@ -761,50 +954,33 @@ impl GraphState {
     /// Iterative Tarjan SCC traversal: computes lvals bottom-up in reverse
     /// topological order, unifying every SCC it pops, and caching the result
     /// for every node it completes.
+    ///
+    /// No lval is copied on the way up. A frame owns the tails of `parts`
+    /// (its finished successors' sets, by reference) and `raw` (base lvals);
+    /// a node that is not an SCC root leaves both where they are for its
+    /// parent, and a root joins them with one [`LvalStore::union`].
     fn tarjan_lvals(&mut self, start: u32) -> LvalSet {
         self.call_id += 1;
         let cid = self.call_id;
         let mut next_index: u32 = 0;
-        let mut scc_stack: Vec<u32> = Vec::new();
-        // Frame: (node, next-edge cursor, accumulated lvals).
-        let mut frames: Vec<(u32, usize, Vec<ObjId>)> = Vec::new();
-
-        let push_frame = |s: &mut Self,
-                          frames: &mut Vec<(u32, usize, Vec<ObjId>)>,
-                          scc_stack: &mut Vec<u32>,
-                          next_index: &mut u32,
-                          n: u32| {
-            s.visit_call[n as usize] = cid;
-            s.index[n as usize] = *next_index;
-            s.lowlink[n as usize] = *next_index;
-            *next_index += 1;
-            s.on_stack[n as usize] = true;
-            scc_stack.push(n);
-            s.stats.dfs_visits += 1;
-            let acc = s.base[n as usize].clone();
-            frames.push((n, 0, acc));
-        };
-
-        push_frame(self, &mut frames, &mut scc_stack, &mut next_index, start);
+        self.push_frame(start, &mut next_index);
 
         loop {
-            let Some(fi) = frames.len().checked_sub(1) else {
+            let Some(&mut (n, ref mut cursor, parts_at, raw_at)) = self.frames.last_mut() else {
                 unreachable!("loop returns at the root frame")
             };
-            let n = frames[fi].0;
-            let cursor = frames[fi].1;
-            if cursor < self.out[n as usize].len() {
+            if let Some(&raw) = self.out[n as usize].get(*cursor as usize) {
                 // Scan the next edge of n.
-                frames[fi].1 += 1;
-                let raw = self.out[n as usize][cursor];
+                *cursor += 1;
                 let s = self.find(raw);
                 if s == n {
                     continue;
                 }
                 if self.cache_epoch[s as usize] == self.epoch {
-                    // Finished earlier this pass (or this call): merge.
-                    let cached = Arc::clone(&self.cache[s as usize]);
-                    frames[fi].2.extend_from_slice(&cached);
+                    // Finished earlier this pass (or this call): a part.
+                    if !self.cache[s as usize].is_empty() {
+                        self.parts.push(Arc::clone(&self.cache[s as usize]));
+                    }
                     continue;
                 }
                 if self.visit_call[s as usize] == cid {
@@ -819,54 +995,59 @@ impl GraphState {
                     // happen: completion always caches.
                     continue;
                 }
-                push_frame(self, &mut frames, &mut scc_stack, &mut next_index, s);
+                self.push_frame(s, &mut next_index);
                 continue;
             }
 
-            // Frame complete.
-            let (n, _, mut acc) = frames.pop().unwrap();
-            acc.sort_unstable();
-            acc.dedup();
-            if self.lowlink[n as usize] == self.index[n as usize] {
-                // n roots an SCC: pop members and unify them into n.
-                let mut members = Vec::new();
-                loop {
-                    let m = scc_stack.pop().expect("scc stack underflow");
-                    self.on_stack[m as usize] = false;
-                    if m == n {
-                        break;
-                    }
-                    members.push(m);
-                }
-                for m in members {
-                    self.unify_into(m, n);
-                }
-                let final_set = self.intern_set(acc);
-                let repr = self.find(n);
-                self.cache_epoch[repr as usize] = self.epoch;
-                self.cache[repr as usize] = Arc::clone(&final_set);
-                if let Some(parent) = frames.last_mut() {
-                    parent.2.extend_from_slice(&final_set);
-                    let low = self.lowlink[n as usize];
-                    let pn = parent.0;
-                    if low < self.lowlink[pn as usize] {
-                        self.lowlink[pn as usize] = low;
-                    }
-                } else {
-                    return final_set;
-                }
-            } else {
-                // Not a root: propagate lowlink and accumulated lvals to the
-                // parent; the SCC root will finalize and cache.
-                let parent = frames.last_mut().expect("non-root node must have a parent");
-                parent.2.extend(acc);
+            // Frame complete: its own lvals join what its successors left.
+            self.frames.pop();
+            self.raw.extend_from_slice(&self.base[n as usize]);
+            if self.lowlink[n as usize] != self.index[n as usize] {
+                // Not a root: the lvals stay on the stacks, now the parent's;
+                // the SCC root will finalize and cache.
+                let &(pn, ..) = self.frames.last().expect("non-root node has a parent");
                 let low = self.lowlink[n as usize];
-                let pn = parent.0;
                 if low < self.lowlink[pn as usize] {
                     self.lowlink[pn as usize] = low;
                 }
+                continue;
+            }
+            // n roots an SCC: pop members and unify them into n.
+            loop {
+                let m = self.scc_stack.pop().expect("scc stack underflow");
+                self.on_stack[m as usize] = false;
+                if m == n {
+                    break;
+                }
+                self.unify_into(m, n);
+            }
+            let (parts_at, raw_at) = (parts_at as usize, raw_at as usize);
+            let set = self
+                .store
+                .union(&mut self.parts[parts_at..], &self.raw[raw_at..]);
+            self.parts.truncate(parts_at);
+            self.raw.truncate(raw_at);
+            self.cache_epoch[n as usize] = self.epoch;
+            self.cache[n as usize] = Arc::clone(&set);
+            if self.frames.is_empty() {
+                return set;
+            }
+            if !set.is_empty() {
+                self.parts.push(set);
             }
         }
+    }
+
+    fn push_frame(&mut self, n: u32, next_index: &mut u32) {
+        self.visit_call[n as usize] = self.call_id;
+        self.index[n as usize] = *next_index;
+        self.lowlink[n as usize] = *next_index;
+        *next_index += 1;
+        self.on_stack[n as usize] = true;
+        self.scc_stack.push(n);
+        self.stats.dfs_visits += 1;
+        let frame = (n, 0, self.parts.len() as u32, self.raw.len() as u32);
+        self.frames.push(frame);
     }
 
     /// Reachability without cycle elimination — the paper's *naive*
@@ -909,7 +1090,7 @@ impl GraphState {
         }
         acc.sort_unstable();
         acc.dedup();
-        let set = self.intern_set(acc);
+        let set = self.store.intern(acc);
         self.cache_epoch[start as usize] = self.epoch;
         self.cache[start as usize] = Arc::clone(&set);
         set
@@ -926,19 +1107,14 @@ impl GraphState {
         self.out[v as usize].extend(edges);
         let ubase = std::mem::take(&mut self.base[u as usize]);
         let vbase = &mut self.base[v as usize];
-        for b in ubase {
-            if let Err(pos) = vbase.binary_search(&b) {
-                vbase.insert(pos, b);
-            }
+        if let Some(merged) = self.store.union_sorted(vbase, &[], &ubase) {
+            *vbase = merged;
         }
         // Merge caches so this pass never under-approximates after a merge.
         if self.cache_epoch[u as usize] == self.epoch {
             if self.cache_epoch[v as usize] == self.epoch {
-                let mut merged: Vec<ObjId> = (*self.cache[v as usize]).clone();
-                merged.extend_from_slice(&self.cache[u as usize]);
-                merged.sort_unstable();
-                merged.dedup();
-                self.cache[v as usize] = self.intern_set(merged);
+                let mut both = [u, v].map(|n| Arc::clone(&self.cache[n as usize]));
+                self.cache[v as usize] = self.store.union(&mut both, &[]);
             } else {
                 self.cache[v as usize] = Arc::clone(&self.cache[u as usize]);
                 self.cache_epoch[v as usize] = self.epoch;
@@ -947,6 +1123,9 @@ impl GraphState {
         // Activation and demand state.
         let upend = std::mem::take(&mut self.pending[u as usize]);
         let uobjs = std::mem::take(&mut self.node_objs[u as usize]);
+        if !self.loaded[u as usize] {
+            self.node_objs[v as usize].push(u);
+        }
         self.node_objs[v as usize].extend(uobjs);
         if self.active[u as usize] && !self.active[v as usize] {
             self.active[u as usize] = false;
@@ -969,6 +1148,11 @@ impl GraphState {
         }
     }
 
+    /// Table 3's "in core" estimate. A `.clasnap` stores it with the other
+    /// stats and `tests/golden_bytes.rs` pins those bytes, so the terms are
+    /// the ones the format has always carried: `node_objs`, `loaded` and the
+    /// traversal and union scratch (all small beside the sets) are not in
+    /// it, and join it with the next snapshot `VERSION`, not before.
     fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
         let nodes = self.skip.len();
@@ -987,11 +1171,12 @@ impl GraphState {
             .iter()
             .map(|v| v.capacity() * size_of::<u32>())
             .sum();
-        // Shared sets are counted once through the interner; per-node cache
+        // Shared sets are counted once through the store; per-node cache
         // entries are Arc references.
         let cache_bytes: usize = self
-            .interner
-            .iter()
+            .store
+            .sets
+            .values()
             .map(|c| c.capacity() * size_of::<ObjId>())
             .sum::<usize>()
             + self.cache.len() * size_of::<LvalSet>();
@@ -1038,6 +1223,99 @@ mod tests {
                 unit.object(obj).name
             );
         }
+    }
+
+    fn ids(ids: impl IntoIterator<Item = u32>) -> Vec<ObjId> {
+        ids.into_iter().map(ObjId).collect()
+    }
+
+    /// A set as the store hands it out: entered through a raw-only union.
+    fn held(store: &mut LvalStore, set: impl IntoIterator<Item = u32>) -> LvalSet {
+        store.union(&mut [], &ids(set))
+    }
+
+    #[test]
+    fn union_returns_a_part_that_is_the_answer() {
+        let mut store = LvalStore::default();
+        let big = held(&mut store, (0..400).step_by(2));
+        let sub = held(&mut store, (0..400).step_by(8));
+        let before = (store.shared, store.ledger.distinct);
+
+        // One part, and the same part many times over: itself.
+        assert!(Arc::ptr_eq(&store.union(&mut [big.clone()], &[]), &big));
+        let mut repeated = vec![big.clone(); 5];
+        assert!(Arc::ptr_eq(&store.union(&mut repeated, &[]), &big));
+        assert_eq!(
+            store.ledger.scanned, 250,
+            "only the two raw-only unions scan"
+        );
+        // Subset parts and raw lvals it already holds, in either regime:
+        // 50 lvals mark the 200, three probe them.
+        let mut parts = [sub.clone(), big.clone(), sub.clone()];
+        assert!(Arc::ptr_eq(&store.union(&mut parts, &ids([6, 2, 6])), &big));
+        assert!(Arc::ptr_eq(
+            &store.union(&mut [big.clone()], &ids([398, 0, 0])),
+            &big
+        ));
+        // Each of the four counted where an interner hit used to be, and
+        // nothing was written.
+        assert_eq!(
+            (store.shared, store.ledger.distinct),
+            (before.0 + 4, before.1)
+        );
+        assert_eq!(store.ledger.shared, 4);
+    }
+
+    #[test]
+    fn union_writes_what_is_new_once_and_shares_it_by_value() {
+        let mut store = LvalStore::default();
+        let evens = held(&mut store, (0..100).step_by(2));
+        let odds = held(&mut store, (1..100).step_by(2));
+        let all = store.union(&mut [evens.clone(), odds.clone()], &[]);
+        assert_eq!(**all, ids(0..100));
+        assert_eq!(all.capacity(), 100);
+        // The same content by another route — a part, a probe's worth of
+        // raw lvals with repeats, unsorted — is the same allocation.
+        let low = held(&mut store, 0..97);
+        let again = store.union(&mut [low], &ids([99, 97, 98, 97, 3]));
+        assert!(Arc::ptr_eq(&again, &all));
+        // Raw only: sorted, deduplicated, and found again by value.
+        let raw = store.union(&mut [], &ids([9, 3, 9, 1]));
+        assert_eq!(**raw, ids([1, 3, 9]));
+        assert!(Arc::ptr_eq(&held(&mut store, [3, 1, 9]), &raw));
+        // An id above everything marked so far grows the scratch.
+        let high = store.union(&mut [raw.clone()], &ids([70_000]));
+        assert_eq!(**high, ids([1, 3, 9, 70_000]));
+    }
+
+    #[test]
+    fn union_of_nothing_is_the_one_empty_set() {
+        let mut store = LvalStore::default();
+        let empty = store.union(&mut [], &[]);
+        assert!(empty.is_empty());
+        assert!(Arc::ptr_eq(&empty, &store.union(&mut [empty.clone()], &[])));
+        assert!(Arc::ptr_eq(&empty, &store.intern(Vec::new())));
+        assert_eq!((store.shared, store.ledger.distinct), (0, 0));
+        // Empty parts beside a real one change nothing.
+        let one = held(&mut store, [5]);
+        assert!(Arc::ptr_eq(
+            &store.union(&mut [empty, one.clone()], &[]),
+            &one
+        ));
+    }
+
+    #[test]
+    fn colliding_hashes_chain_and_still_share() {
+        let mut store = LvalStore::default();
+        let a = store.intern_hashed(7, ids([1, 2]));
+        let b = store.intern_hashed(7, ids([3]));
+        let c = store.intern_hashed(8, ids([4]));
+        assert_eq!([&*a, &*b, &*c], [&ids([1, 2]), &ids([3]), &ids([4])]);
+        assert_eq!(store.shared, 0);
+        for (hash, set, held) in [(7, ids([3]), &b), (7, ids([1, 2]), &a), (8, ids([4]), &c)] {
+            assert!(Arc::ptr_eq(&store.intern_hashed(hash, set), held));
+        }
+        assert_eq!((store.shared, store.ledger.distinct), (3, 3));
     }
 
     #[test]

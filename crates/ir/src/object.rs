@@ -10,29 +10,8 @@ use std::fmt;
 
 /// Identifier of an object local to one [`CompiledUnit`](crate::CompiledUnit)
 /// (or, after linking, to the linked program database).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-#[repr(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ObjId(pub u32);
-
-impl std::hash::Hash for ObjId {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        state.write_u32(self.0);
-    }
-
-    /// Feeds a slice to the hasher in one `write`, as `[u32]` hashes: the
-    /// solver hash-conses every points-to set it computes, and hashing
-    /// those element by element costs the default hasher a call per id.
-    fn hash_slice<H: std::hash::Hasher>(data: &[Self], state: &mut H) {
-        // SAFETY: `ObjId` is `repr(transparent)` over `u32`, so `data` is
-        // `data.len()` initialized, padding-free `u32`s; `u8` has alignment
-        // 1 and the byte length cannot overflow a length that already
-        // describes an allocation.
-        let bytes = unsafe {
-            std::slice::from_raw_parts(data.as_ptr().cast::<u8>(), std::mem::size_of_val(data))
-        };
-        state.write(bytes);
-    }
-}
 
 impl ObjId {
     /// The index as a usize, for vector addressing.

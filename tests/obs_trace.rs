@@ -10,6 +10,7 @@
 use cla::obs::{self, MemorySink, Phase};
 use cla::prelude::*;
 use std::collections::{BTreeSet, HashMap};
+use std::path::Path;
 use std::sync::Arc;
 
 fn sample_fs() -> MemoryFs {
@@ -20,6 +21,29 @@ fn sample_fs() -> MemoryFs {
     );
     fs.add("b.c", "extern int *p; int *q; void fb(void) { q = p; }");
     fs
+}
+
+/// Span name → the span it began under, once per begin; panics unless every
+/// begin has its end on the same thread, properly nested.
+fn begun_under(events: &[obs::TraceEvent]) -> Vec<(String, Option<String>)> {
+    let mut open: HashMap<u64, Vec<String>> = HashMap::new();
+    let mut begun = Vec::new();
+    for ev in events {
+        match ev.ph {
+            Phase::Begin => {
+                let stack = open.entry(ev.tid).or_default();
+                begun.push((ev.name.clone(), stack.last().cloned()));
+                stack.push(ev.name.clone());
+            }
+            Phase::End => {
+                let top = open.entry(ev.tid).or_default().pop();
+                assert_eq!(top.as_deref(), Some(ev.name.as_str()), "mismatched E");
+            }
+            _ => {}
+        }
+    }
+    assert!(open.values().all(Vec::is_empty), "unclosed spans: {open:?}");
+    begun
 }
 
 #[test]
@@ -36,24 +60,7 @@ fn pipeline_trace_is_balanced_and_layers_all_appear() {
     assert!(!events.is_empty(), "tracing produced no events");
 
     // Every B has a matching E on the same thread, properly nested.
-    let mut open: HashMap<u64, Vec<String>> = HashMap::new();
-    // Span name → the span it began under, once per begin.
-    let mut begun: Vec<(String, Option<String>)> = Vec::new();
-    for ev in &events {
-        match ev.ph {
-            Phase::Begin => {
-                let stack = open.entry(ev.tid).or_default();
-                begun.push((ev.name.clone(), stack.last().cloned()));
-                stack.push(ev.name.clone());
-            }
-            Phase::End => {
-                let top = open.entry(ev.tid).or_default().pop();
-                assert_eq!(top.as_deref(), Some(ev.name.as_str()), "mismatched E");
-            }
-            _ => {}
-        }
-    }
-    assert!(open.values().all(Vec::is_empty), "unclosed spans: {open:?}");
+    let begun = begun_under(&events);
 
     // One run crosses every layer: pipeline phases, frontend, database,
     // solver. (The serve category is exercised in tests/serve.rs.)
@@ -155,6 +162,64 @@ fn pipeline_trace_is_balanced_and_layers_all_appear() {
         assert!(keys.contains(key), "solve.pass missing `{key}`: {keys:?}");
     }
 
+    // The set algebra is countable per span: every pass says what its unions
+    // did, and so does the sweep that materializes the relation — as
+    // `solve.seal` under the pipeline's solve phase, as `solve.extract`
+    // beside `solve.fixpoint` when `solve_database` is called directly. On
+    // the bundled example the sweep's counts are non-zero, consistent, and
+    // the same on every run.
+    const UNION_KEYS: [&str; 5] = [
+        "unions",
+        "unions_shared",
+        "elements_scanned",
+        "elements_written",
+        "sets_distinct",
+    ];
+    for key in UNION_KEYS {
+        assert!(keys.contains(key), "solve.pass missing `{key}`: {keys:?}");
+    }
+    assert_eq!(under("solve.seal"), [Some("pipeline.solve")]);
+    let example = Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/c");
+    let mut example_fs = MemoryFs::new();
+    for name in ["main.c", "store.c", "prog.h"] {
+        example_fs.add(name, std::fs::read_to_string(example.join(name)).unwrap());
+    }
+    let example_units = ["main.c", "store.c"].map(|f| {
+        compile_file(
+            &example_fs,
+            f,
+            &PpOptions::default(),
+            &LowerOptions::default(),
+        )
+        .unwrap()
+        .0
+    });
+    let example_db = Database::open(write_object(&link(&example_units, "a.out").0)).unwrap();
+    let sweep = || -> Vec<u64> {
+        obs.set_trace_sink(Some(sink.clone()));
+        solve_database(&example_db, SolveOptions::default());
+        obs.set_trace_sink(None);
+        let events = sink.take();
+        let tops: Vec<String> = (begun_under(&events).into_iter())
+            .filter_map(|(name, parent)| parent.is_none().then_some(name))
+            .collect();
+        assert_eq!(tops, ["solve.fixpoint", "solve.extract"]);
+        let end = (events.iter())
+            .find(|e| e.name == "solve.extract" && matches!(e.ph, Phase::End))
+            .expect("no solve.extract span");
+        let args: HashMap<&str, obs::ArgValue> = end.args.iter().cloned().collect();
+        (UNION_KEYS.iter())
+            .map(|key| match args[key] {
+                obs::ArgValue::U64(n) => n,
+                ref other => panic!("`{key}` is {other:?}"),
+            })
+            .collect()
+    };
+    let counts = sweep();
+    assert!(counts.iter().all(|&n| n > 0), "{UNION_KEYS:?} = {counts:?}");
+    assert!(counts[1] <= counts[0], "unions_shared > unions: {counts:?}");
+    assert_eq!(sweep(), counts, "the sweep's counts differ run to run");
+
     // The global registry now holds demand-load and solver counters.
     let text = obs.prometheus_text();
     let samples = obs::parse_exposition(&text).unwrap();
@@ -167,6 +232,8 @@ fn pipeline_trace_is_balanced_and_layers_all_appear() {
     };
     assert!(value_of("cla_db_assigns_loaded_total") >= 1.0);
     assert!(value_of("cla_solve_passes_total") >= 1.0);
+    assert!(value_of("cla_solve_union_calls_total") >= counts[0] as f64);
+    assert!(value_of("cla_solve_union_shared_total") <= value_of("cla_solve_union_calls_total"));
     assert!(value_of("cla_front_files_total") >= 2.0);
 
     // --- Chrome JSONL writer: the on-disk streaming format. ---

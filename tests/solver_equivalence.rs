@@ -14,7 +14,10 @@
 //! * Steensgaard (checked for over-approximation only).
 //!
 //! Cases come from a fixed-seed SplitMix64 stream, so every run checks the
-//! same corpus and failures reproduce exactly.
+//! same corpus and failures reproduce exactly. The random systems have at
+//! most ten variables; `large_systems_agree` adds layered ones of 300 to
+//! 2 000, where lval sets run to hundreds of elements and the solver's
+//! union shares, probes, marks and merges instead of returning a singleton.
 
 use cla::core::{deductive, steensgaard, worklist};
 use cla::ir::{ObjectInfo, PrimAssign, SrcLoc};
@@ -77,7 +80,27 @@ fn random_assigns(rng: &mut SplitMix64, count: usize, var_bound: u32) -> Vec<(u8
 fn check_all_solvers(unit: &CompiledUnit, nvars: u32, label: &str) {
     let oracle = deductive::solve_oracle(unit);
     let expected = sets(&oracle, nvars);
+    check_pretransitive(unit, nvars, &expected, label);
 
+    let wl = worklist::solve(unit);
+    assert_eq!(sets(&wl, nvars), expected, "worklist diverged on {label}");
+
+    // Steensgaard must over-approximate.
+    let st = steensgaard::solve(unit);
+    assert!(
+        oracle.subsumed_by(&st),
+        "Steensgaard under-approximated on {label}"
+    );
+}
+
+/// The pre-transitive solver in its four configurations, through its three
+/// exits, and demand-loaded from an object file, against `expected`.
+fn check_pretransitive(
+    unit: &CompiledUnit,
+    nvars: u32,
+    expected: &[Vec<cla::ir::ObjId>],
+    label: &str,
+) {
     for (cache, cycle) in [(true, true), (true, false), (false, true), (false, false)] {
         let opts = SolveOptions {
             cache,
@@ -105,9 +128,6 @@ fn check_all_solvers(unit: &CompiledUnit, nvars: u32, label: &str) {
         );
     }
 
-    let wl = worklist::solve(unit);
-    assert_eq!(sets(&wl, nvars), expected, "worklist diverged on {label}");
-
     // Demand-loading through a real object file.
     let db = Database::open(write_object(unit)).unwrap();
     let (dbp, _) = solve_database(&db, SolveOptions::default());
@@ -116,13 +136,88 @@ fn check_all_solvers(unit: &CompiledUnit, nvars: u32, label: &str) {
         expected,
         "demand-loaded solve diverged on {label}"
     );
+}
 
-    // Steensgaard must over-approximate.
-    let st = steensgaard::solve(unit);
-    assert!(
-        oracle.subsumed_by(&st),
-        "Steensgaard under-approximated on {label}"
-    );
+/// A layered system over `n` variables, shaped so that every path of the
+/// solver's union runs and the naive configurations still finish: the first
+/// half are address-taken targets; twelve hubs each take the address of
+/// about 40 % of them (sets of `0.2 n` lvals and up); three layers of
+/// copies, two or three sources a node, sit on the hubs (joins of large,
+/// overlapping sets, at most 3·3·2 paths to a leaf) and every node of them
+/// takes one address itself (a lone lval against a large set, new to it or
+/// not); part of the first layer
+/// is tied into five-node copy rings (cycles the first traversal collapses);
+/// and a few `pp = &a; b = a; *pp = b; x = *pp; *qq = *pp` groups close
+/// `a ⇄ b` only when a pass resolves the store (SCCs merged mid-solve).
+fn layered_system(rng: &mut SplitMix64, n: u32) -> Vec<(u8, u32, u32)> {
+    // The kinds, as `build_unit` numbers them.
+    let (copy, addr, store, load, store_load) = (0u8, 1u8, 2u8, 3u8, 4u8);
+    let targets = n / 2;
+    let hubs = targets..targets + 12;
+    // Three variables a group at the very top take part in nothing else, so
+    // a `pp` points at exactly one variable.
+    let groups = (n - hubs.end) / 40;
+    let layer = (n - 3 * groups - hubs.end) / 3;
+    let layers = [1, 2, 3].map(|k| hubs.end + (k - 1) * layer..hubs.end + k * layer);
+    let mut pick = |range: &std::ops::Range<u32>| rng.random_range(range.clone());
+
+    let mut out = Vec::new();
+    for hub in hubs.clone() {
+        out.extend((0..targets).filter_map(|t| (pick(&(0..10)) < 4).then_some((addr, hub, t))));
+    }
+    for (below, here) in [&hubs, &layers[0], &layers[1]].into_iter().zip(&layers) {
+        for v in here.clone() {
+            for _ in 0..pick(&(2..4)) {
+                out.push((copy, v, pick(below)));
+            }
+            // One lval of its own, which the sets above it may hold already.
+            out.push((addr, v, pick(&(0..targets))));
+        }
+    }
+    for ring in layers[0].clone().step_by(5).take(8) {
+        out.extend((0..5).map(|i| (copy, ring + i, ring + (i + 1) % 5)));
+    }
+    for k in 0..groups {
+        let (pp, qq, x) = (n - 1 - 3 * k, n - 2 - 3 * k, n - 3 - 3 * k);
+        let (a, b) = (pick(&layers[1]), layers[2].start + k);
+        out.extend([
+            (addr, pp, a),
+            (addr, qq, b),
+            (copy, b, a),
+            (store, pp, b),
+            (load, x, pp),
+            (store_load, qq, pp),
+        ]);
+    }
+    out
+}
+
+#[test]
+fn large_systems_agree() {
+    let mut rng = SplitMix64::seed_from_u64(0xc1a0_0004);
+    for n in [100, 300, 700, 2_000] {
+        let unit = build_unit(n, &layered_system(&mut rng, n));
+        let expected = sets(&worklist::solve(&unit), n);
+        let label = format!("the layered system of {n} variables");
+        check_pretransitive(&unit, n, &expected, &label);
+        // The oracle is cubic: it gets the size it finishes in a second.
+        if n == 100 {
+            let oracle = deductive::solve_oracle(&unit);
+            assert_eq!(sets(&oracle, n), expected, "oracle on {label}");
+            continue;
+        }
+
+        // The system is the size it claims to be, and the solver met
+        // cycles both on its first traversal and after a store resolved.
+        let largest = expected.iter().map(Vec::len).max().unwrap();
+        assert!(largest >= n as usize / 4, "{label}: largest set {largest}");
+        let st = cla::core::Warm::from_unit(&unit, SolveOptions::default())
+            .seal()
+            .stats();
+        assert!(st.passes >= 2, "{label}: {st:?}");
+        assert!(st.unifications > 32, "{label}: {st:?}");
+        assert!(st.sets_shared > u64::from(n) / 10, "{label}: {st:?}");
+    }
 }
 
 #[test]
