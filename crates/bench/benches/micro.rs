@@ -14,7 +14,7 @@ use cla_cladb::{write_object, Database};
 use cla_core::pipeline::{analyze, PipelineOptions};
 use cla_core::{solve_database, solve_unit, steensgaard, worklist, LvalStore, SolveOptions, Warm};
 use cla_depend::{DependOptions, DependenceAnalysis, FlowIndex};
-use cla_ir::{compile_file, CompiledUnit, LowerOptions};
+use cla_ir::{compile_file, lower_unit, CompiledUnit, LowerOptions};
 use cla_workload::{by_name, generate, GenOptions};
 
 /// Runs `f` repeatedly and prints the median per-iteration time.
@@ -108,8 +108,9 @@ fn bench_frontend(src: &str) {
     bench_frontend_unit();
 }
 
-/// The front-end stages on one translation unit of the million-line shape
-/// (a generated file plus the header every file includes), per token.
+/// The front-end stages and lowering on one translation unit of the
+/// million-line shape (a generated file plus the header every file
+/// includes), per token.
 fn bench_frontend_unit() {
     let profile = cla_genc::Profile::parse("total_loc = 24000\nfiles = 8\n").unwrap();
     let mut fs = MemoryFs::new();
@@ -132,6 +133,15 @@ fn bench_frontend_unit() {
         tokens,
         || pp::preprocess(&fs, &unit, &opts).unwrap().tokens,
         |toks| parser::parse_with(toks, unit.as_str(), &opts.limits).map(|tu| tu.items.len()),
+    );
+    let pre = pp::preprocess(&fs, &unit, &opts).unwrap();
+    let tu = parser::parse_with(pre.tokens, unit.as_str(), &opts.limits).unwrap();
+    let lower = LowerOptions::default();
+    bench_per_token(
+        "lower_unit",
+        tokens,
+        || (),
+        |()| lower_unit(&tu, &pre.sources, &lower).assigns.len(),
     );
 }
 

@@ -1,8 +1,12 @@
 //! Abstract syntax tree for C translation units.
+//!
+//! Names are [`Symbol`]s of the unit's [`Interner`], which the
+//! [`TranslationUnit`] owns: the parser copies no spelling into the tree, and
+//! lowering resolves a name by its symbol's index.
 
 use crate::span::Loc;
+use crate::token::{Interner, Symbol, SymbolSet};
 use crate::types::{FuncType, Type, TypeTable};
-use std::collections::HashSet;
 
 /// One parsed translation unit (a `.c` file after preprocessing).
 #[derive(Debug)]
@@ -13,9 +17,18 @@ pub struct TranslationUnit {
     pub items: Vec<ExternalDecl>,
     /// Record (struct/union) definitions referenced by the AST.
     pub types: TypeTable,
-    /// Names of enum constants seen in this unit; the lowering treats them
-    /// as integer literals rather than objects.
-    pub enum_constants: HashSet<String>,
+    /// Enum constants seen in this unit; the lowering treats them as integer
+    /// literals rather than objects unless a local declaration shadows them.
+    pub enum_constants: SymbolSet,
+    /// Spells every [`Symbol`] of the tree.
+    pub interner: Interner,
+}
+
+impl TranslationUnit {
+    /// The spelling of `sym`, a symbol of this unit's tree.
+    pub fn name(&self, sym: Symbol) -> &str {
+        self.interner.resolve(sym)
+    }
 }
 
 /// A top-level item.
@@ -39,7 +52,7 @@ pub enum Storage {
 /// A function definition (declaration with a body).
 #[derive(Debug)]
 pub struct FunctionDef {
-    pub name: String,
+    pub name: Symbol,
     pub ty: FuncType,
     pub storage: Storage,
     pub body: Block,
@@ -58,7 +71,7 @@ pub struct Declaration {
 /// One declarator with its optional initializer.
 #[derive(Debug)]
 pub struct InitDeclarator {
-    pub name: String,
+    pub name: Symbol,
     pub ty: Type,
     pub init: Option<Initializer>,
     pub loc: Loc,
@@ -79,7 +92,7 @@ pub enum Designator {
     #[default]
     None,
     /// `.field =`
-    Field(String),
+    Field(Symbol),
     /// `[index] =` (constant index, when it folded).
     Index(Option<u64>),
 }
@@ -140,9 +153,9 @@ pub enum Stmt {
     },
     Break,
     Continue,
-    Goto(String),
+    Goto(Symbol),
     Label {
-        name: String,
+        name: Symbol,
         body: Box<Stmt>,
     },
 }
@@ -171,11 +184,13 @@ impl Expr {
 /// Expression shapes.
 #[derive(Debug)]
 pub enum ExprKind {
-    Ident(String),
+    Ident(Symbol),
     IntLit(u64),
     FloatLit(f64),
     CharLit(i64),
-    StrLit(String),
+    /// A string literal's text, escapes decoded and adjacent literals
+    /// joined.
+    StrLit(Symbol),
     Unary(UnaryOp, Box<Expr>),
     Binary(BinaryOp, Box<Expr>, Box<Expr>),
     /// `lhs op= rhs`; `op` is `None` for plain `=`.
@@ -186,7 +201,7 @@ pub enum ExprKind {
     Index(Box<Expr>, Box<Expr>),
     Member {
         base: Box<Expr>,
-        field: String,
+        field: Symbol,
         arrow: bool,
     },
     SizeofExpr(Box<Expr>),

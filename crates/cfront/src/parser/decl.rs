@@ -233,9 +233,10 @@ impl Parser {
         let loc = self.loc();
         self.bump(); // struct/union
         self.skip_gnu_extensions()?;
-        let tag = self.eat_ident().map(|s| self.name(s));
-        let id = match &tag {
-            Some(t) => self.types.record_by_tag(t, is_union, loc),
+        let id = match self.eat_ident() {
+            Some(tag) => self
+                .types
+                .record_by_tag(self.interner.resolve(tag), is_union, loc),
             None => self.types.anon_record(is_union, loc),
         };
         if self.eat_punct(Punct::LBrace) {
@@ -288,11 +289,7 @@ impl Parser {
                     let w = self.parse_conditional_expr()?;
                     let _ = self.eval_const(&w);
                 }
-                fields.push(Field {
-                    name: self.name(name),
-                    ty,
-                    loc,
-                });
+                fields.push(Field { name, ty, loc });
             }
             self.skip_gnu_extensions()?;
             if !self.eat_punct(Punct::Comma) {
@@ -308,7 +305,7 @@ impl Parser {
         self.bump(); // enum
         self.skip_gnu_extensions()?;
         let tag = match self.eat_ident() {
-            Some(s) => self.name(s),
+            Some(s) => self.interner.resolve(s).to_string(),
             None => "<anon-enum>".to_string(),
         };
         if self.eat_punct(Punct::LBrace) {
@@ -321,7 +318,7 @@ impl Parser {
                         next_value = v;
                     }
                 }
-                self.enum_constants.insert(name.clone());
+                self.enum_constants.insert(name);
                 self.enum_values.insert(name, next_value);
                 next_value = next_value.wrapping_add(1);
                 if !self.eat_punct(Punct::Comma) {
@@ -562,7 +559,7 @@ impl Parser {
                 break;
             }
             params.push(Param {
-                name: name.map(|n| self.name(n)),
+                name,
                 ty: decay(ty),
                 loc,
             });
@@ -672,12 +669,7 @@ impl Parser {
                     let (_, _, kbase) = self.parse_decl_specs()?;
                     loop {
                         let (pname, pty, _ploc) = self.parse_named_declarator(kbase.clone())?;
-                        let pname = self.interner.resolve(pname);
-                        if let Some(p) = ft
-                            .params
-                            .iter_mut()
-                            .find(|p| p.name.as_deref() == Some(pname))
-                        {
+                        if let Some(p) = ft.params.iter_mut().find(|p| p.name == Some(pname)) {
                             p.ty = decay(pty);
                         }
                         if !self.eat_punct(Punct::Comma) {
@@ -692,14 +684,14 @@ impl Parser {
                 self.declare_ordinary(name);
                 self.push_scope();
                 for p in &ft.params {
-                    if let Some(n) = &p.name {
-                        self.declare_ordinary_named(n);
+                    if let Some(n) = p.name {
+                        self.declare_ordinary(n);
                     }
                 }
                 let body = self.parse_block()?;
                 self.pop_scope();
                 return Ok(Some(ExternalDecl::Function(FunctionDef {
-                    name: self.name(name),
+                    name,
                     ty: ft,
                     storage,
                     body,
@@ -740,7 +732,7 @@ impl Parser {
             None
         };
         items.push(InitDeclarator {
-            name: self.name(first_name),
+            name: first_name,
             ty: first_ty,
             init,
             loc: first_loc,
@@ -754,7 +746,7 @@ impl Parser {
                 None
             };
             items.push(InitDeclarator {
-                name: self.name(name),
+                name,
                 ty,
                 init,
                 loc: dloc,
@@ -813,7 +805,7 @@ mod tests {
         for item in &tu.items {
             if let ExternalDecl::Declaration(d) = item {
                 let i = &d.items[0];
-                return (&i.name, &i.ty);
+                return (tu.name(i.name), &i.ty);
             }
         }
         panic!("no declaration");
@@ -986,9 +978,13 @@ mod tests {
 
     #[test]
     fn enums() {
-        let tu = parse_ok("enum Color { RED, GREEN = 5, BLUE } c;");
-        assert!(tu.enum_constants.contains("RED"));
-        assert!(tu.enum_constants.contains("BLUE"));
+        let mut tu = parse_ok("enum Color { RED, GREEN = 5, BLUE } c;");
+        for name in ["RED", "BLUE"] {
+            let sym = tu.interner.intern(name);
+            assert!(tu.enum_constants.contains(sym), "{name}");
+        }
+        let c = tu.interner.intern("c");
+        assert!(!tu.enum_constants.contains(c));
         let (_, t) = first_var(&tu);
         assert_eq!(*t, Type::Enum("Color".into()));
     }
@@ -1002,7 +998,7 @@ mod tests {
             if let ExternalDecl::Declaration(d) = item {
                 if !d.is_typedef {
                     for i in &d.items {
-                        vars.push((i.name.clone(), i.ty.clone()));
+                        vars.push((tu.name(i.name).to_string(), i.ty.clone()));
                     }
                 }
             }
@@ -1063,7 +1059,7 @@ mod tests {
             panic!()
         };
         assert_eq!(l.len(), 2);
-        assert!(matches!(l[0].0, crate::ast::Designator::Field(ref f) if f == "y"));
+        assert!(matches!(l[0].0, crate::ast::Designator::Field(f) if tu.name(f) == "y"));
     }
 
     #[test]
@@ -1072,7 +1068,7 @@ mod tests {
         let ExternalDecl::Function(f) = &tu.items[0] else {
             panic!()
         };
-        assert_eq!(f.name, "add");
+        assert_eq!(tu.name(f.name), "add");
         assert_eq!(f.ty.params.len(), 2);
         assert_eq!(f.body.items.len(), 1);
     }

@@ -281,16 +281,20 @@ impl Parser {
             TokenKind::Str(s) => {
                 self.bump();
                 // Adjacent string literals concatenate.
-                let mut full = self.name(s);
-                while let TokenKind::Str(next) = self.peek() {
-                    full.push_str(self.interner.resolve(next));
-                    self.bump();
+                let mut sym = s;
+                if let TokenKind::Str(_) = self.peek() {
+                    let mut full = self.interner.resolve(s).to_string();
+                    while let TokenKind::Str(next) = self.peek() {
+                        full.push_str(self.interner.resolve(next));
+                        self.bump();
+                    }
+                    sym = self.interner.intern(&full);
                 }
-                Ok(Expr::new(ExprKind::StrLit(full), loc))
+                Ok(Expr::new(ExprKind::StrLit(sym), loc))
             }
             TokenKind::Ident(name) if !name.is_keyword() => {
                 self.bump();
-                Ok(Expr::new(ExprKind::Ident(self.name(name)), loc))
+                Ok(Expr::new(ExprKind::Ident(name), loc))
             }
             TokenKind::Punct(Punct::LParen) => {
                 self.bump();
@@ -391,11 +395,17 @@ mod tests {
 
     #[test]
     fn string_concat() {
-        let e = expr("\"ab\" \"cd\"");
-        let ExprKind::StrLit(s) = &e.kind else {
-            panic!()
+        let toks = lex("\"ab\" \"cd\" + \"ef\"", FileId(0)).unwrap();
+        let mut p = Parser::new(toks);
+        let e = p.parse_expr().unwrap();
+        let ExprKind::Binary(_, l, r) = &e.kind else {
+            panic!("{e:?}")
         };
-        assert_eq!(s, "abcd");
+        let (ExprKind::StrLit(l), ExprKind::StrLit(r)) = (&l.kind, &r.kind) else {
+            panic!("{e:?}")
+        };
+        assert_eq!(p.interner.resolve(*l), "abcd");
+        assert_eq!(p.interner.resolve(*r), "ef");
     }
 
     #[test]

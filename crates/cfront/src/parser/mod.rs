@@ -15,7 +15,7 @@ use crate::pp::FrontendLimits;
 use crate::span::Loc;
 use crate::token::{sym, Interner, Punct, Symbol, SymbolSet, Token, TokenKind, TokenStream};
 use crate::types::{Type, TypeTable};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Parses a preprocessed token stream into a translation unit, with the
 /// default [`FrontendLimits`].
@@ -52,6 +52,7 @@ pub fn parse_with(
         items,
         types: p.types,
         enum_constants: p.enum_constants,
+        interner: p.interner,
     })
 }
 
@@ -67,9 +68,8 @@ pub(crate) enum NameKind {
 
 pub(crate) struct Parser {
     toks: Vec<Token>,
-    /// Spells the symbols of `toks`. The cursor and the scope maps work on
-    /// symbols; a spelling is copied out only where an AST node stores a
-    /// name.
+    /// Spells the symbols of `toks`; it becomes the unit's, so the AST
+    /// stores symbols and no spelling is copied.
     interner: Interner,
     pos: usize,
     /// Current expression/declarator recursion depth (guards the
@@ -90,9 +90,9 @@ pub(crate) struct Parser {
     /// are, and [`Parser::typedef_lookup`] answers for them without walking
     /// the scopes.
     typedef_names: SymbolSet,
-    pub(crate) enum_constants: HashSet<String>,
+    pub(crate) enum_constants: SymbolSet,
     /// Values of enum constants, for constant folding.
-    pub(crate) enum_values: HashMap<String, i64>,
+    pub(crate) enum_values: HashMap<Symbol, i64>,
 }
 
 impl Parser {
@@ -110,7 +110,7 @@ impl Parser {
             types: TypeTable::new(),
             scopes: vec![HashMap::new()],
             typedef_names: SymbolSet::default(),
-            enum_constants: HashSet::new(),
+            enum_constants: SymbolSet::default(),
             enum_values: HashMap::new(),
         }
     }
@@ -129,11 +129,6 @@ impl Parser {
         self.toks
             .get(self.pos + n)
             .map_or(TokenKind::Eof, |t| t.kind)
-    }
-
-    /// The spelling of `name`, owned: for AST nodes.
-    pub(crate) fn name(&self, name: Symbol) -> String {
-        self.interner.resolve(name).to_string()
     }
 
     pub(crate) fn loc(&self) -> Loc {
@@ -267,12 +262,11 @@ impl Parser {
         }
     }
 
-    /// Consumes and returns (the spelling of) an identifier that is not a
-    /// keyword.
-    pub(crate) fn expect_ident(&mut self) -> Result<(String, Loc)> {
+    /// Consumes and returns an identifier that is not a keyword.
+    pub(crate) fn expect_ident(&mut self) -> Result<(Symbol, Loc)> {
         let loc = self.loc();
         match self.eat_ident() {
-            Some(s) => Ok((self.name(s), loc)),
+            Some(s) => Ok((s, loc)),
             None => Err(self.err("expected identifier")),
         }
     }
@@ -296,18 +290,18 @@ impl Parser {
             .insert(name, NameKind::Typedef(ty));
     }
 
+    /// Declares an ordinary identifier. Only a name that is a typedef
+    /// somewhere needs the entry (it shadows the typedef): a typedef is
+    /// declared into the innermost scope, so one declared later never sits
+    /// outside this scope, and [`Parser::typedef_lookup`] answers for every
+    /// other name without a scope entry.
     pub(crate) fn declare_ordinary(&mut self, name: Symbol) {
-        self.scopes
-            .last_mut()
-            .expect("scope stack never empty")
-            .insert(name, NameKind::Ordinary);
-    }
-
-    /// Declares the ordinary identifier spelled `name` (an AST node's copy
-    /// of a name the cursor has passed, so the symbol exists).
-    pub(crate) fn declare_ordinary_named(&mut self, name: &str) {
-        let name = self.interner.intern(name);
-        self.declare_ordinary(name);
+        if self.typedef_names.contains(name) {
+            self.scopes
+                .last_mut()
+                .expect("scope stack never empty")
+                .insert(name, NameKind::Ordinary);
+        }
     }
 
     /// Resolves a name to a typedef'd type, respecting shadowing.

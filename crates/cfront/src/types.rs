@@ -7,8 +7,9 @@
 //! field object `S.x` (paper Section 3).
 
 use crate::span::Loc;
+use crate::token::Symbol;
 use std::collections::HashMap;
-use std::fmt;
+use std::fmt::{self, Write};
 
 /// Integer kinds (C89 plus `long long`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -63,7 +64,7 @@ pub struct FuncType {
 /// A function parameter.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Param {
-    pub name: Option<String>,
+    pub name: Option<Symbol>,
     pub ty: Type,
     pub loc: Loc,
 }
@@ -71,7 +72,7 @@ pub struct Param {
 /// One field of a record.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Field {
-    pub name: String,
+    pub name: Symbol,
     pub ty: Type,
     pub loc: Loc,
 }
@@ -152,7 +153,7 @@ impl TypeTable {
 
     /// Finds a field by name (searching nested anonymous members is not
     /// supported; anonymous struct/union members are uncommon in C89).
-    pub fn field<'t>(&'t self, id: RecordId, name: &str) -> Option<&'t Field> {
+    pub fn field(&self, id: RecordId, name: Symbol) -> Option<&Field> {
         self.record(id).fields.iter().find(|f| f.name == name)
     }
 
@@ -174,40 +175,62 @@ impl TypeTable {
             .map(|(i, r)| (RecordId(i as u32), r))
     }
 
-    /// Renders a type for diagnostics.
-    pub fn display(&self, ty: &Type) -> String {
+    /// Appends the C text of `ty` to `out` (`int *`, `struct S [4]`,
+    /// `int (char *, long)`).
+    pub fn display(&self, ty: &Type, out: &mut String) {
         match ty {
-            Type::Void => "void".into(),
+            Type::Void => out.push_str("void"),
             Type::Int { kind, signed } => {
-                let base = match kind {
+                if !*signed {
+                    out.push_str("unsigned ");
+                }
+                out.push_str(match kind {
                     IntKind::Char => "char",
                     IntKind::Short => "short",
                     IntKind::Int => "int",
                     IntKind::Long => "long",
                     IntKind::LongLong => "long long",
-                };
-                if *signed {
-                    base.into()
-                } else {
-                    format!("unsigned {base}")
+                });
+            }
+            Type::Float(FloatKind::Float) => out.push_str("float"),
+            Type::Float(FloatKind::Double) => out.push_str("double"),
+            Type::Float(FloatKind::LongDouble) => out.push_str("long double"),
+            Type::Pointer(inner) => {
+                self.display(inner, out);
+                out.push_str(" *");
+            }
+            Type::Array(inner, n) => {
+                self.display(inner, out);
+                match n {
+                    Some(n) => write!(out, " [{n}]").expect("writing to a String"),
+                    None => out.push_str(" []"),
                 }
             }
-            Type::Float(FloatKind::Float) => "float".into(),
-            Type::Float(FloatKind::Double) => "double".into(),
-            Type::Float(FloatKind::LongDouble) => "long double".into(),
-            Type::Pointer(inner) => format!("{} *", self.display(inner)),
-            Type::Array(inner, Some(n)) => format!("{} [{n}]", self.display(inner)),
-            Type::Array(inner, None) => format!("{} []", self.display(inner)),
-            Type::Function(f) => {
-                let params: Vec<String> = f.params.iter().map(|p| self.display(&p.ty)).collect();
-                format!("{} ({})", self.display(&f.ret), params.join(", "))
-            }
+            Type::Function(f) => self.display_func(f, out),
             Type::Record(id) => {
                 let r = self.record(*id);
-                format!("{} {}", if r.is_union { "union" } else { "struct" }, r.tag)
+                out.push_str(if r.is_union { "union " } else { "struct " });
+                out.push_str(&r.tag);
             }
-            Type::Enum(tag) => format!("enum {tag}"),
+            Type::Enum(tag) => {
+                out.push_str("enum ");
+                out.push_str(tag);
+            }
         }
+    }
+
+    /// Appends the C text of a function type to `out`: [`Self::display`]
+    /// of `Type::Function(f)`, for callers that hold only the signature.
+    pub fn display_func(&self, f: &FuncType, out: &mut String) {
+        self.display(&f.ret, out);
+        out.push_str(" (");
+        for (i, p) in f.params.iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            self.display(&p.ty, out);
+        }
+        out.push(')');
     }
 
     /// Size of a type in bytes under the reproduction's ILP32 model
@@ -253,20 +276,27 @@ impl TypeTable {
 }
 
 impl Type {
+    /// `int`.
+    pub const INT: Type = Type::Int {
+        kind: IntKind::Int,
+        signed: true,
+    };
+    /// `char`.
+    pub const CHAR: Type = Type::Int {
+        kind: IntKind::Char,
+        signed: true,
+    };
+    /// `double`.
+    pub const DOUBLE: Type = Type::Float(FloatKind::Double);
+
     /// Convenience: `int`.
     pub fn int() -> Type {
-        Type::Int {
-            kind: IntKind::Int,
-            signed: true,
-        }
+        Type::INT
     }
 
     /// Convenience: `char`.
     pub fn char_() -> Type {
-        Type::Int {
-            kind: IntKind::Char,
-            signed: true,
-        }
+        Type::CHAR
     }
 
     /// Convenience: pointer to `self`.
@@ -304,19 +334,12 @@ impl fmt::Display for Type {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Type::Record(id) => write!(f, "record#{}", id.0),
-            other => write!(f, "{}", TypeTable::new_display_helper(other)),
-        }
-    }
-}
-
-impl TypeTable {
-    fn new_display_helper(ty: &Type) -> String {
-        // Display via an empty table only works for record-free types; record
-        // types are rendered by the caller's arm above.
-        let t = TypeTable::new();
-        match ty {
-            Type::Record(_) => unreachable!("handled by Display"),
-            other => t.display(other),
+            // Display via an empty table only works for record-free types.
+            other => {
+                let mut text = String::new();
+                TypeTable::new().display(other, &mut text);
+                f.write_str(&text)
+            }
         }
     }
 }
@@ -327,6 +350,8 @@ mod tests {
 
     #[test]
     fn table_records() {
+        let mut names = crate::token::Interner::new();
+        let (x, y) = (names.intern("x"), names.intern("y"));
         let mut t = TypeTable::new();
         let s = t.record_by_tag("S", false, Loc::BUILTIN);
         let s2 = t.record_by_tag("S", false, Loc::BUILTIN);
@@ -338,17 +363,18 @@ mod tests {
         assert_ne!(a1, a2);
         assert_eq!(t.len(), 4);
         t.record_mut(s).fields.push(Field {
-            name: "x".into(),
+            name: x,
             ty: Type::int(),
             loc: Loc::BUILTIN,
         });
         t.record_mut(s).complete = true;
-        assert!(t.field(s, "x").is_some());
-        assert!(t.field(s, "y").is_none());
+        assert!(t.field(s, x).is_some());
+        assert!(t.field(s, y).is_none());
     }
 
     #[test]
     fn sizes() {
+        let mut names = crate::token::Interner::new();
         let mut t = TypeTable::new();
         assert_eq!(t.size_of(&Type::int()), Some(4));
         assert_eq!(t.size_of(&Type::char_()), Some(1));
@@ -360,12 +386,12 @@ mod tests {
         assert_eq!(t.size_of(&Type::Array(Box::new(Type::int()), None)), None);
         let s = t.record_by_tag("S", false, Loc::BUILTIN);
         t.record_mut(s).fields.push(Field {
-            name: "a".into(),
+            name: names.intern("a"),
             ty: Type::int(),
             loc: Loc::BUILTIN,
         });
         t.record_mut(s).fields.push(Field {
-            name: "b".into(),
+            name: names.intern("b"),
             ty: Type::Int {
                 kind: IntKind::Short,
                 signed: true,
@@ -394,16 +420,49 @@ mod tests {
 
     #[test]
     fn display() {
+        let text = |t: &TypeTable, ty: &Type| {
+            let mut out = String::new();
+            t.display(ty, &mut out);
+            out
+        };
         let mut t = TypeTable::new();
         let s = t.record_by_tag("S", false, Loc::BUILTIN);
-        assert_eq!(t.display(&Type::Record(s)), "struct S");
-        assert_eq!(t.display(&Type::int().ptr_to()), "int *");
+        assert_eq!(text(&t, &Type::Record(s)), "struct S");
+        assert_eq!(text(&t, &Type::int().ptr_to()), "int *");
         assert_eq!(
-            t.display(&Type::Int {
-                kind: IntKind::Char,
-                signed: false
-            }),
+            text(
+                &t,
+                &Type::Int {
+                    kind: IntKind::Char,
+                    signed: false
+                }
+            ),
             "unsigned char"
+        );
+        let f = Type::Function(Box::new(FuncType {
+            ret: Type::Record(s).ptr_to(),
+            params: vec![
+                Param {
+                    name: None,
+                    ty: Type::Array(Box::new(Type::char_()), Some(4)),
+                    loc: Loc::BUILTIN,
+                },
+                Param {
+                    name: None,
+                    ty: Type::Enum("E".into()),
+                    loc: Loc::BUILTIN,
+                },
+            ],
+            variadic: false,
+            kr: false,
+        }));
+        assert_eq!(text(&t, &f), "struct S * (char [4], enum E)");
+        assert_eq!(
+            text(
+                &t,
+                &Type::Array(Box::new(Type::Float(FloatKind::Double)), None)
+            ),
+            "double []"
         );
         assert_eq!(format!("{}", Type::int()), "int");
     }

@@ -9,9 +9,13 @@
 //! standardized parameter/return variables `f$1`, `f$ret`; indirect calls
 //! attach a signature to the function-pointer object for analysis-time
 //! linking.
+//!
+//! Names stay [`Symbol`]s and types stay borrowed from the AST until an
+//! object is made, so lowering allocates what it emits (object names, link
+//! names, type text) and little else.
 
 use crate::assign::{AssignKind, CompiledUnit, FunSig, PrimAssign};
-use crate::loc::SrcLoc;
+use crate::loc::{FileIdx, SrcLoc};
 use crate::object::{ObjId, ObjKind, ObjectInfo};
 use crate::strength::{classify_binary, classify_unary, OpKind, Strength};
 use cla_cfront::ast::{
@@ -19,8 +23,11 @@ use cla_cfront::ast::{
     FunctionDef, Initializer, Stmt, Storage, TranslationUnit, UnaryOp,
 };
 use cla_cfront::span::{Loc, SourceMap};
-use cla_cfront::types::{Type, TypeTable};
+use cla_cfront::token::Symbol;
+use cla_cfront::types::{FuncType, RecordId, Type};
+use cla_cfront::FileId;
 use std::collections::HashMap;
+use std::fmt::Write;
 
 /// Struct model (paper Section 3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -54,8 +61,8 @@ impl Default for LowerOptions {
             allocator_names: [
                 "malloc", "calloc", "realloc", "valloc", "memalign", "strdup",
             ]
-            .iter()
-            .map(|s| s.to_string())
+            .into_iter()
+            .map(String::from)
             .collect(),
         }
     }
@@ -72,17 +79,19 @@ impl LowerOptions {
 /// Lowers one parsed translation unit to primitive assignments.
 pub fn lower_unit(tu: &TranslationUnit, sources: &SourceMap, opts: &LowerOptions) -> CompiledUnit {
     let mut lw = Lowerer {
-        types: &tu.types,
-        enum_constants: &tu.enum_constants,
+        tu,
         sources,
         opts,
         unit: CompiledUnit::new(tu.file.clone()),
-        globals: HashMap::new(),
-        global_types: HashMap::new(),
+        files: vec![None; sources.len()],
+        locals: vec![None; tu.interner.len()],
+        shadowed: Vec::new(),
         scopes: Vec::new(),
+        globals: vec![None; tu.interner.len()],
         fields: HashMap::new(),
-        funsig_ix: HashMap::new(),
-        obj_types: HashMap::new(),
+        objs: Vec::new(),
+        srcs: Vec::new(),
+        text: String::new(),
         temp_count: 0,
         cur_func: None,
         str_count: 0,
@@ -117,7 +126,7 @@ enum RPlace {
 
 /// One source contributing to an rvalue, with the strength/op it passed
 /// through.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct RSrc {
     place: RPlace,
     strength: Strength,
@@ -125,25 +134,9 @@ struct RSrc {
 }
 
 impl RSrc {
-    fn obj(id: ObjId) -> Self {
+    fn new(place: RPlace) -> Self {
         RSrc {
-            place: RPlace::Obj(id),
-            strength: Strength::Strong,
-            op: OpKind::Direct,
-        }
-    }
-
-    fn addr(id: ObjId) -> Self {
-        RSrc {
-            place: RPlace::Addr(id),
-            strength: Strength::Strong,
-            op: OpKind::Direct,
-        }
-    }
-
-    fn deref(id: ObjId) -> Self {
-        RSrc {
-            place: RPlace::Deref(id),
+            place,
             strength: Strength::Strong,
             op: OpKind::Direct,
         }
@@ -160,24 +153,141 @@ impl RSrc {
     }
 }
 
+/// An implicitly declared function: `int ()`.
+static IMPLICIT_FN: FuncType = FuncType {
+    ret: Type::INT,
+    params: Vec::new(),
+    variadic: false,
+    kr: true,
+};
+
+/// A type lowering reads without building it: `ptrs` added levels of
+/// pointer over a type the AST holds, a function definition's signature, or
+/// a string literal's `char [n]`.
+#[derive(Debug, Clone, Copy)]
+struct Ty<'a> {
+    base: TyBase<'a>,
+    ptrs: u32,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum TyBase<'a> {
+    Type(&'a Type),
+    Func(&'a FuncType),
+    Str(u64),
+}
+
+impl<'a> Ty<'a> {
+    fn new(base: TyBase<'a>) -> Self {
+        Ty { base, ptrs: 0 }
+    }
+
+    fn of(t: &'a Type) -> Self {
+        Ty::new(TyBase::Type(t))
+    }
+
+    /// `int`: implicit declarations, and whatever lowering cannot type.
+    fn int() -> Self {
+        Ty::of(&Type::INT)
+    }
+
+    fn ptr_to(self) -> Self {
+        let ptrs = self.ptrs + 1;
+        Ty { ptrs, ..self }
+    }
+
+    /// The pointee for pointers, the element for arrays, `None` otherwise.
+    fn deref(self) -> Option<Self> {
+        if let Some(ptrs) = self.ptrs.checked_sub(1) {
+            return Some(Ty { ptrs, ..self });
+        }
+        match self.base {
+            TyBase::Type(t) => t.dereferenced().map(Ty::of),
+            TyBase::Func(_) => None,
+            TyBase::Str(_) => Some(Ty::of(&Type::CHAR)),
+        }
+    }
+
+    fn is_array(self) -> bool {
+        self.ptrs == 0 && matches!(self.base, TyBase::Type(Type::Array(..)) | TyBase::Str(_))
+    }
+
+    fn is_pointer_like(self) -> bool {
+        self.ptrs > 0 || !matches!(self.base, TyBase::Type(t) if !t.is_pointer_like())
+    }
+
+    fn is_func(self) -> bool {
+        self.ptrs == 0 && matches!(self.base, TyBase::Func(_) | TyBase::Type(Type::Function(_)))
+    }
+
+    fn record(self) -> Option<RecordId> {
+        match self.base {
+            TyBase::Type(&Type::Record(id)) if self.ptrs == 0 => Some(id),
+            _ => None,
+        }
+    }
+
+    /// The return type of the function type under this type's pointers,
+    /// with how many pointers sit over it; `None` when no function is there.
+    fn under_fn(self) -> Option<(u32, &'a Type)> {
+        let (mut depth, mut t) = match self.base {
+            TyBase::Type(t) => (self.ptrs, t),
+            TyBase::Func(f) => return Some((self.ptrs, &f.ret)),
+            TyBase::Str(_) => return None,
+        };
+        while let Type::Pointer(inner) = t {
+            depth += 1;
+            t = inner;
+        }
+        let Type::Function(f) = t else { return None };
+        Some((depth, &f.ret))
+    }
+}
+
+/// What lowering keeps of each object it made, by [`ObjId`].
+#[derive(Debug, Clone, Copy)]
+struct ObjMeta<'a> {
+    /// `None` for parameter, return, heap and string objects.
+    ty: Option<Ty<'a>>,
+    /// Index of the object's signature in `unit.funsigs`.
+    sig: Option<usize>,
+}
+
+/// An object linked by name (`linked`) or file-local.
+fn object_info(name: String, kind: ObjKind, ty: &str, loc: SrcLoc, linked: bool) -> ObjectInfo {
+    if linked {
+        ObjectInfo::global(name, kind, ty, loc)
+    } else {
+        ObjectInfo::local(name, kind, ty, loc)
+    }
+}
+
 struct Lowerer<'a> {
-    types: &'a TypeTable,
-    enum_constants: &'a std::collections::HashSet<String>,
+    tu: &'a TranslationUnit,
     sources: &'a SourceMap,
     opts: &'a LowerOptions,
     unit: CompiledUnit,
-    /// File-scope name → object (variables and functions, any linkage).
-    globals: HashMap<String, ObjId>,
-    /// File-scope name → declared type.
-    global_types: HashMap<String, Type>,
-    /// Local scopes: name → (object, type).
-    scopes: Vec<HashMap<String, (ObjId, Type)>>,
-    /// (record tag, field name) → field object.
-    fields: HashMap<(String, String), ObjId>,
-    /// Object → index into `unit.funsigs`.
-    funsig_ix: HashMap<ObjId, usize>,
-    /// Types of objects created for expressions (for display).
-    obj_types: HashMap<ObjId, Type>,
+    /// `FileId` → index in `unit.files`, filled at a file's first location.
+    files: Vec<Option<FileIdx>>,
+    /// Innermost local declaration of each symbol, by [`Symbol::index`].
+    locals: Vec<Option<ObjId>>,
+    /// Each local declaration's symbol and the binding it shadowed, newest
+    /// last; closing a scope pops back to the scope's mark.
+    shadowed: Vec<(Symbol, Option<ObjId>)>,
+    /// `shadowed.len()` at each open scope.
+    scopes: Vec<usize>,
+    /// File-scope object of each symbol (variables and functions, any
+    /// linkage), by [`Symbol::index`].
+    globals: Vec<Option<ObjId>>,
+    /// Field objects by record and field name; `None` is the `?` pool of
+    /// members whose base has an unknown type.
+    fields: HashMap<(Option<RecordId>, Symbol), ObjId>,
+    objs: Vec<ObjMeta<'a>>,
+    /// The sources of the rvalues being lowered, innermost last: see
+    /// [`Lowerer::lower_rvalue`].
+    srcs: Vec<RSrc>,
+    /// Type text of the object being made.
+    text: String,
     temp_count: u32,
     cur_func: Option<ObjId>,
     str_count: u32,
@@ -187,132 +297,156 @@ impl<'a> Lowerer<'a> {
     // ----- locations ------------------------------------------------------
 
     fn srcloc(&mut self, loc: Loc) -> SrcLoc {
-        if loc.file == cla_cfront::FileId::BUILTIN {
+        if loc.file == FileId::BUILTIN {
             return SrcLoc::NONE;
         }
-        let name = self.sources.file_name(loc.file).to_string();
-        SrcLoc::new(self.unit.files.intern(&name), loc.line)
+        let i = loc.file.0 as usize;
+        // An id past the source map has no slot: it is looked up every time.
+        let slot = self.files.get(i).copied();
+        let file = match slot.flatten() {
+            Some(file) => file,
+            None => self.unit.files.intern(self.sources.file_name(loc.file)),
+        };
+        if slot.is_some() {
+            self.files[i] = Some(file);
+        }
+        SrcLoc::new(file, loc.line)
     }
 
     // ----- object creation -------------------------------------------------
 
-    fn ty_str(&self, ty: &Type) -> String {
-        self.types.display(ty)
+    /// Writes `ty`'s C text into the reused buffer.
+    fn ty_text(&mut self, ty: Ty<'a>) -> &str {
+        self.text.clear();
+        let types = &self.tu.types;
+        match ty.base {
+            TyBase::Type(t) => types.display(t, &mut self.text),
+            TyBase::Func(f) => types.display_func(f, &mut self.text),
+            TyBase::Str(n) => write!(self.text, "char [{n}]").expect("writing to a String"),
+        }
+        for _ in 0..ty.ptrs {
+            self.text.push_str(" *");
+        }
+        &self.text
     }
 
-    fn new_temp(&mut self, ty: &Type, loc: SrcLoc) -> ObjId {
+    fn push(&mut self, info: ObjectInfo, ty: Option<Ty<'a>>) -> ObjId {
+        self.objs.push(ObjMeta { ty, sig: None });
+        self.unit.push_object(info)
+    }
+
+    fn new_temp(&mut self, ty: Ty<'a>, loc: SrcLoc) -> ObjId {
         self.temp_count += 1;
         let name = format!("tmp${}", self.temp_count);
-        let mut info = ObjectInfo::local(name, ObjKind::Temp, self.ty_str(ty), loc);
+        let mut info = ObjectInfo::local(name, ObjKind::Temp, self.ty_text(ty), loc);
         info.in_func = self.cur_func;
-        let id = self.unit.push_object(info);
-        self.obj_types.insert(id, ty.clone());
-        id
+        self.push(info, Some(ty))
     }
 
-    /// File-scope variable or function object (created on first sight).
-    fn global_object(&mut self, name: &str, ty: &Type, storage: Storage, loc: Loc) -> ObjId {
-        if let Some(&id) = self.globals.get(name) {
-            // A later declaration may sharpen the type (e.g. tentative
-            // definitions, or a prototype following an implicit call).
-            self.global_types
-                .entry(name.to_string())
-                .or_insert_with(|| ty.clone());
+    /// File-scope variable or function object (created on first sight; a
+    /// later declaration keeps the first one's type).
+    fn global_object(&mut self, name: Symbol, ty: Ty<'a>, storage: Storage, loc: Loc) -> ObjId {
+        if let Some(id) = self.globals[name.index()] {
             return id;
         }
         let loc = self.srcloc(loc);
-        let kind = if matches!(ty, Type::Function(_)) {
+        let kind = if ty.is_func() {
             ObjKind::Func
         } else {
             ObjKind::Var
         };
-        let info = if storage == Storage::Static {
-            ObjectInfo::local(name, kind, self.ty_str(ty), loc)
-        } else {
-            ObjectInfo::global(name, kind, self.ty_str(ty), loc)
-        };
-        let id = self.unit.push_object(info);
-        self.globals.insert(name.to_string(), id);
-        self.global_types.insert(name.to_string(), ty.clone());
-        self.obj_types.insert(id, ty.clone());
+        let tu = self.tu;
+        let linked = storage != Storage::Static;
+        let info = object_info(tu.name(name).into(), kind, self.ty_text(ty), loc, linked);
+        let id = self.push(info, Some(ty));
+        self.globals[name.index()] = Some(id);
         id
     }
 
     /// Local variable object in the innermost scope.
-    fn local_object(&mut self, name: &str, ty: &Type, loc: Loc) -> ObjId {
+    fn local_object(&mut self, name: Symbol, ty: &'a Type, loc: Loc) -> ObjId {
         let loc = self.srcloc(loc);
-        let mut info = ObjectInfo::local(name, ObjKind::Var, self.ty_str(ty), loc);
+        let tu = self.tu;
+        let mut info =
+            ObjectInfo::local(tu.name(name), ObjKind::Var, self.ty_text(Ty::of(ty)), loc);
         info.in_func = self.cur_func;
-        let id = self.unit.push_object(info);
-        self.obj_types.insert(id, ty.clone());
-        self.scopes
-            .last_mut()
-            .expect("local_object outside any scope")
-            .insert(name.to_string(), (id, ty.clone()));
+        let id = self.push(info, Some(Ty::of(ty)));
+        let shadowed = self.locals[name.index()].replace(id);
+        self.shadowed.push((name, shadowed));
         id
     }
 
-    /// The field object for `(tag, field)` (field-based model). Fields of
-    /// named tags link across units; anonymous tags stay file-local.
-    fn field_object(&mut self, tag: &str, field: &str, ty: &Type, loc: Loc) -> ObjId {
-        if let Some(&id) = self.fields.get(&(tag.to_string(), field.to_string())) {
+    fn open_scope(&mut self) {
+        self.scopes.push(self.shadowed.len());
+    }
+
+    fn close_scope(&mut self) {
+        let mark = self.scopes.pop().expect("scopes are balanced");
+        for (name, shadowed) in self.shadowed.drain(mark..).rev() {
+            self.locals[name.index()] = shadowed;
+        }
+    }
+
+    /// The field object for `field` of `rec` (field-based model); `None` is
+    /// the pool `?` for bases of unknown type. Fields of named tags link
+    /// across units; anonymous tags stay file-local.
+    fn field_object(
+        &mut self,
+        rec: Option<RecordId>,
+        field: Symbol,
+        ty: Ty<'a>,
+        loc: Loc,
+    ) -> ObjId {
+        if let Some(&id) = self.fields.get(&(rec, field)) {
             return id;
         }
         let loc = self.srcloc(loc);
-        let name = format!("{tag}.{field}");
-        let anonymous = tag.starts_with("<anon");
-        let info = if anonymous {
-            ObjectInfo::local(&name, ObjKind::Field, self.ty_str(ty), loc)
-        } else {
-            ObjectInfo::global(&name, ObjKind::Field, self.ty_str(ty), loc)
-        };
-        let id = self.unit.push_object(info);
-        self.fields.insert((tag.to_string(), field.to_string()), id);
-        self.obj_types.insert(id, ty.clone());
+        let tu = self.tu;
+        let tag = rec.map_or("?", |r| tu.types.record(r).tag.as_str());
+        let name = format!("{tag}.{}", tu.name(field));
+        let linked = !tag.starts_with("<anon");
+        let info = object_info(name, ObjKind::Field, self.ty_text(ty), loc, linked);
+        let id = self.push(info, Some(ty));
+        self.fields.insert((rec, field), id);
         id
     }
 
-    /// Resolves an identifier to its object, creating an implicit global for
-    /// undeclared names (C89 implicit declaration).
-    fn resolve(&mut self, name: &str, loc: Loc) -> ObjId {
-        for scope in self.scopes.iter().rev() {
-            if let Some((id, _)) = scope.get(name) {
-                return *id;
-            }
+    /// The object `name` denotes: the innermost local declaration, else
+    /// nothing for an enum constant, else the file-scope object — an
+    /// implicit `int` global for a name never declared (C89).
+    fn resolve(&mut self, name: Symbol, loc: Loc) -> Option<ObjId> {
+        if let Some(id) = self.locals[name.index()] {
+            return Some(id);
         }
-        if let Some(&id) = self.globals.get(name) {
-            return id;
+        if self.tu.enum_constants.contains(name) {
+            return None;
         }
-        self.global_object(name, &Type::int(), Storage::None, loc)
+        Some(self.global_object(name, Ty::int(), Storage::None, loc))
     }
 
-    fn type_of_name(&self, name: &str) -> Option<Type> {
-        for scope in self.scopes.iter().rev() {
-            if let Some((_, ty)) = scope.get(name) {
-                return Some(ty.clone());
-            }
-        }
-        self.global_types.get(name).cloned()
+    fn type_of_name(&self, name: Symbol) -> Option<Ty<'a>> {
+        let id = self.locals[name.index()].or(self.globals[name.index()])?;
+        self.objs[id.index()].ty
     }
 
     // ----- function signatures ---------------------------------------------
 
+    /// A standardized parameter or return object of `func`'s signature.
+    fn sig_object(&mut self, name: String, kind: ObjKind, linked: bool, func: ObjId) -> ObjId {
+        let mut info = object_info(name, kind, "", SrcLoc::NONE, linked);
+        info.in_func = Some(func);
+        self.push(info, None)
+    }
+
     /// The signature record for a function or function-pointer object,
     /// creating it (with `ret`) on first use.
     fn ensure_funsig(&mut self, obj: ObjId, is_indirect: bool) -> usize {
-        if let Some(&ix) = self.funsig_ix.get(&obj) {
+        if let Some(ix) = self.objs[obj.index()].sig {
             return ix;
         }
-        let base = self.unit.object(obj).name.clone();
-        let linked = self.unit.object(obj).is_global() && !is_indirect;
-        let ret_name = format!("{base}$ret");
-        let mut info = if linked {
-            ObjectInfo::global(&ret_name, ObjKind::Ret, "", SrcLoc::NONE)
-        } else {
-            ObjectInfo::local(&ret_name, ObjKind::Ret, "", SrcLoc::NONE)
-        };
-        info.in_func = Some(obj);
-        let ret = self.unit.push_object(info);
+        let fobj = self.unit.object(obj);
+        let linked = fobj.is_global() && !is_indirect;
+        let ret = self.sig_object(format!("{}$ret", fobj.name), ObjKind::Ret, linked, obj);
         let ix = self.unit.funsigs.len();
         self.unit.funsigs.push(FunSig {
             obj,
@@ -320,29 +454,19 @@ impl<'a> Lowerer<'a> {
             ret,
             is_indirect,
         });
-        self.funsig_ix.insert(obj, ix);
+        self.objs[obj.index()].sig = Some(ix);
         ix
     }
 
     /// The `i`-th (0-based) standardized parameter object, created on demand.
     fn param_object(&mut self, sig_ix: usize, i: usize) -> ObjId {
-        if let Some(&p) = self.unit.funsigs[sig_ix].params.get(i) {
-            return p;
-        }
-        let obj = self.unit.funsigs[sig_ix].obj;
-        let is_indirect = self.unit.funsigs[sig_ix].is_indirect;
-        let base = self.unit.object(obj).name.clone();
-        let linked = self.unit.object(obj).is_global() && !is_indirect;
         while self.unit.funsigs[sig_ix].params.len() <= i {
-            let n = self.unit.funsigs[sig_ix].params.len() + 1;
-            let name = format!("{base}${n}");
-            let mut info = if linked {
-                ObjectInfo::global(&name, ObjKind::Param, "", SrcLoc::NONE)
-            } else {
-                ObjectInfo::local(&name, ObjKind::Param, "", SrcLoc::NONE)
-            };
-            info.in_func = Some(obj);
-            let id = self.unit.push_object(info);
+            let sig = &self.unit.funsigs[sig_ix];
+            let (obj, n) = (sig.obj, sig.params.len() + 1);
+            let fobj = self.unit.object(obj);
+            let linked = fobj.is_global() && !sig.is_indirect;
+            let name = format!("{}${n}", fobj.name);
+            let id = self.sig_object(name, ObjKind::Param, linked, obj);
             self.unit.funsigs[sig_ix].params.push(id);
         }
         self.unit.funsigs[sig_ix].params[i]
@@ -350,76 +474,49 @@ impl<'a> Lowerer<'a> {
 
     // ----- assignment emission ----------------------------------------------
 
-    fn emit(
-        &mut self,
-        kind: AssignKind,
-        dst: ObjId,
-        src: ObjId,
-        s: Strength,
-        op: OpKind,
-        loc: SrcLoc,
-    ) {
+    fn emit_assign(&mut self, dst: Place, src: RSrc, loc: SrcLoc) {
+        let (kind, x, y) = match (dst, src.place) {
+            (Place::None, _) => return,
+            (Place::Obj(x), RPlace::Obj(y)) => (AssignKind::Copy, x, y),
+            (Place::Obj(x), RPlace::Deref(y)) => (AssignKind::Load, x, y),
+            (Place::Obj(x), RPlace::Addr(y)) => (AssignKind::Addr, x, y),
+            (Place::Deref(x), RPlace::Obj(y)) => (AssignKind::Store, x, y),
+            (Place::Deref(x), RPlace::Deref(y)) => (AssignKind::StoreLoad, x, y),
+            (Place::Deref(x), RPlace::Addr(y)) => {
+                // `*x = &y` is not primitive: introduce a temporary.
+                let yty = self.objs[y.index()].ty.unwrap_or_else(Ty::int);
+                let t = self.new_temp(yty.ptr_to(), loc);
+                self.emit_assign(Place::Obj(t), RSrc::new(RPlace::Addr(y)), loc);
+                (AssignKind::Store, x, t)
+            }
+        };
         // Skip no-op self copies (e.g. from `x++`).
-        if kind == AssignKind::Copy && dst == src {
+        if kind == AssignKind::Copy && x == y {
             return;
         }
         self.unit.push_assign(PrimAssign {
             kind,
-            dst,
-            src,
-            strength: s,
-            op,
+            dst: x,
+            src: y,
+            strength: src.strength,
+            op: src.op,
             loc,
         });
     }
 
-    fn emit_assign(&mut self, dst: Place, src: RSrc, loc: SrcLoc) {
-        let (s, op) = (src.strength, src.op);
-        match (dst, src.place) {
-            (Place::Obj(x), RPlace::Obj(y)) => self.emit(AssignKind::Copy, x, y, s, op, loc),
-            (Place::Obj(x), RPlace::Deref(y)) => self.emit(AssignKind::Load, x, y, s, op, loc),
-            (Place::Obj(x), RPlace::Addr(y)) => self.emit(AssignKind::Addr, x, y, s, op, loc),
-            (Place::Deref(x), RPlace::Obj(y)) => self.emit(AssignKind::Store, x, y, s, op, loc),
-            (Place::Deref(x), RPlace::Deref(y)) => {
-                self.emit(AssignKind::StoreLoad, x, y, s, op, loc)
-            }
-            (Place::Deref(x), RPlace::Addr(y)) => {
-                // `*x = &y` is not primitive: introduce a temporary.
-                let yty = self.obj_types.get(&y).cloned().unwrap_or_else(Type::int);
-                let t = self.new_temp(&yty.ptr_to(), loc);
-                self.emit(
-                    AssignKind::Addr,
-                    t,
-                    y,
-                    Strength::Strong,
-                    OpKind::Direct,
-                    loc,
-                );
-                self.emit(AssignKind::Store, x, t, s, op, loc);
-            }
-            (Place::None, _) => {}
+    /// Emits `dst = src` for every source from `start` on, then drops them.
+    fn emit_all(&mut self, dst: Place, start: usize, loc: SrcLoc) {
+        for i in start..self.srcs.len() {
+            self.emit_assign(dst, self.srcs[i], loc);
         }
+        self.srcs.truncate(start);
     }
 
-    fn emit_all(&mut self, dst: Place, srcs: &[RSrc], loc: SrcLoc) {
-        for s in srcs {
-            self.emit_assign(dst, *s, loc);
+    /// Passes the sources from `start` on through an operation.
+    fn through(&mut self, start: usize, s: Strength, op: OpKind) {
+        for src in &mut self.srcs[start..] {
+            *src = src.through(s, op);
         }
-    }
-
-    /// Materializes an rvalue as a single object, introducing a temporary
-    /// only when necessary.
-    fn materialize(&mut self, srcs: &[RSrc], ty: &Type, loc: SrcLoc) -> ObjId {
-        if let [one] = srcs {
-            if let RPlace::Obj(id) = one.place {
-                if one.op == OpKind::Direct && one.strength == Strength::Strong {
-                    return id;
-                }
-            }
-        }
-        let t = self.new_temp(ty, loc);
-        self.emit_all(Place::Obj(t), srcs, loc);
-        t
     }
 
     // ----- type inference ---------------------------------------------------
@@ -428,121 +525,80 @@ impl<'a> Lowerer<'a> {
     /// indexing from pointer indexing, find struct tags for member access,
     /// and type temporaries. `None` means "unknown" and lowering falls back
     /// to pointer-like behaviour.
-    fn type_of(&self, e: &Expr) -> Option<Type> {
+    fn type_of(&self, e: &'a Expr) -> Option<Ty<'a>> {
         match &e.kind {
-            ExprKind::Ident(n) => self.type_of_name(n),
-            ExprKind::IntLit(_) | ExprKind::CharLit(_) => Some(Type::int()),
-            ExprKind::FloatLit(_) => Some(Type::Float(cla_cfront::types::FloatKind::Double)),
-            ExprKind::StrLit(s) => Some(Type::Array(
-                Box::new(Type::char_()),
-                Some(s.len() as u64 + 1),
-            )),
-            ExprKind::Unary(UnaryOp::Deref, inner) => self.type_of(inner)?.dereferenced().cloned(),
+            ExprKind::Ident(n) => self.type_of_name(*n),
+            ExprKind::IntLit(_) | ExprKind::CharLit(_) => Some(Ty::int()),
+            ExprKind::FloatLit(_) => Some(Ty::of(&Type::DOUBLE)),
+            ExprKind::StrLit(s) => Some(Ty::new(TyBase::Str(self.tu.name(*s).len() as u64 + 1))),
+            ExprKind::Unary(UnaryOp::Deref, inner) => self.type_of(inner)?.deref(),
             ExprKind::Unary(UnaryOp::AddrOf, inner) => Some(self.type_of(inner)?.ptr_to()),
             ExprKind::Unary(_, inner) => self.type_of(inner),
             ExprKind::Binary(op, l, r) => {
                 use BinaryOp::*;
                 if matches!(op, Lt | Gt | Le | Ge | Eq | Ne | LogAnd | LogOr) {
-                    return Some(Type::int());
+                    return Some(Ty::int());
                 }
                 let lt = self.type_of(l);
-                if lt.as_ref().is_some_and(Type::is_pointer_like) {
+                if lt.is_some_and(Ty::is_pointer_like) {
                     return lt;
                 }
                 let rt = self.type_of(r);
-                if rt.as_ref().is_some_and(Type::is_pointer_like) {
-                    return rt;
-                }
-                lt.or(rt)
+                rt.filter(|t| t.is_pointer_like()).or(lt).or(rt)
             }
             ExprKind::Assign(_, l, _) => self.type_of(l),
             ExprKind::Cond(_, t, f) => self.type_of(t).or_else(|| self.type_of(f)),
-            ExprKind::Cast(ty, _) => Some(ty.clone()),
-            ExprKind::Call(callee, _) => {
-                let mut ty = self.type_of(callee)?;
-                loop {
-                    match ty {
-                        Type::Function(f) => return Some(f.ret.clone()),
-                        Type::Pointer(inner) => ty = *inner,
-                        _ => return None,
-                    }
-                }
-            }
-            ExprKind::Index(base, _) => self.type_of(base)?.dereferenced().cloned(),
+            ExprKind::Cast(ty, _) | ExprKind::CompoundLit(ty, _) => Some(Ty::of(ty)),
+            ExprKind::Call(callee, _) => Some(Ty::of(self.type_of(callee)?.under_fn()?.1)),
+            ExprKind::Index(base, _) => self.type_of(base)?.deref(),
             ExprKind::Member { base, field, arrow } => {
-                let mut bt = self.type_of(base)?;
-                if *arrow {
-                    bt = bt.dereferenced().cloned()?;
-                }
-                let Type::Record(id) = bt else { return None };
-                Some(self.types.field(id, field)?.ty.clone())
+                let tu = self.tu;
+                Some(Ty::of(
+                    &tu.types.field(self.record_of(base, *arrow)?, *field)?.ty,
+                ))
             }
-            ExprKind::SizeofExpr(_) | ExprKind::SizeofType(_) => Some(Type::int()),
+            ExprKind::SizeofExpr(_) | ExprKind::SizeofType(_) => Some(Ty::int()),
             ExprKind::Comma(_, r) => self.type_of(r),
             ExprKind::PostIncDec(_, inner) => self.type_of(inner),
-            ExprKind::CompoundLit(ty, _) => Some(ty.clone()),
         }
     }
 
-    /// The record tag and field type a member access goes through.
-    fn member_tag(&self, base: &Expr, field: &str, arrow: bool) -> Option<(String, Type)> {
-        let mut bt = self.type_of(base)?;
+    /// The record a member access (`base.f`, or `base->f` when `arrow`)
+    /// goes through.
+    fn record_of(&self, base: &'a Expr, arrow: bool) -> Option<RecordId> {
+        let bt = self.type_of(base)?;
         if arrow {
-            bt = bt.dereferenced().cloned()?;
+            bt.deref()?.record()
+        } else {
+            bt.record()
         }
-        let Type::Record(id) = bt else { return None };
-        let rec = self.types.record(id);
-        let fty = self
-            .types
-            .field(id, field)
-            .map(|f| f.ty.clone())
-            .unwrap_or_else(Type::int);
-        Some((rec.tag.clone(), fty))
     }
 
     // ----- lvalues ------------------------------------------------------------
 
-    fn lower_lvalue(&mut self, e: &Expr) -> Place {
+    fn lower_lvalue(&mut self, e: &'a Expr) -> Place {
         match &e.kind {
-            ExprKind::Ident(name) => {
-                if self.enum_constants.contains(name) {
-                    return Place::None;
-                }
-                Place::Obj(self.resolve(name, e.loc))
-            }
+            ExprKind::Ident(name) => self.resolve(*name, e.loc).map_or(Place::None, Place::Obj),
             ExprKind::Unary(UnaryOp::Deref, inner) => {
                 // `*a` where a is an array collapses to the array object
                 // (index-independent model).
-                if self
-                    .type_of(inner)
-                    .is_some_and(|t| matches!(t, Type::Array(..)))
-                {
+                if self.type_of(inner).is_some_and(Ty::is_array) {
                     return self.lower_lvalue(inner);
                 }
-                let obj = self.rvalue_to_obj(inner);
-                match obj {
-                    Some(o) => Place::Deref(o),
-                    None => Place::None,
-                }
+                self.rvalue_to_obj(inner).map_or(Place::None, Place::Deref)
             }
             ExprKind::Index(base, idx) => {
                 // Evaluate the index for side effects; its value is ignored
                 // (index-independent arrays).
                 self.lower_effects(idx);
-                if self
-                    .type_of(base)
-                    .is_some_and(|t| matches!(t, Type::Array(..)))
-                {
+                if self.type_of(base).is_some_and(Ty::is_array) {
                     self.lower_lvalue(base)
                 } else {
-                    match self.rvalue_to_obj(base) {
-                        Some(o) => Place::Deref(o),
-                        None => Place::None,
-                    }
+                    self.rvalue_to_obj(base).map_or(Place::None, Place::Deref)
                 }
             }
             ExprKind::Member { base, field, arrow } => {
-                self.lower_member(base, field, *arrow, e.loc)
+                self.lower_member(base, *field, *arrow, e.loc)
             }
             ExprKind::Cast(_, inner) => self.lower_lvalue(inner),
             ExprKind::Comma(l, r) => {
@@ -558,30 +614,27 @@ impl<'a> Lowerer<'a> {
     }
 
     /// Member access as a place, per the configured field model.
-    fn lower_member(&mut self, base: &Expr, field: &str, arrow: bool, loc: Loc) -> Place {
+    fn lower_member(&mut self, base: &'a Expr, field: Symbol, arrow: bool, loc: Loc) -> Place {
         match self.opts.field_model {
             FieldModel::FieldBased => {
-                // Evaluate the base for side effects only; the base object is
-                // ignored (paper: "an assignment to x.f is viewed as an
-                // assignment to f and the base object x is ignored").
-                // The base is evaluated for side effects only; a plain
-                // identifier base has none worth lowering.
+                // Evaluate the base for side effects only (a plain identifier
+                // has none); the base object is ignored (paper: "an
+                // assignment to x.f is viewed as an assignment to f and the
+                // base object x is ignored").
                 if arrow || !matches!(base.kind, ExprKind::Ident(_)) {
                     self.lower_effects(base);
                 }
                 // Unknown base type falls back to a per-name field pool so
                 // same-named fields still unify.
-                let (tag, fty) = self
-                    .member_tag(base, field, arrow)
-                    .unwrap_or_else(|| ("?".to_string(), Type::int()));
-                Place::Obj(self.field_object(&tag, field, &fty, loc))
+                let rec = self.record_of(base, arrow);
+                let tu = self.tu;
+                let fty = rec.and_then(|r| tu.types.field(r, field));
+                let fty = fty.map_or(Ty::int(), |f| Ty::of(&f.ty));
+                Place::Obj(self.field_object(rec, field, fty, loc))
             }
             FieldModel::FieldIndependent => {
                 if arrow {
-                    match self.rvalue_to_obj(base) {
-                        Some(o) => Place::Deref(o),
-                        None => Place::None,
-                    }
+                    self.rvalue_to_obj(base).map_or(Place::None, Place::Deref)
                 } else {
                     self.lower_lvalue(base)
                 }
@@ -591,296 +644,255 @@ impl<'a> Lowerer<'a> {
 
     // ----- rvalues ---------------------------------------------------------
 
-    fn place_as_rvalue(&self, p: Place) -> Vec<RSrc> {
+    /// Appends the value a place holds: `o` or `*o`.
+    fn push_place(&mut self, p: Place) {
         match p {
-            Place::Obj(o) => vec![RSrc::obj(o)],
-            Place::Deref(o) => vec![RSrc::deref(o)],
-            Place::None => vec![],
+            Place::Obj(o) => self.srcs.push(RSrc::new(RPlace::Obj(o))),
+            Place::Deref(o) => self.srcs.push(RSrc::new(RPlace::Deref(o))),
+            Place::None => {}
         }
     }
 
-    fn rvalue_to_obj(&mut self, e: &Expr) -> Option<ObjId> {
-        let srcs = self.lower_rvalue(e);
-        if srcs.is_empty() {
+    /// Lowers `e` to one object, introducing a temporary only when its
+    /// value is not already a plain object.
+    fn rvalue_to_obj(&mut self, e: &'a Expr) -> Option<ObjId> {
+        let start = self.lower_rvalue(e);
+        if self.srcs.len() == start {
             return None;
         }
-        let ty = self.type_of(e).unwrap_or_else(Type::int);
+        let ty = self.type_of(e).unwrap_or_else(Ty::int);
         let loc = self.srcloc(e.loc);
-        Some(self.materialize(&srcs, &ty, loc))
+        if let [one @ RSrc {
+            place: RPlace::Obj(id),
+            ..
+        }] = self.srcs[start..]
+        {
+            if one == RSrc::new(one.place) {
+                self.srcs.truncate(start);
+                return Some(id);
+            }
+        }
+        let t = self.new_temp(ty, loc);
+        self.emit_all(Place::Obj(t), start, loc);
+        Some(t)
     }
 
     /// Evaluates an expression purely for its side effects.
-    fn lower_effects(&mut self, e: &Expr) {
-        let _ = self.lower_rvalue(e);
+    fn lower_effects(&mut self, e: &'a Expr) {
+        let start = self.lower_rvalue(e);
+        self.srcs.truncate(start);
     }
 
-    fn lower_rvalue(&mut self, e: &Expr) -> Vec<RSrc> {
+    /// Lowers `e` as a value: emits its side effects, appends the sources
+    /// of its value to `self.srcs` and returns where they start. The caller
+    /// consumes `self.srcs[start..]` and truncates back to `start`, so one
+    /// buffer serves every expression of the unit.
+    fn lower_rvalue(&mut self, e: &'a Expr) -> usize {
+        let start = self.srcs.len();
         let loc = self.srcloc(e.loc);
         match &e.kind {
             ExprKind::Ident(name) => {
-                if self.enum_constants.contains(name) {
-                    return vec![];
-                }
-                let id = self.resolve(name, e.loc);
-                // A function designator used as a value denotes its address.
-                if self.unit.object(id).kind == ObjKind::Func {
-                    return vec![RSrc::addr(id)];
-                }
-                // So does an array (array-to-pointer decay).
-                if self
-                    .obj_types
-                    .get(&id)
-                    .is_some_and(|t| matches!(t, Type::Array(..)))
-                {
-                    return vec![RSrc::addr(id)];
-                }
-                vec![RSrc::obj(id)]
-            }
-            ExprKind::IntLit(_) | ExprKind::FloatLit(_) | ExprKind::CharLit(_) => vec![],
-            ExprKind::SizeofExpr(_) | ExprKind::SizeofType(_) => vec![],
-            ExprKind::StrLit(s) => {
-                if self.opts.model_strings {
-                    self.str_count += 1;
-                    let preview: String = s.chars().take(8).collect();
-                    let mut info = ObjectInfo::local(
-                        format!("str${}\"{preview}\"", self.str_count),
-                        ObjKind::Str,
-                        "char []",
-                        loc,
-                    );
-                    info.in_func = self.cur_func;
-                    let id = self.unit.push_object(info);
-                    vec![RSrc::addr(id)]
-                } else {
-                    vec![]
+                if let Some(id) = self.resolve(*name, e.loc) {
+                    // A function designator used as a value denotes its
+                    // address; so does an array (array-to-pointer decay).
+                    let decays = self.unit.object(id).kind == ObjKind::Func
+                        || self.objs[id.index()].ty.is_some_and(Ty::is_array);
+                    let place = if decays { RPlace::Addr } else { RPlace::Obj };
+                    self.srcs.push(RSrc::new(place(id)));
                 }
             }
+            ExprKind::StrLit(s) if self.opts.model_strings => {
+                self.str_count += 1;
+                let text = self.tu.name(*s);
+                let preview = text.char_indices().nth(8).map_or(text, |(i, _)| &text[..i]);
+                let name = format!("str${}\"{preview}\"", self.str_count);
+                let mut info = ObjectInfo::local(name, ObjKind::Str, "char []", loc);
+                info.in_func = self.cur_func;
+                let id = self.push(info, None);
+                self.srcs.push(RSrc::new(RPlace::Addr(id)));
+            }
+            ExprKind::IntLit(_)
+            | ExprKind::FloatLit(_)
+            | ExprKind::CharLit(_)
+            | ExprKind::StrLit(_)
+            | ExprKind::SizeofExpr(_)
+            | ExprKind::SizeofType(_) => {}
             ExprKind::Unary(UnaryOp::Deref, _) | ExprKind::Index(..) | ExprKind::Member { .. } => {
                 // Check for array collapse producing a decayed value: `a[i]`
                 // where the element itself is an array decays to `&a`.
-                let place = self.lower_lvalue(e);
-                if let Place::Obj(o) = place {
-                    if self
-                        .type_of(e)
-                        .is_some_and(|t| matches!(t, Type::Array(..)))
-                        && self
-                            .obj_types
-                            .get(&o)
-                            .is_some_and(|t| matches!(t, Type::Array(..)))
+                match self.lower_lvalue(e) {
+                    Place::Obj(o)
+                        if self.type_of(e).is_some_and(Ty::is_array)
+                            && self.objs[o.index()].ty.is_some_and(Ty::is_array) =>
                     {
-                        return vec![RSrc::addr(o)];
+                        self.srcs.push(RSrc::new(RPlace::Addr(o)))
                     }
-                }
-                self.place_as_rvalue(place)
-            }
-            ExprKind::Unary(UnaryOp::AddrOf, inner) => {
-                let place = self.lower_lvalue(inner);
-                match place {
-                    Place::Obj(o) => vec![RSrc::addr(o)],
-                    Place::Deref(o) => vec![RSrc::obj(o)], // &*p == p
-                    Place::None => vec![],
+                    place => self.push_place(place),
                 }
             }
-            ExprKind::Unary(op @ (UnaryOp::PreInc | UnaryOp::PreDec), inner) => {
-                let _ = op;
+            ExprKind::Unary(UnaryOp::AddrOf, inner) => match self.lower_lvalue(inner) {
+                Place::Obj(o) => self.srcs.push(RSrc::new(RPlace::Addr(o))),
+                Place::Deref(o) => self.srcs.push(RSrc::new(RPlace::Obj(o))), // &*p == p
+                Place::None => {}
+            },
+            ExprKind::Unary(UnaryOp::PreInc | UnaryOp::PreDec, inner)
+            | ExprKind::PostIncDec(_, inner) => {
                 // ++x is x = x + 1: shape-preserving, no new sources.
                 let place = self.lower_lvalue(inner);
-                self.place_as_rvalue(place)
+                self.push_place(place);
             }
             ExprKind::Unary(op, inner) => {
-                let class = classify_unary(*op);
-                let Some(s) = Strength::from_class(class) else {
+                let Some(s) = Strength::from_class(classify_unary(*op)) else {
                     self.lower_effects(inner);
-                    return vec![];
+                    return start;
                 };
                 let opk = match op {
                     UnaryOp::Neg => OpKind::Neg,
                     UnaryOp::BitNot => OpKind::BitNot,
                     _ => OpKind::Direct,
                 };
-                self.lower_rvalue(inner)
-                    .into_iter()
-                    .map(|r| r.through(s, opk))
-                    .collect()
+                self.lower_rvalue(inner);
+                self.through(start, s, opk);
             }
             ExprKind::Binary(op, l, r) => {
                 let (c1, c2) = classify_binary(*op);
                 let opk = OpKind::from_binary(*op);
-                let mut out = Vec::new();
-                match Strength::from_class(c1) {
-                    Some(s) => {
-                        out.extend(self.lower_rvalue(l).into_iter().map(|x| x.through(s, opk)))
+                for (class, side) in [(c1, l), (c2, r)] {
+                    match Strength::from_class(class) {
+                        Some(s) => {
+                            let at = self.lower_rvalue(side);
+                            self.through(at, s, opk);
+                        }
+                        None => self.lower_effects(side),
                     }
-                    None => self.lower_effects(l),
                 }
-                match Strength::from_class(c2) {
-                    Some(s) => {
-                        out.extend(self.lower_rvalue(r).into_iter().map(|x| x.through(s, opk)))
-                    }
-                    None => self.lower_effects(r),
-                }
-                out
             }
             ExprKind::Assign(op, lhs, rhs) => {
                 let place = self.lower_lvalue(lhs);
-                let srcs = match op {
-                    None => self.lower_rvalue(rhs),
+                match op {
+                    None => {
+                        self.lower_rvalue(rhs);
+                    }
                     Some(bop) => {
                         // x op= y behaves as x = x op y; the x = x part is a
                         // self-copy, so only y's contribution is emitted.
                         let (_, c2) = classify_binary(*bop);
-                        let opk = OpKind::from_binary(*bop);
                         match Strength::from_class(c2) {
-                            Some(s) => self
-                                .lower_rvalue(rhs)
-                                .into_iter()
-                                .map(|x| x.through(s, opk))
-                                .collect(),
-                            None => {
-                                self.lower_effects(rhs);
-                                vec![]
+                            Some(s) => {
+                                self.lower_rvalue(rhs);
+                                self.through(start, s, OpKind::from_binary(*bop));
                             }
+                            None => self.lower_effects(rhs),
                         }
                     }
-                };
-                self.emit_all(place, &srcs, loc);
-                self.place_as_rvalue(place)
+                }
+                self.emit_all(place, start, loc);
+                self.push_place(place);
             }
             ExprKind::Cond(c, t, f) => {
                 self.lower_effects(c);
-                let mut out = self.lower_rvalue(t);
-                out.extend(self.lower_rvalue(f));
-                out.into_iter()
-                    .map(|r| r.through(Strength::Strong, OpKind::Cond))
-                    .collect()
+                self.lower_rvalue(t);
+                self.lower_rvalue(f);
+                self.through(start, Strength::Strong, OpKind::Cond);
             }
-            ExprKind::Cast(_, inner) => self
-                .lower_rvalue(inner)
-                .into_iter()
-                .map(|r| r.through(Strength::Strong, OpKind::Cast))
-                .collect(),
+            ExprKind::Cast(_, inner) => {
+                self.lower_rvalue(inner);
+                self.through(start, Strength::Strong, OpKind::Cast);
+            }
             ExprKind::Call(callee, args) => self.lower_call(callee, args, e.loc),
             ExprKind::Comma(l, r) => {
                 self.lower_effects(l);
-                self.lower_rvalue(r)
-            }
-            ExprKind::PostIncDec(_, inner) => {
-                let place = self.lower_lvalue(inner);
-                self.place_as_rvalue(place)
+                self.lower_rvalue(r);
             }
             ExprKind::CompoundLit(ty, inits) => {
-                let t = self.new_temp(ty, loc);
+                let t = self.new_temp(Ty::of(ty), loc);
                 self.lower_braced_init(Place::Obj(t), ty, inits, e.loc);
-                vec![RSrc::obj(t)]
+                self.srcs.push(RSrc::new(RPlace::Obj(t)));
             }
         }
+        start
     }
 
     // ----- calls -----------------------------------------------------------
 
     /// Identifies the call target: a direct function object, or an object
     /// holding a function pointer.
-    fn callee_object(&mut self, callee: &Expr) -> Option<(ObjId, bool)> {
+    fn callee_object(&mut self, callee: &'a Expr) -> Option<(ObjId, bool)> {
         match &callee.kind {
             // `(*f)(...)` and `f(...)` are the same call — but only strip the
             // `*` when the operand is itself the function (pointer); for
             // `(**fpp)()` the inner deref is a real load.
-            ExprKind::Unary(UnaryOp::Deref, inner) => match self.type_of(inner) {
-                Some(Type::Pointer(p)) if matches!(*p, Type::Function(_)) => {
-                    self.callee_object(inner)
-                }
-                Some(Type::Function(_)) | None => self.callee_object(inner),
-                _ => {
-                    let obj = self.rvalue_to_obj(callee)?;
-                    Some((obj, true))
-                }
-            },
+            ExprKind::Unary(UnaryOp::Deref, inner)
+                if self
+                    .type_of(inner)
+                    .is_none_or(|t| t.under_fn().is_some_and(|(depth, _)| depth <= 1)) =>
+            {
+                self.callee_object(inner)
+            }
             ExprKind::Ident(name) => {
                 // Local variable holding a function pointer?
-                for scope in self.scopes.iter().rev() {
-                    if let Some((id, _)) = scope.get(name) {
-                        return Some((*id, true));
-                    }
+                if let Some(id) = self.locals[name.index()] {
+                    return Some((id, true));
                 }
-                if let Some(&id) = self.globals.get(name) {
+                if let Some(id) = self.globals[name.index()] {
                     let direct = self.unit.object(id).kind == ObjKind::Func;
                     return Some((id, !direct));
                 }
                 // Implicit function declaration.
-                let fty = Type::Function(Box::new(cla_cfront::types::FuncType {
-                    ret: Type::int(),
-                    params: vec![],
-                    variadic: false,
-                    kr: true,
-                }));
-                Some((
-                    self.global_object(name, &fty, Storage::None, callee.loc),
-                    false,
-                ))
+                let fty = Ty::new(TyBase::Func(&IMPLICIT_FN));
+                let f = self.global_object(*name, fty, Storage::None, callee.loc);
+                Some((f, false))
             }
-            _ => {
-                let obj = self.rvalue_to_obj(callee)?;
-                Some((obj, true))
-            }
+            _ => Some((self.rvalue_to_obj(callee)?, true)),
         }
     }
 
-    fn lower_call(&mut self, callee: &Expr, args: &[Expr], cloc: Loc) -> Vec<RSrc> {
+    /// Lowers a call; the value it appends is the callee's return object.
+    fn lower_call(&mut self, callee: &'a Expr, args: &'a [Expr], cloc: Loc) {
         let loc = self.srcloc(cloc);
         // Allocation sites: a fresh heap object per static occurrence.
-        if let ExprKind::Ident(name) = &callee.kind {
-            if self.opts.allocator_names.iter().any(|a| a == name)
-                && self
-                    .type_of_name(name)
-                    .is_none_or(|t| matches!(t, Type::Function(_)))
+        if let ExprKind::Ident(name) = callee.kind {
+            let tu = self.tu;
+            if self.opts.allocator_names.iter().any(|a| a == tu.name(name))
+                && self.type_of_name(name).is_none_or(Ty::is_func)
             {
                 for a in args {
                     self.lower_effects(a);
                 }
-                let file = self.unit.files.name(loc.file).to_string();
-                let mut info = ObjectInfo::local(
-                    format!("heap@{}:{}", file, loc.line),
-                    ObjKind::Heap,
-                    "<heap>",
-                    loc,
-                );
+                let site = format!("heap@{}:{}", self.unit.files.name(loc.file), loc.line);
+                let mut info = ObjectInfo::local(site, ObjKind::Heap, "<heap>", loc);
                 info.in_func = self.cur_func;
-                let id = self.unit.push_object(info);
-                return vec![RSrc::addr(id)];
+                let id = self.push(info, None);
+                self.srcs.push(RSrc::new(RPlace::Addr(id)));
+                return;
             }
         }
         let Some((fobj, indirect)) = self.callee_object(callee) else {
             for a in args {
                 self.lower_effects(a);
             }
-            return vec![];
+            return;
         };
         let sig = self.ensure_funsig(fobj, indirect);
         for (i, a) in args.iter().enumerate() {
             let param = self.param_object(sig, i);
-            let srcs: Vec<RSrc> = self
-                .lower_rvalue(a)
-                .into_iter()
-                .map(|r| r.through(Strength::Strong, OpKind::Arg))
-                .collect();
-            self.emit_all(Place::Obj(param), &srcs, loc);
+            let start = self.lower_rvalue(a);
+            self.through(start, Strength::Strong, OpKind::Arg);
+            self.emit_all(Place::Obj(param), start, loc);
         }
         let ret = self.unit.funsigs[sig].ret;
-        vec![RSrc {
-            place: RPlace::Obj(ret),
-            strength: Strength::Strong,
-            op: OpKind::RetVal,
-        }]
+        let value = RSrc::new(RPlace::Obj(ret)).through(Strength::Strong, OpKind::RetVal);
+        self.srcs.push(value);
     }
 
     // ----- declarations & initializers --------------------------------------
 
-    fn lower_file_scope_decl(&mut self, d: &Declaration) {
+    fn lower_file_scope_decl(&mut self, d: &'a Declaration) {
         if d.is_typedef {
             return;
         }
         for item in &d.items {
-            let obj = self.global_object(&item.name, &item.ty, d.storage, item.loc);
+            let obj = self.global_object(item.name, Ty::of(&item.ty), d.storage, item.loc);
             // A file-scope declarator defines the object unless it is a
             // function prototype or `extern` without an initializer
             // (tentative definitions `int x;` count as definitions).
@@ -894,17 +906,17 @@ impl<'a> Lowerer<'a> {
         }
     }
 
-    fn lower_local_decl(&mut self, d: &Declaration) {
+    fn lower_local_decl(&mut self, d: &'a Declaration) {
         if d.is_typedef {
             return;
         }
         for item in &d.items {
             let obj = if d.storage == Storage::Extern {
-                self.global_object(&item.name, &item.ty, Storage::None, item.loc)
+                self.global_object(item.name, Ty::of(&item.ty), Storage::None, item.loc)
             } else {
                 // `static` locals are still file-local objects; the scope
                 // entry makes the name resolve to them.
-                self.local_object(&item.name, &item.ty, item.loc)
+                self.local_object(item.name, &item.ty, item.loc)
             };
             if let Some(init) = &item.init {
                 self.lower_init(Place::Obj(obj), &item.ty, init, item.loc);
@@ -912,7 +924,7 @@ impl<'a> Lowerer<'a> {
         }
     }
 
-    fn lower_init(&mut self, place: Place, ty: &Type, init: &Initializer, loc: Loc) {
+    fn lower_init(&mut self, place: Place, ty: &'a Type, init: &'a Initializer, loc: Loc) {
         match init {
             Initializer::Expr(e) => {
                 // Char-array = string literal: nothing flows (strings are
@@ -922,12 +934,9 @@ impl<'a> Lowerer<'a> {
                     return;
                 }
                 let sloc = self.srcloc(loc);
-                let srcs: Vec<RSrc> = self
-                    .lower_rvalue(e)
-                    .into_iter()
-                    .map(|r| r.through(Strength::Strong, OpKind::Init))
-                    .collect();
-                self.emit_all(place, &srcs, sloc);
+                let start = self.lower_rvalue(e);
+                self.through(start, Strength::Strong, OpKind::Init);
+                self.emit_all(place, start, sloc);
             }
             Initializer::List(items) => self.lower_braced_init(place, ty, items, loc),
         }
@@ -936,8 +945,8 @@ impl<'a> Lowerer<'a> {
     fn lower_braced_init(
         &mut self,
         place: Place,
-        ty: &Type,
-        items: &[(Designator, Initializer)],
+        ty: &'a Type,
+        items: &'a [(Designator, Initializer)],
         loc: Loc,
     ) {
         match ty {
@@ -949,28 +958,27 @@ impl<'a> Lowerer<'a> {
                 }
             }
             Type::Record(id) => {
-                let rec = self.types.record(*id).clone();
+                let tu = self.tu;
+                let rec = tu.types.record(*id);
                 let mut cursor = 0usize;
                 for (desig, init) in items {
-                    let field = match desig {
-                        Designator::Field(f) => {
-                            cursor = rec
-                                .fields
-                                .iter()
-                                .position(|x| &x.name == f)
-                                .map_or(cursor, |p| p);
-                            rec.fields.iter().find(|x| &x.name == f)
-                        }
-                        Designator::Index(_) | Designator::None => rec.fields.get(cursor),
+                    if let Designator::Field(f) = desig {
+                        let Some(at) = rec.fields.iter().position(|x| x.name == *f) else {
+                            continue;
+                        };
+                        cursor = at;
+                    }
+                    let Some(field) = rec.fields.get(cursor) else {
+                        continue;
                     };
-                    let Some(field) = field else { continue };
                     let fplace = match self.opts.field_model {
                         FieldModel::FieldBased => {
-                            Place::Obj(self.field_object(&rec.tag, &field.name, &field.ty, loc))
+                            let fty = Ty::of(&field.ty);
+                            Place::Obj(self.field_object(Some(*id), field.name, fty, loc))
                         }
                         FieldModel::FieldIndependent => place,
                     };
-                    self.lower_init(fplace, &field.ty.clone(), init, loc);
+                    self.lower_init(fplace, &field.ty, init, loc);
                     cursor += 1;
                 }
             }
@@ -985,47 +993,39 @@ impl<'a> Lowerer<'a> {
 
     // ----- functions ---------------------------------------------------------
 
-    fn lower_function(&mut self, f: &FunctionDef) {
-        let fty = Type::Function(Box::new(f.ty.clone()));
-        let fobj = self.global_object(&f.name, &fty, f.storage, f.loc);
+    fn lower_function(&mut self, f: &'a FunctionDef) {
+        let fobj = self.global_object(f.name, Ty::new(TyBase::Func(&f.ty)), f.storage, f.loc);
         self.unit.objects[fobj.index()].defined = true;
         let sig = self.ensure_funsig(fobj, false);
         self.cur_func = Some(fobj);
-        self.scopes.push(HashMap::new());
+        self.open_scope();
         // Parameters: local objects initialized from the standardized
         // parameter variables (paper: `x = f1, y = f2`).
         let loc = self.srcloc(f.loc);
         for (i, p) in f.ty.params.iter().enumerate() {
-            let Some(name) = &p.name else { continue };
+            let Some(name) = p.name else { continue };
             let pobj = self.param_object(sig, i);
             let lobj = self.local_object(name, &p.ty, p.loc);
-            self.emit(
-                AssignKind::Copy,
-                lobj,
-                pobj,
-                Strength::Strong,
-                OpKind::Direct,
-                loc,
-            );
+            self.emit_assign(Place::Obj(lobj), RSrc::new(RPlace::Obj(pobj)), loc);
         }
         let ret = self.unit.funsigs[sig].ret;
         self.lower_block(&f.body, ret);
-        self.scopes.pop();
+        self.close_scope();
         self.cur_func = None;
     }
 
-    fn lower_block(&mut self, b: &Block, ret: ObjId) {
-        self.scopes.push(HashMap::new());
+    fn lower_block(&mut self, b: &'a Block, ret: ObjId) {
+        self.open_scope();
         for item in &b.items {
             match item {
                 BlockItem::Decl(d) => self.lower_local_decl(d),
                 BlockItem::Stmt(s) => self.lower_stmt(s, ret),
             }
         }
-        self.scopes.pop();
+        self.close_scope();
     }
 
-    fn lower_stmt(&mut self, s: &Stmt, ret: ObjId) {
+    fn lower_stmt(&mut self, s: &'a Stmt, ret: ObjId) {
         match s {
             Stmt::Expr(None) | Stmt::Break | Stmt::Continue | Stmt::Goto(_) => {}
             Stmt::Expr(Some(e)) => self.lower_effects(e),
@@ -1051,7 +1051,7 @@ impl<'a> Lowerer<'a> {
                 step,
                 body,
             } => {
-                self.scopes.push(HashMap::new());
+                self.open_scope();
                 match init {
                     Some(ForInit::Decl(d)) => self.lower_local_decl(d),
                     Some(ForInit::Expr(e)) => self.lower_effects(e),
@@ -1064,7 +1064,7 @@ impl<'a> Lowerer<'a> {
                     self.lower_effects(st);
                 }
                 self.lower_stmt(body, ret);
-                self.scopes.pop();
+                self.close_scope();
             }
             Stmt::Switch { cond, body } => {
                 self.lower_effects(cond);
@@ -1076,8 +1076,8 @@ impl<'a> Lowerer<'a> {
             Stmt::Return { value, loc } => {
                 if let Some(e) = value {
                     let sloc = self.srcloc(*loc);
-                    let srcs = self.lower_rvalue(e);
-                    self.emit_all(Place::Obj(ret), &srcs, sloc);
+                    let start = self.lower_rvalue(e);
+                    self.emit_all(Place::Obj(ret), start, sloc);
                 }
             }
         }

@@ -117,9 +117,10 @@ trace_out="${TRACE_OUT:-target/trace-smoke.json}"
     | grep -q 'cla_solve_passes_total'
 ./target/release/cla-tool trace-validate "$trace_out"
 
-echo "==> allocation gates (counting global allocator; preprocessing allocates per unit, not per token; the solver allocates per distinct set, not per object)"
+echo "==> allocation gates (counting global allocator; preprocessing allocates per unit, not per token; lowering per emitted object, not per expression; the solver per distinct set, not per object)"
 # One test binary each: the counters are process-wide.
-cargo test -q --release --features count-alloc --test alloc_gate --test alloc_gate_solver
+cargo test -q --release --features count-alloc --test alloc_gate --test alloc_gate_lower \
+    --test alloc_gate_solver
 
 echo "==> bench-diff self-check (committed last-good vs itself: zero regressions)"
 ./target/release/cla-tool bench-diff benchmarks/BENCH_million.json \

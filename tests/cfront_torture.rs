@@ -97,17 +97,17 @@ syntax error here does not matter
 #endif
 "#,
     );
-    let parsed = cla::cfront::parse_file(&fs, "t.c", &PpOptions::default()).unwrap();
-    let names: Vec<String> = parsed
-        .tu
+    let tu = cla::cfront::parse_file(&fs, "t.c", &PpOptions::default())
+        .unwrap()
+        .tu;
+    let names: Vec<String> = tu
         .items
         .iter()
         .filter_map(|i| match i {
-            cla::cfront::ast::ExternalDecl::Declaration(d) => {
-                d.items.first().map(|x| x.name.clone())
-            }
-            cla::cfront::ast::ExternalDecl::Function(f) => Some(f.name.clone()),
+            cla::cfront::ast::ExternalDecl::Declaration(d) => d.items.first().map(|x| x.name),
+            cla::cfront::ast::ExternalDecl::Function(f) => Some(f.name),
         })
+        .map(|name| tu.name(name).to_string())
         .collect();
     assert!(names.contains(&"var1".to_string()), "{names:?}");
     assert!(names.contains(&"guarded".to_string()), "{names:?}");
