@@ -124,6 +124,10 @@ pub struct Preprocessed {
     pub tokens: TokenStream,
     /// All files read, for location rendering.
     pub sources: SourceMap,
+    /// Every `#include` candidate probed and found missing, in probe order:
+    /// the other half of what the output depends on. A file created at one
+    /// of these paths would be read instead of the header found later.
+    pub missing: Vec<String>,
     /// Statistics.
     pub stats: PpStats,
 }
@@ -148,6 +152,7 @@ pub fn preprocess(
         macros: MacroTable::new(),
         hides: Vec::new(),
         out: Vec::new(),
+        missing: Vec::new(),
         stats: PpStats::default(),
         expand_stats: ExpandStats {
             fuel: opts.limits.macro_fuel,
@@ -181,6 +186,7 @@ pub fn preprocess(
     Ok(Preprocessed {
         tokens: TokenStream::new(pp.out, pp.interner),
         sources: pp.sources,
+        missing: pp.missing,
         stats: pp.stats,
     })
 }
@@ -274,6 +280,8 @@ struct Pp<'a> {
     fs: &'a dyn FileProvider,
     opts: &'a PpOptions,
     sources: SourceMap,
+    /// Include candidates probed and not found.
+    missing: Vec<String>,
     /// Spellings of every file of the unit; ends up in the output stream.
     interner: Interner,
     macros: MacroTable,
@@ -687,9 +695,10 @@ impl<'a> Pp<'a> {
             candidates.push(join_path(dir, &path));
         }
         candidates.push(normalize_path(&path));
-        for cand in &candidates {
-            if let Some(src) = self.fs.read(cand) {
-                return self.process_file(cand, src, loc, depth + 1);
+        for cand in candidates {
+            match self.fs.read(&cand) {
+                Some(src) => return self.process_file(&cand, src, loc, depth + 1),
+                None => self.missing.push(cand),
             }
         }
         Err(CError::pp(format!("include file not found: `{path}`"), loc))
@@ -761,6 +770,22 @@ mod tests {
         let p = run(&files, PpOptions::default().include_dir("inc")).unwrap();
         assert_eq!(text(&p), "int a ; int b ;");
         assert!(run(&files, PpOptions::default()).is_err());
+    }
+
+    #[test]
+    fn missing_include_probes_are_recorded_in_probe_order() {
+        let files = [
+            ("src/a.c", "#include \"h.h\"\n#include <h.h>\n"),
+            ("b/h.h", "int h;\n"),
+        ];
+        let opts = PpOptions::default().include_dir("a").include_dir("b");
+        let p = run(&files, opts).unwrap();
+        assert_eq!(p.missing, ["src/h.h", "a/h.h", "a/h.h"]);
+        let found = run(
+            &[("a.c", "#include \"h.h\"\n"), ("h.h", "")],
+            PpOptions::default(),
+        );
+        assert!(found.unwrap().missing.is_empty());
     }
 
     #[test]

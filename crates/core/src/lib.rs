@@ -30,6 +30,7 @@
 //! # }
 //! ```
 
+mod closure;
 pub mod deductive;
 pub mod frontfuzz;
 pub mod pipeline;

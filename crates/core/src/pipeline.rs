@@ -6,6 +6,7 @@
 //! database, and demand-driven points-to analysis. Produces the timing and
 //! space measurements the paper's Tables 2 and 3 report.
 
+pub use crate::closure::{manifest_key, Closure, Manifest, SourceProbe};
 use crate::pretransitive::{SealedGraph, SolveOptions, SolveStats, Warm};
 use crate::solution::PointsTo;
 use cla_cfront::{CError, FileProvider, PpOptions, Preprocessed};
@@ -148,11 +149,15 @@ impl Quarantined {
     }
 }
 
-/// A persistent compile cache: preprocessed-source key → serialized object
-/// file. [`analyze_with`] consults it before compiling each file and feeds
-/// it after each miss, so compiles skip across process restarts (the on-disk
-/// implementation lives in `cla-snap`). Implementations must tolerate
-/// concurrent use — the pipeline calls them from its compile thread pool.
+/// A persistent compile cache, in two levels: file → [`Manifest`] (the
+/// closure the file was last built from), and closure key → serialized
+/// object file. [`analyze_with`] consults it before compiling each file and
+/// feeds it after each miss, so compiles skip across process restarts (the
+/// on-disk implementation lives in `cla-snap`). A file whose manifest still
+/// holds is keyed without being preprocessed; without manifests (the
+/// default methods) every file is preprocessed to find its key.
+/// Implementations must tolerate concurrent use — the pipeline calls them
+/// from its compile thread pool.
 pub trait CompileCache: Send + Sync {
     /// The object bytes previously stored under `key`, if any. Returning
     /// damaged bytes is safe: the pipeline admits them only through
@@ -168,6 +173,18 @@ pub trait CompileCache: Send + Sync {
     /// about to be overwritten by a [`store`](CompileCache::store). For the
     /// implementation's own accounting; nothing to do by default.
     fn reject(&self, _key: u64) {}
+    /// The manifest bytes stored under `key` ([`manifest_key`]), if any.
+    /// Like objects, they are admitted only through a check
+    /// ([`Manifest::decode`]); unlike objects, reading one is not a cache
+    /// hit or miss.
+    fn load_manifest(&self, _key: u64) -> Option<Vec<u8>> {
+        None
+    }
+    /// Persists manifest bytes under `key` (best effort).
+    fn store_manifest(&self, _key: u64, _bytes: &[u8]) {}
+    /// The bytes [`load_manifest`](CompileCache::load_manifest) returned
+    /// for `key` are damaged; a fresh manifest is about to replace them.
+    fn reject_manifest(&self, _key: u64) {}
 }
 
 /// Identity of one analysis run: what was analyzed and with which options.
@@ -246,39 +263,12 @@ pub fn options_fingerprint(pp: &PpOptions, lower: &LowerOptions) -> u64 {
     fnv64(format!("clav{}|{pp:?}|{lower:?}", cla_cladb::VERSION).as_bytes())
 }
 
-/// One file's inputs: every source the preprocessor read for it (main file
-/// and all headers, in read order) as `(name, fnv64(text))`. This is the
-/// one definition of "what this file depends on": [`closure_hash`] folds it
-/// into the compile-cache key, and a serve session keeps it per file to
-/// decide which files a reload must recompile.
-pub type Closure = Vec<(String, u64)>;
-
-fn closure_of(pre: &Preprocessed) -> Closure {
-    pre.sources
-        .iter()
-        .map(|(_, sf)| (sf.name.clone(), fnv64(sf.src.as_bytes())))
-        .collect()
-}
-
-fn closure_key(closure: &Closure, file: &str, options_fp: u64) -> u64 {
-    let mut acc = Vec::new();
-    acc.extend_from_slice(&options_fp.to_le_bytes());
-    acc.extend_from_slice(&(file.len() as u64).to_le_bytes());
-    acc.extend_from_slice(file.as_bytes());
-    for (name, hash) in closure {
-        acc.extend_from_slice(&(name.len() as u64).to_le_bytes());
-        acc.extend_from_slice(name.as_bytes());
-        acc.extend_from_slice(&hash.to_le_bytes());
-    }
-    fnv64(&acc)
-}
-
 /// Hash of one file's preprocessed [`Closure`] plus the options
 /// fingerprint. Editing the file, any header it includes, an include path,
 /// or a define all change the hash.
 #[must_use]
 pub fn closure_hash(pre: &Preprocessed, file: &str, options_fp: u64) -> u64 {
-    closure_key(&closure_of(pre), file, options_fp)
+    Closure::of(pre).key(file, options_fp)
 }
 
 /// Everything measured across one pipeline run (one row of Table 2+3).
@@ -317,6 +307,9 @@ pub struct Report {
     pub compile_cache_hits: usize,
     /// Files that were actually compiled this run.
     pub compile_cache_misses: usize,
+    /// Of the hits, files keyed by their manifest instead of by
+    /// preprocessing them (direct mode).
+    pub compile_cache_direct_hits: usize,
     /// Whether the solve phase was skipped by loading a snapshot.
     pub snapshot_loaded: bool,
     /// Compile worker threads actually used (1 without `parallel_compile`).
@@ -428,6 +421,7 @@ pub fn analyze_with(
     let mut keys = vec![0u64; files.len()];
     let mut durs = vec![Duration::ZERO; files.len()];
     let mut compile_cache_hits = 0usize;
+    let mut compile_cache_direct_hits = 0usize;
     let mut failed: Vec<(usize, QuarantineReason)> = Vec::new();
     let jobs = compile_all(
         files,
@@ -450,6 +444,7 @@ pub fn analyze_with(
                     stats[i] = c.stats;
                     keys[i] = c.key;
                     compile_cache_hits += usize::from(c.cache_hit);
+                    compile_cache_direct_hits += usize::from(c.direct_hit);
                     c.object
                 }
                 // An empty unit keeps the linker's index sequence intact; it
@@ -487,6 +482,7 @@ pub fn analyze_with(
         .map(|(f, &k)| ((*f).to_string(), k))
         .collect();
     sp.set("cache_hits", compile_cache_hits);
+    sp.set("cache_direct_hits", compile_cache_direct_hits);
     sp.set("jobs", jobs);
     let compile_time = sp.finish();
 
@@ -540,6 +536,7 @@ pub fn analyze_with(
         open_time,
         compile_cache_hits,
         compile_cache_misses,
+        compile_cache_direct_hits,
         snapshot_loaded,
         jobs,
         peak_buffered_units,
@@ -563,17 +560,22 @@ pub struct CompiledFile {
     pub stats: CompileStats,
     /// Every source read for this file (see [`Closure`]).
     pub closure: Closure,
-    /// [`closure_hash`] of `closure`: the compile-cache key and this file's
+    /// [`Closure::key`] of `closure`: the compile-cache key and this file's
     /// entry in a batch [`Provenance`].
     pub key: u64,
     pub cache_hit: bool,
+    /// The hit was keyed by the file's manifest: nothing was preprocessed.
+    pub direct_hit: bool,
 }
 
 /// The per-file compile of every build route (batch [`analyze_with`] and
-/// the serve sessions' load and reload): preprocess — which yields the
-/// file's [`Closure`] and cache key — reuse the stored object on a cache
-/// hit, and parse + lower + encode that same preprocessed unit (storing the
-/// result) on a miss. A hit is handed over undecoded, after
+/// the serve sessions' load and reload). With a cache attached, the file's
+/// [`Manifest`] is tried first: if its closure still holds, it names the
+/// key without a preprocess (direct mode). Otherwise the file is
+/// preprocessed, which yields its [`Closure`] and key, and its manifest is
+/// (re)written. Either way the stored object under the key is reused on a
+/// hit, and the preprocessed unit is parsed, lowered and encoded (the
+/// result stored) on a miss. A hit is handed over undecoded, after
 /// [`UnitObject::verify`] has run every integrity check of the format over
 /// it; an entry that fails one is [rejected](CompileCache::reject) and
 /// treated as a miss.
@@ -589,42 +591,113 @@ pub fn compile_one_keyed(
     options_fp: u64,
     cache: Option<&dyn CompileCache>,
 ) -> Result<CompiledFile, CError> {
-    let pre = cla_cfront::preprocess_file(fs, f, pp)?;
-    let closure = closure_of(&pre);
-    let key = closure_key(&closure, f, options_fp);
-    if let Some((cache, bytes)) = cache.and_then(|c| Some((c, c.load(key)?))) {
-        match UnitObject::verify(bytes) {
-            Ok(object) => {
-                // The keying preprocess saw the same bytes the original
-                // compile did, so the hit's stats match a fresh compile.
-                let stats = CompileStats {
-                    source_bytes: pre.stats.bytes_in,
-                    preprocessed_lines: pre.stats.lines_out,
-                    tokens: pre.stats.tokens_out,
-                };
-                return Ok(CompiledFile {
-                    object,
-                    stats,
-                    closure,
-                    key,
-                    cache_hit: true,
-                });
-            }
-            Err(_) => cache.reject(key),
+    let held = cache.and_then(|c| held_manifest(fs, f, options_fp, c));
+    let manifest_held = held.is_some();
+    if let Some(Manifest { closure, stats, .. }) = held {
+        let key = closure.key(f, options_fp);
+        if let Some(object) = cache.and_then(|c| load_verified(c, key)) {
+            cla_obs::global()
+                .counter("cla_snap_cache_direct_hits_total")
+                .inc();
+            return Ok(CompiledFile {
+                object,
+                stats,
+                closure,
+                key,
+                cache_hit: true,
+                direct_hit: true,
+            });
         }
     }
-    let (unit, stats) = compile_preprocessed(pre, f, &pp.limits, lower)?;
-    let object = UnitObject::encode(&unit);
-    if let Some(cache) = cache {
-        cache.store(key, object.bytes());
+    if cache.is_some() {
+        cla_obs::global()
+            .counter("cla_snap_cache_direct_misses_total")
+            .inc();
+    }
+    let pre = cla_cfront::preprocess_file(fs, f, pp)?;
+    let closure = Closure::of(&pre);
+    let key = closure.key(f, options_fp);
+    // A manifest that held named this same key, whose object is already
+    // known to be gone: asking again would count a second miss.
+    let hit = cache
+        .filter(|_| !manifest_held)
+        .and_then(|c| load_verified(c, key));
+    let cache_hit = hit.is_some();
+    let (object, stats) = match hit {
+        // The keying preprocess saw the same bytes the original compile
+        // did, so the hit's stats match a fresh compile.
+        Some(object) => (object, CompileStats::of(&pre.stats)),
+        None => {
+            let (unit, stats) = compile_preprocessed(pre, f, &pp.limits, lower)?;
+            let object = UnitObject::encode(&unit);
+            if let Some(cache) = cache {
+                cache.store(key, object.bytes());
+            }
+            (object, stats)
+        }
+    };
+    if let Some(cache) = cache.filter(|_| !manifest_held) {
+        let manifest = Manifest {
+            file: f.to_owned(),
+            options_fp,
+            closure: closure.clone(),
+            stats,
+        };
+        cache.store_manifest(manifest_key(f, options_fp), &manifest.encode());
     }
     Ok(CompiledFile {
         object,
         stats,
         closure,
         key,
-        cache_hit: false,
+        cache_hit,
+        direct_hit: false,
     })
+}
+
+/// The manifest of `f`, if one is stored and its closure still holds
+/// against `fs` — timed as the `cache.direct` span, which says how much
+/// source the check hashed. A damaged manifest is
+/// [rejected](CompileCache::reject_manifest).
+fn held_manifest(
+    fs: &dyn FileProvider,
+    f: &str,
+    options_fp: u64,
+    cache: &dyn CompileCache,
+) -> Option<Manifest> {
+    let mut sp = cla_obs::global().span("cache", "cache.direct");
+    sp.set("file", f);
+    let key = manifest_key(f, options_fp);
+    let m = match Manifest::decode(cache.load_manifest(key)?) {
+        Ok(m) => m,
+        Err(_) => {
+            cache.reject_manifest(key);
+            return None;
+        }
+    };
+    // Another file's manifest under a colliding key is simply not this
+    // file's; the rewrite after the preprocess replaces it.
+    if m.file != f || m.options_fp != options_fp {
+        return None;
+    }
+    let mut probe = SourceProbe::new(fs);
+    let holds = m.closure.holds(&mut probe);
+    sp.set("sources_hashed", probe.sources);
+    sp.set("bytes_hashed", probe.bytes);
+    sp.set("holds", holds);
+    holds.then_some(m)
+}
+
+/// The object stored under `key`, if any and intact; a damaged one is
+/// [rejected](CompileCache::reject).
+fn load_verified(cache: &dyn CompileCache, key: u64) -> Option<UnitObject> {
+    match UnitObject::verify(cache.load(key)?) {
+        Ok(object) => Some(object),
+        Err(_) => {
+            cache.reject(key);
+            None
+        }
+    }
 }
 
 /// Renders a `catch_unwind` payload as text (the conventional `&str` /

@@ -32,12 +32,12 @@ pub use object::{ObjId, ObjKind, ObjectInfo};
 pub use strength::{OpKind, Strength};
 
 use cla_cfront::{
-    parse_preprocessed, preprocess_file, FileProvider, FrontendLimits, PpOptions, Preprocessed,
-    Result,
+    parse_preprocessed, preprocess_file, FileProvider, FrontendLimits, PpOptions, PpStats,
+    Preprocessed, Result,
 };
 
 /// Statistics from compiling one source file.
-#[derive(Debug, Default, Clone, Copy)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct CompileStats {
     /// Bytes of source consumed (main file + headers).
     pub source_bytes: u64,
@@ -45,6 +45,18 @@ pub struct CompileStats {
     pub preprocessed_lines: usize,
     /// Preprocessed token count.
     pub tokens: usize,
+}
+
+impl CompileStats {
+    /// The stats of a unit preprocessed with `pp` stats.
+    #[must_use]
+    pub fn of(pp: &PpStats) -> CompileStats {
+        CompileStats {
+            source_bytes: pp.bytes_in,
+            preprocessed_lines: pp.lines_out,
+            tokens: pp.tokens_out,
+        }
+    }
 }
 
 /// Convenience pipeline: preprocess + parse + lower one file.
@@ -95,12 +107,7 @@ fn parse_and_lower(
     drop(gen_sp);
     sp.set("objects", unit.objects.len());
     sp.set("assigns", unit.assigns.len());
-    let stats = CompileStats {
-        source_bytes: parsed.pp_stats.bytes_in,
-        preprocessed_lines: parsed.pp_stats.lines_out,
-        tokens: parsed.pp_stats.tokens_out,
-    };
-    Ok((unit, stats))
+    Ok((unit, CompileStats::of(&parsed.pp_stats)))
 }
 
 /// Compiles a single in-memory source string (for tests and examples).

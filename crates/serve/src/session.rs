@@ -27,7 +27,7 @@ use cla_cfront::{CError, FileProvider, PpOptions};
 use cla_cladb::{fnv64, Database, DbError, ObjectLinker, UnitObject};
 use cla_core::pipeline::{
     compile_all, compile_one_keyed, load_or_solve, open_linked, options_fingerprint, Closure,
-    Provenance, Quarantined, SnapshotHook,
+    Provenance, Quarantined, SnapshotHook, SourceProbe,
 };
 use cla_core::{SealedGraph, SolveOptions, SolveStats};
 use cla_depend::{DependOptions, FlowIndex};
@@ -515,8 +515,9 @@ struct Recompiled {
 
 impl Sources {
     /// Brings the table up to date with `fs` through the pipeline's compile
-    /// pool. A file is stale when any source in its closure no longer
-    /// hashes the same (each distinct source is read once), when it has no
+    /// pool. A file is stale when its closure no longer holds — a source it
+    /// read hashes differently, or an include candidate it found missing
+    /// now exists (each distinct path is read once) — when it has no
     /// closure — it is quarantined, and the fault may have been
     /// environmental: a header restored, a deadline — or when `force`d.
     /// A strict session's first failure leaves the table untouched.
@@ -525,18 +526,11 @@ impl Sources {
         fs: &dyn FileProvider,
         force: bool,
     ) -> Result<Recompiled, SessionError> {
-        // `#line` names sources that were never read and hash as empty
-        // text, so a source that is not there reads as empty text too.
-        let mut now: HashMap<&str, u64> = HashMap::new();
-        let hash_now = |name| fs.read(name).map_or(fnv64(b""), |t| fnv64(t.as_bytes()));
+        let mut probe = SourceProbe::new(fs);
         let stale: Vec<usize> = (0..self.files.len())
             .filter(|&i| {
                 let closure = &self.table[i].1;
-                force
-                    || closure.is_empty()
-                    || closure.iter().any(|(name, was)| {
-                        *now.entry(name).or_insert_with(|| hash_now(name)) != *was
-                    })
+                force || closure.sources.is_empty() || !closure.holds(&mut probe)
             })
             .collect();
         let names: Vec<&str> = stale.iter().map(|&i| self.files[i].as_str()).collect();
@@ -559,7 +553,7 @@ impl Sources {
         // leaves the linked program as it was.
         let changed = fresh
             .iter()
-            .any(|(i, compiled)| compiled.is_ok() || !self.table[*i].1.is_empty());
+            .any(|(i, compiled)| compiled.is_ok() || !self.table[*i].1.sources.is_empty());
         let (mut recompiled, mut ledger) = (Vec::new(), Vec::new());
         for (i, compiled) in fresh {
             let file = &self.files[i];
@@ -570,7 +564,7 @@ impl Sources {
                 }
                 Err(reason) => {
                     ledger.push(Quarantined::note(file.clone(), reason));
-                    (UnitObject::empty(file), Closure::new())
+                    (UnitObject::empty(file), Closure::default())
                 }
             };
         }
@@ -888,7 +882,7 @@ impl Session {
             files: files.iter().map(|f| f.to_string()).collect(),
             table: files
                 .iter()
-                .map(|f| (UnitObject::empty(f), Closure::new()))
+                .map(|f| (UnitObject::empty(f), Closure::default()))
                 .collect(),
             pp: pp.clone(),
             lower: lower.clone(),

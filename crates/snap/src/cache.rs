@@ -1,18 +1,29 @@
-//! Content-addressed build cache: preprocessed-source hash → object file.
+//! Content-addressed build cache, in two levels: source file → manifest,
+//! and closure key → object file.
 //!
-//! Persists what PR 1's in-memory hash-diff reload only kept per process:
-//! a compile whose preprocessed closure hashes to a cached key is skipped
-//! entirely across restarts. Entries are ordinary `.clao` files named by
-//! their 16-hex-digit key, written crash-safely, and re-validated by the
-//! pipeline on every hit (`UnitObject::verify`: every section and block
-//! checksum) — a damaged entry is a miss that gets recompiled and
-//! overwritten, never an error, and is counted as one
-//! ([`CompileCache::reject`]).
+//! A compile whose closure — every source read, every include candidate
+//! found missing — is unchanged is skipped entirely, across restarts.
+//! Objects are ordinary `.clao` files named by their 16-hex-digit closure
+//! key, written crash-safely, and re-validated by the pipeline on every hit
+//! (`UnitObject::verify`: every section and block checksum) — a damaged
+//! entry is a miss that gets recompiled and overwritten, never an error,
+//! and is counted as one ([`CompileCache::reject`]).
 //!
-//! Eviction is a size-capped LRU sweep: when the directory grows past the
-//! configured cap, oldest-modified entries are removed until it fits. Hits
-//! refresh an entry's modified time (`File::set_modified`, best effort) so
-//! recency tracking survives without any sidecar metadata.
+//! Manifests (`manifests/*.clam`, named by the hash of options and file
+//! name) hold the closure a file's object was built from, so a warm build
+//! finds the key by hashing the recorded sources instead of preprocessing
+//! (DESIGN.md §11). They are checksummed containers too: a damaged one is
+//! counted (`cla_snap_cache_manifest_corrupt_total`) and the file is keyed
+//! by preprocessing, which rewrites it. Reading a manifest is neither a hit
+//! nor a miss in [`DiskCache::counters`].
+//!
+//! Eviction is a size-capped LRU sweep over objects and manifests alike:
+//! when the directory grows past the configured cap, oldest-modified
+//! entries are removed until it fits. Object hits refresh an entry's
+//! modified time (`File::set_modified`, best effort) so recency tracking
+//! survives without any sidecar metadata. Manifest reads do not: under
+//! pressure the manifests, which one preprocess rebuilds, go before the
+//! objects, which take a compile.
 
 use cla_core::pipeline::CompileCache;
 use std::path::{Path, PathBuf};
@@ -21,6 +32,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Default size cap: plenty for every workload profile in this repo while
 /// staying trivial to blow away.
 pub const DEFAULT_MAX_BYTES: u64 = 256 * 1024 * 1024;
+
+/// The subdirectory manifests live in, apart from the objects.
+const MANIFESTS: &str = "manifests";
 
 /// An open cache directory.
 #[derive(Debug)]
@@ -55,8 +69,9 @@ impl DiskCache {
     ///
     /// Directory creation or listing failure.
     pub fn with_capacity(dir: &Path, max_bytes: u64) -> std::io::Result<DiskCache> {
-        std::fs::create_dir_all(dir)?;
-        let reclaimed = cla_cladb::sweep_stale_tmp(dir)?;
+        std::fs::create_dir_all(dir.join(MANIFESTS))?;
+        let reclaimed =
+            cla_cladb::sweep_stale_tmp(dir)? + cla_cladb::sweep_stale_tmp(&dir.join(MANIFESTS))?;
         let cache = DiskCache {
             dir: dir.to_path_buf(),
             max_bytes,
@@ -73,6 +88,19 @@ impl DiskCache {
 
     fn entry_path(&self, key: u64) -> PathBuf {
         self.dir.join(format!("{key:016x}.clao"))
+    }
+
+    fn manifest_path(&self, key: u64) -> PathBuf {
+        self.dir.join(MANIFESTS).join(format!("{key:016x}.clam"))
+    }
+
+    /// Adds `len` freshly stored bytes to the running size, sweeping when
+    /// it passes the cap.
+    fn grew(&self, len: usize) {
+        let total = self.approx_bytes.fetch_add(len as u64, Ordering::Relaxed) + len as u64;
+        if total > self.max_bytes {
+            let _ = self.sweep();
+        }
     }
 
     /// Stale temporaries removed at open.
@@ -98,8 +126,9 @@ impl DiskCache {
         self.corrupt.load(Ordering::Relaxed)
     }
 
-    /// Enforces the size cap: lists entries, and while the total exceeds
-    /// the cap removes the least-recently-modified ones. Returns the total
+    /// Enforces the size cap: lists entries (objects and manifests), and
+    /// while the total exceeds the cap removes the least-recently-modified
+    /// ones. Returns the total
     /// payload bytes remaining. Bumps `cla_snap_cache_evictions_total` per
     /// removed entry.
     ///
@@ -108,15 +137,26 @@ impl DiskCache {
     /// Directory listing failure (individual removals are best effort).
     pub fn sweep(&self) -> std::io::Result<u64> {
         let mut entries: Vec<(std::time::SystemTime, u64, PathBuf)> = Vec::new();
-        for entry in std::fs::read_dir(&self.dir)? {
-            let Ok(entry) = entry else { continue };
-            let path = entry.path();
-            if path.extension().is_none_or(|e| e != "clao") {
-                continue;
+        for (dir, ext) in [
+            (self.dir.clone(), "clao"),
+            (self.dir.join(MANIFESTS), "clam"),
+        ] {
+            let listing = match std::fs::read_dir(dir) {
+                Ok(listing) => listing,
+                // Manifests are rebuilt by the next preprocess of each file.
+                Err(_) if ext == "clam" => continue,
+                Err(e) => return Err(e),
+            };
+            for entry in listing {
+                let Ok(entry) = entry else { continue };
+                let path = entry.path();
+                if path.extension().is_none_or(|e| e != ext) {
+                    continue;
+                }
+                let Ok(meta) = entry.metadata() else { continue };
+                let modified = meta.modified().unwrap_or(std::time::UNIX_EPOCH);
+                entries.push((modified, meta.len(), path));
             }
-            let Ok(meta) = entry.metadata() else { continue };
-            let modified = meta.modified().unwrap_or(std::time::UNIX_EPOCH);
-            entries.push((modified, meta.len(), path));
         }
         let mut total: u64 = entries.iter().map(|(_, len, _)| len).sum();
         if total > self.max_bytes {
@@ -175,15 +215,24 @@ impl CompileCache for DiskCache {
 
     fn store(&self, key: u64, bytes: &[u8]) {
         // Best effort by contract: a failed store only costs a recompile.
-        if cla_cladb::atomic_write_bytes(&self.entry_path(key), bytes).is_err() {
-            return;
+        if cla_cladb::atomic_write_bytes(&self.entry_path(key), bytes).is_ok() {
+            self.grew(bytes.len());
         }
-        let total = self
-            .approx_bytes
-            .fetch_add(bytes.len() as u64, Ordering::Relaxed)
-            + bytes.len() as u64;
-        if total > self.max_bytes {
-            let _ = self.sweep();
+    }
+
+    fn load_manifest(&self, key: u64) -> Option<Vec<u8>> {
+        std::fs::read(self.manifest_path(key)).ok()
+    }
+
+    fn store_manifest(&self, key: u64, bytes: &[u8]) {
+        if cla_cladb::atomic_write_bytes(&self.manifest_path(key), bytes).is_ok() {
+            self.grew(bytes.len());
         }
+    }
+
+    fn reject_manifest(&self, _key: u64) {
+        cla_obs::global()
+            .counter("cla_snap_cache_manifest_corrupt_total")
+            .inc();
     }
 }

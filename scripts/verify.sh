@@ -94,6 +94,9 @@ echo "==> front-fuzz smoke (hostile C source through the real compile path)"
 ./target/release/cla-tool front-fuzz examples/c/main.c examples/c/store.c \
     --iters 1000 --seed 1 --deadline-ms 5000
 
+echo "==> direct-mode compile cache (manifest-keyed warm builds equal cold analyze; damaged manifests rebuilt)"
+cargo test -q --release --test direct_cache
+
 echo "==> snapshot round trip (nethack profile: warm start >= 10x cold, identical answers)"
 cargo run -q --release --example snapshot_bench -- nethack 1.0 \
     "${BENCH_SNAPSHOT_OUT:-target/BENCH_snapshot.json}"

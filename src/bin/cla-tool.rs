@@ -439,8 +439,9 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
     }
     if snapshot_dir.is_some() {
         println!(
-            "cache-hits={} cache-misses={} snapshot={}",
+            "cache-hits={} direct={} cache-misses={} snapshot={}",
             r.compile_cache_hits,
+            r.compile_cache_direct_hits,
             r.compile_cache_misses,
             if r.snapshot_loaded {
                 "loaded (solve skipped)"

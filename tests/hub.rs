@@ -345,6 +345,61 @@ fn tenant_reload_sees_a_header_edit() {
     );
 }
 
+/// A header created earlier on a tenant's include path shadows the one its
+/// file was built with: a reload sees it and answers like a cold analyze.
+#[test]
+fn tenant_reload_sees_a_shadowing_header() {
+    let dir = TempDir::new("shadow");
+    let path = |name: &str| dir.path().join(name).to_string_lossy().into_owned();
+    for sub in ["a", "b"] {
+        std::fs::create_dir_all(dir.path().join(sub)).unwrap();
+    }
+    std::fs::write(path("b/h.h"), "#define TARGET x\n").unwrap();
+    std::fs::write(
+        path("main.c"),
+        "#include \"h.h\"\nint x, y; int *p; void f(void) { p = &TARGET; }",
+    )
+    .unwrap();
+    let pp = PpOptions::default()
+        .include_dir(path("a"))
+        .include_dir(path("b"));
+    let hub = Hub::new(HubOptions::default());
+    let source = SessionSource::Files {
+        fs: Arc::new(OsFs),
+        files: vec![path("main.c")],
+        pp: pp.clone(),
+        lower: LowerOptions::default(),
+        lenient: false,
+    };
+    hub.open("shadow", spec(source, None)).unwrap();
+    let ask = |req: &Value| dispatch(&hub, &req.encode());
+    let cold = || {
+        let opts = PipelineOptions {
+            pp: pp.clone(),
+            ..Default::default()
+        };
+        let a = analyze(&OsFs, &[path("main.c").as_str()], &opts).unwrap();
+        let p = a.database.targets("p")[0];
+        (a.points_to.points_to(p).iter())
+            .map(|&t| a.database.object(t).name.clone())
+            .collect::<BTreeSet<String>>()
+    };
+    assert_eq!(target_names(&ask(&points_to("shadow", "p"))), cold());
+
+    std::fs::write(path("a/h.h"), "#define TARGET y\n").unwrap();
+    let reply = ask(&obj([
+        ("cmd", "reload".into()),
+        ("session", "shadow".into()),
+    ]));
+    assert_eq!(
+        reply.get("relinked").and_then(Value::as_bool),
+        Some(true),
+        "{reply:?}"
+    );
+    assert_eq!(cold(), BTreeSet::from(["y".to_string()]));
+    assert_eq!(target_names(&ask(&points_to("shadow", "p"))), cold());
+}
+
 /// A provider that panics on every read while `broken` is set.
 struct FlakyFs {
     inner: MemoryFs,

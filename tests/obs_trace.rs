@@ -236,6 +236,50 @@ fn pipeline_trace_is_balanced_and_layers_all_appear() {
     assert!(value_of("cla_solve_union_shared_total") <= value_of("cla_solve_union_calls_total"));
     assert!(value_of("cla_front_files_total") >= 2.0);
 
+    // A warm run through the compile cache keys each file by its manifest:
+    // a `cache.direct` span where the cold run had `pp`, saying how much
+    // source the check hashed, and no preprocessing at all.
+    assert_eq!(under("pp"), [compiling; 2]);
+    let dir = std::env::temp_dir().join(format!("cla-obs-it-cache-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cache = DiskCache::open(&dir).unwrap();
+    let hooks = AnalyzeHooks {
+        compile_cache: Some(&cache),
+        snapshots: None,
+    };
+    let opts = PipelineOptions::default();
+    analyze_with(&fs, &["a.c", "b.c"], &opts, &hooks).unwrap();
+    obs.set_trace_sink(Some(sink.clone()));
+    let warm = analyze_with(&fs, &["a.c", "b.c"], &opts, &hooks).unwrap();
+    obs.set_trace_sink(None);
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert_eq!(warm.report.compile_cache_direct_hits, 2);
+    let events = sink.take();
+    let begun = begun_under(&events);
+    let warm_under = |name: &str| -> Vec<Option<&str>> {
+        (begun.iter())
+            .filter(|(n, _)| n == name)
+            .map(|(_, parent)| parent.as_deref())
+            .collect()
+    };
+    assert_eq!(warm_under("cache.direct"), [compiling; 2]);
+    assert!(
+        warm_under("pp").is_empty(),
+        "a direct hit preprocesses nothing"
+    );
+    let hashed: u64 = (events.iter())
+        .filter(|e| e.name == "cache.direct" && matches!(e.ph, Phase::End))
+        .map(|e| {
+            let args: HashMap<&str, obs::ArgValue> = e.args.iter().cloned().collect();
+            assert_eq!(args["sources_hashed"], obs::ArgValue::U64(1));
+            match args["bytes_hashed"] {
+                obs::ArgValue::U64(n) => n,
+                ref other => panic!("bytes_hashed is {other:?}"),
+            }
+        })
+        .sum();
+    assert_eq!(hashed, warm.report.source_bytes);
+
     // --- Chrome JSONL writer: the on-disk streaming format. ---
     let path = std::env::temp_dir().join(format!("cla-obs-it-{}.json", std::process::id()));
     let writer = obs::ChromeTraceWriter::create(&path).unwrap();

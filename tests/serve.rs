@@ -109,8 +109,17 @@ fn target_names(reply: &Value) -> BTreeSet<String> {
 /// Only symbol-indexed names are listed: internal objects (`fa$ret`,
 /// temporaries) are not addressable over the wire.
 fn batch_answers(paths: &[String]) -> Vec<(String, BTreeSet<String>)> {
+    batch_answers_with(paths, &PpOptions::default())
+}
+
+/// [`batch_answers`] under preprocessor options `pp`.
+fn batch_answers_with(paths: &[String], pp: &PpOptions) -> Vec<(String, BTreeSet<String>)> {
     let files: Vec<&str> = paths.iter().map(String::as_str).collect();
-    let fresh = analyze(&OsFs, &files, &PipelineOptions::default()).unwrap();
+    let opts = PipelineOptions {
+        pp: pp.clone(),
+        ..Default::default()
+    };
+    let fresh = analyze(&OsFs, &files, &opts).unwrap();
     let names: BTreeSet<&str> = fresh.database.target_names().collect();
     names
         .into_iter()
@@ -305,7 +314,12 @@ fn reload_reflects_source_edits_and_invalidates() {
 
 /// Every points-to answer of `session` against the batch oracle.
 fn assert_session_matches_fresh_analyze(session: &Session, paths: &[String]) {
-    let fresh = batch_answers(paths);
+    assert_session_matches_fresh_analyze_with(session, paths, &PpOptions::default());
+}
+
+/// [`assert_session_matches_fresh_analyze`] under preprocessor options `pp`.
+fn assert_session_matches_fresh_analyze_with(session: &Session, paths: &[String], pp: &PpOptions) {
+    let fresh = batch_answers_with(paths, pp);
     assert!(!fresh.is_empty());
     for (name, want) in fresh {
         let got: BTreeSet<String> = session
@@ -378,6 +392,53 @@ fn reload_recompiles_exactly_the_files_whose_closure_changed() {
     assert!(r.recompiled.is_empty() && !r.relinked);
     assert_eq!((r.epoch, r.invalidated_results), (2, 0));
     assert!(session.points_to("p").unwrap().cached);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// A header created at an include-path entry searched before the one a file
+/// was built with shadows it: the reload must recompile the file, because
+/// the preprocessor would now read the new header.
+#[test]
+fn reload_sees_a_header_created_earlier_on_the_include_path() {
+    let (dir, paths) = write_sources(
+        "shadow",
+        &[(
+            "main.c",
+            "#include \"h.h\"\nint x, y; int *p; void f(void) { p = &TARGET; }",
+        )],
+    );
+    let (a, b) = (dir.join("a"), dir.join("b"));
+    std::fs::create_dir_all(&a).unwrap();
+    std::fs::create_dir_all(&b).unwrap();
+    std::fs::write(b.join("h.h"), "#define TARGET x\n").unwrap();
+    let pp = PpOptions::default()
+        .include_dir(a.to_string_lossy())
+        .include_dir(b.to_string_lossy());
+    let files = [paths[0].as_str()];
+    let session = Session::from_files(
+        &OsFs,
+        &files,
+        &pp,
+        &LowerOptions::default(),
+        SolveOptions::default(),
+    )
+    .unwrap();
+    assert_session_matches_fresh_analyze_with(&session, &paths, &pp);
+
+    std::fs::write(a.join("h.h"), "#define TARGET y\n").unwrap();
+    let r = session.reload(Some(&OsFs), false).unwrap();
+    assert_eq!(r.recompiled, files);
+    assert!(r.relinked);
+    let p = session.points_to("p").unwrap();
+    assert_eq!(p.targets[0].name, "y");
+    assert_session_matches_fresh_analyze_with(&session, &paths, &pp);
+
+    // Deleting it again brings the shadowed header back.
+    std::fs::remove_file(a.join("h.h")).unwrap();
+    let r = session.reload(Some(&OsFs), false).unwrap();
+    assert_eq!(r.recompiled, files);
+    assert_eq!(session.points_to("p").unwrap().targets[0].name, "x");
+    assert_session_matches_fresh_analyze_with(&session, &paths, &pp);
     let _ = std::fs::remove_dir_all(dir);
 }
 
