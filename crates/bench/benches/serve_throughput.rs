@@ -57,12 +57,14 @@ fn sample_fs() -> (MemoryFs, Vec<String>) {
 
 fn sample_session(fs: &MemoryFs, files: &[String]) -> Session {
     let refs: Vec<&str> = files.iter().map(String::as_str).collect();
-    Session::from_files(
+    Session::from_files_jobs(
         fs,
         &refs,
         &PpOptions::default(),
         &LowerOptions::default(),
         SolveOptions::default(),
+        None,
+        1,
     )
     .unwrap()
 }

@@ -13,8 +13,12 @@
 //! `session` field. Requests pipeline: a client may write many lines and
 //! read the replies back in order. Session-scoped commands (`points-to`,
 //! `alias`, `depend`, `stats`, `health`, `reload`, `profile`) are routed
-//! to the named tenant and answered by [`cla_serve::handle_request`]
-//! verbatim, with `"session"` echoed into the reply. On top of those:
+//! to the named tenant and answered by [`cla_serve::answer`] from the
+//! request the hub already parsed, with `"session"` echoed into the reply.
+//! Each tenant is a [`SessionSpec`], the recipe
+//! [`cla_serve::Session::open`] builds every session from, kept for the
+//! tenant's lifetime so an evicted session can be rebuilt. On top of
+//! those:
 //!
 //! | request | reply |
 //! |---|---|
@@ -52,7 +56,6 @@
 mod registry;
 mod server;
 
-pub use registry::{
-    Hub, HubError, HubOptions, SessionInfo, SessionSource, SessionSpec, TenantCounters,
-};
+pub use cla_serve::{SessionSource, SessionSpec};
+pub use registry::{Hub, HubError, HubOptions, SessionInfo, TenantCounters};
 pub use server::{dispatch, hub_serve, HubHandle};

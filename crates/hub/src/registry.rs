@@ -1,45 +1,12 @@
 //! The tenant registry: named sessions, a size-capped LRU of resident
 //! graphs, per-tenant admission, and the shared rebuild queue.
 
-use cla_cfront::{FileProvider, PpOptions};
-use cla_core::SolveOptions;
-use cla_ir::LowerOptions;
+use cla_cfront::FileProvider;
 use cla_obs::{Counter, Gauge, Histogram, LATENCY_BUCKETS_US};
-use cla_serve::{ServeOptions, Session, SessionError};
+use cla_serve::{ServeOptions, Session, SessionError, SessionSpec};
 use std::collections::BTreeMap;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
-
-/// Where a tenant's program comes from.
-pub enum SessionSource {
-    /// Compile and link C sources through `fs` (reloadable; the hub
-    /// passes the provider back to `reload` requests).
-    Files {
-        fs: Arc<dyn FileProvider + Send + Sync>,
-        files: Vec<String>,
-        pp: PpOptions,
-        lower: LowerOptions,
-        /// Quarantine-and-continue mode: hostile sources become ledger
-        /// entries and `partial: true` answers, not a dead tenant.
-        lenient: bool,
-    },
-    /// An already linked `.clao` object on disk (reload re-reads it).
-    Object { path: PathBuf },
-}
-
-/// Everything needed to (re)build one tenant's session. Kept by the hub
-/// for the whole tenant lifetime: eviction drops the session, never the
-/// spec, so a later request can rebuild it without the client's help.
-pub struct SessionSpec {
-    pub source: SessionSource,
-    pub solve: SolveOptions,
-    /// `.clasnap` directory backing eviction/rehydration. Without one the
-    /// tenant still works, but every rehydration is a cold re-solve.
-    pub snapshot_dir: Option<PathBuf>,
-    /// Compile pool cap for builds (0 = one thread per CPU, 1 = serial).
-    pub jobs: usize,
-}
 
 /// Hub-wide tuning knobs.
 #[derive(Debug, Clone)]
@@ -124,48 +91,6 @@ struct Tenant {
     ctr_evictions: Counter,
     ctr_rehydrations: Counter,
     hist: Histogram,
-}
-
-impl Tenant {
-    fn fs(&self) -> Option<Arc<dyn FileProvider + Send + Sync>> {
-        match &self.spec.source {
-            SessionSource::Files { fs, .. } => Some(Arc::clone(fs)),
-            SessionSource::Object { .. } => None,
-        }
-    }
-
-    fn build(&self) -> Result<Session, SessionError> {
-        match &self.spec.source {
-            SessionSource::Files {
-                fs,
-                files,
-                pp,
-                lower,
-                lenient,
-            } => {
-                let refs: Vec<&str> = files.iter().map(String::as_str).collect();
-                let build = if *lenient {
-                    Session::from_files_lenient
-                } else {
-                    Session::from_files_jobs
-                };
-                build(
-                    fs.as_ref(),
-                    &refs,
-                    pp,
-                    lower,
-                    self.spec.solve,
-                    self.spec.snapshot_dir.as_deref(),
-                    self.spec.jobs,
-                )
-            }
-            SessionSource::Object { path } => Session::from_object_path_with(
-                path,
-                self.spec.solve,
-                self.spec.snapshot_dir.as_deref(),
-            ),
-        }
-    }
 }
 
 /// One line of the `sessions` listing.
@@ -364,9 +289,8 @@ impl Hub {
             .store(self.clock.fetch_add(1, Relaxed) + 1, Relaxed);
         tenant.ctr_requests.inc();
         let session = self.resident(&tenant)?;
-        let fs = tenant.fs();
         let t0 = std::time::Instant::now();
-        let out = f(&session, fs.as_deref());
+        let out = f(&session, tenant.spec.fs().map(Arc::as_ref));
         tenant.hist.observe(t0.elapsed().as_micros() as u64);
         drop(gate);
         Ok(out)
@@ -382,7 +306,7 @@ impl Hub {
             return Ok(Arc::clone(s));
         }
         let _permit = self.rebuild_permit();
-        let session = tenant.build().map_err(HubError::Build)?;
+        let session = Session::open(&tenant.spec).map_err(HubError::Build)?;
         let rebuilt = tenant.builds.fetch_add(1, Relaxed) > 0;
         if rebuilt {
             // Seed past the last served epoch: the rebuilt graph may

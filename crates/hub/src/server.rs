@@ -2,12 +2,12 @@
 //! through [`cla_serve::serve_connection`], plus the hub-level command
 //! dispatcher.
 
-use crate::registry::{Hub, HubError, SessionSource, SessionSpec};
+use crate::registry::{Hub, HubError};
 use cla_cfront::{FileProvider, OsFs, PpOptions};
 use cla_core::SolveOptions;
 use cla_ir::LowerOptions;
 use cla_serve::json::{obj, parse, Value};
-use cla_serve::{handle_request, serve_connection, Listener};
+use cla_serve::{answer, serve_connection, Listener, SessionSource, SessionSpec};
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
@@ -39,11 +39,11 @@ impl HubError {
     }
 }
 
-/// Answers one request line against the hub. Lifecycle commands (`open`,
-/// `close`, `sessions`, `metrics`, `shutdown`) are handled here; anything
-/// else must name a `session` and is routed to that tenant's
-/// [`cla_serve::handle_request`] with the raw line passed through
-/// verbatim (the serve dispatcher ignores the extra `session` field).
+/// Answers one request line against the hub, parsing it once. Lifecycle
+/// commands (`open`, `close`, `sessions`, `metrics`, `shutdown`) are
+/// handled here; anything else must name a `session`, and the parsed
+/// request is [`answer`]ed by that tenant (which ignores the extra
+/// `session` field).
 pub fn dispatch(hub: &Hub, line: &str) -> Value {
     let req = match parse(line) {
         Ok(v) => v,
@@ -131,7 +131,7 @@ pub fn dispatch(hub: &Hub, line: &str) -> Value {
                 // Tenant commands must not stop the hub: `shutdown` never
                 // routes here, and nothing else writes the flag.
                 let sink = AtomicBool::new(false);
-                handle_request(session, fs, line, &sink, &hub.options().serve)
+                answer(session, fs, &req, &sink, &hub.options().serve)
             });
             match routed {
                 Ok(mut reply) => {

@@ -63,9 +63,6 @@ pub struct ServeOptions {
     /// rejected with a structured error and the connection is closed.
     /// Default: 1 MiB.
     pub max_request_bytes: usize,
-    /// Queries at or above this latency (µs) enter the session's slow-query
-    /// log. `None` keeps the session's current threshold.
-    pub slow_query_threshold_us: Option<u64>,
     /// Enables wire commands used only by the test suite (`__test_panic`).
     /// Never enable in production; the default is off.
     pub enable_test_commands: bool,
@@ -76,7 +73,6 @@ impl Default for ServeOptions {
         ServeOptions {
             read_timeout: Some(Duration::from_secs(300)),
             max_request_bytes: 1 << 20,
-            slow_query_threshold_us: None,
             enable_test_commands: false,
         }
     }
@@ -229,9 +225,6 @@ pub fn serve_with(
     socket: &Path,
     opts: ServeOptions,
 ) -> std::io::Result<ServerHandle> {
-    if let Some(us) = opts.slow_query_threshold_us {
-        session.set_slow_query_threshold_us(us);
-    }
     let _ = std::fs::remove_file(socket);
     let listener = UnixListener::bind(socket)?;
     let shutdown = Arc::new(AtomicBool::new(false));
@@ -509,13 +502,8 @@ fn profile_reply(p: &cla_prof::Profile, stopped: bool) -> Value {
     ])
 }
 
-/// Dispatches one request line against `session` and returns the reply.
-/// This is the whole wire protocol minus transport concerns: the
-/// Unix-socket server calls it per line, and the TCP hub routes
-/// session-scoped commands here after resolving the `session` field
-/// (unknown request fields are ignored, so the hub can pass lines
-/// through verbatim). A `shutdown` command stores into `shutdown`; the
-/// caller decides what that means for its accept loop.
+/// Parses one request line and [`answer`]s it: what the Unix-socket
+/// server does per line.
 pub fn handle_request(
     session: &Session,
     fs: Option<&(dyn FileProvider + Send + Sync)>,
@@ -523,10 +511,25 @@ pub fn handle_request(
     shutdown: &AtomicBool,
     opts: &ServeOptions,
 ) -> Value {
-    let req = match parse(line) {
-        Ok(v) => v,
-        Err(e) => return err_reply(&format!("malformed request: {e}")),
-    };
+    match parse(line) {
+        Ok(req) => answer(session, fs, &req, shutdown, opts),
+        Err(e) => err_reply(&format!("malformed request: {e}")),
+    }
+}
+
+/// Answers one parsed request against `session`. This is the whole wire
+/// protocol minus transport concerns: [`handle_request`] calls it per
+/// line, and the TCP hub routes session-scoped requests here after
+/// resolving their `session` field (unknown request fields are ignored).
+/// A `shutdown` command stores into `shutdown`; the caller decides what
+/// that means for its accept loop.
+pub fn answer(
+    session: &Session,
+    fs: Option<&(dyn FileProvider + Send + Sync)>,
+    req: &Value,
+    shutdown: &AtomicBool,
+    opts: &ServeOptions,
+) -> Value {
     let Some(cmd) = req.get("cmd").and_then(Value::as_str) else {
         return err_reply("missing \"cmd\"");
     };
@@ -739,12 +742,14 @@ mod tests {
     }
 
     fn sample_server(fs: &MemoryFs) -> ServerHandle {
-        let session = Session::from_files(
+        let session = Session::from_files_jobs(
             fs,
             &["a.c", "b.c"],
             &PpOptions::default(),
             &LowerOptions::default(),
             SolveOptions::default(),
+            None,
+            1,
         )
         .unwrap();
         serve(
@@ -812,12 +817,14 @@ mod tests {
 
     fn sample_session(fs: &MemoryFs) -> Arc<Session> {
         Arc::new(
-            Session::from_files(
+            Session::from_files_jobs(
                 fs,
                 &["a.c", "b.c"],
                 &PpOptions::default(),
                 &LowerOptions::default(),
                 SolveOptions::default(),
+                None,
+                1,
             )
             .unwrap(),
         )
@@ -1030,12 +1037,14 @@ mod tests {
     #[test]
     fn reload_without_sources_is_an_error() {
         let fs = sample_fs();
-        let session = Session::from_files(
+        let session = Session::from_files_jobs(
             &fs,
             &["a.c", "b.c"],
             &PpOptions::default(),
             &LowerOptions::default(),
             SolveOptions::default(),
+            None,
+            1,
         )
         .unwrap();
         // Server started without a file provider: reload refused.

@@ -49,8 +49,7 @@ const LATENCY_WINDOW: usize = 4096;
 /// How many slow queries the log retains (oldest dropped first).
 const SLOW_LOG_CAP: usize = 128;
 
-/// Default slow-query threshold: queries at or above this latency are
-/// logged. Override with [`Session::set_slow_query_threshold_us`].
+/// Slow-query threshold: queries at or above this latency are logged.
 pub const DEFAULT_SLOW_THRESHOLD_US: u64 = 10_000;
 
 /// How many per-span allocation rows the stats wire form carries (the
@@ -62,8 +61,8 @@ const ALLOC_SPANS_IN_STATS: usize = 8;
 pub enum SessionError {
     /// No object in the program has this name.
     UnknownVariable(String),
-    /// `reload` on a session with no reload inputs (opened via
-    /// [`Session::from_database`]).
+    /// `reload` on a session with nothing to re-read: one opened in memory
+    /// by [`Session::from_database`] rather than from a [`SessionSpec`].
     NoSources,
     /// `reload` needs to re-read source files but no file provider was
     /// passed.
@@ -92,6 +91,48 @@ impl std::fmt::Display for SessionError {
 }
 
 impl std::error::Error for SessionError {}
+
+/// Where a session's program comes from.
+pub enum SessionSource {
+    /// Compile and link C sources through `fs` (reloadable; a server passes
+    /// the provider back to `reload` requests).
+    Files {
+        fs: Arc<dyn FileProvider + Send + Sync>,
+        files: Vec<String>,
+        pp: PpOptions,
+        lower: LowerOptions,
+        /// Quarantine-and-continue mode: hostile sources become ledger
+        /// entries and `partial: true` answers, not a failed build.
+        lenient: bool,
+    },
+    /// An already linked `.clao` object on disk (reload re-reads it).
+    Object { path: PathBuf },
+}
+
+/// Everything needed to (re)build one session with [`Session::open`]. A
+/// hub keeps it for the whole tenant lifetime: eviction drops the session,
+/// never the spec, so a later request can rebuild it without the client's
+/// help.
+pub struct SessionSpec {
+    pub source: SessionSource,
+    pub solve: SolveOptions,
+    /// `.clasnap` directory: a matching snapshot skips the solve, and every
+    /// build and reload refreshes it. Without one every build solves cold.
+    pub snapshot_dir: Option<PathBuf>,
+    /// Compile pool cap for builds (0 = one thread per CPU, 1 = serial).
+    pub jobs: usize,
+}
+
+impl SessionSpec {
+    /// The provider `reload` re-reads sources through (`None` for an
+    /// object, which reloads without one).
+    pub fn fs(&self) -> Option<&Arc<dyn FileProvider + Send + Sync>> {
+        match &self.source {
+            SessionSource::Files { fs, .. } => Some(fs),
+            SessionSource::Object { .. } => None,
+        }
+    }
+}
 
 /// The serving condition reported by the `health` wire command.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -514,6 +555,27 @@ struct Recompiled {
 }
 
 impl Sources {
+    /// Inputs none of whose files has compiled yet.
+    fn new(
+        files: Vec<String>,
+        pp: &PpOptions,
+        lower: &LowerOptions,
+        lenient: bool,
+        jobs: usize,
+    ) -> Sources {
+        let table = (files.iter())
+            .map(|f| (UnitObject::empty(f), Closure::default()))
+            .collect();
+        Sources {
+            files,
+            table,
+            pp: pp.clone(),
+            lower: lower.clone(),
+            lenient,
+            jobs,
+        }
+    }
+
     /// Brings the table up to date with `fs` through the pipeline's compile
     /// pool. A file is stale when its closure no longer holds — a source it
     /// read hashes differently, or an include candidate it found missing
@@ -647,7 +709,6 @@ pub struct Session {
     misses: AtomicU64,
     reloads: AtomicU64,
     latencies: LatencyRing,
-    slow_threshold_us: AtomicU64,
     slow_count: AtomicU64,
     slow_log: Mutex<VecDeque<SlowQuery>>,
     /// Depth of the slow-query log, exported through the Prometheus
@@ -746,26 +807,105 @@ fn load(db: Database, store: Option<&SnapshotStore>, prov: &Provenance) -> (Load
 }
 
 impl Session {
-    /// Opens a session over an already linked program database.
-    /// [`Session::reload`] is unavailable (there are no sources to watch).
+    /// Builds the session `spec` describes: compiles and links its sources
+    /// (quarantining the ones that fail when `lenient`) or reads, opens and
+    /// verifies its linked `.clao`, then solves — or, when the spec's
+    /// snapshot directory holds a snapshot whose provenance matches the
+    /// linked program, skips the solve and starts warm. Either way the
+    /// session can [`reload`](Session::reload) from the same source, and
+    /// every successful reload refreshes the snapshot.
+    ///
+    /// Sources build through [`cla_core::pipeline`] — the pool, per-file
+    /// compile and link tail of a batch `analyze` — so the linked database
+    /// is byte-identical at any `jobs`, a strict failure is always the one
+    /// of the lowest input index, and a frontend panic is a typed error. A
+    /// lenient session keeps an empty unit in a failed file's slot, lists
+    /// it in [`Session::quarantined`], answers `partial: true`, and retries
+    /// it on every reload (DESIGN.md §14). An object is verified whole up
+    /// front: a session must never discover corruption mid-query.
+    pub fn open(spec: &SessionSpec) -> Result<Session, SessionError> {
+        let store = open_store(spec.snapshot_dir.as_deref())?;
+        match &spec.source {
+            SessionSource::Files {
+                fs,
+                files,
+                pp,
+                lower,
+                lenient,
+            } => {
+                let sources = Sources::new(files.clone(), pp, lower, *lenient, spec.jobs);
+                Session::compile(fs.as_ref(), sources, spec.solve, store)
+            }
+            SessionSource::Object { path } => {
+                let (db, hash) = open_object_path(path)?;
+                let prov = object_provenance(&path.display().to_string(), hash, spec.solve);
+                let (loaded, from_snap) = load(db, store.as_ref(), &prov);
+                let inputs = ReloadInputs::Object {
+                    path: path.clone(),
+                    hash,
+                };
+                Ok(Session::build(loaded, spec.solve, inputs, store, from_snap))
+            }
+        }
+    }
+
+    /// A strict [`Session::open`] over sources read through a borrowed
+    /// provider, with `jobs` compile threads (0 = one per CPU) for this
+    /// build and every [`reload`](Session::reload).
+    pub fn from_files_jobs(
+        fs: &dyn FileProvider,
+        files: &[&str],
+        pp: &PpOptions,
+        lower: &LowerOptions,
+        opts: SolveOptions,
+        snapshot_dir: Option<&Path>,
+        jobs: usize,
+    ) -> Result<Session, SessionError> {
+        let files = files.iter().map(|f| f.to_string()).collect();
+        let sources = Sources::new(files, pp, lower, false, jobs);
+        Session::compile(fs, sources, opts, open_store(snapshot_dir)?)
+    }
+
+    /// Opens a session over an already linked program database, in memory:
+    /// [`Session::reload`] is unavailable (there is nothing to re-read).
     pub fn from_database(db: Database, opts: SolveOptions) -> Session {
         let prov = Provenance {
             solver: opts,
             ..Provenance::default()
         };
-        Session::build(load(db, None, &prov).0, opts)
+        let (loaded, _) = load(db, None, &prov);
+        Session::build(loaded, opts, ReloadInputs::None, None, false)
+    }
+
+    /// The first build of `sources` is a reload with every file stale.
+    fn compile(
+        fs: &dyn FileProvider,
+        mut sources: Sources,
+        opts: SolveOptions,
+        store: Option<SnapshotStore>,
+    ) -> Result<Session, SessionError> {
+        let ledger = sources.recompile(fs, true)?.ledger;
+        let (loaded, from_snap) = sources.link(ledger, store.as_ref(), opts)?;
+        let inputs = ReloadInputs::Files(Box::new(sources));
+        Ok(Session::build(loaded, opts, inputs, store, from_snap))
     }
 
     /// Assembles a session around an already loaded state (solved or
     /// restored from a snapshot).
-    fn build(loaded: Loaded, opts: SolveOptions) -> Session {
+    fn build(
+        loaded: Loaded,
+        opts: SolveOptions,
+        inputs: ReloadInputs,
+        snap_store: Option<SnapshotStore>,
+        snapshot_loaded: bool,
+    ) -> Session {
         let obs = cla_obs::global();
         let hist = |cmd: &str| {
             obs.histogram_with("cla_serve_latency_us", &[("cmd", cmd)], LATENCY_BUCKETS_US)
         };
         Session {
             state: RwLock::new(loaded),
-            sources: Mutex::new(ReloadInputs::None),
+            sources: Mutex::new(inputs),
             solve_opts: opts,
             degraded: Mutex::new(None),
             reload_in_progress: AtomicBool::new(false),
@@ -786,7 +926,6 @@ impl Session {
             misses: AtomicU64::new(0),
             reloads: AtomicU64::new(0),
             latencies: LatencyRing::new(LATENCY_WINDOW),
-            slow_threshold_us: AtomicU64::new(DEFAULT_SLOW_THRESHOLD_US),
             slow_count: AtomicU64::new(0),
             slow_log: Mutex::new(VecDeque::new()),
             gauge_slow_log_depth: obs.gauge("cla_serve_slow_log_depth"),
@@ -794,139 +933,9 @@ impl Session {
             hist_points_to: hist("points-to"),
             hist_alias: hist("alias"),
             hist_depend: hist("depend"),
-            snap_store: None,
-            snapshot_loaded: AtomicBool::new(false),
+            snap_store,
+            snapshot_loaded: AtomicBool::new(snapshot_loaded),
         }
-    }
-
-    /// Compiles and links `files` from `fs`, solves, and opens a session
-    /// that can [`reload`](Session::reload) them incrementally.
-    pub fn from_files(
-        fs: &dyn FileProvider,
-        files: &[&str],
-        pp: &PpOptions,
-        lower: &LowerOptions,
-        opts: SolveOptions,
-    ) -> Result<Session, SessionError> {
-        Session::from_files_with(fs, files, pp, lower, opts, None)
-    }
-
-    /// [`Session::from_files`] with an optional snapshot directory: when
-    /// the directory holds a snapshot whose provenance matches the freshly
-    /// linked program, the solver is skipped and the session starts warm;
-    /// otherwise it solves cold and persists a snapshot for next time.
-    /// Every successful reload refreshes the snapshot, so even a server
-    /// that crashes right after a reload restarts warm.
-    pub fn from_files_with(
-        fs: &dyn FileProvider,
-        files: &[&str],
-        pp: &PpOptions,
-        lower: &LowerOptions,
-        opts: SolveOptions,
-        snapshot_dir: Option<&Path>,
-    ) -> Result<Session, SessionError> {
-        Session::from_files_jobs(fs, files, pp, lower, opts, snapshot_dir, 1)
-    }
-
-    /// [`Session::from_files_with`] with a cap on the compile pool: up to
-    /// `jobs` threads compile sources concurrently (0 = one per CPU, 1 =
-    /// serial), for this first build and for every [`reload`](Session::reload).
-    /// The build is [`cla_core::pipeline`]'s — the same pool, per-file
-    /// compile and link tail as a batch `analyze` — so the linked database
-    /// is byte-identical at any `jobs`, a failure is always the one of the
-    /// lowest input index, and a frontend panic is a typed error.
-    pub fn from_files_jobs(
-        fs: &dyn FileProvider,
-        files: &[&str],
-        pp: &PpOptions,
-        lower: &LowerOptions,
-        opts: SolveOptions,
-        snapshot_dir: Option<&Path>,
-        jobs: usize,
-    ) -> Result<Session, SessionError> {
-        Session::from_files_impl(fs, files, pp, lower, opts, snapshot_dir, jobs, false)
-    }
-
-    /// [`Session::from_files_jobs`] in quarantine-and-continue mode: a
-    /// source that fails to compile (typed error, panic, or budget overrun)
-    /// is skipped — an empty unit keeps its slot in the link order, the
-    /// failure lands in the [`Session::quarantined`] ledger, queries answer
-    /// over the surviving subset with `partial: true`, and every
-    /// [`Session::reload`] retries the quarantined files (DESIGN.md §14).
-    pub fn from_files_lenient(
-        fs: &dyn FileProvider,
-        files: &[&str],
-        pp: &PpOptions,
-        lower: &LowerOptions,
-        opts: SolveOptions,
-        snapshot_dir: Option<&Path>,
-        jobs: usize,
-    ) -> Result<Session, SessionError> {
-        Session::from_files_impl(fs, files, pp, lower, opts, snapshot_dir, jobs, true)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn from_files_impl(
-        fs: &dyn FileProvider,
-        files: &[&str],
-        pp: &PpOptions,
-        lower: &LowerOptions,
-        opts: SolveOptions,
-        snapshot_dir: Option<&Path>,
-        jobs: usize,
-        lenient: bool,
-    ) -> Result<Session, SessionError> {
-        let store = open_store(snapshot_dir)?;
-        // The first build is a reload with every file stale.
-        let mut sources = Sources {
-            files: files.iter().map(|f| f.to_string()).collect(),
-            table: files
-                .iter()
-                .map(|f| (UnitObject::empty(f), Closure::default()))
-                .collect(),
-            pp: pp.clone(),
-            lower: lower.clone(),
-            lenient,
-            jobs,
-        };
-        let ledger = sources.recompile(fs, true)?.ledger;
-        let (loaded, from_snap) = sources.link(ledger, store.as_ref(), opts)?;
-        let mut session = Session::build(loaded, opts);
-        session.snap_store = store;
-        session.snapshot_loaded = AtomicBool::new(from_snap);
-        *session.sources.lock().unwrap() = ReloadInputs::Files(Box::new(sources));
-        Ok(session)
-    }
-
-    /// Opens a session over a linked `.clao` object file on disk.
-    /// [`Session::reload`] re-reads the file, so the session can pick up a
-    /// rewritten database — and survive a corrupt one in degraded mode.
-    ///
-    /// The whole file (every demand-loaded block included) is verified up
-    /// front: a session must never discover corruption mid-query.
-    pub fn from_object_path(path: &Path, opts: SolveOptions) -> Result<Session, SessionError> {
-        Session::from_object_path_with(path, opts, None)
-    }
-
-    /// [`Session::from_object_path`] with an optional snapshot directory
-    /// (see [`Session::from_files_with`] for the cold/warm behavior).
-    pub fn from_object_path_with(
-        path: &Path,
-        opts: SolveOptions,
-        snapshot_dir: Option<&Path>,
-    ) -> Result<Session, SessionError> {
-        let store = open_store(snapshot_dir)?;
-        let (db, hash) = open_object_path(path)?;
-        let prov = object_provenance(&path.display().to_string(), hash, opts);
-        let (loaded, from_snap) = load(db, store.as_ref(), &prov);
-        let mut session = Session::build(loaded, opts);
-        session.snap_store = store;
-        session.snapshot_loaded = AtomicBool::new(from_snap);
-        *session.sources.lock().unwrap() = ReloadInputs::Object {
-            path: path.to_path_buf(),
-            hash,
-        };
-        Ok(session)
     }
 
     // ----- queries ----------------------------------------------------------
@@ -1148,8 +1157,8 @@ impl Session {
     /// finish against the old state. No-op (and no invalidation) when
     /// nothing changed.
     ///
-    /// For a session opened with [`Session::from_object_path`] the `.clao`
-    /// file is re-read instead (no provider needed — pass `None`).
+    /// A session opened over a [`SessionSource::Object`] re-reads its
+    /// `.clao` file instead (no provider needed — pass `None`).
     ///
     /// A failed reload never touches the resident state: queries keep
     /// answering from the last good snapshot, the session reports
@@ -1339,7 +1348,7 @@ impl Session {
 
     /// Snapshot of the session's counters and latency percentiles. The
     /// latency window is a fixed-size ring, so this copies at most
-    /// [`LATENCY_WINDOW`] samples no matter how long the session has run.
+    /// `LATENCY_WINDOW` samples no matter how long the session has run.
     pub fn stats(&self) -> SessionStats {
         self.cmd_stats.fetch_add(1, Relaxed);
         let (solver, quarantined, (flow_edges, flow_bytes)) = {
@@ -1476,7 +1485,7 @@ impl Session {
         };
         counter.fetch_add(1, Relaxed);
         hist.observe(micros);
-        if micros >= self.slow_threshold_us.load(Relaxed) {
+        if micros >= DEFAULT_SLOW_THRESHOLD_US {
             self.slow_count.fetch_add(1, Relaxed);
             let obs = cla_obs::global();
             obs.counter("cla_serve_slow_queries_total").inc();
@@ -1502,11 +1511,6 @@ impl Session {
             self.gauge_slow_log_depth.set(log.len() as u64);
         }
         micros
-    }
-
-    /// Queries at or above this latency (µs) enter the slow-query log.
-    pub fn set_slow_query_threshold_us(&self, micros: u64) {
-        self.slow_threshold_us.store(micros, Relaxed);
     }
 
     /// The most recent slow queries, oldest first. The log is bounded (128
@@ -1577,12 +1581,14 @@ mod tests {
                 "extern int *p; extern int **pp; int *q; void fb(void) { q = *pp; }",
             ),
         ]);
-        let s = Session::from_files(
+        let s = Session::from_files_jobs(
             &fs,
             &["a.c", "b.c"],
             &PpOptions::default(),
             &LowerOptions::default(),
             SolveOptions::default(),
+            None,
+            1,
         )
         .unwrap();
         (s, fs)
@@ -1622,12 +1628,14 @@ mod tests {
     #[test]
     fn depend_queries() {
         let fs = memfs(&[("m.c", "int t; int a, b; void f(void) { a = t; b = a; }")]);
-        let s = Session::from_files(
+        let s = Session::from_files_jobs(
             &fs,
             &["m.c"],
             &PpOptions::default(),
             &LowerOptions::default(),
             SolveOptions::default(),
+            None,
+            1,
         )
         .unwrap();
         let ans = s.depend("t", &[]).unwrap();
@@ -1773,15 +1781,18 @@ mod tests {
             ),
             ("b.c", "int broken = ;"),
         ]);
-        let s = Session::from_files_lenient(
-            &fs,
-            &["a.c", "b.c"],
-            &PpOptions::default(),
-            &LowerOptions::default(),
-            SolveOptions::default(),
-            None,
-            1,
-        )
+        let s = Session::open(&SessionSpec {
+            source: SessionSource::Files {
+                fs: Arc::new(fs.clone()),
+                files: vec!["a.c".into(), "b.c".into()],
+                pp: PpOptions::default(),
+                lower: LowerOptions::default(),
+                lenient: true,
+            },
+            solve: SolveOptions::default(),
+            snapshot_dir: None,
+            jobs: 1,
+        })
         .unwrap();
         assert_eq!(s.health(), Health::Partial);
         let ledger = s.quarantined();

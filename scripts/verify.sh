@@ -47,6 +47,19 @@ tool_links=$(grep -nE '\blink\(&|add_unit\(' src/bin/cla-tool.rs || true)
 sed -n '/^fn cmd_compile/,/^}/p' src/bin/cla-tool.rs | grep -q 'link_objects(' && [ -z "$tool_links" ] \
     || { echo "cla-tool compile must link through ObjectLinker: $tool_links"; exit 1; }
 
+echo "==> one session recipe (servers build sessions with Session::open from a SessionSpec; the hub answers the request it parsed)"
+# Session::open is the one place that decides sources vs. object and strict
+# vs. lenient. `from_files_jobs` and `from_database` stay for callers that
+# hold a borrowed provider or an in-memory database, never for a server.
+recipes=$(for f in crates/hub/src/*.rs src/bin/cla-tool.rs crates/serve/src/server.rs; do
+    sed '/#\[cfg(test)\]/,$d' "$f" | grep -HnE --label="$f" 'Session::from_'
+done || true)
+[ -z "$recipes" ] || { echo "a session built around Session::open: $recipes"; exit 1; }
+reparse=$(for f in crates/hub/src/*.rs; do
+    sed '/#\[cfg(test)\]/,$d' "$f" | grep -HnE --label="$f" 'handle_request\('
+done || true)
+[ -z "$reparse" ] || { echo "the hub parses a request line twice: $reparse"; exit 1; }
+
 echo "==> one body reader, one record codec (Database opens through the UnitView the linker folds; cladb/src/record.rs alone spells the records out)"
 # `UnitView::layout` cuts the nine section bodies and `check_eager` /
 # `Records::check_block` judge them; the solver's reader and the linker read

@@ -226,6 +226,31 @@ impl<'a> Args<'a> {
     fn positional(self) -> Vec<String> {
         self.rest.into_iter().map(str::to_string).collect()
     }
+
+    /// The preprocessor flags: `-I dir` and `-D NAME[=V]` (V defaults to 1).
+    fn pp_options(&mut self) -> Result<PpOptions, String> {
+        let include_dirs = self.take_values("-I")?;
+        let defines = (self.take_values("-D")?.into_iter())
+            .map(|d| match d.split_once('=') {
+                Some((n, v)) => (n.to_string(), v.to_string()),
+                None => (d, "1".to_string()),
+            })
+            .collect();
+        Ok(PpOptions {
+            include_dirs,
+            defines,
+            ..PpOptions::default()
+        })
+    }
+
+    /// The lowering flag: `--field-independent`.
+    fn lower_options(&mut self) -> LowerOptions {
+        if self.take_flag("--field-independent") {
+            LowerOptions::default().field_independent()
+        } else {
+            LowerOptions::default()
+        }
+    }
 }
 
 /// Opens a `.clao` and checks every block before a solver, which indexes by
@@ -254,32 +279,14 @@ fn cmd_compile(args: &[String]) -> Result<(), String> {
         .take_values("-o")?
         .pop()
         .unwrap_or_else(|| "a.clao".to_string());
-    let include_dirs = a.take_values("-I")?;
-    let defines = a
-        .take_values("-D")?
-        .into_iter()
-        .map(|d| match d.split_once('=') {
-            Some((n, v)) => (n.to_string(), v.to_string()),
-            None => (d, "1".to_string()),
-        })
-        .collect();
-    let field_independent = a.take_flag("--field-independent");
+    let pp = a.pp_options()?;
+    let lower = a.lower_options();
     let sources = a.positional();
     if sources.is_empty() {
         return Err("no source files".to_string());
     }
 
     let fs = OsFs;
-    let pp = PpOptions {
-        include_dirs,
-        defines,
-        ..PpOptions::default()
-    };
-    let lower = if field_independent {
-        LowerOptions::default().field_independent()
-    } else {
-        LowerOptions::default()
-    };
     let mut units = Vec::new();
     for src in &sources {
         let (unit, _) = compile_file(&fs, src, &pp, &lower).map_err(|e| e.to_string())?;
@@ -313,16 +320,8 @@ fn cmd_compile(args: &[String]) -> Result<(), String> {
 /// one-command way to record spans from every layer.
 fn cmd_analyze(args: &[String]) -> Result<(), String> {
     let mut a = Args::new(args);
-    let include_dirs = a.take_values("-I")?;
-    let defines = a
-        .take_values("-D")?
-        .into_iter()
-        .map(|d| match d.split_once('=') {
-            Some((n, v)) => (n.to_string(), v.to_string()),
-            None => (d, "1".to_string()),
-        })
-        .collect();
-    let field_independent = a.take_flag("--field-independent");
+    let pp = a.pp_options()?;
+    let lower = a.lower_options();
     let mut parallel = a.take_flag("--parallel");
     let jobs: usize = match a.take_values("--jobs")?.pop() {
         Some(v) => {
@@ -350,19 +349,13 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
 
     let opts = PipelineOptions {
         pp: PpOptions {
-            include_dirs,
-            defines,
             limits: FrontendLimits {
                 deadline_ms,
                 ..FrontendLimits::default()
             },
-            ..PpOptions::default()
+            ..pp
         },
-        lower: if field_independent {
-            LowerOptions::default().field_independent()
-        } else {
-            LowerOptions::default()
-        },
+        lower,
         solver: SolveOptions::default(),
         parallel_compile: parallel,
         jobs,
@@ -801,82 +794,83 @@ fn cmd_depend(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_serve(args: &[String]) -> Result<(), String> {
-    use std::sync::Arc;
+/// The one recipe `serve` and `hub` turn their inputs into: a lone `.clao`
+/// is a linked program; anything else is C sources, where a directory
+/// stands for the `.c` files in it and goes first on the include path.
+fn session_source(
+    paths: &[String],
+    mut pp: PpOptions,
+    lower: LowerOptions,
+    lenient: bool,
+) -> Result<SessionSource, String> {
+    if let [path] = paths {
+        if path.ends_with(".clao") {
+            return Ok(SessionSource::Object { path: path.into() });
+        }
+    }
+    let (mut files, mut dirs) = (Vec::new(), Vec::new());
+    for path in paths {
+        if !std::path::Path::new(path).is_dir() {
+            files.push(path.clone());
+            continue;
+        }
+        let mut found: Vec<String> = std::fs::read_dir(path)
+            .map_err(|e| format!("{path}: {e}"))?
+            .filter_map(|e| e.ok())
+            .map(|e| e.path().to_string_lossy().into_owned())
+            .filter(|p| p.ends_with(".c"))
+            .collect();
+        if found.is_empty() {
+            return Err(format!("no .c files in {path}"));
+        }
+        found.sort();
+        files.extend(found);
+        dirs.push(path.clone());
+    }
+    dirs.append(&mut pp.include_dirs);
+    pp.include_dirs = dirs;
+    Ok(SessionSource::Files {
+        fs: std::sync::Arc::new(OsFs),
+        files,
+        pp,
+        lower,
+        lenient,
+    })
+}
 
+fn cmd_serve(args: &[String]) -> Result<(), String> {
     let mut a = Args::new(args);
     let socket = a
         .take_values("--socket")?
         .pop()
         .ok_or("serve needs --socket PATH")?;
-    let include_dirs = a.take_values("-I")?;
-    let defines = a
-        .take_values("-D")?
-        .into_iter()
-        .map(|d| match d.split_once('=') {
-            Some((n, v)) => (n.to_string(), v.to_string()),
-            None => (d, "1".to_string()),
-        })
-        .collect();
-    let field_independent = a.take_flag("--field-independent");
+    let pp = a.pp_options()?;
+    let lower = a.lower_options();
     let lenient = a.take_flag("--lenient");
     let jobs: usize = match a.take_values("--jobs")?.pop() {
         Some(v) => v.parse().map_err(|_| "--jobs needs a number")?,
         None => 1,
     };
     let snapshot_dir = a.take_values("--snapshot")?.pop();
-    let snap_dir = snapshot_dir.as_deref().map(std::path::Path::new);
     let pos = a.positional();
     if pos.is_empty() {
         return Err("serve needs a .clao file or C sources".to_string());
     }
 
-    // A single .clao positional serves the linked database; `reload`
-    // re-reads the file, and a corrupt rewrite degrades (last-good answers)
-    // instead of wedging the server. C sources are compiled in-process.
-    let (session, reload_fs): (Session, Option<Arc<dyn FileProvider + Send + Sync>>) =
-        if pos.len() == 1 && pos[0].ends_with(".clao") {
-            let session = Session::from_object_path_with(
-                std::path::Path::new(&pos[0]),
-                SolveOptions::default(),
-                snap_dir,
-            )
-            .map_err(|e| e.to_string())?;
-            (session, None)
-        } else {
-            let pp = PpOptions {
-                include_dirs,
-                defines,
-                ..PpOptions::default()
-            };
-            let lower = if field_independent {
-                LowerOptions::default().field_independent()
-            } else {
-                LowerOptions::default()
-            };
-            let files: Vec<&str> = pos.iter().map(String::as_str).collect();
-            let build = if lenient {
-                Session::from_files_lenient
-            } else {
-                Session::from_files_jobs
-            };
-            let session = build(
-                &OsFs,
-                &files,
-                &pp,
-                &lower,
-                SolveOptions::default(),
-                snap_dir,
-                jobs,
-            )
-            .map_err(|e| e.to_string())?;
-            for q in session.quarantined() {
-                eprintln!("cla-tool: quarantined {}: {}", q.file, q.reason);
-            }
-            (session, Some(Arc::new(OsFs)))
-        };
-
-    if snap_dir.is_some() {
+    // `reload` recompiles changed sources, or re-reads a served `.clao`: a
+    // corrupt rewrite degrades (last-good answers) instead of wedging the
+    // server.
+    let spec = SessionSpec {
+        source: session_source(&pos, pp, lower, lenient)?,
+        solve: SolveOptions::default(),
+        snapshot_dir: snapshot_dir.map(std::path::PathBuf::from),
+        jobs,
+    };
+    let session = Session::open(&spec).map_err(|e| e.to_string())?;
+    for q in session.quarantined() {
+        eprintln!("cla-tool: quarantined {}: {}", q.file, q.reason);
+    }
+    if spec.snapshot_dir.is_some() {
         eprintln!(
             "cla-tool: snapshot {}",
             if session.snapshot_loaded() {
@@ -886,8 +880,12 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             }
         );
     }
-    let handle = cla::serve::serve(Arc::new(session), reload_fs, std::path::Path::new(&socket))
-        .map_err(|e| format!("cannot bind `{socket}`: {e}"))?;
+    let handle = cla::serve::serve(
+        std::sync::Arc::new(session),
+        spec.fs().cloned(),
+        std::path::Path::new(&socket),
+    )
+    .map_err(|e| format!("cannot bind `{socket}`: {e}"))?;
     eprintln!("cla-tool: serving on {socket} (send {{\"cmd\":\"shutdown\"}} to stop)");
     let stats = handle.join();
     println!("{}", stats.to_json().encode());
@@ -1004,7 +1002,7 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
 /// of C sources. With `--snapshot-root DIR` every session evicts to (and
 /// warm-starts from) `DIR/NAME/graph.clasnap`.
 fn cmd_hub(args: &[String]) -> Result<(), String> {
-    use cla::hub::{hub_serve, Hub, HubOptions, SessionSource, SessionSpec};
+    use cla::hub::hub_serve;
     use std::sync::Arc;
 
     let mut a = Args::new(args);
@@ -1029,15 +1027,7 @@ fn cmd_hub(args: &[String]) -> Result<(), String> {
         None => 1,
     };
     let lenient = a.take_flag("--lenient");
-    let include_dirs = a.take_values("-I")?;
-    let defines: Vec<(String, String)> = a
-        .take_values("-D")?
-        .into_iter()
-        .map(|d| match d.split_once('=') {
-            Some((n, v)) => (n.to_string(), v.to_string()),
-            None => (d, "1".to_string()),
-        })
-        .collect();
+    let pp = a.pp_options()?;
     let snapshot_root = a.take_values("--snapshot-root")?.pop();
     let pos = a.positional();
     if pos.is_empty() {
@@ -1054,54 +1044,21 @@ fn cmd_hub(args: &[String]) -> Result<(), String> {
         let (name, path) = entry
             .split_once('=')
             .ok_or_else(|| format!("session `{entry}` is not NAME=PATH"))?;
-        let snapshot_dir = snapshot_root
-            .as_ref()
-            .map(|root| std::path::Path::new(root).join(name));
-        let source = if path.ends_with(".clao") {
-            SessionSource::Object {
-                path: std::path::PathBuf::from(path),
-            }
-        } else {
-            let meta =
-                std::fs::metadata(path).map_err(|e| format!("session `{name}`: {path}: {e}"))?;
-            let (files, mut dirs) = if meta.is_dir() {
-                let mut files: Vec<String> = std::fs::read_dir(path)
-                    .map_err(|e| format!("session `{name}`: {path}: {e}"))?
-                    .filter_map(|e| e.ok())
-                    .map(|e| e.path().to_string_lossy().into_owned())
-                    .filter(|p| p.ends_with(".c"))
-                    .collect();
-                files.sort();
-                if files.is_empty() {
-                    return Err(format!("session `{name}`: no .c files in {path}"));
-                }
-                (files, vec![path.to_string()])
-            } else {
-                (vec![path.to_string()], Vec::new())
-            };
-            dirs.extend(include_dirs.iter().cloned());
-            SessionSource::Files {
-                fs: Arc::new(OsFs),
-                files,
-                pp: PpOptions {
-                    include_dirs: dirs,
-                    defines: defines.clone(),
-                    ..PpOptions::default()
-                },
-                lower: LowerOptions::default(),
+        let spec = SessionSpec {
+            source: session_source(
+                &[path.to_string()],
+                pp.clone(),
+                LowerOptions::default(),
                 lenient,
-            }
+            )
+            .map_err(|e| format!("session `{name}`: {e}"))?,
+            solve: SolveOptions::default(),
+            snapshot_dir: (snapshot_root.as_ref())
+                .map(|root| std::path::Path::new(root).join(name)),
+            jobs,
         };
         let (epoch, warm) = hub
-            .open(
-                name,
-                SessionSpec {
-                    source,
-                    solve: SolveOptions::default(),
-                    snapshot_dir,
-                    jobs,
-                },
-            )
+            .open(name, spec)
             .map_err(|e| format!("session `{name}`: {e}"))?;
         eprintln!(
             "cla-tool: opened session {name} (epoch {epoch}{})",
@@ -1206,15 +1163,7 @@ fn cmd_db_fuzz(args: &[String]) -> Result<(), String> {
         .parse()
         .map_err(|_| "--seed needs a number")?;
     let fuzz_snapshot = a.take_flag("--snapshot");
-    let include_dirs = a.take_values("-I")?;
-    let defines = a
-        .take_values("-D")?
-        .into_iter()
-        .map(|d| match d.split_once('=') {
-            Some((n, v)) => (n.to_string(), v.to_string()),
-            None => (d, "1".to_string()),
-        })
-        .collect();
+    let pp = a.pp_options()?;
     let pos = a.positional();
     if pos.is_empty() {
         return Err("db-fuzz needs C sources or a .clao file".to_string());
@@ -1226,11 +1175,6 @@ fn cmd_db_fuzz(args: &[String]) -> Result<(), String> {
     let bytes = if pos.len() == 1 && pos[0].ends_with(".clao") {
         std::fs::read(&pos[0]).map_err(|e| format!("cannot read `{}`: {e}", pos[0]))?
     } else {
-        let pp = PpOptions {
-            include_dirs,
-            defines,
-            ..PpOptions::default()
-        };
         let lower = LowerOptions::default();
         let mut units = Vec::new();
         for src in &pos {

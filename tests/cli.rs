@@ -1,8 +1,10 @@
 //! End-to-end tests of the `cla-tool` command-line driver, run against the
 //! real binary with real files on disk.
 
+use std::collections::{BTreeMap, BTreeSet};
+use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Child, ChildStderr, Command, ExitStatus, Output, Stdio};
 
 fn tool() -> Command {
     Command::new(env!("CARGO_BIN_EXE_cla-tool"))
@@ -408,6 +410,201 @@ fn a_resealed_object_with_bad_references_is_a_typed_error_not_a_solver_panic() {
             assert!(!err.contains("panicked"), "{cmd} {name}: {err}");
         }
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A `cla-tool serve` or `cla-tool hub` child, killed if the test ends
+/// before a `shutdown` query stopped it.
+struct Server {
+    child: Child,
+    /// Its stderr after the banner, held open so later writes still land.
+    stderr: BufReader<ChildStderr>,
+    /// Every stderr line up to and including the "serving" one.
+    banner: Vec<String>,
+}
+
+impl Server {
+    /// Starts the tool and waits until it says it is serving.
+    fn start(args: &[&str]) -> Server {
+        let mut child = tool()
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("tool starts");
+        let stderr = BufReader::new(child.stderr.take().unwrap());
+        let mut server = Server {
+            child,
+            stderr,
+            banner: Vec::new(),
+        };
+        let mut line = String::new();
+        while server.stderr.read_line(&mut line).unwrap() > 0 {
+            server.banner.push(line.trim_end().to_string());
+            line.clear();
+            if server.banner.last().unwrap().contains(" serving ") {
+                return server;
+            }
+        }
+        panic!("{args:?} never served: {:?}", server.banner);
+    }
+
+    /// The `HOST:PORT` a hub reported it bound.
+    fn hub_addr(&self) -> String {
+        let last = self.banner.last().unwrap();
+        let at = last.split(" on ").nth(1).and_then(|s| s.split(' ').next());
+        at.unwrap_or_else(|| panic!("no address in {last:?}"))
+            .to_string()
+    }
+
+    /// Waits for the exit a `shutdown` query asked for.
+    fn wait(mut self) -> ExitStatus {
+        let mut rest = String::new();
+        let _ = std::io::Read::read_to_string(&mut self.stderr, &mut rest);
+        self.child.wait().unwrap()
+    }
+}
+
+impl Drop for Server {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
+/// Every `pts(name) = {a, b}` line of an `analyze --print` run, by name.
+fn printed_points_to(out: &Output) -> BTreeMap<String, BTreeSet<String>> {
+    String::from_utf8_lossy(&out.stdout)
+        .lines()
+        .filter_map(|l| l.strip_prefix("pts(")?.split_once(") = {"))
+        .map(|(name, set)| {
+            let set = set
+                .trim_end_matches('}')
+                .split(", ")
+                .filter(|s| !s.is_empty());
+            (name.to_string(), set.map(str::to_string).collect())
+        })
+        .collect()
+}
+
+/// `cla-tool query <endpoint> <cmd...>`'s reply, which must be `ok`.
+fn query(endpoint: &[&str], cmd: &[&str]) -> cla::serve::json::Value {
+    let out = run(tool().arg("query").args(endpoint).args(cmd));
+    let text = String::from_utf8_lossy(&out.stdout).into_owned();
+    cla::serve::json::parse(text.trim()).unwrap_or_else(|e| panic!("{text:?}: {e}"))
+}
+
+/// What a server answers `points-to` for each of `names`.
+fn served_points_to(endpoint: &[&str], names: &[&str]) -> BTreeMap<String, BTreeSet<String>> {
+    use cla::serve::json::Value;
+    names
+        .iter()
+        .map(|name| {
+            let reply = query(endpoint, &["points-to", name]);
+            let targets = reply.get("targets").and_then(Value::as_arr).unwrap();
+            let set = targets
+                .iter()
+                .map(|t| t.get("name").and_then(Value::as_str).unwrap().to_string())
+                .collect();
+            (name.to_string(), set)
+        })
+        .collect()
+}
+
+fn health(endpoint: &[&str]) -> String {
+    let reply = query(endpoint, &["health"]);
+    let health = reply
+        .get("health")
+        .and_then(cla::serve::json::Value::as_str);
+    health.unwrap().to_string()
+}
+
+/// Two units sharing `p`; `q` copies it in the second.
+fn two_units(dir: &Path) -> (String, String) {
+    let a = write(dir, "a.c", "int x, y; int *p; void fa(void) { p = &x; }\n");
+    let b = write(
+        dir,
+        "b.c",
+        "extern int *p; int *q; extern int y; void fb(void) { q = p; p = &y; }\n",
+    );
+    (a, b)
+}
+
+#[test]
+fn serve_lenient_over_sources_answers_like_analyze() {
+    let dir = tmpdir("serve-lenient");
+    let (a, b) = two_units(&dir);
+    let bad = write(&dir, "bad.c", "int broken = ;\n");
+    let socket = dir.join("s.sock").to_string_lossy().into_owned();
+    let expected = printed_points_to(&run(
+        tool().args(["analyze", &a, &b, &bad, "--print", "p", "q"])
+    ));
+    assert_eq!(expected["q"], BTreeSet::from(["x".into(), "y".into()]));
+
+    let server = Server::start(&["serve", &a, &b, &bad, "--socket", &socket, "--lenient"]);
+    assert!(
+        (server.banner.iter()).any(|l| l.starts_with("cla-tool: quarantined") && l.contains(&bad)),
+        "{:?}",
+        server.banner
+    );
+    let endpoint = ["--socket", socket.as_str()];
+    assert_eq!(health(&endpoint), "partial");
+    assert_eq!(served_points_to(&endpoint, &["p", "q"]), expected);
+    query(&endpoint, &["shutdown"]);
+    assert!(server.wait().success());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn serve_over_a_compiled_object_answers_like_analyze() {
+    let dir = tmpdir("serve-object");
+    let (a, b) = two_units(&dir);
+    let obj = dir.join("prog.clao").to_string_lossy().into_owned();
+    run(tool().args(["compile", &a, &b, "-o", &obj]));
+    let socket = dir.join("s.sock").to_string_lossy().into_owned();
+    let expected = printed_points_to(&run(tool().args(["analyze", &a, &b, "--print", "p", "q"])));
+
+    let server = Server::start(&["serve", &obj, "--socket", &socket]);
+    let endpoint = ["--socket", socket.as_str()];
+    assert_eq!(health(&endpoint), "ok");
+    assert_eq!(served_points_to(&endpoint, &["p", "q"]), expected);
+    query(&endpoint, &["shutdown"]);
+    assert!(server.wait().success());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn hub_over_a_directory_and_an_object_answers_like_analyze() {
+    let dir = tmpdir("hub");
+    let src = dir.join("src");
+    std::fs::create_dir_all(&src).unwrap();
+    // The directory joins the include path, so `a.c` finds its header.
+    write(&src, "defs.h", "extern int *p;\n");
+    let a = write(
+        &src,
+        "a.c",
+        "#include <defs.h>\nint x; int *r; void fa(void) { p = &x; r = p; }\n",
+    );
+    let b = write(&src, "b.c", "int *p; int z; void fb(void) { p = &z; }\n");
+    let (c, d) = two_units(&dir);
+    let obj = dir.join("prog.clao").to_string_lossy().into_owned();
+    run(tool().args(["compile", &c, &d, "-o", &obj]));
+    let inc = src.to_string_lossy().into_owned();
+    let from_dir = printed_points_to(&run(
+        tool().args(["analyze", &a, &b, "-I", &inc, "--print", "p", "r"])
+    ));
+    let from_obj = printed_points_to(&run(tool().args(["analyze", &c, &d, "--print", "p", "q"])));
+    assert_eq!(from_dir["r"], BTreeSet::from(["x".into(), "z".into()]));
+
+    let sessions = [format!("a={}", src.display()), format!("b={obj}")];
+    let server = Server::start(&["hub", &sessions[0], &sessions[1], "--listen", "127.0.0.1:0"]);
+    let addr = server.hub_addr();
+    let endpoint = |session| ["--tcp", addr.as_str(), "--session", session];
+    assert_eq!(served_points_to(&endpoint("a"), &["p", "r"]), from_dir);
+    assert_eq!(served_points_to(&endpoint("b"), &["p", "q"]), from_obj);
+    assert_eq!(health(&endpoint("a")), "ok");
+    query(&["--tcp", &addr], &["shutdown"]);
+    assert!(server.wait().success());
     let _ = std::fs::remove_dir_all(&dir);
 }
 

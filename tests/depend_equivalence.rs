@@ -345,12 +345,14 @@ fn a_session_builds_one_index_per_epoch_and_drops_it_on_reload() {
     let mut fs = MemoryFs::new();
     fs.add("a.c", before);
     let session = Arc::new(
-        Session::from_files(
+        Session::from_files_jobs(
             &fs,
             &["a.c"],
             &PpOptions::default(),
             &LowerOptions::default(),
             SolveOptions::default(),
+            None,
+            1,
         )
         .unwrap(),
     );

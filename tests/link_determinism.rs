@@ -10,8 +10,11 @@
 //! the bytes `write_object` gives the reference unit linker's program.
 
 use cla::cladb::{add_unknown_summaries, fnv64, LinkStats, StreamLinker, UnitObject};
+use cla::hub::dispatch;
 use cla::prelude::*;
+use cla::serve::json::{obj, Value};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 const SOURCES: [(&str, &str); 3] = [
     (
@@ -223,11 +226,12 @@ fn generated_tree() -> (MemoryFs, Vec<String>) {
 fn parallel_and_serial_compile_link_byte_identically() {
     // End to end through the one build path: batch `analyze` at any pool
     // size, a session's first build at any pool size and the same session
-    // after a forced reload must all produce the program a serial batch
-    // run produces — the byte-identical database where bytes can be had,
-    // the identical by-name relation and quarantine ledger everywhere —
-    // strict over the clean tree and lenient over a tree with two hostile
-    // files.
+    // after a forced reload, a session over the serial run's linked object
+    // and a hub tenant opened over the wire must all produce the program a
+    // serial batch run produces — the byte-identical database where bytes
+    // can be had, the identical by-name relation and quarantine ledger
+    // everywhere — strict over the clean tree and lenient over a tree with
+    // two hostile files.
     let (clean, files) = generated_tree();
     let mut hostile = clean.clone();
     hostile.add(files[1].clone(), "int broken = ;\n");
@@ -274,12 +278,19 @@ fn parallel_and_serial_compile_link_byte_identically() {
         }
 
         for jobs in [1, 4] {
-            let build = if strict {
-                Session::from_files_jobs
-            } else {
-                Session::from_files_lenient
-            };
-            let session = build(fs, &refs, &opts.pp, &opts.lower, opts.solver, None, jobs).unwrap();
+            let session = Session::open(&SessionSpec {
+                source: SessionSource::Files {
+                    fs: Arc::new(fs.clone()),
+                    files: files.clone(),
+                    pp: opts.pp.clone(),
+                    lower: opts.lower.clone(),
+                    lenient: !strict,
+                },
+                solve: opts.solver,
+                snapshot_dir: None,
+                jobs,
+            })
+            .unwrap();
             for reloaded in [false, true] {
                 if reloaded {
                     let r = session.reload(Some(fs), true).unwrap();
@@ -295,6 +306,61 @@ fn parallel_and_serial_compile_link_byte_identically() {
                 assert_eq!(ledger_of(&session.quarantined()), ledger);
             }
         }
+
+        let dir = TempDir::new(if strict { "strict" } else { "lenient" });
+        if strict {
+            let path = dir.0.join("prog.clao");
+            std::fs::write(&path, &serial_bytes).unwrap();
+            let session = Session::open(&SessionSpec {
+                source: SessionSource::Object { path },
+                solve: opts.solver,
+                snapshot_dir: None,
+                jobs: 1,
+            })
+            .unwrap();
+            assert_eq!(
+                session_by_name(&session, &serial_answers),
+                serial_answers,
+                "the object session answers differently"
+            );
+            assert_eq!(ledger_of(&session.quarantined()), ledger);
+        }
+
+        // The wire `open` reads its sources from disk.
+        for (name, text) in fs.iter() {
+            std::fs::write(dir.0.join(name), text.as_bytes()).unwrap();
+        }
+        let prefix = format!("{}/", dir.0.display());
+        let on_disk = files.iter().map(|f| Value::from(format!("{prefix}{f}")));
+        let hub = Hub::new(HubOptions::default());
+        let reply = dispatch(
+            &hub,
+            &obj([
+                ("cmd", "open".into()),
+                ("session", "t".into()),
+                ("files", Value::Arr(on_disk.collect())),
+                ("lenient", (!strict).into()),
+            ])
+            .encode(),
+        );
+        assert_eq!(
+            reply.get("ok").and_then(Value::as_bool),
+            Some(true),
+            "{reply:?}"
+        );
+        let (answers, tenant_ledger) = hub
+            .with_session("t", |s, _| {
+                (session_by_name(s, &serial_answers), s.quarantined())
+            })
+            .unwrap();
+        assert_eq!(
+            answers, serial_answers,
+            "the hub tenant answers differently"
+        );
+        let tenant_ledger: Vec<&str> = (tenant_ledger.iter())
+            .map(|q| q.file.strip_prefix(&prefix).unwrap())
+            .collect();
+        assert_eq!(tenant_ledger, ledger);
     }
 }
 
@@ -364,27 +430,37 @@ fn every_route_reports_the_same_failure_as_a_value() {
     for (i, f) in files.iter().enumerate() {
         inner.add(f.clone(), format!("int g{i}; int *p{i} = &g{i};\n"));
     }
-    let fs = PanickyFs {
+    let fs = Arc::new(PanickyFs {
         inner,
         bad: files[5].clone(),
-    };
+    });
     for jobs in [1, 4] {
-        let strict =
-            Session::from_files_jobs(&fs, &refs, &pp, &lower, SolveOptions::default(), None, jobs);
-        assert!(
-            matches!(&strict, Err(cla::serve::SessionError::Compile(e)) if e.to_string().contains("on fire")),
-            "jobs={jobs}: {:?}",
-            strict.err()
-        );
-        let lenient = Session::from_files_lenient(
-            &fs,
+        let strict = Session::from_files_jobs(
+            fs.as_ref(),
             &refs,
             &pp,
             &lower,
             SolveOptions::default(),
             None,
             jobs,
-        )
+        );
+        assert!(
+            matches!(&strict, Err(cla::serve::SessionError::Compile(e)) if e.to_string().contains("on fire")),
+            "jobs={jobs}: {:?}",
+            strict.err()
+        );
+        let lenient = Session::open(&SessionSpec {
+            source: SessionSource::Files {
+                fs: fs.clone(),
+                files: files.clone(),
+                pp: pp.clone(),
+                lower: lower.clone(),
+                lenient: true,
+            },
+            solve: SolveOptions::default(),
+            snapshot_dir: None,
+            jobs,
+        })
         .unwrap();
         let ledger = lenient.quarantined();
         assert_eq!(ledger.len(), 1);

@@ -60,12 +60,14 @@ fn write_sources(tag: &str, files: &[(&str, &str)]) -> (PathBuf, Vec<String>) {
 
 fn start_server(tag: &str, paths: &[String]) -> cla::serve::ServerHandle {
     let files: Vec<&str> = paths.iter().map(String::as_str).collect();
-    let session = Session::from_files(
+    let session = Session::from_files_jobs(
         &OsFs,
         &files,
         &PpOptions::default(),
         &LowerOptions::default(),
         SolveOptions::default(),
+        None,
+        1,
     )
     .unwrap();
     let socket =
@@ -182,12 +184,14 @@ fn every_listed_pointer_variable_answers_points_to() {
         &[("a.c", FILE_A), ("b.c", FILE_B), ("c.c", FILE_C)],
     );
     let files: Vec<&str> = paths.iter().map(String::as_str).collect();
-    let session = Session::from_files(
+    let session = Session::from_files_jobs(
         &OsFs,
         &files,
         &PpOptions::default(),
         &LowerOptions::default(),
         SolveOptions::default(),
+        None,
+        1,
     )
     .unwrap();
     let listed = session.pointer_variables();
@@ -353,12 +357,14 @@ fn reload_recompiles_exactly_the_files_whose_closure_changed() {
         ],
     );
     let files: Vec<&str> = paths[1..].iter().map(String::as_str).collect();
-    let session = Session::from_files(
+    let session = Session::from_files_jobs(
         &OsFs,
         &files,
         &PpOptions::default(),
         &LowerOptions::default(),
         SolveOptions::default(),
+        None,
+        1,
     )
     .unwrap();
     assert_session_matches_fresh_analyze(&session, &paths[1..]);
@@ -415,12 +421,14 @@ fn reload_sees_a_header_created_earlier_on_the_include_path() {
         .include_dir(a.to_string_lossy())
         .include_dir(b.to_string_lossy());
     let files = [paths[0].as_str()];
-    let session = Session::from_files(
+    let session = Session::from_files_jobs(
         &OsFs,
         &files,
         &pp,
         &LowerOptions::default(),
         SolveOptions::default(),
+        None,
+        1,
     )
     .unwrap();
     assert_session_matches_fresh_analyze_with(&session, &paths, &pp);
@@ -455,15 +463,18 @@ fn lenient_session_quarantines_a_deleted_source_and_heals() {
         ],
     );
     let files: Vec<&str> = paths.iter().map(String::as_str).collect();
-    let session = Session::from_files_lenient(
-        &OsFs,
-        &files,
-        &PpOptions::default(),
-        &LowerOptions::default(),
-        SolveOptions::default(),
-        None,
-        1,
-    )
+    let session = Session::open(&SessionSpec {
+        source: SessionSource::Files {
+            fs: Arc::new(OsFs),
+            files: paths.clone(),
+            pp: PpOptions::default(),
+            lower: LowerOptions::default(),
+            lenient: true,
+        },
+        solve: SolveOptions::default(),
+        snapshot_dir: None,
+        jobs: 1,
+    })
     .unwrap();
     assert_eq!(session.health().as_str(), "ok");
 
@@ -486,12 +497,14 @@ fn lenient_session_quarantines_a_deleted_source_and_heals() {
 
     // The strict twin reports the same vanished file as a compile error and
     // keeps serving its last good graph.
-    let strict = Session::from_files(
+    let strict = Session::from_files_jobs(
         &OsFs,
         &files,
         &PpOptions::default(),
         &LowerOptions::default(),
         SolveOptions::default(),
+        None,
+        1,
     )
     .unwrap();
     std::fs::remove_file(files[1]).unwrap();
@@ -855,12 +868,14 @@ fn degraded_reload_serves_last_good_and_recovers_automatically() {
     );
     let files: Vec<&str> = paths.iter().map(String::as_str).collect();
     let session = Arc::new(
-        Session::from_files(
+        Session::from_files_jobs(
             &OsFs,
             &files,
             &PpOptions::default(),
             &LowerOptions::default(),
             SolveOptions::default(),
+            None,
+            1,
         )
         .unwrap(),
     );
@@ -974,7 +989,17 @@ fn object_backed_session_survives_a_corrupt_rewrite() {
     let obj_path = dir.join("prog.clao");
     std::fs::write(&obj_path, &bytes).unwrap();
 
-    let session = Arc::new(Session::from_object_path(&obj_path, SolveOptions::default()).unwrap());
+    let session = Arc::new(
+        Session::open(&SessionSpec {
+            source: SessionSource::Object {
+                path: obj_path.clone(),
+            },
+            solve: SolveOptions::default(),
+            snapshot_dir: None,
+            jobs: 1,
+        })
+        .unwrap(),
+    );
     let socket = dir.join("objpath.sock");
     let server = cla::serve::serve(Arc::clone(&session), None, &socket).unwrap();
     let mut c = UnixStream::connect(server.path()).unwrap();
@@ -1080,12 +1105,14 @@ fn query_panic_kills_one_connection_not_the_server() {
         ],
     );
     let files: Vec<&str> = paths.iter().map(String::as_str).collect();
-    let session = Session::from_files(
+    let session = Session::from_files_jobs(
         &OsFs,
         &files,
         &PpOptions::default(),
         &LowerOptions::default(),
         SolveOptions::default(),
+        None,
+        1,
     )
     .unwrap();
     let socket = dir.join("panic.sock");

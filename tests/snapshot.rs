@@ -286,13 +286,14 @@ fn serve_session_warm_starts_from_the_snapshot_directory() {
     let refs: Vec<&str> = files.iter().map(String::as_str).collect();
 
     let build = |snap: Option<&Path>| {
-        Session::from_files_with(
+        Session::from_files_jobs(
             &OsFs,
             &refs,
             &PpOptions::default(),
             &LowerOptions::default(),
             SolveOptions::default(),
             snap,
+            1,
         )
         .unwrap()
     };
