@@ -425,16 +425,18 @@ pub fn assemble(format: &Format, sections: &[Section<'_>]) -> Vec<u8> {
 pub struct Container {
     data: Vec<u8>,
     table: Vec<SectionEntry>,
+    checksum: u64,
     format: &'static Format,
 }
 
 impl Container {
     /// Takes ownership of `data` and verifies its header.
     pub fn open(data: Vec<u8>, format: &'static Format) -> Result<Container, ContainerError> {
-        let table = Header::read(&data, format)?.table;
+        let Header { checksum, table } = Header::read(&data, format)?;
         Ok(Container {
             data,
             table,
+            checksum,
             format,
         })
     }
@@ -443,6 +445,14 @@ impl Container {
     #[must_use]
     pub fn bytes(&self) -> &[u8] {
         &self.data
+    }
+
+    /// The header checksum, verified at open: it covers the section table,
+    /// and through each entry's checksum every section's verified prefix,
+    /// so it is the root of the file's checksum tree.
+    #[must_use]
+    pub fn checksum(&self) -> u64 {
+        self.checksum
     }
 
     /// The section table (covered by the verified header checksum).

@@ -15,11 +15,12 @@
 //!   a recomputed header checksum (buggy tooling / tampering; the tagged
 //!   section checksums must still catch a consistent swap);
 //! * **resealed reference** (object format only) — push one id out of its
-//!   table, set an `is_indirect` byte to a value no writer emits or append a
-//!   byte to a section, then recompute every checksum over the damage (a
-//!   buggy or hostile writer). No checksum can catch these: only the range
-//!   checks stand between such a file and an out-of-bounds index in whatever
-//!   reads it, so an admitted mutant must also survive its consumer.
+//!   table, set an `is_indirect` byte to a value no writer emits, shuffle or
+//!   repeat the target pairs or append a byte to a section, then recompute
+//!   every checksum over the damage (a buggy or hostile writer). No checksum
+//!   can catch these: only the range and shape checks stand between such a
+//!   file and an out-of-bounds index in whatever reads it, so an admitted
+//!   mutant must also survive its consumer.
 //!
 //! Everything is seeded ([`SplitMix64`]) so a failing mutant reproduces from
 //! the report alone. `cla-tool db-fuzz` drives this over `examples/c/`.
@@ -146,6 +147,17 @@ impl std::fmt::Display for FuzzReport {
 /// oracle: any mutant that opens must decode to exactly this.
 pub struct Oracle {
     unit: CompiledUnit,
+    /// Every target name with its objects, by name.
+    targets: Vec<(String, Vec<ObjId>)>,
+}
+
+/// What `db`'s target lookups answer, by name.
+fn target_table(db: &Database) -> Vec<(&str, &[ObjId])> {
+    let mut table: Vec<_> = (db.target_names())
+        .map(|name| (name, db.targets(name)))
+        .collect();
+    table.sort_unstable();
+    table
 }
 
 impl Oracle {
@@ -155,6 +167,9 @@ impl Oracle {
         db.verify_all()?;
         Ok(Oracle {
             unit: db.to_unit()?,
+            targets: (target_table(&db).into_iter())
+                .map(|(name, objs)| (name.to_string(), objs.to_vec()))
+                .collect(),
         })
     }
 
@@ -171,17 +186,19 @@ impl Oracle {
         judge(|| -> Result<bool, DbError> {
             let db = Database::open(bytes)?;
             // Touch every read path: statics, every demand-loaded block, the
-            // full re-decode.
+            // full re-decode, every target lookup.
             db.static_assigns()?;
-            for ix in 0..db.objects().len() {
-                db.block(ObjId(ix as u32))?;
+            for id in db.ids() {
+                db.block(id)?;
             }
             let unit = db.to_unit()?;
             consume(&db);
+            let pristine = (self.targets.iter()).map(|(n, o)| (n.as_str(), o.as_slice()));
             Ok(unit.objects == self.unit.objects
                 && unit.assigns == self.unit.assigns
                 && unit.funsigs == self.unit.funsigs
-                && unit.files == self.unit.files)
+                && unit.files == self.unit.files
+                && target_table(&db).into_iter().eq(pristine))
         })
     }
 }
@@ -312,7 +329,8 @@ fn body_of(id: SectionId) -> usize {
 
 /// Every reference `pristine` holds, each with the edit that pushes it out
 /// of range *through the record's codec*: an encoded record is decoded, one
-/// field changed, and the record encoded back.
+/// field changed, and the record encoded back. Then the shape damages: the
+/// target pairs out of order, one trailing byte per section.
 fn reference_damages(view: &UnitView<'_>, bodies: &[Vec<u8>]) -> Vec<Damage> {
     let nstrings = view.strings.len() as u32;
     let nobjs = view.object_count() as u32;
@@ -438,6 +456,34 @@ fn reference_damages(view: &UnitView<'_>, bodies: &[Vec<u8>]) -> Vec<Damage> {
         });
         sig_at += sig.encoded_len();
     }
+    // The target pairs out of the writer's order: shuffled, or one pair
+    // written over its successor.
+    if view.targets().len() >= 2 {
+        let body = body_of(SectionId::Target);
+        out.push(Damage {
+            what: "target: pairs shuffled".into(),
+            apply: Box::new(move |bodies, excess| {
+                let sec = &mut bodies[body];
+                let before = sec.clone();
+                let (pairs, _) = sec[4..].as_chunks_mut::<PAIR_SIZE>();
+                let mut rng = SplitMix64(u64::from(excess));
+                for i in (1..pairs.len()).rev() {
+                    pairs.swap(i, rng.below(i as u64 + 1) as usize);
+                }
+                if *sec == before {
+                    sec[4..].as_chunks_mut::<PAIR_SIZE>().0.reverse();
+                }
+            }),
+        });
+        out.push(Damage {
+            what: "target: pairs with one repeated".into(),
+            apply: Box::new(move |bodies, excess| {
+                let (pairs, _) = bodies[body][4..].as_chunks_mut::<PAIR_SIZE>();
+                let at = excess as usize % (pairs.len() - 1);
+                pairs[at + 1] = pairs[at];
+            }),
+        });
+    }
     for section in SectionId::ALL {
         out.push(Damage {
             what: format!("{section}: one trailing byte"),
@@ -445,6 +491,49 @@ fn reference_damages(view: &UnitView<'_>, bodies: &[Vec<u8>]) -> Vec<Damage> {
         });
     }
     out
+}
+
+/// A pristine object file's nine bodies and the damages
+/// [`reference_damages`] finds for them.
+struct Resealer {
+    bodies: Vec<Vec<u8>>,
+    damages: Vec<Damage>,
+    index_len: usize,
+}
+
+impl Resealer {
+    fn new(pristine: &[u8]) -> Option<Resealer> {
+        let file = Container::open(pristine.to_vec(), &FORMAT).ok()?;
+        let view = UnitView::layout(&file).ok()?;
+        let bodies: Vec<Vec<u8>> = (SectionId::ALL.iter())
+            .map(|&id| {
+                file.lookup(id as u32, id.name())
+                    .map(|(_, body)| body.to_vec())
+            })
+            .collect::<Result<_, _>>()
+            .expect("layout found all nine");
+        Some(Resealer {
+            damages: reference_damages(&view, &bodies),
+            index_len: BlockEntry::index_len(view.object_count()),
+            bodies,
+        })
+    }
+
+    /// The file with `damage` done to it, every checksum recomputed.
+    fn mutant(&self, damage: &Damage, excess: u32) -> Vec<u8> {
+        let mut bodies = self.bodies.clone();
+        (damage.apply)(&mut bodies, excess);
+        // Reseal bottom up: each block's checksum in the index, then (in
+        // `assemble_object`) every section's and the header's.
+        let (index, blob) = bodies[body_of(SectionId::Dynamic)].split_at_mut(self.index_len);
+        for entry in index[4..].chunks_exact_mut(BlockEntry::SIZE) {
+            let mut block = BlockEntry::decode(entry);
+            block.checksum = fnv64(block.records(blob).unwrap_or(&[]));
+            entry.copy_from_slice(&block.encode());
+        }
+        let bodies: Vec<&[u8]> = bodies.iter().map(Vec::as_slice).collect();
+        assemble_object(bodies.try_into().expect("nine bodies"), self.index_len)
+    }
 }
 
 /// Damages one reference of a pristine *object* file per iteration (see
@@ -458,43 +547,43 @@ pub fn resealed_round(
     iters: u64,
     report: &mut FuzzReport,
 ) {
-    let Ok(file) = Container::open(pristine.to_vec(), &FORMAT) else {
+    let Some(resealer) = Resealer::new(pristine) else {
         return;
     };
-    let Ok(view) = UnitView::layout(&file) else {
-        return;
-    };
-    let bodies: Vec<Vec<u8>> = (SectionId::ALL.iter())
-        .map(|&id| {
-            file.lookup(id as u32, id.name())
-                .map(|(_, body)| body.to_vec())
-        })
-        .collect::<Result<_, _>>()
-        .expect("layout found all nine");
-    let damages = reference_damages(&view, &bodies);
-    let index_len = BlockEntry::index_len(view.object_count());
+    let damages = &resealer.damages;
     let mut rng = SplitMix64(seed ^ 0x5ea1_ed1d);
     for it in 0..iters {
         let damage = &damages[rng.below(damages.len() as u64) as usize];
-        let mut bodies = bodies.clone();
-        (damage.apply)(&mut bodies, rng.below(1000) as u32);
-        // Reseal bottom up: each block's checksum in the index, then (in
-        // `assemble_object`) every section's and the header's.
-        let (index, blob) = bodies[body_of(SectionId::Dynamic)].split_at_mut(index_len);
-        for entry in index[4..].chunks_exact_mut(BlockEntry::SIZE) {
-            let mut block = BlockEntry::decode(entry);
-            block.checksum = fnv64(block.records(blob).unwrap_or(&[]));
-            entry.copy_from_slice(&block.encode());
-        }
-        let bodies: Vec<&[u8]> = bodies.iter().map(Vec::as_slice).collect();
-        let mutant = assemble_object(bodies.try_into().expect("nine bodies"), index_len);
-        let verdict = exercise(mutant);
+        let verdict = exercise(resealer.mutant(damage, rng.below(1000) as u32));
         report.record(verdict, || {
             format!(
                 "resealed reference iter {it} (seed {seed}): {}",
                 damage.what
             )
         });
+    }
+}
+
+/// [`resealed_round`]'s damages whose description starts with `what`, each
+/// done `iters` times (its `excess` runs `0..iters`) rather than drawn at
+/// random: how a test makes sure one kind of damage is exercised.
+pub fn resealed_each(
+    pristine: &[u8],
+    what: &str,
+    exercise: impl Fn(Vec<u8>) -> Verdict,
+    iters: u32,
+    report: &mut FuzzReport,
+) {
+    let Some(resealer) = Resealer::new(pristine) else {
+        return;
+    };
+    for damage in resealer.damages.iter().filter(|d| d.what.starts_with(what)) {
+        for excess in 0..iters {
+            let verdict = exercise(resealer.mutant(damage, excess));
+            report.record(verdict, || {
+                format!("resealed {} (excess {excess})", damage.what)
+            });
+        }
     }
 }
 
@@ -592,7 +681,7 @@ mod tests {
     /// Stands in for a solver: indexes a table with every id the database
     /// hands out, as `GraphState::add_assign` does.
     fn follow_every_id(db: &Database) {
-        let mut seen = vec![0u32; db.objects().len()];
+        let mut seen = vec![0u32; db.object_count()];
         let unit = db.to_unit().unwrap();
         for a in &unit.assigns {
             seen[a.dst.index()] += 1;
@@ -603,8 +692,8 @@ mod tests {
             seen[sig.ret.index()] += 1;
             sig.params.iter().for_each(|p| seen[p.index()] += 1);
         }
-        for o in db.objects() {
-            if let Some(f) = o.in_func {
+        for id in db.ids() {
+            if let Some(f) = db.info(id).in_func {
                 seen[f.index()] += 1;
             }
         }

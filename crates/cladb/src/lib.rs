@@ -45,6 +45,7 @@ mod dump;
 pub mod fault;
 mod format;
 mod linker;
+mod names;
 mod objlink;
 mod reader;
 mod record;
@@ -57,7 +58,7 @@ pub use dump::{census, dump, is_static_assign};
 pub use format::{DbError, SectionId, FORMAT, MAGIC, NONE_U32, VERSION};
 pub use linker::{add_unknown_summaries, link, LinkStats, Linker};
 pub use objlink::{LinkTimes, LinkedObject, ObjectLinker, StreamLinker};
-pub use reader::{Database, LoadStats};
+pub use reader::{Database, LoadStats, ObjectRef};
 pub use record::ASSIGN_RECORD_SIZE;
 pub use unit::UnitObject;
 pub use writer::{atomic_write_bytes, block_key, sweep_stale_tmp, write_object, write_object_file};

@@ -17,85 +17,53 @@
 use crate::container::Put;
 use crate::format::NONE_U32;
 use crate::linker::LinkStats;
+use crate::names::{NameIndex, Strings};
 use crate::record::{assign_kind, assign_records, put_assign, relocate_assign, ObjectRecord};
 use crate::unit::UnitObject;
 use crate::writer::write_sections;
 use cla_ir::{
     AssignCounts, AssignKind, FunSig, ObjId, ObjKind, OpKind, PrimAssign, SrcLoc, Strength,
 };
-use std::collections::hash_map::RandomState;
 use std::collections::{BTreeMap, HashMap};
-use std::hash::BuildHasher;
 use std::time::Duration;
 
-/// Every string of the program under construction, each held once: text
-/// back to back in one buffer, a lookup table of ids. Hashing is keyed per
-/// pool — the names come from the analyzed sources.
+/// Every string of the program under construction, each held once.
 #[derive(Debug)]
 struct NamePool {
-    text: String,
-    /// `ends[i]` is where string `i` ends in `text`.
-    ends: Vec<usize>,
-    /// Open addressing over `(hash, id)`; power-of-two sized, at most half
-    /// full, [`NONE_U32`] marks a free slot.
-    table: Vec<(u32, u32)>,
-    hasher: RandomState,
+    strings: Strings,
+    index: NameIndex,
 }
 
 impl NamePool {
     fn new() -> NamePool {
         NamePool {
-            text: String::new(),
-            ends: Vec::new(),
-            table: vec![(0, NONE_U32); 1 << 12],
-            hasher: RandomState::new(),
+            strings: Strings::default(),
+            index: NameIndex::with_capacity(1 << 11),
         }
     }
 
     fn intern(&mut self, s: &str) -> u32 {
-        let hash = self.hasher.hash_one(s) as u32;
-        let mask = self.table.len() - 1;
-        let mut i = hash as usize & mask;
-        loop {
-            let (h, id) = self.table[i];
-            if id == NONE_U32 {
-                break;
+        let hash = self.index.hash(s);
+        match self.index.find(hash, |id| self.strings.get(id) == s) {
+            Ok(id) => id,
+            Err(slot) => {
+                let id = u32::try_from(self.strings.len())
+                    .ok()
+                    .filter(|&id| id != NONE_U32)
+                    .expect("fewer than 2^32 - 1 distinct strings in one program");
+                self.strings.push(s);
+                self.index.insert(slot, hash, id);
+                id
             }
-            if h == hash && self.resolve(id) == s {
-                return id;
-            }
-            i = (i + 1) & mask;
         }
-        let id = u32::try_from(self.ends.len())
-            .ok()
-            .filter(|&id| id != NONE_U32)
-            .expect("fewer than 2^32 - 1 distinct strings in one program");
-        self.text.push_str(s);
-        self.ends.push(self.text.len());
-        self.table[i] = (hash, id);
-        if self.ends.len() * 2 > self.table.len() {
-            let mut table = vec![(0, NONE_U32); self.table.len() * 2];
-            let mask = table.len() - 1;
-            for &(h, id) in self.table.iter().filter(|slot| slot.1 != NONE_U32) {
-                let mut i = h as usize & mask;
-                while table[i].1 != NONE_U32 {
-                    i = (i + 1) & mask;
-                }
-                table[i] = (h, id);
-            }
-            self.table = table;
-        }
-        id
     }
 
     fn resolve(&self, id: u32) -> &str {
-        let i = id as usize;
-        let start = if i == 0 { 0 } else { self.ends[i - 1] };
-        &self.text[start..self.ends[i]]
+        self.strings.get(id)
     }
 
     fn len(&self) -> usize {
-        self.ends.len()
+        self.strings.len()
     }
 }
 

@@ -1,13 +1,15 @@
 //! Object-file reader with demand loading.
 //!
-//! [`Database`] builds the cheap tables eagerly (object metadata, file
-//! names, signatures, the target index) and leaves the assignment payload
-//! untouched until a block is requested — the paper's "only those parts of
-//! the object file that are required are loaded". It decodes no section
-//! itself: the bodies are cut and judged by the [`UnitView`] the linker
-//! folds, records by the `record` codecs, and what stays resident beside
-//! the bytes is where the assignment records sit in them ([`Records`]).
-//! Accounting counters record how many
+//! [`Database`] opens a file in place — the paper's "only those parts of
+//! the object file that are required are loaded". Eagerly it copies the
+//! string table into one buffer and decodes the small tables (file names,
+//! signatures); an object's metadata is decoded from its record when asked
+//! ([`Database::info`]), the target index is built by the first lookup, and
+//! the assignment payload stays untouched until a block is requested. It
+//! decodes no section itself: the bodies are cut and judged by the
+//! [`UnitView`] the linker folds, records by the `record` codecs, and what
+//! stays resident beside the bytes is where the records sit in them
+//! ([`Records`] and two ranges). Accounting counters record how many
 //! assignments were loaded, supporting Table 3's in-core/loaded/in-file
 //! columns. The paper used `mmap` for re-readable storage; we hold the byte
 //! buffer in memory and decode ranges on demand, which preserves the
@@ -17,13 +19,18 @@
 //! Counters are atomic so a [`Database`] can be shared read-only across the
 //! query threads of a long-running server.
 
-use crate::container::{fnv64, Container};
+use crate::container::Container;
 use crate::format::{DbError, SectionId, FORMAT, NONE_U32};
-use crate::record::{assign_records, decode_assign, ASSIGN_RECORD_SIZE};
+use crate::names::{NameIndex, Strings};
+use crate::record::{assign_records, decode_assign, pairs, ObjectRecord, ASSIGN_RECORD_SIZE};
 use crate::unit::{Records, UnitObject, UnitView};
-use cla_ir::{CompiledUnit, FileIdx, FileTable, FunSig, ObjId, ObjectInfo, PrimAssign, SrcLoc};
+use cla_ir::{
+    CompiledUnit, FileIdx, FileTable, FunSig, ObjId, ObjKind, ObjectInfo, PrimAssign, SrcLoc,
+};
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 /// Accounting counters for demand loading.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -36,13 +43,120 @@ pub struct LoadStats {
     pub assigns_in_file: u64,
 }
 
+/// One object's metadata, borrowed from the [`Database`] it was read from:
+/// the fields of an [`ObjectInfo`], no string owned.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ObjectRef<'a> {
+    pub name: &'a str,
+    pub link_name: Option<&'a str>,
+    pub kind: ObjKind,
+    pub ty: &'a str,
+    pub loc: SrcLoc,
+    pub in_func: Option<ObjId>,
+    pub defined: bool,
+}
+
+impl ObjectRef<'_> {
+    /// The owned form.
+    #[must_use]
+    pub fn to_info(&self) -> ObjectInfo {
+        ObjectInfo {
+            name: self.name.to_string(),
+            link_name: self.link_name.map(str::to_string),
+            kind: self.kind,
+            ty: self.ty.to_string(),
+            loc: self.loc,
+            in_func: self.in_func,
+            defined: self.defined,
+        }
+    }
+}
+
+/// Target objects by display name, read off the target section: its object
+/// ids grouped by name, each group in section order, and a [`NameIndex`]
+/// over the groups. It assumes no order of the pairs, and two string ids
+/// with one text are one name: a lookup answers what a map filled pair by
+/// pair would.
+#[derive(Debug)]
+struct TargetIndex {
+    /// Group `g` is `objs[starts[g]..starts[g + 1]]`.
+    objs: Vec<ObjId>,
+    starts: Vec<u32>,
+    /// A string id of group `g`'s name.
+    names: Vec<u32>,
+    index: NameIndex,
+}
+
+impl TargetIndex {
+    fn build(target_pairs: &[u8], strings: &Strings) -> TargetIndex {
+        let npairs = pairs(target_pairs).len();
+        let mut index = NameIndex::with_capacity(npairs);
+        let mut names = Vec::new();
+        // `starts[g + 1]` counts group `g`'s pairs, then is summed into place.
+        let mut starts = vec![0u32];
+        let mut group_of = Vec::with_capacity(npairs);
+        for (sid, _) in pairs(target_pairs) {
+            let name = strings.get(sid);
+            let hash = index.hash(name);
+            let g = match index.find(hash, |g| strings.get(names[g as usize]) == name) {
+                Ok(g) => g,
+                Err(slot) => {
+                    let g = names.len() as u32;
+                    index.insert(slot, hash, g);
+                    names.push(sid);
+                    starts.push(0);
+                    g
+                }
+            };
+            starts[g as usize + 1] += 1;
+            group_of.push(g);
+        }
+        for g in 1..starts.len() {
+            starts[g] += starts[g - 1];
+        }
+        let mut next = starts.clone();
+        let mut objs = vec![ObjId(0); npairs];
+        for ((_, obj), g) in pairs(target_pairs).zip(group_of) {
+            let at = &mut next[g as usize];
+            objs[*at as usize] = ObjId(obj);
+            *at += 1;
+        }
+        TargetIndex {
+            objs,
+            starts,
+            names,
+            index,
+        }
+    }
+
+    fn get(&self, name: &str, strings: &Strings) -> &[ObjId] {
+        let hash = self.index.hash(name);
+        match (self.index).find(hash, |g| strings.get(self.names[g as usize]) == name) {
+            Ok(g) => {
+                let g = g as usize;
+                &self.objs[self.starts[g] as usize..self.starts[g + 1] as usize]
+            }
+            Err(_) => &[],
+        }
+    }
+}
+
 /// A CLA object file opened for demand-driven reading.
 #[derive(Debug)]
 pub struct Database {
     file: Container,
-    /// Decoded object metadata (always resident; the heavy payload is the
-    /// assignments, which stay encoded).
-    objects: Vec<ObjectInfo>,
+    /// The string table, copied once so a name is a slice of one buffer.
+    strings: Strings,
+    /// Where the object records sit in `file`: metadata is decoded from
+    /// them on demand (the heavy payload is the assignments, which stay
+    /// encoded too).
+    object_records: Range<usize>,
+    /// Where the target section's pairs sit in `file`.
+    target_pairs: Range<usize>,
+    /// Built by the first target lookup; a batch solve never asks.
+    targets: OnceLock<TargetIndex>,
+    /// [`Database::objects`]' decoded view, built on first use.
+    decoded: OnceLock<Vec<ObjectInfo>>,
     files: FileTable,
     unit_name: String,
     /// Where the assignment records sit in `file`.
@@ -54,7 +168,6 @@ pub struct Database {
     verified: Vec<AtomicBool>,
     funsigs: Vec<FunSig>,
     funsig_by_obj: HashMap<ObjId, usize>,
-    targets: HashMap<String, Vec<ObjId>>,
     assigns_in_file: u64,
     loaded: AtomicU64,
     fetches: AtomicU64,
@@ -126,33 +239,17 @@ impl Database {
         let mut sp = obs.span("db", "db.open");
         let view = UnitView::layout(&file)?;
         let verified_bytes = if trusted { 0 } else { view.check_eager()? };
-        let string = |sid: u32| view.strings[sid as usize].to_string();
-        let files = FileTable::from_names(view.files().map(string).collect());
-        let mut objects = Vec::with_capacity(view.object_count());
-        for rec in view.objects() {
-            objects.push(ObjectInfo {
-                name: string(rec.name),
-                link_name: (rec.link != NONE_U32).then(|| string(rec.link)),
-                kind: rec.kind()?,
-                ty: string(rec.ty),
-                loc: SrcLoc {
-                    file: FileIdx(rec.file),
-                    line: rec.line,
-                },
-                in_func: (rec.in_func != NONE_U32).then_some(ObjId(rec.in_func)),
-                defined: rec.flags & 1 != 0,
-            });
-        }
+        let files = FileTable::from_names(
+            (view.files())
+                .map(|sid| view.strings[sid as usize].to_string())
+                .collect(),
+        );
         let mut funsigs = Vec::new();
         let mut funsig_by_obj = HashMap::new();
         for sig in view.funsigs() {
             let sig = sig?.decode(ObjId);
             funsig_by_obj.insert(sig.obj, funsigs.len());
             funsigs.push(sig);
-        }
-        let mut targets: HashMap<String, Vec<ObjId>> = HashMap::new();
-        for (name, obj) in view.targets() {
-            targets.entry(string(name)).or_default().push(ObjId(obj));
         }
         for id in SectionId::ALL {
             // What opening reads of each section: the static records and the
@@ -165,22 +262,25 @@ impl Database {
             obs.counter_with("cla_db_section_bytes_read_total", &[("section", id.name())])
                 .add(read as u64);
         }
-        sp.set("objects", objects.len());
+        sp.set("objects", view.object_count());
         sp.set("assigns_in_file", view.assigns);
         sp.set("bytes", file.bytes().len());
         sp.set("strings", view.strings.len());
         sp.set("verified_bytes", verified_bytes);
         Ok(Database {
-            objects,
-            files,
-            unit_name: view.unit_name.to_string(),
+            strings: Strings::copy(&view.strings),
             verified: (0..view.object_count())
                 .map(|_| AtomicBool::new(trusted))
                 .collect(),
+            object_records: view.object_records,
+            target_pairs: view.target_pairs,
+            targets: OnceLock::new(),
+            decoded: OnceLock::new(),
+            files,
+            unit_name: view.unit_name.to_string(),
             records: view.records,
             funsigs,
             funsig_by_obj,
-            targets,
             assigns_in_file: view.assigns,
             file,
             loaded: AtomicU64::new(0),
@@ -214,18 +314,88 @@ impl Database {
         &self.unit_name
     }
 
-    /// Object metadata (always resident).
-    pub fn objects(&self) -> &[ObjectInfo] {
-        &self.objects
+    /// Number of objects in the file.
+    pub fn object_count(&self) -> usize {
+        self.verified.len()
     }
 
-    /// Metadata for one object.
+    /// Every object id, in order.
+    pub fn ids(&self) -> impl ExactSizeIterator<Item = ObjId> {
+        (0..self.object_count() as u32).map(ObjId)
+    }
+
+    /// Object `id`'s record.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `id` is out of range for this database.
+    fn record(&self, id: ObjId) -> ObjectRecord {
+        let records = &self.file.bytes()[self.object_records.clone()];
+        ObjectRecord::decode(&records.as_chunks().0[id.index()])
+    }
+
+    /// An object's display name.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `id` is out of range for this database.
+    pub fn name(&self, id: ObjId) -> &str {
+        self.strings.get(self.record(id).name)
+    }
+
+    /// An object's kind.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `id` is out of range for this database.
+    pub fn kind(&self, id: ObjId) -> ObjKind {
+        Self::kind_of(&self.record(id))
+    }
+
+    /// Opening judged every kind byte ([`UnitView::check_eager`]) or holds
+    /// the file as written ([`Database::from_object`]).
+    fn kind_of(rec: &ObjectRecord) -> ObjKind {
+        rec.kind()
+            .expect("object kinds are checked when a file is opened")
+    }
+
+    /// An object's metadata, decoded from its record.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `id` is out of range for this database.
+    pub fn info(&self, id: ObjId) -> ObjectRef<'_> {
+        let rec = self.record(id);
+        let string = |sid| self.strings.get(sid);
+        ObjectRef {
+            name: string(rec.name),
+            link_name: (rec.link != NONE_U32).then(|| string(rec.link)),
+            kind: Self::kind_of(&rec),
+            ty: string(rec.ty),
+            loc: SrcLoc {
+                file: FileIdx(rec.file),
+                line: rec.line,
+            },
+            in_func: (rec.in_func != NONE_U32).then_some(ObjId(rec.in_func)),
+            defined: rec.flags & 1 != 0,
+        }
+    }
+
+    /// Every object's metadata, decoded into owned [`ObjectInfo`]s on first
+    /// use and kept: for callers that want the table whole. [`Database::info`]
+    /// and its narrower siblings read one object in place.
+    pub fn objects(&self) -> &[ObjectInfo] {
+        self.decoded
+            .get_or_init(|| self.ids().map(|id| self.info(id).to_info()).collect())
+    }
+
+    /// [`Database::objects`]' entry for one object.
     ///
     /// # Panics
     ///
     /// Panics when `id` is out of range for this database.
     pub fn object(&self, id: ObjId) -> &ObjectInfo {
-        &self.objects[id.index()]
+        &self.objects()[id.index()]
     }
 
     /// The file-name table.
@@ -320,15 +490,24 @@ impl Database {
         Ok(())
     }
 
+    /// The target index, built by the first call.
+    fn target_index(&self) -> &TargetIndex {
+        self.targets.get_or_init(|| {
+            let _sp = cla_obs::global().span("db", "db.target_index");
+            TargetIndex::build(&self.file.bytes()[self.target_pairs.clone()], &self.strings)
+        })
+    }
+
     /// Objects matching a target name (the paper's target-section lookup for
-    /// dependence analysis).
+    /// dependence analysis), in target-section order.
     pub fn targets(&self, name: &str) -> &[ObjId] {
-        self.targets.get(name).map_or(&[], Vec::as_slice)
+        self.target_index().get(name, &self.strings)
     }
 
     /// All distinct target names (for browsing).
     pub fn target_names(&self) -> impl Iterator<Item = &str> {
-        self.targets.keys().map(String::as_str)
+        let index = self.target_index();
+        index.names.iter().map(|&sid| self.strings.get(sid))
     }
 
     /// Accounting counters.
@@ -372,10 +551,13 @@ impl Database {
         self.file.bytes().len()
     }
 
-    /// [`fnv64`] of the object file's bytes: the identity a serve session
-    /// keys its snapshot provenance on.
+    /// The identity a serve session keys its snapshot provenance on: the
+    /// file's header checksum, verified at open. It covers the section
+    /// table, each section's checksum and, through the dynamic index, every
+    /// block's, so it is the root of the file's checksum tree and costs no
+    /// pass over the bytes.
     pub fn content_hash(&self) -> u64 {
-        fnv64(self.file.bytes())
+        self.file.checksum()
     }
 
     /// Fully decodes the database back into a [`CompiledUnit`] (for the
@@ -388,11 +570,11 @@ impl Database {
     pub fn to_unit(&self) -> Result<CompiledUnit, DbError> {
         let mut unit = CompiledUnit::new(self.unit_name.clone());
         unit.files = self.files.clone();
-        unit.objects = self.objects.clone();
+        unit.objects = self.ids().map(|id| self.info(id).to_info()).collect();
         unit.funsigs = self.funsigs.clone();
         unit.assigns = self.static_assigns()?;
-        for i in 0..self.objects.len() {
-            unit.assigns.extend(self.block(ObjId(i as u32))?);
+        for id in self.ids() {
+            unit.assigns.extend(self.block(id)?);
         }
         Ok(unit)
     }
@@ -420,8 +602,9 @@ mod tests {
         let back = db.to_unit().unwrap();
         assert_eq!(back.assign_counts().total(), unit.assign_counts().total());
         assert_eq!(back.assign_counts(), unit.assign_counts());
-        // Objects survive byte-for-byte.
+        // Objects survive byte-for-byte, read in place or as a table.
         assert_eq!(back.objects, unit.objects);
+        assert_eq!(db.objects(), unit.objects);
         assert_eq!(back.funsigs, unit.funsigs);
     }
 
@@ -491,6 +674,32 @@ mod tests {
         assert_eq!(db.targets("S.fld").len(), 1);
         assert!(db.targets("nope").is_empty());
         assert!(db.target_names().count() >= 3);
+    }
+
+    #[test]
+    fn the_target_index_answers_as_a_map_filled_pair_by_pair() {
+        // No order is assumed, and one text under two string ids is one
+        // name: what a `HashMap<String, Vec<ObjId>>` filled in section
+        // order holds.
+        let strings = Strings::copy(&["a", "b", "a", "c"]);
+        let pairs = [(1, 5), (0, 3), (2, 1), (0, 2), (3, 9), (1, 4), (1, 4)];
+        let mut bytes = Vec::new();
+        for pair in pairs {
+            crate::record::put_pair(&mut bytes, pair);
+        }
+        let index = TargetIndex::build(&bytes, &strings);
+        let mut map: HashMap<&str, Vec<ObjId>> = HashMap::new();
+        for (sid, obj) in pairs {
+            map.entry(strings.get(sid)).or_default().push(ObjId(obj));
+        }
+        for (name, objs) in &map {
+            assert_eq!(index.get(name, &strings), objs.as_slice(), "{name}");
+        }
+        assert_eq!(index.names.len(), map.len());
+        assert!(index.get("d", &strings).is_empty());
+        assert!(TargetIndex::build(&[], &strings)
+            .get("a", &strings)
+            .is_empty());
     }
 
     #[test]

@@ -125,12 +125,13 @@ pub(crate) struct UnitView<'a> {
     pub(crate) unit_name: &'a str,
     /// String ids of the file table.
     files: &'a [u8],
-    /// [`ObjectRecord`]s.
-    objects: &'a [u8],
+    /// Where the [`ObjectRecord`]s sit in the file.
+    pub(crate) object_records: Range<usize>,
     /// The `(link name, object)` pairs of the global section.
     globals: &'a [u8],
-    /// The `(display name, object)` pairs of the target section.
-    targets: &'a [u8],
+    /// Where the `(display name, object)` pairs of the target section sit
+    /// in the file.
+    pub(crate) target_pairs: Range<usize>,
     pub(crate) records: Records,
     funsig_count: u32,
     funsigs: &'a [u8],
@@ -152,6 +153,18 @@ fn counted<'a>(body: &'a [u8], record: usize, name: &str) -> Result<&'a [u8], Co
     Ok(records)
 }
 
+/// [`counted`] over section `id` of `file`: where its records sit in the
+/// file's bytes.
+fn counted_at(
+    file: &Container,
+    id: SectionId,
+    record: usize,
+) -> Result<Range<usize>, ContainerError> {
+    let (entry, body) = file.lookup(id as u32, id.name())?;
+    let at = entry.offset as usize + 4;
+    Ok(at..at + counted(body, record, id.name())?.len())
+}
+
 impl<'a> UnitView<'a> {
     /// Cuts the sections of `file` into the view's slices. Checks shapes —
     /// presence, counts against lengths, UTF-8 — and no checksum.
@@ -162,12 +175,9 @@ impl<'a> UnitView<'a> {
         let strings = StringTable::decode(&mut cur)?;
         cur.finish("string")?;
         let files = counted(body(SectionId::File)?, 4, "file")?;
-        let objects = counted(body(SectionId::Object)?, ObjectRecord::SIZE, "object")?;
-        let nobjs = objects.len() / ObjectRecord::SIZE;
-        let (entry, statics) = section(SectionId::Static)?;
-        counted(statics, ASSIGN_RECORD_SIZE, "static")?;
-        let at = entry.offset as usize;
-        let statics = at + 4..at + statics.len();
+        let object_records = counted_at(file, SectionId::Object, ObjectRecord::SIZE)?;
+        let nobjs = object_records.len() / ObjectRecord::SIZE;
+        let statics = counted_at(file, SectionId::Static, ASSIGN_RECORD_SIZE)?;
         let (entry, dynamic) = section(SectionId::Dynamic)?;
         let index_len = BlockEntry::index_len(nobjs);
         if Cur::new(dynamic).get_u32_le()? as usize != nobjs || dynamic.len() < index_len {
@@ -185,9 +195,9 @@ impl<'a> UnitView<'a> {
             file,
             unit_name,
             files,
-            objects,
+            object_records,
             globals: counted(body(SectionId::Global)?, PAIR_SIZE, "global")?,
-            targets: counted(body(SectionId::Target)?, PAIR_SIZE, "target")?,
+            target_pairs: counted_at(file, SectionId::Target, PAIR_SIZE)?,
             records: Records {
                 statics,
                 index: at + 4..at + index_len,
@@ -212,12 +222,13 @@ impl<'a> UnitView<'a> {
     }
 
     pub(crate) fn objects(&self) -> impl ExactSizeIterator<Item = ObjectRecord> + 'a {
-        (self.objects.as_chunks().0.iter()).map(ObjectRecord::decode)
+        let records = &self.file.bytes()[self.object_records.clone()];
+        (records.as_chunks().0.iter()).map(ObjectRecord::decode)
     }
 
     /// The `(display name, object)` pairs of the target index.
     pub(crate) fn targets(&self) -> impl ExactSizeIterator<Item = (u32, u32)> + 'a {
-        pairs(self.targets)
+        pairs(&self.file.bytes()[self.target_pairs.clone()])
     }
 
     /// The static section's address-of records.
@@ -280,6 +291,11 @@ impl<'a> UnitView<'a> {
             .any(|(s, o)| s >= nstrings || o >= nobjs)
         {
             return Err(corrupt("global or target pair out of range"));
+        }
+        // The writer sorts the target pairs. Nothing that reads them relies
+        // on it, but a pair out of order or repeated is damage all the same.
+        if (self.targets().zip(self.targets().skip(1))).any(|(a, b)| a >= b) {
+            return Err(corrupt("target pairs out of order"));
         }
         let statics = assign_records(self.statics());
         for rec in statics {

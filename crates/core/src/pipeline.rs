@@ -216,7 +216,7 @@ pub trait SnapshotHook: Send + Sync {
     /// Persists a freshly solved graph under `prov` (best effort). `names`
     /// holds the per-object display names, so a snapshot can answer
     /// by-name queries without the source or the linked database.
-    fn save(&self, prov: &Provenance, sealed: &SealedGraph, names: &[String]);
+    fn save(&self, prov: &Provenance, sealed: &SealedGraph, names: &[&str]);
 }
 
 /// The one route from a linked database to its solved graph, shared by
@@ -235,7 +235,7 @@ pub fn load_or_solve(
     }
     let sealed = Warm::from_database(db, prov.solver).seal();
     if let Some(hook) = snapshots {
-        let names: Vec<String> = db.objects().iter().map(|o| o.name.clone()).collect();
+        let names: Vec<&str> = db.ids().map(|o| db.name(o)).collect();
         hook.save(prov, &sealed, &names);
     }
     (sealed, false)
@@ -346,8 +346,9 @@ impl Report {
         self.solve_stats.complex_in_core
     }
 
-    /// A rough analysis-memory figure: solver structures plus resident
-    /// object metadata (the object file itself is demand-paged).
+    /// A rough analysis-memory figure: the solver's structures
+    /// ([`SolveStats::approx_bytes`]). The database — its bytes and the
+    /// string table it copies — is not counted.
     pub fn approx_analysis_bytes(&self) -> usize {
         self.solve_stats.approx_bytes
     }
@@ -513,7 +514,7 @@ pub fn analyze_with(
         solver: opts.solver,
     };
     let (sealed, snapshot_loaded) = load_or_solve(&db, snapshot_hook, &prov);
-    let points_to = sealed.extract_points_to(db.objects());
+    let points_to = sealed.extract_by_kind(db.ids().map(|o| db.kind(o)));
     let solve_stats = sealed.stats();
     let solve_time = sp.finish();
 

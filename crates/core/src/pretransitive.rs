@@ -36,7 +36,7 @@
 
 use crate::solution::{sets_intersect, LvalSet, PointsTo, PointsToQuery};
 use cla_cladb::Database;
-use cla_ir::{AssignKind, CompiledUnit, FunSig, ObjId, ObjectInfo, PrimAssign};
+use cla_ir::{AssignKind, CompiledUnit, FunSig, ObjId, ObjKind, ObjectInfo, PrimAssign};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -376,7 +376,7 @@ pub fn solve_unit(unit: &CompiledUnit, opts: SolveOptions) -> (PointsTo, SolveSt
 /// Validate untrusted files with [`Database::verify_all`] first.
 pub fn solve_database(db: &Database, opts: SolveOptions) -> (PointsTo, SolveStats) {
     let mut warm = Warm::from_database(db, opts);
-    let pts = warm.extract_points_to(db.objects());
+    let pts = warm.extract_by_kind(db.ids().map(|o| db.kind(o)));
     (pts, warm.stats())
 }
 
@@ -419,7 +419,7 @@ impl Warm {
         sp.set("mode", "database");
         let mut s = Solver {
             db: Some(db),
-            g: GraphState::new(db.objects().len(), true, opts),
+            g: GraphState::new(db.object_count(), true, opts),
             obs_blocks_discarded: cla_obs::global().counter("cla_db_blocks_discarded_total"),
         };
         s.g.register_sigs(db.funsigs());
@@ -437,7 +437,7 @@ impl Warm {
         sp.set("passes", s.g.stats.passes);
         sp.set("edges_added", s.g.stats.edges_added);
         sp.set("blocks_loaded", s.g.blocks_loaded);
-        Warm::finish(s.g, db.objects().len())
+        Warm::finish(s.g, db.object_count())
     }
 
     fn finish(mut g: GraphState, n_objects: usize) -> Warm {
@@ -484,7 +484,14 @@ impl Warm {
     /// Materializes the complete solution (every object's set); objects
     /// with one solver set share one [`LvalSet`].
     pub fn extract_points_to(&mut self, objects: &[ObjectInfo]) -> PointsTo {
-        PointsTo::from_shared(self.lval_sets("solve.extract"), objects)
+        self.extract_by_kind(objects.iter().map(|o| o.kind))
+    }
+
+    /// [`Warm::extract_points_to`] given each object's kind, in id order:
+    /// all it reads of the metadata, and what a [`Database`] answers in
+    /// place.
+    pub fn extract_by_kind(&mut self, kinds: impl IntoIterator<Item = ObjKind>) -> PointsTo {
+        PointsTo::from_kinds(self.lval_sets("solve.extract"), kinds)
     }
 
     /// Current counters, including live in-core/size figures.
@@ -572,7 +579,13 @@ impl SealedGraph {
     /// The complete solution as a [`PointsTo`] over the same shared sets
     /// (one `Arc` clone per object, no set copied).
     pub fn extract_points_to(&self, objects: &[ObjectInfo]) -> PointsTo {
-        PointsTo::from_shared(self.sets.clone(), objects)
+        self.extract_by_kind(objects.iter().map(|o| o.kind))
+    }
+
+    /// [`SealedGraph::extract_points_to`] given each object's kind, in id
+    /// order (see [`Warm::extract_by_kind`]).
+    pub fn extract_by_kind(&self, kinds: impl IntoIterator<Item = ObjKind>) -> PointsTo {
+        PointsTo::from_kinds(self.sets.clone(), kinds)
     }
 
     /// Counters of the solve that produced this snapshot, frozen at seal

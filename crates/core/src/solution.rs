@@ -66,9 +66,15 @@ impl PointsTo {
     /// Builds a result from already sorted, deduplicated shared sets,
     /// keeping their sharing: no set is copied or re-sorted.
     pub fn from_shared(pts: Vec<LvalSet>, objects: &[ObjectInfo]) -> Self {
-        let program = objects
-            .iter()
-            .map(|o| matches!(o.kind, ObjKind::Var | ObjKind::Field))
+        PointsTo::from_kinds(pts, objects.iter().map(|o| o.kind))
+    }
+
+    /// [`PointsTo::from_shared`] given only what it reads of each object,
+    /// its kind, in id order.
+    pub fn from_kinds(pts: Vec<LvalSet>, kinds: impl IntoIterator<Item = ObjKind>) -> Self {
+        let program = kinds
+            .into_iter()
+            .map(|kind| matches!(kind, ObjKind::Var | ObjKind::Field))
             .collect();
         PointsTo { pts, program }
     }

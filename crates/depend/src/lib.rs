@@ -194,7 +194,7 @@ impl FlowIndex {
     ///
     /// The [`DbError`] of the first block that fails to decode or verify.
     pub fn build<P: PointsToQuery>(db: &Database, pts: &P) -> Result<FlowIndex, DbError> {
-        let n = db.objects().len();
+        let n = db.object_count();
         let mut own = Vec::with_capacity(n + 1);
         let mut edges = Vec::new();
         // Keyed by the pointees of whatever was dereferenced, so these come
@@ -318,7 +318,7 @@ impl FlowIndex {
             .filter(|(_, r)| r.parent.is_some())
             .map(|(&obj, r)| Dependent { obj, cost: r.cost })
             .collect();
-        dependents.sort_by_key(|d| (d.cost, &db.object(d.obj).name, d.obj));
+        dependents.sort_by_key(|d| (d.cost, db.name(d.obj), d.obj));
         DependReport {
             targets: targets.to_vec(),
             dependents,
@@ -419,7 +419,7 @@ impl<'a, P: PointsToQuery> DependenceAnalysis<'a, P> {
         let mut out = String::new();
         let steps = report.chain(obj);
         for (i, step) in steps.iter().enumerate() {
-            let info = self.db.object(step.obj);
+            let info = self.db.info(step.obj);
             // The first element shows the dependent's declaration site; each
             // later element shows the location of the assignment that
             // carried its value into the previous element.
@@ -433,7 +433,7 @@ impl<'a, P: PointsToQuery> DependenceAnalysis<'a, P> {
             let _ = write!(out, "{}/{} <{}>", info.name, info.ty, files.display(loc));
         }
         if let Some(last) = steps.last() {
-            let info = self.db.object(last.obj);
+            let info = self.db.info(last.obj);
             let _ = write!(
                 out,
                 " where {}/{} <{}>",
@@ -461,7 +461,7 @@ impl<'a, P: PointsToQuery> DependenceAnalysis<'a, P> {
             }
         }
         for v in children.values_mut() {
-            v.sort_by_key(|o| self.db.object(*o).name.clone());
+            v.sort_by_key(|&o| self.db.name(o));
         }
         let mut out = String::new();
         for &t in &report.targets {
@@ -478,7 +478,7 @@ impl<'a, P: PointsToQuery> DependenceAnalysis<'a, P> {
         depth: usize,
         out: &mut String,
     ) {
-        let info = self.db.object(node);
+        let info = self.db.info(node);
         let files = self.db.files();
         let indent = "  ".repeat(depth);
         let via = report

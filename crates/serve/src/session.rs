@@ -749,22 +749,25 @@ impl Cmd {
 }
 
 /// Reads, opens, and fully verifies a `.clao` file; returns the database
-/// plus the file-content hash used for reload change detection.
+/// plus its [`content_hash`](Database::content_hash), used for reload
+/// change detection and snapshot provenance.
 fn open_object_path(path: &Path) -> Result<(Database, u64), SessionError> {
     let bytes = std::fs::read(path)
         .map_err(|e| SessionError::Db(DbError::Io(format!("{}: {e}", path.display()))))?;
-    let hash = fnv64(&bytes);
     let db = Database::open(bytes).map_err(SessionError::Db)?;
     // Verify every block now: the solver demand-loads blocks mid-solve and
     // treats the database as already validated, so corruption must be
     // caught here, where it can become a typed error instead of a panic.
+    // Once every checksum holds, the root of their tree names the bytes.
     db.verify_all().map_err(SessionError::Db)?;
+    let hash = db.content_hash();
     Ok((db, hash))
 }
 
 /// Provenance scheme for serve-side snapshots. The sealed graph is a pure
 /// function of the linked object bytes and the solver options, so one
-/// `(tag, object-bytes hash)` input identifies it exactly: any source edit
+/// `(tag, object hash)` input — [`Database::content_hash`], the root of the
+/// object's checksum tree — identifies it exactly: any source edit
 /// that changes the linked program changes the hash and forces a re-solve,
 /// while an edit with no semantic effect (whitespace, comments) keeps the
 /// snapshot valid — and correct. The fixed `options_fp` namespaces these
@@ -975,7 +978,7 @@ impl Session {
             set.into_iter()
                 .map(|id| Target {
                     id,
-                    name: st.db.object(ObjId(id)).name.clone(),
+                    name: st.db.name(ObjId(id)).to_string(),
                 })
                 .collect(),
         );
@@ -1069,7 +1072,7 @@ impl Session {
                 .dependents()
                 .iter()
                 .map(|d| DependentLine {
-                    name: st.db.object(d.obj).name.clone(),
+                    name: st.db.name(d.obj).to_string(),
                     weak_links: d.cost.weak_links,
                     length: d.cost.length,
                 })
@@ -1118,12 +1121,11 @@ impl Session {
     /// so every listed name answers [`Session::points_to`].
     pub fn pointer_variables(&self) -> Vec<String> {
         let st = self.state.read().unwrap();
-        let mut names: Vec<String> = (0..st.db.objects().len())
-            .map(|i| ObjId(i as u32))
+        let mut names: Vec<String> = (st.db.ids())
             .filter(|&o| !st.sealed.points_to(o).is_empty())
-            .map(|o| &st.db.object(o).name)
+            .map(|o| st.db.name(o))
             .filter(|name| !st.db.targets(name).is_empty())
-            .cloned()
+            .map(str::to_string)
             .collect();
         names.sort();
         names.dedup();

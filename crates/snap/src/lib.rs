@@ -140,6 +140,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let store = SnapshotStore::open(&dir).unwrap();
         let (sealed, names) = sample_sealed();
+        let names: Vec<&str> = names.iter().map(String::as_str).collect();
         let prov = sample_prov();
         store.save(&prov, &sealed, &names);
         assert!(store.load(&prov).is_some());

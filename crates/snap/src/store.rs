@@ -111,7 +111,7 @@ impl SnapshotHook for SnapshotStore {
         }
     }
 
-    fn save(&self, prov: &Provenance, sealed: &SealedGraph, names: &[String]) {
+    fn save(&self, prov: &Provenance, sealed: &SealedGraph, names: &[&str]) {
         // Best effort by contract: a failed save costs a cold start later,
         // nothing else.
         if save_snapshot(&self.snapshot_path(), prov, sealed, names).is_ok() {

@@ -28,7 +28,11 @@ pub(crate) fn solver_flags(opts: cla_core::SolveOptions) -> u8 {
 /// the reloaded in-memory sharing both match what [`cla_core::Warm::seal`]
 /// produced.
 #[must_use]
-pub fn encode_snapshot(prov: &Provenance, sealed: &SealedGraph, names: &[String]) -> Vec<u8> {
+pub fn encode_snapshot(
+    prov: &Provenance,
+    sealed: &SealedGraph,
+    names: &[impl AsRef<str>],
+) -> Vec<u8> {
     // ---- prov ----
     let mut prov_sec = Vec::new();
     prov_sec.put_u8(solver_flags(prov.solver));
@@ -45,7 +49,7 @@ pub fn encode_snapshot(prov: &Provenance, sealed: &SealedGraph, names: &[String]
     let mut names_sec = Vec::new();
     names_sec.put_u32_le(names.len() as u32);
     for name in names {
-        names_sec.put_u32_le(strings.intern(name));
+        names_sec.put_u32_le(strings.intern(name.as_ref()));
     }
     let str_sec = strings.encode();
 
@@ -114,7 +118,7 @@ pub fn save_snapshot(
     path: &Path,
     prov: &Provenance,
     sealed: &SealedGraph,
-    names: &[String],
+    names: &[impl AsRef<str>],
 ) -> std::io::Result<usize> {
     let obs = cla_obs::global();
     let mut sp = obs.span("snap", "snap.save");

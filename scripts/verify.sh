@@ -78,6 +78,17 @@ record_layout=$(for f in crates/cladb/src/*.rs; do
 done || true)
 [ -z "$record_layout" ] || { echo "record layout outside cladb/src/record.rs: $record_layout"; exit 1; }
 
+echo "==> metadata read in place (core, serve, hub, depend and snap never decode a Database's object table whole)"
+# A Database keeps object metadata in its sections: `name`, `kind`, `info`
+# and `targets` read one object or one name where it sits. `objects()` /
+# `object()` decode every object into an owned ObjectInfo on first use; they
+# stay for cladb::dump, `cla-tool dump`, tests and benches.
+decoded=$(for f in crates/core/src/*.rs crates/serve/src/*.rs crates/hub/src/*.rs \
+    crates/depend/src/*.rs crates/snap/src/*.rs; do
+    sed '/#\[cfg(test)\]/,$d' "$f" | grep -HnE --label="$f" '\b(db|database)\.objects?\('
+done || true)
+[ -z "$decoded" ] || { echo "object metadata decoded whole: $decoded"; exit 1; }
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 

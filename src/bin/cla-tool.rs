@@ -449,11 +449,11 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
             println!("pts({name}) = <no such object>");
         }
         for &o in targets {
-            let set: Vec<String> = analysis
+            let set: Vec<&str> = analysis
                 .points_to
                 .points_to(o)
                 .iter()
-                .map(|&t| analysis.database.object(t).name.clone())
+                .map(|&t| analysis.database.name(t))
                 .collect();
             println!("pts({name}) = {{{}}}", set.join(", "));
         }
@@ -757,11 +757,7 @@ fn cmd_solve(args: &[String]) -> Result<(), String> {
             println!("pts({name}) = <no such object>");
         }
         for &o in targets {
-            let set: Vec<String> = pts
-                .points_to(o)
-                .iter()
-                .map(|&t| db.object(t).name.clone())
-                .collect();
+            let set: Vec<&str> = pts.points_to(o).iter().map(|&t| db.name(t)).collect();
             println!("pts({name}) = {{{}}}", set.join(", "));
         }
     }
@@ -1089,15 +1085,14 @@ fn cmd_snapshot_save(args: &[String]) -> Result<(), String> {
     let pos = a.positional();
     let path = pos.first().ok_or("snapshot-save needs a .clao file")?;
     let bytes = std::fs::read(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
-    let hash = cla_cladb::fnv64(&bytes);
     let db = Database::open(bytes).map_err(|e| format!("`{path}`: {e}"))?;
 
     let opts = SolveOptions::default();
     let t = std::time::Instant::now();
     let sealed = cla::core::Warm::from_database(&db, opts).seal();
     let solve_time = t.elapsed();
-    let names: Vec<String> = db.objects().iter().map(|o| o.name.clone()).collect();
-    let prov = cla::serve::object_provenance(path, hash, opts);
+    let names: Vec<&str> = db.ids().map(|o| db.name(o)).collect();
+    let prov = cla::serve::object_provenance(path, db.content_hash(), opts);
     let written = cla::snap::save_snapshot(std::path::Path::new(&out), &prov, &sealed, &names)
         .map_err(|e| format!("cannot write `{out}`: {e}"))?;
     eprintln!(
@@ -1188,12 +1183,11 @@ fn cmd_db_fuzz(args: &[String]) -> Result<(), String> {
     // encode the result as a .clasnap — the mutants then attack the
     // snapshot reader against a pristine-load oracle.
     let (bytes, format) = if fuzz_snapshot {
-        let hash = cla_cladb::fnv64(&bytes);
         let db = Database::open(bytes).map_err(|e| e.to_string())?;
         let opts = SolveOptions::default();
         let sealed = cla::core::Warm::from_database(&db, opts).seal();
-        let names: Vec<String> = db.objects().iter().map(|o| o.name.clone()).collect();
-        let prov = cla::serve::object_provenance("fuzz-target", hash, opts);
+        let names: Vec<&str> = db.ids().map(|o| db.name(o)).collect();
+        let prov = cla::serve::object_provenance("fuzz-target", db.content_hash(), opts);
         (
             cla::snap::encode_snapshot(&prov, &sealed, &names),
             "snapshot",

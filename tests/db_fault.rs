@@ -4,12 +4,13 @@
 //! a silently wrong answer.
 
 use cla::cladb::fault::{
-    bit_flip_round, resealed_round, run_fuzz, run_object_fuzz, section_shuffle_round,
-    truncation_sweep, with_quiet_panics, FuzzReport, Oracle, Verdict,
+    bit_flip_round, resealed_each, resealed_round, run_fuzz, run_object_fuzz,
+    section_shuffle_round, truncation_sweep, with_quiet_panics, FuzzReport, Oracle, Verdict,
 };
 use cla::cladb::{UnitObject, FORMAT};
 use cla::core::{solve_database, SolveOptions};
 use cla::prelude::*;
+use std::collections::HashMap;
 use std::path::Path;
 
 /// Compiles and links `examples/c/` (two translation units, a shared
@@ -126,34 +127,95 @@ fn verify_and_open_plus_verify_all_give_one_verdict_on_every_mutant() {
     assert!(report.rejected > report.identical);
 }
 
+/// The generated `ci-small` tree, compiled and linked: a program of a few
+/// thousand objects, many names resolving to more than one.
+fn ci_small_object_bytes() -> Vec<u8> {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let profile = Profile::load(&root.join("profiles/ci-small.toml")).unwrap();
+    let mut fs = MemoryFs::new();
+    let mut sources = Vec::new();
+    generate_with(&profile, profile.seed, &mut |name, text| {
+        if name.ends_with(".c") {
+            sources.push(name.to_owned());
+        }
+        fs.add(name.to_owned(), text.to_owned());
+        Ok(())
+    })
+    .unwrap();
+    let units: Vec<CompiledUnit> = (sources.iter())
+        .map(|f| {
+            compile_file(&fs, f, &PpOptions::default(), &LowerOptions::default())
+                .unwrap()
+                .0
+        })
+        .collect();
+    write_object(&link(&units, "a.out").0)
+}
+
 #[test]
 fn a_trusted_object_reads_exactly_as_its_bytes_opened_cold() {
+    for bytes in [example_object_bytes(), ci_small_object_bytes()] {
+        let trusted = Database::from_object(UnitObject::verify(bytes.clone()).unwrap()).unwrap();
+        let cold = Database::open(bytes).unwrap();
+        assert_eq!(trusted.unit_name(), cold.unit_name());
+        assert_eq!(trusted.objects(), cold.objects());
+        assert_eq!(trusted.files(), cold.files());
+        assert_eq!(trusted.funsigs(), cold.funsigs());
+        assert_eq!(trusted.static_assigns(), cold.static_assigns());
+        let mut names: Vec<&str> = cold.target_names().collect();
+        names.sort_unstable();
+        let mut trusted_names: Vec<&str> = trusted.target_names().collect();
+        trusted_names.sort_unstable();
+        assert_eq!(trusted_names, names);
+        for db in [&trusted, &cold] {
+            // What is read in place equals the decoded table.
+            assert_eq!(db.object_count(), db.objects().len());
+            for (id, decoded) in db.ids().zip(db.objects()) {
+                let info = db.info(id);
+                assert_eq!(info.to_info(), *decoded, "object {id:?}");
+                assert_eq!((db.name(id), db.kind(id)), (info.name, info.kind));
+            }
+            // Every target name answers what a map filled pair by pair
+            // from the decoded table would: its objects in id order.
+            let mut by_name: HashMap<&str, Vec<ObjId>> = HashMap::new();
+            for (id, o) in db.ids().zip(db.objects()) {
+                if o.kind.is_program_object() || o.kind == ObjKind::Heap {
+                    by_name.entry(o.name.as_str()).or_default().push(id);
+                }
+            }
+            assert_eq!(by_name.len(), names.len());
+            for name in &names {
+                assert_eq!(db.targets(name), by_name[name].as_slice(), "{name}");
+            }
+            assert!(db.targets("no such name").is_empty());
+            assert!(db.targets("").is_empty());
+        }
+        for id in cold.ids() {
+            assert_eq!(trusted.block(id), cold.block(id), "block {id:?}");
+            assert_eq!(trusted.funsig(id), cold.funsig(id));
+        }
+        assert!(trusted.verify_all().is_ok());
+        assert_eq!(trusted.content_hash(), cold.content_hash());
+    }
+}
+
+#[test]
+fn target_pairs_out_of_order_are_rejected_however_the_bytes_are_admitted() {
+    // The writer sorts the target section; a resealed file whose pairs are
+    // shuffled, or repeat one, is refused by both routes in, before any
+    // lookup could answer differently from the pristine file.
     let bytes = example_object_bytes();
-    let trusted = Database::from_object(UnitObject::verify(bytes.clone()).unwrap()).unwrap();
-    let cold = Database::open(bytes).unwrap();
-    assert_eq!(trusted.unit_name(), cold.unit_name());
-    assert_eq!(trusted.objects(), cold.objects());
-    assert_eq!(trusted.files(), cold.files());
-    assert_eq!(trusted.funsigs(), cold.funsigs());
-    assert_eq!(trusted.static_assigns(), cold.static_assigns());
-    let mut names: Vec<&str> = cold.target_names().collect();
-    names.sort_unstable();
-    let mut trusted_names: Vec<&str> = trusted.target_names().collect();
-    trusted_names.sort_unstable();
-    assert_eq!(trusted_names, names);
-    for name in names {
-        assert_eq!(trusted.targets(name), cold.targets(name), "{name}");
-    }
-    for ix in 0..cold.objects().len() as u32 {
-        assert_eq!(
-            trusted.block(ObjId(ix)),
-            cold.block(ObjId(ix)),
-            "block {ix}"
-        );
-        assert_eq!(trusted.funsig(ObjId(ix)), cold.funsig(ObjId(ix)));
-    }
-    assert!(trusted.verify_all().is_ok());
-    assert_eq!(trusted.content_hash(), cold.content_hash());
+    let oracle = Oracle::new(&bytes).expect("pristine example must decode");
+    let mut report = FuzzReport::default();
+    with_quiet_panics(|| {
+        let exercise = |b: Vec<u8>| {
+            assert!(UnitObject::verify(b.clone()).is_err());
+            oracle.exercise_and(b, solve)
+        };
+        resealed_each(&bytes, "target: pairs", exercise, 25, &mut report);
+    });
+    assert!(report.ok(), "{report}");
+    assert_eq!((report.exercised, report.rejected), (50, 50), "{report}");
 }
 
 #[test]

@@ -170,7 +170,7 @@ impl SnapshotHook for Asked {
         *self.0.lock().unwrap() = Some(prov.clone());
         None
     }
-    fn save(&self, _: &Provenance, _: &SealedGraph, _: &[String]) {}
+    fn save(&self, _: &Provenance, _: &SealedGraph, _: &[&str]) {}
 }
 
 /// What one run produced, in the terms the cold run is compared on.

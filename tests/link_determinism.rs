@@ -9,7 +9,8 @@
 //! the block linker that every one of those routes links with must produce
 //! the bytes `write_object` gives the reference unit linker's program.
 
-use cla::cladb::{add_unknown_summaries, fnv64, LinkStats, StreamLinker, UnitObject};
+use cla::cladb::container::Header;
+use cla::cladb::{add_unknown_summaries, LinkStats, StreamLinker, UnitObject, FORMAT};
 use cla::hub::dispatch;
 use cla::prelude::*;
 use cla::serve::json::{obj, Value};
@@ -521,7 +522,9 @@ fn cold_cache_warm_and_session_builds_link_the_reference_bytes() {
     let (fs, files) = generated_tree();
     let refs: Vec<&str> = files.iter().map(String::as_str).collect();
     let opts = PipelineOptions::default();
-    let identity = |bytes: &[u8]| (bytes.len(), fnv64(bytes));
+    // The root of an object's checksum tree, which `content_hash` reads.
+    let root = |bytes: &[u8]| Header::read(bytes, &FORMAT).unwrap().checksum;
+    let identity = |bytes: &[u8]| (bytes.len(), root(bytes));
     let of_db = |db: &Database| (db.file_size(), db.content_hash());
     let (reference, stats) = reference_link(&generated_units(), false);
 
@@ -567,7 +570,7 @@ fn cold_cache_warm_and_session_builds_link_the_reference_bytes() {
         2,
     )
     .unwrap();
-    assert_eq!(linked_hash(), fnv64(&reference));
+    assert_eq!(linked_hash(), root(&reference));
 
     let mut edited = fs.clone();
     let original = fs.read(&files[2]).unwrap();
@@ -578,7 +581,7 @@ fn cold_cache_warm_and_session_builds_link_the_reference_bytes() {
     let r = session.reload(Some(&edited), false).unwrap();
     assert_eq!(r.recompiled, [files[2].clone()]);
     let edited_cold = analyze(&edited, &refs, &opts).unwrap();
-    assert_ne!(edited_cold.database.content_hash(), fnv64(&reference));
+    assert_ne!(edited_cold.database.content_hash(), root(&reference));
     assert_eq!(linked_hash(), edited_cold.database.content_hash());
     assert_eq!(
         session.points_to("edit_p").unwrap().targets[0].name,
@@ -587,6 +590,6 @@ fn cold_cache_warm_and_session_builds_link_the_reference_bytes() {
 
     let r = session.reload(Some(&fs), false).unwrap();
     assert_eq!(r.recompiled, [files[2].clone()]);
-    assert_eq!(linked_hash(), fnv64(&reference));
+    assert_eq!(linked_hash(), root(&reference));
     assert!(session.points_to("edit_p").is_err());
 }

@@ -107,7 +107,8 @@ fn pipeline_trace_is_balanced_and_layers_all_appear() {
         })
         .collect();
     let bytes = write_object(&link(&units, "a.out").0);
-    assert_eq!(cla::cladb::fnv64(&bytes), analysis.database.content_hash());
+    let root = cla::cladb::container::Header::read(&bytes, &cla::cladb::FORMAT).unwrap();
+    assert_eq!(root.checksum, analysis.database.content_hash());
     obs.set_trace_sink(Some(sink.clone()));
     Database::open(bytes).unwrap();
     obs.set_trace_sink(None);
