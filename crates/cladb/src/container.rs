@@ -11,13 +11,13 @@
 //! section bodies, back to back in table order
 //! ```
 //!
-//! Integrity is an FNV-1a-64 tree. The header checksum covers the table
+//! Integrity is an [`xxh64`] tree. The header checksum covers the table
 //! (count + entries), so a damaged offset, length or checksum field is
 //! caught before anything trusts it. Each entry's checksum covers its
 //! section's *verified prefix* — the whole body, or a shorter prefix the
 //! client names (the object format's `dynamic` section checksums only its
 //! eagerly read block index and covers the blob behind it block by block) —
-//! and is tagged with the section id, so two entries swapped *together
+//! and is seeded with the section id, so two entries swapped *together
 //! with* their checksums still fail. Readers look sections up by id and
 //! ignore ids they do not know.
 //!
@@ -25,6 +25,7 @@
 //! encode section bodies with [`Cur`] and [`Put`] and never do header or
 //! table arithmetic.
 
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -40,27 +41,102 @@ const TABLE_START: usize = HEADER_FIXED_SIZE - 4;
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-fn fnv_fold(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// The zero-dependency integrity checksum used throughout both formats:
-/// FNV-1a over the bytes, folded to 64 bits. Not cryptographic — it
-/// detects bit rot, truncation, and torn writes, which is the database
-/// failure model (DESIGN.md §10).
+/// FNV-1a over the bytes, folded to 64 bits: one multiply per byte in a
+/// serial chain, too slow for the formats' checksums ([`xxh64`] is those).
+/// It is the pin hash that tests and benchmarks fingerprint bytes with.
 #[must_use]
 pub fn fnv64(bytes: &[u8]) -> u64 {
-    fnv_fold(FNV_OFFSET, bytes)
+    bytes.iter().fold(FNV_OFFSET, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(FNV_PRIME)
+    })
 }
 
-/// [`fnv64`] with the section id hashed ahead of the payload, binding a
-/// section checksum to content *and* identity.
-fn fnv64_tagged(tag: u32, bytes: &[u8]) -> u64 {
-    fnv_fold(fnv_fold(FNV_OFFSET, &tag.to_le_bytes()), bytes)
+const P1: u64 = 0x9e37_79b1_85eb_ca87;
+const P2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+const P3: u64 = 0x1656_67b1_9e37_79f9;
+const P4: u64 = 0x85eb_ca77_c2b2_ae63;
+const P5: u64 = 0x27d4_eb2f_1656_67c5;
+
+fn xxh_round(acc: u64, lane: u64) -> u64 {
+    acc.wrapping_add(lane.wrapping_mul(P2))
+        .rotate_left(31)
+        .wrapping_mul(P1)
+}
+
+fn xxh_merge(acc: u64, lane: u64) -> u64 {
+    (acc ^ xxh_round(0, lane)).wrapping_mul(P1).wrapping_add(P4)
+}
+
+/// XXH64 of `bytes` under `seed` (Yann Collet's xxHash, 64-bit variant):
+/// four independent multiply-rotate lanes over 32-byte stripes, so it runs
+/// at memory speed where a byte-serial hash waits on each multiply. The
+/// zero-dependency integrity checksum of both formats — not cryptographic:
+/// it detects bit rot, truncation and torn writes, which is the database
+/// failure model (DESIGN.md §10) — and the hash of every content key.
+#[must_use]
+pub fn xxh64(bytes: &[u8], seed: u64) -> u64 {
+    let (stripes, tail) = bytes.as_chunks::<32>();
+    let mut h = if stripes.is_empty() {
+        seed.wrapping_add(P5)
+    } else {
+        let mut v = [
+            seed.wrapping_add(P1).wrapping_add(P2),
+            seed.wrapping_add(P2),
+            seed,
+            seed.wrapping_sub(P1),
+        ];
+        for stripe in stripes {
+            for (acc, lane) in v.iter_mut().zip(stripe.as_chunks::<8>().0) {
+                *acc = xxh_round(*acc, u64::from_le_bytes(*lane));
+            }
+        }
+        let h = (v[0].rotate_left(1))
+            .wrapping_add(v[1].rotate_left(7))
+            .wrapping_add(v[2].rotate_left(12))
+            .wrapping_add(v[3].rotate_left(18));
+        v.into_iter().fold(h, xxh_merge)
+    };
+    h = h.wrapping_add(bytes.len() as u64);
+    let (words, tail) = tail.as_chunks::<8>();
+    for word in words {
+        h ^= xxh_round(0, u64::from_le_bytes(*word));
+        h = h.rotate_left(27).wrapping_mul(P1).wrapping_add(P4);
+    }
+    let tail = match tail.split_first_chunk::<4>() {
+        Some((word, rest)) => {
+            h ^= u64::from(u32::from_le_bytes(*word)).wrapping_mul(P1);
+            h = h.rotate_left(23).wrapping_mul(P2).wrapping_add(P3);
+            rest
+        }
+        None => tail,
+    };
+    for &b in tail {
+        h ^= u64::from(b).wrapping_mul(P5);
+        h = h.rotate_left(11).wrapping_mul(P1);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(P2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(P3);
+    h ^ (h >> 32)
+}
+
+thread_local! {
+    static CHECKSUMMED: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The checksum of one stored sum of either format — header, section or
+/// object block — counted toward [`bytes_checksummed`].
+pub(crate) fn checksum(seed: u64, bytes: &[u8]) -> u64 {
+    CHECKSUMMED.with(|n| n.set(n.get() + bytes.len() as u64));
+    xxh64(bytes, seed)
+}
+
+/// Bytes this thread has run through the formats' checksum so far. A span
+/// reports its share as the difference across it.
+#[must_use]
+pub fn bytes_checksummed() -> u64 {
+    CHECKSUMMED.with(Cell::get)
 }
 
 /// One instantiation of the container: what the fixed header must say and
@@ -268,7 +344,7 @@ pub struct SectionEntry {
     /// Byte offset of the body within the file.
     pub offset: u64,
     pub len: u64,
-    /// Id-tagged [`fnv64`] of the section's verified prefix.
+    /// [`xxh64`] of the section's verified prefix, seeded with its id.
     pub checksum: u64,
 }
 
@@ -297,14 +373,14 @@ impl Header {
         if version != format.version {
             return Err(ContainerError::BadVersion(version));
         }
-        let checksum = hdr.get_u64_le()?;
+        let stored = hdr.get_u64_le()?;
         let count = hdr.get_u32_le()? as usize;
         let table_end = count
             .checked_mul(SECTION_ENTRY_SIZE)
             .and_then(|n| n.checked_add(HEADER_FIXED_SIZE))
             .filter(|&end| end <= data.len())
             .ok_or_else(|| ContainerError::corrupt("truncated section table"))?;
-        format.check(fnv64(&data[TABLE_START..table_end]), checksum, || {
+        format.check(checksum(0, &data[TABLE_START..table_end]), stored, || {
             "section table".into()
         })?;
         let mut table: Vec<SectionEntry> = Vec::with_capacity(count);
@@ -321,7 +397,10 @@ impl Header {
             }
             table.push(entry);
         }
-        Ok(Header { checksum, table })
+        Ok(Header {
+            checksum: stored,
+            table,
+        })
     }
 
     /// The header's size on the wire; the first section body starts here.
@@ -355,7 +434,7 @@ impl Header {
     pub fn seal(&mut self) {
         let mut table = Vec::with_capacity(self.encoded_len() - TABLE_START);
         self.put_table(&mut table);
-        self.checksum = fnv64(&table);
+        self.checksum = checksum(0, &table);
     }
 
     /// The header's bytes, with the checksum as stored (call
@@ -404,7 +483,7 @@ pub fn assemble(format: &Format, sections: &[Section<'_>]) -> Vec<u8> {
                 id: s.id,
                 offset: 0,
                 len: s.body.len() as u64,
-                checksum: fnv64_tagged(s.id, &s.body[..s.verified_len]),
+                checksum: checksum(s.id.into(), &s.body[..s.verified_len]),
             })
             .collect(),
     };
@@ -493,7 +572,7 @@ impl Container {
         name: &str,
         covered: &[u8],
     ) -> Result<(), ContainerError> {
-        let got = fnv64_tagged(entry.id, covered);
+        let got = checksum(entry.id.into(), covered);
         self.format
             .check(got, entry.checksum, || format!("section `{name}`"))
     }
@@ -555,14 +634,41 @@ mod tests {
     }
 
     #[test]
-    fn fnv64_reference_values() {
-        // Published FNV-1a 64 test vectors.
+    fn xxh64_reference_values() {
+        // Published XXH64 test vectors at seed 0.
+        assert_eq!(xxh64(b"", 0), 0xef46_db37_51d8_e999);
+        assert_eq!(xxh64(b"a", 0), 0xd24e_c4f1_a98c_6e5b);
+        assert_eq!(xxh64(b"abc", 0), 0x44bc_2cf5_ad77_0999);
+        // `fnv64` keeps the published FNV-1a 64 values it pins bytes with.
         assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv64(b"foobar"), 0x85944171f73967e8);
-        // Single-bit damage changes the sum; the tag binds identity.
-        assert_ne!(fnv64(b"foobar"), fnv64(b"foobas"));
-        assert_ne!(fnv64_tagged(1, b"x"), fnv64_tagged(2, b"x"));
+        assert_eq!(fnv64(b"foobar"), 0x8594_4171_f739_67e8);
+    }
+
+    #[test]
+    fn every_single_bit_flip_changes_the_sum() {
+        // Lengths 0..=80 run through every tail: the 32-byte stripes, the
+        // 8-byte words, the 4-byte word and the single bytes.
+        let data: Vec<u8> = (0..80u32).map(|i| (i * 37 + 11) as u8).collect();
+        for len in 0..=data.len() {
+            let bytes = &data[..len];
+            let sum = xxh64(bytes, 0);
+            for bit in 0..len * 8 {
+                let mut flipped = bytes.to_vec();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                assert_ne!(xxh64(&flipped, 0), sum, "length {len}, bit {bit}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_seed_binds_identity() {
+        // A section checksum is seeded with the section's id: the same
+        // bytes under another id do not verify.
+        for body in [&b""[..], b"x", &[7; 100]] {
+            assert_ne!(xxh64(body, 1), xxh64(body, 2));
+            assert_ne!(xxh64(body, 0), xxh64(body, 1));
+        }
     }
 
     #[test]

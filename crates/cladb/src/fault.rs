@@ -31,7 +31,7 @@
 //! [`run_object_fuzz`]); `cla-snap` supplies them for `.clasnap` files, the
 //! container's other instantiation, and runs the very same battery.
 
-use crate::container::{fnv64, Container, Format, Header, Put, SectionEntry};
+use crate::container::{checksum, Container, Cur, Format, Header, Put, SectionEntry};
 use crate::format::{DbError, SectionId, FORMAT};
 use crate::reader::Database;
 use crate::record::{
@@ -528,7 +528,7 @@ impl Resealer {
         let (index, blob) = bodies[body_of(SectionId::Dynamic)].split_at_mut(self.index_len);
         for entry in index[4..].chunks_exact_mut(BlockEntry::SIZE) {
             let mut block = BlockEntry::decode(entry);
-            block.checksum = fnv64(block.records(blob).unwrap_or(&[]));
+            block.checksum = checksum(0, block.records(blob).unwrap_or(&[]));
             entry.copy_from_slice(&block.encode());
         }
         let bodies: Vec<&[u8]> = bodies.iter().map(Vec::as_slice).collect();
@@ -607,6 +607,48 @@ pub fn with_extra_section(orig: &[u8], format: &Format, id: u32, payload: &[u8])
     });
     header.relayout();
     [&header.encode(format), bodies, payload].concat()
+}
+
+/// `bytes` with everything the checksum function or the format version
+/// decides zeroed: the version word, the header checksum, every
+/// section-table checksum and, in an object file, every block checksum of
+/// the dynamic index. What is left is the content, so a pin taken over it
+/// holds across a change of hash or a version bump that moves no other
+/// byte. The fields are found through [`Header::read`] and the block-index
+/// codec.
+///
+/// # Panics
+///
+/// Panics when `bytes` is not a well-formed `format` file.
+#[must_use]
+pub fn checksums_zeroed(bytes: &[u8], format: &Format) -> Vec<u8> {
+    let mut header = Header::read(bytes, format).expect("a well-formed file");
+    let bodies = &bytes[header.encoded_len()..];
+    header.checksum = 0;
+    header.table.iter_mut().for_each(|e| e.checksum = 0);
+    let unversioned = Format {
+        version: 0,
+        ..*format
+    };
+    let mut out = [&header.encode(&unversioned), bodies].concat();
+    let dynamic = header
+        .table
+        .iter()
+        .find(|e| e.id == SectionId::Dynamic as u32);
+    // Only an object file has a block index; a snapshot's id 6 is its stats.
+    if let Some(entry) = dynamic.filter(|_| format.magic == FORMAT.magic) {
+        let body = &mut out[entry.offset as usize..][..entry.len as usize];
+        let nobjs = Cur::new(body).get_u32_le().expect("an index count") as usize;
+        let index = &mut body[4..BlockEntry::index_len(nobjs)];
+        for raw in index.chunks_exact_mut(BlockEntry::SIZE) {
+            let entry = BlockEntry {
+                checksum: 0,
+                ..BlockEntry::decode(raw)
+            };
+            raw.copy_from_slice(&entry.encode());
+        }
+    }
+    out
 }
 
 /// Runs the full deterministic fuzz battery over one pristine file of the

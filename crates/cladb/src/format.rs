@@ -31,16 +31,21 @@ pub const MAGIC: u32 = 0x014C_4143;
 /// Format version written by this crate.
 ///
 /// * v1 — sectioned container, no integrity data.
-/// * v2 — adds a 64-bit [`fnv64`](crate::fnv64) checksum per section-table
-///   entry, a header checksum covering the section table, and a per-block
-///   checksum in the dynamic index. v1 files are rejected with
-///   [`ContainerError::BadVersion`] rather than misparsed.
+/// * v2 — adds a 64-bit FNV-1a checksum per section-table entry (the
+///   section id hashed ahead of the body), a header checksum covering the
+///   section table, and a per-block checksum in the dynamic index. v1 files
+///   are rejected with [`ContainerError::BadVersion`] rather than misparsed.
 /// * v3 — adds a per-object flags byte (bit 0 = symbol is *defined*, not
 ///   merely referenced) to the object section, so a partial analysis can
 ///   find the referenced-but-undefined globals that need conservative
 ///   summaries. v1/v2 files are rejected with
 ///   [`ContainerError::BadVersion`].
-pub const VERSION: u32 = 3;
+/// * v4 — every checksum is [`xxh64`](crate::xxh64): the header and block
+///   sums at seed 0, each section's seeded with its id. Same bytes covered,
+///   same layout; only the stored sums differ, so v3 files are rejected with
+///   [`ContainerError::BadVersion`] (a compile cache counts them as damaged
+///   entries and recompiles).
+pub const VERSION: u32 = 4;
 
 /// The object format as an instantiation of the shared
 /// [`container`](crate::container).

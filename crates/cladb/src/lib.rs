@@ -53,7 +53,9 @@ pub mod transform;
 mod unit;
 mod writer;
 
-pub use container::{fnv64, ContainerError, HEADER_FIXED_SIZE, SECTION_ENTRY_SIZE};
+pub use container::{
+    bytes_checksummed, fnv64, xxh64, ContainerError, HEADER_FIXED_SIZE, SECTION_ENTRY_SIZE,
+};
 pub use dump::{census, dump, is_static_assign};
 pub use format::{DbError, SectionId, FORMAT, MAGIC, NONE_U32, VERSION};
 pub use linker::{add_unknown_summaries, link, LinkStats, Linker};

@@ -14,7 +14,7 @@
 //! reference the unit-level [`Linker`](crate::Linker) remains for tests and
 //! benches; no build route decodes an object to re-encode it.
 
-use crate::container::Put;
+use crate::container::{bytes_checksummed, Put};
 use crate::format::NONE_U32;
 use crate::linker::LinkStats;
 use crate::names::{NameIndex, Strings};
@@ -372,6 +372,7 @@ impl ObjectLinker {
     #[must_use]
     pub fn finish(mut self, summarize_unknown: bool) -> LinkedObject {
         let mut sp = cla_obs::global().span("link", "link.assemble");
+        let before = bytes_checksummed();
         let mut stats = self.stats;
         stats.objects_out = self.objects.len();
         stats.assigns = self.counts.total();
@@ -428,6 +429,7 @@ impl ObjectLinker {
         sp.set("objects", nobjs);
         sp.set("assigns", self.counts.total());
         sp.set("bytes", object.bytes().len());
+        sp.set("bytes_checksummed", bytes_checksummed() - before);
         let mut times = self.times;
         times.assemble = sp.finish();
         LinkedObject {

@@ -19,7 +19,7 @@
 //! Counters are atomic so a [`Database`] can be shared read-only across the
 //! query threads of a long-running server.
 
-use crate::container::Container;
+use crate::container::{bytes_checksummed, Container};
 use crate::format::{DbError, SectionId, FORMAT, NONE_U32};
 use crate::names::{NameIndex, Strings};
 use crate::record::{assign_records, decode_assign, pairs, ObjectRecord, ASSIGN_RECORD_SIZE};
@@ -237,8 +237,11 @@ impl Database {
     fn build(file: Container, trusted: bool) -> Result<Database, DbError> {
         let obs = cla_obs::global();
         let mut sp = obs.span("db", "db.open");
+        let before = bytes_checksummed();
         let view = UnitView::layout(&file)?;
-        let verified_bytes = if trusted { 0 } else { view.check_eager()? };
+        if !trusted {
+            view.check_eager()?;
+        }
         let files = FileTable::from_names(
             (view.files())
                 .map(|sid| view.strings[sid as usize].to_string())
@@ -266,7 +269,7 @@ impl Database {
         sp.set("assigns_in_file", view.assigns);
         sp.set("bytes", file.bytes().len());
         sp.set("strings", view.strings.len());
-        sp.set("verified_bytes", verified_bytes);
+        sp.set("bytes_checksummed", bytes_checksummed() - before);
         Ok(Database {
             strings: Strings::copy(&view.strings),
             verified: (0..view.object_count())

@@ -6,7 +6,7 @@
 //! ```text
 //! assignment  19  kind u8 | dst u32 | src u32 | strength u8 | op u8 | file u32 | line u32
 //! object      26  name u32 | link u32 | ty u32 | kind u8 | flags u8 | file u32 | line u32 | in_func u32
-//! block entry 20  blob offset u64 | record count u32 | fnv64 of the records u64
+//! block entry 20  blob offset u64 | record count u32 | xxh64 of the records u64
 //! funsig   13+4n  obj u32 | ret u32 | is_indirect u8 | n u32 | n × param u32
 //! pair         8  string id u32 | object id u32
 //! ```
@@ -177,7 +177,7 @@ pub(crate) struct BlockEntry {
     pub offset: u64,
     /// Records in the block.
     pub count: u32,
-    /// [`fnv64`](crate::fnv64) of the block's records.
+    /// [`xxh64`](crate::xxh64) of the block's records, seed 0.
     pub checksum: u64,
 }
 

@@ -20,7 +20,7 @@
 //! neither, because the only ways to hold a `UnitObject` are to have written
 //! it ([`UnitObject::encode`], `ObjectLinker::finish`) or verified it.
 
-use crate::container::{fnv64, Container, ContainerError, Cur, StringTable};
+use crate::container::{bytes_checksummed, checksum, Container, ContainerError, Cur, StringTable};
 use crate::format::{DbError, SectionId, FORMAT, NONE_U32};
 use crate::record::{
     assign_records, decode_assign, ids, pairs, AssignRecord, BlockEntry, ObjectRecord, SigRecord,
@@ -106,7 +106,7 @@ impl Records {
     ) -> Result<&'a [u8], ContainerError> {
         let block = self.block(data, ix)?;
         let sum = self.entry(data, ix).checksum;
-        FORMAT.check(fnv64(block), sum, || format!("dynamic block {ix}"))?;
+        FORMAT.check(checksum(0, block), sum, || format!("dynamic block {ix}"))?;
         for rec in assign_records(block) {
             self.check_record(rec, Some(ix as u32))?;
         }
@@ -255,10 +255,8 @@ impl<'a> UnitView<'a> {
 
     /// The eager half of the check, everything [`UnitView::layout`] left
     /// open but the blob: the checksum of every section (`dynamic` by its
-    /// index) and the range of every id outside a block. Returns how many
-    /// bytes it hashed.
-    pub(crate) fn check_eager(&self) -> Result<u64, ContainerError> {
-        let mut hashed = 0;
+    /// index) and the range of every id outside a block.
+    pub(crate) fn check_eager(&self) -> Result<(), ContainerError> {
         for id in SectionId::ALL {
             let (entry, body) = self.file.lookup(id as u32, id.name())?;
             let covered = match id {
@@ -266,7 +264,6 @@ impl<'a> UnitView<'a> {
                 _ => body,
             };
             self.file.verify(entry, id.name(), covered)?;
-            hashed += covered.len() as u64;
         }
         let data = self.file.bytes();
         let nstrings = self.strings.len() as u32;
@@ -321,7 +318,7 @@ impl<'a> UnitView<'a> {
         if sig_bytes != self.funsigs.len() {
             return Err(corrupt("trailing bytes in funsig section"));
         }
-        Ok(hashed)
+        Ok(())
     }
 
     /// Both halves: every integrity check the format has.
@@ -375,8 +372,10 @@ impl UnitObject {
     pub fn verify(bytes: Vec<u8>) -> Result<UnitObject, DbError> {
         let mut sp = cla_obs::global().span("db", "db.verify_object");
         sp.set("bytes", bytes.len());
+        let before = bytes_checksummed();
         let file = Container::open(bytes, &FORMAT)?;
         UnitView::layout(&file)?.check()?;
+        sp.set("bytes_checksummed", bytes_checksummed() - before);
         Ok(UnitObject { file })
     }
 

@@ -4,7 +4,7 @@
 //! interrupted compile or link never leaves a half-written `.clao` behind
 //! for a later phase to load.
 
-use crate::container::{assemble, fnv64, Put, Section, StringTable};
+use crate::container::{assemble, checksum, Put, Section, StringTable};
 use crate::format::{SectionId, FORMAT, NONE_U32};
 use crate::record::{
     assign_records, assign_src, put_assign, put_pair, BlockEntry, ObjectRecord, SigRecord,
@@ -217,7 +217,7 @@ fn dynamic_section(nobjs: usize, records: &[u8]) -> (Vec<u8>, usize) {
         let written = BlockEntry {
             offset: (start * ASSIGN_RECORD_SIZE) as u64,
             count: (end - start) as u32,
-            checksum: fnv64(block),
+            checksum: checksum(0, block),
         };
         entry.copy_from_slice(&written.encode());
         start = end;

@@ -11,16 +11,16 @@
 
 use cla_cfront::{FileProvider, Preprocessed};
 use cla_cladb::container::{assemble, Container, ContainerError, Cur, Format, Put, Section};
-use cla_cladb::fnv64;
+use cla_cladb::xxh64;
 use cla_ir::CompileStats;
 use std::collections::HashMap;
 
 /// One file's inputs: every source the preprocessor read (main file and
-/// all headers, in read order) as `(name, fnv64(text))`, and every include
-/// candidate it probed and found missing. This is the one definition of
-/// "what this file depends on": [`Closure::key`] folds it into the
-/// compile-cache key, and a serve session keeps it per file to decide which
-/// files a reload must recompile.
+/// all headers, in read order) as `(name, source_hash(text))`, and every
+/// include candidate it probed and found missing. This is the one
+/// definition of "what this file depends on": [`Closure::key`] folds it into
+/// the compile-cache key, and a serve session keeps it per file to decide
+/// which files a reload must recompile.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Closure {
     pub sources: Vec<(String, u64)>,
@@ -33,7 +33,7 @@ impl Closure {
     #[must_use]
     pub fn of(pre: &Preprocessed) -> Closure {
         let sources = (pre.sources.iter())
-            .map(|(_, sf)| (sf.name.clone(), fnv64(sf.src.as_bytes())))
+            .map(|(_, sf)| (sf.name.clone(), source_hash(&sf.src)))
             .collect();
         let mut missing = pre.missing.clone();
         missing.sort_unstable();
@@ -55,7 +55,7 @@ impl Closure {
             acc.extend_from_slice(name.as_bytes());
             acc.extend_from_slice(&hash.to_le_bytes());
         }
-        fnv64(&acc)
+        xxh64(&acc, 0)
     }
 
     /// Whether the file system behind `probe` still holds this closure:
@@ -64,10 +64,15 @@ impl Closure {
     /// text, because a `#line` directive names sources that were never
     /// read and recorded them as empty.
     pub fn holds<'a>(&'a self, probe: &mut SourceProbe<'a>) -> bool {
-        const EMPTY: u64 = 0xcbf2_9ce4_8422_2325; // fnv64(b"")
-        (self.sources.iter()).all(|(name, was)| probe.hash(name).unwrap_or(EMPTY) == *was)
+        let empty = source_hash("");
+        (self.sources.iter()).all(|(name, was)| probe.hash(name).unwrap_or(empty) == *was)
             && self.missing.iter().all(|path| probe.hash(path).is_none())
     }
+}
+
+/// The hash a [`Closure`] records for a source's text.
+fn source_hash(text: &str) -> u64 {
+    xxh64(text.as_bytes(), 0)
 }
 
 /// Reads sources for [`Closure::holds`], each distinct name at most once —
@@ -92,7 +97,7 @@ impl<'a> SourceProbe<'a> {
         }
     }
 
-    /// `fnv64` of `name`'s text, or `None` when it does not exist.
+    /// [`source_hash`] of `name`'s text, or `None` when it does not exist.
     fn hash(&mut self, name: &'a str) -> Option<u64> {
         let SourceProbe {
             fs,
@@ -104,7 +109,7 @@ impl<'a> SourceProbe<'a> {
             let text = fs.read(name)?;
             *sources += 1;
             *bytes += text.len() as u64;
-            Some(fnv64(text.as_bytes()))
+            Some(source_hash(&text))
         })
     }
 }
@@ -112,9 +117,13 @@ impl<'a> SourceProbe<'a> {
 /// The compile manifest, one instantiation of the shared container: one
 /// section holding the file, its options fingerprint, its closure and the
 /// [`CompileStats`] a compile of it reports.
+///
+/// * v1 — FNV-1a checksums and FNV-1a source hashes.
+/// * v2 — [`xxh64`] for both. A v1 manifest is rejected, counted as
+///   damaged, and rewritten after the file is keyed by preprocessing.
 static MANIFEST_FORMAT: Format = Format {
     magic: 0x4D41_4C43, // "CLAM"
-    version: 1,
+    version: 2,
     kind: "compile manifest",
     checksum_fail_metric: "cla_snap_cache_manifest_checksum_fail_total",
 };
@@ -138,7 +147,7 @@ pub struct Manifest {
 pub fn manifest_key(file: &str, options_fp: u64) -> u64 {
     let mut acc = options_fp.to_le_bytes().to_vec();
     acc.extend_from_slice(file.as_bytes());
-    fnv64(&acc)
+    xxh64(&acc, 0)
 }
 
 impl Manifest {

@@ -11,7 +11,7 @@ use crate::pretransitive::{SealedGraph, SolveOptions, SolveStats, Warm};
 use crate::solution::PointsTo;
 use cla_cfront::{CError, FileProvider, PpOptions, Preprocessed};
 use cla_cladb::{
-    fnv64, Database, DbError, LinkStats, LinkTimes, LoadStats, ObjectLinker, StreamLinker,
+    xxh64, Database, DbError, LinkStats, LinkTimes, LoadStats, ObjectLinker, StreamLinker,
     UnitObject,
 };
 use cla_ir::{compile_preprocessed, AssignCounts, CompileStats, LowerOptions};
@@ -260,7 +260,10 @@ pub fn options_fingerprint(pp: &PpOptions, lower: &LowerOptions) -> u64 {
     // strongest guarantee a cache keyed on in-memory options can need; the
     // object-format version is folded in so cache entries from an older
     // format are never decoded.
-    fnv64(format!("clav{}|{pp:?}|{lower:?}", cla_cladb::VERSION).as_bytes())
+    xxh64(
+        format!("clav{}|{pp:?}|{lower:?}", cla_cladb::VERSION).as_bytes(),
+        0,
+    )
 }
 
 /// Hash of one file's preprocessed [`Closure`] plus the options

@@ -1165,7 +1165,9 @@ impl GraphState {
     /// stats and `tests/golden_bytes.rs` pins those bytes, so the terms are
     /// the ones the format has always carried: `node_objs`, `loaded` and the
     /// traversal and union scratch (all small beside the sets) are not in
-    /// it, and join it with the next snapshot `VERSION`, not before.
+    /// it, and join it with a snapshot `VERSION` bump that changes content,
+    /// not before. (v2 changed only the checksums, and left these bytes
+    /// alone so the content pin could prove it.)
     fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
         let nodes = self.skip.len();

@@ -24,7 +24,7 @@
 
 use crate::json::{obj, Value};
 use cla_cfront::{CError, FileProvider, PpOptions};
-use cla_cladb::{fnv64, Database, DbError, ObjectLinker, UnitObject};
+use cla_cladb::{xxh64, Database, DbError, ObjectLinker, UnitObject};
 use cla_core::pipeline::{
     compile_all, compile_one_keyed, load_or_solve, open_linked, options_fingerprint, Closure,
     Provenance, Quarantined, SnapshotHook, SourceProbe,
@@ -775,7 +775,7 @@ fn open_object_path(path: &Path) -> Result<(Database, u64), SessionError> {
 pub fn object_provenance(tag: &str, object_hash: u64, solver: SolveOptions) -> Provenance {
     Provenance {
         inputs: vec![(tag.to_string(), object_hash)],
-        options_fp: fnv64(b"cla-serve/object/v1"),
+        options_fp: xxh64(b"cla-serve/object/v1", 0),
         solver,
     }
 }
@@ -1377,7 +1377,7 @@ impl Session {
                     format!(
                         "{} input(s), inputs_hash={:016x}, cache={}, cycle_elim={}",
                         p.inputs.len(),
-                        fnv64(format!("{:?}", p.inputs).as_bytes()),
+                        xxh64(format!("{:?}", p.inputs).as_bytes(), 0),
                         p.solver.cache,
                         p.solver.cycle_elim,
                     )

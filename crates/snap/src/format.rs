@@ -18,7 +18,12 @@ pub const MAGIC: u32 = 0x5341_4C43;
 
 /// Snapshot format version. Bumped on any layout change; old versions are
 /// rejected with [`ContainerError::BadVersion`], never migrated silently.
-pub const VERSION: u32 = 1;
+///
+/// * v1 — FNV-1a checksums, each section's tagged with its id.
+/// * v2 — the same sections under [`xxh64`](cla_cladb::xxh64) checksums,
+///   each section's seeded with its id. A v1 snapshot is a store miss and
+///   is re-solved and rewritten.
+pub const VERSION: u32 = 2;
 
 /// The snapshot format as an instantiation of the shared container.
 pub static FORMAT: Format = Format {
@@ -28,8 +33,8 @@ pub static FORMAT: Format = Format {
     checksum_fail_metric: "cla_snap_checksum_fail_total",
 };
 
-/// Section identifiers. Ids are tag inputs to the per-section checksums,
-/// so two sections swapped wholesale in the table are still caught.
+/// Section identifiers. Ids seed the per-section checksums, so two sections
+/// swapped wholesale in the table are still caught.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u32)]
 pub enum SnapSectionId {

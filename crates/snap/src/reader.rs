@@ -14,7 +14,7 @@
 
 use crate::format::{SnapError, SnapSectionId, FORMAT};
 use cla_cladb::container::{Container, ContainerError, Cur, SectionEntry, StringTable};
-use cla_cladb::NONE_U32;
+use cla_cladb::{bytes_checksummed, NONE_U32};
 use cla_core::pipeline::Provenance;
 use cla_core::{SealedGraph, SolveOptions, SolveStats};
 use cla_ir::ObjId;
@@ -116,6 +116,7 @@ impl Snapshot {
         let mut sp = obs.span("snap", "snap.load");
         sp.set("objects", self.object_count as usize);
         sp.set("bytes", self.file.bytes().len());
+        let before = bytes_checksummed();
 
         let mut sets_sec = section(&self.file, SnapSectionId::Sets)?;
         let nsets = sets_sec.get_u32_le()? as usize;
@@ -176,6 +177,7 @@ impl Snapshot {
             approx_bytes: stats_sec.get_u64_le()? as usize,
         };
         stats_sec.finish("stats")?;
+        sp.set("bytes_checksummed", bytes_checksummed() - before);
 
         obs.counter("cla_snap_loads_total").inc();
         Ok(SealedGraph::from_parts(per_object, stats))

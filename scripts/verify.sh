@@ -89,6 +89,17 @@ decoded=$(for f in crates/core/src/*.rs crates/serve/src/*.rs crates/hub/src/*.r
 done || true)
 [ -z "$decoded" ] || { echo "object metadata decoded whole: $decoded"; exit 1; }
 
+echo "==> one integrity hash (every checksum and content key is xxh64; fnv64 is the tests' pin hash)"
+# FNV-1a hashes a byte at a time in one serial chain; the formats' checksums,
+# the closure keys and the fingerprints run on cladb's xxh64. `fnv64` stays
+# exported, with its FNV-1a values, for the tests and benchmarks that pin
+# bytes with it.
+fnv_calls=$(for f in $(find crates/*/src -name '*.rs' | grep -v '^crates/bench/'); do
+    sed '/#\[cfg(test)\]/,$d' "$f" | grep -vE '^\s*//' | grep -v 'pub fn fnv64(' \
+        | grep -HnE --label="$f" '\bfnv64\('
+done || true)
+[ -z "$fnv_calls" ] || { echo "production code hashes with fnv64: $fnv_calls"; exit 1; }
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 

@@ -315,6 +315,46 @@ fn direct_mode_matches_cold_analysis_on_ci_small() {
     equivalence(&Tree::ci_small());
 }
 
+/// A `#line` directive names a source that was never read; the closure
+/// records it with the hash of empty text, and a warm build must find that
+/// it still holds — the same hash function on both sides — and key the
+/// file without preprocessing it.
+#[test]
+fn a_line_named_source_that_was_never_read_still_holds() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let tree = Tree::new(
+        "line",
+        vec![
+            (
+                "gen.c".into(),
+                "#include \"gen.h\"\n#line 7 \"never.y\"\nint *p, x; void f(void) { p = &x; }\n"
+                    .into(),
+            ),
+            ("gen.h".into(), "int g;\n".into()),
+        ],
+    );
+    let opts = tree.options();
+    check_step(&tree, "populate", &opts, &[&tree.files[0]], 0);
+    let manifest = Manifest::decode(std::fs::read(&tree.manifests()[0]).unwrap()).unwrap();
+    assert!(
+        (manifest.closure.sources.iter()).any(|(name, _)| name == "never.y"),
+        "{:?}",
+        manifest.closure
+    );
+
+    let sink = std::sync::Arc::new(cla::obs::MemorySink::new());
+    let obs = cla::obs::global();
+    obs.set_trace_sink(Some(sink.clone()));
+    let cache = DiskCache::open(&tree.cache_dir()).unwrap();
+    let (_, r, compiled) = run(&tree, &opts, Some(&cache));
+    obs.set_trace_sink(None);
+    assert!(compiled.is_empty());
+    assert_eq!(r.compile_cache_direct_hits, 1);
+    let names: BTreeSet<String> = sink.take().into_iter().map(|e| e.name).collect();
+    assert!(names.contains("cache.direct"), "{names:?}");
+    assert!(!names.contains("pp"), "a direct hit preprocesses nothing");
+}
+
 fn counter(name: &str) -> f64 {
     let samples = cla::obs::parse_exposition(&cla::obs::global().prometheus_text()).unwrap();
     (samples.iter())

@@ -97,7 +97,7 @@ fn pipeline_trace_is_balanced_and_layers_all_appear() {
         end.args.iter().cloned().collect()
     };
     let linked = open_args(&events);
-    assert_eq!(linked["verified_bytes"], obs::ArgValue::U64(0));
+    assert_eq!(linked["bytes_checksummed"], obs::ArgValue::U64(0));
     let units: Vec<CompiledUnit> = ["a.c", "b.c"]
         .iter()
         .map(|f| {
@@ -113,7 +113,7 @@ fn pipeline_trace_is_balanced_and_layers_all_appear() {
     Database::open(bytes).unwrap();
     obs.set_trace_sink(None);
     let cold = open_args(&sink.take());
-    assert!(matches!(cold["verified_bytes"], obs::ArgValue::U64(n) if n > 0));
+    assert!(matches!(cold["bytes_checksummed"], obs::ArgValue::U64(n) if n > 0));
     assert_eq!(cold["strings"], linked["strings"]);
 
     // Satellite 1: the Report's phase times come from the same spans the
@@ -280,6 +280,56 @@ fn pipeline_trace_is_balanced_and_layers_all_appear() {
         })
         .sum();
     assert_eq!(hashed, warm.report.source_bytes);
+
+    // A warm run with a snapshot says what it checksummed, span by span:
+    // each cached object whole on its way to the linker, the program object
+    // the linker assembled, the snapshot's graph sections, and nothing at
+    // the open of what the linker handed over.
+    let dir = std::env::temp_dir().join(format!("cla-obs-it-sums-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cache = DiskCache::open(&dir.join("cache")).unwrap();
+    let store = SnapshotStore::open(&dir.join("snap")).unwrap();
+    let hooks = AnalyzeHooks {
+        compile_cache: Some(&cache),
+        snapshots: Some(&store),
+    };
+    let files = ["main.c", "store.c"];
+    analyze_with(&example_fs, &files, &opts, &hooks).unwrap();
+    obs.set_trace_sink(Some(sink.clone()));
+    let warm = analyze_with(&example_fs, &files, &opts, &hooks).unwrap();
+    obs.set_trace_sink(None);
+    let cached: Vec<u64> = (std::fs::read_dir(dir.join("cache")).unwrap())
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "clao"))
+        .map(|p| std::fs::metadata(p).unwrap().len())
+        .collect();
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert_eq!(warm.report.compile_cache_hits, 2);
+    assert!(warm.report.snapshot_loaded);
+    assert_eq!(cached.len(), 2);
+    let events = sink.take();
+    let checksummed = |name: &str| -> Vec<u64> {
+        (events.iter())
+            .filter(|e| e.name == name && matches!(e.ph, Phase::End))
+            .map(
+                |e| match e.args.iter().find(|(k, _)| *k == "bytes_checksummed") {
+                    Some((_, obs::ArgValue::U64(n))) => *n,
+                    other => panic!("`{name}` has bytes_checksummed {other:?}"),
+                },
+            )
+            .collect()
+    };
+    // Every byte of an object is under a checksum but its magic, its
+    // version and the header sum itself.
+    const UNSUMMED: u64 = 4 + 4 + 8;
+    let verified = checksummed("db.verify_object");
+    assert_eq!(verified.len(), 2);
+    let whole: u64 = cached.iter().map(|len| len - UNSUMMED).sum();
+    assert_eq!(verified.iter().sum::<u64>(), whole);
+    let assembled = checksummed("link.assemble");
+    assert!(matches!(assembled[..], [n] if n >= warm.report.object_size as u64 - UNSUMMED));
+    assert!(matches!(checksummed("snap.load")[..], [n] if n > 0));
+    assert_eq!(checksummed("db.open"), [0]);
 
     // --- Chrome JSONL writer: the on-disk streaming format. ---
     let path = std::env::temp_dir().join(format!("cla-obs-it-{}.json", std::process::id()));

@@ -390,13 +390,7 @@ fn a_damaged_block_or_string_in_a_cache_entry_is_one_counted_miss() {
         "extern int *p; int *q, **pp; void g(void) { q = p; *pp = q; }",
     );
     let refs = ["a.c", "b.c"];
-    let corrupt_total = || {
-        let text = cla::obs::global().prometheus_text();
-        let samples = cla::obs::parse_exposition(&text).unwrap();
-        (samples.iter())
-            .find(|s| s.name == "cla_snap_cache_corrupt_total")
-            .map_or(0.0, |s| s.value)
-    };
+    let corrupt_total = || process_counter("cla_snap_cache_corrupt_total");
     for section in [SectionId::Dynamic, SectionId::String] {
         let dir = TempDir::new(&format!("damaged-{section}"));
         let run = || {
@@ -475,6 +469,101 @@ fn corrupt_snapshot_file_falls_back_to_a_full_solve() {
     assert!(!recovered.report.snapshot_loaded);
     assert_eq!(mismatches, 1, "corruption must count as a mismatch");
     assert_eq!(cold.points_to, recovered.points_to);
+}
+
+/// `bytes` of a container file with its version word set one below
+/// `version`: a file the previous build of the format wrote.
+fn previous_version(mut bytes: Vec<u8>, version: u32) -> Vec<u8> {
+    bytes[4..8].copy_from_slice(&(version - 1).to_le_bytes());
+    bytes
+}
+
+fn process_counter(name: &str) -> f64 {
+    let samples = cla::obs::parse_exposition(&cla::obs::global().prometheus_text()).unwrap();
+    (samples.iter())
+        .find(|s| s.name == name)
+        .map_or(0.0, |s| s.value)
+}
+
+#[test]
+fn a_snapshot_of_the_previous_version_is_a_miss_that_is_rewritten() {
+    let dir = TempDir::new("old-snapshot");
+    let (fs, names) = workload_fs("nethack", 0.05, 11);
+    let (cold, _) = analyze_snapshotted(&fs, &names, dir.path());
+    let path = dir.path().join(cla::snap::SNAPSHOT_FILE);
+    let current = std::fs::read(&path).unwrap();
+    std::fs::write(&path, previous_version(current, cla::snap::VERSION)).unwrap();
+
+    let before = process_counter("cla_snap_mismatch_total");
+    let (resolved, (loads, saves, mismatches)) = analyze_snapshotted(&fs, &names, dir.path());
+    assert!(
+        !resolved.report.snapshot_loaded,
+        "an old snapshot was loaded"
+    );
+    assert_eq!((loads, saves, mismatches), (0, 1, 1));
+    assert!(process_counter("cla_snap_mismatch_total") >= before + 1.0);
+    assert_eq!(resolved.points_to, cold.points_to);
+    assert_eq!(resolved.report.solve_stats, cold.report.solve_stats);
+
+    // Rewritten at the current version, and a warm start again.
+    let rewritten = std::fs::read(&path).unwrap();
+    assert_eq!(rewritten[4..8], cla::snap::VERSION.to_le_bytes());
+    assert!(Snapshot::from_bytes(rewritten).is_ok());
+    let (warm, (loads, _, mismatches)) = analyze_snapshotted(&fs, &names, dir.path());
+    assert!(warm.report.snapshot_loaded);
+    assert_eq!((loads, mismatches), (1, 0));
+    assert_eq!(warm.points_to, cold.points_to);
+    assert_eq!(warm.report.solve_stats, cold.report.solve_stats);
+}
+
+#[test]
+fn a_cached_object_of_the_previous_version_is_a_counted_recompile() {
+    let dir = TempDir::new("old-object");
+    let (fs, names) = workload_fs("nethack", 0.05, 11);
+    let refs: Vec<&str> = names.iter().map(String::as_str).collect();
+    let run = || {
+        let cache = DiskCache::open(&dir.path().join("cache")).unwrap();
+        let hooks = AnalyzeHooks {
+            compile_cache: Some(&cache),
+            snapshots: None,
+        };
+        let a = analyze_with(&fs, &refs, &PipelineOptions::default(), &hooks).unwrap();
+        (a, cache.counters(), cache.corrupt())
+    };
+    let (cold, _, _) = run();
+    let mut entries: Vec<PathBuf> = std::fs::read_dir(dir.path().join("cache"))
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "clao"))
+        .collect();
+    entries.sort();
+    assert_eq!(entries.len(), refs.len());
+    // Under its current key: only the version word says it is stale.
+    let current = std::fs::read(&entries[0]).unwrap();
+    std::fs::write(
+        &entries[0],
+        previous_version(current.clone(), cla::cladb::VERSION),
+    )
+    .unwrap();
+
+    let before = process_counter("cla_snap_cache_corrupt_total");
+    let (recompiled, counters, corrupt) = run();
+    let n = refs.len() as u64;
+    assert_eq!((counters, corrupt), ((n - 1, 1), 1));
+    assert_eq!(recompiled.report.compile_cache_misses, 1);
+    assert!(process_counter("cla_snap_cache_corrupt_total") >= before + 1.0);
+    assert_eq!(recompiled.points_to, cold.points_to);
+    assert_eq!(
+        recompiled.database.content_hash(),
+        cold.database.content_hash()
+    );
+    assert_eq!(
+        std::fs::read(&entries[0]).unwrap(),
+        current,
+        "not rewritten"
+    );
+    let (_, counters, corrupt) = run();
+    assert_eq!((counters, corrupt), ((n, 0), 0));
 }
 
 #[test]
