@@ -22,10 +22,13 @@
 use crate::container::{bytes_checksummed, Container};
 use crate::format::{DbError, SectionId, FORMAT, NONE_U32};
 use crate::names::{NameIndex, Strings};
-use crate::record::{assign_records, decode_assign, pairs, ObjectRecord, ASSIGN_RECORD_SIZE};
+use crate::record::{
+    assign_kind, assign_records, decode_assign, pairs, ObjectRecord, ASSIGN_RECORD_SIZE,
+};
 use crate::unit::{Records, UnitObject, UnitView};
 use cla_ir::{
-    CompiledUnit, FileIdx, FileTable, FunSig, ObjId, ObjKind, ObjectInfo, PrimAssign, SrcLoc,
+    AssignCounts, CompiledUnit, FileIdx, FileTable, FunSig, ObjId, ObjKind, ObjectInfo, PrimAssign,
+    SrcLoc,
 };
 use std::collections::HashMap;
 use std::ops::Range;
@@ -300,6 +303,24 @@ impl Database {
         })
     }
 
+    /// Admits object bytes from outside this process — a `.clao` read from
+    /// disk — as a database a solver may read: [`Database::open`], then
+    /// [`Database::verify_all`], so every checksum and every id is checked
+    /// before anything reads a block. Timed as the `db.admit` span, which
+    /// says how many bytes it judged and how many it checksummed.
+    ///
+    /// # Errors
+    ///
+    /// The first thing found wrong with the bytes.
+    pub fn admit(bytes: Vec<u8>) -> Result<Database, DbError> {
+        let mut sp = cla_obs::global().span("db", "db.admit");
+        sp.set("bytes", bytes.len());
+        let before = bytes_checksummed();
+        let admitted = Database::open(bytes).and_then(|db| db.verify_all().map(|()| db));
+        sp.set("bytes_checksummed", bytes_checksummed() - before);
+        admitted
+    }
+
     /// Opens an object file read from `path`.
     ///
     /// # Errors
@@ -552,6 +573,33 @@ impl Database {
     /// Size of the object file in bytes.
     pub fn file_size(&self) -> usize {
         self.file.bytes().len()
+    }
+
+    /// The object file's bytes, as written.
+    pub fn bytes(&self) -> &[u8] {
+        self.file.bytes()
+    }
+
+    /// Counts of the five assignment forms over every record of the file,
+    /// read off each record's kind byte in place: what the link that wrote
+    /// the file counted as it merged them.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a kind byte or block no check has passed: call it on a
+    /// database that was [admitted](Database::admit) or opened
+    /// [from an object](Database::from_object).
+    pub fn assign_counts(&self) -> AssignCounts {
+        let data = self.file.bytes();
+        let blocks = (0..self.verified.len())
+            .map(|ix| self.records.block(data, ix).expect("a checked block"));
+        let mut counts = AssignCounts::default();
+        for records in std::iter::once(self.records.statics(data)).chain(blocks) {
+            for rec in assign_records(records) {
+                counts.add(assign_kind(rec).expect("a checked assignment kind"));
+            }
+        }
+        counts
     }
 
     /// The identity a serve session keys its snapshot provenance on: the

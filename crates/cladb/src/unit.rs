@@ -385,6 +385,14 @@ impl UnitObject {
         self.file.bytes()
     }
 
+    /// Objects the unit declares, before a link merges any.
+    #[must_use]
+    pub fn object_count(&self) -> usize {
+        let records = counted_at(&self.file, SectionId::Object, ObjectRecord::SIZE)
+            .expect("a unit object is laid out as its writer left it");
+        records.len() / ObjectRecord::SIZE
+    }
+
     /// The borrowed reading a linker folds.
     pub(crate) fn view(&self) -> UnitView<'_> {
         UnitView::layout(&self.file).expect("a unit object is laid out as its writer left it")

@@ -11,7 +11,9 @@
 //!   Arc-shared points-to sets (each distinct set encoded once), the name
 //!   tables needed to answer queries standalone, and a provenance record.
 //!   Loading validates provenance and rebuilds a query-ready graph without
-//!   running the solver — an instant warm start.
+//!   running the solver — an instant warm start. Beside the graph the
+//!   store keeps the linked program a batch run built, so the next run
+//!   over the same inputs opens it instead of linking.
 //! - **Build cache** ([`DiskCache`]): a content-addressed on-disk cache of
 //!   compiled object files keyed by the hash of each file's preprocessed
 //!   closure, with a size-capped LRU eviction sweep.

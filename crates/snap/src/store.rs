@@ -4,10 +4,15 @@
 //! equals the requested one, so an edited source file (headers included),
 //! a changed preprocessor define, or a flipped solver option can never
 //! yield stale answers; it simply misses and the caller re-solves.
+//!
+//! Beside the graph the store keeps one linked program,
+//! `program-<key>.clao`, named by [`program_key`] of the provenance it was
+//! linked from. The pipeline admits it as any `.clao` read from disk, so
+//! the store only reads and writes bytes.
 
 use crate::reader::Snapshot;
 use crate::writer::save_snapshot;
-use cla_core::pipeline::{Provenance, SnapshotHook};
+use cla_core::pipeline::{program_key, Provenance, SnapshotHook};
 use cla_core::SealedGraph;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -15,7 +20,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// File name of the store's single snapshot.
 pub const SNAPSHOT_FILE: &str = "graph.clasnap";
 
-/// A directory holding (at most) one analysis snapshot.
+/// Name prefix and extension of the store's linked program.
+const PROGRAM_PREFIX: &str = "program-";
+const PROGRAM_EXT: &str = "clao";
+
+/// A directory holding (at most) one analysis snapshot and one linked
+/// program.
 #[derive(Debug)]
 pub struct SnapshotStore {
     dir: PathBuf,
@@ -50,6 +60,35 @@ impl SnapshotStore {
     #[must_use]
     pub fn snapshot_path(&self) -> PathBuf {
         self.dir.join(SNAPSHOT_FILE)
+    }
+
+    /// Path of the linked program stored for `prov` (whether or not it
+    /// exists).
+    fn program_path(&self, prov: &Provenance) -> PathBuf {
+        self.dir.join(format!(
+            "{PROGRAM_PREFIX}{:016x}.{PROGRAM_EXT}",
+            program_key(prov)
+        ))
+    }
+
+    /// Every stored program file: at most one, unless a writer was cut
+    /// short between its save and its sweep.
+    #[must_use]
+    pub fn program_files(&self) -> Vec<PathBuf> {
+        let Ok(entries) = std::fs::read_dir(&self.dir) else {
+            return Vec::new();
+        };
+        let mut found: Vec<PathBuf> = (entries.flatten())
+            .map(|e| e.path())
+            .filter(|p| {
+                p.file_name()
+                    .and_then(|n| n.to_str())
+                    .is_some_and(|n| n.starts_with(PROGRAM_PREFIX))
+                    && p.extension().is_some_and(|x| x == PROGRAM_EXT)
+            })
+            .collect();
+        found.sort();
+        found
     }
 
     /// Stale temporaries removed at open.
@@ -116,6 +155,25 @@ impl SnapshotHook for SnapshotStore {
         // nothing else.
         if save_snapshot(&self.snapshot_path(), prov, sealed, names).is_ok() {
             self.saves.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    fn load_program(&self, prov: &Provenance) -> Option<Vec<u8>> {
+        std::fs::read(self.program_path(prov)).ok()
+    }
+
+    fn save_program(&self, prov: &Provenance, bytes: &[u8]) {
+        let path = self.program_path(prov);
+        if cla_cladb::atomic_write_bytes(&path, bytes).is_err() {
+            return;
+        }
+        cla_obs::global()
+            .counter("cla_snap_program_saves_total")
+            .inc();
+        // One program, as one graph: any other was linked from inputs that
+        // are gone.
+        for stale in self.program_files().into_iter().filter(|p| *p != path) {
+            let _ = std::fs::remove_file(stale);
         }
     }
 }

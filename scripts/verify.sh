@@ -132,6 +132,31 @@ echo "==> front-fuzz smoke (hostile C source through the real compile path)"
 echo "==> direct-mode compile cache (manifest-keyed warm builds equal cold analyze; damaged manifests rebuilt)"
 cargo test -q --release --test direct_cache
 
+echo "==> stored program (a warm analyze opens the program it linked last time; a damaged one is linked again, same answers)"
+prog_dir="${PROGRAM_SMOKE_DIR:-target/program-smoke}"
+rm -rf "$prog_dir"
+mkdir -p "$prog_dir"
+stored_run() {
+    ./target/release/cla-tool analyze examples/c/*.c -I examples/c \
+        --snapshot "$prog_dir/store" --print latest > "$prog_dir/$1.out"
+    grep -q "program=$2 " "$prog_dir/$1.out" \
+        || { echo "run $1 did not print program=$2:"; cat "$prog_dir/$1.out"; exit 1; }
+    grep '^pts(' "$prog_dir/$1.out" > "$prog_dir/$1.pts"
+    test -s "$prog_dir/$1.pts"
+}
+stored_run 1 linked
+stored_run 2 loaded
+cmp "$prog_dir/1.pts" "$prog_dir/2.pts"
+set -- "$prog_dir"/store/program-*.clao
+[ "$#" -eq 1 ] && [ -f "$1" ] || { echo "expected one stored program, found: $*"; exit 1; }
+at=$(( $(wc -c < "$1") / 2 ))
+byte=$(od -An -tu1 -j "$at" -N1 "$1" | tr -d ' ')
+printf "$(printf '\\%03o' $(( byte ^ 1 )))" | dd of="$1" bs=1 seek="$at" conv=notrunc status=none
+stored_run 3 linked
+cmp "$prog_dir/1.pts" "$prog_dir/3.pts"
+stored_run 4 loaded
+rm -rf "$prog_dir"
+
 echo "==> snapshot round trip (nethack profile: warm start >= 10x cold, identical answers)"
 cargo run -q --release --example snapshot_bench -- nethack 1.0 \
     "${BENCH_SNAPSHOT_OUT:-target/BENCH_snapshot.json}"

@@ -364,9 +364,10 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
     };
     let files: Vec<&str> = sources.iter().map(String::as_str).collect();
     // With `--snapshot DIR` the run persists its results: compiled objects
-    // land in a content-addressed cache under DIR/cache, and the sealed
-    // graph in DIR/graph.clasnap. An unchanged rerun then skips both the
-    // compiler (per unchanged file) and the solver entirely.
+    // land in a content-addressed cache under DIR/cache, the linked program
+    // in DIR/program-<key>.clao and the sealed graph in DIR/graph.clasnap.
+    // An unchanged rerun then skips the compiler (per unchanged file), the
+    // link and the solver entirely.
     let analysis = match &snapshot_dir {
         None => analyze(&OsFs, &files, &opts).map_err(|e| e.to_string())?,
         Some(dir) => {
@@ -431,13 +432,17 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
         }
     }
     if snapshot_dir.is_some() {
+        // A partial run bypasses the store: nothing was loaded or written.
         println!(
-            "cache-hits={} direct={} cache-misses={} snapshot={}",
+            "cache-hits={} direct={} cache-misses={} program={} snapshot={}",
             r.compile_cache_hits,
             r.compile_cache_direct_hits,
             r.compile_cache_misses,
+            if r.program_loaded { "loaded" } else { "linked" },
             if r.snapshot_loaded {
                 "loaded (solve skipped)"
+            } else if r.is_partial() {
+                "skipped (partial)"
             } else {
                 "written"
             }

@@ -530,6 +530,51 @@ fn two_units(dir: &Path) -> (String, String) {
     (a, b)
 }
 
+/// The `cache-hits=` line of an `analyze --snapshot` run.
+fn store_line(out: &Output) -> String {
+    (String::from_utf8_lossy(&out.stdout).lines())
+        .find(|l| l.starts_with("cache-hits="))
+        .unwrap_or_else(|| panic!("no cache-hits= line: {out:?}"))
+        .to_string()
+}
+
+#[test]
+fn analyze_snapshot_says_what_it_loaded_and_a_partial_run_writes_nothing() {
+    let dir = tmpdir("snapshot-line");
+    let (a, b) = two_units(&dir);
+    let snap = dir.join("snap").to_string_lossy().into_owned();
+    let analyze = |files: &[&str]| {
+        let mut args = vec!["analyze"];
+        args.extend_from_slice(files);
+        args.extend(["--snapshot", snap.as_str(), "--print", "q"]);
+        run(tool().args(&args))
+    };
+    let cold = analyze(&[&a, &b]);
+    assert!(
+        store_line(&cold).ends_with("program=linked snapshot=written"),
+        "{}",
+        store_line(&cold)
+    );
+    let warm = analyze(&[&a, &b]);
+    assert!(
+        store_line(&warm).ends_with("program=loaded snapshot=loaded (solve skipped)"),
+        "{}",
+        store_line(&warm)
+    );
+    assert_eq!(printed_points_to(&warm), printed_points_to(&cold));
+
+    // A partial run bypasses the store: it must not claim a write.
+    let bad = write(&dir, "bad.c", "int broken = ;\n");
+    let partial = analyze(&[&a, &b, &bad]);
+    let line = store_line(&partial);
+    assert!(
+        line.ends_with("program=linked snapshot=skipped (partial)"),
+        "{line}"
+    );
+    assert_eq!(printed_points_to(&partial), printed_points_to(&cold));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn serve_lenient_over_sources_answers_like_analyze() {
     let dir = tmpdir("serve-lenient");

@@ -295,6 +295,10 @@ fn pipeline_trace_is_balanced_and_layers_all_appear() {
     };
     let files = ["main.c", "store.c"];
     analyze_with(&example_fs, &files, &opts, &hooks).unwrap();
+    // Without the program the first run stored, the warm run links again.
+    for program in store.program_files() {
+        std::fs::remove_file(program).unwrap();
+    }
     obs.set_trace_sink(Some(sink.clone()));
     let warm = analyze_with(&example_fs, &files, &opts, &hooks).unwrap();
     obs.set_trace_sink(None);
@@ -303,12 +307,12 @@ fn pipeline_trace_is_balanced_and_layers_all_appear() {
         .filter(|p| p.extension().is_some_and(|x| x == "clao"))
         .map(|p| std::fs::metadata(p).unwrap().len())
         .collect();
-    std::fs::remove_dir_all(&dir).unwrap();
+    assert!(!warm.report.program_loaded);
     assert_eq!(warm.report.compile_cache_hits, 2);
     assert!(warm.report.snapshot_loaded);
     assert_eq!(cached.len(), 2);
     let events = sink.take();
-    let checksummed = |name: &str| -> Vec<u64> {
+    let checksummed = |events: &[obs::TraceEvent], name: &str| -> Vec<u64> {
         (events.iter())
             .filter(|e| e.name == name && matches!(e.ph, Phase::End))
             .map(
@@ -322,14 +326,52 @@ fn pipeline_trace_is_balanced_and_layers_all_appear() {
     // Every byte of an object is under a checksum but its magic, its
     // version and the header sum itself.
     const UNSUMMED: u64 = 4 + 4 + 8;
-    let verified = checksummed("db.verify_object");
+    let verified = checksummed(&events, "db.verify_object");
     assert_eq!(verified.len(), 2);
     let whole: u64 = cached.iter().map(|len| len - UNSUMMED).sum();
     assert_eq!(verified.iter().sum::<u64>(), whole);
-    let assembled = checksummed("link.assemble");
+    let assembled = checksummed(&events, "link.assemble");
     assert!(matches!(assembled[..], [n] if n >= warm.report.object_size as u64 - UNSUMMED));
-    assert!(matches!(checksummed("snap.load")[..], [n] if n > 0));
-    assert_eq!(checksummed("db.open"), [0]);
+    assert!(matches!(checksummed(&events, "snap.load")[..], [n] if n > 0));
+    assert_eq!(checksummed(&events, "db.open"), [0]);
+
+    // The next warm run opens the program that run stored instead of
+    // linking: still each cached object checksummed whole, then the stored
+    // program admitted as any `.clao` from disk, every byte of it under a
+    // checksum, and no fold and no assembly at all.
+    obs.set_trace_sink(Some(sink.clone()));
+    let opened = analyze_with(&example_fs, &files, &opts, &hooks).unwrap();
+    obs.set_trace_sink(None);
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert!(opened.report.program_loaded);
+    assert!(opened.report.snapshot_loaded);
+    assert_eq!(opened.report.object_size, warm.report.object_size);
+    let events = sink.take();
+    let begun = begun_under(&events);
+    let linking: Vec<&str> = (begun.iter())
+        .map(|(n, _)| n.as_str())
+        .filter(|n| n.starts_with("link."))
+        .collect();
+    assert!(
+        linking.is_empty(),
+        "the stored program was linked: {linking:?}"
+    );
+    let verified = checksummed(&events, "db.verify_object");
+    assert_eq!(verified.len(), 2);
+    assert_eq!(verified.iter().sum::<u64>(), whole);
+    let admitting: BTreeSet<&str> = (begun.iter())
+        .filter(|(_, parent)| parent.as_deref() == Some("pipeline.link"))
+        .map(|(n, _)| n.as_str())
+        .collect();
+    let admitted: u64 = (admitting.iter())
+        .flat_map(|n| checksummed(&events, n))
+        .sum();
+    assert!(
+        admitted >= opened.report.object_size as u64 - UNSUMMED,
+        "{admitting:?} checksummed {admitted} of {} bytes",
+        opened.report.object_size
+    );
+    assert!(matches!(checksummed(&events, "snap.load")[..], [n] if n > 0));
 
     // --- Chrome JSONL writer: the on-disk streaming format. ---
     let path = std::env::temp_dir().join(format!("cla-obs-it-{}.json", std::process::id()));
