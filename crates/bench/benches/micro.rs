@@ -1,21 +1,22 @@
 //! Micro-benchmarks of the system's kernels: lexing, parsing, lowering,
 //! object-file encode/decode and its checksum, the three solvers, the
-//! solver's set algebra, the dependence index and the wire parser.
+//! solver's set algebra, lock-free queries on a sealed graph across
+//! threads, the dependence index and the wire parser.
 //!
 //! Self-timed (median of repeated runs) rather than statistics-heavy: the
 //! harness needs to run in minimal environments with no benchmarking
 //! dependencies.
 
 use std::hint::black_box;
-use std::time::{Duration, Instant};
 
+use cla_bench::{link_generated, median_of};
 use cla_cfront::{lexer, parser, pp, FileId, MemoryFs, PpOptions};
 use cla_cladb::{fnv64, write_object, xxh64, Database};
 use cla_core::pipeline::{analyze, PipelineOptions};
 use cla_core::{solve_database, solve_unit, steensgaard, worklist, LvalStore, SolveOptions, Warm};
 use cla_depend::{DependOptions, DependenceAnalysis, FlowIndex};
-use cla_ir::{compile_file, lower_unit, CompiledUnit, LowerOptions};
-use cla_workload::{by_name, generate, GenOptions};
+use cla_ir::{lower_unit, CompiledUnit, LowerOptions, ObjId};
+use cla_workload::{by_name, GenOptions};
 
 /// Runs `f` repeatedly and prints the median per-iteration time.
 fn bench<R>(name: &str, mut f: impl FnMut() -> R) {
@@ -36,48 +37,16 @@ fn bench_per_token<I, R>(
     println!("{name:32} {median:>12.2?}   ({samples} samples)   {per_token:6.1} ns/token");
 }
 
-/// Warms up, then times individual iterations of `f` until there are 20
-/// samples or ~2s have been spent, whichever comes first.
-fn median_of<I, R>(mut setup: impl FnMut() -> I, mut f: impl FnMut(I) -> R) -> (Duration, usize) {
-    for _ in 0..2 {
-        black_box(f(setup()));
-    }
-    let mut samples = Vec::new();
-    let budget = Instant::now();
-    while samples.len() < 20 && budget.elapsed() < Duration::from_secs(2) {
-        let input = setup();
-        let t = Instant::now();
-        black_box(f(input));
-        samples.push(t.elapsed());
-    }
-    samples.sort();
-    (samples[samples.len() / 2], samples.len())
-}
-
 /// A mid-size program used by every micro-benchmark (vortex profile at 2%).
 fn sample_program() -> (CompiledUnit, String) {
-    let spec = by_name("vortex").unwrap();
-    let w = generate(
-        spec,
+    let (program, w) = link_generated(
+        by_name("vortex").unwrap(),
         &GenOptions {
             scale: 0.02,
             files: 4,
             ..Default::default()
         },
     );
-    let mut fs = MemoryFs::new();
-    for (p, c) in &w.files {
-        fs.add(p.clone(), c.clone());
-    }
-    let mut units = Vec::new();
-    for f in w.source_files() {
-        units.push(
-            compile_file(&fs, f, &PpOptions::default(), &LowerOptions::default())
-                .expect("compile")
-                .0,
-        );
-    }
-    let (program, _) = cla_cladb::link(&units, "bench");
     // A single concatenated source for frontend benches (without includes).
     let src = w
         .files
@@ -234,25 +203,52 @@ fn bench_lval_algebra() {
         store.union(&mut parts, &ids(1..3_000, 300)).len()
     });
 
-    let spec = by_name("lucent").unwrap();
-    let w = generate(spec, &GenOptions::at_scale(0.7));
-    let mut fs = MemoryFs::new();
-    for (p, c) in &w.files {
-        fs.add(p.clone(), c.clone());
-    }
-    let units: Vec<CompiledUnit> = (w.source_files().iter())
-        .map(|f| {
-            compile_file(&fs, f, &PpOptions::default(), &LowerOptions::default())
-                .expect("compile")
-                .0
-        })
-        .collect();
-    let db = Database::open(write_object(&cla_cladb::link(&units, "lucent").0)).unwrap();
+    let (lucent, _) = link_generated(by_name("lucent").unwrap(), &GenOptions::at_scale(0.7));
+    let db = Database::open(write_object(&lucent)).unwrap();
     bench("solve_sweep_lucent", || {
         Warm::from_database(&db, SolveOptions::default())
             .extract_points_to(db.objects())
             .relations()
     });
+}
+
+/// Points-to lookups straight off a sealed graph (`&self`, no lock, no
+/// sockets, no JSON), one row per thread count: every thread sums the sets
+/// of its share of a fixed id schedule. Readers share plain immutable data,
+/// so throughput should grow with threads until the cores run out.
+fn bench_lock_free(program: &CompiledUnit) {
+    let db = Database::open(write_object(program)).unwrap();
+    let sealed = Warm::from_database(&db, SolveOptions::default()).seal();
+    let ids: Vec<ObjId> = (0..sealed.object_count() as u32)
+        .map(ObjId)
+        .filter(|&o| !sealed.points_to(o).is_empty())
+        .collect();
+    let (ids, sealed, per_thread) = (&ids, &sealed, 100_000);
+    for threads in [1usize, 2, 4] {
+        let (median, samples) = median_of(
+            || (),
+            |()| {
+                std::thread::scope(|scope| {
+                    for t in 0..threads {
+                        scope.spawn(move || {
+                            let mut acc = 0u64;
+                            for i in t * per_thread..(t + 1) * per_thread {
+                                let set = sealed.points_to(ids[i % ids.len()]);
+                                acc ^= set.iter().map(|o| u64::from(o.0)).sum::<u64>();
+                            }
+                            black_box(acc);
+                        });
+                    }
+                });
+            },
+        );
+        let qps = (threads * per_thread) as f64 / median.as_secs_f64();
+        println!(
+            "{:32} {median:>12.2?}   ({samples} samples)   {:>12} q/s",
+            format!("points_to_lock_free_{threads}t"),
+            cla_bench::fmt_count(qps as u64)
+        );
+    }
 }
 
 /// The dependence walk on the tree `clabench` keeps resident (52 500 lines
@@ -335,6 +331,7 @@ fn main() {
     bench_checksum();
     bench_solvers(&program);
     bench_lval_algebra();
+    bench_lock_free(&program);
     bench_depend();
     bench_json();
 }

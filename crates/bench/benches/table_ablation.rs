@@ -11,12 +11,9 @@
 //! cycle check); ours uses a visited set per query, so measured slowdowns
 //! are a *lower bound* on the paper's.
 
-use cla_bench::{fmt_count, header};
-use cla_cfront::MemoryFs;
-use cla_core::pipeline::PipelineOptions;
+use cla_bench::{fmt_count, header, link_generated};
 use cla_core::{solve_unit, SolveOptions};
-use cla_ir::compile_file;
-use cla_workload::{by_name, generate, GenOptions};
+use cla_workload::{by_name, GenOptions};
 use std::time::Instant;
 
 fn main() {
@@ -27,28 +24,7 @@ fn main() {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(0.04);
-    let spec = by_name("emacs").unwrap();
-    let w = generate(
-        spec,
-        &GenOptions {
-            scale,
-            ..Default::default()
-        },
-    );
-    let mut fs = MemoryFs::new();
-    for (p, c) in &w.files {
-        fs.add(p.clone(), c.clone());
-    }
-    let opts = PipelineOptions::default();
-    let mut units = Vec::new();
-    for f in w.source_files() {
-        units.push(
-            compile_file(&fs, f, &opts.pp, &opts.lower)
-                .expect("compile")
-                .0,
-        );
-    }
-    let (program, _) = cla_cladb::link(&units, "emacs");
+    let (program, _) = link_generated(by_name("emacs").unwrap(), &GenOptions::at_scale(scale));
     println!(
         "workload: emacs at scale {scale} ({} objects, {} assignments)\n",
         fmt_count(program.objects.len() as u64),

@@ -130,10 +130,16 @@ mod tests {
     fn deterministic_encoding() {
         let (sealed, names) = sample_sealed();
         let prov = sample_prov();
-        assert_eq!(
-            encode_snapshot(&prov, &sealed, &names),
-            encode_snapshot(&prov, &sealed, &names)
-        );
+        let bytes = encode_snapshot(&prov, &sealed, &names);
+        assert_eq!(bytes, encode_snapshot(&prov, &sealed, &names));
+        // The file `save_snapshot` writes is those bytes, and the size it
+        // returns is their length.
+        let path =
+            std::env::temp_dir().join(format!("cla-snap-det-{}.clasnap", std::process::id()));
+        let size = save_snapshot(&path, &prov, &sealed, &names).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), bytes);
+        assert_eq!(size, bytes.len());
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

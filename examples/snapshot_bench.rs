@@ -89,14 +89,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let db = &analysis.database;
-    let object_bytes = cla::cladb::write_object(&db.to_unit()?);
-    std::fs::write(&object_path, &object_bytes)?;
+    let object_bytes = db.bytes();
+    std::fs::write(&object_path, object_bytes)?;
     let opts = SolveOptions::default();
     let sealed_cold = cla::core::Warm::from_database(db, opts).seal();
-    let object_names: Vec<String> = db.objects().iter().map(|o| o.name.clone()).collect();
+    let object_names: Vec<String> = db.ids().map(|o| db.name(o).to_owned()).collect();
     let prov = cla::serve::object_provenance(
         &object_path.display().to_string(),
-        cla::cladb::fnv64(&object_bytes),
+        cla::cladb::fnv64(object_bytes),
         opts,
     );
     let t0 = Instant::now();

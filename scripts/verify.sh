@@ -100,6 +100,14 @@ fnv_calls=$(for f in $(find crates/*/src -name '*.rs' | grep -v '^crates/bench/'
 done || true)
 [ -z "$fnv_calls" ] || { echo "production code hashes with fnv64: $fnv_calls"; exit 1; }
 
+echo "==> one producer per measurement (each BENCH_*.json file is written by one example: million_bench, hub_bench or snapshot_bench)"
+# A number with two producers drifts into two numbers. The paper-table and
+# micro targets in crates/bench print their rows and write no file; a second
+# harness that names a BENCH_*.json output is a second producer of it.
+producers=$(grep -rlE 'BENCH_[A-Za-z_]*\.json' examples crates/bench | LC_ALL=C sort | tr '\n' ' ')
+[ "$producers" = "examples/hub_bench.rs examples/million_bench.rs examples/snapshot_bench.rs " ] \
+    || { echo "BENCH_*.json outputs named by: $producers"; exit 1; }
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 

@@ -253,14 +253,12 @@ impl<'a> Args<'a> {
     }
 }
 
-/// Opens a `.clao` and checks every block before a solver, which indexes by
-/// the ids it reads, may touch it: a damaged file is an error here, never a
-/// panic later.
+/// Admits a `.clao` with `Database::admit`: every block is checked before a
+/// solver, which indexes by the ids it reads, may touch it, so a damaged
+/// file is an error here, never a panic later.
 fn load_database(path: &str) -> Result<Database, String> {
     let bytes = std::fs::read(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
-    let db = Database::open(bytes).map_err(|e| format!("`{path}`: {e}"))?;
-    db.verify_all().map_err(|e| format!("`{path}`: {e}"))?;
-    Ok(db)
+    Database::admit(bytes).map_err(|e| format!("`{path}`: {e}"))
 }
 
 /// Links compiled units the way every build does: each encoded to its
@@ -1089,8 +1087,7 @@ fn cmd_snapshot_save(args: &[String]) -> Result<(), String> {
         .unwrap_or_else(|| "a.clasnap".to_string());
     let pos = a.positional();
     let path = pos.first().ok_or("snapshot-save needs a .clao file")?;
-    let bytes = std::fs::read(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
-    let db = Database::open(bytes).map_err(|e| format!("`{path}`: {e}"))?;
+    let db = load_database(path)?;
 
     let opts = SolveOptions::default();
     let t = std::time::Instant::now();

@@ -413,6 +413,48 @@ fn a_resealed_object_with_bad_references_is_a_typed_error_not_a_solver_panic() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn snapshot_save_admits_the_object_it_solves() {
+    // `snapshot-save` solves its `.clao` like `solve` does, so it admits it
+    // the same way. Opened without `verify_all`, these two resealed objects
+    // reached the solver and panicked there.
+    use cla::prelude::*;
+    let dir = tmpdir("snapshot-save-resealed");
+    let src = "int x, y, *p, **pp; int *id(int *v) { return v; }
+               void f(void) { p = &x; pp = &p; *pp = &y; y = x; p = id(*pp); }";
+    let pristine = compile_source(src, "a.c", &LowerOptions::default()).unwrap();
+    let past = ObjId(pristine.objects.len() as u32 + 3);
+    type Damage<'a> = &'a dyn Fn(&mut CompiledUnit);
+    let cases: [(&str, Damage); 2] = [
+        ("copy-dst", &|u| {
+            let at = u.assigns.iter().position(|a| a.kind == AssignKind::Copy);
+            u.assigns[at.unwrap()].dst = past;
+        }),
+        ("loc-file", &|u| {
+            u.assigns[0].loc.file = cla::ir::FileIdx(40)
+        }),
+    ];
+    let snap = dir.join("out.clasnap").to_string_lossy().into_owned();
+    for (name, damage) in cases {
+        let mut unit = pristine.clone();
+        damage(&mut unit);
+        let obj = dir.join(format!("{name}.clao"));
+        std::fs::write(&obj, write_object(&unit)).unwrap();
+        let obj = obj.to_string_lossy().into_owned();
+        let out = tool()
+            .args(["snapshot-save", &obj, "-o", &snap])
+            .output()
+            .unwrap();
+        let err = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert_eq!(out.status.code(), Some(1), "{name}: {err}");
+        assert!(
+            err.contains(&format!("`{obj}`: corrupt CLA object file")),
+            "{name}: {err}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A `cla-tool serve` or `cla-tool hub` child, killed if the test ends
 /// before a `shutdown` query stopped it.
 struct Server {
