@@ -47,9 +47,9 @@ pub fn materialize(spec: &BenchSpec) -> (MemoryFs, Workload) {
     (memory_fs(&w), w)
 }
 
-/// Generates `spec` under `opts` and links it the reference way: every
-/// source through `compile_file` with default options, then
-/// `cla_cladb::link`. Returns the program and the workload it came from.
+/// Generates `spec` under `opts` and links it: every source through
+/// `compile_file` with default options, then `cla_cladb::link`. Returns the
+/// program and the workload it came from.
 pub fn link_generated(spec: &BenchSpec, opts: &GenOptions) -> (CompiledUnit, Workload) {
     let w = generate(spec, opts);
     let fs = memory_fs(&w);

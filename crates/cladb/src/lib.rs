@@ -4,10 +4,10 @@
 //! assignments, function signatures, symbol tables) live in a compact,
 //! heavily indexed, sectioned object file. The *compile* phase (`cla-ir`)
 //! produces one database per source file; the link phase merges them into
-//! a program database with global symbols unified — builds with the
-//! [`ObjectLinker`], which folds the encoded objects ([`UnitObject`]) as
-//! they are, tests and benches with the unit-level [`link`] it is held
-//! byte-identical to; [`Database`] serves the
+//! a program database with global symbols unified. One linker does that:
+//! the [`ObjectLinker`] folds the encoded objects ([`UnitObject`]) as they
+//! are, and the unit-level [`link`] encodes the units it is handed and
+//! folds them with it; [`Database`] serves the
 //! *analyze* phase with demand loading — only the blocks an analysis touches
 //! are ever decoded, and a decoded block may be discarded and re-read later
 //! (load-and-throw-away), keeping the in-core footprint small.
@@ -58,8 +58,8 @@ pub use container::{
 };
 pub use dump::{census, dump, is_static_assign};
 pub use format::{DbError, SectionId, FORMAT, MAGIC, NONE_U32, VERSION};
-pub use linker::{add_unknown_summaries, link, LinkStats, Linker};
-pub use objlink::{LinkTimes, LinkedObject, ObjectLinker, StreamLinker};
+pub use linker::{link, Linker};
+pub use objlink::{LinkStats, LinkTimes, LinkedObject, ObjectLinker, StreamLinker};
 pub use reader::{Database, LoadStats, ObjectRef};
 pub use record::ASSIGN_RECORD_SIZE;
 pub use unit::UnitObject;

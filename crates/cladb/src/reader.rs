@@ -612,8 +612,9 @@ impl Database {
     }
 
     /// Fully decodes the database back into a [`CompiledUnit`] (for the
-    /// non-demand-driven baseline solvers, transforms, dumps and the
-    /// reference linker's callers; no build decodes an object to link it).
+    /// non-demand-driven baseline solvers, transforms, dumps, and the
+    /// program [`link`](crate::link) hands back; no build decodes an object
+    /// to link it).
     ///
     /// # Errors
     ///

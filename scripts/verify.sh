@@ -35,7 +35,7 @@ done || true)
 [ "$(echo "$block_reads" | sed 's/:[0-9]*: */:/')" = 'crates/depend/src/lib.rs:for a in db.block(src)? {' ] \
     || { echo "block reads outside FlowIndex::build, or unwrapped: $block_reads"; exit 1; }
 
-echo "==> one production linker (builds fold encoded unit objects; the unit-level linker is the tests' reference)"
+echo "==> one linker, adapters only (builds fold encoded unit objects; link and Linker wrap ObjectLinker)"
 # No build route decodes an object to link it: core::pipeline, serve, hub and
 # `cla-tool compile` go through cladb's ObjectLinker. `Linker::add_unit`,
 # `link` and `Database::to_unit` stay for tests, crates/bench and clabench.
@@ -46,6 +46,13 @@ done || true)
 tool_links=$(grep -nE '\blink\(&|add_unit\(' src/bin/cla-tool.rs || true)
 sed -n '/^fn cmd_compile/,/^}/p' src/bin/cla-tool.rs | grep -q 'link_objects(' && [ -z "$tool_links" ] \
     || { echo "cla-tool compile must link through ObjectLinker: $tool_links"; exit 1; }
+# ObjectLinker is the one fold that merges symbols: linker.rs keeps no table
+# of its own and builds no program object by object.
+adapter=$(sed '/#\[cfg(test)\]/,$d' crates/cladb/src/linker.rs)
+second_fold=$(echo "$adapter" | grep -nE 'HashMap|push_object|push_assign' || true)
+[ -z "$second_fold" ] || { echo "a second symbol fold grew back in linker.rs: $second_fold"; exit 1; }
+echo "$adapter" | grep -q 'pub struct Linker(ObjectLinker);' \
+    || { echo "Linker must wrap ObjectLinker"; exit 1; }
 
 echo "==> one session recipe (servers build sessions with Session::open from a SessionSpec; the hub answers the request it parsed)"
 # Session::open is the one place that decides sources vs. object and strict
