@@ -321,18 +321,6 @@ impl Database {
         admitted
     }
 
-    /// Opens an object file read from `path`.
-    ///
-    /// # Errors
-    ///
-    /// [`DbError::Io`] when the file cannot be read, otherwise any
-    /// [`DbError`] from [`Database::open`].
-    pub fn open_path(path: &std::path::Path) -> Result<Database, DbError> {
-        let bytes = std::fs::read(path)
-            .map_err(|e| DbError::Io(format!("cannot read `{}`: {e}", path.display())))?;
-        Database::open(bytes)
-    }
-
     /// The unit (or linked program) name.
     pub fn unit_name(&self) -> &str {
         &self.unit_name

@@ -213,10 +213,9 @@ pub trait SnapshotHook: Send + Sync {
     /// `None` (missing, corrupt, or provenance mismatch — the caller
     /// re-solves in every case).
     fn load(&self, prov: &Provenance) -> Option<SealedGraph>;
-    /// Persists a freshly solved graph under `prov` (best effort). `names`
-    /// holds the per-object display names, so a snapshot can answer
-    /// by-name queries without the source or the linked database.
-    fn save(&self, prov: &Provenance, sealed: &SealedGraph, names: &[&str]);
+    /// Persists a freshly solved graph under `prov` (best effort). Only the
+    /// graph: names stay in the linked database every loader holds.
+    fn save(&self, prov: &Provenance, sealed: &SealedGraph);
     /// The bytes of the linked program saved under [`program_key`]`(prov)`,
     /// if any. Returning damaged bytes is safe: the pipeline admits them
     /// only through [`Database::admit`] and links afresh on any error.
@@ -258,8 +257,7 @@ pub fn load_or_solve(
     }
     let sealed = Warm::from_database(db, prov.solver).seal();
     if let Some(hook) = snapshots {
-        let names: Vec<&str> = db.ids().map(|o| db.name(o)).collect();
-        hook.save(prov, &sealed, &names);
+        hook.save(prov, &sealed);
     }
     (sealed, false)
 }

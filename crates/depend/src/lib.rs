@@ -392,17 +392,6 @@ impl<'a, P: PointsToQuery> DependenceAnalysis<'a, P> {
             .unwrap_or_else(|e| panic!("dependence index: {e}"))
     }
 
-    /// Runs a dependence query from explicit target objects.
-    ///
-    /// # Panics
-    ///
-    /// As [`analyze`](Self::analyze).
-    pub fn analyze_objects(&self, targets: &[ObjId], opts: &DependOptions) -> DependReport {
-        let index = self.index();
-        let index = index.unwrap_or_else(|e| panic!("dependence index: {e}"));
-        index.walk(self.db, targets, opts)
-    }
-
     /// Renders the best chain for `obj` in the paper's Figure 1 style:
     ///
     /// ```text

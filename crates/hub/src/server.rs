@@ -131,7 +131,7 @@ pub fn dispatch(hub: &Hub, line: &str) -> Value {
                 // Tenant commands must not stop the hub: `shutdown` never
                 // routes here, and nothing else writes the flag.
                 let sink = AtomicBool::new(false);
-                answer(session, fs, &req, &sink, &hub.options().serve)
+                answer(session, fs, &req, &sink)
             });
             match routed {
                 Ok(mut reply) => {

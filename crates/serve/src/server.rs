@@ -63,9 +63,6 @@ pub struct ServeOptions {
     /// rejected with a structured error and the connection is closed.
     /// Default: 1 MiB.
     pub max_request_bytes: usize,
-    /// Enables wire commands used only by the test suite (`__test_panic`).
-    /// Never enable in production; the default is off.
-    pub enable_test_commands: bool,
 }
 
 impl Default for ServeOptions {
@@ -73,7 +70,6 @@ impl Default for ServeOptions {
         ServeOptions {
             read_timeout: Some(Duration::from_secs(300)),
             max_request_bytes: 1 << 20,
-            enable_test_commands: false,
         }
     }
 }
@@ -270,11 +266,6 @@ impl ServerHandle {
     /// The shared session (for in-process inspection alongside the socket).
     pub fn session(&self) -> &Arc<Session> {
         &self.session
-    }
-
-    /// True once a shutdown request was seen (or `stop` was called).
-    pub fn is_shut_down(&self) -> bool {
-        self.listener.shutdown.load(SeqCst)
     }
 
     /// Stops accepting, waits for the accept loop, removes the socket file,
@@ -503,16 +494,17 @@ fn profile_reply(p: &cla_prof::Profile, stopped: bool) -> Value {
 }
 
 /// Parses one request line and [`answer`]s it: what the Unix-socket
-/// server does per line.
+/// server does per line. The client limits in `_opts` bound the transport
+/// ([`serve_connection`]); no request reads them.
 pub fn handle_request(
     session: &Session,
     fs: Option<&(dyn FileProvider + Send + Sync)>,
     line: &str,
     shutdown: &AtomicBool,
-    opts: &ServeOptions,
+    _opts: &ServeOptions,
 ) -> Value {
     match parse(line) {
-        Ok(req) => answer(session, fs, &req, shutdown, opts),
+        Ok(req) => answer(session, fs, &req, shutdown),
         Err(e) => err_reply(&format!("malformed request: {e}")),
     }
 }
@@ -528,7 +520,6 @@ pub fn answer(
     fs: Option<&(dyn FileProvider + Send + Sync)>,
     req: &Value,
     shutdown: &AtomicBool,
-    opts: &ServeOptions,
 ) -> Value {
     let Some(cmd) = req.get("cmd").and_then(Value::as_str) else {
         return err_reply("missing \"cmd\"");
@@ -706,11 +697,6 @@ pub fn answer(
         "shutdown" => {
             shutdown.store(true, SeqCst);
             obj([("ok", true.into()), ("stats", session.stats().to_json())])
-        }
-        // Deliberate panic for exercising the per-connection catch_unwind
-        // from a real client; only honored when the test gate is on.
-        "__test_panic" if opts.enable_test_commands => {
-            panic!("test-injected query panic");
         }
         other => err_reply(&format!("unknown cmd: {other}")),
     }

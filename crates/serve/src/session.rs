@@ -320,8 +320,8 @@ pub struct SessionStats {
     pub snapshot_loads: u64,
     pub snapshot_saves: u64,
     pub snapshot_mismatches: u64,
-    /// Human-readable provenance of the snapshot on disk, if one exists
-    /// (`None` when the session has no snapshot store).
+    /// Human-readable provenance the served graph was loaded or saved
+    /// under (`None` when the session has no snapshot store).
     pub snapshot_provenance: Option<String>,
     /// Peak resident set size of this process in bytes (`VmHWM`; 0 where
     /// the platform doesn't expose it). Covers the whole process lifetime,
@@ -463,6 +463,9 @@ struct CacheEntry {
 struct Loaded {
     db: Database,
     sealed: Arc<SealedGraph>,
+    /// The provenance `sealed` was loaded or saved under: what `stats`
+    /// reports as the snapshot's, without reading the file back.
+    prov: Provenance,
     /// The dependence flow index of `(db, sealed)`: built by the epoch's
     /// first `depend` (concurrent ones wait for that one build), dropped
     /// with the epoch, never persisted. A build failure — a damaged block
@@ -779,6 +782,17 @@ pub fn object_provenance(tag: &str, object_hash: u64, solver: SolveOptions) -> P
     }
 }
 
+/// The one-line form of a provenance `stats` reports.
+fn summary(p: &Provenance) -> String {
+    format!(
+        "{} input(s), inputs_hash={:016x}, cache={}, cycle_elim={}",
+        p.inputs.len(),
+        xxh64(format!("{:?}", p.inputs).as_bytes(), 0),
+        p.solver.cache,
+        p.solver.cycle_elim,
+    )
+}
+
 /// Opens the snapshot store for `dir` when a directory was requested.
 /// An unopenable store is a hard error: the caller explicitly asked for
 /// persistence, so silently serving without it would be a trap.
@@ -801,6 +815,7 @@ fn load(db: Database, store: Option<&SnapshotStore>, prov: &Provenance) -> (Load
     let loaded = Loaded {
         db,
         sealed: Arc::new(sealed),
+        prov: prov.clone(),
         flow: OnceLock::new(),
         results: RwLock::new(HashMap::new()),
         quarantined: Vec::new(),
@@ -1352,10 +1367,16 @@ impl Session {
     /// `LATENCY_WINDOW` samples no matter how long the session has run.
     pub fn stats(&self) -> SessionStats {
         self.cmd_stats.fetch_add(1, Relaxed);
-        let (solver, quarantined, (flow_edges, flow_bytes)) = {
+        let (solver, quarantined, (flow_edges, flow_bytes), snap_prov) = {
             let st = self.state.read().unwrap();
             let flow = st.flow_size().unwrap_or((0, 0));
-            (st.sealed.stats(), st.quarantined.len() as u64, flow)
+            let snap_prov = self.snap_store.as_ref().map(|_| summary(&st.prov));
+            (
+                st.sealed.stats(),
+                st.quarantined.len() as u64,
+                flow,
+                snap_prov,
+            )
         };
         let mut lat = self.latencies.snapshot();
         lat.sort_unstable();
@@ -1369,20 +1390,6 @@ impl Session {
             .snap_store
             .as_ref()
             .map_or((0, 0, 0), SnapshotStore::counters);
-        let snap_prov = self.snap_store.as_ref().map(|s| {
-            s.stored_provenance().map_or_else(
-                || "none".to_string(),
-                |p| {
-                    format!(
-                        "{} input(s), inputs_hash={:016x}, cache={}, cycle_elim={}",
-                        p.inputs.len(),
-                        xxh64(format!("{:?}", p.inputs).as_bytes(), 0),
-                        p.solver.cache,
-                        p.solver.cycle_elim,
-                    )
-                },
-            )
-        });
         SessionStats {
             queries: self.queries.load(Relaxed),
             cmd_points_to: self.cmd_points_to.load(Relaxed),

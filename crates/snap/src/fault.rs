@@ -3,7 +3,7 @@
 //! Points the object-file harness (`cla_cladb::fault`) at the `.clasnap`
 //! format. The invariant is the same: a mutant either fails with a typed
 //! [`crate::SnapError`] or decodes to the pristine snapshot exactly
-//! (provenance, names, per-object sets, stats) — never a panic, never
+//! (provenance, per-object sets, stats) — never a panic, never
 //! silently wrong answers. Because both formats are one container, the
 //! battery is the object harness's own — truncation
 //! at every byte offset, seeded 1–4-bit flips, and section-table entry swaps
@@ -20,7 +20,6 @@ use cla_core::SealedGraph;
 /// The pristine snapshot's fully decoded contents — the correctness oracle.
 pub struct SnapOracle {
     prov: Provenance,
-    names: Vec<String>,
     sealed: SealedGraph,
 }
 
@@ -35,21 +34,18 @@ impl SnapOracle {
         let sealed = snap.load_sealed()?;
         Ok(SnapOracle {
             prov: snap.provenance().clone(),
-            names: snap.names()?,
             sealed,
         })
     }
 
     /// Opens and fully decodes a mutant, comparing against the pristine
-    /// contents. Touches every read path: provenance, the name tables,
-    /// every per-object set, and the stats record.
+    /// contents. Touches every read path: provenance, every per-object set,
+    /// and the stats record.
     pub fn exercise(&self, bytes: Vec<u8>) -> Verdict {
         judge(|| -> Result<bool, SnapError> {
             let snap = Snapshot::from_bytes(bytes)?;
             let sealed = snap.load_sealed()?;
-            let names = snap.names()?;
             Ok(snap.provenance() == &self.prov
-                && names == self.names
                 && sealed.sets() == self.sealed.sets()
                 && sealed.stats() == self.sealed.stats())
         })

@@ -23,7 +23,9 @@ pub const MAGIC: u32 = 0x5341_4C43;
 /// * v2 — the same sections under [`xxh64`](cla_cladb::xxh64) checksums,
 ///   each section's seeded with its id. A v1 snapshot is a store miss and
 ///   is re-solved and rewritten.
-pub const VERSION: u32 = 2;
+/// * v3 — no `strings`/`names`; a v2 file is a store miss, re-solved and
+///   rewritten.
+pub const VERSION: u32 = 3;
 
 /// The snapshot format as an instantiation of the shared container.
 pub static FORMAT: Format = Format {
@@ -34,17 +36,14 @@ pub static FORMAT: Format = Format {
 };
 
 /// Section identifiers. Ids seed the per-section checksums, so two sections
-/// swapped wholesale in the table are still caught.
+/// swapped wholesale in the table are still caught; they keep the numbers
+/// v2 gave them (2 and 3 were the name tables).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u32)]
 pub enum SnapSectionId {
     /// Provenance: solver options, options fingerprint, per-input closure
     /// hashes, object count. The only section verified at open time.
     Prov = 1,
-    /// Interned string payload for object names.
-    Strings = 2,
-    /// Per-object display-name string id.
-    Names = 3,
     /// Per-object set id into [`SnapSectionId::Sets`] (`NONE_U32` = empty),
     /// the flattened representative table: SCC members and hash-consed
     /// duplicates carry the same id, which the loader turns back into a
@@ -59,10 +58,8 @@ pub enum SnapSectionId {
 
 impl SnapSectionId {
     /// All sections a writer emits, in file order.
-    pub const ALL: [SnapSectionId; 6] = [
+    pub const ALL: [SnapSectionId; 4] = [
         SnapSectionId::Prov,
-        SnapSectionId::Strings,
-        SnapSectionId::Names,
         SnapSectionId::Reps,
         SnapSectionId::Sets,
         SnapSectionId::Stats,
@@ -73,8 +70,6 @@ impl SnapSectionId {
     pub fn name(self) -> &'static str {
         match self {
             SnapSectionId::Prov => "prov",
-            SnapSectionId::Strings => "strings",
-            SnapSectionId::Names => "names",
             SnapSectionId::Reps => "reps",
             SnapSectionId::Sets => "sets",
             SnapSectionId::Stats => "stats",
@@ -140,8 +135,9 @@ mod tests {
         for id in SnapSectionId::ALL {
             assert_eq!(SnapSectionId::from_u32(id as u32), Some(id));
         }
-        assert_eq!(SnapSectionId::from_u32(0), None);
-        assert_eq!(SnapSectionId::from_u32(7), None);
+        for gone in [0, 2, 3, 7] {
+            assert_eq!(SnapSectionId::from_u32(gone), None);
+        }
     }
 
     #[test]

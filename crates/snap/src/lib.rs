@@ -5,13 +5,14 @@
 //! object format) to *analysis results*, so the most expensive artifact —
 //! the solved pre-transitive graph — survives process exit:
 //!
-//! - **Snapshots** ([`Snapshot`], [`save_snapshot`], [`SnapshotStore`]):
-//!   a sectioned, checksummed, demand-loadable `.clasnap` file holding a
-//!   [`cla_core::SealedGraph`]'s flattened representative table, its
-//!   Arc-shared points-to sets (each distinct set encoded once), the name
-//!   tables needed to answer queries standalone, and a provenance record.
-//!   Loading validates provenance and rebuilds a query-ready graph without
-//!   running the solver — an instant warm start. Beside the graph the
+//! - **Snapshots** ([`Snapshot`], [`save`], [`SnapshotStore`]): a
+//!   sectioned, checksummed, demand-loadable `.clasnap` file holding a
+//!   provenance record, a [`cla_core::SealedGraph`]'s flattened
+//!   representative table, its Arc-shared points-to sets (each distinct set
+//!   encoded once) and the solve's stats — the graph and nothing else. Names
+//!   stay in the linked database every loader already holds. Loading
+//!   validates provenance and rebuilds a query-ready graph without running
+//!   the solver — an instant warm start. Beside the graph the
 //!   store keeps the linked program a batch run built, so the next run
 //!   over the same inputs opens it instead of linking.
 //! - **Build cache** ([`DiskCache`]): a content-addressed on-disk cache of
@@ -56,7 +57,7 @@ pub use cache::{DiskCache, DEFAULT_MAX_BYTES};
 pub use format::{SnapError, SnapSectionId, FORMAT, MAGIC, VERSION};
 pub use reader::Snapshot;
 pub use store::{SnapshotStore, SNAPSHOT_FILE};
-pub use writer::{encode_snapshot, save_snapshot};
+pub use writer::{encode, encode_snapshot, save, save_snapshot};
 
 #[cfg(test)]
 mod tests {
@@ -66,16 +67,14 @@ mod tests {
     use cla_ir::{compile_source, LowerOptions, ObjId};
     use std::sync::Arc;
 
-    fn sample_sealed() -> (cla_core::SealedGraph, Vec<String>) {
+    fn sample_sealed() -> cla_core::SealedGraph {
         let unit = compile_source(
             "int shared, *p, *q, **pp; void f(void) { p = &shared; q = p; pp = &p; }",
             "a.c",
             &LowerOptions::default(),
         )
         .unwrap();
-        let sealed = Warm::from_unit(&unit, SolveOptions::default()).seal();
-        let names = unit.objects.iter().map(|o| o.name.clone()).collect();
-        (sealed, names)
+        Warm::from_unit(&unit, SolveOptions::default()).seal()
     }
 
     fn sample_prov() -> Provenance {
@@ -88,13 +87,13 @@ mod tests {
 
     #[test]
     fn round_trip_is_exact() {
-        let (sealed, names) = sample_sealed();
+        let sealed = sample_sealed();
         let prov = sample_prov();
-        let bytes = encode_snapshot(&prov, &sealed, &names);
-        let snap = Snapshot::from_bytes(bytes).unwrap();
+        let snap = Snapshot::from_bytes(encode(&prov, &sealed)).unwrap();
         assert_eq!(snap.provenance(), &prov);
         assert_eq!(snap.object_count(), sealed.object_count());
-        assert_eq!(snap.names().unwrap(), names);
+        let ids: Vec<u32> = snap.section_table().iter().map(|e| e.id).collect();
+        assert_eq!(ids, SnapSectionId::ALL.map(|id| id as u32));
         let loaded = snap.load_sealed().unwrap();
         assert_eq!(loaded.stats(), sealed.stats());
         for i in 0..sealed.object_count() as u32 {
@@ -110,8 +109,8 @@ mod tests {
 
     #[test]
     fn sharing_survives_the_round_trip() {
-        let (sealed, names) = sample_sealed();
-        let bytes = encode_snapshot(&sample_prov(), &sealed, &names);
+        let sealed = sample_sealed();
+        let bytes = encode(&sample_prov(), &sealed);
         let loaded = Snapshot::from_bytes(bytes).unwrap().load_sealed().unwrap();
         // p and q point at the same set; sharing must come back as one
         // allocation (the may_alias ptr::eq fast path depends on it).
@@ -128,17 +127,24 @@ mod tests {
 
     #[test]
     fn deterministic_encoding() {
-        let (sealed, names) = sample_sealed();
+        let sealed = sample_sealed();
         let prov = sample_prov();
-        let bytes = encode_snapshot(&prov, &sealed, &names);
-        assert_eq!(bytes, encode_snapshot(&prov, &sealed, &names));
-        // The file `save_snapshot` writes is those bytes, and the size it
-        // returns is their length.
+        let bytes = encode(&prov, &sealed);
+        assert_eq!(bytes, encode(&prov, &sealed));
+        // The file `save` writes is those bytes, and the size it returns is
+        // their length. The pre-v3 adapters, names and all, write the same.
         let path =
             std::env::temp_dir().join(format!("cla-snap-det-{}.clasnap", std::process::id()));
-        let size = save_snapshot(&path, &prov, &sealed, &names).unwrap();
+        let size = save(&path, &prov, &sealed).unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), bytes);
         assert_eq!(size, bytes.len());
+        assert_eq!(encode_snapshot(&prov, &sealed, &["ignored"]), bytes);
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(
+            save_snapshot(&path, &prov, &sealed, &["ignored"]).unwrap(),
+            size
+        );
+        assert_eq!(std::fs::read(&path).unwrap(), bytes);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -147,10 +153,9 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("cla-snap-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let store = SnapshotStore::open(&dir).unwrap();
-        let (sealed, names) = sample_sealed();
-        let names: Vec<&str> = names.iter().map(String::as_str).collect();
+        let sealed = sample_sealed();
         let prov = sample_prov();
-        store.save(&prov, &sealed, &names);
+        store.save(&prov, &sealed);
         assert!(store.load(&prov).is_some());
         let mut stale = prov.clone();
         stale.inputs[0].1 ^= 1; // one edited input file
@@ -165,16 +170,13 @@ mod tests {
 
     #[test]
     fn truncated_file_is_rejected_with_typed_error() {
-        let (sealed, names) = sample_sealed();
-        let bytes = encode_snapshot(&sample_prov(), &sealed, &names);
+        let bytes = encode(&sample_prov(), &sample_sealed());
         for cut in [0, 3, 19, bytes.len() / 2, bytes.len() - 1] {
             let err = match Snapshot::from_bytes(bytes[..cut].to_vec()) {
                 Err(e) => e,
                 Ok(snap) => snap
                     .load_sealed()
-                    .err()
-                    .or_else(|| snap.names().err())
-                    .expect("truncated snapshot decoded fully"),
+                    .expect_err("truncated snapshot decoded fully"),
             };
             // Any typed variant is acceptable; panics/wrong data are not.
             let _ = err.to_string();

@@ -2,18 +2,19 @@
 //!
 //! [`Snapshot::from_bytes`] validates only the header checksum (covering the
 //! section table) and the small provenance section — enough to decide
-//! whether the snapshot is usable at all. The heavyweight sections (the set
-//! payload, the name tables) keep their bytes unverified until the first
-//! call that needs them, mirroring the object reader's lazily verified
-//! blocks: a server probing ten stale snapshots pays ten provenance reads,
-//! not ten full-file hashes.
+//! whether the snapshot is usable at all. The reps, sets and stats sections
+//! keep their bytes unverified until [`Snapshot::load_sealed`] needs them,
+//! mirroring the object reader's lazily verified blocks: a server probing
+//! ten stale snapshots pays ten provenance reads, not ten full-file hashes.
+//! A snapshot holds no names: every loader already has the linked
+//! `Database` the graph was solved from, and asks it.
 //!
 //! Every read is bounds checked and reports a typed [`SnapError`] — no
 //! snapshot, however damaged, can panic the loader (the `cla-tool db-fuzz
 //! --snapshot` harness enforces this over seeded mutants).
 
 use crate::format::{SnapError, SnapSectionId, FORMAT};
-use cla_cladb::container::{Container, ContainerError, Cur, SectionEntry, StringTable};
+use cla_cladb::container::{Container, ContainerError, Cur, SectionEntry};
 use cla_cladb::{bytes_checksummed, NONE_U32};
 use cla_core::pipeline::Provenance;
 use cla_core::{SealedGraph, SolveOptions, SolveStats};
@@ -26,8 +27,7 @@ fn corrupt(msg: &str) -> SnapError {
 }
 
 /// A snapshot file opened for demand-driven loading. Opening verifies the
-/// header and provenance only; [`Snapshot::load_sealed`] and
-/// [`Snapshot::names`] verify their sections on first use.
+/// header and provenance only; [`Snapshot::load_sealed`] verifies the rest.
 #[derive(Debug)]
 pub struct Snapshot {
     file: Container,
@@ -181,50 +181,6 @@ impl Snapshot {
 
         obs.counter("cla_snap_loads_total").inc();
         Ok(SealedGraph::from_parts(per_object, stats))
-    }
-
-    /// The per-object display names (verifies the strings and names
-    /// sections on demand).
-    ///
-    /// # Errors
-    ///
-    /// [`SnapError`] on damaged or inconsistent sections.
-    pub fn names(&self) -> Result<Vec<String>, SnapError> {
-        let mut str_sec = section(&self.file, SnapSectionId::Strings)?;
-        let strings = StringTable::decode(&mut str_sec)?;
-        str_sec.finish("strings")?;
-        let mut names_sec = section(&self.file, SnapSectionId::Names)?;
-        let nnames = names_sec.get_u32_le()?;
-        if nnames != self.object_count {
-            return Err(corrupt("names count disagrees with provenance"));
-        }
-        let mut names = Vec::with_capacity(nnames as usize);
-        for _ in 0..nnames {
-            let sid = names_sec.get_u32_le()? as usize;
-            let s = strings
-                .get(sid)
-                .ok_or_else(|| corrupt("name string id out of range"))?;
-            names.push((*s).to_string());
-        }
-        names_sec.finish("names")?;
-        Ok(names)
-    }
-
-    /// All object ids whose display name is `name` (by-name query support
-    /// for standalone snapshot use; the serve layer resolves names through
-    /// its linked database instead).
-    ///
-    /// # Errors
-    ///
-    /// [`SnapError`] from decoding the name tables.
-    pub fn find_objects(&self, name: &str) -> Result<Vec<ObjId>, SnapError> {
-        Ok(self
-            .names()?
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.as_str() == name)
-            .map(|(i, _)| ObjId(i as u32))
-            .collect())
     }
 }
 

@@ -11,7 +11,7 @@
 //! the store only reads and writes bytes.
 
 use crate::reader::Snapshot;
-use crate::writer::save_snapshot;
+use crate::writer;
 use cla_core::pipeline::{program_key, Provenance, SnapshotHook};
 use cla_core::SealedGraph;
 use std::path::{Path, PathBuf};
@@ -106,14 +106,6 @@ impl SnapshotStore {
             self.mismatches.load(Ordering::Relaxed),
         )
     }
-
-    /// The stored snapshot's provenance, if a readable snapshot exists.
-    #[must_use]
-    pub fn stored_provenance(&self) -> Option<Provenance> {
-        Snapshot::open(&self.snapshot_path())
-            .ok()
-            .map(|s| s.provenance().clone())
-    }
 }
 
 impl SnapshotHook for SnapshotStore {
@@ -150,10 +142,10 @@ impl SnapshotHook for SnapshotStore {
         }
     }
 
-    fn save(&self, prov: &Provenance, sealed: &SealedGraph, names: &[&str]) {
+    fn save(&self, prov: &Provenance, sealed: &SealedGraph) {
         // Best effort by contract: a failed save costs a cold start later,
         // nothing else.
-        if save_snapshot(&self.snapshot_path(), prov, sealed, names).is_ok() {
+        if writer::save(&self.snapshot_path(), prov, sealed).is_ok() {
             self.saves.fetch_add(1, Ordering::Relaxed);
         }
     }

@@ -5,7 +5,7 @@
 //! trip over.
 
 use crate::format::{SnapSectionId, FORMAT};
-use cla_cladb::container::{assemble, Put, Section, StringTable};
+use cla_cladb::container::{assemble, Put, Section};
 use cla_cladb::{atomic_write_bytes, NONE_U32};
 use cla_core::pipeline::Provenance;
 use cla_core::SealedGraph;
@@ -18,21 +18,16 @@ pub(crate) fn solver_flags(opts: cla_core::SolveOptions) -> u8 {
     u8::from(opts.cache) | (u8::from(opts.cycle_elim) << 1)
 }
 
-/// Serializes a snapshot to bytes.
-///
-/// `names` are the per-object display names (one per object, same order as
-/// the sealed graph's sets); they let a snapshot answer by-name queries
-/// standalone. The per-object set table stores one id per object while each
+/// Serializes a snapshot to bytes: provenance, the per-object set table,
+/// the distinct sets and the solve's stats. Names are not stored; whoever
+/// loads the graph holds the linked [`Database`](cla_cladb::Database) they
+/// come from. The per-object set table stores one id per object while each
 /// distinct set is encoded exactly once — objects unified into one SCC (or
 /// hash-consed to an identical set) share an id, so the on-disk size and
 /// the reloaded in-memory sharing both match what [`cla_core::Warm::seal`]
 /// produced.
 #[must_use]
-pub fn encode_snapshot(
-    prov: &Provenance,
-    sealed: &SealedGraph,
-    names: &[impl AsRef<str>],
-) -> Vec<u8> {
+pub fn encode(prov: &Provenance, sealed: &SealedGraph) -> Vec<u8> {
     // ---- prov ----
     let mut prov_sec = Vec::new();
     prov_sec.put_u8(solver_flags(prov.solver));
@@ -43,15 +38,6 @@ pub fn encode_snapshot(
         prov_sec.put_u64_le(*hash);
     }
     prov_sec.put_u32_le(sealed.object_count() as u32);
-
-    // ---- strings + names ----
-    let mut strings = StringTable::default();
-    let mut names_sec = Vec::new();
-    names_sec.put_u32_le(names.len() as u32);
-    for name in names {
-        names_sec.put_u32_le(strings.intern(name.as_ref()));
-    }
-    let str_sec = strings.encode();
 
     // ---- reps + sets (sharing encoded once, referenced by id) ----
     let mut set_ids: HashMap<*const Vec<cla_ir::ObjId>, u32> = HashMap::new();
@@ -98,8 +84,6 @@ pub fn encode_snapshot(
         &FORMAT,
         &[
             whole(SnapSectionId::Prov, &prov_sec),
-            whole(SnapSectionId::Strings, &str_sec),
-            whole(SnapSectionId::Names, &names_sec),
             whole(SnapSectionId::Reps, &reps_sec),
             whole(SnapSectionId::Sets, &sets_sec),
             whole(SnapSectionId::Stats, &stats_sec),
@@ -114,20 +98,39 @@ pub fn encode_snapshot(
 /// # Errors
 ///
 /// Any I/O failure from the write-fsync-rename protocol.
-pub fn save_snapshot(
-    path: &Path,
-    prov: &Provenance,
-    sealed: &SealedGraph,
-    names: &[impl AsRef<str>],
-) -> std::io::Result<usize> {
+pub fn save(path: &Path, prov: &Provenance, sealed: &SealedGraph) -> std::io::Result<usize> {
     let obs = cla_obs::global();
     let mut sp = obs.span("snap", "snap.save");
     sp.set("objects", sealed.object_count());
-    let bytes = encode_snapshot(prov, sealed, names);
+    let bytes = encode(prov, sealed);
     sp.set("bytes", bytes.len());
     atomic_write_bytes(path, &bytes)?;
     obs.counter("cla_snap_saves_total").inc();
     obs.counter("cla_snap_bytes_written_total")
         .add(bytes.len() as u64);
     Ok(bytes.len())
+}
+
+/// [`encode`] under its pre-v3 signature: `names` is ignored.
+#[must_use]
+pub fn encode_snapshot(
+    prov: &Provenance,
+    sealed: &SealedGraph,
+    _names: &[impl AsRef<str>],
+) -> Vec<u8> {
+    encode(prov, sealed)
+}
+
+/// [`save`] under its pre-v3 signature: `names` is ignored.
+///
+/// # Errors
+///
+/// As [`save`].
+pub fn save_snapshot(
+    path: &Path,
+    prov: &Provenance,
+    sealed: &SealedGraph,
+    _names: &[impl AsRef<str>],
+) -> std::io::Result<usize> {
+    save(path, prov, sealed)
 }

@@ -9,9 +9,11 @@
 //!
 //! * **cold** — no snapshot: compile every source, link, and solve
 //!   (exactly what `analyze` does on first contact with a program);
-//! * **warm** — a valid snapshot exists: hash the linked object to check
-//!   provenance, load the sealed graph and symbol table from the
-//!   `.clasnap`, answer the first query. No compiler, no solver.
+//! * **warm** — a valid snapshot exists: what `Session::open` does for a
+//!   `.clao`. Admit the linked object (every checksum verified), key the
+//!   snapshot by its content hash, load the sealed graph from the
+//!   `.clasnap` and take names from the admitted object, answer the first
+//!   query. No compiler, no solver.
 //!
 //! The warm graph must answer every points-to query identically to the
 //! fresh solve, and must be at least 10x faster to reach than the cold
@@ -89,39 +91,31 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let db = &analysis.database;
-    let object_bytes = db.bytes();
-    std::fs::write(&object_path, object_bytes)?;
+    std::fs::write(&object_path, db.bytes())?;
     let opts = SolveOptions::default();
     let sealed_cold = cla::core::Warm::from_database(db, opts).seal();
     let object_names: Vec<String> = db.ids().map(|o| db.name(o).to_owned()).collect();
-    let prov = cla::serve::object_provenance(
-        &object_path.display().to_string(),
-        cla::cladb::fnv64(object_bytes),
-        opts,
-    );
+    let tag = object_path.display().to_string();
+    let prov = cla::serve::object_provenance(&tag, db.content_hash(), opts);
     let t0 = Instant::now();
-    let snapshot_bytes = cla::snap::save_snapshot(&snap_path, &prov, &sealed_cold, &object_names)?;
+    let snapshot_bytes = cla::snap::save(&snap_path, &prov, &sealed_cold)?;
     let save_ms = t0.elapsed().as_secs_f64() * 1e3;
     println!("snapshot: {snapshot_bytes} bytes written in {save_ms:.1} ms");
 
     // ---- warm: snapshot -> query-ready graph ----------------------------
-    // What a restarted server does: re-hash the object it is asked to
-    // serve, check it against the snapshot's provenance, then load the
-    // sealed graph and symbol table straight from disk.
+    // What a restarted server does: admit the object it is asked to serve,
+    // check its content hash against the snapshot's provenance, then load
+    // the sealed graph straight from disk. Names come from the object.
     let t0 = Instant::now();
-    let current = std::fs::read(&object_path)?;
-    let expect = cla::serve::object_provenance(
-        &object_path.display().to_string(),
-        cla::cladb::fnv64(&current),
-        opts,
-    );
+    let warm_db = Database::admit(std::fs::read(&object_path)?)?;
+    let expect = cla::serve::object_provenance(&tag, warm_db.content_hash(), opts);
     let snap = cla::snap::Snapshot::open(&snap_path)?;
     assert_eq!(snap.provenance(), &expect, "stale snapshot");
     let sealed_warm = snap.load_sealed()?;
-    let warm_names = snap.names()?;
+    let warm_names: Vec<String> = warm_db.ids().map(|o| warm_db.name(o).to_owned()).collect();
     let warm_secs = t0.elapsed().as_secs_f64();
     println!(
-        "warm start: {:>8.1} ms  (provenance check + snapshot load)",
+        "warm start: {:>8.1} ms  (object admit + provenance check + snapshot load)",
         warm_secs * 1e3
     );
 

@@ -115,6 +115,20 @@ producers=$(grep -rlE 'BENCH_[A-Za-z_]*\.json' examples crates/bench | LC_ALL=C 
 [ "$producers" = "examples/hub_bench.rs examples/million_bench.rs examples/snapshot_bench.rs " ] \
     || { echo "BENCH_*.json outputs named by: $producers"; exit 1; }
 
+echo "==> a snapshot is the graph (.clasnap holds prov, reps, sets and stats; encode_snapshot/save_snapshot are adapters only)"
+# Every loader holds the linked Database, which has the names: a snapshot
+# carries no string table, and the names-taking entry points survive only
+# as writer.rs's adapters over snap::{encode, save}.
+tables=$(grep -rln 'StringTable' crates/snap/src || true)
+[ -z "$tables" ] || { echo "a string table grew back in the snapshot: $tables"; exit 1; }
+grep -q 'pub const ALL: \[SnapSectionId; 4\]' crates/snap/src/format.rs \
+    || { echo "SnapSectionId::ALL must list prov, reps, sets and stats"; exit 1; }
+named_saves=$(for f in $(find crates/*/src src examples -name '*.rs' | grep -v '^crates/snap/src/writer.rs$'); do
+    sed '/#\[cfg(test)\]/,$d' "$f" | grep -vE '^\s*//' \
+        | grep -HnE --label="$f" '\b(encode|save)_snapshot\('
+done || true)
+[ -z "$named_saves" ] || { echo "a caller passes names to a snapshot: $named_saves"; exit 1; }
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 

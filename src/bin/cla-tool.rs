@@ -130,7 +130,7 @@ fn main() -> ExitCode {
 
 const USAGE: &str = "usage:
   cla-tool compile <src.c>... [-o out.clao] [-I dir] [-D NAME[=V]] [--field-independent]
-  cla-tool analyze <src.c>... [-I dir] [-D NAME[=V]] [--field-independent] [--parallel] [--jobs N] [--snapshot DIR] [--print var...]
+  cla-tool analyze <src.c>... [-I dir] [-D NAME[=V]] [--field-independent] [--jobs N] [--snapshot DIR] [--print var...]
   cla-tool gen <profile.toml> --out DIR [--seed N]
   cla-tool dump <prog.clao>
   cla-tool solve <prog.clao> [--solver pretransitive|worklist|steensgaard] [--print var...]
@@ -320,14 +320,10 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
     let mut a = Args::new(args);
     let pp = a.pp_options()?;
     let lower = a.lower_options();
-    let mut parallel = a.take_flag("--parallel");
-    let jobs: usize = match a.take_values("--jobs")?.pop() {
-        Some(v) => {
-            let n = v.parse().map_err(|_| "--jobs needs a number")?;
-            parallel = true; // asking for a pool size implies a pool
-            n
-        }
-        None => 0,
+    // Asking for a pool size (0 = one per core) asks for a pool.
+    let jobs: Option<usize> = match a.take_values("--jobs")?.pop() {
+        Some(v) => Some(v.parse().map_err(|_| "--jobs needs a number")?),
+        None => None,
     };
     let snapshot_dir = a.take_values("--snapshot")?.pop();
     // The CLI default is quarantine-and-continue: a hostile or broken file
@@ -355,8 +351,8 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
         },
         lower,
         solver: SolveOptions::default(),
-        parallel_compile: parallel,
-        jobs,
+        parallel_compile: jobs.is_some(),
+        jobs: jobs.unwrap_or(0),
         strict,
         unknown_summaries,
     };
@@ -1093,13 +1089,12 @@ fn cmd_snapshot_save(args: &[String]) -> Result<(), String> {
     let t = std::time::Instant::now();
     let sealed = cla::core::Warm::from_database(&db, opts).seal();
     let solve_time = t.elapsed();
-    let names: Vec<&str> = db.ids().map(|o| db.name(o)).collect();
     let prov = cla::serve::object_provenance(path, db.content_hash(), opts);
-    let written = cla::snap::save_snapshot(std::path::Path::new(&out), &prov, &sealed, &names)
+    let written = cla::snap::save(std::path::Path::new(&out), &prov, &sealed)
         .map_err(|e| format!("cannot write `{out}`: {e}"))?;
     eprintln!(
         "snapshot {out}: {} objects, {written} bytes, solved in {solve_time:?} ({} passes)",
-        names.len(),
+        sealed.object_count(),
         sealed.stats().passes
     );
     Ok(())
@@ -1188,12 +1183,8 @@ fn cmd_db_fuzz(args: &[String]) -> Result<(), String> {
         let db = Database::open(bytes).map_err(|e| e.to_string())?;
         let opts = SolveOptions::default();
         let sealed = cla::core::Warm::from_database(&db, opts).seal();
-        let names: Vec<&str> = db.ids().map(|o| db.name(o)).collect();
         let prov = cla::serve::object_provenance("fuzz-target", db.content_hash(), opts);
-        (
-            cla::snap::encode_snapshot(&prov, &sealed, &names),
-            "snapshot",
-        )
+        (cla::snap::encode(&prov, &sealed), "snapshot")
     } else {
         (bytes, "object")
     };

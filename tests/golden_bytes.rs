@@ -5,8 +5,10 @@
 //!
 //! Two pins per format. The raw pin covers every byte. The content pin
 //! covers the bytes with their checksums and version word zeroed: taken
-//! before the checksums moved from FNV-1a to XXH64 and unedited since, it
-//! is what says that change left the meaning of every other byte alone.
+//! before the checksums moved from FNV-1a to XXH64 and unedited across
+//! that change, it is what says the swap left the meaning of every other
+//! byte alone. The snapshot's content pin moved once since, when v3 dropped
+//! the name tables.
 
 use cla::cladb::fault::checksums_zeroed;
 use cla::cladb::fnv64;
@@ -37,13 +39,12 @@ fn example_snapshot(object: Vec<u8>, input_hash: impl Fn(&Database) -> u64) -> V
     let db = Database::open(object).unwrap();
     let solver = SolveOptions::default();
     let sealed = cla::core::Warm::from_database(&db, solver).seal();
-    let names: Vec<String> = db.objects().iter().map(|o| o.name.clone()).collect();
     let prov = Provenance {
         inputs: vec![("a.out".to_string(), input_hash(&db))],
         options_fp: 0x00c0_ffee,
         solver,
     };
-    cla::snap::encode_snapshot(&prov, &sealed, &names)
+    cla::snap::encode(&prov, &sealed)
 }
 
 /// Both formats with their checksums and version words zeroed
@@ -64,7 +65,7 @@ fn object_and_snapshot_content_match_the_pins() {
     let content = checksums_zeroed(&snapshot, &cla::snap::FORMAT);
     assert_eq!(
         fnv64(&content),
-        0xc3ee_af32_82b3_7ec9,
+        0x9801_fc01_16b9_f5e7, // v1 and v2, with name tables: 0xc3ee_af32_82b3_7ec9
         "{} snapshot bytes",
         snapshot.len()
     );
@@ -86,7 +87,7 @@ fn object_and_snapshot_bytes_match_the_pins() {
     // was 0x210b_8047_86d0_81d1; the format did not change then).
     assert_eq!(
         fnv64(&snapshot),
-        0x8672_c30c_4f20_6b4e, // v1, FNV-1a checksums: 0x2e6b_8a08_83b1_710e
+        0x2eba_cd65_67b3_917d, // v2: 0x8672_c30c_4f20_6b4e; v1, FNV-1a: 0x2e6b_8a08_83b1_710e
         "{} snapshot bytes",
         snapshot.len()
     );

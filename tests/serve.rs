@@ -1115,23 +1115,44 @@ fn query_panic_kills_one_connection_not_the_server() {
         1,
     )
     .unwrap();
+    // The server's own seam: a `Listener` running `serve_connection` per
+    // connection, with a dispatch that panics on one marker command and
+    // answers every other line through `handle_request`.
+    let session = Arc::new(session);
     let socket = dir.join("panic.sock");
-    let server = cla::serve::serve_with(
-        Arc::new(session),
-        Some(Arc::new(OsFs)),
-        &socket,
-        cla::serve::ServeOptions {
-            enable_test_commands: true,
-            ..cla::serve::ServeOptions::default()
+    let shutdown = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let mut listener = cla::serve::Listener::spawn(
+        std::os::unix::net::UnixListener::bind(&socket).unwrap(),
+        Arc::clone(&shutdown),
+        None,
+        {
+            let shutdown = Arc::clone(&shutdown);
+            move |mut reader, mut writer| {
+                let opts = cla::serve::ServeOptions::default();
+                cla::serve::serve_connection(
+                    &mut reader,
+                    &mut writer,
+                    &shutdown,
+                    &opts,
+                    || {},
+                    |line| {
+                        if line.contains("poison") {
+                            panic!("injected query panic");
+                        }
+                        cla::serve::handle_request(&session, None, line, &shutdown, &opts)
+                    },
+                    || {},
+                );
+            }
         },
     )
     .unwrap();
 
-    let mut victim = UnixStream::connect(server.path()).unwrap();
-    let mut bystander = UnixStream::connect(server.path()).unwrap();
+    let mut victim = UnixStream::connect(&socket).unwrap();
+    let mut bystander = UnixStream::connect(&socket).unwrap();
     let _ = ask(&mut bystander, &points_to_req("q"));
 
-    let reply = ask(&mut victim, &obj([("cmd", "__test_panic".into())]));
+    let reply = ask(&mut victim, &obj([("cmd", "poison".into())]));
     assert_eq!(reply.get("ok").and_then(Value::as_bool), Some(false));
     assert_eq!(
         reply.get("error").and_then(Value::as_str),
@@ -1149,12 +1170,12 @@ fn query_panic_kills_one_connection_not_the_server() {
         target_names(&ask(&mut bystander, &points_to_req("q"))),
         BTreeSet::from(["x".to_string()])
     );
-    let mut fresh = UnixStream::connect(server.path()).unwrap();
+    let mut fresh = UnixStream::connect(&socket).unwrap();
     assert_eq!(
         target_names(&ask(&mut fresh, &points_to_req("q"))),
         BTreeSet::from(["x".to_string()])
     );
-    server.stop();
+    listener.stop();
     let _ = std::fs::remove_dir_all(dir);
 }
 

@@ -35,9 +35,8 @@ fn example_snapshot_bytes() -> Vec<u8> {
 
     let opts = SolveOptions::default();
     let sealed = cla::core::Warm::from_database(db, opts).seal();
-    let object_names: Vec<String> = db.objects().iter().map(|o| o.name.clone()).collect();
     let prov = cla::serve::object_provenance("fuzz-oracle", 0x1234_5678, opts);
-    cla::snap::encode_snapshot(&prov, &sealed, &object_names)
+    cla::snap::encode(&prov, &sealed)
 }
 
 #[test]

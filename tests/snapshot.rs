@@ -175,7 +175,6 @@ fn a_snapshot_with_an_unknown_extra_section_loads_unchanged() {
     let new = Snapshot::from_bytes(extended.clone()).expect("readers skip unknown sections");
     assert_eq!(new.section_table().len(), old.section_table().len() + 1);
     assert_eq!(new.provenance(), old.provenance());
-    assert_eq!(new.names().unwrap(), old.names().unwrap());
     let (new_graph, old_graph) = (new.load_sealed().unwrap(), old.load_sealed().unwrap());
     assert_eq!(new_graph.sets(), old_graph.sets());
     assert_eq!(new_graph.stats(), old_graph.stats());
@@ -789,8 +788,8 @@ impl SnapshotHook for Watched<'_> {
     fn load(&self, prov: &Provenance) -> Option<cla::core::SealedGraph> {
         self.store.load(prov)
     }
-    fn save(&self, prov: &Provenance, sealed: &cla::core::SealedGraph, names: &[&str]) {
-        self.store.save(prov, sealed, names);
+    fn save(&self, prov: &Provenance, sealed: &cla::core::SealedGraph) {
+        self.store.save(prov, sealed);
     }
     fn load_program(&self, prov: &Provenance) -> Option<Vec<u8>> {
         self.program_loads
