@@ -115,15 +115,18 @@ impl<'a> SourceProbe<'a> {
 }
 
 /// The compile manifest, one instantiation of the shared container: one
-/// section holding the file, its options fingerprint, its closure and the
-/// [`CompileStats`] a compile of it reports.
+/// section holding the file, its options fingerprint, its closure, the
+/// [`CompileStats`] a compile of it reports and its object's object count.
 ///
 /// * v1 — FNV-1a checksums and FNV-1a source hashes.
 /// * v2 — [`xxh64`] for both. A v1 manifest is rejected, counted as
 ///   damaged, and rewritten after the file is keyed by preprocessing.
-static MANIFEST_FORMAT: Format = Format {
+/// * v3 — adds the object count, so a run that links nothing reports the
+///   link's `objects_in` without reading a unit object. A v2 manifest is
+///   rejected and rewritten as v1 was.
+pub static MANIFEST_FORMAT: Format = Format {
     magic: 0x4D41_4C43, // "CLAM"
-    version: 2,
+    version: 3,
     kind: "compile manifest",
     checksum_fail_metric: "cla_snap_cache_manifest_checksum_fail_total",
 };
@@ -131,14 +134,16 @@ static MANIFEST_FORMAT: Format = Format {
 const MANIFEST_SECTION: u32 = 1;
 
 /// What a warm build needs to know about one file without preprocessing
-/// it: the closure its cached object was built from, and the stats a
-/// compile of it reports.
+/// it: the closure its cached object was built from, the stats a compile
+/// of it reports, and how many objects that object declares.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Manifest {
     pub file: String,
     pub options_fp: u64,
     pub closure: Closure,
     pub stats: CompileStats,
+    /// `UnitObject::object_count` of the object built beside it.
+    pub objects: usize,
 }
 
 /// Where the manifest of `file` under `options_fp` is stored: by path, not
@@ -158,7 +163,12 @@ impl Manifest {
         body.put_str(&self.file);
         body.put_u64_le(self.options_fp);
         let s = &self.stats;
-        for n in [s.source_bytes, s.preprocessed_lines as u64, s.tokens as u64] {
+        for n in [
+            s.source_bytes,
+            s.preprocessed_lines as u64,
+            s.tokens as u64,
+            self.objects as u64,
+        ] {
             body.put_u64_le(n);
         }
         body.put_u32_le(self.closure.sources.len() as u32);
@@ -188,6 +198,7 @@ impl Manifest {
             preprocessed_lines: cur.get_u64_le()? as usize,
             tokens: cur.get_u64_le()? as usize,
         };
+        let objects = cur.get_u64_le()? as usize;
         let mut sources = Vec::new();
         for _ in 0..cur.get_u32_le()? {
             sources.push((cur.get_str()?.to_owned(), cur.get_u64_le()?));
@@ -202,6 +213,7 @@ impl Manifest {
             options_fp,
             closure: Closure { sources, missing },
             stats,
+            objects,
         })
     }
 }
@@ -278,9 +290,15 @@ mod tests {
                 preprocessed_lines: 1,
                 tokens: 3,
             },
+            objects: 4,
         };
         let bytes = m.encode();
         assert_eq!(Manifest::decode(bytes.clone()).unwrap(), m);
+        let other = Manifest {
+            objects: 5,
+            ..m.clone()
+        };
+        assert_eq!(Manifest::decode(other.encode()).unwrap().objects, 5);
         for cut in 0..bytes.len() {
             assert!(
                 Manifest::decode(bytes[..cut].to_vec()).is_err(),

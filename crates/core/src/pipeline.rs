@@ -6,7 +6,7 @@
 //! database, and demand-driven points-to analysis. Produces the timing and
 //! space measurements the paper's Tables 2 and 3 report.
 
-pub use crate::closure::{manifest_key, Closure, Manifest, SourceProbe};
+pub use crate::closure::{manifest_key, Closure, Manifest, SourceProbe, MANIFEST_FORMAT};
 use crate::pretransitive::{SealedGraph, SolveOptions, SolveStats, Warm};
 use crate::solution::PointsTo;
 use cla_cfront::{CError, FileProvider, PpOptions, Preprocessed};
@@ -164,6 +164,15 @@ pub trait CompileCache: Send + Sync {
     /// [`UnitObject::verify`] and falls back to a fresh compile on any
     /// error.
     fn load(&self, key: u64) -> Option<Vec<u8>>;
+    /// Whether an object is stored under `key`, answered without reading
+    /// it. To the cache's recency and accounting it is the
+    /// [`load`](CompileCache::load) of a run that needs no bytes: it is
+    /// counted as that load would be, and a `load` of the same key that
+    /// follows it is the same hit. `false` means "cannot tell", the
+    /// default, and keeps [`analyze_with`] loading every unit's object.
+    fn touch(&self, _key: u64) -> bool {
+        false
+    }
     /// Persists object bytes under `key` (best effort; errors are the
     /// implementation's to swallow — a failed store only costs a future
     /// recompile).
@@ -252,7 +261,19 @@ pub fn load_or_solve(
     snapshots: Option<&dyn SnapshotHook>,
     prov: &Provenance,
 ) -> (SealedGraph, bool) {
-    if let Some(sealed) = snapshots.and_then(|hook| hook.load(prov)) {
+    let loaded = snapshots.and_then(|hook| hook.load(prov));
+    solve_unless_loaded(db, snapshots, prov, loaded)
+}
+
+/// [`load_or_solve`] once the hook has been asked for `prov`: `loaded` is
+/// its answer.
+fn solve_unless_loaded(
+    db: &Database,
+    snapshots: Option<&dyn SnapshotHook>,
+    prov: &Provenance,
+    loaded: Option<SealedGraph>,
+) -> (SealedGraph, bool) {
+    if let Some(sealed) = loaded {
         return (sealed, true);
     }
     let sealed = Warm::from_database(db, prov.solver).seal();
@@ -268,7 +289,8 @@ pub fn load_or_solve(
 pub struct AnalyzeHooks<'a> {
     /// Consulted per file before compiling.
     pub compile_cache: Option<&'a dyn CompileCache>,
-    /// Consulted once before solving.
+    /// Asked for the run's graph, at most once per provenance, and for the
+    /// stored program when every file's manifest holds.
     pub snapshots: Option<&'a dyn SnapshotHook>,
 }
 
@@ -425,19 +447,24 @@ pub fn analyze(
 ///
 /// The build is load-or-link. With a cache and a snapshot hook attached,
 /// every file is first keyed by its [`Manifest`] on the pool (`cache.direct`
-/// spans). When every manifest holds, the inputs are known before anything
-/// is built, and the program a previous run linked from them is read back
+/// spans), which also [touches](CompileCache::touch) the object each held
+/// manifest names. When every manifest holds, the inputs are known before
+/// anything is built: the graph saved for them is loaded on a thread of its
+/// own while the program a previous run linked from them is read back
 /// through [`SnapshotHook::load_program`] and admitted as any `.clao` from
 /// disk is ([`Database::admit`], in a `pipeline.link` span nested in
-/// `pipeline.compile`). The pool then still loads and verifies every unit's
-/// cached object — a damaged one is rejected, counted and recompiled — but
+/// `pipeline.compile`). With every touched object present, the units'
+/// figures are read off their manifests and no unit object is read at all.
+/// Otherwise the pool builds every unit — loading and verifying its cached
+/// object, so a damaged one is rejected, counted and recompiled — but
 /// folds none of them; should a unit fail or come back under another key
 /// than its manifest named, the program is dropped and the units are built
 /// again to fold. In every other case, or when no stored program is
 /// admitted (a counted miss), the units fold into the program as they
 /// arrive, and a run that could be keyed this way next time (a cache and a
-/// snapshot hook, no quarantined unit) saves the program it linked. Both
-/// routes report the same counts.
+/// snapshot hook, no quarantined unit) saves the program it linked. Every
+/// route reports the same counts, and asks the snapshot hook for a graph at
+/// most once per provenance.
 ///
 /// # Errors
 ///
@@ -461,219 +488,294 @@ pub fn analyze_with(
     // are never collected, so peak memory is the program under construction
     // plus the pool's reorder window. Folding overlaps compilation, so
     // `compile_time` covers both and `link_time` covers assembling the
-    // program object and opening it. On the stored-program route the units
-    // drop unfolded and `link_time` is the stored program's admission.
+    // program object and opening it. On the stored-program route nothing
+    // folds and `link_time` is the stored program's admission.
     let mut sp = obs.span("pipeline", "pipeline.compile");
     sp.set("files", files.len());
     // Only a run that may open a stored program keys its files before
     // building any; every other run keys each file on the worker that
     // builds it.
-    let manifests: Option<Vec<Option<Manifest>>> = (hooks.compile_cache)
+    let keying: Option<Keying> = (hooks.compile_cache)
         .zip(hooks.snapshots)
         .map(|(cache, _)| held_manifests(fs, files, options_fp, cache, pool_jobs));
     // With every manifest holding, the run's inputs are known already.
-    let keyed: Option<Vec<u64>> = manifests.as_ref().and_then(|ms| {
-        (files.iter().zip(ms))
+    let keyed: Option<Vec<u64>> = keying.as_ref().and_then(|k| {
+        (files.iter().zip(&k.manifests))
             .map(|(f, m)| Some(m.as_ref()?.closure.key(f, options_fp)))
             .collect()
     });
-    let mut stored = hooks
-        .snapshots
-        .zip(keyed.as_ref())
-        .and_then(|(hook, keys)| {
-            let prov = Provenance {
-                inputs: (files.iter().zip(keys))
-                    .map(|(f, &k)| ((*f).to_string(), k))
-                    .collect(),
-                options_fp,
-                solver: opts.solver,
-            };
-            open_stored_program(hook, &prov)
-        });
-    // Each unit takes its own file's manifest, once.
-    let mut held: Option<Vec<Mutex<Option<Manifest>>>> =
-        manifests.map(|ms| ms.into_iter().map(Mutex::new).collect());
-    let (units, linker) = loop {
-        let mut linker = stored.is_none().then(|| StreamLinker::new("a.out"));
-        let units = build_units(files, pool_jobs, opts.strict, linker.as_mut(), |i, f| {
-            let (pp, lower, cache) = (&opts.pp, &opts.lower, hooks.compile_cache);
-            match &held {
-                Some(slots) => {
-                    let m = slots[i]
-                        .lock()
-                        .expect("only a take runs under a slot's lock")
-                        .take();
-                    compile_keyed(fs, f, pp, lower, options_fp, cache, m)
-                }
-                None => compile_one_keyed(fs, f, pp, lower, options_fp, cache),
+    let keyed_prov = (keyed.as_ref()).map(|keys| provenance(files, keys, options_fp, opts.solver));
+    let keyed_hook = hooks.snapshots.zip(keyed_prov.as_ref());
+    std::thread::scope(|scope| {
+        // The graph saved for the keyed inputs loads beside the program's
+        // read and admission; the solve step takes it if the run's inputs
+        // are still those.
+        let graph = keyed_hook.map(|(hook, prov)| scope.spawn(move || hook.load(prov)));
+        let mut stored = keyed_hook.and_then(|(hook, prov)| open_stored_program(hook, prov));
+        let (units, linker) = match keying {
+            // Every object the stored program was linked from is there:
+            // nothing a unit pass would read adds anything.
+            Some(k) if stored.is_some() && k.objects_present => {
+                let keys = keyed.clone().expect("a stored program was keyed");
+                (k.into_units(keys), None)
             }
-        })?;
-        // The stored program stands for the keyed inputs only if every unit
-        // was built from them. A unit can fail although its manifest held
-        // (a deadline overrun, a source gone since it was keyed), or come
-        // back under another key (its object was gone, and the compile that
-        // replaced it read a source edited since). Then the program is
-        // linked from what the units are now: the pool runs again, folding,
-        // and keys each file afresh. The cache counts both passes.
-        if stored.is_some() && (!units.failed.is_empty() || keyed.as_ref() != Some(&units.keys)) {
-            stored = None;
-            held = None;
-            continue;
-        }
-        break (units, linker);
-    };
-    let Units {
-        stats,
-        keys,
-        durs,
-        cache_hits: compile_cache_hits,
-        direct_hits: compile_cache_direct_hits,
-        mut failed,
-        objects_in,
-        jobs,
-    } = units;
-    // Workers finish out of order; the ledger reads in input order.
-    failed.sort_by_key(|&(i, _)| i);
-    let quarantined: Vec<Quarantined> = failed
-        .into_iter()
-        .map(|(i, reason)| Quarantined::note(files[i], reason))
-        .collect();
-    let partial = !quarantined.is_empty();
-    let slowest_files = {
-        let mut ranked: Vec<(String, Duration)> = files
-            .iter()
-            .zip(&durs)
-            .map(|(f, &d)| ((*f).to_string(), d))
+            keying => {
+                // Each unit takes its own file's manifest, once.
+                let mut held: Option<Vec<Mutex<Option<Manifest>>>> =
+                    keying.map(|k| k.manifests.into_iter().map(Mutex::new).collect());
+                loop {
+                    let mut linker = stored.is_none().then(|| StreamLinker::new("a.out"));
+                    let units =
+                        build_units(files, pool_jobs, opts.strict, linker.as_mut(), |i, f| {
+                            let (pp, lower, cache) = (&opts.pp, &opts.lower, hooks.compile_cache);
+                            match &held {
+                                Some(slots) => {
+                                    let m = slots[i]
+                                        .lock()
+                                        .expect("only a take runs under a slot's lock")
+                                        .take();
+                                    compile_keyed(fs, f, pp, lower, options_fp, cache, m)
+                                }
+                                None => compile_one_keyed(fs, f, pp, lower, options_fp, cache),
+                            }
+                        })?;
+                    // The stored program stands for the keyed inputs only if
+                    // every unit was built from them. A unit can fail
+                    // although its manifest held (a deadline overrun, a
+                    // source gone since it was keyed), or come back under
+                    // another key (its object was gone, and the compile that
+                    // replaced it read a source edited since). Then the
+                    // program is linked from what the units are now: the
+                    // pool runs again, folding, and keys each file afresh.
+                    // The cache counts both passes.
+                    if stored.is_some()
+                        && (!units.failed.is_empty() || keyed.as_ref() != Some(&units.keys))
+                    {
+                        stored = None;
+                        held = None;
+                        continue;
+                    }
+                    break (units, linker);
+                }
+            }
+        };
+        let Units {
+            stats,
+            keys,
+            durs,
+            cache_hits: compile_cache_hits,
+            direct_hits: compile_cache_direct_hits,
+            mut failed,
+            objects_in,
+            jobs,
+        } = units;
+        // Workers finish out of order; the ledger reads in input order.
+        failed.sort_by_key(|&(i, _)| i);
+        let quarantined: Vec<Quarantined> = failed
+            .into_iter()
+            .map(|(i, reason)| Quarantined::note(files[i], reason))
             .collect();
-        ranked.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        ranked.truncate(SLOWEST_FILES_CAP);
-        ranked
-    };
-    let compile_cache_misses = files.len() - compile_cache_hits;
-    let inputs: Vec<(String, u64)> = files
-        .iter()
-        .zip(&keys)
-        .map(|(f, &k)| ((*f).to_string(), k))
-        .collect();
-    sp.set("cache_hits", compile_cache_hits);
-    sp.set("cache_direct_hits", compile_cache_direct_hits);
-    sp.set("jobs", jobs);
-    let program_loaded = stored.is_some();
-    // The stored program's admission ran inside the compile span; the
-    // report keeps the two phases apart.
-    let (linked, peak_buffered_units, compile_time, link_time) = match (stored, linker) {
-        (Some((db, admit_time)), _) => {
-            let linked = Linked::of_stored(db, files.len(), objects_in, admit_time);
-            let compile_time = sp.finish().saturating_sub(admit_time);
-            (linked, 1, compile_time, admit_time)
-        }
-        (None, linker) => {
-            let compile_time = sp.finish();
-            let mut sp = obs.span("pipeline", "pipeline.link");
-            let linker = linker.expect("the fold route has a linker");
-            let peak = linker.peak_buffered();
-            let linked = open_linked(linker.finish(), partial && opts.unknown_summaries)?;
-            sp.set("object_bytes", linked.db.file_size());
-            (linked, peak, compile_time, sp.finish())
-        }
-    };
-    let Linked {
-        db,
-        link_stats,
-        link_times,
-        open_time,
-        program_variables,
-        assign_counts,
-        unknown_summaries,
-    } = linked;
-    let object_size = db.file_size();
+        let partial = !quarantined.is_empty();
+        let slowest_files = {
+            let mut ranked: Vec<(String, Duration)> = files
+                .iter()
+                .zip(&durs)
+                .map(|(f, &d)| ((*f).to_string(), d))
+                .collect();
+            ranked.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+            ranked.truncate(SLOWEST_FILES_CAP);
+            ranked
+        };
+        let compile_cache_misses = files.len() - compile_cache_hits;
+        sp.set("cache_hits", compile_cache_hits);
+        sp.set("cache_direct_hits", compile_cache_direct_hits);
+        sp.set("jobs", jobs);
+        let program_loaded = stored.is_some();
+        // The stored program's admission ran inside the compile span; the
+        // report keeps the two phases apart.
+        let (linked, peak_buffered_units, compile_time, link_time) = match (stored, linker) {
+            (Some((db, admit_time)), _) => {
+                let linked = Linked::of_stored(db, files.len(), objects_in, admit_time);
+                let compile_time = sp.finish().saturating_sub(admit_time);
+                (linked, 1, compile_time, admit_time)
+            }
+            (None, linker) => {
+                let compile_time = sp.finish();
+                let mut sp = obs.span("pipeline", "pipeline.link");
+                let linker = linker.expect("the fold route has a linker");
+                let peak = linker.peak_buffered();
+                let linked = open_linked(linker.finish(), partial && opts.unknown_summaries)?;
+                sp.set("object_bytes", linked.db.file_size());
+                (linked, peak, compile_time, sp.finish())
+            }
+        };
+        let Linked {
+            db,
+            link_stats,
+            link_times,
+            open_time,
+            program_variables,
+            assign_counts,
+            unknown_summaries,
+        } = linked;
+        let object_size = db.file_size();
 
-    let sp = obs.span("pipeline", "pipeline.solve");
-    // Partial runs bypass the snapshot store in both directions: a
-    // quarantined file keys as 0 in the provenance, so persisting (or
-    // serving) a partial graph under it would alias distinct hostile
-    // inputs to one snapshot.
-    let snapshot_hook = if partial { None } else { hooks.snapshots };
-    let prov = Provenance {
-        inputs,
-        options_fp,
-        solver: opts.solver,
-    };
-    // Only a run keyed by manifests can open a stored program, so without
-    // a compile cache there is no next run to save it for.
-    let program_hook = snapshot_hook.filter(|_| !program_loaded && hooks.compile_cache.is_some());
-    let (sealed, snapshot_loaded) = std::thread::scope(|scope| {
-        // The program's durable write overlaps the solve; both only read
-        // `db`.
-        if let Some(hook) = program_hook {
-            scope.spawn(|| hook.save_program(&prov, db.bytes()));
-        }
-        load_or_solve(&db, snapshot_hook, &prov)
-    });
-    let points_to = sealed.extract_by_kind(db.ids().map(|o| db.kind(o)));
-    let solve_stats = sealed.stats();
-    let solve_time = sp.finish();
+        // Waiting on the graph loaded beside the admission is part of the
+        // solve phase, as loading it there was.
+        let sp = obs.span("pipeline", "pipeline.solve");
+        // Partial runs bypass the snapshot store in both directions: a
+        // quarantined file keys as 0 in the provenance, so persisting (or
+        // serving) a partial graph under it would alias distinct hostile
+        // inputs to one snapshot.
+        let snapshot_hook = if partial { None } else { hooks.snapshots };
+        let prov = provenance(files, &keys, options_fp, opts.solver);
+        let loaded = graph
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .filter(|_| snapshot_hook.is_some() && keyed_prov.as_ref() == Some(&prov));
+        // Only a run keyed by manifests can open a stored program, so
+        // without a compile cache there is no next run to save it for.
+        let program_hook =
+            snapshot_hook.filter(|_| !program_loaded && hooks.compile_cache.is_some());
+        let (sealed, snapshot_loaded) = std::thread::scope(|scope| {
+            // The program's durable write overlaps the solve; both only read
+            // `db`.
+            if let Some(hook) = program_hook {
+                scope.spawn(|| hook.save_program(&prov, db.bytes()));
+            }
+            match loaded {
+                Some(loaded) => solve_unless_loaded(&db, snapshot_hook, &prov, loaded),
+                None => load_or_solve(&db, snapshot_hook, &prov),
+            }
+        });
+        let points_to = sealed.extract_by_kind(db.ids().map(|o| db.kind(o)));
+        let solve_stats = sealed.stats();
+        let solve_time = sp.finish();
 
-    let report = Report {
-        files: files.len(),
-        source_bytes: stats.iter().map(|s| s.source_bytes).sum(),
-        preprocessed_lines: stats.iter().map(|s| s.preprocessed_lines).sum(),
-        program_variables,
-        assign_counts,
-        object_size,
-        link_stats,
-        load_stats: db.load_stats(),
-        solve_stats,
-        pointer_variables: points_to.pointer_variables(),
-        relations: points_to.relations(),
-        compile_time,
-        link_time,
-        solve_time,
-        link_times,
-        open_time,
-        compile_cache_hits,
-        compile_cache_misses,
-        compile_cache_direct_hits,
-        snapshot_loaded,
-        program_loaded,
-        jobs,
-        peak_buffered_units: peak_buffered_units.max(1),
-        peak_rss_bytes: cla_obs::peak_rss_bytes(),
-        slowest_files,
-        quarantined,
-        unknown_summaries,
-    };
-    Ok(Analysis {
-        points_to,
-        database: db,
-        report,
+        let report = Report {
+            files: files.len(),
+            source_bytes: stats.iter().map(|s| s.source_bytes).sum(),
+            preprocessed_lines: stats.iter().map(|s| s.preprocessed_lines).sum(),
+            program_variables,
+            assign_counts,
+            object_size,
+            link_stats,
+            load_stats: db.load_stats(),
+            solve_stats,
+            pointer_variables: points_to.pointer_variables(),
+            relations: points_to.relations(),
+            compile_time,
+            link_time,
+            solve_time,
+            link_times,
+            open_time,
+            compile_cache_hits,
+            compile_cache_misses,
+            compile_cache_direct_hits,
+            snapshot_loaded,
+            program_loaded,
+            jobs,
+            peak_buffered_units: peak_buffered_units.max(1),
+            peak_rss_bytes: cla_obs::peak_rss_bytes(),
+            slowest_files,
+            quarantined,
+            unknown_summaries,
+        };
+        Ok(Analysis {
+            points_to,
+            database: db,
+            report,
+        })
     })
 }
 
-/// Keys every file by its manifest on the pool, before anything is built:
-/// `Some` where the file's [`Manifest`] holds (see [`held_manifest`]). A
-/// panic while checking one counts as its manifest not holding.
+/// The provenance of a batch run over `files`, keyed `keys`.
+fn provenance(files: &[&str], keys: &[u64], options_fp: u64, solver: SolveOptions) -> Provenance {
+    Provenance {
+        inputs: (files.iter().zip(keys))
+            .map(|(f, &k)| ((*f).to_string(), k))
+            .collect(),
+        options_fp,
+        solver,
+    }
+}
+
+/// What the keying pass of [`analyze_with`] found.
+struct Keying {
+    /// Per file, its [`Manifest`] where it holds (see [`held_manifest`]).
+    manifests: Vec<Option<Manifest>>,
+    /// Every manifest held, and the cache has each one's object
+    /// ([`CompileCache::touch`]).
+    objects_present: bool,
+    /// How long keying each file took.
+    durs: Vec<Duration>,
+    /// Threads the keying pool used.
+    jobs: usize,
+}
+
+impl Keying {
+    /// What a unit pass would measure, read off the manifests alone: every
+    /// file a direct hit under `keys`, as the manifests name them.
+    fn into_units(self, keys: Vec<u64>) -> Units {
+        let manifests: Vec<Manifest> = (self.manifests.into_iter())
+            .map(|m| m.expect("every manifest held"))
+            .collect();
+        let files = manifests.len();
+        cla_obs::global()
+            .counter("cla_snap_cache_direct_hits_total")
+            .add(files as u64);
+        Units {
+            stats: manifests.iter().map(|m| m.stats).collect(),
+            keys,
+            durs: self.durs,
+            cache_hits: files,
+            direct_hits: files,
+            failed: Vec::new(),
+            objects_in: manifests.iter().map(|m| m.objects).sum(),
+            jobs: self.jobs,
+        }
+    }
+}
+
+/// Keys every file by its manifest on the pool, before anything is built,
+/// and touches the object each held manifest names. A panic while checking
+/// one counts as its manifest not holding.
 fn held_manifests(
     fs: &dyn FileProvider,
     files: &[&str],
     options_fp: u64,
     cache: &dyn CompileCache,
     jobs: usize,
-) -> Vec<Option<Manifest>> {
-    let mut held = vec![None; files.len()];
+) -> Keying {
+    let mut keying = Keying {
+        manifests: vec![None; files.len()],
+        objects_present: true,
+        durs: vec![Duration::ZERO; files.len()],
+        jobs: 0,
+    };
     // A lenient pool returns no error, and this sink buffers nothing, so
     // no worker need wait on the order of delivery.
-    let _ = compile_all(
+    keying.jobs = compile_all(
         files,
         jobs,
         false,
-        |f| Ok(held_manifest(fs, f, options_fp, cache)),
-        |i, _, r| {
-            held[i] = r.ok().flatten();
+        |f| {
+            let m = held_manifest(fs, f, options_fp, cache);
+            let present = (m.as_ref()).is_some_and(|m| cache.touch(m.closure.key(f, options_fp)));
+            Ok((m, present))
+        },
+        |i, dur, r| {
+            let (m, present) = r.unwrap_or((None, false));
+            keying.manifests[i] = m;
+            keying.objects_present &= present;
+            keying.durs[i] = dur;
             files.len()
         },
-    );
-    held
+    )
+    .expect("a lenient pool fails no run");
+    keying
 }
 
 /// The program a previous run linked from `prov`'s inputs, admitted as any
@@ -866,6 +968,7 @@ fn compile_keyed(
             options_fp,
             closure: closure.clone(),
             stats,
+            objects: object.object_count(),
         };
         cache.store_manifest(manifest_key(f, options_fp), &manifest.encode());
     }

@@ -4,10 +4,13 @@
 //! A compile whose closure — every source read, every include candidate
 //! found missing — is unchanged is skipped entirely, across restarts.
 //! Objects are ordinary `.clao` files named by their 16-hex-digit closure
-//! key, written crash-safely, and re-validated by the pipeline on every hit
-//! (`UnitObject::verify`: every section and block checksum) — a damaged
-//! entry is a miss that gets recompiled and overwritten, never an error,
-//! and is counted as one ([`CompileCache::reject`]).
+//! key, written crash-safely, and re-validated by the pipeline on every
+//! load (`UnitObject::verify`: every section and block checksum) — a
+//! damaged entry is a miss that gets recompiled and overwritten, never an
+//! error, and is counted as one ([`CompileCache::reject`]). A run that
+//! answers from a stored program loads no object; it only
+//! [touches](CompileCache::touch) them, so a damaged one is found by the
+//! next run that loads it.
 //!
 //! Manifests (`manifests/*.clam`, named by the hash of options and file
 //! name) hold the closure a file's object was built from, so a warm build
@@ -21,13 +24,17 @@
 //! when the directory grows past the configured cap, oldest-modified
 //! entries are removed until it fits. Object hits refresh an entry's
 //! modified time (`File::set_modified`, best effort) so recency tracking
-//! survives without any sidecar metadata. Manifest reads do not: under
-//! pressure the manifests, which one preprocess rebuilds, go before the
-//! objects, which take a compile.
+//! survives without any sidecar metadata, and so does a
+//! [touch](CompileCache::touch), which a warm run that reads no object
+//! makes instead. Manifest reads do not: under pressure the manifests,
+//! which one preprocess rebuilds, go before the objects, which take a
+//! compile.
 
 use cla_core::pipeline::CompileCache;
+use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// Default size cap: plenty for every workload profile in this repo while
 /// staying trivial to blow away.
@@ -48,6 +55,9 @@ pub struct DiskCache {
     misses: AtomicU64,
     /// Entries that were read but failed the pipeline's verification.
     corrupt: AtomicU64,
+    /// Keys touched, and counted as hits, that no `load` has read since:
+    /// the load that follows a touch is the same hit.
+    touched: Mutex<HashSet<u64>>,
     /// Stale temporaries reclaimed when the cache was opened.
     reclaimed: usize,
 }
@@ -79,6 +89,7 @@ impl DiskCache {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             corrupt: AtomicU64::new(0),
+            touched: Mutex::new(HashSet::new()),
             reclaimed,
         };
         let total = cache.sweep()?;
@@ -111,7 +122,8 @@ impl DiskCache {
 
     /// (hits, misses) so far for this handle. A damaged entry is a miss: it
     /// counts as a hit while the pipeline verifies it and moves over when
-    /// it is [rejected](CompileCache::reject).
+    /// it is [rejected](CompileCache::reject). A touched entry is a hit,
+    /// and a load of it after the touch is not another.
     #[must_use]
     pub fn counters(&self) -> (u64, u64) {
         (
@@ -175,6 +187,32 @@ impl DiskCache {
         self.approx_bytes.store(total, Ordering::Relaxed);
         Ok(total)
     }
+
+    fn count_hit(&self) {
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        cla_obs::global().counter("cla_snap_cache_hits_total").inc();
+    }
+
+    /// Whether a touch of `key` counted a hit that no load has read since;
+    /// either way, the next load is not one.
+    fn untouch(&self, key: u64) -> bool {
+        (self.touched.lock())
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .remove(&key)
+    }
+}
+
+/// Refreshes the modified time of the entry at `path` for the LRU sweep;
+/// false when there is no entry.
+fn refresh(path: &Path) -> bool {
+    match std::fs::File::options().append(true).open(path) {
+        Ok(f) => {
+            // Best effort: a stale time only ages the entry.
+            let _ = f.set_modified(std::time::SystemTime::now());
+            true
+        }
+        Err(_) => false,
+    }
 }
 
 impl CompileCache for DiskCache {
@@ -182,15 +220,17 @@ impl CompileCache for DiskCache {
         let path = self.entry_path(key);
         match std::fs::read(&path) {
             Ok(bytes) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                cla_obs::global().counter("cla_snap_cache_hits_total").inc();
-                // Refresh recency for the LRU sweep; best effort.
-                if let Ok(f) = std::fs::File::options().append(true).open(&path) {
-                    let _ = f.set_modified(std::time::SystemTime::now());
+                if !self.untouch(key) {
+                    self.count_hit();
                 }
+                refresh(&path);
                 Some(bytes)
             }
             Err(_) => {
+                // A touch counted what turned out to be a miss.
+                if self.untouch(key) {
+                    self.hits.fetch_sub(1, Ordering::Relaxed);
+                }
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 cla_obs::global()
                     .counter("cla_snap_cache_misses_total")
@@ -198,6 +238,17 @@ impl CompileCache for DiskCache {
                 None
             }
         }
+    }
+
+    fn touch(&self, key: u64) -> bool {
+        let present = refresh(&self.entry_path(key));
+        if present {
+            (self.touched.lock())
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .insert(key);
+            self.count_hit();
+        }
+        present
     }
 
     fn reject(&self, _key: u64) {

@@ -161,28 +161,45 @@ echo "==> front-fuzz smoke (hostile C source through the real compile path)"
 echo "==> direct-mode compile cache (manifest-keyed warm builds equal cold analyze; damaged manifests rebuilt)"
 cargo test -q --release --test direct_cache
 
-echo "==> stored program (a warm analyze opens the program it linked last time; a damaged one is linked again, same answers)"
+echo "==> stored program, unit objects unread (a warm analyze opens the program it linked last time without reading a cached object; a damaged one is linked again, same answers)"
 prog_dir="${PROGRAM_SMOKE_DIR:-target/program-smoke}"
 rm -rf "$prog_dir"
 mkdir -p "$prog_dir"
+# stored_run RUN PROGRAM [MISSES]: the run prints program=PROGRAM (and
+# cache-misses=MISSES) and the same pts( lines as run 1.
 stored_run() {
     ./target/release/cla-tool analyze examples/c/*.c -I examples/c \
         --snapshot "$prog_dir/store" --print latest > "$prog_dir/$1.out"
     grep -q "program=$2 " "$prog_dir/$1.out" \
         || { echo "run $1 did not print program=$2:"; cat "$prog_dir/$1.out"; exit 1; }
+    if [ -n "${3:-}" ]; then
+        grep -q "cache-misses=$3 " "$prog_dir/$1.out" \
+            || { echo "run $1 did not print cache-misses=$3:"; cat "$prog_dir/$1.out"; exit 1; }
+    fi
     grep '^pts(' "$prog_dir/$1.out" > "$prog_dir/$1.pts"
     test -s "$prog_dir/$1.pts"
+    if [ "$1" != 1 ]; then cmp "$prog_dir/1.pts" "$prog_dir/$1.pts"; fi
+}
+# flip_byte FILE: xor the middle byte of FILE with 1.
+flip_byte() {
+    at=$(( $(wc -c < "$1") / 2 ))
+    byte=$(od -An -tu1 -j "$at" -N1 "$1" | tr -d ' ')
+    printf "$(printf '\\%03o' $(( byte ^ 1 )))" | dd of="$1" bs=1 seek="$at" conv=notrunc status=none
 }
 stored_run 1 linked
-stored_run 2 loaded
-cmp "$prog_dir/1.pts" "$prog_dir/2.pts"
+stored_run 2 loaded 0
+# A damaged unit object is not read by a run that answers from the program,
+set -- "$prog_dir"/store/cache/*.clao
+flip_byte "$1"
+stored_run 2b loaded 0
+# and is found, rejected and recompiled by the next run that folds.
+rm "$prog_dir"/store/program-*.clao
+stored_run 2c linked 1
+stored_run 2d loaded 0
 set -- "$prog_dir"/store/program-*.clao
 [ "$#" -eq 1 ] && [ -f "$1" ] || { echo "expected one stored program, found: $*"; exit 1; }
-at=$(( $(wc -c < "$1") / 2 ))
-byte=$(od -An -tu1 -j "$at" -N1 "$1" | tr -d ' ')
-printf "$(printf '\\%03o' $(( byte ^ 1 )))" | dd of="$1" bs=1 seek="$at" conv=notrunc status=none
+flip_byte "$1"
 stored_run 3 linked
-cmp "$prog_dir/1.pts" "$prog_dir/3.pts"
 stored_run 4 loaded
 rm -rf "$prog_dir"
 

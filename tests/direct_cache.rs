@@ -10,6 +10,7 @@
 use cla::cladb::fault::{bit_flip_round, judge, truncation_sweep, with_quiet_panics, FuzzReport};
 use cla::core::pipeline::{
     manifest_key, options_fingerprint, CompileCache, Manifest, Provenance, SnapshotHook,
+    MANIFEST_FORMAT,
 };
 use cla::core::SealedGraph;
 use cla::prelude::*;
@@ -430,6 +431,38 @@ fn a_damaged_manifest_is_rejected_and_rebuilt() {
     );
     assert_eq!(counter("cla_snap_cache_misses_total"), misses_before);
     assert_eq!(cache.counters(), (report.exercised * 2, 2));
+}
+
+/// A manifest the previous format version wrote (v2, before it carried
+/// its object's object count) is rejected like a damaged one: counted, the
+/// file keyed by preprocessing, and the manifest rewritten at the current
+/// version.
+#[test]
+fn a_manifest_of_the_previous_version_is_rejected_and_rewritten() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let tree = Tree::examples();
+    let opts = tree.options();
+    let refs: Vec<&str> = tree.files.iter().map(String::as_str).collect();
+    check_step(&tree, "populate", &opts, &refs, 0);
+    let key = manifest_key(refs[0], options_fingerprint(&opts.pp, &opts.lower));
+    let path = tree
+        .cache_dir()
+        .join("manifests")
+        .join(format!("{key:016x}.clam"));
+    let current = std::fs::read(&path).unwrap();
+    let version = MANIFEST_FORMAT.version;
+    assert_eq!(current[4..8], version.to_le_bytes());
+    let mut previous = current.clone();
+    previous[4..8].copy_from_slice(&(version - 1).to_le_bytes());
+    assert!(Manifest::decode(previous.clone()).is_err());
+    std::fs::write(&path, previous).unwrap();
+
+    let corrupt_before = counter("cla_snap_cache_manifest_corrupt_total");
+    check_step(&tree, "previous version", &opts, &[], refs.len() - 1);
+    let corrupt = counter("cla_snap_cache_manifest_corrupt_total") - corrupt_before;
+    assert_eq!(corrupt, 1.0);
+    assert_eq!(std::fs::read(&path).unwrap(), current, "not rewritten");
+    check_step(&tree, "rewritten", &opts, &[], refs.len());
 }
 
 /// The size cap counts manifests, and the LRU sweep evicts them like

@@ -336,9 +336,10 @@ fn pipeline_trace_is_balanced_and_layers_all_appear() {
     assert_eq!(checksummed(&events, "db.open"), [0]);
 
     // The next warm run opens the program that run stored instead of
-    // linking: still each cached object checksummed whole, then the stored
-    // program admitted as any `.clao` from disk, every byte of it under a
-    // checksum, and no fold and no assembly at all.
+    // linking: no cached object read at all, the stored program admitted
+    // as any `.clao` from disk, every byte of it under a checksum, the
+    // graph loaded and checksummed on whichever thread ran it, and no fold
+    // and no assembly at all.
     obs.set_trace_sink(Some(sink.clone()));
     let opened = analyze_with(&example_fs, &files, &opts, &hooks).unwrap();
     obs.set_trace_sink(None);
@@ -357,8 +358,7 @@ fn pipeline_trace_is_balanced_and_layers_all_appear() {
         "the stored program was linked: {linking:?}"
     );
     let verified = checksummed(&events, "db.verify_object");
-    assert_eq!(verified.len(), 2);
-    assert_eq!(verified.iter().sum::<u64>(), whole);
+    assert!(verified.is_empty(), "unit objects were read: {verified:?}");
     let admitting: BTreeSet<&str> = (begun.iter())
         .filter(|(_, parent)| parent.as_deref() == Some("pipeline.link"))
         .map(|(n, _)| n.as_str())

@@ -4,7 +4,7 @@
 //! compile cache must survive corruption by falling back to the compiler,
 //! and stale temporaries from crashed writers must be reclaimed on open.
 
-use cla::core::pipeline::{CompileCache as _, Provenance, SnapshotHook};
+use cla::core::pipeline::{CompileCache, Provenance, SnapshotHook};
 use cla::prelude::*;
 use std::path::{Path, PathBuf};
 
@@ -333,6 +333,14 @@ fn serve_session_warm_starts_from_the_snapshot_directory() {
     assert_eq!(target_names, ["y2"]);
 }
 
+/// Deletes the program a run stored in the snapshot directory `dir`, so
+/// the next run folds its units.
+fn remove_programs(dir: &Path) {
+    for program in SnapshotStore::open(dir).unwrap().program_files() {
+        std::fs::remove_file(program).unwrap();
+    }
+}
+
 #[test]
 fn corrupt_cache_entry_falls_back_to_the_compiler() {
     let dir = TempDir::new("corrupt-cache");
@@ -360,6 +368,9 @@ fn corrupt_cache_entry_falls_back_to_the_compiler() {
         }
     }
     assert_eq!(corrupted, 2, "expected one cache entry per source file");
+    // The stored program answers without reading a unit object; without it
+    // the run folds the units, and so reads the damaged entries.
+    remove_programs(dir.path());
 
     let (recovered, _) = analyze_snapshotted(&fs, &names, dir.path());
     assert_eq!(
@@ -424,6 +435,8 @@ fn a_damaged_block_or_string_in_a_cache_entry_is_one_counted_miss() {
             assert!(Database::open(damaged.clone()).is_ok());
         }
         std::fs::write(&entries[0], &damaged).unwrap();
+        // Only the fold route reads unit objects.
+        remove_programs(dir.path());
 
         let before = corrupt_total();
         let (recovered, counters, corrupt) = run();
@@ -759,11 +772,13 @@ fn an_edited_source_is_linked_afresh_and_its_program_replaces_the_old_one() {
     assert_eq!(warm.database.content_hash(), edited.database.content_hash());
 }
 
-/// A snapshot store that counts what a run asks of its program entry.
+/// A snapshot store that counts what a run asks of its program entry, and
+/// records each provenance it is asked to load a graph for.
 struct Watched<'a> {
     store: &'a SnapshotStore,
     program_loads: std::sync::atomic::AtomicUsize,
     program_saves: std::sync::atomic::AtomicUsize,
+    graph_loads: std::sync::Mutex<Vec<Provenance>>,
 }
 
 impl<'a> Watched<'a> {
@@ -772,6 +787,7 @@ impl<'a> Watched<'a> {
             store,
             program_loads: Default::default(),
             program_saves: Default::default(),
+            graph_loads: Default::default(),
         }
     }
 
@@ -786,6 +802,7 @@ impl<'a> Watched<'a> {
 
 impl SnapshotHook for Watched<'_> {
     fn load(&self, prov: &Provenance) -> Option<cla::core::SealedGraph> {
+        self.graph_loads.lock().unwrap().push(prov.clone());
         self.store.load(prov)
     }
     fn save(&self, prov: &Provenance, sealed: &cla::core::SealedGraph) {
@@ -1164,4 +1181,156 @@ fn concurrent_snapshot_save_and_load_share_a_directory() {
     );
     assert_eq!(loads, 1);
     assert_eq!(mismatches, 0);
+}
+
+/// The compile cache a run sees, counting the objects it reads.
+struct Counting<'a> {
+    inner: &'a DiskCache,
+    loads: std::sync::atomic::AtomicUsize,
+}
+
+impl CompileCache for Counting<'_> {
+    fn load(&self, key: u64) -> Option<Vec<u8>> {
+        self.loads
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.inner.load(key)
+    }
+    fn touch(&self, key: u64) -> bool {
+        self.inner.touch(key)
+    }
+    fn store(&self, key: u64, bytes: &[u8]) {
+        self.inner.store(key, bytes);
+    }
+    fn reject(&self, key: u64) {
+        self.inner.reject(key);
+    }
+    fn load_manifest(&self, key: u64) -> Option<Vec<u8>> {
+        self.inner.load_manifest(key)
+    }
+    fn store_manifest(&self, key: u64, bytes: &[u8]) {
+        self.inner.store_manifest(key, bytes);
+    }
+    fn reject_manifest(&self, key: u64) {
+        self.inner.reject_manifest(key);
+    }
+}
+
+fn modified(path: &Path) -> std::time::SystemTime {
+    std::fs::metadata(path).unwrap().modified().unwrap()
+}
+
+#[test]
+fn the_stored_route_reads_no_unit_object() {
+    let dir = TempDir::new("program-unread");
+    let (fs, names) = workload_fs("nethack", 0.05, 11);
+    let refs: Vec<&str> = names.iter().map(String::as_str).collect();
+    let n = refs.len() as u64;
+    let store = SnapshotStore::open(dir.path()).unwrap();
+    let run = || {
+        let cache = DiskCache::open(&dir.path().join("cache")).unwrap();
+        let counting = Counting {
+            inner: &cache,
+            loads: Default::default(),
+        };
+        let hooks = AnalyzeHooks {
+            compile_cache: Some(&counting),
+            snapshots: Some(&store),
+        };
+        let a = analyze_with(&fs, &refs, &PipelineOptions::default(), &hooks).unwrap();
+        let loads = counting.loads.into_inner();
+        (a, loads, cache.counters(), cache.corrupt())
+    };
+    let (cold, _, _, _) = run();
+    let mut objects: Vec<PathBuf> = std::fs::read_dir(dir.path().join("cache"))
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "clao"))
+        .collect();
+    objects.sort();
+    assert_eq!(objects.len(), refs.len());
+    // Aged, so that a refreshed recency shows.
+    let aged = std::time::SystemTime::now() - std::time::Duration::from_secs(3600);
+    for path in &objects {
+        let f = std::fs::File::options().append(true).open(path).unwrap();
+        f.set_modified(aged).unwrap();
+    }
+
+    let (warm, loads, counters, _) = run();
+    assert!(warm.report.program_loaded && warm.report.snapshot_loaded);
+    assert_eq!(loads, 0, "the stored route read a unit object");
+    assert_eq!(counters, (n, 0));
+    assert_eq!(warm.points_to, cold.points_to);
+    for path in &objects {
+        assert!(modified(path) > aged, "{path:?}: recency not refreshed");
+    }
+
+    // A damaged object is not found by a run that does not read it.
+    let mut bytes = std::fs::read(&objects[0]).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0xff;
+    std::fs::write(&objects[0], &bytes).unwrap();
+    let (unread, loads, counters, corrupt) = run();
+    assert!(unread.report.program_loaded);
+    assert_eq!((loads, counters, corrupt), (0, (n, 0), 0));
+    assert_eq!(unread.points_to, cold.points_to);
+
+    // The next run that folds finds it: rejected, counted, recompiled.
+    remove_programs(dir.path());
+    let (folded, _, counters, corrupt) = run();
+    assert!(!folded.report.program_loaded);
+    assert_eq!((counters, corrupt), ((n - 1, 1), 1));
+    assert_eq!(folded.report.compile_cache_misses, 1);
+    assert_eq!(folded.points_to, cold.points_to);
+    assert_eq!(folded.database.content_hash(), cold.database.content_hash());
+    let (healed, loads, counters, corrupt) = run();
+    assert!(healed.report.program_loaded);
+    assert_eq!((loads, counters, corrupt), (0, (n, 0), 0));
+    assert_eq!(healed.report.compile_cache_hits, refs.len());
+}
+
+#[test]
+fn the_snapshot_hook_is_asked_for_a_graph_once_per_provenance() {
+    let dir = TempDir::new("graph-once");
+    let mut fs = MemoryFs::new();
+    fs.add("a.c", "int x; int *p; void f(void) { p = &x; }");
+    fs.add("b.c", "extern int *p; int *q; void g(void) { q = p; }");
+    let refs = ["a.c", "b.c"];
+    let opts = PipelineOptions::default();
+    let cache = DiskCache::open(&dir.path().join("cache")).unwrap();
+    let store = SnapshotStore::open(dir.path()).unwrap();
+    let run = |fs: &dyn cla::cfront::FileProvider| {
+        let watched = Watched::new(&store);
+        let hooks = AnalyzeHooks {
+            compile_cache: Some(&cache),
+            snapshots: Some(&watched),
+        };
+        let a = analyze_with(fs, &refs, &opts, &hooks).unwrap();
+        (a, watched.graph_loads.into_inner().unwrap())
+    };
+    let (cold, asked) = run(&fs);
+    assert!(!cold.report.snapshot_loaded);
+    assert_eq!(asked.len(), 1, "cold");
+
+    let (stored, asked) = run(&fs);
+    assert!(stored.report.program_loaded && stored.report.snapshot_loaded);
+    assert_eq!(asked.len(), 1, "stored route");
+
+    remove_programs(dir.path());
+    let (folded, asked) = run(&fs);
+    assert!(!folded.report.program_loaded && folded.report.snapshot_loaded);
+    assert_eq!(asked.len(), 1, "fold route");
+
+    // Keyed under the old text, built from the new one: one ask for each.
+    let edited = "extern int *p; int y; int *q; void g(void) { q = &y; }";
+    evict_objects(&dir.path().join("cache"));
+    let (shifted, asked) = run(&Shifting::new(&fs, "b.c", Some(edited)));
+    assert!(!shifted.report.program_loaded);
+    assert!(asked.len() <= 2, "{asked:?}");
+    if let [keyed, built] = &asked[..] {
+        assert_ne!(keyed, built);
+    }
+    let mut new_fs = fs.clone();
+    new_fs.add("b.c", edited);
+    let expected = analyze(&new_fs, &refs, &opts).unwrap();
+    assert_eq!(shifted.points_to, expected.points_to);
 }
