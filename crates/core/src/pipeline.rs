@@ -164,15 +164,12 @@ pub trait CompileCache: Send + Sync {
     /// [`UnitObject::verify`] and falls back to a fresh compile on any
     /// error.
     fn load(&self, key: u64) -> Option<Vec<u8>>;
-    /// Whether an object is stored under `key`, answered without reading
-    /// it. To the cache's recency and accounting it is the
-    /// [`load`](CompileCache::load) of a run that needs no bytes: it is
-    /// counted as that load would be, and a `load` of the same key that
-    /// follows it is the same hit. `false` means "cannot tell", the
-    /// default, and keeps [`analyze_with`] loading every unit's object.
-    fn touch(&self, _key: u64) -> bool {
-        false
-    }
+    /// The object stored under `key` stood behind a run's answer without
+    /// being read: [`analyze_with`] answered from the program a previous
+    /// run linked from it. For the implementation's recency and accounting
+    /// (an absent object built nothing and counts nothing); nothing to do
+    /// by default.
+    fn touch(&self, _key: u64) {}
     /// Persists object bytes under `key` (best effort; errors are the
     /// implementation's to swallow — a failed store only costs a future
     /// recompile).
@@ -445,25 +442,25 @@ pub fn analyze(
 /// With both hooks a warm restart does no parsing, no lowering, no link and
 /// no fixpoint.
 ///
-/// The build is load-or-link. With a cache and a snapshot hook attached,
-/// every file is first keyed by its [`Manifest`] on the pool (`cache.direct`
-/// spans), which also [touches](CompileCache::touch) the object each held
-/// manifest names. When every manifest holds, the inputs are known before
-/// anything is built: the graph saved for them is loaded on a thread of its
-/// own while the program a previous run linked from them is read back
-/// through [`SnapshotHook::load_program`] and admitted as any `.clao` from
-/// disk is ([`Database::admit`], in a `pipeline.link` span nested in
-/// `pipeline.compile`). With every touched object present, the units'
-/// figures are read off their manifests and no unit object is read at all.
-/// Otherwise the pool builds every unit — loading and verifying its cached
-/// object, so a damaged one is rejected, counted and recompiled — but
-/// folds none of them; should a unit fail or come back under another key
-/// than its manifest named, the program is dropped and the units are built
-/// again to fold. In every other case, or when no stored program is
-/// admitted (a counted miss), the units fold into the program as they
-/// arrive, and a run that could be keyed this way next time (a cache and a
-/// snapshot hook, no quarantined unit) saves the program it linked. Every
-/// route reports the same counts, and asks the snapshot hook for a graph at
+/// The build is load-or-link. With a cache attached, every file is first
+/// keyed by its [`Manifest`] on the pool (`cache.direct` spans). With a
+/// snapshot hook too and every manifest holding, the inputs are known
+/// before anything is built: the graph saved for them is loaded on a
+/// thread of its own while the program a previous run linked from them is
+/// read back through [`SnapshotHook::load_program`] and admitted as any
+/// `.clao` from disk is ([`Database::admit`], in a `pipeline.link` span
+/// nested in `pipeline.compile`). An admitted program answers whatever the
+/// cache holds: its key ([`program_key`]) covers every file's closure key
+/// and the options, object format included, so it is what a fold of those
+/// objects links. The units' figures are read off their manifests, no unit
+/// object or source is read, and each object is
+/// [touched](CompileCache::touch). In every other case, or when no stored
+/// program is admitted (a counted miss), the pool builds every unit —
+/// loading and verifying its cached object, so a damaged or evicted one is
+/// found, counted and recompiled — and folds it into the program as it
+/// arrives; a run that could be keyed this way next time (a cache and a
+/// snapshot hook, no quarantined unit) saves the program it linked. Both
+/// routes report the same counts, and ask the snapshot hook for a graph at
 /// most once per provenance.
 ///
 /// # Errors
@@ -492,12 +489,10 @@ pub fn analyze_with(
     // folds and `link_time` is the stored program's admission.
     let mut sp = obs.span("pipeline", "pipeline.compile");
     sp.set("files", files.len());
-    // Only a run that may open a stored program keys its files before
-    // building any; every other run keys each file on the worker that
-    // builds it.
-    let keying: Option<Keying> = (hooks.compile_cache)
-        .zip(hooks.snapshots)
-        .map(|(cache, _)| held_manifests(fs, files, options_fp, cache, pool_jobs));
+    // With a cache attached every file is keyed by its manifest before any
+    // is built.
+    let keying: Option<Keying> =
+        (hooks.compile_cache).map(|cache| held_manifests(fs, files, options_fp, cache, pool_jobs));
     // With every manifest holding, the run's inputs are known already.
     let keyed: Option<Vec<u64>> = keying.as_ref().and_then(|k| {
         (files.iter().zip(&k.manifests))
@@ -511,52 +506,34 @@ pub fn analyze_with(
         // read and admission; the solve step takes it if the run's inputs
         // are still those.
         let graph = keyed_hook.map(|(hook, prov)| scope.spawn(move || hook.load(prov)));
-        let mut stored = keyed_hook.and_then(|(hook, prov)| open_stored_program(hook, prov));
-        let (units, linker) = match keying {
-            // Every object the stored program was linked from is there:
-            // nothing a unit pass would read adds anything.
-            Some(k) if stored.is_some() && k.objects_present => {
-                let keys = keyed.clone().expect("a stored program was keyed");
-                (k.into_units(keys), None)
-            }
-            keying => {
-                // Each unit takes its own file's manifest, once.
-                let mut held: Option<Vec<Mutex<Option<Manifest>>>> =
-                    keying.map(|k| k.manifests.into_iter().map(Mutex::new).collect());
-                loop {
-                    let mut linker = stored.is_none().then(|| StreamLinker::new("a.out"));
-                    let units =
-                        build_units(files, pool_jobs, opts.strict, linker.as_mut(), |i, f| {
-                            let (pp, lower, cache) = (&opts.pp, &opts.lower, hooks.compile_cache);
-                            match &held {
-                                Some(slots) => {
-                                    let m = slots[i]
-                                        .lock()
-                                        .expect("only a take runs under a slot's lock")
-                                        .take();
-                                    compile_keyed(fs, f, pp, lower, options_fp, cache, m)
-                                }
-                                None => compile_one_keyed(fs, f, pp, lower, options_fp, cache),
-                            }
-                        })?;
-                    // The stored program stands for the keyed inputs only if
-                    // every unit was built from them. A unit can fail
-                    // although its manifest held (a deadline overrun, a
-                    // source gone since it was keyed), or come back under
-                    // another key (its object was gone, and the compile that
-                    // replaced it read a source edited since). Then the
-                    // program is linked from what the units are now: the
-                    // pool runs again, folding, and keys each file afresh.
-                    // The cache counts both passes.
-                    if stored.is_some()
-                        && (!units.failed.is_empty() || keyed.as_ref() != Some(&units.keys))
-                    {
-                        stored = None;
-                        held = None;
-                        continue;
-                    }
-                    break (units, linker);
+        let stored = keyed_hook.and_then(|(hook, prov)| open_stored_program(hook, prov));
+        // Load or link: an admitted program is what a fold of the keyed
+        // objects links, so it answers whatever the cache holds; otherwise
+        // every unit folds. A stored program leaves the linker empty.
+        let mut linker = StreamLinker::new("a.out");
+        let units = match (keying, hooks.compile_cache) {
+            (Some(k), Some(cache)) if stored.is_some() => {
+                let keys = keyed.expect("a stored program was keyed");
+                // Recency and accounting for the objects behind the answer.
+                for &key in &keys {
+                    cache.touch(key);
                 }
+                k.into_units(keys)
+            }
+            (keying, cache) => {
+                // Each unit takes its own file's manifest, once.
+                let held: Vec<Mutex<Option<Manifest>>> = keying
+                    .map_or_else(|| vec![None; files.len()], |k| k.manifests)
+                    .into_iter()
+                    .map(Mutex::new)
+                    .collect();
+                build_units(files, pool_jobs, opts.strict, &mut linker, |i, f| {
+                    let m = held[i]
+                        .lock()
+                        .expect("only a take runs under a slot's lock")
+                        .take();
+                    compile_one_keyed(fs, f, &opts.pp, &opts.lower, options_fp, cache, m)
+                })?
             }
         };
         let Units {
@@ -593,16 +570,15 @@ pub fn analyze_with(
         let program_loaded = stored.is_some();
         // The stored program's admission ran inside the compile span; the
         // report keeps the two phases apart.
-        let (linked, peak_buffered_units, compile_time, link_time) = match (stored, linker) {
-            (Some((db, admit_time)), _) => {
+        let (linked, peak_buffered_units, compile_time, link_time) = match stored {
+            Some((db, admit_time)) => {
                 let linked = Linked::of_stored(db, files.len(), objects_in, admit_time);
                 let compile_time = sp.finish().saturating_sub(admit_time);
                 (linked, 1, compile_time, admit_time)
             }
-            (None, linker) => {
+            None => {
                 let compile_time = sp.finish();
                 let mut sp = obs.span("pipeline", "pipeline.link");
-                let linker = linker.expect("the fold route has a linker");
                 let peak = linker.peak_buffered();
                 let linked = open_linked(linker.finish(), partial && opts.unknown_summaries)?;
                 sp.set("object_bytes", linked.db.file_size());
@@ -706,9 +682,6 @@ fn provenance(files: &[&str], keys: &[u64], options_fp: u64, solver: SolveOption
 struct Keying {
     /// Per file, its [`Manifest`] where it holds (see [`held_manifest`]).
     manifests: Vec<Option<Manifest>>,
-    /// Every manifest held, and the cache has each one's object
-    /// ([`CompileCache::touch`]).
-    objects_present: bool,
     /// How long keying each file took.
     durs: Vec<Duration>,
     /// Threads the keying pool used.
@@ -739,9 +712,8 @@ impl Keying {
     }
 }
 
-/// Keys every file by its manifest on the pool, before anything is built,
-/// and touches the object each held manifest names. A panic while checking
-/// one counts as its manifest not holding.
+/// Keys every file by its manifest on the pool, before anything is built.
+/// A panic while checking one counts as its manifest not holding.
 fn held_manifests(
     fs: &dyn FileProvider,
     files: &[&str],
@@ -751,7 +723,6 @@ fn held_manifests(
 ) -> Keying {
     let mut keying = Keying {
         manifests: vec![None; files.len()],
-        objects_present: true,
         durs: vec![Duration::ZERO; files.len()],
         jobs: 0,
     };
@@ -761,15 +732,9 @@ fn held_manifests(
         files,
         jobs,
         false,
-        |f| {
-            let m = held_manifest(fs, f, options_fp, cache);
-            let present = (m.as_ref()).is_some_and(|m| cache.touch(m.closure.key(f, options_fp)));
-            Ok((m, present))
-        },
+        |f| Ok(held_manifest(fs, f, options_fp, cache)),
         |i, dur, r| {
-            let (m, present) = r.unwrap_or((None, false));
-            keying.manifests[i] = m;
-            keying.objects_present &= present;
+            keying.manifests[i] = r.unwrap_or(None);
             keying.durs[i] = dur;
             files.len()
         },
@@ -815,12 +780,12 @@ struct Units {
 }
 
 /// Runs `one` over every file on the pool and folds each unit into
-/// `linker`, or, without one, drops it once counted.
+/// `linker`.
 fn build_units(
     files: &[&str],
     jobs: usize,
     strict: bool,
-    mut linker: Option<&mut StreamLinker>,
+    linker: &mut StreamLinker,
     one: impl Fn(usize, &str) -> Result<CompiledFile, CError> + Sync,
 ) -> Result<Units, CError> {
     let mut units = Units {
@@ -851,14 +816,8 @@ fn build_units(
             }
         };
         units.objects_in += unit.object_count();
-        match linker.as_deref_mut() {
-            Some(linker) => {
-                linker.push(i, unit);
-                linker.folded()
-            }
-            // Nothing is held back for an order, so nothing waits on one.
-            None => files.len(),
-        }
+        linker.push(i, unit);
+        linker.folded()
     })?;
     Ok(units)
 }
@@ -880,16 +839,17 @@ pub struct CompiledFile {
 }
 
 /// The per-file compile of every build route (batch [`analyze_with`] and
-/// the serve sessions' load and reload). With a cache attached, the file's
-/// [`Manifest`] is tried first: if its closure still holds, it names the
-/// key without a preprocess (direct mode). Otherwise the file is
+/// the serve sessions' load and reload). `held` is the file's [`Manifest`]
+/// if the caller found that it holds ([`analyze_with`] keys every file
+/// before building any): it names the key without a preprocess (direct
+/// mode). Otherwise, or when the object it names is gone, the file is
 /// preprocessed, which yields its [`Closure`] and key, and its manifest is
-/// (re)written. Either way the stored object under the key is reused on a
-/// hit, and the preprocessed unit is parsed, lowered and encoded (the
-/// result stored) on a miss. A hit is handed over undecoded, after
-/// [`UnitObject::verify`] has run every integrity check of the format over
-/// it; an entry that fails one is [rejected](CompileCache::reject) and
-/// treated as a miss.
+/// (re)written under a key it did not name. Either way the stored object
+/// under the key is reused on a hit, and the preprocessed unit is parsed,
+/// lowered and encoded (the result stored) on a miss. A hit is handed over
+/// undecoded, after [`UnitObject::verify`] has run every integrity check
+/// of the format over it; an entry that fails one is
+/// [rejected](CompileCache::reject) and treated as a miss.
 ///
 /// # Errors
 ///
@@ -901,24 +861,9 @@ pub fn compile_one_keyed(
     lower: &LowerOptions,
     options_fp: u64,
     cache: Option<&dyn CompileCache>,
-) -> Result<CompiledFile, CError> {
-    let held = cache.and_then(|c| held_manifest(fs, f, options_fp, c));
-    compile_keyed(fs, f, pp, lower, options_fp, cache, held)
-}
-
-/// [`compile_one_keyed`] with the file's manifest already tried: `held` is
-/// the manifest if it held ([`analyze_with`] tries every file's before
-/// building any when it may open a stored program).
-fn compile_keyed(
-    fs: &dyn FileProvider,
-    f: &str,
-    pp: &PpOptions,
-    lower: &LowerOptions,
-    options_fp: u64,
-    cache: Option<&dyn CompileCache>,
     held: Option<Manifest>,
 ) -> Result<CompiledFile, CError> {
-    let manifest_held = held.is_some();
+    let mut held_key = None;
     if let Some(Manifest { closure, stats, .. }) = held {
         let key = closure.key(f, options_fp);
         if let Some(object) = cache.and_then(|c| load_verified(c, key)) {
@@ -934,6 +879,7 @@ fn compile_keyed(
                 direct_hit: true,
             });
         }
+        held_key = Some(key);
     }
     if cache.is_some() {
         cla_obs::global()
@@ -943,11 +889,12 @@ fn compile_keyed(
     let pre = cla_cfront::preprocess_file(fs, f, pp)?;
     let closure = Closure::of(&pre);
     let key = closure.key(f, options_fp);
-    // A manifest that held named this same key, whose object is already
-    // known to be gone: asking again would count a second miss.
-    let hit = cache
-        .filter(|_| !manifest_held)
-        .and_then(|c| load_verified(c, key));
+    // A held manifest that named this same key stands as it is, and its
+    // object is already known to be gone: asking again would count a
+    // second miss. One that named another key (the source changed since it
+    // was keyed) is replaced.
+    let unnamed = cache.filter(|_| held_key != Some(key));
+    let hit = unnamed.and_then(|c| load_verified(c, key));
     let cache_hit = hit.is_some();
     let (object, stats) = match hit {
         // The keying preprocess saw the same bytes the original compile
@@ -962,7 +909,7 @@ fn compile_keyed(
             (object, stats)
         }
     };
-    if let Some(cache) = cache.filter(|_| !manifest_held) {
+    if let Some(cache) = unnamed {
         let manifest = Manifest {
             file: f.to_owned(),
             options_fp,

@@ -605,7 +605,7 @@ impl Sources {
             &names,
             self.jobs,
             !self.lenient,
-            |f| compile_one_keyed(fs, f, &self.pp, &self.lower, options_fp, None),
+            |f| compile_one_keyed(fs, f, &self.pp, &self.lower, options_fp, None, None),
             |k, _, compiled| {
                 fresh.push((stale[k], compiled));
                 fresh.len()

@@ -9,8 +9,8 @@
 //! damaged entry is a miss that gets recompiled and overwritten, never an
 //! error, and is counted as one ([`CompileCache::reject`]). A run that
 //! answers from a stored program loads no object; it only
-//! [touches](CompileCache::touch) them, so a damaged one is found by the
-//! next run that loads it.
+//! [touches](CompileCache::touch) the ones behind its answer, so a damaged
+//! or evicted one is found by the next run that folds.
 //!
 //! Manifests (`manifests/*.clam`, named by the hash of options and file
 //! name) hold the closure a file's object was built from, so a warm build
@@ -31,10 +31,8 @@
 //! compile.
 
 use cla_core::pipeline::CompileCache;
-use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// Default size cap: plenty for every workload profile in this repo while
 /// staying trivial to blow away.
@@ -55,9 +53,6 @@ pub struct DiskCache {
     misses: AtomicU64,
     /// Entries that were read but failed the pipeline's verification.
     corrupt: AtomicU64,
-    /// Keys touched, and counted as hits, that no `load` has read since:
-    /// the load that follows a touch is the same hit.
-    touched: Mutex<HashSet<u64>>,
     /// Stale temporaries reclaimed when the cache was opened.
     reclaimed: usize,
 }
@@ -89,7 +84,6 @@ impl DiskCache {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             corrupt: AtomicU64::new(0),
-            touched: Mutex::new(HashSet::new()),
             reclaimed,
         };
         let total = cache.sweep()?;
@@ -122,8 +116,8 @@ impl DiskCache {
 
     /// (hits, misses) so far for this handle. A damaged entry is a miss: it
     /// counts as a hit while the pipeline verifies it and moves over when
-    /// it is [rejected](CompileCache::reject). A touched entry is a hit,
-    /// and a load of it after the touch is not another.
+    /// it is [rejected](CompileCache::reject). A touched entry that exists
+    /// is a hit.
     #[must_use]
     pub fn counters(&self) -> (u64, u64) {
         (
@@ -192,14 +186,6 @@ impl DiskCache {
         self.hits.fetch_add(1, Ordering::Relaxed);
         cla_obs::global().counter("cla_snap_cache_hits_total").inc();
     }
-
-    /// Whether a touch of `key` counted a hit that no load has read since;
-    /// either way, the next load is not one.
-    fn untouch(&self, key: u64) -> bool {
-        (self.touched.lock())
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .remove(&key)
-    }
 }
 
 /// Refreshes the modified time of the entry at `path` for the LRU sweep;
@@ -220,17 +206,11 @@ impl CompileCache for DiskCache {
         let path = self.entry_path(key);
         match std::fs::read(&path) {
             Ok(bytes) => {
-                if !self.untouch(key) {
-                    self.count_hit();
-                }
+                self.count_hit();
                 refresh(&path);
                 Some(bytes)
             }
             Err(_) => {
-                // A touch counted what turned out to be a miss.
-                if self.untouch(key) {
-                    self.hits.fetch_sub(1, Ordering::Relaxed);
-                }
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 cla_obs::global()
                     .counter("cla_snap_cache_misses_total")
@@ -240,15 +220,10 @@ impl CompileCache for DiskCache {
         }
     }
 
-    fn touch(&self, key: u64) -> bool {
-        let present = refresh(&self.entry_path(key));
-        if present {
-            (self.touched.lock())
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .insert(key);
+    fn touch(&self, key: u64) {
+        if refresh(&self.entry_path(key)) {
             self.count_hit();
         }
-        present
     }
 
     fn reject(&self, _key: u64) {

@@ -129,6 +129,21 @@ named_saves=$(for f in $(find crates/*/src src examples -name '*.rs' | grep -v '
 done || true)
 [ -z "$named_saves" ] || { echo "a caller passes names to a snapshot: $named_saves"; exit 1; }
 
+echo "==> load or link (analyze_with answers from an admitted stored program or folds every unit; no second stored route)"
+# The stored program is what a fold of the keyed objects links, so a run
+# that admits it reads no unit object whatever the cache holds; every other
+# run folds. The pass that built units without folding them, its keyed
+# compile and the touch bookkeeping it needed stay gone.
+pipeline=$(sed '/#\[cfg(test)\]/,$d' crates/core/src/pipeline.rs | grep -vE '^\s*//')
+unit_passes=$(echo "$pipeline" | grep -E '\bbuild_units\(' | grep -vc 'fn build_units(' || true)
+[ "$unit_passes" = 1 ] || { echo "core::pipeline calls build_units( $unit_passes times"; exit 1; }
+keyed=$(echo "$pipeline" | grep -nE '\bfn compile_keyed\b' || true)
+[ -z "$keyed" ] || { echo "a second keyed compile grew back: $keyed"; exit 1; }
+touched=$(sed '/#\[cfg(test)\]/,$d' crates/snap/src/cache.rs | grep -n 'HashSet' || true)
+[ -z "$touched" ] || { echo "the disk cache keeps a touched set again: $touched"; exit 1; }
+answers=$(grep -rnE 'fn touch\(' crates/*/src src tests | grep -- '->' || true)
+[ -z "$answers" ] || { echo "a touch answers something: $answers"; exit 1; }
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -161,7 +176,7 @@ echo "==> front-fuzz smoke (hostile C source through the real compile path)"
 echo "==> direct-mode compile cache (manifest-keyed warm builds equal cold analyze; damaged manifests rebuilt)"
 cargo test -q --release --test direct_cache
 
-echo "==> stored program, unit objects unread (a warm analyze opens the program it linked last time without reading a cached object; a damaged one is linked again, same answers)"
+echo "==> stored program, unit objects unread (a warm analyze opens the program it linked last time without reading a cached object, even an evicted one; a damaged program is linked again, same answers)"
 prog_dir="${PROGRAM_SMOKE_DIR:-target/program-smoke}"
 rm -rf "$prog_dir"
 mkdir -p "$prog_dir"
@@ -196,6 +211,13 @@ stored_run 2b loaded 0
 rm "$prog_dir"/store/program-*.clao
 stored_run 2c linked 1
 stored_run 2d loaded 0
+# Evicted objects do not stop a run that answers from the program either;
+rm "$prog_dir"/store/cache/*.clao
+stored_run 2e loaded 0
+# the next run that folds compiles every unit again.
+rm "$prog_dir"/store/program-*.clao
+stored_run 2f linked 2
+stored_run 2g loaded 0
 set -- "$prog_dir"/store/program-*.clao
 [ "$#" -eq 1 ] && [ -f "$1" ] || { echo "expected one stored program, found: $*"; exit 1; }
 flip_byte "$1"

@@ -934,19 +934,18 @@ fn a_unit_that_fails_after_its_manifest_held_is_quarantined_and_the_rest_linked(
     analyze_with(&fs, &refs, &lenient, &hooks).unwrap();
     let stored = store.program_files();
     assert_eq!(stored.len(), 1);
-    // Without their objects the units must be compiled again. `b.c`'s
-    // manifest holds when the run keys it, so the stored program is
-    // opened, but by the time it is compiled the file is gone.
+    // Without their objects or the program the units must be compiled
+    // again. `b.c`'s manifest holds when the run keys it, but by the time
+    // it is compiled the file is gone.
     evict_objects(&dir.path().join("cache"));
+    remove_programs(dir.path());
     let vanishing = Shifting::new(&fs, "b.c", None);
     let before = cache.counters();
     let partial = analyze_with(&vanishing, &refs, &lenient, &hooks).unwrap();
-    // The unit pass runs twice: once on the stored-program route, where
-    // both objects miss and `a.c` is compiled and stored again, and once
-    // more to fold, keying each file afresh, where `a.c` hits and `b.c`
-    // (gone) is never looked up. The cache counts both passes.
+    // One unit pass, folding: both objects miss, `a.c` is compiled and
+    // stored again, and `b.c` (gone) fails at its preprocess.
     let after = cache.counters();
-    assert_eq!((after.0 - before.0, after.1 - before.1), (1, 2));
+    assert_eq!((after.0 - before.0, after.1 - before.1), (0, 2));
     let quarantined: Vec<&str> = (partial.report.quarantined.iter())
         .map(|q| q.file.as_str())
         .collect();
@@ -964,7 +963,8 @@ fn a_unit_that_fails_after_its_manifest_held_is_quarantined_and_the_rest_linked(
         partial.database.content_hash(),
         expected.database.content_hash()
     );
-    assert_eq!(store.program_files(), stored);
+    // A partial run stores no program.
+    assert!(store.program_files().is_empty());
 }
 
 #[test]
@@ -985,11 +985,12 @@ fn a_source_edited_after_its_manifest_held_is_linked_from_the_new_text() {
     analyze_with(&fs, &refs, &opts, &hooks).unwrap();
     assert_eq!(store.program_files().len(), 1);
 
-    // `b.c`'s manifest holds when the run keys it, so the stored program
-    // is opened; its object is gone, and the compile that replaces it reads
-    // the edited text.
+    // `b.c`'s manifest holds when the run keys it; its object and the
+    // program are gone, and the compile that replaces it reads the edited
+    // text.
     let edited = "extern int *p; int y; int *q; void g(void) { q = &y; }";
     evict_objects(&dir.path().join("cache"));
+    remove_programs(dir.path());
     let shifting = Shifting::new(&fs, "b.c", Some(edited));
     let mut new_fs = fs.clone();
     new_fs.add("b.c", edited);
@@ -1195,8 +1196,8 @@ impl CompileCache for Counting<'_> {
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         self.inner.load(key)
     }
-    fn touch(&self, key: u64) -> bool {
-        self.inner.touch(key)
+    fn touch(&self, key: u64) {
+        self.inner.touch(key);
     }
     fn store(&self, key: u64, bytes: &[u8]) {
         self.inner.store(key, bytes);
@@ -1289,6 +1290,47 @@ fn the_stored_route_reads_no_unit_object() {
 }
 
 #[test]
+fn evicted_objects_do_not_stop_the_stored_route() {
+    let dir = TempDir::new("program-evicted");
+    let (fs, names) = workload_fs("nethack", 0.05, 11);
+    let refs: Vec<&str> = names.iter().map(String::as_str).collect();
+    let n = refs.len() as u64;
+    let store = SnapshotStore::open(dir.path()).unwrap();
+    let run = || {
+        let cache = DiskCache::open(&dir.path().join("cache")).unwrap();
+        let hooks = AnalyzeHooks {
+            compile_cache: Some(&cache),
+            snapshots: Some(&store),
+        };
+        let a = analyze_with(&fs, &refs, &PipelineOptions::default(), &hooks).unwrap();
+        (a, cache.counters())
+    };
+    let (cold, _) = run();
+
+    // The stored program is what a fold of the evicted objects would link.
+    evict_objects(&dir.path().join("cache"));
+    let (warm, counters) = run();
+    assert!(warm.report.program_loaded && warm.report.snapshot_loaded);
+    assert_eq!(counters, (0, 0), "an absent object counts nothing");
+    assert_eq!(warm.report.compile_cache_hits, refs.len());
+    assert_eq!(warm.points_to, cold.points_to);
+    assert_eq!(warm.database.content_hash(), cold.database.content_hash());
+
+    // The next run that folds recompiles every unit, to the cold bytes.
+    remove_programs(dir.path());
+    let (folded, counters) = run();
+    assert!(!folded.report.program_loaded);
+    assert_eq!(counters, (0, n));
+    assert_eq!(folded.points_to, cold.points_to);
+    assert!(folded.database.bytes() == cold.database.bytes());
+
+    let (healed, counters) = run();
+    assert!(healed.report.program_loaded);
+    assert_eq!(counters, (n, 0));
+    assert_eq!(healed.points_to, cold.points_to);
+}
+
+#[test]
 fn the_snapshot_hook_is_asked_for_a_graph_once_per_provenance() {
     let dir = TempDir::new("graph-once");
     let mut fs = MemoryFs::new();
@@ -1323,6 +1365,7 @@ fn the_snapshot_hook_is_asked_for_a_graph_once_per_provenance() {
     // Keyed under the old text, built from the new one: one ask for each.
     let edited = "extern int *p; int y; int *q; void g(void) { q = &y; }";
     evict_objects(&dir.path().join("cache"));
+    remove_programs(dir.path());
     let (shifted, asked) = run(&Shifting::new(&fs, "b.c", Some(edited)));
     assert!(!shifted.report.program_loaded);
     assert!(asked.len() <= 2, "{asked:?}");
