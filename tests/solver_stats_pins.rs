@@ -132,3 +132,28 @@ fn solve_stats_equal_the_parents_on_three_programs() {
     }
     assert!(!moved, "solver counters moved; this build reads\n{report}");
 }
+
+/// lucent at a tenth of its Table 2 size: the largest scale whose three
+/// exits run in about two seconds in a debug build. On this shape the
+/// fixpoint unifies nothing and every unification happens in the sweep
+/// that reads the relation out, so this pin is what holds that sweep's
+/// counters.
+fn lucent() -> CompiledUnit {
+    let w = generate(by_name("lucent").unwrap(), &GenOptions::at_scale(0.1));
+    let mut fs = MemoryFs::new();
+    for (path, text) in &w.files {
+        fs.add(path.clone(), text.clone());
+    }
+    compile_and_link(&fs, &w.source_files())
+}
+
+#[test]
+fn sweep_counters_equal_the_parents_on_lucent() {
+    let pins = [
+        [2, 7005, 7919, 3535, 1058, 30369, 1386, 747, 14580],
+        [2, 6981, 7439, 3577, 1058, 12480, 1384, 671, 14519],
+        [2, 6981, 7439, 3577, 1058, 12480, 1384, 671, 14519],
+    ];
+    let got = three_exits(&lucent());
+    assert_eq!(got, pins, "solver counters moved on lucent@0.1");
+}
