@@ -37,6 +37,7 @@ pub mod pipeline;
 mod pretransitive;
 mod solution;
 pub mod steensgaard;
+mod sweep;
 pub mod worklist;
 
 pub use pretransitive::{

@@ -1052,6 +1052,16 @@ pub fn open_linked(linker: ObjectLinker, summarize_unknown: bool) -> Result<Link
     })
 }
 
+/// The worker count a `jobs` setting asks for: `0` is one a core this
+/// process may run on. The compile pool and the solver's sweep both size
+/// themselves here; answers never depend on it.
+pub(crate) fn resolve_jobs(jobs: usize) -> usize {
+    match jobs {
+        0 => std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get),
+        n => n,
+    }
+}
+
 /// The one compile pool: runs `one` over every file on up to `jobs`
 /// threads (0 = one per CPU, never more than there are files) and hands
 /// each result to `sink` on the calling thread, tagged with its input index
@@ -1110,11 +1120,7 @@ fn compile_indexed<T: Send>(
     }
     const POISON: &str = "only plain assignments run under the pool's progress lock";
 
-    let jobs = match jobs {
-        0 => std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get),
-        n => n,
-    }
-    .clamp(1, files.len().max(1));
+    let jobs = resolve_jobs(jobs).clamp(1, files.len().max(1));
     let window = jobs * 2;
     let next = AtomicUsize::new(0);
     let progress = Mutex::new(Progress {

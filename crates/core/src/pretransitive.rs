@@ -26,18 +26,22 @@
 //! being integrated into the graph (the paper's load-and-throw-away
 //! strategy); only complex assignments stay in core.
 //!
-//! The solved graph outlives the solve: [`Warm`] detaches the fixpointed
-//! [`GraphState`] from the database borrow. At fixpoint no `getLvals` call
-//! can load new blocks or add edges, so the per-pass reachability cache —
-//! read at one frozen epoch — is exact, and one sweep over every object
-//! writes the relation out as shared [`LvalSet`]s: into a [`PointsTo`] for
-//! batch use, or into a [`SealedGraph`], the immutable form that servers
-//! keep resident and snapshots persist.
+//! The solved graph outlives the solve: at fixpoint [`Warm`] freezes the
+//! [`GraphState`] into a [`Frozen`] graph that owns no database borrow and
+//! drops the rest. Nothing can load a block or add an edge any more, so
+//! what is left is reachability over a fixed graph, and one sweep
+//! (`crate::sweep`) writes the relation out as shared [`LvalSet`]s, on
+//! every core: into a [`PointsTo`] for batch use, or into a
+//! [`SealedGraph`], the immutable form that servers keep resident and
+//! snapshots persist.
 
 use crate::solution::{sets_intersect, LvalSet, PointsTo, PointsToQuery};
+use crate::sweep::{Frozen, Relation, SweepCounts, INLINE_BELOW};
 use cla_cladb::Database;
 use cla_ir::{AssignKind, CompiledUnit, FunSig, ObjId, ObjKind, ObjectInfo, PrimAssign};
+use std::borrow::Borrow;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 /// Tuning knobs for the pre-transitive solver (the §5 ablation).
@@ -92,18 +96,28 @@ pub struct SolveStats {
 /// What the set algebra did, cumulative over a solve: carried as deltas by
 /// the `solve.pass` / `solve.seal` / `solve.extract` spans and mirrored in
 /// the `cla_solve_union_*_total` counters.
-#[derive(Debug, Default, Clone, Copy)]
-struct UnionLedger {
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct UnionLedger {
     /// Calls of the union routine.
-    unions: u64,
+    pub(crate) unions: u64,
     /// Unions answered with a set that already existed.
-    shared: u64,
+    pub(crate) shared: u64,
     /// Elements of the operands other than the largest, tested against it.
-    scanned: u64,
+    pub(crate) scanned: u64,
     /// Elements of the sets the unions wrote.
-    written: u64,
+    pub(crate) written: u64,
     /// Sets newly entered into the store.
-    distinct: u64,
+    pub(crate) distinct: u64,
+}
+
+impl std::ops::AddAssign for UnionLedger {
+    fn add_assign(&mut self, other: UnionLedger) {
+        self.unions += other.unions;
+        self.shared += other.shared;
+        self.scanned += other.scanned;
+        self.written += other.written;
+        self.distinct += other.distinct;
+    }
 }
 
 impl UnionLedger {
@@ -136,7 +150,7 @@ pub struct LvalStore {
     empty: LvalSet,
     /// The sets entered this epoch, by content hash; a set whose hash is
     /// taken by another sits under the next free key.
-    sets: HashMap<u64, LvalSet>,
+    sets: Keyed<LvalSet>,
     /// Scratch: the elements a union adds to its largest part.
     extras: Vec<ObjId>,
     /// Scratch: `marks[id] == stamp` says `id` is in the running union.
@@ -147,7 +161,35 @@ pub struct LvalStore {
     ledger: UnionLedger,
 }
 
+/// Values by [`content_key`]: the key is a hash already, and is used as
+/// one.
+pub(crate) type Keyed<V> = HashMap<u64, V, BuildHasherDefault<KeyHasher>>;
+
+/// Hands a `u64` key to the map as it is, its halves swapped so the bits
+/// the table indexes by are the key's best-mixed ones.
+#[derive(Debug, Default)]
+pub(crate) struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("only u64 keys are hashed")
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(32)
+    }
+}
+
 impl LvalStore {
+    /// What the unions of this store did.
+    pub(crate) fn ledger(&self) -> UnionLedger {
+        self.ledger
+    }
+
     /// The union of `parts` — sets this store handed out — and the unsorted,
     /// possibly repeating `raw` lvals, as the one shared set of that
     /// content. Reorders `parts`.
@@ -177,15 +219,16 @@ impl LvalStore {
     /// may repeat. Work is bounded by the operands that are not `big`, by
     /// `big` only once they outweigh a sixteenth of it, and by the result
     /// when one is written.
-    fn union_sorted(
+    pub(crate) fn union_sorted<P: Borrow<LvalSet>>(
         &mut self,
         big: &[ObjId],
-        parts: &[LvalSet],
+        parts: &[P],
         raw: &[ObjId],
     ) -> Option<Vec<ObjId>> {
         self.ledger.unions += 1;
         let smaller = parts.iter().enumerate().filter_map(|(i, p)| {
-            let repeat = i > 0 && Arc::ptr_eq(p, &parts[i - 1]);
+            let p = p.borrow();
+            let repeat = i > 0 && Arc::ptr_eq(p, parts[i - 1].borrow());
             (!repeat && p.as_ptr() != big.as_ptr()).then_some(p.as_slice())
         });
         // Nothing but `big`: no id to test, and the answer is `big`.
@@ -241,36 +284,68 @@ impl LvalStore {
         if set.is_empty() {
             return Arc::clone(&self.empty);
         }
-        // One word-at-a-time pass over a set that was just written.
-        let mut hash = set.len() as u64;
-        for pair in set.chunks(2) {
-            let word = u64::from(pair[0].0) << 32 | u64::from(pair[pair.len() - 1].0);
-            hash = (hash.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
-        }
-        self.intern_hashed(hash, set)
+        self.intern_hashed(content_key(&set), set)
     }
 
-    /// [`LvalStore::intern`] under a given hash. Equality is confirmed on
-    /// the content and colliding sets chain through the following keys, so
-    /// what is shared never depends on the hash function.
-    fn intern_hashed(&mut self, mut key: u64, mut set: Vec<ObjId>) -> LvalSet {
-        use std::collections::hash_map::Entry;
-        loop {
-            match self.sets.entry(key) {
-                Entry::Occupied(held) if **held.get() == set => {
-                    self.shared += 1;
-                    return Arc::clone(held.get());
-                }
-                Entry::Occupied(_) => key = key.wrapping_add(1),
-                Entry::Vacant(free) => {
-                    // This allocation is handed out as the answer and lives
-                    // as long as it does; `sort` + `dedup` may have left it
-                    // the capacity of every duplicate merged into it.
-                    set.shrink_to_fit();
-                    self.ledger.distinct += 1;
-                    return Arc::clone(free.insert(Arc::new(set)));
-                }
-            }
+    /// [`LvalStore::intern`] under a given hash.
+    fn intern_hashed(&mut self, key: u64, set: Vec<ObjId>) -> LvalSet {
+        let (held, new) = enter(&mut self.sets, key, set, |held| held, |set| set);
+        let held = Arc::clone(held);
+        if new {
+            self.ledger.distinct += 1;
+        } else {
+            self.shared += 1;
+        }
+        held
+    }
+}
+
+/// A sorted set's key in a store: one word-at-a-time pass over a set that
+/// was just written.
+pub(crate) fn content_key(set: &[ObjId]) -> u64 {
+    let mix =
+        |hash: u64, word: u64| (hash.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    let pair = |p: &[ObjId]| u64::from(p[0].0) << 32 | u64::from(p[p.len() - 1].0);
+    // Four independent lanes, two ids a word, so the multiplies overlap.
+    let mut lanes = [set.len() as u64, 1, 2, 3];
+    let mut blocks = set.chunks_exact(8);
+    for block in &mut blocks {
+        for (lane, p) in lanes.iter_mut().zip(block.chunks_exact(2)) {
+            *lane = mix(*lane, pair(p));
+        }
+    }
+    let tail = blocks.remainder().chunks(2);
+    let lane = tail.fold(lanes[0], |hash, p| mix(hash, pair(p)));
+    lanes[1..].iter().fold(lane, |hash, &l| mix(hash, l))
+}
+
+/// Finds a sorted, deduplicated, non-empty set in `sets` under `key`, or
+/// enters it there as `hold` keeps it: the value held for that content, and
+/// whether it is `set`'s. Equality is confirmed on the content and
+/// colliding sets chain through the following keys, so what is shared
+/// never depends on the hash function.
+pub(crate) fn enter<V>(
+    sets: &mut Keyed<V>,
+    mut key: u64,
+    mut set: Vec<ObjId>,
+    content: impl Fn(&V) -> &LvalSet,
+    hold: impl FnOnce(LvalSet) -> V,
+) -> (&V, bool) {
+    use std::collections::hash_map::Entry;
+    while let Some(held) = sets.get(&key) {
+        if **content(held) == set {
+            break;
+        }
+        key = key.wrapping_add(1);
+    }
+    match sets.entry(key) {
+        Entry::Occupied(held) => (held.into_mut(), false),
+        Entry::Vacant(free) => {
+            // This allocation is handed out as the answer and lives as long
+            // as it does; `sort` + `dedup` may have left it the capacity of
+            // every duplicate merged into it.
+            set.shrink_to_fit();
+            (free.insert(hold(Arc::new(set))), true)
         }
     }
 }
@@ -325,7 +400,9 @@ struct GraphState {
     // --- reachability caching ---
     epoch: u32,
     cache_epoch: Vec<u32>,
-    cache: Vec<LvalSet>,
+    /// The set of each node finished this epoch (`None` for a node never
+    /// finished, so a node costs no reference count until it is).
+    cache: Vec<Option<LvalSet>>,
     /// Hash-consed lval sets ("many lval sets are identical"); flushed with
     /// every epoch, as in the paper.
     store: LvalStore,
@@ -388,8 +465,16 @@ pub fn solve_database(db: &Database, opts: SolveOptions) -> (PointsTo, SolveStat
 /// surface: turn it into the relation with [`Warm::extract_points_to`] or
 /// into the resident, lock-free form with [`Warm::seal`].
 pub struct Warm {
-    g: GraphState,
+    graph: Graph,
+    stats: SolveStats,
     n_objects: usize,
+}
+
+/// What a [`Warm`] holds: the graph as the fixpoint left it, then the
+/// relation the first sweep read out of it.
+enum Graph {
+    Frozen(Frozen),
+    Swept(Relation),
 }
 
 impl Warm {
@@ -409,7 +494,7 @@ impl Warm {
         s.run();
         sp.set("passes", s.g.stats.passes);
         sp.set("edges_added", s.g.stats.edges_added);
-        Warm::finish(s.g, unit.objects.len())
+        Warm::freeze(s.g, unit.objects.len())
     }
 
     /// Solves `db` to fixpoint with demand loading and returns the warm
@@ -437,48 +522,84 @@ impl Warm {
         sp.set("passes", s.g.stats.passes);
         sp.set("edges_added", s.g.stats.edges_added);
         sp.set("blocks_loaded", s.g.blocks_loaded);
-        Warm::finish(s.g, db.object_count())
+        Warm::freeze(s.g, db.object_count())
     }
 
-    fn finish(mut g: GraphState, n_objects: usize) -> Warm {
-        // One epoch bump after the last pass: everything cached from here on
-        // is computed at fixpoint and stays valid for the lifetime of the
-        // warm graph, so the materializing sweep reads every set it has
-        // already computed from the cache (visible as
-        // `SolveStats::cache_hits`).
-        g.next_epoch();
-        Warm { g, n_objects }
+    /// Keeps what the sweep reads of the solved graph — representatives,
+    /// copy edges, base lvals, activity — and drops the rest: the edge set,
+    /// the waiters, the caches, the deref map and the traversal scratch.
+    fn freeze(mut g: GraphState, n_objects: usize) -> Warm {
+        for n in 0..g.skip.len() as u32 {
+            g.find(n);
+        }
+        let mut stats = g.stats;
+        stats.sets_shared = g.store.shared;
+        stats.complex_in_core = g.complex.len();
+        stats.nodes = g.skip.len();
+        stats.approx_bytes = g.graph_bytes();
+        let frozen = Frozen::new(g.skip, g.active, &g.out, g.base, g.store.empty, n_objects);
+        Warm {
+            graph: Graph::Frozen(frozen),
+            stats,
+            n_objects,
+        }
     }
 
-    /// The one sweep that reads the relation out: every object's `getLvals`
-    /// result, indexed by object id. Cheap after cycle elimination (paper
-    /// §5: "it is typically much cheaper to compute all lvals for all nodes
-    /// when the algorithm terminates"), and it honours the configured
-    /// options, which is the cost the §5 ablation measures.
-    ///
-    /// The solver's hash-consed sets *are* the answer: each object gets a
-    /// clone of the `Arc` its representative's `getLvals` returned, so
-    /// members of a collapsed SCC and hash-consed duplicates share one
-    /// allocation and nothing is copied.
+    /// Every object's `getLvals` result, indexed by object id: the one
+    /// sweep, on as many threads as the compile pool runs. Members of one
+    /// component and objects of equal sets share one allocation, and
+    /// nothing is copied.
     ///
     /// Timed as `span` (`solve.extract` or `solve.seal`), which carries the
-    /// sweep's share of the union ledger.
-    fn lval_sets(&mut self, span: &'static str) -> Vec<LvalSet> {
+    /// sweep's union ledger, `threads` and `levels`.
+    fn read_out(&mut self, span: &'static str) -> Vec<LvalSet> {
+        self.read_out_on(crate::pipeline::resolve_jobs(0), INLINE_BELOW, span)
+            .0
+    }
+
+    /// [`Warm::read_out`] on up to `threads` threads, running levels of
+    /// fewer than `inline_below` components on the calling thread.
+    fn read_out_on(
+        &mut self,
+        threads: usize,
+        inline_below: usize,
+        span: &'static str,
+    ) -> (Vec<LvalSet>, SweepCounts) {
         let mut sp = cla_obs::global().span("solve", span);
         sp.set("objects", self.n_objects);
-        let before = self.g.store.ledger;
-        let sets = (0..self.n_objects as u32)
-            .map(|o| {
-                let r = self.g.find(o);
-                if self.g.active[r as usize] {
-                    self.g.get_lvals(r)
-                } else {
-                    Arc::clone(&self.g.store.empty)
-                }
-            })
-            .collect();
-        self.g.store.ledger.publish_since(before, &mut sp);
-        sets
+        let (swept, counts) = match &self.graph {
+            Graph::Frozen(frozen) => {
+                let (relation, counts) = frozen.sweep(threads, inline_below);
+                (Some(relation), counts)
+            }
+            // Read again: every call finds its component already reached.
+            Graph::Swept(relation) => {
+                let again = SweepCounts {
+                    calls: relation.calls,
+                    hits: relation.calls,
+                    ..SweepCounts::default()
+                };
+                (None, again)
+            }
+        };
+        if let Some(relation) = swept {
+            // The frozen graph goes here, before the per-object sets exist.
+            self.graph = Graph::Swept(relation);
+        }
+        let st = &mut self.stats;
+        st.getlvals_calls += counts.calls;
+        st.cache_hits += counts.hits;
+        st.dfs_visits += counts.visits;
+        st.unifications += counts.unifications;
+        st.sets_shared += counts.shared;
+        st.approx_bytes += counts.set_bytes;
+        sp.set("threads", counts.threads);
+        sp.set("levels", counts.levels);
+        counts.ledger.publish_since(UnionLedger::default(), &mut sp);
+        let Graph::Swept(relation) = &self.graph else {
+            unreachable!("a sweep leaves the relation")
+        };
+        (relation.per_object(), counts)
     }
 
     /// Materializes the complete solution (every object's set); objects
@@ -491,17 +612,12 @@ impl Warm {
     /// all it reads of the metadata, and what a [`Database`] answers in
     /// place.
     pub fn extract_by_kind(&mut self, kinds: impl IntoIterator<Item = ObjKind>) -> PointsTo {
-        PointsTo::from_kinds(self.lval_sets("solve.extract"), kinds)
+        PointsTo::from_kinds(self.read_out("solve.extract"), kinds)
     }
 
     /// Current counters, including live in-core/size figures.
     pub fn stats(&self) -> SolveStats {
-        let mut st = self.g.stats;
-        st.sets_shared = self.g.store.shared;
-        st.complex_in_core = self.g.complex.len();
-        st.nodes = self.g.skip.len();
-        st.approx_bytes = self.g.approx_bytes();
-        st
+        self.stats
     }
 
     /// The number of objects in the solved program.
@@ -512,17 +628,16 @@ impl Warm {
     /// Freezes the solved graph into an immutable, `Sync` snapshot.
     ///
     /// Every object's set is materialized eagerly by the same sweep as
-    /// [`Warm::extract_points_to`] and skip pointers are flattened away:
-    /// objects that were unified into one strongly connected component share
-    /// a single [`LvalSet`], as do distinct representatives whose sets
-    /// hash-cons to the same value. The result answers queries on `&self`
-    /// with no interior mutability at all, so any number of threads can read
-    /// it concurrently without locks.
+    /// [`Warm::extract_points_to`]: objects whose nodes form one strongly
+    /// connected component share a single [`LvalSet`], as do components
+    /// whose sets are equal. The result answers queries on `&self` with no
+    /// interior mutability at all, so any number of threads can read it
+    /// concurrently without locks.
     pub fn seal(mut self) -> SealedGraph {
-        let sets = self.lval_sets("solve.seal");
+        let sets = self.read_out("solve.seal");
         SealedGraph {
             sets,
-            stats: self.stats(),
+            stats: self.stats,
         }
     }
 }
@@ -530,8 +645,7 @@ impl Warm {
 /// An immutable snapshot of a solved pre-transitive graph.
 ///
 /// Produced by [`Warm::seal`] — the query surface of a solve. [`Warm`]
-/// itself answers nothing: `getLvals` mutates the graph (path compression,
-/// cache fills), so it only solves and materializes. A sealed graph is plain
+/// itself answers nothing: it only solves and materializes. A sealed graph is plain
 /// shared data: it is `Send + Sync`, all query methods take `&self`, and
 /// readers never contend. This is the form a server keeps resident — queries
 /// run lock-free against the snapshot while a replacement is solved and
@@ -773,7 +887,7 @@ impl GraphState {
             direct_sigs: HashMap::new(),
             epoch: 0,
             cache_epoch: vec![0; n],
-            cache: vec![Arc::clone(&store.empty); n],
+            cache: vec![None; n],
             store,
             call_id: 0,
             visit_call: vec![0; n],
@@ -798,7 +912,7 @@ impl GraphState {
         self.node_objs.push(Vec::new());
         self.loaded.push(true);
         self.cache_epoch.push(0);
-        self.cache.push(Arc::clone(&self.store.empty));
+        self.cache.push(None);
         self.visit_call.push(0);
         self.index.push(0);
         self.lowlink.push(0);
@@ -944,6 +1058,11 @@ impl GraphState {
 
     // ----- reachability -----------------------------------------------------
 
+    /// The set node `n` finished with this epoch.
+    fn cached(&self, n: u32) -> &LvalSet {
+        (self.cache[n as usize].as_ref()).expect("a node finished this epoch has a set")
+    }
+
     /// The points-to set of node `start` (object ids, sorted), computed by
     /// graph reachability with cycle elimination and per-pass caching.
     fn get_lvals(&mut self, start: u32) -> LvalSet {
@@ -955,7 +1074,7 @@ impl GraphState {
         let start = self.find(start);
         if self.cache_epoch[start as usize] == self.epoch {
             self.stats.cache_hits += 1;
-            return Arc::clone(&self.cache[start as usize]);
+            return Arc::clone(self.cached(start));
         }
         if self.opts.cycle_elim {
             self.tarjan_lvals(start)
@@ -991,8 +1110,8 @@ impl GraphState {
                 }
                 if self.cache_epoch[s as usize] == self.epoch {
                     // Finished earlier this pass (or this call): a part.
-                    if !self.cache[s as usize].is_empty() {
-                        self.parts.push(Arc::clone(&self.cache[s as usize]));
+                    if !self.cached(s).is_empty() {
+                        self.parts.push(Arc::clone(self.cached(s)));
                     }
                     continue;
                 }
@@ -1041,7 +1160,7 @@ impl GraphState {
             self.parts.truncate(parts_at);
             self.raw.truncate(raw_at);
             self.cache_epoch[n as usize] = self.epoch;
-            self.cache[n as usize] = Arc::clone(&set);
+            self.cache[n as usize] = Some(Arc::clone(&set));
             if self.frames.is_empty() {
                 return set;
             }
@@ -1092,7 +1211,7 @@ impl GraphState {
                 continue; // on the current path: cycle, return empty set
             }
             if self.cache_epoch[s as usize] == self.epoch {
-                let cached = Arc::clone(&self.cache[s as usize]);
+                let cached = Arc::clone(self.cached(s));
                 acc.extend_from_slice(&cached);
                 continue;
             }
@@ -1105,7 +1224,7 @@ impl GraphState {
         acc.dedup();
         let set = self.store.intern(acc);
         self.cache_epoch[start as usize] = self.epoch;
-        self.cache[start as usize] = Arc::clone(&set);
+        self.cache[start as usize] = Some(Arc::clone(&set));
         set
     }
 
@@ -1120,16 +1239,16 @@ impl GraphState {
         self.out[v as usize].extend(edges);
         let ubase = std::mem::take(&mut self.base[u as usize]);
         let vbase = &mut self.base[v as usize];
-        if let Some(merged) = self.store.union_sorted(vbase, &[], &ubase) {
+        if let Some(merged) = self.store.union_sorted::<LvalSet>(vbase, &[], &ubase) {
             *vbase = merged;
         }
         // Merge caches so this pass never under-approximates after a merge.
         if self.cache_epoch[u as usize] == self.epoch {
             if self.cache_epoch[v as usize] == self.epoch {
-                let mut both = [u, v].map(|n| Arc::clone(&self.cache[n as usize]));
-                self.cache[v as usize] = self.store.union(&mut both, &[]);
+                let mut both = [u, v].map(|n| Arc::clone(self.cached(n)));
+                self.cache[v as usize] = Some(self.store.union(&mut both, &[]));
             } else {
-                self.cache[v as usize] = Arc::clone(&self.cache[u as usize]);
+                self.cache[v as usize] = self.cache[u as usize].clone();
                 self.cache_epoch[v as usize] = self.epoch;
             }
         }
@@ -1161,14 +1280,16 @@ impl GraphState {
         }
     }
 
-    /// Table 3's "in core" estimate. A `.clasnap` stores it with the other
-    /// stats and `tests/golden_bytes.rs` pins those bytes, so the terms are
-    /// the ones the format has always carried: `node_objs`, `loaded` and the
+    /// Table 3's "in core" estimate of the graph as the fixpoint leaves it;
+    /// [`SolveStats::approx_bytes`] adds the sweep's distinct sets to it. A
+    /// `.clasnap` stores it with the other stats and
+    /// `tests/golden_bytes.rs` pins those bytes, so the terms are the ones
+    /// the format has always carried: `node_objs`, `loaded` and the
     /// traversal and union scratch (all small beside the sets) are not in
     /// it, and join it with a snapshot `VERSION` bump that changes content,
     /// not before. (v2 changed only the checksums, and left these bytes
     /// alone so the content pin could prove it.)
-    fn approx_bytes(&self) -> usize {
+    fn graph_bytes(&self) -> usize {
         use std::mem::size_of;
         let nodes = self.skip.len();
         let edge_bytes: usize = self
@@ -1186,15 +1307,8 @@ impl GraphState {
             .iter()
             .map(|v| v.capacity() * size_of::<u32>())
             .sum();
-        // Shared sets are counted once through the store; per-node cache
-        // entries are Arc references.
-        let cache_bytes: usize = self
-            .store
-            .sets
-            .values()
-            .map(|c| c.capacity() * size_of::<ObjId>())
-            .sum::<usize>()
-            + self.cache.len() * size_of::<LvalSet>();
+        // Per-node cache entries are Arc references.
+        let cache_bytes = self.cache.len() * size_of::<LvalSet>();
         nodes * (size_of::<u32>() * 5 + size_of::<bool>() * 2)
             + edge_bytes
             + base_bytes
@@ -1488,14 +1602,102 @@ mod tests {
         drop(db); // the warm graph owns no database borrow
 
         assert_eq!(warm.extract_points_to(&unit.objects), batch);
-        // A second sweep at the frozen epoch is answered from the cache.
-        let hits_before = warm.stats().cache_hits;
+        // A second read finds every component reached: each of its calls
+        // is a cache hit, and nothing else moves.
+        let first = warm.stats();
         assert_eq!(warm.extract_points_to(&unit.objects), batch);
-        let hits_after = warm.stats().cache_hits;
-        assert!(
-            hits_after > hits_before,
-            "second sweep missed the warm cache ({hits_before} -> {hits_after})"
+        let Graph::Swept(relation) = &warm.graph else {
+            panic!("a read leaves the relation")
+        };
+        let (calls, again) = (relation.calls, warm.stats());
+        assert!(calls > 0);
+        assert_eq!(
+            again,
+            SolveStats {
+                getlvals_calls: first.getlvals_calls + calls,
+                cache_hits: first.cache_hits + calls,
+                ..first
+            }
         );
+    }
+
+    /// A generated program, compiled and linked.
+    fn program(files: &[(String, String)]) -> CompiledUnit {
+        let mut fs = cla_cfront::MemoryFs::new();
+        for (path, text) in files {
+            fs.add(path.clone(), text.clone());
+        }
+        let units: Vec<CompiledUnit> = (files.iter())
+            .filter(|(path, _)| path.ends_with(".c"))
+            .map(|(path, _)| {
+                let (pp, lower) = (Default::default(), LowerOptions::default());
+                cla_ir::compile_file(&fs, path, &pp, &lower).unwrap().0
+            })
+            .collect();
+        cla_cladb::link(&units, "a.out").0
+    }
+
+    fn ci_small() -> CompiledUnit {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let profile = cla_genc::Profile::load(&root.join("profiles/ci-small.toml")).unwrap();
+        let mut files = Vec::new();
+        cla_genc::generate_with(&profile, profile.seed, &mut |name, text| {
+            files.push((name.to_owned(), text.to_owned()));
+            Ok(())
+        })
+        .unwrap();
+        program(&files)
+    }
+
+    fn nethack() -> CompiledUnit {
+        let spec = cla_workload::by_name("nethack").unwrap();
+        program(&cla_workload::generate(spec, &cla_workload::GenOptions::at_scale(0.2)).files)
+    }
+
+    /// Two objects share one allocation exactly when their sets are equal.
+    fn assert_shared_exactly_when_equal(sets: &[LvalSet], what: &str) {
+        let mut held: HashMap<&[ObjId], &LvalSet> = HashMap::new();
+        for set in sets {
+            let first = *held.entry(set.as_slice()).or_insert(set);
+            assert!(
+                Arc::ptr_eq(first, set),
+                "{what}: equal sets in two allocations"
+            );
+        }
+    }
+
+    /// The threaded sweep answers what the one-thread sweep does, shares
+    /// what it shares and counts what it counts: the answer and every
+    /// counter are the schedule's to choose, never the thread count's.
+    #[test]
+    fn sweep_agrees_across_thread_counts() {
+        for (name, program) in [("ci-small", ci_small()), ("nethack@0.2", nethack())] {
+            let db = Database::open(cla_cladb::write_object(&program)).unwrap();
+            let runs = [1, 2, 4].map(|threads| {
+                let mut warm = Warm::from_database(&db, SolveOptions::default());
+                // Every level with work in it goes to the workers.
+                let (sets, counts) = warm.read_out_on(threads, 0, "solve.extract");
+                (threads, sets, counts, warm.stats())
+            });
+            let (_, one, one_counts, one_stats) = &runs[0];
+            let same = |c: &SweepCounts| SweepCounts {
+                threads: 0,
+                split_levels: 0,
+                ..*c
+            };
+            for (threads, sets, counts, stats) in &runs {
+                let what = format!("{name} on {threads} threads");
+                assert_shared_exactly_when_equal(sets, &what);
+                assert_eq!(sets, one, "{what}: the sets");
+                assert_eq!(stats, one_stats, "{what}: SolveStats");
+                assert_eq!(same(counts), same(one_counts), "{what}: the sweep's counts");
+                if *threads > 1 {
+                    assert!(counts.split_levels > 0, "{what}: no level split");
+                    assert!(counts.threads > 1, "{what}: {counts:?}");
+                }
+            }
+            assert!(one_counts.levels > 2, "{name}: {one_counts:?}");
+        }
     }
 
     #[test]

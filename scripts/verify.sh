@@ -144,6 +144,20 @@ touched=$(sed '/#\[cfg(test)\]/,$d' crates/snap/src/cache.rs | grep -n 'HashSet'
 answers=$(grep -rnE 'fn touch\(' crates/*/src src tests | grep -- '->' || true)
 [ -z "$answers" ] || { echo "a touch answers something: $answers"; exit 1; }
 
+echo "==> one sweep (the frozen graph's sweep reads the relation out; getLvals runs in the pass loop only)"
+# At fixpoint Warm freezes the graph and materialises every set level by
+# level over the condensation, for every SolveOptions. The mutating
+# getLvals is the fixpoint's: no second sweep calls it object by object.
+calls=$(for f in crates/core/src/*.rs; do
+    sed '/#\[cfg(test)\]/,$d' "$f" | awk -v f="$f" '
+        /^ *\/\// { next }
+        /fn [a-z_0-9]+/ { match($0, /fn [a-z_0-9]+/); fn = substr($0, RSTART + 3, RLENGTH - 3) }
+        /get_lvals\(/ && !/fn get_lvals\(/ { print f ":" NR ":" fn }'
+done | grep -v ':pass$' || true)
+[ -z "$calls" ] || { echo "get_lvals called outside the pass loop: $calls"; exit 1; }
+second=$(grep -rn 'lval_sets' crates src tests examples || true)
+[ -z "$second" ] || { echo "a second sweep grew back: $second"; exit 1; }
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -247,6 +261,48 @@ trace_out="${TRACE_OUT:-target/trace-smoke.json}"
     --profile target/trace-smoke.collapsed \
     | grep -q 'cla_solve_passes_total'
 ./target/release/cla-tool trace-validate "$trace_out"
+
+echo "==> one sweep at any affinity (pinned to one core, solve prints and snapshot-save writes what an unrestricted run does)"
+# The sweep runs on as many threads as the process may use; answers, sharing
+# and every counter (which .clasnap stores) must not depend on it.
+if command -v taskset > /dev/null 2>&1; then
+    aff_dir="${AFFINITY_SMOKE_DIR:-target/affinity-smoke}"
+    rm -rf "$aff_dir"
+    mkdir -p "$aff_dir"
+    ./target/release/cla-tool compile examples/c/main.c examples/c/store.c -I examples/c \
+        -o "$aff_dir/example.clao" > /dev/null
+    # ci-small at ten times its lines: levels with work enough to split.
+    sed -e 's/^total_loc = .*/total_loc = 120_000/' -e 's/^files = .*/files = 16/' \
+        profiles/ci-small.toml > "$aff_dir/ci-small-x10.toml"
+    ./target/release/cla-tool gen "$aff_dir/ci-small-x10.toml" --out "$aff_dir/tree" --seed 1 > /dev/null
+    ./target/release/cla-tool compile "$aff_dir"/tree/*.c -o "$aff_dir/tree.clao" > /dev/null
+    for prog in example:latest tree:gp0; do
+        name=${prog%%:*}
+        for run in one all; do
+            pin=""
+            [ "$run" = one ] && pin="taskset -c 0"
+            $pin ./target/release/cla-tool solve "$aff_dir/$name.clao" --print "${prog#*:}" \
+                --trace "$aff_dir/$name.$run.json" | grep '^pts(' > "$aff_dir/$name.$run.pts"
+            $pin ./target/release/cla-tool snapshot-save "$aff_dir/$name.clao" \
+                -o "$aff_dir/$name.$run.clasnap" 2> /dev/null
+        done
+        test -s "$aff_dir/$name.one.pts"
+        cmp "$aff_dir/$name.one.pts" "$aff_dir/$name.all.pts"
+        cmp "$aff_dir/$name.one.clasnap" "$aff_dir/$name.all.clasnap"
+        grep -q '"solve.extract".*"threads":1,' "$aff_dir/$name.one.json" \
+            || { echo "$name: the pinned sweep ran on more than one thread"; exit 1; }
+    done
+    # The bundled example is too small to start a worker; the tree is not,
+    # wherever a second core exists.
+    grep -q '"solve.extract".*"threads":1,' "$aff_dir/example.all.json" \
+        || { echo "the bundled example started a sweep worker"; exit 1; }
+    if [ "$(nproc)" -gt 1 ] && grep -q '"solve.extract".*"threads":1,' "$aff_dir/tree.all.json"; then
+        echo "the unrestricted sweep of the tree ran on one thread"; exit 1
+    fi
+    rm -rf "$aff_dir"
+else
+    echo "taskset not found: skipping the affinity smoke"
+fi
 
 echo "==> allocation gates (counting global allocator; preprocessing allocates per unit, not per token; lowering per emitted object, not per expression; the solver per distinct set, not per object)"
 # One test binary each: the counters are process-wide.

@@ -23,6 +23,7 @@ use cla::core::{deductive, steensgaard, worklist};
 use cla::ir::{ObjectInfo, PrimAssign, SrcLoc};
 use cla::prelude::*;
 use cla::workload::SplitMix64;
+use std::collections::HashMap;
 
 /// Builds a unit with `nvars` variables and the given raw assignments
 /// (kind, dst, src).
@@ -93,8 +94,36 @@ fn check_all_solvers(unit: &CompiledUnit, nvars: u32, label: &str) {
     );
 }
 
+/// Two objects share one allocation exactly when their sets are equal: the
+/// solver hands each distinct set out once, whichever exit it leaves by.
+/// `sets` gives each object's set with the address that identifies its
+/// allocation.
+fn assert_shared_exactly_when_equal<'a>(
+    sets: impl IntoIterator<Item = (&'a [cla::ir::ObjId], usize)>,
+    what: &str,
+) {
+    let mut by_content: HashMap<&[cla::ir::ObjId], usize> = HashMap::new();
+    let mut by_address: HashMap<usize, &[cla::ir::ObjId]> = HashMap::new();
+    for (set, address) in sets {
+        let first = *by_content.entry(set).or_insert(address);
+        assert_eq!(first, address, "{what}: equal sets in two allocations");
+        let held = *by_address.entry(address).or_insert(set);
+        assert_eq!(held, set, "{what}: one allocation, two sets");
+    }
+}
+
+/// Each object's set in `pts`, with its elements' address: the allocation's
+/// own for a non-empty set (an empty one has no elements, and one address).
+fn pts_sets(pts: &cla::core::PointsTo) -> impl Iterator<Item = (&[cla::ir::ObjId], usize)> {
+    (0..pts.len() as u32).map(|o| {
+        let set = pts.points_to(cla::ir::ObjId(o));
+        (set, set.as_ptr() as usize)
+    })
+}
+
 /// The pre-transitive solver in its four configurations, through its three
-/// exits, and demand-loaded from an object file, against `expected`.
+/// exits, and demand-loaded from an object file, against `expected`; each
+/// exit shares exactly the equal sets.
 fn check_pretransitive(
     unit: &CompiledUnit,
     nvars: u32,
@@ -109,6 +138,7 @@ fn check_pretransitive(
         let config = format!("pre-transitive cache={cache} cycle={cycle}");
         let (got, _) = solve_unit(unit, opts);
         assert_eq!(sets(&got, nvars), expected, "{config} diverged on {label}");
+        assert_shared_exactly_when_equal(pts_sets(&got), &format!("{config} on {label}"));
         // Without caching the solver frees each set before computing the
         // next, so allocations get reused while the graph is sealed: every
         // variable must still come out with its own set.
@@ -120,11 +150,20 @@ fn check_pretransitive(
             sealed_sets, expected,
             "{config}, sealed, diverged on {label}"
         );
+        assert_shared_exactly_when_equal(
+            (sealed.sets().iter())
+                .map(|set| (set.as_slice(), std::sync::Arc::as_ptr(set) as usize)),
+            &format!("{config}, sealed, on {label}"),
+        );
         let extracted = sealed.extract_points_to(&unit.objects);
         assert_eq!(
             sets(&extracted, nvars),
             expected,
             "{config}, extracted from sealed, diverged on {label}"
+        );
+        assert_shared_exactly_when_equal(
+            pts_sets(&extracted),
+            &format!("{config}, extracted from sealed, on {label}"),
         );
     }
 
