@@ -41,7 +41,6 @@ use cla_cladb::Database;
 use cla_ir::{AssignKind, CompiledUnit, FunSig, ObjId, ObjKind, ObjectInfo, PrimAssign};
 use std::borrow::Borrow;
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 /// Tuning knobs for the pre-transitive solver (the §5 ablation).
@@ -150,7 +149,7 @@ pub struct LvalStore {
     empty: LvalSet,
     /// The sets entered this epoch, by content hash; a set whose hash is
     /// taken by another sits under the next free key.
-    sets: Keyed<LvalSet>,
+    sets: HashMap<u64, LvalSet>,
     /// Scratch: the elements a union adds to its largest part.
     extras: Vec<ObjId>,
     /// Scratch: `marks[id] == stamp` says `id` is in the running union.
@@ -159,29 +158,6 @@ pub struct LvalStore {
     /// Results that reused an existing set ([`SolveStats::sets_shared`]).
     shared: u64,
     ledger: UnionLedger,
-}
-
-/// Values by [`content_key`]: the key is a hash already, and is used as
-/// one.
-pub(crate) type Keyed<V> = HashMap<u64, V, BuildHasherDefault<KeyHasher>>;
-
-/// Hands a `u64` key to the map as it is, its halves swapped so the bits
-/// the table indexes by are the key's best-mixed ones.
-#[derive(Debug, Default)]
-pub(crate) struct KeyHasher(u64);
-
-impl Hasher for KeyHasher {
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("only u64 keys are hashed")
-    }
-
-    fn write_u64(&mut self, key: u64) {
-        self.0 = key;
-    }
-
-    fn finish(&self) -> u64 {
-        self.0.rotate_left(32)
-    }
 }
 
 impl LvalStore {
@@ -289,8 +265,8 @@ impl LvalStore {
 
     /// [`LvalStore::intern`] under a given hash.
     fn intern_hashed(&mut self, key: u64, set: Vec<ObjId>) -> LvalSet {
-        let (held, new) = enter(&mut self.sets, key, set, |held| held, |set| set);
-        let held = Arc::clone(held);
+        let answer = |held: &LvalSet, new| (Arc::clone(held), new);
+        let (held, new) = enter(&mut self.sets, key, set, |held| held, |set| set, answer);
         if new {
             self.ledger.distinct += 1;
         } else {
@@ -320,32 +296,32 @@ pub(crate) fn content_key(set: &[ObjId]) -> u64 {
 }
 
 /// Finds a sorted, deduplicated, non-empty set in `sets` under `key`, or
-/// enters it there as `hold` keeps it: the value held for that content, and
-/// whether it is `set`'s. Equality is confirmed on the content and
-/// colliding sets chain through the following keys, so what is shared
-/// never depends on the hash function.
-pub(crate) fn enter<V>(
-    sets: &mut Keyed<V>,
+/// enters it there as `hold` keeps it, and returns what `answer` reads of
+/// the value held for that content and of whether it is `set`'s. Equality
+/// is confirmed on the content and colliding sets chain through the
+/// following keys, so what is shared never depends on the hash function.
+pub(crate) fn enter<V, R>(
+    sets: &mut HashMap<u64, V>,
     mut key: u64,
     mut set: Vec<ObjId>,
     content: impl Fn(&V) -> &LvalSet,
     hold: impl FnOnce(LvalSet) -> V,
-) -> (&V, bool) {
+    answer: impl FnOnce(&V, bool) -> R,
+) -> R {
     use std::collections::hash_map::Entry;
-    while let Some(held) = sets.get(&key) {
-        if **content(held) == set {
-            break;
-        }
-        key = key.wrapping_add(1);
-    }
-    match sets.entry(key) {
-        Entry::Occupied(held) => (held.into_mut(), false),
-        Entry::Vacant(free) => {
-            // This allocation is handed out as the answer and lives as long
-            // as it does; `sort` + `dedup` may have left it the capacity of
-            // every duplicate merged into it.
-            set.shrink_to_fit();
-            (free.insert(hold(Arc::new(set))), true)
+    loop {
+        match sets.entry(key) {
+            Entry::Occupied(held) if **content(held.get()) == set => {
+                return answer(held.get(), false);
+            }
+            Entry::Occupied(_) => key = key.wrapping_add(1),
+            Entry::Vacant(free) => {
+                // This allocation is handed out as the answer and lives as
+                // long as it does; `sort` + `dedup` may have left it the
+                // capacity of every duplicate merged into it.
+                set.shrink_to_fit();
+                return answer(free.insert(hold(Arc::new(set))), true);
+            }
         }
     }
 }

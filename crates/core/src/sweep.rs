@@ -28,12 +28,13 @@
 //! never by address — so every count the sweep reports repeats run to run
 //! and thread count to thread count.
 
-use crate::pretransitive::{content_key, enter, Keyed, LvalStore, UnionLedger};
+use crate::pretransitive::{content_key, enter, LvalStore, UnionLedger};
 use crate::solution::LvalSet;
 use cla_ir::ObjId;
 use std::cmp::Reverse;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
-use std::sync::{Mutex, PoisonError};
+use std::sync::Mutex;
 
 /// A node no component holds yet; an object whose set is empty.
 const NONE: u32 = u32::MAX;
@@ -232,7 +233,7 @@ struct SetShards([Shard; 64]);
 /// shards do not contend.
 #[repr(align(128))]
 #[derive(Default)]
-struct Shard(Mutex<Keyed<(LvalSet, u32)>>);
+struct Shard(Mutex<HashMap<u64, (LvalSet, u32)>>);
 
 impl Default for SetShards {
     fn default() -> Self {
@@ -246,17 +247,16 @@ impl SetShards {
     fn enter(&self, set: Vec<ObjId>, c: u32) -> (u32, Option<LvalSet>) {
         let key = content_key(&set);
         let shard = &self.0[(key >> 58) as usize].0;
-        let mut sets = shard.lock().unwrap_or_else(PoisonError::into_inner);
-        match enter(&mut sets, key, set, |held| &held.0, |set| (set, c)) {
-            ((set, _), true) => (c, Some(LvalSet::clone(set))),
-            ((_, holder), false) => (*holder, None),
-        }
+        let mut sets = shard.lock().expect("no worker panics holding a shard");
+        let answer =
+            |(set, holder): &(LvalSet, u32), new: bool| (*holder, new.then(|| LvalSet::clone(set)));
+        enter(&mut sets, key, set, |held| &held.0, |set| (set, c), answer)
     }
 
     /// Bytes of the sets entered, each counted once.
     fn bytes(&mut self) -> usize {
         let sets = (self.0.iter_mut()).flat_map(|shard| {
-            let sets = shard.0.get_mut().unwrap_or_else(PoisonError::into_inner);
+            let sets = shard.0.get_mut().expect("no worker panics holding a shard");
             sets.values().map(|(set, _)| set.capacity())
         });
         sets.sum::<usize>() * std::mem::size_of::<ObjId>()
