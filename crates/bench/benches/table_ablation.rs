@@ -3,9 +3,14 @@
 //! components of the algorithm are turned off."
 //!
 //! Runs the pre-transitive solver with caching and cycle elimination
-//! toggled on a scaled-down workload (the full product is infeasible by
-//! construction — that is the claim) and prints the slowdown factors.
+//! toggled on a scaled-down workload and prints the slowdown factors.
 //! Results are asserted equal across configurations.
+//!
+//! The toggles govern the fixpoint's passes only: every configuration
+//! reads its relation out through the one sweep over the frozen
+//! condensation. The paper's factor includes computing every lval at the
+//! end with the naive `getLvals`, which this harness no longer does, so
+//! it measures the passes' share of the slowdown.
 //!
 //! Note: the paper's naive baseline re-explores on every path (onPath-only
 //! cycle check); ours uses a visited set per query, so measured slowdowns
@@ -67,6 +72,7 @@ fn main() {
         }
     }
     println!("\n(the paper reports >50,000x on full-size gimp with both optimizations");
-    println!(" off — 45,000s vs 0.8s. The factor grows quickly with scale: at");
-    println!(" CLA_ABLATION_SCALE=0.06 this harness already measures >100,000x.)");
+    println!(" off — 45,000s vs 0.8s, computing every lval at the end included. The");
+    println!(" toggles here govern the passes only; the read-out is one sweep for");
+    println!(" every configuration.)");
 }

@@ -533,8 +533,8 @@ impl Warm {
             .0
     }
 
-    /// [`Warm::read_out`] on up to `threads` threads, running levels of
-    /// fewer than `inline_below` components on the calling thread.
+    /// [`Warm::read_out`] on up to `threads` threads, running levels whose
+    /// unions read fewer than `inline_below` lvals on the calling thread.
     fn read_out_on(
         &mut self,
         threads: usize,
@@ -621,11 +621,11 @@ impl Warm {
 /// An immutable snapshot of a solved pre-transitive graph.
 ///
 /// Produced by [`Warm::seal`] — the query surface of a solve. [`Warm`]
-/// itself answers nothing: it only solves and materializes. A sealed graph is plain
-/// shared data: it is `Send + Sync`, all query methods take `&self`, and
-/// readers never contend. This is the form a server keeps resident — queries
-/// run lock-free against the snapshot while a replacement is solved and
-/// sealed off to the side.
+/// itself answers nothing: it only solves and materializes. A sealed graph
+/// is plain shared data: it is `Send + Sync`, all query methods take
+/// `&self`, and readers never contend. This is the form a server keeps
+/// resident — queries run lock-free against the snapshot while a
+/// replacement is solved and sealed off to the side.
 #[derive(Debug)]
 pub struct SealedGraph {
     /// Per-object points-to set, indexed by object id; members of one
