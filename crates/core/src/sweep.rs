@@ -83,10 +83,9 @@ pub(crate) struct SweepCounts {
     pub set_bytes: usize,
     /// Levels of the condensation.
     pub levels: usize,
-    /// The most threads any level ran on.
+    /// The most threads any level ran on: more than one when a level
+    /// split.
     pub threads: usize,
-    /// Levels that ran on more than one thread.
-    pub split_levels: usize,
 }
 
 /// The relation a sweep read out: the distinct sets, each held by the
@@ -550,16 +549,19 @@ impl Frozen {
             // The level cut, in order, into claims of about half
             // `inline_below` lvals each: a worker's components lie side by
             // side.
-            let mut claims = vec![lo];
-            let (mut work, mut claimed) = (0, 0);
-            for c in (lo..hi).filter(|_| !others.is_empty()) {
-                claimed += level.work(c);
-                if claimed >= inline_below / 2 {
-                    claims.push(c + 1);
-                    (work, claimed) = (work + claimed, 0);
+            let (mut claims, mut work) = (vec![lo], 0);
+            if !others.is_empty() {
+                let mut claimed = 0;
+                for c in lo..hi {
+                    claimed += level.work(c);
+                    if claimed >= inline_below / 2 {
+                        claims.push(c + 1);
+                        (work, claimed) = (work + claimed, 0);
+                    }
                 }
+                work += claimed;
             }
-            if work + claimed < inline_below.max(1) {
+            if work < inline_below.max(1) {
                 me.run(&level, lo, out_holder, out_sets);
                 counts.threads = counts.threads.max(1);
                 continue;
@@ -584,7 +586,6 @@ impl Frozen {
                 (out_holder[c - lo], out_sets[c - lo]) = (h, set);
             }
             counts.threads = counts.threads.max(helpers + 1);
-            counts.split_levels += usize::from(helpers > 0);
         }
         for w in &workers {
             counts.shared += w.shared;
