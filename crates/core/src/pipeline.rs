@@ -1052,7 +1052,7 @@ pub fn open_linked(linker: ObjectLinker, summarize_unknown: bool) -> Result<Link
     })
 }
 
-/// The worker count a `jobs` setting asks for: `0` is one a core this
+/// The worker count a `jobs` setting asks for: `0` means one per core this
 /// process may run on. The compile pool and the solver's sweep both size
 /// themselves here; answers never depend on it.
 pub(crate) fn resolve_jobs(jobs: usize) -> usize {
