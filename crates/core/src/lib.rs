@@ -32,18 +32,19 @@
 
 mod closure;
 pub mod deductive;
+mod fixpoint;
 pub mod frontfuzz;
 pub mod pipeline;
 mod pretransitive;
 mod solution;
 pub mod steensgaard;
+mod store;
 mod sweep;
 pub mod worklist;
 
-pub use pretransitive::{
-    solve_database, solve_unit, LvalStore, SealedGraph, SolveOptions, SolveStats, Warm,
-};
+pub use pretransitive::{solve_database, solve_unit, SealedGraph, SolveOptions, SolveStats, Warm};
 pub use solution::{sets_intersect, LvalSet, PointsTo, PointsToQuery};
+pub use store::LvalStore;
 
 #[cfg(test)]
 mod tests {

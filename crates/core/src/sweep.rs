@@ -19,20 +19,19 @@
 //!    level is one more than the highest level among its successors.
 //! 2. **Materialise, level by level.** A level's components depend only on
 //!    lower levels, so they are joined on scoped threads, each by one
-//!    [`LvalStore::union_sorted`] of its successors' sets and its members'
-//!    base lvals, and a written set is entered into a store sharded by
-//!    content hash: equal content is one `Arc`, whatever the schedule.
-//!    Levels with little work run on the calling thread.
+//!    [`LvalStore::join`] of its successors' sets and its members' base
+//!    lvals, and a written set is entered into a store sharded by content
+//!    hash: equal content is one `Arc`, whatever the schedule. Levels with
+//!    little work run on the calling thread.
 //!
-//! The union's largest part is chosen by length, then component order —
-//! never by address — so every count the sweep reports repeats run to run
-//! and thread count to thread count.
+//! The join's largest part depends on neither schedule nor address, so
+//! every count the sweep reports repeats run to run and thread count to
+//! thread count.
 
-use crate::pretransitive::{content_key, enter, LvalStore, UnionLedger};
 use crate::solution::LvalSet;
+use crate::store::{content_key, enter, Joined, LvalStore, Sets, UnionLedger};
 use cla_ir::ObjId;
-use std::cmp::Reverse;
-use std::collections::HashMap;
+use std::borrow::Borrow;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::Mutex;
 
@@ -75,9 +74,7 @@ pub(crate) struct SweepCounts {
     pub visits: u64,
     /// Nodes reached beyond one a component.
     pub unifications: u64,
-    /// Non-empty component sets that were a set the store already held.
-    pub shared: u64,
-    /// The unions, one a reached component.
+    /// The joins, one a reached component.
     pub ledger: UnionLedger,
     /// Bytes of the distinct sets, each counted once.
     pub set_bytes: usize,
@@ -153,7 +150,7 @@ struct Tarjan<'g> {
 }
 
 impl Tarjan<'_> {
-    fn enter(&mut self, v: u32) {
+    fn visit(&mut self, v: u32) {
         self.next += 1;
         self.index[v as usize] = self.next;
         self.low[v as usize] = self.next;
@@ -163,7 +160,7 @@ impl Tarjan<'_> {
 
     /// Finishes every node reachable from `r`.
     fn reach(&mut self, r: u32, counts: &mut SweepCounts) {
-        self.enter(r);
+        self.visit(r);
         while let Some(top) = self.frames.last_mut() {
             let (v, edge) = *top;
             let vi = v as usize;
@@ -171,7 +168,7 @@ impl Tarjan<'_> {
                 top.1 += 1;
                 let w = self.g.succ[edge as usize] as usize;
                 if self.index[w] == 0 {
-                    self.enter(w as u32);
+                    self.visit(w as u32);
                 } else if self.comp[w] == NONE {
                     self.low[vi] = self.low[vi].min(self.index[w]);
                 }
@@ -232,7 +229,7 @@ struct SetShards([Shard; 64]);
 /// shards do not contend.
 #[repr(align(128))]
 #[derive(Default)]
-struct Shard(Mutex<HashMap<u64, (LvalSet, u32)>>);
+struct Shard(Mutex<Sets>);
 
 impl Default for SetShards {
     fn default() -> Self {
@@ -243,13 +240,12 @@ impl Default for SetShards {
 impl SetShards {
     /// The component holding `set`'s content: `c` with the allocation it
     /// now holds, or the component that entered it first.
-    fn enter(&self, set: Vec<ObjId>, c: u32) -> (u32, Option<LvalSet>) {
+    fn enter(&self, set: Vec<ObjId>, c: u32, ledger: &mut UnionLedger) -> Holding {
         let key = content_key(&set);
         let shard = &self.0[(key >> 58) as usize].0;
         let mut sets = shard.lock().expect("no worker panics holding a shard");
-        let answer =
-            |(set, holder): &(LvalSet, u32), new: bool| (*holder, new.then(|| LvalSet::clone(set)));
-        enter(&mut sets, key, set, |held| &held.0, |set| (set, c), answer)
+        let ((held, holder), new) = enter(&mut sets, key, set, c, ledger);
+        (*holder, new.then(|| LvalSet::clone(held)))
     }
 
     /// Bytes of the sets entered, each counted once.
@@ -279,14 +275,26 @@ struct Level<'a> {
 }
 
 /// A component's result: its holder, and its set when it is the holder.
-type Joined = (u32, Option<LvalSet>);
+type Holding = (u32, Option<LvalSet>);
+
+/// A lower component's set as a part of a join, with its holder.
+struct Part<'a> {
+    set: &'a LvalSet,
+    holder: u32,
+}
+
+impl Borrow<Vec<ObjId>> for Part<'_> {
+    fn borrow(&self) -> &Vec<ObjId> {
+        self.set
+    }
+}
 
 impl<'a> Level<'a> {
     /// Component `s`'s set, `None` when it is empty.
-    fn set(&self, s: u32) -> Option<&'a LvalSet> {
+    fn part(&self, s: u32) -> Option<Part<'a>> {
         match self.holder[s as usize] {
             NONE => None,
-            h => self.sets[h as usize].as_ref(),
+            h => (self.sets[h as usize].as_ref()).map(|set| Part { set, holder: h }),
         }
     }
 
@@ -297,91 +305,58 @@ impl<'a> Level<'a> {
         let succ = &cond.succ[cond.first[c] as usize..cond.first[c + 1] as usize];
         let raw = (cond.at[c + 1] - cond.at[c]) as usize;
         (succ.iter())
-            .map(|&s| self.set(s).map_or(0, |set| set.len()))
+            .map(|&s| self.part(s).map_or(0, |p| p.set.len()))
             .sum::<usize>()
             + raw
     }
 }
 
-/// One thread's union scratch and counters, alone on its cache lines: each
-/// union writes the ledger and the scratch lengths, and a neighbour's
-/// writes would bounce them between cores.
+/// One thread's join scratch and ledger, alone on its cache lines: each
+/// join writes the ledger and the scratch lengths, and a neighbour's writes
+/// would bounce them between cores.
 #[repr(align(128))]
 #[derive(Default)]
 struct Worker {
     store: LvalStore,
-    /// Results that were a set already held, and sets newly entered.
-    shared: u64,
-    distinct: u64,
 }
 
 impl Worker {
-    /// Joins components `from..from + holder.len()`, in order.
-    fn run(
-        &mut self,
-        level: &Level<'_>,
-        from: usize,
-        holder: &mut [u32],
-        sets: &mut [Option<LvalSet>],
-    ) {
-        let mut parts = Vec::new();
-        for (c, (h, set)) in (from..).zip(holder.iter_mut().zip(sets)) {
-            (*h, *set) = self.join(level, c, &mut parts);
-        }
-    }
-
     /// Joins the components of the claims `next` hands out — claim `k` is
-    /// `claims[k]..claims[k + 1]` — until they run out.
+    /// `claims[k]..claims[k + 1]` — until they run out, and `put`s each
+    /// component's result.
     fn drain(
         &mut self,
         level: &Level<'_>,
         claims: &[usize],
         next: &AtomicUsize,
-    ) -> Vec<(usize, Joined)> {
-        let (mut parts, mut joined) = (Vec::new(), Vec::new());
+        put: &mut impl FnMut(usize, Holding),
+    ) {
+        let mut parts = Vec::new();
         loop {
             let k = next.fetch_add(1, Relaxed);
             let Some(claim) = claims.get(k..k + 2) else {
-                return joined;
+                return;
             };
             for c in claim[0]..claim[1] {
-                joined.push((c, self.join(level, c, &mut parts)));
+                put(c, self.join(level, c, &mut parts));
             }
         }
     }
 
     /// Component `c`'s set: its successors' sets and its members' bases.
-    fn join<'a>(&mut self, level: &Level<'a>, c: usize, parts: &mut Vec<&'a LvalSet>) -> Joined {
+    fn join<'a>(&mut self, level: &Level<'a>, c: usize, parts: &mut Vec<Part<'a>>) -> Holding {
         let cond = level.cond;
         parts.clear();
-        let mut big: Option<(&LvalSet, u32)> = None;
-        for &s in &cond.succ[cond.first[c] as usize..cond.first[c + 1] as usize] {
-            let Some(set) = level.set(s) else { continue };
-            parts.push(set);
-            if big.is_none_or(|(b, bs)| (set.len(), Reverse(s)) > (b.len(), Reverse(bs))) {
-                big = Some((set, s));
-            }
-        }
-        // `union_sorted` skips a repeated part as a neighbour.
-        if parts.len() > 1 {
-            parts.sort_unstable_by_key(|p| LvalSet::as_ptr(p));
-        }
+        let succ = &cond.succ[cond.first[c] as usize..cond.first[c + 1] as usize];
+        parts.extend(succ.iter().filter_map(|&s| level.part(s)));
         let raw = &cond.raw[cond.at[c] as usize..cond.at[c + 1] as usize];
-        let written = (self.store).union_sorted(big.map_or(&[], |(b, _)| b), parts, raw);
-        match (written, big) {
-            (Some(set), _) => {
-                let (h, set) = level.shards.enter(set, c as u32);
-                match set {
-                    Some(_) => self.distinct += 1,
-                    None => self.shared += 1,
-                }
-                (h, set)
+        match self.store.join(parts, raw) {
+            Joined::Written(set) => level.shards.enter(set, c as u32, &mut self.store.ledger),
+            Joined::Operand(big) => {
+                self.store.ledger.shared += 1;
+                (big.holder, None)
             }
-            (None, Some((_, s))) => {
-                self.shared += 1;
-                (level.holder[s as usize], None)
-            }
-            (None, None) => (NONE, None),
+            Joined::Empty => (NONE, None),
         }
     }
 }
@@ -561,8 +536,16 @@ impl Frozen {
                 }
                 work += claimed;
             }
+            // This thread puts its results in place; a helper's come back
+            // in a list.
+            let next = AtomicUsize::new(0);
+            let mut put = |c: usize, (h, set): Holding| {
+                (out_holder[c - lo], out_sets[c - lo]) = (h, set);
+            };
+            // A level with little work is the same claim loop, on this
+            // thread alone and over one claim.
             if work < inline_below.max(1) {
-                me.run(&level, lo, out_holder, out_sets);
+                me.drain(&level, &[lo, hi], &next, &mut put);
                 counts.threads = counts.threads.max(1);
                 continue;
             }
@@ -570,28 +553,27 @@ impl Frozen {
                 claims.push(hi);
             }
             let helpers = others.len().min(claims.len() - 2);
-            let next = AtomicUsize::new(0);
-            let joined = std::thread::scope(|scope| {
+            std::thread::scope(|scope| {
                 let (level, claims, next) = (&level, &claims, &next);
                 let spawned: Vec<_> = (others[..helpers].iter_mut())
-                    .map(|w| scope.spawn(move || w.drain(level, claims, next)))
+                    .map(|w| {
+                        scope.spawn(move || {
+                            let mut joined = Vec::new();
+                            w.drain(level, claims, next, &mut |c, h| joined.push((c, h)));
+                            joined
+                        })
+                    })
                     .collect();
-                let mut joined = vec![me.drain(level, claims, next)];
+                me.drain(level, claims, next, &mut put);
                 for h in spawned {
-                    joined.push(h.join().expect("a sweep worker panicked"));
+                    let joined = h.join().expect("a sweep worker panicked");
+                    joined.into_iter().for_each(|(c, h)| put(c, h));
                 }
-                joined
             });
-            for (c, (h, set)) in joined.into_iter().flatten() {
-                (out_holder[c - lo], out_sets[c - lo]) = (h, set);
-            }
             counts.threads = counts.threads.max(helpers + 1);
         }
         for w in &workers {
-            counts.shared += w.shared;
-            counts.ledger += w.store.ledger();
-            counts.ledger.shared += w.shared;
-            counts.ledger.distinct += w.distinct;
+            counts.ledger += w.store.ledger;
         }
         counts.set_bytes = shards.bytes();
         (holder, sets)

@@ -453,11 +453,7 @@ pub fn generate(spec: &BenchSpec, opts: &GenOptions) -> Workload {
 
     let total_ptrs: usize = g.pools.iter().map(|p| p.ptrs.len()).sum();
     let n_clusters = (total_ptrs / cluster.max(1)).max(1);
-    g.bridges_left = if std::env::var("CLA_GEN_NO_BRIDGES").is_ok() {
-        0
-    } else {
-        (n_clusters as f64 * bridge_density) as usize
-    };
+    g.bridges_left = (n_clusters as f64 * bridge_density) as usize;
     g.identity_count = ((n_clusters as f64 * ident_density) as usize).clamp(1, n_fids);
     g.field_edges_left = (n_clusters as f64 * field_density) as usize;
     for k in 0..n_fids {
@@ -533,12 +529,7 @@ pub fn generate(spec: &BenchSpec, opts: &GenOptions) -> Workload {
     // ---- copies -----------------------------------------------------------
     // Each fid definition contributes 2 copies (param in, return out); each
     // emitted call contributes 2 (argument + result). Reserve that budget.
-    let env_off = |k: &str| std::env::var(k).is_ok();
-    let call_budget = if env_off("CLA_GEN_NO_CALLS") {
-        0
-    } else {
-        (n_copy / 20).min(n_fids * 4)
-    };
+    let call_budget = (n_copy / 20).min(n_fids * 4);
     let reserved = n_fids * 2 + call_budget * 2;
     let plain_copies = n_copy.saturating_sub(reserved);
     let int_frac = opts
@@ -569,11 +560,6 @@ pub fn generate(spec: &BenchSpec, opts: &GenOptions) -> Workload {
             }
         } else {
             let roll = g.rng.random_range(0..100);
-            let cycle_pct = if std::env::var("CLA_GEN_NO_CYCLES").is_ok() {
-                0
-            } else {
-                cycle_pct
-            };
             if roll < cycle_pct {
                 // Deliberately close a small pointer cycle over *adjacent*
                 // local pointers (counts as `len` copies). Cycles are rare,
@@ -698,17 +684,6 @@ pub fn generate(spec: &BenchSpec, opts: &GenOptions) -> Workload {
     }
 
     // ---- complex assignments ------------------------------------------------
-    let n_store = if env_off("CLA_GEN_NO_STORES") {
-        0
-    } else {
-        n_store
-    };
-    let n_load = if env_off("CLA_GEN_NO_LOADS") {
-        0
-    } else {
-        n_load
-    };
-    let n_sl = if env_off("CLA_GEN_NO_SL") { 0 } else { n_sl };
     let (store_par, load_par) = if split_sl {
         (Some(0), Some(1))
     } else {

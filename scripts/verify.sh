@@ -158,6 +158,38 @@ done | grep -v ':pass$' || true)
 second=$(grep -rn 'lval_sets' crates src tests examples || true)
 [ -z "$second" ] || { echo "a second sweep grew back: $second"; exit 1; }
 
+echo "==> one join (the passes and the sweep build every lval set with LvalStore::join and enter it with store::enter)"
+# core/src/store.rs holds the one join and the one function that enters a
+# written set into a pass epoch's store or the sweep's shards. Outside
+# tests, union_sorted is called by join alone, no other file keys a set
+# store or spells a hash-map Entry, and neither the fixpoint nor the sweep
+# builds a set by sort + dedup.
+calls=$(for f in crates/core/src/*.rs; do
+    sed '/#\[cfg(test)\]/,$d' "$f" | awk -v f="$f" '
+        /^ *\/\// { next }
+        /fn [a-z_0-9]+/ { match($0, /fn [a-z_0-9]+/); fn = substr($0, RSTART + 3, RLENGTH - 3) }
+        /union_sorted\(/ { print f ":" NR ":" fn }'
+done)
+[ "$(echo "$calls" | grep -c .)" = 1 ] && echo "$calls" | grep -q '/store\.rs:[0-9]*:join$' ||
+    { echo "union_sorted must have one caller, LvalStore::join: $calls"; exit 1; }
+stores=$(for f in crates/core/src/*.rs; do
+    [ "$f" = crates/core/src/store.rs ] && continue
+    sed '/#\[cfg(test)\]/,$d' "$f" | grep -HnE --label="$f" 'HashMap<u64|Entry::|fn intern'
+done || true)
+[ -z "$stores" ] || { echo "a second way to enter a set: $stores"; exit 1; }
+built=$(for f in crates/core/src/fixpoint.rs crates/core/src/sweep.rs; do
+    sed '/#\[cfg(test)\]/,$d' "$f" | grep -HnE --label="$f" '\.dedup\(\)'
+done || true)
+[ -z "$built" ] || { echo "an lval set built by sort + dedup: $built"; exit 1; }
+
+echo "==> generators read no environment (a generated tree is its profile, scale and seed)"
+# The Table 2 programs clabench pins come from crates/workload; a variable
+# left set in a shell must not change them, nor a genc tree.
+envs=$(for f in crates/workload/src/*.rs crates/genc/src/*.rs; do
+    sed '/#\[cfg(test)\]/,$d' "$f" | grep -HnE --label="$f" 'env::var'
+done || true)
+[ -z "$envs" ] || { echo "a generator reads the environment: $envs"; exit 1; }
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
