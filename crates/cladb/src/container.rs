@@ -476,6 +476,20 @@ impl<'a> Section<'a> {
 /// container.
 #[must_use]
 pub fn assemble(format: &Format, sections: &[Section<'_>]) -> Vec<u8> {
+    let mut out = assemble_header(format, sections);
+    out.reserve_exact(sections.iter().map(|s| s.body.len()).sum());
+    for s in sections {
+        out.extend_from_slice(s.body);
+    }
+    out
+}
+
+/// What [`assemble`] puts before the section bodies: the header and the
+/// section table. A writer that sends the bodies after it, in order, from
+/// where they lie writes [`assemble`]'s bytes without a copy of the whole
+/// file.
+#[must_use]
+pub fn assemble_header(format: &Format, sections: &[Section<'_>]) -> Vec<u8> {
     let mut header = Header {
         checksum: 0,
         table: (sections.iter())
@@ -488,12 +502,7 @@ pub fn assemble(format: &Format, sections: &[Section<'_>]) -> Vec<u8> {
             .collect(),
     };
     header.relayout();
-    let mut out = header.encode(format);
-    out.reserve_exact(sections.iter().map(|s| s.body.len()).sum());
-    for s in sections {
-        out.extend_from_slice(s.body);
-    }
-    out
+    header.encode(format)
 }
 
 /// A container file opened for reading: the bytes plus their verified

@@ -63,7 +63,10 @@ pub use objlink::{LinkStats, LinkTimes, LinkedObject, ObjectLinker, StreamLinker
 pub use reader::{Database, LoadStats, ObjectRef};
 pub use record::ASSIGN_RECORD_SIZE;
 pub use unit::UnitObject;
-pub use writer::{atomic_write_bytes, block_key, sweep_stale_tmp, write_object, write_object_file};
+pub use writer::{
+    atomic_write_bytes, atomic_write_parts, block_key, sweep_stale_tmp, write_object,
+    write_object_file,
+};
 
 #[cfg(test)]
 mod tests {

@@ -235,6 +235,17 @@ fn dynamic_section(nobjs: usize, records: &[u8]) -> (Vec<u8>, usize) {
 ///
 /// Any I/O failure; the temporary file is removed on error.
 pub fn atomic_write_bytes(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    atomic_write_parts(path, &[bytes])
+}
+
+/// [`atomic_write_bytes`] of the concatenation of `parts`, each written
+/// where it lies: a caller whose file is a header and its sections makes no
+/// copy of the whole.
+///
+/// # Errors
+///
+/// As [`atomic_write_bytes`].
+pub fn atomic_write_parts(path: &Path, parts: &[&[u8]]) -> std::io::Result<()> {
     // A per-write sequence number keeps concurrent writers *within* one
     // process (e.g. two serve sessions sharing a snapshot directory) from
     // colliding on the temporary name — a collision would let one writer
@@ -253,7 +264,9 @@ pub fn atomic_write_bytes(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     let tmp = dir.join(format!(".{base}.tmp.{}.{seq}", std::process::id()));
     let write = (|| {
         let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
+        for part in parts {
+            f.write_all(part)?;
+        }
         // Data must be durable before the rename makes it visible,
         // otherwise a crash could publish a name pointing at garbage.
         f.sync_all()?;

@@ -93,9 +93,10 @@ pub fn solve_database(db: &Database, opts: SolveOptions) -> (PointsTo, SolveStat
 ///
 /// Produced by [`Warm::from_database`] (or [`Warm::from_unit`]); owns no
 /// reference to the database it was solved from, so it can outlive it and
-/// move across threads. It is the solver's half-way state, not a query
-/// surface: turn it into the relation with [`Warm::extract_points_to`] or
-/// into the resident, lock-free form with [`Warm::seal`].
+/// move across threads. It is the solver's half-way state: turn it into the
+/// relation with [`Warm::extract_points_to`] or into the resident,
+/// lock-free form with [`Warm::seal`] (or [`Warm::to_sealed`]), and ask it
+/// for one object meanwhile with [`Warm::lvals_of`].
 pub struct Warm {
     graph: Graph,
     stats: SolveStats,
@@ -150,6 +151,28 @@ impl Warm {
         span: &'static str,
     ) -> (Vec<LvalSet>, SweepCounts) {
         let mut sp = cla_obs::global().span("solve", span);
+        let (swept, counts, stats) = self.sweep_on(threads, inline_below, &mut sp);
+        self.stats = stats;
+        if let Some(relation) = swept {
+            // The frozen graph goes here, before the per-object sets exist.
+            self.graph = Graph::Swept(relation);
+        }
+        let Graph::Swept(relation) = &self.graph else {
+            unreachable!("a sweep leaves the relation")
+        };
+        (relation.per_object(), counts)
+    }
+
+    /// One read-out of the graph as it stands, recorded on `sp`, keeping
+    /// nothing: the relation when the graph was still frozen (`None` when
+    /// [`Graph::Swept`] holds it already), what the read counted, and the
+    /// counters as they stand after it.
+    fn sweep_on(
+        &self,
+        threads: usize,
+        inline_below: usize,
+        sp: &mut cla_obs::Span<'_>,
+    ) -> (Option<Relation>, SweepCounts, SolveStats) {
         sp.set("objects", self.n_objects);
         let (swept, counts) = match &self.graph {
             Graph::Frozen(frozen) => {
@@ -166,11 +189,7 @@ impl Warm {
                 (None, again)
             }
         };
-        if let Some(relation) = swept {
-            // The frozen graph goes here, before the per-object sets exist.
-            self.graph = Graph::Swept(relation);
-        }
-        let st = &mut self.stats;
+        let mut st = self.stats;
         st.getlvals_calls += counts.calls;
         st.cache_hits += counts.hits;
         st.dfs_visits += counts.visits;
@@ -179,11 +198,8 @@ impl Warm {
         st.approx_bytes += counts.set_bytes;
         sp.set("threads", counts.threads);
         sp.set("levels", counts.levels);
-        counts.ledger.publish_since(UnionLedger::default(), &mut sp);
-        let Graph::Swept(relation) = &self.graph else {
-            unreachable!("a sweep leaves the relation")
-        };
-        (relation.per_object(), counts)
+        counts.ledger.publish_since(UnionLedger::default(), sp);
+        (swept, counts, st)
     }
 
     /// Materializes the complete solution (every object's set); objects
@@ -224,16 +240,49 @@ impl Warm {
             stats: self.stats,
         }
     }
+
+    /// [`Warm::seal`] through a shared borrow: the same sets, sharing and
+    /// [`SolveStats`], and the graph left as it was. A server hands one
+    /// `Warm` to the threads that answer from it on demand
+    /// ([`Warm::lvals_of`]) and to the one that seals it, and drops it
+    /// after; the frozen graph and the sets live side by side meanwhile.
+    ///
+    /// The sweep runs on the calling thread alone: a server seals in the
+    /// background while other threads compile, solve and answer, and a
+    /// helper thread would take a core from them and add its own scratch
+    /// to the peak (EXPERIMENTS "A reload answers at fixpoint").
+    pub fn to_sealed(&self) -> SealedGraph {
+        let mut sp = cla_obs::global().span("solve", "solve.seal");
+        let (swept, _, stats) = self.sweep_on(1, INLINE_BELOW, &mut sp);
+        let relation = match (&swept, &self.graph) {
+            (Some(relation), _) | (None, Graph::Swept(relation)) => relation,
+            (None, Graph::Frozen(_)) => unreachable!("a sweep of a frozen graph reads it out"),
+        };
+        SealedGraph {
+            sets: relation.per_object(),
+            stats,
+        }
+    }
+
+    /// The points-to set of `o`, as sorted object ids, read on demand:
+    /// one walk from `o` over the frozen graph (what [`Warm::seal`] would
+    /// answer for `o`, without sealing), or a lookup once a read-out has
+    /// swept it. Empty for an id past the objects. Counts nothing.
+    pub fn lvals_of(&self, o: ObjId) -> Vec<ObjId> {
+        match &self.graph {
+            Graph::Frozen(frozen) => frozen.lvals_of(o),
+            Graph::Swept(relation) => relation.of(o).to_vec(),
+        }
+    }
 }
 
 /// An immutable snapshot of a solved pre-transitive graph.
 ///
-/// Produced by [`Warm::seal`] — the query surface of a solve. [`Warm`]
-/// itself answers nothing: it only solves and materializes. A sealed graph
-/// is plain shared data: it is `Send + Sync`, all query methods take
-/// `&self`, and readers never contend. This is the form a server keeps
-/// resident — queries run lock-free against the snapshot while a
-/// replacement is solved and sealed off to the side.
+/// Produced by [`Warm::seal`] — the query surface of a solve; [`Warm`]
+/// answers one object at a time, by a walk each. A sealed graph is plain
+/// shared data: it is `Send + Sync`, all query methods take `&self`, and
+/// readers never contend. This is the form a server keeps resident once an
+/// epoch is sealed, and the form a snapshot persists.
 #[derive(Debug)]
 pub struct SealedGraph {
     /// Per-object points-to set, indexed by object id; members of one
@@ -596,6 +645,50 @@ mod tests {
                 }
             }
             assert!(one_counts.levels > 2, "{name}: {one_counts:?}");
+        }
+    }
+
+    fn examples_c() -> CompiledUnit {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/c");
+        let files = ["main.c", "store.c", "prog.h"]
+            .map(|f| (f.to_owned(), std::fs::read_to_string(dir.join(f)).unwrap()));
+        program(&files)
+    }
+
+    /// Every object's demand read-out is what the seal answers, and the
+    /// seal through a shared borrow is [`Warm::seal`]'s: the same sets, the
+    /// same sharing and the same counters, under every `SolveOptions`.
+    #[test]
+    fn demand_read_out_and_shared_seal_agree_with_the_seal() {
+        let programs = [
+            ("examples/c", examples_c()),
+            ("ci-small", ci_small()),
+            ("nethack@0.2", nethack()),
+        ];
+        for (name, program) in programs {
+            let db = Database::open(cla_cladb::write_object(&program)).unwrap();
+            for (cache, cycle_elim) in [(true, true), (true, false), (false, true), (false, false)]
+            {
+                let opts = SolveOptions { cache, cycle_elim };
+                let what = format!("{name} {opts:?}");
+                let warm = Warm::from_database(&db, opts);
+                let shared = warm.to_sealed();
+                for o in db.ids() {
+                    assert_eq!(warm.lvals_of(o), shared.points_to(o), "{what}: {o:?}");
+                }
+                assert!(warm.lvals_of(ObjId(u32::MAX)).is_empty());
+                let sealed = warm.seal();
+                assert_eq!(shared.sets(), sealed.sets(), "{what}: the sets");
+                assert_shared_exactly_when_equal(shared.sets(), &what);
+                assert_eq!(shared.stats(), sealed.stats(), "{what}: SolveStats");
+            }
+            // Once a read-out has swept the graph, a demand read looks the
+            // set up.
+            let mut warm = Warm::from_database(&db, SolveOptions::default());
+            let pts = warm.extract_by_kind(db.ids().map(|o| db.kind(o)));
+            for o in db.ids() {
+                assert_eq!(warm.lvals_of(o), pts.points_to(o), "{name} swept: {o:?}");
+            }
         }
     }
 

@@ -27,6 +27,10 @@
 //! The join's largest part depends on neither schedule nor address, so
 //! every count the sweep reports repeats run to run and thread count to
 //! thread count.
+//!
+//! [`Frozen::lvals_of`] reads one object's set without the sweep: a walk
+//! over the same CSR from the object's representative, joining the bases
+//! it reaches. A server answers from it until its epoch is sealed.
 
 use crate::solution::LvalSet;
 use crate::store::{content_key, enter, Joined, LvalStore, Sets, UnionLedger};
@@ -106,6 +110,14 @@ impl Relation {
                 c => LvalSet::clone(self.sets[c as usize].as_ref().expect("a holder")),
             })
             .collect()
+    }
+
+    /// Object `o`'s set, empty for an id past the objects.
+    pub fn of(&self, o: ObjId) -> &[ObjId] {
+        match self.of_object.get(o.index()) {
+            None | Some(&NONE) => &[],
+            Some(&c) => self.sets[c as usize].as_ref().expect("a holder"),
+        }
     }
 }
 
@@ -388,6 +400,41 @@ impl Frozen {
             base,
             empty,
             n_objects,
+        }
+    }
+
+    /// Object `o`'s set on demand (paper §5's `getLvals` over a graph no
+    /// pass changes again): one depth-first walk over the CSR from `o`'s
+    /// representative, joining the bases of the nodes it reaches. What
+    /// [`Frozen::sweep`] reads out for `o`, and empty for an id past the
+    /// objects.
+    pub(crate) fn lvals_of(&self, o: ObjId) -> Vec<ObjId> {
+        let r = match self.rep.get(o.index()) {
+            Some(&r) if o.index() < self.n_objects && self.active[r as usize] => r,
+            _ => return Vec::new(),
+        };
+        // One bit a node: a walk's scratch is small beside the graph.
+        let mut seen = vec![0u64; self.rep.len().div_ceil(64)];
+        let mut first_visit = |v: u32| {
+            let (word, bit) = (&mut seen[v as usize / 64], 1 << (v % 64));
+            let new = *word & bit == 0;
+            *word |= bit;
+            new
+        };
+        first_visit(r);
+        let (mut stack, mut raw) = (vec![r], Vec::new());
+        while let Some(v) = stack.pop() {
+            let v = v as usize;
+            raw.extend_from_slice(&self.base[v]);
+            for &w in &self.succ[self.first[v] as usize..self.first[v + 1] as usize] {
+                if first_visit(w) {
+                    stack.push(w);
+                }
+            }
+        }
+        match LvalStore::default().join::<Vec<ObjId>>(&mut [], &raw) {
+            Joined::Written(set) => set,
+            Joined::Operand(_) | Joined::Empty => Vec::new(),
         }
     }
 

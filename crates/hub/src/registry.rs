@@ -232,7 +232,7 @@ impl Hub {
         }
         match self.resident(&tenant) {
             Ok(session) => {
-                let (_, epoch) = session.snapshot();
+                let epoch = session.epoch();
                 let loaded = session.snapshot_loaded();
                 Ok((epoch, loaded))
             }
@@ -379,7 +379,7 @@ impl Hub {
                 continue;
             }
             if let Some(session) = slot.take() {
-                let (_, epoch) = session.snapshot();
+                let epoch = session.epoch();
                 t.last_epoch.store(epoch, Relaxed);
                 t.ctr_evictions.inc();
                 self.ctr_evictions.inc();
@@ -424,7 +424,7 @@ impl Hub {
                     Ok(slot) => match slot.as_ref() {
                         Some(s) => (
                             "resident",
-                            s.snapshot().1,
+                            s.epoch(),
                             Some(s.health().as_str()),
                             Some(s.snapshot_loaded()),
                             s.flow_index_size(),
@@ -474,7 +474,7 @@ impl Hub {
             }
             let epoch = match t.slot.try_lock() {
                 Ok(slot) => match slot.as_ref() {
-                    Some(s) => s.snapshot().1,
+                    Some(s) => s.epoch(),
                     None => t.last_epoch.load(Relaxed),
                 },
                 Err(_) => t.last_epoch.load(Relaxed),

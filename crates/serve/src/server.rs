@@ -625,7 +625,7 @@ pub fn answer(
             let mut pairs = vec![
                 ("ok", Value::from(true)),
                 ("health", health.as_str().into()),
-                ("epoch", session.snapshot().1.into()),
+                ("epoch", session.epoch().into()),
                 ("snapshot_loaded", session.snapshot_loaded().into()),
                 ("quarantined", (session.quarantined().len() as u64).into()),
             ];

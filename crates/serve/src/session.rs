@@ -1,13 +1,17 @@
-//! The in-process query session: a solved program sealed into an immutable
-//! snapshot, an epoch-tagged result cache in front of it, and incremental
-//! reload.
+//! The in-process query session: a solved program, an epoch-tagged result
+//! cache in front of it, incremental reload, and one sealer thread.
 //!
 //! A [`Session`] is the server's engine and is directly usable as a library:
 //!
-//! * the linked [`Database`] and the solved, sealed graph
-//!   ([`cla_core::SealedGraph`]) are loaded once and shared; queries run
-//!   concurrently under a read lock against plain immutable data — no
-//!   query ever takes a solver mutex, so N clients scale to N cores;
+//! * the linked [`Database`] and the solved graph are loaded once and
+//!   shared; queries run concurrently under a read lock against data no
+//!   query changes, so N clients scale to N cores;
+//! * an epoch answers from its graph as the fixpoint froze it
+//!   ([`cla_core::Warm`], one walk per object asked) until it is sealed
+//!   ([`cla_core::SealedGraph`], a lookup). The session's sealer thread
+//!   seals the newest epoch and saves its snapshot in the background; a
+//!   query that needs the whole relation (`depend`, `stats`,
+//!   [`Session::snapshot`]) seals the epoch itself if it gets there first;
 //! * repeated `points-to` and `depend` queries are answered from a bounded
 //!   LRU of finished results without touching the snapshot at all (`alias`
 //!   goes straight to the sealed sets: its pairs rarely repeat, and two
@@ -17,27 +21,30 @@
 //!   proportional to its answer;
 //! * [`Session::reload`] recompiles only the sources whose inputs changed
 //!   (the file or any header it read) through the pipeline's compile pool,
-//!   relinks, solves and seals a new snapshot *off to the side*, then
-//!   swaps it in under the write lock, bumps the session epoch, and
-//!   discards every cached result. In-flight queries finish against the
-//!   old snapshot; every answer carries the epoch it was computed at.
+//!   relinks and solves to fixpoint *off to the side*, then swaps the new
+//!   epoch in under the write lock, bumps the session epoch, discards
+//!   every cached result, and hands the epoch to the sealer. In-flight
+//!   queries finish against the old epoch; every answer carries the epoch
+//!   it was computed at.
 
 use crate::json::{obj, Value};
 use cla_cfront::{CError, FileProvider, PpOptions};
 use cla_cladb::{xxh64, Database, DbError, ObjectLinker, UnitObject};
 use cla_core::pipeline::{
-    compile_all, compile_one_keyed, load_or_solve, open_linked, options_fingerprint, Closure,
-    Provenance, Quarantined, SnapshotHook, SourceProbe,
+    compile_all, compile_one_keyed, open_linked, options_fingerprint, Closure, Provenance,
+    Quarantined, SnapshotHook, SourceProbe,
 };
-use cla_core::{SealedGraph, SolveOptions, SolveStats};
+use cla_core::{sets_intersect, SealedGraph, SolveOptions, SolveStats, Warm};
 use cla_depend::{DependOptions, FlowIndex};
 use cla_ir::{LowerOptions, ObjId};
 use cla_obs::{nearest_rank, Counter, Gauge, Histogram, LATENCY_BUCKETS_US};
 use cla_snap::SnapshotStore;
+use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, RwLock, RwLockReadGuard};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// How many finished query results the session retains.
@@ -310,8 +317,13 @@ pub struct SessionStats {
     pub latency_capacity: usize,
     /// Counters of the sealed solver snapshot, including complex
     /// assignments in core, graph nodes, and `getLvals` cache hits (frozen
-    /// at seal time).
+    /// at seal time; `stats` seals the epoch to read them).
     pub solver: SolveStats,
+    /// Whether the serving epoch had been sealed — by the sealer, by a
+    /// query, or by loading it from the snapshot store — when `stats` was
+    /// asked. `false` means the epoch was still answering from its frozen
+    /// graph, and its snapshot was not saved yet.
+    pub sealed: bool,
     /// Whether the currently served graph was loaded from a persisted
     /// snapshot instead of being solved (cold starts and reloads both).
     pub snapshot_loaded: bool,
@@ -393,6 +405,7 @@ impl SessionStats {
             ("approx_bytes", self.solver.approx_bytes.into()),
             ("flow_index_edges", self.flow_index_edges.into()),
             ("flow_index_bytes", self.flow_index_bytes.into()),
+            ("sealed", self.sealed.into()),
             ("snapshot_loaded", self.snapshot_loaded.into()),
             ("snapshot_loads", self.snapshot_loads.into()),
             ("snapshot_saves", self.snapshot_saves.into()),
@@ -457,16 +470,13 @@ struct CacheEntry {
 
 /// Everything derived from one linked program; swapped wholesale on reload.
 ///
-/// The sealed snapshot is immutable and `Sync`: queries read it directly
-/// under the session's read lock with no further locking, and the
-/// dependence analysis traverses it in place (no materialized `PointsTo`).
+/// The graph is immutable and `Sync` once solved: queries read it under the
+/// session's read lock, and the dependence analysis traverses the sealed
+/// form in place (no materialized `PointsTo`).
 struct Loaded {
     db: Database,
-    sealed: Arc<SealedGraph>,
-    /// The provenance `sealed` was loaded or saved under: what `stats`
-    /// reports as the snapshot's, without reading the file back.
-    prov: Provenance,
-    /// The dependence flow index of `(db, sealed)`: built by the epoch's
+    graph: Arc<EpochGraph>,
+    /// The dependence flow index of `(db, graph.sealed())`: built by the epoch's
     /// first `depend` (concurrent ones wait for that one build), dropped
     /// with the epoch, never persisted. A build failure — a damaged block
     /// — is as permanent as the bytes, so it is kept and handed to every
@@ -483,6 +493,255 @@ impl Loaded {
     fn flow_size(&self) -> Option<(usize, usize)> {
         let index = self.flow.get()?.as_ref().ok()?;
         Some((index.edges(), index.bytes()))
+    }
+}
+
+/// One epoch's graph: the fixpoint's [`Warm`] until the epoch is sealed,
+/// then the sealed graph alone. The session state, the sealer and any
+/// [`Session::snapshot`] caller share it, and whichever of them asks
+/// [`EpochGraph::sealed`] first seals it.
+struct EpochGraph {
+    /// `Some` until `sealed` is filled: the seal drops it.
+    warm: RwLock<Option<Warm>>,
+    sealed: OnceLock<Arc<SealedGraph>>,
+    /// The provenance the graph was loaded or solved under: what the sealer
+    /// saves it under and what `stats` reports, without reading the file.
+    prov: Provenance,
+    /// The session epoch serving it, for the `serve.seal` span.
+    epoch: AtomicU64,
+}
+
+/// What answers a query at the moment it runs.
+enum Reader<'g> {
+    Sealed(&'g SealedGraph),
+    /// The frozen graph, held (`Some`) until the query is done: a walk per
+    /// object asked.
+    Demand(RwLockReadGuard<'g, Option<Warm>>),
+}
+
+impl Reader<'_> {
+    /// The points-to set of `o`, as sorted object ids.
+    fn points_to(&self, o: ObjId) -> Cow<'_, [ObjId]> {
+        match self {
+            Reader::Sealed(sealed) => Cow::Borrowed(sealed.points_to(o)),
+            Reader::Demand(warm) => Cow::Owned(warm.as_ref().expect(HELD).lvals_of(o)),
+        }
+    }
+
+    fn may_alias(&self, a: ObjId, b: ObjId) -> bool {
+        match self {
+            Reader::Sealed(sealed) => sealed.may_alias(a, b),
+            Reader::Demand(_) => sets_intersect(&self.points_to(a), &self.points_to(b)),
+        }
+    }
+}
+
+const HELD: &str = "the warm graph is held until the epoch is sealed";
+const NO_PANIC: &str = "no thread panics holding an epoch's warm graph";
+
+impl EpochGraph {
+    /// A graph at fixpoint, to be sealed.
+    fn solved(warm: Warm, prov: Provenance) -> EpochGraph {
+        EpochGraph {
+            warm: RwLock::new(Some(warm)),
+            sealed: OnceLock::new(),
+            prov,
+            epoch: AtomicU64::new(0),
+        }
+    }
+
+    /// A graph the snapshot store held, sealed already.
+    fn loaded(sealed: SealedGraph, prov: Provenance) -> EpochGraph {
+        EpochGraph {
+            warm: RwLock::new(None),
+            sealed: OnceLock::from(Arc::new(sealed)),
+            prov,
+            epoch: AtomicU64::new(0),
+        }
+    }
+
+    fn is_sealed(&self) -> bool {
+        self.sealed.get().is_some()
+    }
+
+    /// The sealed graph: sealed here by the first thread to ask, while any
+    /// other waits for it. The warm graph is dropped with the seal.
+    fn sealed(&self) -> &Arc<SealedGraph> {
+        self.sealed.get_or_init(|| {
+            let sealed = self
+                .warm
+                .read()
+                .expect(NO_PANIC)
+                .as_ref()
+                .expect(HELD)
+                .to_sealed();
+            // A reader that finds neither form waits for this seal above.
+            *self.warm.write().expect(NO_PANIC) = None;
+            Arc::new(sealed)
+        })
+    }
+
+    /// The sealed graph once there is one, else the frozen graph.
+    fn reader(&self) -> Reader<'_> {
+        if let Some(sealed) = self.sealed.get() {
+            return Reader::Sealed(sealed);
+        }
+        let warm = self.warm.read().expect(NO_PANIC);
+        if warm.is_some() {
+            return Reader::Demand(warm);
+        }
+        drop(warm);
+        Reader::Sealed(self.sealed())
+    }
+}
+
+/// The session's one sealer: a thread that seals the newest epoch handed to
+/// it and then saves its snapshot. Its slot is one deep, so an epoch that a
+/// newer one replaces before it is started is never sealed here (a query
+/// may still seal it), and saves happen in epoch order: the snapshot on
+/// disk is never older than one saved before it. Dropping the sealer
+/// finishes the newest epoch first, so the last epoch is the one on disk.
+struct Sealer {
+    shared: Arc<SealerShared>,
+    thread: Option<JoinHandle<()>>,
+    /// `cla_serve_seals_skipped_total`: epochs replaced in the slot.
+    skipped: Counter,
+}
+
+#[derive(Default)]
+struct SealerShared {
+    slot: Mutex<Slot>,
+    /// Signalled when the slot changes.
+    changed: Condvar,
+}
+
+#[derive(Default)]
+struct Slot {
+    /// The newest epoch handed off and not yet started.
+    latest: Option<Arc<EpochGraph>>,
+    /// The epoch being sealed and saved.
+    working: Option<Arc<EpochGraph>>,
+    /// The session is going: finish `latest` when there is a store, then
+    /// stop.
+    closing: bool,
+}
+
+impl SealerShared {
+    /// The slot. Every update of it is one assignment, so a guard a panic
+    /// poisoned holds a valid slot.
+    fn slot(&self) -> MutexGuard<'_, Slot> {
+        self.slot.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// Empties the slot when the sealer thread ends, by a panic too, so no one
+/// waits for an epoch it will never finish.
+struct Stopped<'a>(&'a SealerShared);
+
+impl Drop for Stopped<'_> {
+    fn drop(&mut self) {
+        let mut slot = self.0.slot();
+        (slot.latest, slot.working, slot.closing) = (None, None, true);
+        self.0.changed.notify_all();
+    }
+}
+
+impl Sealer {
+    /// Starts the thread. `on_disk` is the provenance of the graph the
+    /// store holds, when the session started from it.
+    fn spawn(store: Option<Arc<SnapshotStore>>, on_disk: Option<Provenance>) -> Sealer {
+        let shared = Arc::new(SealerShared::default());
+        let thread = std::thread::Builder::new()
+            .name("cla-sealer".into())
+            .spawn({
+                let shared = Arc::clone(&shared);
+                move || seal_newest(&shared, store.as_deref(), on_disk)
+            })
+            .expect("the session's sealer thread starts");
+        Sealer {
+            shared,
+            thread: Some(thread),
+            skipped: cla_obs::global().counter("cla_serve_seals_skipped_total"),
+        }
+    }
+
+    /// Hands `graph` to the sealer, in place of an epoch it has not started.
+    fn hand_off(&self, graph: Arc<EpochGraph>) {
+        let mut slot = self.shared.slot();
+        if slot.closing {
+            return;
+        }
+        if slot.latest.replace(graph).is_some() {
+            self.skipped.inc();
+        }
+        self.shared.changed.notify_all();
+    }
+
+    /// Waits while the sealer holds `graph`: at once when it never will,
+    /// because a newer epoch replaced it first or the thread has stopped.
+    fn wait_for(&self, graph: &Arc<EpochGraph>) {
+        let holds = |slot: &mut Slot| {
+            [&slot.latest, &slot.working]
+                .into_iter()
+                .any(|held| held.as_ref().is_some_and(|g| Arc::ptr_eq(g, graph)))
+        };
+        let slot = self.shared.slot();
+        drop(self.shared.changed.wait_while(slot, holds));
+    }
+}
+
+impl Drop for Sealer {
+    fn drop(&mut self) {
+        self.shared.slot().closing = true;
+        self.shared.changed.notify_all();
+        if let Some(thread) = self.thread.take() {
+            // A sealer that panicked has said so on stderr; a drop must not
+            // panic again.
+            let _ = thread.join();
+        }
+    }
+}
+
+/// The sealer thread: seals the newest epoch and saves it unless the store
+/// holds its graph already, until the session closes.
+fn seal_newest(
+    shared: &SealerShared,
+    store: Option<&SnapshotStore>,
+    mut on_disk: Option<Provenance>,
+) {
+    let _stopped = Stopped(shared);
+    loop {
+        let graph = {
+            let mut slot = shared.slot();
+            loop {
+                if slot.closing && store.is_none() {
+                    return;
+                }
+                if let Some(graph) = slot.latest.take() {
+                    slot.working = Some(Arc::clone(&graph));
+                    shared.changed.notify_all();
+                    break graph;
+                }
+                if slot.closing {
+                    return;
+                }
+                slot = (shared.changed.wait(slot)).unwrap_or_else(PoisonError::into_inner);
+            }
+        };
+        let mut sp = cla_obs::global().span("serve", "serve.seal");
+        sp.set("epoch", graph.epoch.load(Relaxed));
+        let sealed = graph.sealed();
+        let mut saved = false;
+        if let Some(store) = store.filter(|_| on_disk.as_ref() != Some(&graph.prov)) {
+            let before = store.counters().1;
+            store.save(&graph.prov, sealed);
+            saved = store.counters().1 > before;
+            on_disk = saved.then(|| graph.prov.clone());
+        }
+        sp.set("saved", saved);
+        drop(sp);
+        shared.slot().working = None;
+        shared.changed.notify_all();
     }
 }
 
@@ -641,22 +900,22 @@ impl Sources {
     }
 
     /// Links the table in input order and loads the result: the state a
-    /// session swaps in, and whether its graph came from the snapshot store.
+    /// session swaps in.
     fn link(
         &self,
         ledger: Vec<Quarantined>,
         store: Option<&SnapshotStore>,
         solver: SolveOptions,
-    ) -> Result<(Loaded, bool), SessionError> {
+    ) -> Result<Loaded, SessionError> {
         let mut linker = ObjectLinker::new(PROGRAM);
         for (unit, _) in &self.table {
             linker.add(unit);
         }
         let db = open_linked(linker, false).map_err(SessionError::Db)?.db;
         let prov = object_provenance(PROGRAM, db.content_hash(), solver);
-        let (mut loaded, from_snap) = load(db, store, &prov);
+        let mut loaded = load(db, store, prov);
         loaded.quarantined = ledger;
-        Ok((loaded, from_snap))
+        Ok(loaded)
     }
 }
 
@@ -725,12 +984,19 @@ pub struct Session {
     hist_points_to: Histogram,
     hist_alias: Histogram,
     hist_depend: Histogram,
+    /// `cla_serve_demand_answers_total`: queries answered from a frozen
+    /// graph, before its epoch was sealed.
+    ctr_demand: Counter,
     /// Snapshot persistence, when the session was opened with a snapshot
-    /// directory: cold starts load from it, successful reloads save to it.
-    snap_store: Option<SnapshotStore>,
+    /// directory: every build and reload loads from it, and the sealer
+    /// saves to it.
+    snap_store: Option<Arc<SnapshotStore>>,
     /// Whether the graph serving the current epoch came from the snapshot
     /// store rather than a solver run.
     snapshot_loaded: AtomicBool,
+    /// Seals and saves the epochs; dropped last, when it has saved the
+    /// newest.
+    sealer: Sealer,
 }
 
 /// Which query command an operation was, for per-command accounting.
@@ -796,41 +1062,43 @@ fn summary(p: &Provenance) -> String {
 /// Opens the snapshot store for `dir` when a directory was requested.
 /// An unopenable store is a hard error: the caller explicitly asked for
 /// persistence, so silently serving without it would be a trap.
-fn open_store(dir: Option<&Path>) -> Result<Option<SnapshotStore>, SessionError> {
+fn open_store(dir: Option<&Path>) -> Result<Option<Arc<SnapshotStore>>, SessionError> {
     dir.map(|d| {
         SnapshotStore::open(d)
+            .map(Arc::new)
             .map_err(|e| SessionError::Db(DbError::Io(format!("{}: {e}", d.display()))))
     })
     .transpose()
 }
 
-/// Builds the resident state for `db` through the pipeline's one
-/// load-or-solve route: with a snapshot store attached, a provenance match
-/// skips the solve entirely and a miss persists the fresh graph. Returns
-/// whether the graph came from the store.
-fn load(db: Database, store: Option<&SnapshotStore>, prov: &Provenance) -> (Loaded, bool) {
-    // Covers the solve (with its per-pass spans) and the seal, or the load.
+/// Builds the resident state for `db`, every session build and reload
+/// alike: the sealed graph the snapshot store saved under exactly `prov`,
+/// else `db` solved to fixpoint, for the sealer to seal and save later.
+fn load(db: Database, store: Option<&SnapshotStore>, prov: Provenance) -> Loaded {
+    // Covers the solve (with its per-pass spans), or the load.
     let _sp = cla_obs::global().span("serve", "serve.load");
-    let (sealed, from_snap) = load_or_solve(&db, store.map(|s| s as &dyn SnapshotHook), prov);
-    let loaded = Loaded {
+    let graph = match store.and_then(|s| s.load(&prov)) {
+        Some(sealed) => EpochGraph::loaded(sealed, prov),
+        None => EpochGraph::solved(Warm::from_database(&db, prov.solver), prov),
+    };
+    Loaded {
         db,
-        sealed: Arc::new(sealed),
-        prov: prov.clone(),
+        graph: Arc::new(graph),
         flow: OnceLock::new(),
         results: RwLock::new(HashMap::new()),
         quarantined: Vec::new(),
-    };
-    (loaded, from_snap)
+    }
 }
 
 impl Session {
     /// Builds the session `spec` describes: compiles and links its sources
     /// (quarantining the ones that fail when `lenient`) or reads, opens and
-    /// verifies its linked `.clao`, then solves — or, when the spec's
-    /// snapshot directory holds a snapshot whose provenance matches the
-    /// linked program, skips the solve and starts warm. Either way the
-    /// session can [`reload`](Session::reload) from the same source, and
-    /// every successful reload refreshes the snapshot.
+    /// verifies its linked `.clao`, then solves to fixpoint — or, when the
+    /// spec's snapshot directory holds a snapshot whose provenance matches
+    /// the linked program, skips the solve and starts warm. It returns at
+    /// fixpoint: the sealer seals the graph and saves its snapshot in the
+    /// background. Either way the session can [`reload`](Session::reload)
+    /// from the same source, which goes the same way.
     ///
     /// Sources build through [`cla_core::pipeline`] — the pool, per-file
     /// compile and link tail of a batch `analyze` — so the linked database
@@ -856,12 +1124,12 @@ impl Session {
             SessionSource::Object { path } => {
                 let (db, hash) = open_object_path(path)?;
                 let prov = object_provenance(&path.display().to_string(), hash, spec.solve);
-                let (loaded, from_snap) = load(db, store.as_ref(), &prov);
+                let loaded = load(db, store.as_deref(), prov);
                 let inputs = ReloadInputs::Object {
                     path: path.clone(),
                     hash,
                 };
-                Ok(Session::build(loaded, spec.solve, inputs, store, from_snap))
+                Ok(Session::build(loaded, spec.solve, inputs, store))
             }
         }
     }
@@ -890,8 +1158,7 @@ impl Session {
             solver: opts,
             ..Provenance::default()
         };
-        let (loaded, _) = load(db, None, &prov);
-        Session::build(loaded, opts, ReloadInputs::None, None, false)
+        Session::build(load(db, None, prov), opts, ReloadInputs::None, None)
     }
 
     /// The first build of `sources` is a reload with every file stale.
@@ -899,23 +1166,27 @@ impl Session {
         fs: &dyn FileProvider,
         mut sources: Sources,
         opts: SolveOptions,
-        store: Option<SnapshotStore>,
+        store: Option<Arc<SnapshotStore>>,
     ) -> Result<Session, SessionError> {
         let ledger = sources.recompile(fs, true)?.ledger;
-        let (loaded, from_snap) = sources.link(ledger, store.as_ref(), opts)?;
+        let loaded = sources.link(ledger, store.as_deref(), opts)?;
         let inputs = ReloadInputs::Files(Box::new(sources));
-        Ok(Session::build(loaded, opts, inputs, store, from_snap))
+        Ok(Session::build(loaded, opts, inputs, store))
     }
 
-    /// Assembles a session around an already loaded state (solved or
-    /// restored from a snapshot).
+    /// Assembles a session around its first epoch (at fixpoint or restored
+    /// from a snapshot) and hands that epoch to a new sealer.
     fn build(
         loaded: Loaded,
         opts: SolveOptions,
         inputs: ReloadInputs,
-        snap_store: Option<SnapshotStore>,
-        snapshot_loaded: bool,
+        snap_store: Option<Arc<SnapshotStore>>,
     ) -> Session {
+        let graph = Arc::clone(&loaded.graph);
+        let snapshot_loaded = graph.is_sealed();
+        let on_disk = snapshot_loaded.then(|| graph.prov.clone());
+        let sealer = Sealer::spawn(snap_store.clone(), on_disk);
+        sealer.hand_off(graph);
         let obs = cla_obs::global();
         let hist = |cmd: &str| {
             obs.histogram_with("cla_serve_latency_us", &[("cmd", cmd)], LATENCY_BUCKETS_US)
@@ -950,8 +1221,10 @@ impl Session {
             hist_points_to: hist("points-to"),
             hist_alias: hist("alias"),
             hist_depend: hist("depend"),
+            ctr_demand: obs.counter("cla_serve_demand_answers_total"),
             snap_store,
             snapshot_loaded: AtomicBool::new(snapshot_loaded),
+            sealer,
         }
     }
 
@@ -982,10 +1255,13 @@ impl Session {
         if ids.is_empty() {
             return Err(SessionError::UnknownVariable(var.to_string()));
         }
+        let graph = st.graph.reader();
         let mut set: Vec<u32> = Vec::new();
         for &id in ids {
-            set.extend(st.sealed.points_to(id).iter().map(|o| o.0));
+            set.extend(graph.points_to(id).iter().map(|o| o.0));
         }
+        self.count_demand(&graph);
+        drop(graph);
         set.sort_unstable();
         set.dedup();
         let targets: Arc<Vec<Target>> = Arc::new(
@@ -1017,8 +1293,8 @@ impl Session {
     }
 
     /// Whether `*a` and `*b` may name the same object (any pairing of the
-    /// objects resolving to the two names). Always computed from the sealed
-    /// sets, never `cached`.
+    /// objects resolving to the two names). Always computed from the
+    /// epoch's sets, never `cached`.
     pub fn alias(&self, a: &str, b: &str) -> Result<AliasAnswer, SessionError> {
         let t0 = Instant::now();
         let st = self.state.read().unwrap();
@@ -1032,9 +1308,12 @@ impl Session {
         if ids_b.is_empty() {
             return Err(SessionError::UnknownVariable(b.to_string()));
         }
+        let graph = st.graph.reader();
         let alias = ids_a
             .iter()
-            .any(|&oa| ids_b.iter().any(|&ob| st.sealed.may_alias(oa, ob)));
+            .any(|&oa| ids_b.iter().any(|&ob| graph.may_alias(oa, ob)));
+        self.count_demand(&graph);
+        drop(graph);
         Ok(AliasAnswer {
             a: a.to_string(),
             b: b.to_string(),
@@ -1109,7 +1388,7 @@ impl Session {
             .get_or_init(|| {
                 let obs = cla_obs::global();
                 let mut sp = obs.span("depend", "depend.index_build");
-                let built = FlowIndex::build(&st.db, st.sealed.as_ref());
+                let built = FlowIndex::build(&st.db, st.graph.sealed().as_ref());
                 if let Ok(index) = &built {
                     sp.set("edges", index.edges());
                     sp.set("bytes", index.bytes());
@@ -1135,8 +1414,9 @@ impl Session {
     /// so every listed name answers [`Session::points_to`].
     pub fn pointer_variables(&self) -> Vec<String> {
         let st = self.state.read().unwrap();
+        let sealed = st.graph.sealed();
         let mut names: Vec<String> = (st.db.ids())
-            .filter(|&o| !st.sealed.points_to(o).is_empty())
+            .filter(|&o| !sealed.points_to(o).is_empty())
             .map(|o| st.db.name(o))
             .filter(|name| !st.db.targets(name).is_empty())
             .map(str::to_string)
@@ -1146,12 +1426,28 @@ impl Session {
         names
     }
 
-    /// The immutable snapshot currently answering queries, and its epoch.
-    /// The `Arc` keeps the snapshot alive across a concurrent reload, so
-    /// callers can run long read-only analyses without blocking the swap.
+    /// The sealed graph of the epoch currently answering queries, and that
+    /// epoch. The `Arc` keeps the graph alive across a concurrent reload,
+    /// so callers can run long read-only analyses without blocking the
+    /// swap.
+    ///
+    /// Seals the epoch if no one has yet, and returns once the sealer is
+    /// done with it — its snapshot saved, when the session has a store —
+    /// or at once when a newer epoch replaced it before the sealer started
+    /// it.
     pub fn snapshot(&self) -> (Arc<SealedGraph>, u64) {
-        let st = self.state.read().unwrap();
-        (Arc::clone(&st.sealed), self.epoch.load(Relaxed))
+        let (graph, epoch) = {
+            let st = self.state.read().unwrap();
+            (Arc::clone(&st.graph), self.epoch.load(Relaxed))
+        };
+        let sealed = Arc::clone(graph.sealed());
+        self.sealer.wait_for(&graph);
+        (sealed, epoch)
+    }
+
+    /// The epoch currently answering queries.
+    pub fn epoch(&self) -> u64 {
+        self.epoch.load(Relaxed)
     }
 
     /// Seeds the session epoch. A freshly built session starts at 0;
@@ -1161,17 +1457,21 @@ impl Session {
     /// identifies one graph — across evict/rehydrate cycles. Call before
     /// publishing the session to clients; later reloads bump from here.
     pub fn set_epoch(&self, epoch: u64) {
+        // Held shared: no reload swaps the graph between the two stores.
+        let st = self.state.read().unwrap();
         self.epoch.store(epoch, Relaxed);
+        st.graph.epoch.store(epoch, Relaxed);
     }
 
     // ----- reload -----------------------------------------------------------
 
     /// Recompiles the sources whose inputs changed — the file itself or any
     /// header it read — plus every quarantined one (all of them when
-    /// `force`), relinks, re-solves, and swaps the resident state. Cached
-    /// results are discarded and the epoch is bumped; in-flight queries
-    /// finish against the old state. No-op (and no invalidation) when
-    /// nothing changed.
+    /// `force`), relinks, re-solves to fixpoint, and swaps the resident
+    /// state; the sealer seals and saves the new epoch in the background.
+    /// Cached results are discarded and the epoch is bumped; in-flight
+    /// queries finish against the old state. No-op (and no invalidation)
+    /// when nothing changed.
     ///
     /// A session opened over a [`SessionSource::Object`] re-reads its
     /// `.clao` file instead (no provider needed — pass `None`).
@@ -1211,7 +1511,7 @@ impl Session {
         force: bool,
         sp: &mut cla_obs::Span<'_>,
     ) -> Result<ReloadReport, SessionError> {
-        let (fresh, from_snap, recompiled) = match inputs {
+        let (fresh, recompiled) = match inputs {
             ReloadInputs::None => return Err(SessionError::NoSources),
             ReloadInputs::Files(sources) => {
                 let fs = fs.ok_or(SessionError::NoProvider)?;
@@ -1230,9 +1530,8 @@ impl Session {
                         quarantined: ledger.into_iter().map(|q| q.file).collect(),
                     });
                 }
-                let (loaded, from_snap) =
-                    sources.link(ledger, self.snap_store.as_ref(), self.solve_opts)?;
-                (loaded, from_snap, recompiled)
+                let loaded = sources.link(ledger, self.snap_store.as_deref(), self.solve_opts)?;
+                (loaded, recompiled)
             }
             ReloadInputs::Object { path, hash } => {
                 let (db, new_hash) = open_object_path(path)?;
@@ -1249,17 +1548,24 @@ impl Session {
                 *hash = new_hash;
                 let prov =
                     object_provenance(&path.display().to_string(), new_hash, self.solve_opts);
-                let (loaded, from_snap) = load(db, self.snap_store.as_ref(), &prov);
-                (loaded, from_snap, vec![path.display().to_string()])
+                let loaded = load(db, self.snap_store.as_deref(), prov);
+                (loaded, vec![path.display().to_string()])
             }
         };
 
+        let graph = Arc::clone(&fresh.graph);
+        let quarantined: Vec<String> = fresh.quarantined.iter().map(|q| q.file.clone()).collect();
         let mut st = self.state.write().unwrap();
         let invalidated = st.results.read().unwrap().len();
-        *st = fresh;
-        let quarantined: Vec<String> = st.quarantined.iter().map(|q| q.file.clone()).collect();
-        self.snapshot_loaded.store(from_snap, Relaxed);
+        let old = std::mem::replace(&mut *st, fresh);
+        self.snapshot_loaded.store(graph.is_sealed(), Relaxed);
         let epoch = self.epoch.fetch_add(1, Relaxed) + 1;
+        graph.epoch.store(epoch, Relaxed);
+        drop(st);
+        // The old epoch's database, sets, index and results are freed
+        // here, with no query waiting on the lock.
+        drop(old);
+        self.sealer.hand_off(graph);
         self.reloads.fetch_add(1, Relaxed);
         sp.set("relinked", true);
         sp.set("recompiled", recompiled.len());
@@ -1367,12 +1673,14 @@ impl Session {
     /// `LATENCY_WINDOW` samples no matter how long the session has run.
     pub fn stats(&self) -> SessionStats {
         self.cmd_stats.fetch_add(1, Relaxed);
-        let (solver, quarantined, (flow_edges, flow_bytes), snap_prov) = {
+        let (sealed, solver, quarantined, (flow_edges, flow_bytes), snap_prov) = {
             let st = self.state.read().unwrap();
+            let sealed = st.graph.is_sealed();
             let flow = st.flow_size().unwrap_or((0, 0));
-            let snap_prov = self.snap_store.as_ref().map(|_| summary(&st.prov));
+            let snap_prov = self.snap_store.as_ref().map(|_| summary(&st.graph.prov));
             (
-                st.sealed.stats(),
+                sealed,
+                st.graph.sealed().stats(),
                 st.quarantined.len() as u64,
                 flow,
                 snap_prov,
@@ -1388,7 +1696,7 @@ impl Session {
         };
         let (snap_loads, snap_saves, snap_mismatches) = self
             .snap_store
-            .as_ref()
+            .as_deref()
             .map_or((0, 0, 0), SnapshotStore::counters);
         SessionStats {
             queries: self.queries.load(Relaxed),
@@ -1421,6 +1729,7 @@ impl Session {
             latency_samples: lat.len(),
             latency_capacity: self.latencies.capacity(),
             solver,
+            sealed,
             snapshot_loaded: self.snapshot_loaded.load(Relaxed),
             snapshot_loads: snap_loads,
             snapshot_saves: snap_saves,
@@ -1438,6 +1747,13 @@ impl Session {
     }
 
     // ----- internals --------------------------------------------------------
+
+    /// Counts a query `graph` answered before its epoch was sealed.
+    fn count_demand(&self, graph: &Reader<'_>) {
+        if let Reader::Demand(_) = graph {
+            self.ctr_demand.inc();
+        }
+    }
 
     fn cache_get(&self, st: &Loaded, key: &QueryKey) -> Option<CachedAnswer> {
         let map = st.results.read().unwrap();
@@ -1845,6 +2161,114 @@ mod tests {
                 .collect::<Vec<_>>(),
             vec!["x"]
         );
+    }
+
+    /// Holds `s`'s sealer inside the seal of an epoch no query sees, until
+    /// the returned sender is used; epochs handed to it meanwhile wait in
+    /// its slot. Join the returned thread after the release.
+    fn hold_sealer(s: &Session) -> (std::sync::mpsc::Sender<()>, std::thread::JoinHandle<()>) {
+        let busy = {
+            let st = s.state.read().unwrap();
+            let warm = Warm::from_database(&st.db, SolveOptions::default());
+            Arc::new(EpochGraph::solved(warm, Provenance::default()))
+        };
+        let (entered, entering) = std::sync::mpsc::channel();
+        let (release, released) = std::sync::mpsc::channel::<()>();
+        let held = Arc::clone(&busy);
+        let holder = std::thread::spawn(move || {
+            held.sealed.get_or_init(|| {
+                entered.send(()).unwrap();
+                released.recv().unwrap();
+                let warm = held.warm.read().unwrap();
+                Arc::new(warm.as_ref().unwrap().to_sealed())
+            });
+        });
+        entering.recv().unwrap();
+        s.sealer.hand_off(Arc::clone(&busy));
+        let working =
+            |slot: &mut Slot| slot.working.as_ref().is_some_and(|g| Arc::ptr_eq(g, &busy));
+        let slot = s.sealer.shared.slot();
+        drop(
+            s.sealer
+                .shared
+                .changed
+                .wait_while(slot, |slot| !working(slot)),
+        );
+        (release, holder)
+    }
+
+    /// An epoch that a newer one replaces before the sealer starts it is
+    /// skipped: waiting for it returns at once, a query seals it on demand,
+    /// and the sealer goes on to the newer one.
+    #[test]
+    fn a_replaced_epoch_is_skipped_and_seals_on_demand() {
+        let (s, mut fs) = sample_session();
+        s.snapshot();
+        let skipped = || {
+            (cla_obs::global())
+                .counter("cla_serve_seals_skipped_total")
+                .get()
+        };
+        let (release, holder) = hold_sealer(&s);
+        let before = skipped();
+        fs.add(
+            "a.c",
+            "int x, y; int *p, **pp; void fa(void) { p = &y; pp = &p; }",
+        );
+        s.reload(Some(&fs), false).unwrap();
+        let replaced = Arc::clone(&s.state.read().unwrap().graph);
+        fs.add("a.c", "int x, y; int *p, **pp; void fa(void) { pp = &p; }");
+        s.reload(Some(&fs), false).unwrap();
+        assert!(skipped() > before, "epoch 1 was not counted as skipped");
+        s.sealer.wait_for(&replaced);
+        assert!(!replaced.is_sealed(), "the sealer sealed a replaced epoch");
+        let q = s.state.read().unwrap().db.targets("q")[0];
+        assert_eq!(replaced.sealed().points_to(q).len(), 1);
+
+        release.send(()).unwrap();
+        holder.join().unwrap();
+        let (sealed, epoch) = s.snapshot();
+        assert_eq!(epoch, 2);
+        assert!(sealed.points_to(q).is_empty());
+        assert!(s.stats().sealed);
+    }
+
+    /// Dropping a session whose newest epoch still waits in the sealer's
+    /// slot waits for that epoch to be sealed and saved.
+    #[test]
+    fn a_dropped_session_saves_the_epoch_its_sealer_had_not_reached() {
+        let dir = std::env::temp_dir().join(format!("cla-serve-drop-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut fs = memfs(&[("a.c", "int x, y; int *p; void fa(void) { p = &x; }")]);
+        let opts = (PpOptions::default(), LowerOptions::default());
+        let s = Session::from_files_jobs(
+            &fs,
+            &["a.c"],
+            &opts.0,
+            &opts.1,
+            SolveOptions::default(),
+            Some(&dir),
+            1,
+        )
+        .unwrap();
+        s.snapshot();
+        let (release, holder) = hold_sealer(&s);
+        fs.add("a.c", "int x, y; int *p; void fa(void) { p = &y; }");
+        s.reload(Some(&fs), false).unwrap();
+        let last = s.state.read().unwrap().graph.prov.clone();
+        std::thread::scope(|scope| {
+            let dropped = scope.spawn(move || drop(s));
+            release.send(()).unwrap();
+            dropped.join().unwrap();
+        });
+        holder.join().unwrap();
+        let saved = cla_snap::Snapshot::open(&dir.join(cla_snap::SNAPSHOT_FILE)).unwrap();
+        assert_eq!(
+            saved.provenance(),
+            &last,
+            "the last epoch is not the one on disk"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

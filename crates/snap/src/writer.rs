@@ -5,8 +5,8 @@
 //! trip over.
 
 use crate::format::{SnapSectionId, FORMAT};
-use cla_cladb::container::{assemble, Put, Section};
-use cla_cladb::{atomic_write_bytes, NONE_U32};
+use cla_cladb::container::{assemble, assemble_header, Put, Section};
+use cla_cladb::{atomic_write_parts, NONE_U32};
 use cla_core::pipeline::Provenance;
 use cla_core::SealedGraph;
 use std::collections::HashMap;
@@ -28,6 +28,13 @@ pub(crate) fn solver_flags(opts: cla_core::SolveOptions) -> u8 {
 /// produced.
 #[must_use]
 pub fn encode(prov: &Provenance, sealed: &SealedGraph) -> Vec<u8> {
+    let bodies = bodies(prov, sealed);
+    assemble(&FORMAT, &sections(&bodies))
+}
+
+/// The section bodies of [`encode`], in file order, each allocated at its
+/// final size.
+fn bodies(prov: &Provenance, sealed: &SealedGraph) -> [Vec<u8>; 4] {
     // ---- prov ----
     let mut prov_sec = Vec::new();
     prov_sec.put_u8(solver_flags(prov.solver));
@@ -41,25 +48,29 @@ pub fn encode(prov: &Provenance, sealed: &SealedGraph) -> Vec<u8> {
 
     // ---- reps + sets (sharing encoded once, referenced by id) ----
     let mut set_ids: HashMap<*const Vec<cla_ir::ObjId>, u32> = HashMap::new();
-    let mut sets_sec = vec![0; 4]; // the set count, known after the loop
-    let mut reps_sec = Vec::new();
+    let mut distinct = Vec::new();
+    let mut reps_sec = Vec::with_capacity(4 * (1 + sealed.sets().len()));
     reps_sec.put_u32_le(sealed.sets().len() as u32);
     for set in sealed.sets() {
-        if set.is_empty() {
-            reps_sec.put_u32_le(NONE_U32);
-            continue;
-        }
-        let next_id = set_ids.len() as u32;
-        let id = *set_ids.entry(Arc::as_ptr(set)).or_insert_with(|| {
-            sets_sec.put_u32_le(set.len() as u32);
-            for o in set.iter() {
-                sets_sec.put_u32_le(o.0);
-            }
-            next_id
-        });
+        let id = if set.is_empty() {
+            NONE_U32
+        } else {
+            *set_ids.entry(Arc::as_ptr(set)).or_insert_with(|| {
+                distinct.push(set);
+                distinct.len() as u32 - 1
+            })
+        };
         reps_sec.put_u32_le(id);
     }
-    sets_sec[..4].copy_from_slice(&(set_ids.len() as u32).to_le_bytes());
+    let words = 1 + distinct.iter().map(|set| 1 + set.len()).sum::<usize>();
+    let mut sets_sec = Vec::with_capacity(4 * words);
+    sets_sec.put_u32_le(distinct.len() as u32);
+    for set in distinct {
+        sets_sec.put_u32_le(set.len() as u32);
+        for o in set.iter() {
+            sets_sec.put_u32_le(o.0);
+        }
+    }
 
     // ---- stats ----
     let st = sealed.stats();
@@ -78,22 +89,26 @@ pub fn encode(prov: &Provenance, sealed: &SealedGraph) -> Vec<u8> {
     ] {
         stats_sec.put_u64_le(v);
     }
-
-    let whole = |id: SnapSectionId, body| Section::whole(id as u32, body);
-    assemble(
-        &FORMAT,
-        &[
-            whole(SnapSectionId::Prov, &prov_sec),
-            whole(SnapSectionId::Reps, &reps_sec),
-            whole(SnapSectionId::Sets, &sets_sec),
-            whole(SnapSectionId::Stats, &stats_sec),
-        ],
-    )
+    [prov_sec, reps_sec, sets_sec, stats_sec]
 }
 
-/// Encodes and persists a snapshot crash-safely at `path`. Returns the
-/// encoded size in bytes. Timed under a `snap.save` span; bumps
-/// `cla_snap_saves_total` and `cla_snap_bytes_written_total`.
+/// The container sections over [`bodies`].
+fn sections(bodies: &[Vec<u8>; 4]) -> [Section<'_>; 4] {
+    let [prov, reps, sets, stats] = bodies;
+    let whole = |id: SnapSectionId, body| Section::whole(id as u32, body);
+    [
+        whole(SnapSectionId::Prov, prov),
+        whole(SnapSectionId::Reps, reps),
+        whole(SnapSectionId::Sets, sets),
+        whole(SnapSectionId::Stats, stats),
+    ]
+}
+
+/// Encodes and persists a snapshot crash-safely at `path`: [`encode`]'s
+/// bytes, with the sections written from where they were encoded rather
+/// than copied into one buffer first. Returns the encoded size in bytes.
+/// Timed under a `snap.save` span; bumps `cla_snap_saves_total` and
+/// `cla_snap_bytes_written_total`.
 ///
 /// # Errors
 ///
@@ -102,13 +117,15 @@ pub fn save(path: &Path, prov: &Provenance, sealed: &SealedGraph) -> std::io::Re
     let obs = cla_obs::global();
     let mut sp = obs.span("snap", "snap.save");
     sp.set("objects", sealed.object_count());
-    let bytes = encode(prov, sealed);
-    sp.set("bytes", bytes.len());
-    atomic_write_bytes(path, &bytes)?;
+    let bodies = bodies(prov, sealed);
+    let header = assemble_header(&FORMAT, &sections(&bodies));
+    let [prov_sec, reps, sets, stats] = &bodies;
+    let len = header.len() + bodies.iter().map(Vec::len).sum::<usize>();
+    sp.set("bytes", len);
+    atomic_write_parts(path, &[&header, prov_sec, reps, sets, stats])?;
     obs.counter("cla_snap_saves_total").inc();
-    obs.counter("cla_snap_bytes_written_total")
-        .add(bytes.len() as u64);
-    Ok(bytes.len())
+    obs.counter("cla_snap_bytes_written_total").add(len as u64);
+    Ok(len)
 }
 
 /// [`encode`] under its pre-v3 signature: `names` is ignored.

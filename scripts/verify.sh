@@ -182,6 +182,27 @@ built=$(for f in crates/core/src/fixpoint.rs crates/core/src/sweep.rs; do
 done || true)
 [ -z "$built" ] || { echo "an lval set built by sort + dedup: $built"; exit 1; }
 
+echo "==> one sealer (a session saves its snapshot from its sealer thread alone, and seals an epoch's Warm only through the epoch's sealed())"
+# A reload returns at fixpoint and hands the epoch to the session's one
+# sealer, which seals the newest epoch and saves it, in epoch order; a query
+# that needs the sealed graph asks the epoch's OnceLock. Outside tests, no
+# other serve code saves a snapshot (nor calls load_or_solve, which saves)
+# or seals a Warm.
+serve_calls() {
+    for f in crates/serve/src/*.rs; do
+        sed '/#\[cfg(test)\]/,$d' "$f" | awk -v f="$f" -v re="$1" '
+            /^ *\/\// { next }
+            /fn [a-z_0-9]+/ { match($0, /fn [a-z_0-9]+/); fn = substr($0, RSTART + 3, RLENGTH - 3) }
+            $0 ~ re { print f ":" NR ":" fn }'
+    done
+}
+saves=$(serve_calls '[.]save[(]|(save|encode)_snapshot[(]|snap::save[(]|load_or_solve[(]')
+[ "$(echo "$saves" | grep -c .)" = 1 ] && echo "$saves" | grep -q '/session\.rs:[0-9]*:seal_newest$' ||
+    { echo "a snapshot is saved at one call site, in the sealer: $saves"; exit 1; }
+seals=$(serve_calls '[.]seal[(][)]|[.]to_sealed[(]')
+[ "$(echo "$seals" | grep -c .)" = 1 ] && echo "$seals" | grep -q '/session\.rs:[0-9]*:sealed$' ||
+    { echo "an epoch's Warm is sealed through its sealed() alone: $seals"; exit 1; }
+
 echo "==> generators read no environment (a generated tree is its profile, scale and seed)"
 # The Table 2 programs clabench pins come from crates/workload; a variable
 # left set in a shell must not change them, nor a genc tree.

@@ -871,7 +871,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             if session.snapshot_loaded() {
                 "loaded (warm start, solve skipped)"
             } else {
-                "written (cold start)"
+                "solved (cold start; saved once sealed)"
             }
         );
     }

@@ -298,6 +298,56 @@ fn eviction_rehydrates_from_snapshot_with_monotonic_epochs() {
     handle.stop();
 }
 
+/// A tenant evicted right after a reload rehydrates warm: the reload
+/// returns before its epoch is sealed, and the eviction waits for the
+/// sealer to save it.
+#[test]
+fn a_tenant_evicted_right_after_a_reload_rehydrates_warm() {
+    let dir = TempDir::new("evict-reload");
+    let hub = Hub::new(HubOptions {
+        capacity: 1,
+        ..HubOptions::default()
+    });
+    let ask = |req: &Value| dispatch(&hub, &req.encode());
+    let src = write_version(dir.path(), 0, 0);
+    let snap = dir.path().join("snap");
+    hub.open("rl", spec(disk_source(&src), Some(snap))).unwrap();
+    write_version(dir.path(), 0, 1);
+    let reply = ask(&obj([("cmd", "reload".into()), ("session", "rl".into())]));
+    assert_eq!(
+        reply.get("epoch").and_then(Value::as_u64),
+        Some(1),
+        "{reply:?}"
+    );
+
+    hub.open(
+        "other",
+        spec(mem_source("int z; int *r; void g(void) { r = &z; }"), None),
+    )
+    .unwrap();
+    let state = |name: &str| {
+        hub.sessions()
+            .into_iter()
+            .find(|s| s.name == name)
+            .unwrap()
+            .state
+    };
+    assert_eq!(state("rl"), "evicted");
+
+    let reply = ask(&points_to("rl", "p_s0"));
+    assert_eq!(target_names(&reply), BTreeSet::from(["y_s0".to_string()]));
+    assert!(
+        reply.get("epoch").and_then(Value::as_u64).unwrap() > 1,
+        "{reply:?}"
+    );
+    let health = ask(&obj([("cmd", "health".into()), ("session", "rl".into())]));
+    assert_eq!(
+        health.get("snapshot_loaded").and_then(Value::as_bool),
+        Some(true),
+        "the rehydrated tenant solved again: {health:?}"
+    );
+}
+
 /// A tenant's `reload` is the pipeline's refresh: an edited header reaches
 /// exactly the files that read it, over the wire.
 #[test]

@@ -656,6 +656,7 @@ fn cold_cache_warm_and_session_builds_link_the_reference_bytes() {
         2,
     )
     .unwrap();
+    session.snapshot(); // the sealer saves the snapshot: wait for it
     assert_eq!(linked_hash(), root(&reference));
 
     let mut edited = fs.clone();
@@ -668,6 +669,7 @@ fn cold_cache_warm_and_session_builds_link_the_reference_bytes() {
     assert_eq!(r.recompiled, [files[2].clone()]);
     let edited_cold = analyze(&edited, &refs, &opts).unwrap();
     assert_ne!(edited_cold.database.content_hash(), root(&reference));
+    session.snapshot(); // the sealer saves the snapshot: wait for it
     assert_eq!(linked_hash(), edited_cold.database.content_hash());
     assert_eq!(
         session.points_to("edit_p").unwrap().targets[0].name,
@@ -676,6 +678,7 @@ fn cold_cache_warm_and_session_builds_link_the_reference_bytes() {
 
     let r = session.reload(Some(&fs), false).unwrap();
     assert_eq!(r.recompiled, [files[2].clone()]);
+    session.snapshot(); // the sealer saves the snapshot: wait for it
     assert_eq!(linked_hash(), root(&reference));
     assert!(session.points_to("edit_p").is_err());
 }

@@ -299,6 +299,8 @@ fn serve_session_warm_starts_from_the_snapshot_directory() {
 
     let cold = build(Some(&snap_dir));
     assert!(!cold.snapshot_loaded(), "no snapshot existed yet");
+    // The sealer saves the snapshot: wait for it.
+    cold.snapshot();
     assert!(snap_dir.join(cla::snap::SNAPSHOT_FILE).exists());
 
     let warm = build(Some(&snap_dir));
@@ -331,6 +333,118 @@ fn serve_session_warm_starts_from_the_snapshot_directory() {
     let pts_q = edited.points_to("q").unwrap();
     let target_names: Vec<&str> = pts_q.targets.iter().map(|t| t.name.as_str()).collect();
     assert_eq!(target_names, ["y2"]);
+}
+
+/// The program of reload round `round`: `files[2]` of `fs` with a pointer
+/// appended, aimed at a variable named after the round, so every round
+/// links a program of its own.
+fn edit_round(fs: &MemoryFs, files: &[String], round: usize) -> MemoryFs {
+    let mut edited = fs.clone();
+    let original = fs.read(&files[2]).unwrap();
+    edited.add(
+        files[2].clone(),
+        format!(
+            "{original}\nint edit_x{round}; int *edit_p;\n\
+             void edit_f(void) {{ edit_p = &edit_x{round}; }}\n"
+        ),
+    );
+    edited
+}
+
+fn build_session(fs: &MemoryFs, files: &[String], snap: &Path) -> Session {
+    let refs: Vec<&str> = files.iter().map(String::as_str).collect();
+    let opts = PipelineOptions::default();
+    Session::from_files_jobs(fs, &refs, &opts.pp, &opts.lower, opts.solver, Some(snap), 1).unwrap()
+}
+
+/// Every object's set in `sealed` is the one a cold `analyze` found.
+fn assert_answers_like(sealed: &cla::core::SealedGraph, cold: &Analysis, what: &str) {
+    assert_eq!(
+        sealed.object_count(),
+        cold.database.object_count(),
+        "{what}"
+    );
+    for o in cold.database.ids() {
+        assert_eq!(
+            sealed.points_to(o),
+            cold.points_to.points_to(o),
+            "{what}: {o:?}"
+        );
+    }
+}
+
+/// Twenty reloads back to back hand the sealer more epochs than it can
+/// seal, and it skips the replaced ones; dropping the session still leaves
+/// the last epoch's snapshot on disk, so the next session starts warm and
+/// answers what a cold analyze does.
+#[test]
+fn a_reload_storm_leaves_the_last_epoch_on_disk() {
+    let dir = TempDir::new("storm");
+    let (fs, files) = workload_fs("nethack", 0.2, 3);
+    let refs: Vec<&str> = files.iter().map(String::as_str).collect();
+    let session = build_session(&edit_round(&fs, &files, 0), &files, dir.path());
+    let mut last = fs.clone();
+    for round in 1..=20 {
+        last = edit_round(&fs, &files, round);
+        let r = session.reload(Some(&last), false).unwrap();
+        assert_eq!(r.epoch, round as u64);
+        let answer = session.points_to("edit_p").unwrap();
+        assert_eq!(answer.epoch, round as u64);
+        let names: Vec<&str> = answer.targets.iter().map(|t| t.name.as_str()).collect();
+        assert_eq!(names, [format!("edit_x{round}")], "round {round}");
+    }
+    drop(session);
+
+    let cold = analyze(&last, &refs, &PipelineOptions::default()).unwrap();
+    let on_disk = Snapshot::open(&SnapshotStore::open(dir.path()).unwrap().snapshot_path())
+        .unwrap()
+        .provenance()
+        .clone();
+    let hash = cold.database.content_hash();
+    assert_eq!(
+        on_disk,
+        cla::serve::object_provenance("a.out", hash, SolveOptions::default()),
+        "the snapshot on disk is not the last epoch's"
+    );
+    let warm = build_session(&last, &files, dir.path());
+    assert!(warm.snapshot_loaded(), "the next session must start warm");
+    assert_answers_like(&warm.snapshot().0, &cold, "warm start after the storm");
+}
+
+/// `snapshot()` racing reloads seals whatever epoch it caught — one that a
+/// newer epoch replaced before the sealer started it included — answers
+/// for that epoch's program, and returns.
+#[test]
+fn snapshots_racing_reloads_seal_the_epoch_they_caught() {
+    let dir = TempDir::new("race");
+    let (fs, files) = workload_fs("nethack", 0.1, 5);
+    let refs: Vec<&str> = files.iter().map(String::as_str).collect();
+    let rounds: Vec<MemoryFs> = (0..8).map(|r| edit_round(&fs, &files, r)).collect();
+    let cold: Vec<Analysis> = (rounds.iter())
+        .map(|fs| analyze(fs, &refs, &PipelineOptions::default()).unwrap())
+        .collect();
+    let session = build_session(&rounds[0], &files, dir.path());
+    let barrier = std::sync::Barrier::new(2);
+    let reloaded = std::sync::atomic::AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            barrier.wait();
+            for fs in &rounds[1..] {
+                session.reload(Some(fs), false).unwrap();
+            }
+            reloaded.store(true, std::sync::atomic::Ordering::SeqCst);
+        });
+        barrier.wait();
+        let mut caught = std::collections::BTreeSet::new();
+        while !reloaded.load(std::sync::atomic::Ordering::SeqCst) {
+            let (sealed, epoch) = session.snapshot();
+            assert_answers_like(&sealed, &cold[epoch as usize], &format!("epoch {epoch}"));
+            caught.insert(epoch);
+        }
+        let (sealed, epoch) = session.snapshot();
+        assert_eq!(epoch, 7, "caught {caught:?}");
+        assert_answers_like(&sealed, &cold[7], "the last epoch");
+    });
 }
 
 /// Deletes the program a run stored in the snapshot directory `dir`, so
