@@ -28,6 +28,7 @@
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt;
+use std::io::Read;
 
 /// Byte size of the fixed header before the section table.
 pub const HEADER_FIXED_SIZE: usize = 20;
@@ -594,6 +595,43 @@ impl Container {
     }
 }
 
+/// Reads from `file` what [`Container::open`] needs to look section `id`
+/// up and verify it, and no more: the header, the section table and every
+/// byte up to the end of that section's body (all of a file that lays the
+/// section out last). Nothing is judged here: a short or damaged file
+/// yields what it has, for `open` to reject.
+///
+/// # Errors
+///
+/// Only what reading `file` raises.
+pub fn read_through(file: &mut impl Read, id: u32) -> std::io::Result<Vec<u8>> {
+    let mut data = Vec::new();
+    let mut read_to = |data: &mut Vec<u8>, end: u64| {
+        let more = end.saturating_sub(data.len() as u64);
+        file.by_ref().take(more).read_to_end(data).map(drop)
+    };
+    read_to(&mut data, HEADER_FIXED_SIZE as u64)?;
+    let count = Cur::new(data.get(TABLE_START..).unwrap_or_default()).get_u32_le();
+    read_to(
+        &mut data,
+        (HEADER_FIXED_SIZE as u64) + u64::from(count.unwrap_or(0)) * SECTION_ENTRY_SIZE as u64,
+    )?;
+    let entries =
+        (data.get(HEADER_FIXED_SIZE..).unwrap_or_default()).chunks_exact(SECTION_ENTRY_SIZE);
+    let end = entries.map(Cur::new).find_map(|mut e| {
+        let (entry, offset, len) = (
+            e.get_u32_le().ok()?,
+            e.get_u64_le().ok()?,
+            e.get_u64_le().ok()?,
+        );
+        (entry == id).then(|| offset.saturating_add(len))
+    });
+    if let Some(end) = end {
+        read_to(&mut data, end)?;
+    }
+    Ok(data)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -677,6 +715,31 @@ mod tests {
         for body in [&b""[..], b"x", &[7; 100]] {
             assert_ne!(xxh64(body, 1), xxh64(body, 2));
             assert_ne!(xxh64(body, 0), xxh64(body, 1));
+        }
+    }
+
+    /// Reading through a section reads the bytes up to its end and no
+    /// more, and `open` finds the section verified in them; an id the
+    /// table lacks reads the header and the table, and a short file what
+    /// it has.
+    #[test]
+    fn read_through_stops_at_the_end_of_the_section() {
+        let format = &FORMATS[0];
+        let bytes = sample(format);
+        let header = Header::read(&bytes, format).unwrap();
+        for e in &header.table {
+            let head = read_through(&mut &bytes[..], e.id).unwrap();
+            assert_eq!(head.len() as u64, e.offset + e.len, "section {}", e.id);
+            assert_eq!(head, bytes[..head.len()]);
+            let file = Container::open(head, format).unwrap();
+            let (entry, body) = file.lookup(e.id, "wanted").unwrap();
+            let covered = if e.id == 7 { 4 } else { body.len() };
+            file.verify(entry, "wanted", &body[..covered]).unwrap();
+        }
+        let table_only = read_through(&mut &bytes[..], 99).unwrap();
+        assert_eq!(table_only.len(), header.encoded_len());
+        for cut in [0, 3, HEADER_FIXED_SIZE, header.encoded_len() - 1] {
+            assert_eq!(read_through(&mut &bytes[..cut], 7).unwrap(), bytes[..cut]);
         }
     }
 

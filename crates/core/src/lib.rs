@@ -12,7 +12,8 @@
 //! solver ([`Warm`]) materializes each distinct set once, and the batch
 //! result ([`PointsTo`]) and the query surface ([`SealedGraph`], what a
 //! server keeps resident and a `.clasnap` stores) hold clones of the same
-//! `Arc`s. `Warm` itself answers no queries — seal it or extract from it.
+//! `Arc`s. `Warm` answers one object at a time ([`Warm::lvals_of`], a walk
+//! of the frozen graph); seal it or extract from it for the whole relation.
 //!
 //! ```
 //! use cla_ir::{compile_source, LowerOptions};

@@ -247,37 +247,31 @@ pub fn program_key(prov: &Provenance) -> u64 {
     xxh64(&acc, 0)
 }
 
-/// The one route from a linked database to its solved graph, shared by
-/// [`analyze_with`] and the serve sessions: a snapshot saved under exactly
-/// `prov` is loaded; otherwise `db` is solved with `prov.solver`, sealed,
-/// and — when a hook is attached — saved under `prov`, so the *next* start
-/// (or a crashed-and-restarted server) comes back warm. Returns the graph
-/// and whether it was loaded instead of solved.
-pub fn load_or_solve(
-    db: &Database,
-    snapshots: Option<&dyn SnapshotHook>,
-    prov: &Provenance,
-) -> (SealedGraph, bool) {
-    let loaded = snapshots.and_then(|hook| hook.load(prov));
-    solve_unless_loaded(db, snapshots, prov, loaded)
+/// What [`load_or_fixpoint`] found for a linked program.
+pub enum Solved {
+    /// The sealed graph the snapshot hook holds under exactly the
+    /// provenance asked for.
+    Loaded(SealedGraph),
+    /// The program solved to fixpoint: neither sealed nor saved.
+    Fixpoint(Warm),
 }
 
-/// [`load_or_solve`] once the hook has been asked for `prov`: `loaded` is
-/// its answer.
-fn solve_unless_loaded(
+/// The one route from a linked database to its solved graph, shared by
+/// [`analyze_with`] and the serve sessions: the graph `snapshots` holds
+/// under exactly `prov`, else `db` solved to fixpoint with `prov.solver`.
+/// The rest is the caller's: a batch run seals and saves the fixpoint in
+/// line, a session hands it to its sealer. `asked` is the hook's answer
+/// for `prov` when the caller has asked it already; `None` asks it here.
+pub fn load_or_fixpoint(
     db: &Database,
     snapshots: Option<&dyn SnapshotHook>,
     prov: &Provenance,
-    loaded: Option<SealedGraph>,
-) -> (SealedGraph, bool) {
-    if let Some(sealed) = loaded {
-        return (sealed, true);
+    asked: Option<Option<SealedGraph>>,
+) -> Solved {
+    match asked.unwrap_or_else(|| snapshots.and_then(|hook| hook.load(prov))) {
+        Some(sealed) => Solved::Loaded(sealed),
+        None => Solved::Fixpoint(Warm::from_database(db, prov.solver)),
     }
-    let sealed = Warm::from_database(db, prov.solver).seal();
-    if let Some(hook) = snapshots {
-        hook.save(prov, &sealed);
-    }
-    (sealed, false)
 }
 
 /// Optional persistence hooks for [`analyze_with`]. The default (no hooks)
@@ -621,9 +615,17 @@ pub fn analyze_with(
             if let Some(hook) = program_hook {
                 scope.spawn(|| hook.save_program(&prov, db.bytes()));
             }
-            match loaded {
-                Some(loaded) => solve_unless_loaded(&db, snapshot_hook, &prov, loaded),
-                None => load_or_solve(&db, snapshot_hook, &prov),
+            match load_or_fixpoint(&db, snapshot_hook, &prov, loaded) {
+                Solved::Loaded(sealed) => (sealed, true),
+                // A batch run answers every object: it seals at once, and
+                // saves the graph so the next run comes back warm.
+                Solved::Fixpoint(warm) => {
+                    let sealed = warm.seal();
+                    if let Some(hook) = snapshot_hook {
+                        hook.save(&prov, &sealed);
+                    }
+                    (sealed, false)
+                }
             }
         });
         let points_to = sealed.extract_by_kind(db.ids().map(|o| db.kind(o)));

@@ -14,7 +14,7 @@
 use crate::fixpoint;
 use crate::solution::{sets_intersect, LvalSet, PointsTo, PointsToQuery};
 use crate::store::UnionLedger;
-use crate::sweep::{Frozen, Relation, SweepCounts, INLINE_BELOW};
+use crate::sweep::{Frozen, INLINE_BELOW};
 use cla_cladb::Database;
 use cla_ir::{CompiledUnit, ObjId, ObjKind, ObjectInfo};
 use std::sync::Arc;
@@ -93,21 +93,16 @@ pub fn solve_database(db: &Database, opts: SolveOptions) -> (PointsTo, SolveStat
 ///
 /// Produced by [`Warm::from_database`] (or [`Warm::from_unit`]); owns no
 /// reference to the database it was solved from, so it can outlive it and
-/// move across threads. It is the solver's half-way state: turn it into the
-/// relation with [`Warm::extract_points_to`] or into the resident,
-/// lock-free form with [`Warm::seal`] (or [`Warm::to_sealed`]), and ask it
-/// for one object meanwhile with [`Warm::lvals_of`].
+/// move across threads. It holds the graph as the fixpoint froze it, the
+/// solver's half-way state: ask it for one object with [`Warm::lvals_of`],
+/// or read every object's set out, into the relation with
+/// [`Warm::extract_points_to`] or into the resident, lock-free form with
+/// [`Warm::seal`] (or [`Warm::to_sealed`]). Each read-out sweeps the frozen
+/// graph afresh and leaves it as it was.
 pub struct Warm {
-    graph: Graph,
+    frozen: Frozen,
     stats: SolveStats,
     n_objects: usize,
-}
-
-/// What a [`Warm`] holds: the graph as the fixpoint left it, then the
-/// relation the first sweep read out of it.
-enum Graph {
-    Frozen(Frozen),
-    Swept(Relation),
 }
 
 impl Warm {
@@ -124,71 +119,23 @@ impl Warm {
 
     fn frozen((frozen, stats): (Frozen, SolveStats), n_objects: usize) -> Warm {
         Warm {
-            graph: Graph::Frozen(frozen),
+            frozen,
             stats,
             n_objects,
         }
     }
 
-    /// Every object's `getLvals` result, indexed by object id: the one
-    /// sweep, on as many threads as the compile pool runs. Members of one
-    /// component and objects of equal sets share one allocation, and
-    /// nothing is copied.
+    /// Every object's `getLvals` result, indexed by object id, and the
+    /// counters with the read-out's added: the one sweep of the frozen
+    /// graph, on up to `threads` threads. Members of one component and
+    /// objects of equal sets share one allocation, and nothing is copied.
     ///
     /// Timed as `span` (`solve.extract` or `solve.seal`), which carries the
     /// sweep's union ledger, `threads` and `levels`.
-    fn read_out(&mut self, span: &'static str) -> Vec<LvalSet> {
-        self.read_out_on(crate::pipeline::resolve_jobs(0), INLINE_BELOW, span)
-            .0
-    }
-
-    /// [`Warm::read_out`] on up to `threads` threads, running levels whose
-    /// unions read fewer than `inline_below` lvals on the calling thread.
-    fn read_out_on(
-        &mut self,
-        threads: usize,
-        inline_below: usize,
-        span: &'static str,
-    ) -> (Vec<LvalSet>, SweepCounts) {
+    fn read_out(&self, threads: usize, span: &'static str) -> (Vec<LvalSet>, SolveStats) {
         let mut sp = cla_obs::global().span("solve", span);
-        let (swept, counts, stats) = self.sweep_on(threads, inline_below, &mut sp);
-        self.stats = stats;
-        if let Some(relation) = swept {
-            // The frozen graph goes here, before the per-object sets exist.
-            self.graph = Graph::Swept(relation);
-        }
-        let Graph::Swept(relation) = &self.graph else {
-            unreachable!("a sweep leaves the relation")
-        };
-        (relation.per_object(), counts)
-    }
-
-    /// One read-out of the graph as it stands, recorded on `sp`, keeping
-    /// nothing: the relation when the graph was still frozen (`None` when
-    /// [`Graph::Swept`] holds it already), what the read counted, and the
-    /// counters as they stand after it.
-    fn sweep_on(
-        &self,
-        threads: usize,
-        inline_below: usize,
-        sp: &mut cla_obs::Span<'_>,
-    ) -> (Option<Relation>, SweepCounts, SolveStats) {
         sp.set("objects", self.n_objects);
-        let (swept, counts) = match &self.graph {
-            Graph::Frozen(frozen) => {
-                let (relation, counts) = frozen.sweep(threads, inline_below);
-                (Some(relation), counts)
-            }
-            // Read again: every call finds its component already reached.
-            Graph::Swept(relation) => {
-                let again = SweepCounts {
-                    calls: relation.calls,
-                    hits: relation.calls,
-                    ..SweepCounts::default()
-                };
-                (None, again)
-            }
-        };
+        let (sets, counts) = self.frozen.sweep(threads, INLINE_BELOW);
         let mut st = self.stats;
         st.getlvals_calls += counts.calls;
         st.cache_hits += counts.hits;
@@ -198,8 +145,8 @@ impl Warm {
         st.approx_bytes += counts.set_bytes;
         sp.set("threads", counts.threads);
         sp.set("levels", counts.levels);
-        counts.ledger.publish_since(UnionLedger::default(), sp);
-        (swept, counts, st)
+        counts.ledger.publish_since(UnionLedger::default(), &mut sp);
+        (sets, st)
     }
 
     /// Materializes the complete solution (every object's set); objects
@@ -210,9 +157,12 @@ impl Warm {
 
     /// [`Warm::extract_points_to`] given each object's kind, in id order:
     /// all it reads of the metadata, and what a [`Database`] answers in
-    /// place.
+    /// place. The read-out runs on as many threads as the compile pool, and
+    /// its counters are added to [`Warm::stats`].
     pub fn extract_by_kind(&mut self, kinds: impl IntoIterator<Item = ObjKind>) -> PointsTo {
-        PointsTo::from_kinds(self.read_out("solve.extract"), kinds)
+        let (sets, stats) = self.read_out(crate::pipeline::resolve_jobs(0), "solve.extract");
+        self.stats = stats;
+        PointsTo::from_kinds(sets, kinds)
     }
 
     /// Current counters, including live in-core/size figures.
@@ -228,17 +178,14 @@ impl Warm {
     /// Freezes the solved graph into an immutable, `Sync` snapshot.
     ///
     /// Every object's set is materialized eagerly by the same sweep as
-    /// [`Warm::extract_points_to`]: objects whose nodes form one strongly
-    /// connected component share a single [`LvalSet`], as do components
-    /// whose sets are equal. The result answers queries on `&self` with no
-    /// interior mutability at all, so any number of threads can read it
-    /// concurrently without locks.
-    pub fn seal(mut self) -> SealedGraph {
-        let sets = self.read_out("solve.seal");
-        SealedGraph {
-            sets,
-            stats: self.stats,
-        }
+    /// [`Warm::extract_points_to`], on as many threads: objects whose nodes
+    /// form one strongly connected component share a single [`LvalSet`],
+    /// as do components whose sets are equal. The result answers queries
+    /// on `&self` with no interior mutability at all, so any number of
+    /// threads can read it concurrently without locks.
+    pub fn seal(self) -> SealedGraph {
+        let (sets, stats) = self.read_out(crate::pipeline::resolve_jobs(0), "solve.seal");
+        SealedGraph { sets, stats }
     }
 
     /// [`Warm::seal`] through a shared borrow: the same sets, sharing and
@@ -252,27 +199,16 @@ impl Warm {
     /// helper thread would take a core from them and add its own scratch
     /// to the peak (EXPERIMENTS "A reload answers at fixpoint").
     pub fn to_sealed(&self) -> SealedGraph {
-        let mut sp = cla_obs::global().span("solve", "solve.seal");
-        let (swept, _, stats) = self.sweep_on(1, INLINE_BELOW, &mut sp);
-        let relation = match (&swept, &self.graph) {
-            (Some(relation), _) | (None, Graph::Swept(relation)) => relation,
-            (None, Graph::Frozen(_)) => unreachable!("a sweep of a frozen graph reads it out"),
-        };
-        SealedGraph {
-            sets: relation.per_object(),
-            stats,
-        }
+        let (sets, stats) = self.read_out(1, "solve.seal");
+        SealedGraph { sets, stats }
     }
 
     /// The points-to set of `o`, as sorted object ids, read on demand:
     /// one walk from `o` over the frozen graph (what [`Warm::seal`] would
-    /// answer for `o`, without sealing), or a lookup once a read-out has
-    /// swept it. Empty for an id past the objects. Counts nothing.
+    /// answer for `o`, without sealing). Empty for an id past the objects.
+    /// Counts nothing.
     pub fn lvals_of(&self, o: ObjId) -> Vec<ObjId> {
-        match &self.graph {
-            Graph::Frozen(frozen) => frozen.lvals_of(o),
-            Graph::Swept(relation) => relation.of(o).to_vec(),
-        }
+        self.frozen.lvals_of(o)
     }
 }
 
@@ -371,6 +307,7 @@ impl PointsToQuery for SealedGraph {
 mod tests {
     use super::*;
     use crate::deductive::solve_oracle;
+    use crate::sweep::SweepCounts;
     use cla_ir::{compile_source, LowerOptions};
     use std::collections::HashMap;
 
@@ -555,23 +492,8 @@ mod tests {
         drop(db); // the warm graph owns no database borrow
 
         assert_eq!(warm.extract_points_to(&unit.objects), batch);
-        // A second read finds every component reached: each of its calls
-        // is a cache hit, and nothing else moves.
-        let first = warm.stats();
+        // A second read sweeps the frozen graph again.
         assert_eq!(warm.extract_points_to(&unit.objects), batch);
-        let Graph::Swept(relation) = &warm.graph else {
-            panic!("a read leaves the relation")
-        };
-        let (calls, again) = (relation.calls, warm.stats());
-        assert!(calls > 0);
-        assert_eq!(
-            again,
-            SolveStats {
-                getlvals_calls: first.getlvals_calls + calls,
-                cache_hits: first.cache_hits + calls,
-                ..first
-            }
-        );
     }
 
     /// A generated program, compiled and linked.
@@ -626,19 +548,15 @@ mod tests {
     fn sweep_agrees_across_thread_counts() {
         for (name, program) in [("ci-small", ci_small()), ("nethack@0.2", nethack())] {
             let db = Database::open(cla_cladb::write_object(&program)).unwrap();
-            let runs = [1, 2, 4].map(|threads| {
-                let mut warm = Warm::from_database(&db, SolveOptions::default());
-                // Every level with work in it goes to the workers.
-                let (sets, counts) = warm.read_out_on(threads, 0, "solve.extract");
-                (threads, sets, counts, warm.stats())
-            });
-            let (_, one, one_counts, one_stats) = &runs[0];
+            let warm = Warm::from_database(&db, SolveOptions::default());
+            // Every level with work in it goes to the workers.
+            let runs = [1, 2, 4].map(|threads| (threads, warm.frozen.sweep(threads, 0)));
+            let (_, (one, one_counts)) = &runs[0];
             let same = |c: &SweepCounts| SweepCounts { threads: 0, ..*c };
-            for (threads, sets, counts, stats) in &runs {
+            for (threads, (sets, counts)) in &runs {
                 let what = format!("{name} on {threads} threads");
                 assert_shared_exactly_when_equal(sets, &what);
                 assert_eq!(sets, one, "{what}: the sets");
-                assert_eq!(stats, one_stats, "{what}: SolveStats");
                 assert_eq!(same(counts), same(one_counts), "{what}: the sweep's counts");
                 if *threads > 1 {
                     assert!(counts.threads > 1, "{what}: no level split");
@@ -682,13 +600,46 @@ mod tests {
                 assert_shared_exactly_when_equal(shared.sets(), &what);
                 assert_eq!(shared.stats(), sealed.stats(), "{what}: SolveStats");
             }
-            // Once a read-out has swept the graph, a demand read looks the
-            // set up.
+            // A read-out leaves the frozen graph to walk.
             let mut warm = Warm::from_database(&db, SolveOptions::default());
             let pts = warm.extract_by_kind(db.ids().map(|o| db.kind(o)));
             for o in db.ids() {
                 assert_eq!(warm.lvals_of(o), pts.points_to(o), "{name} swept: {o:?}");
             }
+        }
+    }
+
+    /// The position of the first object holding each object's allocation.
+    fn sharing<'a>(sets: impl Iterator<Item = &'a [ObjId]>) -> Vec<usize> {
+        let mut first: HashMap<(*const ObjId, usize), usize> = HashMap::new();
+        (sets.enumerate())
+            .map(|(o, set)| *first.entry((set.as_ptr(), set.len())).or_insert(o))
+            .collect()
+    }
+
+    /// A read-out leaves the frozen graph as it was: extracting the
+    /// relation and then sealing the same `Warm` through a shared borrow
+    /// read the same sets, shared the same way.
+    #[test]
+    fn extract_then_shared_seal_read_the_same_sets() {
+        let programs = [
+            ("examples/c", examples_c()),
+            ("ci-small", ci_small()),
+            ("nethack@0.2", nethack()),
+        ];
+        for (name, program) in programs {
+            let db = Database::open(cla_cladb::write_object(&program)).unwrap();
+            let mut warm = Warm::from_database(&db, SolveOptions::default());
+            let pts = warm.extract_by_kind(db.ids().map(|o| db.kind(o)));
+            let sealed = warm.to_sealed();
+            let extracted: Vec<&[ObjId]> = db.ids().map(|o| pts.points_to(o)).collect();
+            let shared: Vec<&[ObjId]> = db.ids().map(|o| sealed.points_to(o)).collect();
+            assert_eq!(extracted, shared, "{name}: the sets");
+            assert_eq!(
+                sharing(extracted.into_iter()),
+                sharing(shared.into_iter()),
+                "{name}: the sharing"
+            );
         }
     }
 

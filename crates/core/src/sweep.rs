@@ -89,38 +89,6 @@ pub(crate) struct SweepCounts {
     pub threads: usize,
 }
 
-/// The relation a sweep read out: the distinct sets, each held by the
-/// component that entered it, and for each object the component holding
-/// its set.
-pub(crate) struct Relation {
-    /// `NONE` where the object's set is empty.
-    of_object: Vec<u32>,
-    sets: Vec<Option<LvalSet>>,
-    empty: LvalSet,
-    /// Objects with a component: what a repeated read counts as calls.
-    pub calls: u64,
-}
-
-impl Relation {
-    /// Every object's set, in id order; objects of one set share its `Arc`.
-    pub fn per_object(&self) -> Vec<LvalSet> {
-        (self.of_object.iter())
-            .map(|&c| match c {
-                NONE => LvalSet::clone(&self.empty),
-                c => LvalSet::clone(self.sets[c as usize].as_ref().expect("a holder")),
-            })
-            .collect()
-    }
-
-    /// Object `o`'s set, empty for an id past the objects.
-    pub fn of(&self, o: ObjId) -> &[ObjId] {
-        match self.of_object.get(o.index()) {
-            None | Some(&NONE) => &[],
-            Some(&c) => self.sets[c as usize].as_ref().expect("a holder"),
-        }
-    }
-}
-
 /// The condensation of the nodes a sweep reaches, components in level
 /// order.
 struct Condensation {
@@ -438,26 +406,24 @@ impl Frozen {
         }
     }
 
-    /// Reads every object's set out on up to `threads` threads; levels whose
-    /// unions read fewer than `inline_below` lvals run on the calling
-    /// thread.
-    pub(crate) fn sweep(&self, threads: usize, inline_below: usize) -> (Relation, SweepCounts) {
+    /// Reads every object's set out on up to `threads` threads, in id
+    /// order; levels whose unions read fewer than `inline_below` lvals run
+    /// on the calling thread. Objects of one set share its `Arc`.
+    pub(crate) fn sweep(&self, threads: usize, inline_below: usize) -> (Vec<LvalSet>, SweepCounts) {
         let mut counts = SweepCounts::default();
         let cond = self.condense(&mut counts);
         let (holder, sets) = self.materialise(&cond, threads.max(1), inline_below, &mut counts);
-        let of_object = (cond.of_object.iter())
+        let per_object = (cond.of_object.iter())
             .map(|&c| match c {
                 NONE => NONE,
                 c => holder[c as usize],
             })
+            .map(|h| match h {
+                NONE => LvalSet::clone(&self.empty),
+                h => LvalSet::clone(sets[h as usize].as_ref().expect("a holder")),
+            })
             .collect();
-        let relation = Relation {
-            of_object,
-            sets,
-            empty: LvalSet::clone(&self.empty),
-            calls: counts.calls,
-        };
-        (relation, counts)
+        (per_object, counts)
     }
 
     /// Step 1: the condensation of everything the objects reach.

@@ -6,12 +6,19 @@
 //! it repeatedly: in process through a [`Session`] built from a
 //! [`SessionSpec`], or over a Unix socket speaking newline-delimited JSON
 //! through [`serve`].
+//!
+//! `session` holds [`Session`] with its queries, reload and health;
+//! `epoch` one epoch's state and the sealer; `sources` where a session's
+//! program comes from; `stats` what a session counts (DESIGN.md §8).
 
 pub mod json;
 
 mod client;
+mod epoch;
 mod server;
 mod session;
+mod sources;
+mod stats;
 
 pub use client::{Client, ClientError, Endpoint};
 pub use server::{
@@ -19,7 +26,8 @@ pub use server::{
     Listener, ServeOptions, ServerHandle, Transport,
 };
 pub use session::{
-    object_provenance, AliasAnswer, DependAnswer, DependentLine, Health, PointsToAnswer,
-    ReloadReport, Session, SessionError, SessionSource, SessionSpec, SessionStats, SlowQuery,
-    Target, DEFAULT_SLOW_THRESHOLD_US,
+    AliasAnswer, DependAnswer, DependentLine, Health, PointsToAnswer, ReloadReport, Session,
+    SessionError, Target,
 };
+pub use sources::{object_provenance, SessionSource, SessionSpec};
+pub use stats::{SessionStats, SlowQuery, DEFAULT_SLOW_THRESHOLD_US};

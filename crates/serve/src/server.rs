@@ -41,7 +41,8 @@
 //! fixed.
 
 use crate::json::{obj, parse, Value};
-use crate::session::{Session, SessionStats};
+use crate::session::Session;
+use crate::stats::SessionStats;
 use cla_cfront::FileProvider;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};

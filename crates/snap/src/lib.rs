@@ -168,6 +168,41 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A lookup under another provenance reads the provenance and nothing
+    /// after it: with the `sets` bytes garbage it is one counted miss and
+    /// no load. Under the file's own provenance the garbage is read, and is
+    /// a counted miss, not a panic.
+    #[test]
+    fn store_reads_the_graph_only_under_its_provenance() {
+        let dir = std::env::temp_dir().join(format!("cla-snap-head-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = SnapshotStore::open(&dir).unwrap();
+        let prov = sample_prov();
+        let mut bytes = encode(&prov, &sample_sealed());
+        let table = Snapshot::from_bytes(bytes.clone())
+            .unwrap()
+            .section_table()
+            .to_vec();
+        let sets = table
+            .iter()
+            .find(|e| e.id == SnapSectionId::Sets as u32)
+            .unwrap();
+        bytes[sets.offset as usize..(sets.offset + sets.len) as usize].fill(0xa5);
+        std::fs::write(store.snapshot_path(), &bytes).unwrap();
+
+        let head = Snapshot::open_head(&store.snapshot_path()).unwrap();
+        assert_eq!(head.provenance(), &prov);
+        assert_eq!(head.section_table(), table);
+        assert!(head.load_sealed().is_err(), "the head holds a graph");
+        let mut other = prov.clone();
+        other.inputs[0].1 ^= 1;
+        assert!(store.load(&other).is_none());
+        assert_eq!(store.counters(), (0, 0, 1));
+        assert!(store.load(&prov).is_none());
+        assert_eq!(store.counters(), (0, 0, 2));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn truncated_file_is_rejected_with_typed_error() {
         let bytes = encode(&sample_prov(), &sample_sealed());

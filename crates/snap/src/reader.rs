@@ -6,6 +6,8 @@
 //! keep their bytes unverified until [`Snapshot::load_sealed`] needs them,
 //! mirroring the object reader's lazily verified blocks: a server probing
 //! ten stale snapshots pays ten provenance reads, not ten full-file hashes.
+//! [`Snapshot::open_head`] reads no more of the file than that: the
+//! snapshot store compares the provenance before it reads the graph.
 //! A snapshot holds no names: every loader already has the linked
 //! `Database` the graph was solved from, and asks it.
 //!
@@ -14,7 +16,7 @@
 //! --snapshot` harness enforces this over seeded mutants).
 
 use crate::format::{SnapError, SnapSectionId, FORMAT};
-use cla_cladb::container::{Container, ContainerError, Cur, SectionEntry};
+use cla_cladb::container::{read_through, Container, ContainerError, Cur, SectionEntry};
 use cla_cladb::{bytes_checksummed, NONE_U32};
 use cla_core::pipeline::Provenance;
 use cla_core::{SealedGraph, SolveOptions, SolveStats};
@@ -79,6 +81,20 @@ impl Snapshot {
     /// I/O failures plus everything [`Snapshot::from_bytes`] rejects.
     pub fn open(path: &Path) -> Result<Snapshot, SnapError> {
         Snapshot::from_bytes(std::fs::read(path)?)
+    }
+
+    /// Reads a snapshot file only as far as the end of its `prov` section,
+    /// and opens that: the provenance, the object count and the section
+    /// table, verified, with none of the graph's sections read (the writer
+    /// lays `prov` out first), so [`Snapshot::load_sealed`] on it fails.
+    /// What a caller reads to decide whether the graph is the one it wants.
+    ///
+    /// # Errors
+    ///
+    /// As [`Snapshot::open`].
+    pub fn open_head(path: &Path) -> Result<Snapshot, SnapError> {
+        let mut file = std::fs::File::open(path)?;
+        Snapshot::from_bytes(read_through(&mut file, SnapSectionId::Prov as u32)?)
     }
 
     /// The provenance this snapshot was saved under.

@@ -114,32 +114,25 @@ impl SnapshotHook for SnapshotStore {
         if !path.exists() {
             return None;
         }
-        let snap = match Snapshot::open(&path) {
-            Ok(s) => s,
-            Err(_) => {
-                // Unreadable or corrupt is a miss, not an error: the
-                // caller re-solves and overwrites the bad file.
-                self.mismatches.fetch_add(1, Ordering::Relaxed);
+        // The provenance is read first, and the graph only when it is the
+        // one asked for; it is compared again on the whole file, which a
+        // save may have replaced in between. Unreadable, corrupt or
+        // another provenance's is a miss, not an error: the caller
+        // re-solves and overwrites the file.
+        let wanted = |snap: &Snapshot| snap.provenance() == prov;
+        let loaded = (Snapshot::open_head(&path).ok())
+            .filter(wanted)
+            .and_then(|_| Snapshot::open(&path).ok())
+            .filter(wanted)
+            .and_then(|snap| snap.load_sealed().ok());
+        match loaded {
+            Some(_) => self.loads.fetch_add(1, Ordering::Relaxed),
+            None => {
                 cla_obs::global().counter("cla_snap_mismatch_total").inc();
-                return None;
+                self.mismatches.fetch_add(1, Ordering::Relaxed)
             }
         };
-        if snap.provenance() != prov {
-            self.mismatches.fetch_add(1, Ordering::Relaxed);
-            cla_obs::global().counter("cla_snap_mismatch_total").inc();
-            return None;
-        }
-        match snap.load_sealed() {
-            Ok(sealed) => {
-                self.loads.fetch_add(1, Ordering::Relaxed);
-                Some(sealed)
-            }
-            Err(_) => {
-                self.mismatches.fetch_add(1, Ordering::Relaxed);
-                cla_obs::global().counter("cla_snap_mismatch_total").inc();
-                None
-            }
-        }
+        loaded
     }
 
     fn save(&self, prov: &Provenance, sealed: &SealedGraph) {

@@ -184,10 +184,10 @@ done || true)
 
 echo "==> one sealer (a session saves its snapshot from its sealer thread alone, and seals an epoch's Warm only through the epoch's sealed())"
 # A reload returns at fixpoint and hands the epoch to the session's one
-# sealer, which seals the newest epoch and saves it, in epoch order; a query
-# that needs the sealed graph asks the epoch's OnceLock. Outside tests, no
-# other serve code saves a snapshot (nor calls load_or_solve, which saves)
-# or seals a Warm.
+# sealer (serve/src/epoch.rs), which seals the newest epoch and saves it, in
+# epoch order; a query that needs the sealed graph asks the epoch's
+# OnceLock. Outside tests, no other serve code saves a snapshot or seals a
+# Warm.
 serve_calls() {
     for f in crates/serve/src/*.rs; do
         sed '/#\[cfg(test)\]/,$d' "$f" | awk -v f="$f" -v re="$1" '
@@ -196,12 +196,28 @@ serve_calls() {
             $0 ~ re { print f ":" NR ":" fn }'
     done
 }
-saves=$(serve_calls '[.]save[(]|(save|encode)_snapshot[(]|snap::save[(]|load_or_solve[(]')
-[ "$(echo "$saves" | grep -c .)" = 1 ] && echo "$saves" | grep -q '/session\.rs:[0-9]*:seal_newest$' ||
+saves=$(serve_calls '[.]save[(]|(save|encode)_snapshot[(]|snap::save[(]')
+[ "$(echo "$saves" | grep -c .)" = 1 ] && echo "$saves" | grep -q '/epoch\.rs:[0-9]*:seal_newest$' ||
     { echo "a snapshot is saved at one call site, in the sealer: $saves"; exit 1; }
 seals=$(serve_calls '[.]seal[(][)]|[.]to_sealed[(]')
-[ "$(echo "$seals" | grep -c .)" = 1 ] && echo "$seals" | grep -q '/session\.rs:[0-9]*:sealed$' ||
+[ "$(echo "$seals" | grep -c .)" = 1 ] && echo "$seals" | grep -q '/epoch\.rs:[0-9]*:sealed$' ||
     { echo "an epoch's Warm is sealed through its sealed() alone: $seals"; exit 1; }
+
+echo "==> one load path (a session's graph comes from core::pipeline::load_or_fixpoint, as a batch run's does)"
+# load_or_fixpoint is the one function from a linked program to "the graph
+# the store holds under this provenance, or the program at fixpoint". Serve
+# calls it at one site, Loaded::new, and outside tests neither solves a
+# database (Warm::from_database) nor asks a snapshot hook (`.load(` with an
+# argument that is not an atomic ordering) itself.
+loads=$(serve_calls 'load_or_fixpoint[(]')
+[ "$(echo "$loads" | grep -c .)" = 1 ] && echo "$loads" | grep -q '/epoch\.rs:[0-9]*:new$' ||
+    { echo "a session loads its graph at one call site, Loaded::new: $loads"; exit 1; }
+second=$(for f in crates/serve/src/*.rs; do
+    sed '/#\[cfg(test)\]/,$d' "$f" |
+        sed -E 's/[.]load[(](Relaxed|SeqCst|Acquire|Ordering::[A-Za-z]+)[)]//g' |
+        grep -HnE --label="$f" 'Warm::from_database|[.:]load[(]' | grep -vE ':[0-9]+: *//'
+done || true)
+[ -z "$second" ] || { echo "a second load path grew back: $second"; exit 1; }
 
 echo "==> generators read no environment (a generated tree is its profile, scale and seed)"
 # The Table 2 programs clabench pins come from crates/workload; a variable

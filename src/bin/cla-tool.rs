@@ -42,6 +42,7 @@ use cla::prelude::*;
 use cla_cladb::transform;
 use cla_depend::{DependOptions, DependenceAnalysis};
 use std::process::ExitCode;
+use std::str::FromStr;
 
 fn main() -> ExitCode {
     cla::prof::init();
@@ -206,6 +207,31 @@ impl<'a> Args<'a> {
         Ok(out)
     }
 
+    /// The value of the last `flag V` (all are removed); `None` without the
+    /// flag.
+    fn take_value(&mut self, flag: &str) -> Result<Option<String>, String> {
+        Ok(self.take_values(flag)?.pop())
+    }
+
+    /// [`Args::take_value`], parsed. `bad(V)` is the error for a value that
+    /// does not parse.
+    fn take_parsed<T: FromStr>(
+        &mut self,
+        flag: &str,
+        bad: impl FnOnce(&str) -> String,
+    ) -> Result<Option<T>, String> {
+        let Some(v) = self.take_value(flag)? else {
+            return Ok(None);
+        };
+        v.parse().map(Some).map_err(|_| bad(&v))
+    }
+
+    /// [`Args::take_parsed`] for a number: the error is `{flag} needs a
+    /// number`.
+    fn take_number<T: FromStr>(&mut self, flag: &str) -> Result<Option<T>, String> {
+        self.take_parsed(flag, |_| format!("{flag} needs a number"))
+    }
+
     /// Removes a boolean flag; true when present.
     fn take_flag(&mut self, flag: &str) -> bool {
         let before = self.rest.len();
@@ -273,10 +299,7 @@ fn link_objects(program: &str, units: &[CompiledUnit]) -> cla_cladb::LinkedObjec
 
 fn cmd_compile(args: &[String]) -> Result<(), String> {
     let mut a = Args::new(args);
-    let out = a
-        .take_values("-o")?
-        .pop()
-        .unwrap_or_else(|| "a.clao".to_string());
+    let out = a.take_value("-o")?.unwrap_or_else(|| "a.clao".to_string());
     let pp = a.pp_options()?;
     let lower = a.lower_options();
     let sources = a.positional();
@@ -321,20 +344,14 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
     let pp = a.pp_options()?;
     let lower = a.lower_options();
     // Asking for a pool size (0 = one per core) asks for a pool.
-    let jobs: Option<usize> = match a.take_values("--jobs")?.pop() {
-        Some(v) => Some(v.parse().map_err(|_| "--jobs needs a number")?),
-        None => None,
-    };
-    let snapshot_dir = a.take_values("--snapshot")?.pop();
+    let jobs: Option<usize> = a.take_number("--jobs")?;
+    let snapshot_dir = a.take_value("--snapshot")?;
     // The CLI default is quarantine-and-continue: a hostile or broken file
     // lands in the quarantine ledger and the analysis covers the rest.
     // `--strict` restores fail-fast (the library default).
     let strict = a.take_flag("--strict");
     let unknown_summaries = a.take_flag("--unknown-summaries");
-    let deadline_ms: u64 = match a.take_values("--deadline-ms")?.pop() {
-        Some(v) => v.parse().map_err(|_| "--deadline-ms needs a number")?,
-        None => 0,
-    };
+    let deadline_ms: u64 = a.take_number("--deadline-ms")?.unwrap_or(0);
     let print = a.take_tail("--print");
     let sources = a.positional();
     if sources.is_empty() {
@@ -442,21 +459,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
             }
         );
     }
-    for name in &print {
-        let targets = analysis.database.targets(name);
-        if targets.is_empty() {
-            println!("pts({name}) = <no such object>");
-        }
-        for &o in targets {
-            let set: Vec<&str> = analysis
-                .points_to
-                .points_to(o)
-                .iter()
-                .map(|&t| analysis.database.name(t))
-                .collect();
-            println!("pts({name}) = {{{}}}", set.join(", "));
-        }
-    }
+    print_points_to(&analysis.database, &analysis.points_to, &print);
     Ok(())
 }
 
@@ -465,15 +468,8 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
 /// directory. The tree is a pure function of `(profile, seed)`.
 fn cmd_gen(args: &[String]) -> Result<(), String> {
     let mut a = Args::new(args);
-    let out = a
-        .take_values("--out")?
-        .pop()
-        .ok_or("`gen` needs `--out DIR`")?;
-    let seed = a
-        .take_values("--seed")?
-        .pop()
-        .map(|v| v.parse::<u64>().map_err(|_| format!("bad --seed `{v}`")))
-        .transpose()?;
+    let out = a.take_value("--out")?.ok_or("`gen` needs `--out DIR`")?;
+    let seed: Option<u64> = a.take_parsed("--seed", |v| format!("bad --seed `{v}`"))?;
     let positional = a.positional();
     let [profile_path] = positional.as_slice() else {
         return Err("usage: cla-tool gen <profile.toml> --out DIR [--seed N]".to_string());
@@ -596,13 +592,9 @@ fn cmd_bench_diff(args: &[String]) -> Result<(), String> {
     use std::collections::BTreeMap;
 
     let mut a = Args::new(args);
-    let ceiling: f64 = a
-        .take_values("--ceiling")?
-        .pop()
-        .unwrap_or_else(|| "15".to_string())
-        .parse()
-        .map_err(|_| "--ceiling needs a percentage")?;
-    let history = a.take_values("--history")?.pop();
+    let bad = |_: &str| "--ceiling needs a percentage".to_string();
+    let ceiling: f64 = a.take_parsed("--ceiling", bad)?.unwrap_or(15.0);
+    let history = a.take_value("--history")?;
     let pos = a.positional();
     let [old_path, new_path] = pos.as_slice() else {
         return Err(
@@ -720,8 +712,7 @@ fn cmd_dump(args: &[String]) -> Result<(), String> {
 fn cmd_solve(args: &[String]) -> Result<(), String> {
     let mut a = Args::new(args);
     let solver = a
-        .take_values("--solver")?
-        .pop()
+        .take_value("--solver")?
         .unwrap_or_else(|| "pretransitive".to_string());
     let print = a.take_tail("--print");
     let pos = a.positional();
@@ -750,7 +741,14 @@ fn cmd_solve(args: &[String]) -> Result<(), String> {
         "assignments: loaded {} of {} in file",
         ls.assigns_loaded, ls.assigns_in_file
     );
-    for name in &print {
+    print_points_to(&db, &pts, &print);
+    Ok(())
+}
+
+/// The `--print` lines: `pts(name) = {…}` for every object of each name,
+/// or `<no such object>`.
+fn print_points_to(db: &Database, pts: &PointsTo, names: &[String]) {
+    for name in names {
         let targets = db.targets(name);
         if targets.is_empty() {
             println!("pts({name}) = <no such object>");
@@ -760,14 +758,12 @@ fn cmd_solve(args: &[String]) -> Result<(), String> {
             println!("pts({name}) = {{{}}}", set.join(", "));
         }
     }
-    Ok(())
 }
 
 fn cmd_depend(args: &[String]) -> Result<(), String> {
     let mut a = Args::new(args);
     let target = a
-        .take_values("--target")?
-        .pop()
+        .take_value("--target")?
         .ok_or("depend needs --target NAME")?;
     let tree = a.take_flag("--tree");
     let non_targets = a.take_values("--non-target")?;
@@ -836,17 +832,13 @@ fn session_source(
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     let mut a = Args::new(args);
     let socket = a
-        .take_values("--socket")?
-        .pop()
+        .take_value("--socket")?
         .ok_or("serve needs --socket PATH")?;
     let pp = a.pp_options()?;
     let lower = a.lower_options();
     let lenient = a.take_flag("--lenient");
-    let jobs: usize = match a.take_values("--jobs")?.pop() {
-        Some(v) => v.parse().map_err(|_| "--jobs needs a number")?,
-        None => 1,
-    };
-    let snapshot_dir = a.take_values("--snapshot")?.pop();
+    let jobs: usize = a.take_number("--jobs")?.unwrap_or(1);
+    let snapshot_dir = a.take_value("--snapshot")?;
     let pos = a.positional();
     if pos.is_empty() {
         return Err("serve needs a .clao file or C sources".to_string());
@@ -892,9 +884,9 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
     use cla::serve::{Client, Endpoint};
 
     let mut a = Args::new(args);
-    let socket = a.take_values("--socket")?.pop();
-    let tcp = a.take_values("--tcp")?.pop();
-    let session = a.take_values("--session")?.pop();
+    let socket = a.take_value("--socket")?;
+    let tcp = a.take_value("--tcp")?;
+    let session = a.take_value("--session")?;
     let endpoint = match (socket, tcp) {
         (Some(_), Some(_)) => return Err("--socket and --tcp are mutually exclusive".to_string()),
         (Some(path), None) => Endpoint::Unix(std::path::PathBuf::from(path)),
@@ -903,7 +895,9 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
     };
     let non_targets = a.take_values("--non-target")?;
     let force = a.take_flag("--force");
-    let interval_us = a.take_values("--interval-us")?.pop();
+    let interval_us: Option<u64> = a.take_parsed("--interval-us", |us| {
+        format!("--interval-us: not a number: `{us}`")
+    })?;
     let pos = a.positional();
 
     let request = match pos.first().map(String::as_str) {
@@ -946,10 +940,7 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
                 ("cmd", Value::from("profile")),
                 ("action", action.into()),
             ];
-            if let Some(us) = &interval_us {
-                let us: u64 = us
-                    .parse()
-                    .map_err(|_| format!("--interval-us: not a number: `{us}`"))?;
+            if let Some(us) = interval_us {
                 pairs.push(("interval_us", us.into()));
             }
             obj(pairs)
@@ -1002,28 +993,15 @@ fn cmd_hub(args: &[String]) -> Result<(), String> {
 
     let mut a = Args::new(args);
     let listen = a
-        .take_values("--listen")?
-        .pop()
+        .take_value("--listen")?
         .unwrap_or_else(|| "127.0.0.1:4577".to_string());
-    let capacity: usize = match a.take_values("--capacity")?.pop() {
-        Some(v) => v.parse().map_err(|_| "--capacity needs a number")?,
-        None => 8,
-    };
-    let max_inflight: u64 = match a.take_values("--max-inflight")?.pop() {
-        Some(v) => v.parse().map_err(|_| "--max-inflight needs a number")?,
-        None => 64,
-    };
-    let rebuild_slots: usize = match a.take_values("--rebuild-slots")?.pop() {
-        Some(v) => v.parse().map_err(|_| "--rebuild-slots needs a number")?,
-        None => 2,
-    };
-    let jobs: usize = match a.take_values("--jobs")?.pop() {
-        Some(v) => v.parse().map_err(|_| "--jobs needs a number")?,
-        None => 1,
-    };
+    let capacity: usize = a.take_number("--capacity")?.unwrap_or(8);
+    let max_inflight: u64 = a.take_number("--max-inflight")?.unwrap_or(64);
+    let rebuild_slots: usize = a.take_number("--rebuild-slots")?.unwrap_or(2);
+    let jobs: usize = a.take_number("--jobs")?.unwrap_or(1);
     let lenient = a.take_flag("--lenient");
     let pp = a.pp_options()?;
-    let snapshot_root = a.take_values("--snapshot-root")?.pop();
+    let snapshot_root = a.take_value("--snapshot-root")?;
     let pos = a.positional();
     if pos.is_empty() {
         return Err("hub needs at least one NAME=PATH session".to_string());
@@ -1078,8 +1056,7 @@ fn cmd_hub(args: &[String]) -> Result<(), String> {
 fn cmd_snapshot_save(args: &[String]) -> Result<(), String> {
     let mut a = Args::new(args);
     let out = a
-        .take_values("-o")?
-        .pop()
+        .take_value("-o")?
         .unwrap_or_else(|| "a.clasnap".to_string());
     let pos = a.positional();
     let path = pos.first().ok_or("snapshot-save needs a .clao file")?;
@@ -1101,11 +1078,12 @@ fn cmd_snapshot_save(args: &[String]) -> Result<(), String> {
 }
 
 /// Prints a snapshot's header, section table, and provenance without
-/// loading the graph — only the provenance section's checksum is verified,
-/// which is exactly what a warm-start viability check costs.
+/// loading the graph: the file is read only through the provenance section,
+/// whose checksum alone is verified — what a warm-start viability check
+/// costs.
 fn cmd_snapshot_info(args: &[String]) -> Result<(), String> {
     let path = args.first().ok_or("snapshot-info needs a .clasnap file")?;
-    let snap = cla::snap::Snapshot::open(std::path::Path::new(path))
+    let snap = cla::snap::Snapshot::open_head(std::path::Path::new(path))
         .map_err(|e| format!("`{path}`: {e}"))?;
     let prov = snap.provenance();
     println!(
@@ -1142,18 +1120,8 @@ fn cmd_snapshot_info(args: &[String]) -> Result<(), String> {
 /// fuzzing an in-memory snapshot built from the input program.
 fn cmd_db_fuzz(args: &[String]) -> Result<(), String> {
     let mut a = Args::new(args);
-    let iters: u64 = a
-        .take_values("--iters")?
-        .pop()
-        .unwrap_or_else(|| "500".to_string())
-        .parse()
-        .map_err(|_| "--iters needs a number")?;
-    let seed: u64 = a
-        .take_values("--seed")?
-        .pop()
-        .unwrap_or_else(|| "1".to_string())
-        .parse()
-        .map_err(|_| "--seed needs a number")?;
+    let iters: u64 = a.take_number("--iters")?.unwrap_or(500);
+    let seed: u64 = a.take_number("--seed")?.unwrap_or(1);
     let fuzz_snapshot = a.take_flag("--snapshot");
     let pp = a.pp_options()?;
     let pos = a.positional();
@@ -1229,24 +1197,10 @@ fn cmd_db_fuzz(args: &[String]) -> Result<(), String> {
 /// synthetic corpus in memory instead (pure function of profile + seed).
 fn cmd_front_fuzz(args: &[String]) -> Result<(), String> {
     let mut a = Args::new(args);
-    let iters: u64 = a
-        .take_values("--iters")?
-        .pop()
-        .unwrap_or_else(|| "2000".to_string())
-        .parse()
-        .map_err(|_| "--iters needs a number")?;
-    let seed: u64 = a
-        .take_values("--seed")?
-        .pop()
-        .unwrap_or_else(|| "1".to_string())
-        .parse()
-        .map_err(|_| "--seed needs a number")?;
-    let deadline_ms: Option<u64> = a
-        .take_values("--deadline-ms")?
-        .pop()
-        .map(|v| v.parse().map_err(|_| "--deadline-ms needs a number"))
-        .transpose()?;
-    let gen_profile = a.take_values("--gen")?.pop();
+    let iters: u64 = a.take_number("--iters")?.unwrap_or(2000);
+    let seed: u64 = a.take_number("--seed")?.unwrap_or(1);
+    let deadline_ms: Option<u64> = a.take_number("--deadline-ms")?;
+    let gen_profile = a.take_value("--gen")?;
     let pos = a.positional();
 
     let mut corpus: Vec<(String, String)> = Vec::new();
@@ -1291,13 +1245,8 @@ fn cmd_front_fuzz(args: &[String]) -> Result<(), String> {
 
 fn cmd_ctx(args: &[String]) -> Result<(), String> {
     let mut a = Args::new(args);
-    let k: usize = a
-        .take_values("-k")?
-        .pop()
-        .ok_or("ctx needs -k N")?
-        .parse()
-        .map_err(|_| "-k needs a number")?;
-    let out = a.take_values("-o")?.pop().ok_or("ctx needs -o out.clao")?;
+    let k: usize = a.take_number("-k")?.ok_or("ctx needs -k N")?;
+    let out = a.take_value("-o")?.ok_or("ctx needs -o out.clao")?;
     let pos = a.positional();
     let path = pos.first().ok_or("ctx needs a .clao file")?;
     let db = load_database(path)?;
