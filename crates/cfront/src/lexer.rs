@@ -9,8 +9,8 @@
 //! bodies are consumed as runs, identifiers are interned straight from the
 //! source slice, and the column is derived from the offset of the line
 //! start. A backslash-newline may sit anywhere, even inside a token, so every
-//! run stops at a `\` and hands over to the byte-at-a-time [`Lexer::peek`] /
-//! [`Lexer::bump`] pair, which splice lines transparently; input without
+//! run stops at a `\` and hands over to the lexer's byte-at-a-time `peek` /
+//! `bump` pair, which splice lines transparently; input without
 //! backslashes never takes that path.
 
 use crate::error::{CError, Result};

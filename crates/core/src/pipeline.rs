@@ -434,28 +434,9 @@ pub fn analyze(
 /// object reuse keyed by the preprocessed closure) and an optional snapshot
 /// hook (skip the solve entirely when a saved graph's provenance matches).
 /// With both hooks a warm restart does no parsing, no lowering, no link and
-/// no fixpoint.
-///
-/// The build is load-or-link. With a cache attached, every file is first
-/// keyed by its [`Manifest`] on the pool (`cache.direct` spans). With a
-/// snapshot hook too and every manifest holding, the inputs are known
-/// before anything is built: the graph saved for them is loaded on a
-/// thread of its own while the program a previous run linked from them is
-/// read back through [`SnapshotHook::load_program`] and admitted as any
-/// `.clao` from disk is ([`Database::admit`], in a `pipeline.link` span
-/// nested in `pipeline.compile`). An admitted program answers whatever the
-/// cache holds: its key ([`program_key`]) covers every file's closure key
-/// and the options, object format included, so it is what a fold of those
-/// objects links. The units' figures are read off their manifests, no unit
-/// object or source is read, and each object is
-/// [touched](CompileCache::touch). In every other case, or when no stored
-/// program is admitted (a counted miss), the pool builds every unit —
-/// loading and verifying its cached object, so a damaged or evicted one is
-/// found, counted and recompiled — and folds it into the program as it
-/// arrives; a run that could be keyed this way next time (a cache and a
-/// snapshot hook, no quarantined unit) saves the program it linked. Both
-/// routes report the same counts, and ask the snapshot hook for a graph at
-/// most once per provenance.
+/// no fixpoint. It is a fresh [`Build`] linked once, then
+/// [`load_or_fixpoint`]; a fixpoint is sealed and saved at once, and a run
+/// with both hooks and no quarantined unit saves the program it linked.
 ///
 /// # Errors
 ///
@@ -468,204 +449,60 @@ pub fn analyze_with(
     opts: &PipelineOptions,
     hooks: &AnalyzeHooks<'_>,
 ) -> Result<Analysis, PipelineError> {
-    // Phase times come from the same spans that emit trace events, so the
-    // `Report` and a recorded trace can never disagree about a duration.
-    let obs = cla_obs::global();
-    let options_fp = options_fingerprint(&opts.pp, &opts.lower);
-    let pool_jobs = if opts.parallel_compile { opts.jobs } else { 1 };
-
-    // The streaming compile+link: each unit folds into the program the
-    // moment it (and every earlier unit) is compiled, then drops — units
-    // are never collected, so peak memory is the program under construction
-    // plus the pool's reorder window. Folding overlaps compilation, so
-    // `compile_time` covers both and `link_time` covers assembling the
-    // program object and opening it. On the stored-program route nothing
-    // folds and `link_time` is the stored program's admission.
-    let mut sp = obs.span("pipeline", "pipeline.compile");
-    sp.set("files", files.len());
-    // With a cache attached every file is keyed by its manifest before any
-    // is built.
-    let keying: Option<Keying> =
-        (hooks.compile_cache).map(|cache| held_manifests(fs, files, options_fp, cache, pool_jobs));
-    // With every manifest holding, the run's inputs are known already.
-    let keyed: Option<Vec<u64>> = keying.as_ref().and_then(|k| {
-        (files.iter().zip(&k.manifests))
-            .map(|(f, m)| Some(m.as_ref()?.closure.key(f, options_fp)))
-            .collect()
+    let files = files.iter().map(|f| (*f).to_string()).collect();
+    let built = Build::new(files, opts.clone(), false).link(fs, hooks, false)?;
+    let Built {
+        database: db,
+        mut report,
+        provenance: prov,
+        graph,
+        ..
+    } = built.expect("a first build links");
+    let sp = cla_obs::global().span("pipeline", "pipeline.solve");
+    // Partial runs bypass the snapshot store in both directions: a
+    // quarantined file keys as 0 in the provenance, so persisting (or
+    // serving) a partial graph under it would alias distinct hostile
+    // inputs to one snapshot.
+    let snapshot_hook = if report.is_partial() {
+        None
+    } else {
+        hooks.snapshots
+    };
+    // Only a run keyed by manifests can open a stored program, so without
+    // a compile cache there is no next run to save it for.
+    let program_hook =
+        snapshot_hook.filter(|_| !report.program_loaded && hooks.compile_cache.is_some());
+    let (sealed, snapshot_loaded) = std::thread::scope(|scope| {
+        // The program's durable write overlaps the solve; both only read
+        // `db`.
+        if let Some(hook) = program_hook {
+            scope.spawn(|| hook.save_program(&prov, db.bytes()));
+        }
+        match load_or_fixpoint(&db, snapshot_hook, &prov, graph) {
+            Solved::Loaded(sealed) => (sealed, true),
+            // A batch run answers every object: it seals at once, and
+            // saves the graph so the next run comes back warm.
+            Solved::Fixpoint(warm) => {
+                let sealed = warm.seal();
+                if let Some(hook) = snapshot_hook {
+                    hook.save(&prov, &sealed);
+                }
+                (sealed, false)
+            }
+        }
     });
-    let keyed_prov = (keyed.as_ref()).map(|keys| provenance(files, keys, options_fp, opts.solver));
-    let keyed_hook = hooks.snapshots.zip(keyed_prov.as_ref());
-    std::thread::scope(|scope| {
-        // The graph saved for the keyed inputs loads beside the program's
-        // read and admission; the solve step takes it if the run's inputs
-        // are still those.
-        let graph = keyed_hook.map(|(hook, prov)| scope.spawn(move || hook.load(prov)));
-        let stored = keyed_hook.and_then(|(hook, prov)| open_stored_program(hook, prov));
-        // Load or link: an admitted program is what a fold of the keyed
-        // objects links, so it answers whatever the cache holds; otherwise
-        // every unit folds. A stored program leaves the linker empty.
-        let mut linker = StreamLinker::new("a.out");
-        let units = match (keying, hooks.compile_cache) {
-            (Some(k), Some(cache)) if stored.is_some() => {
-                let keys = keyed.expect("a stored program was keyed");
-                // Recency and accounting for the objects behind the answer.
-                for &key in &keys {
-                    cache.touch(key);
-                }
-                k.into_units(keys)
-            }
-            (keying, cache) => {
-                // Each unit takes its own file's manifest, once.
-                let held: Vec<Mutex<Option<Manifest>>> = keying
-                    .map_or_else(|| vec![None; files.len()], |k| k.manifests)
-                    .into_iter()
-                    .map(Mutex::new)
-                    .collect();
-                build_units(files, pool_jobs, opts.strict, &mut linker, |i, f| {
-                    let m = held[i]
-                        .lock()
-                        .expect("only a take runs under a slot's lock")
-                        .take();
-                    compile_one_keyed(fs, f, &opts.pp, &opts.lower, options_fp, cache, m)
-                })?
-            }
-        };
-        let Units {
-            stats,
-            keys,
-            durs,
-            cache_hits: compile_cache_hits,
-            direct_hits: compile_cache_direct_hits,
-            mut failed,
-            objects_in,
-            jobs,
-        } = units;
-        // Workers finish out of order; the ledger reads in input order.
-        failed.sort_by_key(|&(i, _)| i);
-        let quarantined: Vec<Quarantined> = failed
-            .into_iter()
-            .map(|(i, reason)| Quarantined::note(files[i], reason))
-            .collect();
-        let partial = !quarantined.is_empty();
-        let slowest_files = {
-            let mut ranked: Vec<(String, Duration)> = files
-                .iter()
-                .zip(&durs)
-                .map(|(f, &d)| ((*f).to_string(), d))
-                .collect();
-            ranked.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-            ranked.truncate(SLOWEST_FILES_CAP);
-            ranked
-        };
-        let compile_cache_misses = files.len() - compile_cache_hits;
-        sp.set("cache_hits", compile_cache_hits);
-        sp.set("cache_direct_hits", compile_cache_direct_hits);
-        sp.set("jobs", jobs);
-        let program_loaded = stored.is_some();
-        // The stored program's admission ran inside the compile span; the
-        // report keeps the two phases apart.
-        let (linked, peak_buffered_units, compile_time, link_time) = match stored {
-            Some((db, admit_time)) => {
-                let linked = Linked::of_stored(db, files.len(), objects_in, admit_time);
-                let compile_time = sp.finish().saturating_sub(admit_time);
-                (linked, 1, compile_time, admit_time)
-            }
-            None => {
-                let compile_time = sp.finish();
-                let mut sp = obs.span("pipeline", "pipeline.link");
-                let peak = linker.peak_buffered();
-                let linked = open_linked(linker.finish(), partial && opts.unknown_summaries)?;
-                sp.set("object_bytes", linked.db.file_size());
-                (linked, peak, compile_time, sp.finish())
-            }
-        };
-        let Linked {
-            db,
-            link_stats,
-            link_times,
-            open_time,
-            program_variables,
-            assign_counts,
-            unknown_summaries,
-        } = linked;
-        let object_size = db.file_size();
-
-        // Waiting on the graph loaded beside the admission is part of the
-        // solve phase, as loading it there was.
-        let sp = obs.span("pipeline", "pipeline.solve");
-        // Partial runs bypass the snapshot store in both directions: a
-        // quarantined file keys as 0 in the provenance, so persisting (or
-        // serving) a partial graph under it would alias distinct hostile
-        // inputs to one snapshot.
-        let snapshot_hook = if partial { None } else { hooks.snapshots };
-        let prov = provenance(files, &keys, options_fp, opts.solver);
-        let loaded = graph
-            .map(|h| {
-                h.join()
-                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-            })
-            .filter(|_| snapshot_hook.is_some() && keyed_prov.as_ref() == Some(&prov));
-        // Only a run keyed by manifests can open a stored program, so
-        // without a compile cache there is no next run to save it for.
-        let program_hook =
-            snapshot_hook.filter(|_| !program_loaded && hooks.compile_cache.is_some());
-        let (sealed, snapshot_loaded) = std::thread::scope(|scope| {
-            // The program's durable write overlaps the solve; both only read
-            // `db`.
-            if let Some(hook) = program_hook {
-                scope.spawn(|| hook.save_program(&prov, db.bytes()));
-            }
-            match load_or_fixpoint(&db, snapshot_hook, &prov, loaded) {
-                Solved::Loaded(sealed) => (sealed, true),
-                // A batch run answers every object: it seals at once, and
-                // saves the graph so the next run comes back warm.
-                Solved::Fixpoint(warm) => {
-                    let sealed = warm.seal();
-                    if let Some(hook) = snapshot_hook {
-                        hook.save(&prov, &sealed);
-                    }
-                    (sealed, false)
-                }
-            }
-        });
-        let points_to = sealed.extract_by_kind(db.ids().map(|o| db.kind(o)));
-        let solve_stats = sealed.stats();
-        let solve_time = sp.finish();
-
-        let report = Report {
-            files: files.len(),
-            source_bytes: stats.iter().map(|s| s.source_bytes).sum(),
-            preprocessed_lines: stats.iter().map(|s| s.preprocessed_lines).sum(),
-            program_variables,
-            assign_counts,
-            object_size,
-            link_stats,
-            load_stats: db.load_stats(),
-            solve_stats,
-            pointer_variables: points_to.pointer_variables(),
-            relations: points_to.relations(),
-            compile_time,
-            link_time,
-            solve_time,
-            link_times,
-            open_time,
-            compile_cache_hits,
-            compile_cache_misses,
-            compile_cache_direct_hits,
-            snapshot_loaded,
-            program_loaded,
-            jobs,
-            peak_buffered_units: peak_buffered_units.max(1),
-            peak_rss_bytes: cla_obs::peak_rss_bytes(),
-            slowest_files,
-            quarantined,
-            unknown_summaries,
-        };
-        Ok(Analysis {
-            points_to,
-            database: db,
-            report,
-        })
+    let points_to = sealed.extract_by_kind(db.ids().map(|o| db.kind(o)));
+    report.solve_stats = sealed.stats();
+    report.solve_time = sp.finish();
+    report.load_stats = db.load_stats();
+    report.pointer_variables = points_to.pointer_variables();
+    report.relations = points_to.relations();
+    report.snapshot_loaded = snapshot_loaded;
+    report.peak_rss_bytes = cla_obs::peak_rss_bytes();
+    Ok(Analysis {
+        points_to,
+        database: db,
+        report,
     })
 }
 
@@ -680,86 +517,326 @@ fn provenance(files: &[&str], keys: &[u64], options_fp: u64, solver: SolveOption
     }
 }
 
-/// What the keying pass of [`analyze_with`] found.
-struct Keying {
-    /// Per file, its [`Manifest`] where it holds (see [`held_manifest`]).
-    manifests: Vec<Option<Manifest>>,
-    /// How long keying each file took.
-    durs: Vec<Duration>,
-    /// Threads the keying pool used.
-    jobs: usize,
+/// The name every build links its program under.
+const PROGRAM: &str = "a.out";
+
+/// One program's build: its files, their options and, per file, the
+/// [`Manifest`] of its last build and, in a resident build, its unit
+/// object. [`analyze_with`] links a fresh one once; a serve session keeps
+/// its own and links it again on every reload.
+pub struct Build {
+    files: Vec<String>,
+    opts: PipelineOptions,
+    options_fp: u64,
+    units: Vec<Unit>,
+    /// Keep each unit's object for the next link (a session's build). A
+    /// batch build streams its units through the link and keeps none: the
+    /// million-line tree's objects are over 100 MB.
+    resident: bool,
+    /// A program has been linked or opened from this build.
+    linked: bool,
 }
 
-impl Keying {
-    /// What a unit pass would measure, read off the manifests alone: every
-    /// file a direct hit under `keys`, as the manifests name them.
-    fn into_units(self, keys: Vec<u64>) -> Units {
-        let manifests: Vec<Manifest> = (self.manifests.into_iter())
-            .map(|m| m.expect("every manifest held"))
-            .collect();
-        let files = manifests.len();
-        cla_obs::global()
-            .counter("cla_snap_cache_direct_hits_total")
-            .add(files as u64);
-        Units {
-            stats: manifests.iter().map(|m| m.stats).collect(),
-            keys,
-            durs: self.durs,
-            cache_hits: files,
-            direct_hits: files,
-            failed: Vec::new(),
-            objects_in: manifests.iter().map(|m| m.objects).sum(),
-            jobs: self.jobs,
+/// What a [`Build`] knows of one file.
+#[derive(Default)]
+struct Unit {
+    /// The manifest of its last build; `None` before the first and while
+    /// the file is quarantined (which keys it 0 in the provenance).
+    manifest: Option<Manifest>,
+    /// Its object, once a resident build has read it (a unit keyed for a
+    /// stored program, not before a link needs it).
+    object: Option<UnitObject>,
+}
+
+/// A program a [`Build`] linked or opened, and what that measured.
+pub struct Built {
+    pub database: Database,
+    /// The compile and link figures; the solve's are the caller's to fill.
+    pub report: Report,
+    /// Per file in input order, its closure key (0 when quarantined).
+    pub provenance: Provenance,
+    /// [`load_or_fixpoint`]'s `asked`, when the hook was asked already.
+    pub graph: Option<Option<SealedGraph>>,
+    /// The files whose closure no longer held and that built, in order.
+    pub recompiled: Vec<String>,
+}
+
+impl Build {
+    /// A build of `files` of which nothing is known yet. A `resident` one
+    /// keeps its unit objects between links.
+    #[must_use]
+    pub fn new(files: Vec<String>, opts: PipelineOptions, resident: bool) -> Build {
+        Build {
+            options_fp: options_fingerprint(&opts.pp, &opts.lower),
+            units: files.iter().map(|_| Unit::default()).collect(),
+            files,
+            opts,
+            resident,
+            linked: false,
         }
+    }
+
+    /// Links the program `fs` holds now; `None` when it is the one linked
+    /// last (no closure changed, or only quarantined files failed again).
+    ///
+    /// Each file is keyed (`cache.direct`) where its closure holds: on a
+    /// first link by the cache's manifest, on a relink by the one of its
+    /// last build; `force` keys none. With all keyed
+    /// on a first link, the hook's graph loads beside the admission of the
+    /// program stored under their [`program_key`], and no object or source
+    /// is read (each object is [touched](CompileCache::touch)). Otherwise
+    /// the pool builds what is not resident — a keyed object is loaded and
+    /// verified, a miss compiled and stored — and every unit folds in input
+    /// order: as it arrives in a batch build, after the pool in a resident
+    /// one.
+    ///
+    /// # Errors
+    ///
+    /// A strict build's lowest-index frontend error, which leaves the
+    /// build as it was; a database error if the linked program fails to
+    /// open.
+    pub fn link(
+        &mut self,
+        fs: &dyn FileProvider,
+        hooks: &AnalyzeHooks<'_>,
+        force: bool,
+    ) -> Result<Option<Built>, PipelineError> {
+        let Build {
+            files,
+            opts,
+            options_fp: fp,
+            units,
+            resident,
+            linked,
+        } = self;
+        let files: Vec<&str> = files.iter().map(String::as_str).collect();
+        let (n, fp, cache) = (files.len(), *fp, hooks.compile_cache);
+        let jobs = if opts.parallel_compile { opts.jobs } else { 1 };
+        let obs = cla_obs::global();
+        // Phase times come from the same spans that emit trace events, so
+        // the `Report` and a recorded trace never disagree about a
+        // duration. Folding overlaps compilation, so `compile_time` covers
+        // both, and `link_time` covers assembling the program object and
+        // opening it, or admitting the stored one.
+        let mut sp = obs.span("pipeline", "pipeline.compile");
+        sp.set("files", n);
+        // Every file is keyed before any is built.
+        let (mut held, mut durs) = (vec![None; n], vec![Duration::ZERO; n]);
+        let keyed = !force && (cache.is_some() || *linked);
+        let mut key_jobs = 0;
+        if keyed && *linked {
+            // A relink keys by the manifests in memory alone, so a
+            // quarantined file is retried, on this thread through one
+            // probe: a source many closures share is hashed once.
+            let mut probe = SourceProbe::new(fs);
+            for ((unit, f), held) in units.iter().zip(&files).zip(&mut held) {
+                if let Some(m) = &unit.manifest {
+                    *held = holds(m, f, fp, &mut probe).then(|| m.clone());
+                }
+            }
+        } else if let Some(cache) = cache.filter(|_| keyed) {
+            // A first link keys by the cache's manifests on the pool. A
+            // panic while checking one counts as its manifest not holding.
+            let one = |_: usize, f: &str| Ok(stored_manifest(fs, f, fp, cache));
+            let each = |i: usize, dur, r: Result<_, _>| {
+                (held[i], durs[i]) = (r.unwrap_or(None), dur);
+                n
+            };
+            key_jobs =
+                compile_all(&files, jobs, false, one, each).expect("a lenient pool fails no run");
+        }
+        let keys: Option<Vec<u64>> = (files.iter().zip(&held))
+            .map(|(f, m)| Some(m.as_ref()?.closure.key(f, fp)))
+            .collect::<Option<_>>()
+            .filter(|_| keyed);
+        if *linked && keys.is_some() {
+            return Ok(None);
+        }
+        let mut report = Report {
+            files: n,
+            ..Report::default()
+        };
+        let mut recompiled = Vec::new();
+        let keyed_prov = (keys.as_ref()).map(|keys| provenance(&files, keys, fp, opts.solver));
+        let keyed_hook = hooks.snapshots.zip(keyed_prov.as_ref());
+        std::thread::scope(|scope| {
+            let mut graph = keyed_hook.map(|(hook, prov)| scope.spawn(move || hook.load(prov)));
+            let join = |h: std::thread::ScopedJoinHandle<'_, _>| {
+                h.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            };
+            let stored = keyed_hook.and_then(|(hook, prov)| open_stored_program(hook, prov));
+            let mut asked = None;
+            let db = if let Some((db, admit, link)) = stored {
+                let keys = keys.as_ref().expect("a stored program was keyed");
+                for ((unit, manifest), &key) in units.iter_mut().zip(held).zip(keys) {
+                    // Recency and accounting for the objects behind the
+                    // answer.
+                    if let Some(cache) = cache {
+                        cache.touch(key);
+                    }
+                    (unit.manifest, unit.object) = (manifest, None);
+                }
+                obs.counter("cla_snap_cache_direct_hits_total")
+                    .add(n as u64);
+                (report.compile_cache_hits, report.compile_cache_direct_hits) = (n, n);
+                (report.jobs, report.program_loaded) = (key_jobs, true);
+                mark(&mut sp, &report);
+                // The link phase is the admission and the wait for the
+                // graph loaded beside it. It ran inside the compile span;
+                // the report keeps the two phases apart.
+                asked = graph.take().map(join);
+                report.link_time = link.finish();
+                report.compile_time = sp.finish().saturating_sub(report.link_time);
+                let objects_in = units.iter().flat_map(|u| &u.manifest).map(|m| m.objects);
+                of_stored(db, objects_in.sum(), admit, &mut report)
+            } else {
+                // A batch build folds every unit; a resident one builds
+                // what it does not hold: stale units, and units keyed for
+                // a stored program and never read.
+                let todo: Vec<usize> = (0..n)
+                    .filter(|&i| !*resident || held[i].is_none() || units[i].object.is_none())
+                    .collect();
+                let names: Vec<&str> = todo.iter().map(|&i| files[i]).collect();
+                let mut stream = (!*resident).then(|| StreamLinker::new(PROGRAM));
+                let mut fresh = Vec::with_capacity(todo.len());
+                report.jobs = compile_all(
+                    &names,
+                    jobs,
+                    opts.strict,
+                    |k, f| {
+                        let held = held[todo[k]].clone();
+                        compile_one_keyed(fs, f, &opts.pp, &opts.lower, fp, cache, held)
+                    },
+                    |k, dur, compiled| {
+                        let i = todo[k];
+                        durs[i] = dur;
+                        let (object, keyed) = match compiled {
+                            Ok((object, keyed)) => (Some(object), Ok(keyed)),
+                            Err(reason) => (None, Err(reason)),
+                        };
+                        let Some(linker) = &mut stream else {
+                            fresh.push((i, keyed, object));
+                            return fresh.len();
+                        };
+                        fresh.push((i, keyed, None));
+                        // An empty unit keeps the linker's index sequence
+                        // intact; it contributes no objects and no
+                        // assignments.
+                        linker.push(i, object.unwrap_or_else(|| UnitObject::empty(files[i])));
+                        linker.folded()
+                    },
+                )?;
+                fresh.sort_by_key(|&(i, ..)| i);
+                // A quarantined file that failed again is the one outcome
+                // that links the program as it was.
+                let changed = !*linked
+                    || (fresh.iter()).any(|(i, keyed, _)| {
+                        held[*i].is_none() && (keyed.is_ok() || units[*i].manifest.is_some())
+                    });
+                for (i, keyed, object) in fresh {
+                    units[i] = match keyed {
+                        Ok(keyed) => {
+                            if held[i].is_none() {
+                                recompiled.push(files[i].to_owned());
+                            }
+                            report.compile_cache_hits += usize::from(keyed.cache_hit);
+                            report.compile_cache_direct_hits += usize::from(keyed.direct_hit);
+                            let manifest = Some(keyed.manifest);
+                            Unit { manifest, object }
+                        }
+                        Err(reason) => {
+                            report.quarantined.push(Quarantined::note(files[i], reason));
+                            Unit::default()
+                        }
+                    };
+                }
+                if !changed {
+                    return Ok(None);
+                }
+                report.compile_cache_misses = todo.len() - report.compile_cache_hits;
+                mark(&mut sp, &report);
+                report.compile_time = sp.finish();
+                let mut sp = obs.span("pipeline", "pipeline.link");
+                let linker = match stream {
+                    Some(stream) => {
+                        report.peak_buffered_units = stream.peak_buffered();
+                        stream.finish()
+                    }
+                    None => {
+                        let mut linker = ObjectLinker::new(PROGRAM);
+                        for (unit, f) in units.iter().zip(&files) {
+                            match &unit.object {
+                                Some(object) => linker.add(object),
+                                None => linker.add(&UnitObject::empty(f)),
+                            }
+                        }
+                        linker
+                    }
+                };
+                let summarize = report.is_partial() && opts.unknown_summaries;
+                let db = open_linked(linker, summarize, &mut report)?;
+                sp.set("object_bytes", db.file_size());
+                report.link_time = sp.finish();
+                db
+            };
+            *linked = true;
+            let keys: Vec<u64> = (units.iter().zip(&files))
+                .map(|(u, f)| u.manifest.as_ref().map_or(0, |m| m.closure.key(f, fp)))
+                .collect();
+            let prov = provenance(&files, &keys, fp, opts.solver);
+            let graph = (asked.or_else(|| graph.map(join)))
+                .filter(|_| !report.is_partial() && keyed_prov.as_ref() == Some(&prov));
+            for stats in units.iter().flat_map(|u| &u.manifest).map(|m| m.stats) {
+                report.source_bytes += stats.source_bytes;
+                report.preprocessed_lines += stats.preprocessed_lines;
+            }
+            let mut ranked: Vec<(String, Duration)> = (files.iter().zip(durs))
+                .map(|(f, d)| ((*f).to_string(), d))
+                .collect();
+            ranked.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+            ranked.truncate(SLOWEST_FILES_CAP);
+            report.slowest_files = ranked;
+            report.object_size = db.file_size();
+            report.peak_buffered_units = report.peak_buffered_units.max(1);
+            Ok(Some(Built {
+                database: db,
+                report,
+                provenance: prov,
+                graph,
+                recompiled,
+            }))
+        })
     }
 }
 
-/// Keys every file by its manifest on the pool, before anything is built.
-/// A panic while checking one counts as its manifest not holding.
-fn held_manifests(
-    fs: &dyn FileProvider,
-    files: &[&str],
-    options_fp: u64,
-    cache: &dyn CompileCache,
-    jobs: usize,
-) -> Keying {
-    let mut keying = Keying {
-        manifests: vec![None; files.len()],
-        durs: vec![Duration::ZERO; files.len()],
-        jobs: 0,
-    };
-    // A lenient pool returns no error, and this sink buffers nothing, so
-    // no worker need wait on the order of delivery.
-    keying.jobs = compile_all(
-        files,
-        jobs,
-        false,
-        |f| Ok(held_manifest(fs, f, options_fp, cache)),
-        |i, dur, r| {
-            keying.manifests[i] = r.unwrap_or(None);
-            keying.durs[i] = dur;
-            files.len()
-        },
-    )
-    .expect("a lenient pool fails no run");
-    keying
+/// Sets what the build counted on its `pipeline.compile` span.
+fn mark(sp: &mut cla_obs::Span<'_>, report: &Report) {
+    sp.set("cache_hits", report.compile_cache_hits);
+    sp.set("cache_direct_hits", report.compile_cache_direct_hits);
+    sp.set("jobs", report.jobs);
 }
 
 /// The program a previous run linked from `prov`'s inputs, admitted as any
-/// `.clao` read from disk ([`Database::admit`]), and how long that took. A
-/// missing entry or one that fails admission is a counted miss.
-fn open_stored_program(hook: &dyn SnapshotHook, prov: &Provenance) -> Option<(Database, Duration)> {
+/// `.clao` read from disk ([`Database::admit`]), how long that took, and
+/// the link phase's span, still open. A missing entry or one that fails
+/// admission is a counted miss.
+fn open_stored_program(
+    hook: &dyn SnapshotHook,
+    prov: &Provenance,
+) -> Option<(Database, Duration, cla_obs::Span<'static>)> {
     let obs = cla_obs::global();
     let mut sp = obs.span("pipeline", "pipeline.link");
+    let t = std::time::Instant::now();
     let db = hook
         .load_program(prov)
         .and_then(|bytes| Database::admit(bytes).ok());
+    let admit_time = t.elapsed();
     sp.set("object_bytes", db.as_ref().map_or(0, Database::file_size));
-    let admit_time = sp.finish();
     match db {
         Some(db) => {
             obs.counter("cla_snap_program_loads_total").inc();
-            Some((db, admit_time))
+            Some((db, admit_time, sp))
         }
         None => {
             obs.counter("cla_snap_program_mismatch_total").inc();
@@ -768,95 +845,25 @@ fn open_stored_program(hook: &dyn SnapshotHook, prov: &Provenance) -> Option<(Da
     }
 }
 
-/// What the unit pass of [`analyze_with`] measured.
-struct Units {
-    stats: Vec<CompileStats>,
-    keys: Vec<u64>,
-    durs: Vec<Duration>,
-    cache_hits: usize,
-    direct_hits: usize,
-    failed: Vec<(usize, QuarantineReason)>,
-    /// Objects declared by the units, before any link merges them.
-    objects_in: usize,
-    jobs: usize,
-}
-
-/// Runs `one` over every file on the pool and folds each unit into
-/// `linker`.
-fn build_units(
-    files: &[&str],
-    jobs: usize,
-    strict: bool,
-    linker: &mut StreamLinker,
-    one: impl Fn(usize, &str) -> Result<CompiledFile, CError> + Sync,
-) -> Result<Units, CError> {
-    let mut units = Units {
-        stats: vec![CompileStats::default(); files.len()],
-        keys: vec![0; files.len()],
-        durs: vec![Duration::ZERO; files.len()],
-        cache_hits: 0,
-        direct_hits: 0,
-        failed: Vec::new(),
-        objects_in: 0,
-        jobs: 0,
-    };
-    units.jobs = compile_indexed(files, jobs, strict, one, |i, dur, compiled| {
-        units.durs[i] = dur;
-        let unit = match compiled {
-            Ok(c) => {
-                units.stats[i] = c.stats;
-                units.keys[i] = c.key;
-                units.cache_hits += usize::from(c.cache_hit);
-                units.direct_hits += usize::from(c.direct_hit);
-                c.object
-            }
-            // An empty unit keeps the linker's index sequence intact; it
-            // contributes no objects and no assignments.
-            Err(reason) => {
-                units.failed.push((i, reason));
-                UnitObject::empty(files[i])
-            }
-        };
-        units.objects_in += unit.object_count();
-        linker.push(i, unit);
-        linker.folded()
-    })?;
-    Ok(units)
-}
-
-/// One compiled input: the unit's object, its measurements and what it was
-/// built from.
-pub struct CompiledFile {
-    /// The unit as the link phase takes it: encoded, and intact.
-    pub object: UnitObject,
-    pub stats: CompileStats,
-    /// Every source read for this file (see [`Closure`]).
-    pub closure: Closure,
-    /// [`Closure::key`] of `closure`: the compile-cache key and this file's
-    /// entry in a batch [`Provenance`].
-    pub key: u64,
-    pub cache_hit: bool,
+/// What building one file found besides its object.
+struct Keyed {
+    manifest: Manifest,
+    cache_hit: bool,
     /// The hit was keyed by the file's manifest: nothing was preprocessed.
-    pub direct_hit: bool,
+    direct_hit: bool,
 }
 
-/// The per-file compile of every build route (batch [`analyze_with`] and
-/// the serve sessions' load and reload). `held` is the file's [`Manifest`]
-/// if the caller found that it holds ([`analyze_with`] keys every file
-/// before building any): it names the key without a preprocess (direct
-/// mode). Otherwise, or when the object it names is gone, the file is
-/// preprocessed, which yields its [`Closure`] and key, and its manifest is
-/// (re)written under a key it did not name. Either way the stored object
-/// under the key is reused on a hit, and the preprocessed unit is parsed,
-/// lowered and encoded (the result stored) on a miss. A hit is handed over
-/// undecoded, after [`UnitObject::verify`] has run every integrity check
-/// of the format over it; an entry that fails one is
-/// [rejected](CompileCache::reject) and treated as a miss.
+/// The per-file compile of every build. A `held` [`Manifest`] names the
+/// key without a preprocess (direct mode); otherwise, or when its object
+/// is gone, the file is preprocessed for its [`Closure`] and key, and its
+/// manifest (re)written. A hit is reused undecoded after
+/// [`UnitObject::verify`] (one that fails is
+/// [rejected](CompileCache::reject), a miss); a miss is compiled and stored.
 ///
 /// # Errors
 ///
 /// Propagates frontend errors; a missing source file is one of them.
-pub fn compile_one_keyed(
+fn compile_one_keyed(
     fs: &dyn FileProvider,
     f: &str,
     pp: &PpOptions,
@@ -864,22 +871,20 @@ pub fn compile_one_keyed(
     options_fp: u64,
     cache: Option<&dyn CompileCache>,
     held: Option<Manifest>,
-) -> Result<CompiledFile, CError> {
+) -> Result<(UnitObject, Keyed), CError> {
     let mut held_key = None;
-    if let Some(Manifest { closure, stats, .. }) = held {
-        let key = closure.key(f, options_fp);
+    if let Some(manifest) = held {
+        let key = manifest.closure.key(f, options_fp);
         if let Some(object) = cache.and_then(|c| load_verified(c, key)) {
             cla_obs::global()
                 .counter("cla_snap_cache_direct_hits_total")
                 .inc();
-            return Ok(CompiledFile {
-                object,
-                stats,
-                closure,
-                key,
+            let keyed = Keyed {
+                manifest,
                 cache_hit: true,
                 direct_hit: true,
-            });
+            };
+            return Ok((object, keyed));
         }
         held_key = Some(key);
     }
@@ -911,38 +916,32 @@ pub fn compile_one_keyed(
             (object, stats)
         }
     };
+    let manifest = Manifest {
+        file: f.to_owned(),
+        options_fp,
+        closure,
+        stats,
+        objects: object.object_count(),
+    };
     if let Some(cache) = unnamed {
-        let manifest = Manifest {
-            file: f.to_owned(),
-            options_fp,
-            closure: closure.clone(),
-            stats,
-            objects: object.object_count(),
-        };
         cache.store_manifest(manifest_key(f, options_fp), &manifest.encode());
     }
-    Ok(CompiledFile {
-        object,
-        stats,
-        closure,
-        key,
+    let keyed = Keyed {
+        manifest,
         cache_hit,
         direct_hit: false,
-    })
+    };
+    Ok((object, keyed))
 }
 
-/// The manifest of `f`, if one is stored and its closure still holds
-/// against `fs` — timed as the `cache.direct` span, which says how much
-/// source the check hashed. A damaged manifest is
-/// [rejected](CompileCache::reject_manifest).
-fn held_manifest(
+/// The manifest `cache` stores for `f`, if its closure still holds against
+/// `fs`. A damaged one is [rejected](CompileCache::reject_manifest).
+fn stored_manifest(
     fs: &dyn FileProvider,
     f: &str,
     options_fp: u64,
     cache: &dyn CompileCache,
 ) -> Option<Manifest> {
-    let mut sp = cla_obs::global().span("cache", "cache.direct");
-    sp.set("file", f);
     let key = manifest_key(f, options_fp);
     let m = match Manifest::decode(cache.load_manifest(key)?) {
         Ok(m) => m,
@@ -951,17 +950,24 @@ fn held_manifest(
             return None;
         }
     };
+    let held = holds(&m, f, options_fp, &mut SourceProbe::new(fs));
+    held.then_some(m)
+}
+
+/// Whether `m` is `f`'s manifest and its closure holds against `probe`,
+/// timed as the `cache.direct` span, which says how much source the check
+/// hashed (through a shared probe, what no earlier check did).
+fn holds<'a>(m: &'a Manifest, f: &str, options_fp: u64, probe: &mut SourceProbe<'a>) -> bool {
+    let mut sp = cla_obs::global().span("cache", "cache.direct");
+    sp.set("file", f);
+    let (sources, bytes) = (probe.sources, probe.bytes);
     // Another file's manifest under a colliding key is simply not this
     // file's; the rewrite after the preprocess replaces it.
-    if m.file != f || m.options_fp != options_fp {
-        return None;
-    }
-    let mut probe = SourceProbe::new(fs);
-    let holds = m.closure.holds(&mut probe);
-    sp.set("sources_hashed", probe.sources);
-    sp.set("bytes_hashed", probe.bytes);
-    sp.set("holds", holds);
-    holds.then_some(m)
+    let held = m.file == f && m.options_fp == options_fp && m.closure.holds(probe);
+    sp.set("sources_hashed", probe.sources - sources);
+    sp.set("bytes_hashed", probe.bytes - bytes);
+    sp.set("holds", held);
+    held
 }
 
 /// The object stored under `key`, if any and intact; a damaged one is
@@ -988,70 +994,58 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// A freshly linked program, opened for demand loading.
-pub struct Linked {
-    pub db: Database,
-    pub link_stats: LinkStats,
-    pub link_times: LinkTimes,
-    pub open_time: Duration,
-    pub program_variables: usize,
-    pub assign_counts: AssignCounts,
-    /// Undefined globals given unknown summaries (0 unless asked for).
-    pub unknown_summaries: usize,
+/// A stored program [admitted](Database::admit) in place of a link, with
+/// the link figures the fold that built it reported read off its records
+/// into `report` (no unknown summary: a partial run stores no program).
+fn of_stored(
+    db: Database,
+    objects_in: usize,
+    open_time: Duration,
+    report: &mut Report,
+) -> Database {
+    let assign_counts = db.assign_counts();
+    let objects_out = db.object_count();
+    report.link_stats = LinkStats {
+        units: report.files,
+        objects_in,
+        objects_out,
+        symbols_merged: objects_in.saturating_sub(objects_out),
+        assigns: assign_counts.total(),
+    };
+    report.open_time = open_time;
+    report.program_variables = (db.ids())
+        .filter(|&o| db.kind(o).is_program_object())
+        .count();
+    report.assign_counts = assign_counts;
+    db
 }
 
-impl Linked {
-    /// A stored program [admitted](Database::admit) in place of a link, with
-    /// the figures the fold that built it reported, read off its records:
-    /// `units` units declaring `objects_in` objects merged into its objects,
-    /// and no unknown summary (a partial run never stores its program).
-    fn of_stored(db: Database, units: usize, objects_in: usize, open_time: Duration) -> Linked {
-        let assign_counts = db.assign_counts();
-        let objects_out = db.object_count();
-        Linked {
-            link_stats: LinkStats {
-                units,
-                objects_in,
-                objects_out,
-                symbols_merged: objects_in.saturating_sub(objects_out),
-                assigns: assign_counts.total(),
-            },
-            link_times: LinkTimes::default(),
-            open_time,
-            program_variables: (db.ids())
-                .filter(|&o| db.kind(o).is_program_object())
-                .count(),
-            assign_counts,
-            unknown_summaries: 0,
-            db,
-        }
-    }
-}
-
-/// The one tail of every build: the linker every unit object has been
+/// The one tail of every link: the linker every unit object has been
 /// folded into (`ObjectLinker` or `StreamLinker::finish`) lays out the
 /// program object — with its unknown summaries, if asked for — and the
 /// `UnitObject` that comes back, written and checksummed in this process,
 /// is opened as the [`Database`] the solver reads without being hashed or
-/// range-checked again ([`Database::from_object`]).
+/// range-checked again ([`Database::from_object`]); its figures go to `report`.
 ///
 /// # Errors
 ///
 /// A database error if the freshly assembled object fails to open (a
 /// linker bug — a typed error all the same, not a panic).
-pub fn open_linked(linker: ObjectLinker, summarize_unknown: bool) -> Result<Linked, DbError> {
+fn open_linked(
+    linker: ObjectLinker,
+    summarize_unknown: bool,
+    report: &mut Report,
+) -> Result<Database, DbError> {
     let linked = linker.finish(summarize_unknown);
     let t = std::time::Instant::now();
     let db = Database::from_object(linked.object)?;
-    Ok(Linked {
-        db,
-        link_stats: linked.stats,
-        link_times: linked.times,
-        open_time: t.elapsed(),
-        program_variables: linked.program_variables,
-        assign_counts: linked.assign_counts,
-        unknown_summaries: linked.unknown_summaries,
-    })
+    report.open_time = t.elapsed();
+    report.link_stats = linked.stats;
+    report.link_times = linked.times;
+    report.program_variables = linked.program_variables;
+    report.assign_counts = linked.assign_counts;
+    report.unknown_summaries = linked.unknown_summaries;
+    Ok(db)
 }
 
 /// The worker count a `jobs` setting asks for: `0` means one per core this
@@ -1064,9 +1058,9 @@ pub(crate) fn resolve_jobs(jobs: usize) -> usize {
     }
 }
 
-/// The one compile pool: runs `one` over every file on up to `jobs`
-/// threads (0 = one per CPU, never more than there are files) and hands
-/// each result to `sink` on the calling thread, tagged with its input index
+/// The one compile pool: runs `one` over every file, given its input
+/// index, on up to `jobs` threads (0 = one per CPU, never more than there
+/// are files) and hands each result to `sink` on the calling thread, tagged with its input index
 /// and how long `one` took. Returns the thread count used.
 ///
 /// * Every `one` runs under `catch_unwind`: a panic in the frontend is a
@@ -1087,18 +1081,7 @@ pub(crate) fn resolve_jobs(jobs: usize) -> usize {
 /// # Errors
 ///
 /// Strict mode only: the lowest-index failure.
-pub fn compile_all<T: Send>(
-    files: &[&str],
-    jobs: usize,
-    strict: bool,
-    one: impl Fn(&str) -> Result<T, CError> + Sync,
-    sink: impl FnMut(usize, Duration, Result<T, QuarantineReason>) -> usize,
-) -> Result<usize, CError> {
-    compile_indexed(files, jobs, strict, |_, f| one(f), sink)
-}
-
-/// [`compile_all`] with `one` given each file's input index too.
-fn compile_indexed<T: Send>(
+fn compile_all<T: Send>(
     files: &[&str],
     jobs: usize,
     strict: bool,
@@ -1380,10 +1363,16 @@ mod tests {
             }
             Ok(())
         };
-        let _ = compile_all(&files, 4, false, slow_first, |i, _, _| {
-            assert!(i != 0, "sink gave up");
-            0
-        });
+        let _ = compile_all(
+            &files,
+            4,
+            false,
+            |_, f| slow_first(f),
+            |i, _, _| {
+                assert!(i != 0, "sink gave up");
+                0
+            },
+        );
     }
 
     #[test]

@@ -109,7 +109,7 @@ impl LvalStore {
 
     /// The union of `parts` — sets this store handed out — and the unsorted,
     /// possibly repeating `raw` lvals, as the one shared set of that
-    /// content: [`LvalStore::join`], then the written set entered or the
+    /// content: the store's one join, then the written set entered or the
     /// operand handed out. Reorders `parts`.
     pub fn union(&mut self, parts: &mut [LvalSet], raw: &[ObjId]) -> LvalSet {
         match self.join(parts, raw) {

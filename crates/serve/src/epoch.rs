@@ -11,7 +11,7 @@
 
 use crate::session::{DependentLine, Target};
 use cla_cladb::{Database, DbError};
-use cla_core::pipeline::{load_or_fixpoint, Provenance, Quarantined, SnapshotHook, Solved};
+use cla_core::pipeline::{load_or_fixpoint, Built, Provenance, Report, SnapshotHook, Solved};
 use cla_core::{sets_intersect, SealedGraph, Warm};
 use cla_depend::FlowIndex;
 use cla_ir::ObjId;
@@ -64,34 +64,28 @@ pub(crate) struct Loaded {
     /// later `depend` of the epoch.
     pub(crate) flow: OnceLock<Result<FlowIndex, DbError>>,
     pub(crate) results: RwLock<HashMap<QueryKey, CacheEntry>>,
-    /// Units that failed to compile and were skipped (lenient sessions
-    /// only; always empty for strict ones). Swapped with the state, so the
-    /// ledger always describes the snapshot answering queries.
-    pub(crate) quarantined: Vec<Quarantined>,
+    /// How the program was built. Its `quarantined` ledger (lenient
+    /// sessions only) is swapped with the state, so it always describes
+    /// the snapshot answering queries.
+    pub(crate) report: Report,
 }
 
 impl Loaded {
-    /// The state every session build and reload swaps in for `db`: its
-    /// graph by the pipeline's one route, the sealed graph the snapshot
-    /// store saved under exactly `prov` or else `db` solved to fixpoint,
-    /// for the sealer to seal and save; `quarantined` lists the units the
-    /// program was linked without.
-    pub(crate) fn new(
-        db: Database,
-        store: Option<&SnapshotStore>,
-        prov: Provenance,
-        quarantined: Vec<Quarantined>,
-    ) -> Loaded {
+    /// The state a build or reload swaps in for `built`: its graph by the
+    /// pipeline's one route, the sealed graph the snapshot store saved
+    /// under exactly its provenance or else its program solved to
+    /// fixpoint, for the sealer to seal and save.
+    pub(crate) fn new(built: Built, store: Option<&SnapshotStore>) -> Loaded {
         // Covers the solve (with its per-pass spans), or the load.
         let _sp = cla_obs::global().span("serve", "serve.load");
         let hook = store.map(|s| s as &dyn SnapshotHook);
-        let solved = load_or_fixpoint(&db, hook, &prov, None);
+        let solved = load_or_fixpoint(&built.database, hook, &built.provenance, None);
         Loaded {
-            db,
-            graph: Arc::new(EpochGraph::new(solved, prov)),
+            db: built.database,
+            graph: Arc::new(EpochGraph::new(solved, built.provenance)),
             flow: OnceLock::new(),
             results: RwLock::new(HashMap::new()),
-            quarantined,
+            report: built.report,
         }
     }
 

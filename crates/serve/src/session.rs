@@ -31,7 +31,7 @@
 //! comes from in `sources`, and what the session counts in `stats`.
 
 use crate::epoch::{CachedAnswer, Loaded, QueryKey, Sealer};
-use crate::sources::{object_provenance, open_object_path, Recompiled, ReloadInputs};
+use crate::sources::{link, open_object, ReloadInputs};
 use crate::stats::{summary, Cmd, Meter, SessionStats, SlowQuery};
 use cla_cfront::{CError, FileProvider};
 use cla_cladb::{Database, DbError};
@@ -282,7 +282,7 @@ impl Session {
         // The epoch is bumped while the write lock is held, so reading it
         // under the read lock pins it to the snapshot answering the query.
         let epoch = self.epoch.load(Relaxed);
-        let partial = !st.quarantined.is_empty();
+        let partial = st.report.is_partial();
         if let Some(CachedAnswer::Pts { resolved, targets }) = st.cache_get(&key, &self.tick) {
             return Ok(PointsToAnswer {
                 var: var.to_string(),
@@ -336,7 +336,7 @@ impl Session {
         let t0 = Instant::now();
         let st = self.state.read().unwrap();
         let epoch = self.epoch.load(Relaxed);
-        let partial = !st.quarantined.is_empty();
+        let partial = st.report.is_partial();
         let (ids_a, ids_b) = (resolve(&st.db, a)?, resolve(&st.db, b)?);
         let graph = st.graph.reader();
         let alias = ids_a
@@ -371,7 +371,7 @@ impl Session {
         };
         let st = self.state.read().unwrap();
         let epoch = self.epoch.load(Relaxed);
-        let partial = !st.quarantined.is_empty();
+        let partial = st.report.is_partial();
         if let Some(CachedAnswer::Depend(dependents)) = st.cache_get(&key, &self.tick) {
             return Ok(DependAnswer {
                 target: target.to_string(),
@@ -544,50 +544,42 @@ impl Session {
         force: bool,
         sp: &mut cla_obs::Span<'_>,
     ) -> Result<ReloadReport, SessionError> {
+        let mut unchanged = |quarantined: Vec<String>| {
+            sp.set("relinked", false);
+            Ok(ReloadReport {
+                recompiled: Vec::new(),
+                invalidated_results: 0,
+                epoch: self.epoch.load(Relaxed),
+                relinked: false,
+                quarantined,
+            })
+        };
+        let store = self.snap_store.as_deref();
         let (fresh, recompiled) = match inputs {
             ReloadInputs::None => return Err(SessionError::NoSources),
-            ReloadInputs::Files(sources) => {
+            ReloadInputs::Files(build) => {
                 let fs = fs.ok_or(SessionError::NoProvider)?;
-                let Recompiled {
-                    recompiled,
-                    ledger,
-                    changed,
-                } = sources.recompile(fs, force)?;
-                if !changed {
-                    sp.set("relinked", false);
-                    return Ok(ReloadReport {
-                        recompiled,
-                        invalidated_results: 0,
-                        epoch: self.epoch.load(Relaxed),
-                        relinked: false,
-                        quarantined: ledger.into_iter().map(|q| q.file).collect(),
-                    });
-                }
-                let loaded = sources.link(ledger, self.snap_store.as_deref(), self.solve_opts)?;
-                (loaded, recompiled)
+                let Some(mut built) = link(build, fs, self.solve_opts, force)? else {
+                    let ledger = self.quarantined().into_iter().map(|q| q.file);
+                    return unchanged(ledger.collect());
+                };
+                let recompiled = std::mem::take(&mut built.recompiled);
+                (Loaded::new(built, store), recompiled)
             }
             ReloadInputs::Object { path, hash } => {
-                let (db, new_hash) = open_object_path(path)?;
+                let (built, new_hash) = open_object(path, self.solve_opts)?;
                 if !force && new_hash == *hash {
-                    sp.set("relinked", false);
-                    return Ok(ReloadReport {
-                        recompiled: Vec::new(),
-                        invalidated_results: 0,
-                        epoch: self.epoch.load(Relaxed),
-                        relinked: false,
-                        quarantined: Vec::new(),
-                    });
+                    return unchanged(Vec::new());
                 }
                 *hash = new_hash;
-                let prov =
-                    object_provenance(&path.display().to_string(), new_hash, self.solve_opts);
-                let loaded = Loaded::new(db, self.snap_store.as_deref(), prov, Vec::new());
+                let loaded = Loaded::new(built, store);
                 (loaded, vec![path.display().to_string()])
             }
         };
 
         let graph = Arc::clone(&fresh.graph);
-        let quarantined: Vec<String> = fresh.quarantined.iter().map(|q| q.file.clone()).collect();
+        let ledger = fresh.report.quarantined.iter();
+        let quarantined: Vec<String> = ledger.map(|q| q.file.clone()).collect();
         let mut st = self.state.write().unwrap();
         let invalidated = st.results.read().unwrap().len();
         let old = std::mem::replace(&mut *st, fresh);
@@ -621,7 +613,7 @@ impl Session {
             Health::Loading
         } else if self.degraded.lock().unwrap().is_some() {
             Health::Degraded
-        } else if !self.state.read().unwrap().quarantined.is_empty() {
+        } else if self.state.read().unwrap().report.is_partial() {
             Health::Partial
         } else {
             Health::Ok
@@ -631,7 +623,7 @@ impl Session {
     /// The quarantine ledger of the snapshot currently answering queries
     /// (empty for strict sessions).
     pub fn quarantined(&self) -> Vec<Quarantined> {
-        self.state.read().unwrap().quarantined.clone()
+        self.state.read().unwrap().report.quarantined.clone()
     }
 
     /// The last reload error while degraded (`None` when healthy).
@@ -706,7 +698,7 @@ impl Session {
     pub fn stats(&self) -> SessionStats {
         let m = &self.meter;
         m.cmd_stats.fetch_add(1, Relaxed);
-        let (sealed, loaded, solver, quarantined, (flow_edges, flow_bytes), snap_prov) = {
+        let (sealed, loaded, solver, quarantined, (flow_edges, flow_bytes), snap_prov, built) = {
             let st = self.state.read().unwrap();
             let sealed = st.graph.is_sealed();
             let flow = st.flow_size().unwrap_or((0, 0));
@@ -715,9 +707,13 @@ impl Session {
                 sealed,
                 st.graph.loaded,
                 st.graph.sealed().stats(),
-                st.quarantined.len() as u64,
+                st.report.quarantined.len() as u64,
                 flow,
                 snap_prov,
+                (
+                    st.report.compile_cache_hits as u64,
+                    st.report.program_loaded,
+                ),
             )
         };
         let cmds = [&m.cmd_points_to, &m.cmd_alias, &m.cmd_depend].map(|c| c.load(Relaxed));
@@ -765,6 +761,8 @@ impl Session {
             latency_capacity: m.latencies.capacity(),
             solver,
             sealed,
+            compile_cache_hits: built.0,
+            program_loaded: built.1,
             snapshot_loaded: loaded,
             snapshot_loads: snap_loads,
             snapshot_saves: snap_saves,

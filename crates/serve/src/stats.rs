@@ -107,6 +107,10 @@ pub struct SessionStats {
     /// asked. `false` means the epoch was still answering from its frozen
     /// graph, and its snapshot was not saved yet.
     pub sealed: bool,
+    /// How the serving epoch was built, in `pipeline::Report`'s terms: cache
+    /// hits, and whether the program was opened from disk, not linked.
+    pub compile_cache_hits: u64,
+    pub program_loaded: bool,
     /// Whether the currently served graph was loaded from a persisted
     /// snapshot instead of being solved (cold starts and reloads both).
     pub snapshot_loaded: bool,
@@ -189,6 +193,8 @@ impl SessionStats {
             ("flow_index_edges", self.flow_index_edges.into()),
             ("flow_index_bytes", self.flow_index_bytes.into()),
             ("sealed", self.sealed.into()),
+            ("compile_cache_hits", self.compile_cache_hits.into()),
+            ("program_loaded", self.program_loaded.into()),
             ("snapshot_loaded", self.snapshot_loaded.into()),
             ("snapshot_loads", self.snapshot_loads.into()),
             ("snapshot_saves", self.snapshot_saves.into()),

@@ -135,8 +135,8 @@ echo "==> load or link (analyze_with answers from an admitted stored program or 
 # run folds. The pass that built units without folding them, its keyed
 # compile and the touch bookkeeping it needed stay gone.
 pipeline=$(sed '/#\[cfg(test)\]/,$d' crates/core/src/pipeline.rs | grep -vE '^\s*//')
-unit_passes=$(echo "$pipeline" | grep -E '\bbuild_units\(' | grep -vc 'fn build_units(' || true)
-[ "$unit_passes" = 1 ] || { echo "core::pipeline calls build_units( $unit_passes times"; exit 1; }
+unit_passes=$(echo "$pipeline" | grep -E '\bcompile_one_keyed\(' | grep -vc 'fn compile_one_keyed(' || true)
+[ "$unit_passes" = 1 ] || { echo "core::pipeline calls compile_one_keyed( $unit_passes times"; exit 1; }
 keyed=$(echo "$pipeline" | grep -nE '\bfn compile_keyed\b' || true)
 [ -z "$keyed" ] || { echo "a second keyed compile grew back: $keyed"; exit 1; }
 touched=$(sed '/#\[cfg(test)\]/,$d' crates/snap/src/cache.rs | grep -n 'HashSet' || true)
@@ -219,6 +219,16 @@ second=$(for f in crates/serve/src/*.rs; do
 done || true)
 [ -z "$second" ] || { echo "a second load path grew back: $second"; exit 1; }
 
+echo "==> one build route (a source session keys, compiles and links through core::pipeline::Build, as a batch run does)"
+# Build::link is the one way from sources to a linked program: serve runs
+# no compile pool, no per-file compile, no staleness probe and no link of
+# its own.
+own_build=$(for f in crates/serve/src/*.rs; do
+    sed '/#\[cfg(test)\]/,$d' "$f" | grep -vE '^\s*//' |
+        grep -HnE --label="$f" '\b(compile_all|compile_one_keyed|open_linked)\(|SourceProbe'
+done || true)
+[ -z "$own_build" ] || { echo "serve builds a program its own way: $own_build"; exit 1; }
+
 echo "==> generators read no environment (a generated tree is its profile, scale and seed)"
 # The Table 2 programs clabench pins come from crates/workload; a variable
 # left set in a shell must not change them, nor a genc tree.
@@ -232,6 +242,9 @@ cargo fmt --all -- --check
 
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> rustdoc (deny warnings: no broken or private intra-doc link)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --keep-going
 
 echo "==> cargo build --release"
 cargo build --release

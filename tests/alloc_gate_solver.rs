@@ -23,14 +23,14 @@ use cla::prof::alloc_snapshot;
 use std::path::Path;
 
 /// Allocations per object `Database::open` → `Warm::from_database` →
-/// `seal` may make on the `ci-small` tree. It reads 2.82: 0.16 in `open`
-/// (the string table copied whole, the file table, one parameter list per
-/// signature), 2.03 in the fixpoint (decoded blocks, edge and base lists),
-/// 0.63 in the sweep (the distinct sets). While `open` decoded every object
-/// into an `ObjectInfo` — two strings an object — and filled a map of
-/// target names, it alone was 3.8 and the total 6.42; with two blocks per
-/// object in the solver's constructor and a fresh stack and accumulator per
-/// `getLvals` the total was 9.6.
+/// `seal` may make on the `ci-small` tree. It reads 2.88 (13 511 for 4 696
+/// objects): 0.16 in `open` (the string table copied whole, the file
+/// table, one parameter list per signature), 2.04 in the fixpoint (decoded
+/// blocks, edge and base lists), 0.69 in the sweep (the distinct sets).
+/// While `open` decoded every object into an `ObjectInfo` — two strings an
+/// object — and filled a map of target names, it alone was 3.8 and the
+/// total 6.42; with two blocks per object in the solver's constructor and
+/// a fresh stack and accumulator per `getLvals` the total was 9.6.
 const MAX_ALLOCS_PER_OBJECT: f64 = 3.25;
 
 #[test]

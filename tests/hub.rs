@@ -348,6 +348,89 @@ fn a_tenant_evicted_right_after_a_reload_rehydrates_warm() {
     );
 }
 
+/// An evicted source tenant rehydrates from its snapshot: nothing is
+/// solved, every answer is the one it gave before, and the wire `stats`
+/// say how the epoch was built. A source session keeps no compile cache or
+/// stored program, so each open compiles and links every file.
+#[test]
+fn an_evicted_source_tenant_rehydrates_from_its_snapshot() {
+    let dir = TempDir::new("evict-warm");
+    let hub = Hub::new(HubOptions {
+        capacity: 1,
+        ..HubOptions::default()
+    });
+    let ask = |req: &Value| dispatch(&hub, &req.encode());
+    let files: Vec<String> = (0..3)
+        .map(|i| {
+            write_version(dir.path(), i, 0)
+                .to_string_lossy()
+                .into_owned()
+        })
+        .collect();
+    let source = SessionSource::Files {
+        fs: Arc::new(OsFs),
+        files: files.clone(),
+        pp: PpOptions::default(),
+        lower: LowerOptions::default(),
+        lenient: false,
+    };
+    hub.open("src", spec(source, Some(dir.path().join("snap"))))
+        .unwrap();
+    let answers = || -> Vec<(BTreeSet<String>, u64)> {
+        (0..3)
+            .map(|i| {
+                let reply = ask(&points_to("src", &format!("p_s{i}")));
+                let epoch = reply.get("epoch").and_then(Value::as_u64).unwrap();
+                (target_names(&reply), epoch)
+            })
+            .collect()
+    };
+    let stats = |name: &str| {
+        let reply = ask(&obj([("cmd", "stats".into()), ("session", name.into())]));
+        reply.get("stats").cloned().expect("stats reply")
+    };
+    let before = answers();
+    assert!(before.iter().all(|(names, _)| names.len() == 1));
+    let cold = stats("src");
+    assert_eq!(
+        cold.get("compile_cache_hits").and_then(Value::as_u64),
+        Some(0)
+    );
+    assert_eq!(
+        cold.get("program_loaded").and_then(Value::as_bool),
+        Some(false)
+    );
+
+    hub.open(
+        "other",
+        spec(mem_source("int z; int *r; void g(void) { r = &z; }"), None),
+    )
+    .unwrap();
+    let evicted = hub.sessions().into_iter().find(|s| s.name == "src");
+    assert_eq!(evicted.unwrap().state, "evicted");
+
+    let after = answers();
+    for ((was, old), (now, new)) in before.iter().zip(&after) {
+        assert_eq!(was, now, "an answer changed across rehydration");
+        assert!(new > old, "the epoch must grow across rehydration");
+    }
+    assert!(hub.tenant_counters("src").rehydrations >= 1);
+    let warm = stats("src");
+    let field = |key: &str| warm.get(key).cloned();
+    assert_eq!(
+        field("compile_cache_hits").and_then(|v| v.as_u64()),
+        Some(0)
+    );
+    assert_eq!(
+        field("program_loaded").and_then(|v| v.as_bool()),
+        Some(false)
+    );
+    assert_eq!(
+        field("snapshot_loaded").and_then(|v| v.as_bool()),
+        Some(true)
+    );
+}
+
 /// A tenant's `reload` is the pipeline's refresh: an edited header reaches
 /// exactly the files that read it, over the wire.
 #[test]

@@ -373,6 +373,32 @@ fn assert_answers_like(sealed: &cla::core::SealedGraph, cold: &Analysis, what: &
     }
 }
 
+/// A session opened warm (its graph loaded from the snapshot a first one
+/// saved) relinks on its first reload recompiling exactly the edited file,
+/// and answers what a cold analyze of the edited tree does.
+#[test]
+fn a_reload_after_a_warm_open_recompiles_the_edited_file_alone() {
+    let dir = TempDir::new("warm-reload");
+    let (fs, files) = workload_fs("nethack", 0.2, 9);
+    let refs: Vec<&str> = files.iter().map(String::as_str).collect();
+    let cold = build_session(&fs, &files, dir.path());
+    cold.snapshot();
+    drop(cold);
+    let warm = build_session(&fs, &files, dir.path());
+    assert!(warm.snapshot_loaded(), "the warm open solved again");
+    let stats = warm.stats();
+    assert_eq!((stats.compile_cache_hits, stats.program_loaded), (0, false));
+
+    for round in 1..=2 {
+        let edited = edit_round(&fs, &files, round);
+        let r = warm.reload(Some(&edited), false).unwrap();
+        assert_eq!(r.recompiled, [files[2].clone()], "round {round}");
+        assert!(r.relinked);
+        let cold = analyze(&edited, &refs, &PipelineOptions::default()).unwrap();
+        assert_answers_like(&warm.snapshot().0, &cold, "reload after a warm open");
+    }
+}
+
 /// Twenty reloads back to back hand the sealer more epochs than it can
 /// seal, and it skips the replaced ones; dropping the session still leaves
 /// the last epoch's snapshot on disk, so the next session starts warm and
