@@ -36,16 +36,19 @@ done || true)
     || { echo "block reads outside FlowIndex::build, or unwrapped: $block_reads"; exit 1; }
 
 echo "==> one linker, adapters only (builds fold encoded unit objects; link and Linker wrap ObjectLinker)"
-# No build route decodes an object to link it: core::pipeline, serve, hub and
-# `cla-tool compile` go through cladb's ObjectLinker. `Linker::add_unit`,
-# `link` and `Database::to_unit` stay for tests, crates/bench and clabench.
+# No build route decodes an object to link it: core::pipeline, serve and hub
+# go through cladb's ObjectLinker, and `cla-tool compile` through the
+# pipeline's Build. `Linker::add_unit`, `link` and `Database::to_unit` stay
+# for tests, crates/bench and clabench.
 unit_links=$(for f in crates/core/src/pipeline.rs crates/serve/src/*.rs crates/hub/src/*.rs; do
     sed '/#\[cfg(test)\]/,$d' "$f" | grep -HnE --label="$f" '\.to_unit\(\)|add_unit\('
 done || true)
 [ -z "$unit_links" ] || { echo "a build route links decoded units: $unit_links"; exit 1; }
-tool_links=$(grep -nE '\blink\(&|add_unit\(' src/bin/cla-tool.rs || true)
-sed -n '/^fn cmd_compile/,/^}/p' src/bin/cla-tool.rs | grep -q 'link_objects(' && [ -z "$tool_links" ] \
-    || { echo "cla-tool compile must link through ObjectLinker: $tool_links"; exit 1; }
+tool_links=$(grep -HnE '(^|[^.])\blink\(&|add_unit\(' src/bin/cla-tool/*.rs || true)
+sed -n '/^pub fn compile(/,/^}/p' src/bin/cla-tool/build.rs | grep -q 'link_sources(' \
+    && sed -n '/^pub fn link_sources(/,/^}/p' src/bin/cla-tool/build.rs | grep -q 'Build::new(' \
+    && [ -z "$tool_links" ] \
+    || { echo "cla-tool compile must link through pipeline::Build: $tool_links"; exit 1; }
 # ObjectLinker is the one fold that merges symbols: linker.rs keeps no table
 # of its own and builds no program object by object.
 adapter=$(sed '/#\[cfg(test)\]/,$d' crates/cladb/src/linker.rs)
@@ -58,7 +61,7 @@ echo "==> one session recipe (servers build sessions with Session::open from a S
 # Session::open is the one place that decides sources vs. object and strict
 # vs. lenient. `from_files_jobs` and `from_database` stay for callers that
 # hold a borrowed provider or an in-memory database, never for a server.
-recipes=$(for f in crates/hub/src/*.rs src/bin/cla-tool.rs crates/serve/src/server.rs; do
+recipes=$(for f in crates/hub/src/*.rs src/bin/cla-tool/*.rs crates/serve/src/server.rs; do
     sed '/#\[cfg(test)\]/,$d' "$f" | grep -HnE --label="$f" 'Session::from_'
 done || true)
 [ -z "$recipes" ] || { echo "a session built around Session::open: $recipes"; exit 1; }
@@ -219,15 +222,24 @@ second=$(for f in crates/serve/src/*.rs; do
 done || true)
 [ -z "$second" ] || { echo "a second load path grew back: $second"; exit 1; }
 
-echo "==> one build route (a source session keys, compiles and links through core::pipeline::Build, as a batch run does)"
+echo "==> one build route (a source session and cla-tool key, compile and link through core::pipeline::Build, as a batch run does)"
 # Build::link is the one way from sources to a linked program: serve runs
 # no compile pool, no per-file compile, no staleness probe and no link of
-# its own.
+# its own, and neither does cla-tool (`compile` and `db-fuzz` take a batch
+# Build's program).
 own_build=$(for f in crates/serve/src/*.rs; do
     sed '/#\[cfg(test)\]/,$d' "$f" | grep -vE '^\s*//' |
         grep -HnE --label="$f" '\b(compile_all|compile_one_keyed|open_linked)\(|SourceProbe'
 done || true)
 [ -z "$own_build" ] || { echo "serve builds a program its own way: $own_build"; exit 1; }
+# An empty list would pass unread.
+set -- src/bin/cla-tool/*.rs
+[ -f "$1" ] || { echo "no cla-tool sources under src/bin/cla-tool/"; exit 1; }
+tool_build=$(for f in "$@"; do
+    sed '/#\[cfg(test)\]/,$d' "$f" | grep -vE '^\s*//' |
+        grep -HnE --label="$f" '\b(compile_file|link_objects)\(|ObjectLinker|UnitObject::encode'
+done || true)
+[ -z "$tool_build" ] || { echo "cla-tool builds a program its own way: $tool_build"; exit 1; }
 
 echo "==> generators read no environment (a generated tree is its profile, scale and seed)"
 # The Table 2 programs clabench pins come from crates/workload; a variable

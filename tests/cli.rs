@@ -704,3 +704,85 @@ fn errors_exit_nonzero() {
     let out = tool().args(["solve"]).output().unwrap();
     assert!(!out.status.success());
 }
+
+/// `examples/c/*.c`, sorted, and `examples/c` for `-I`.
+fn example_sources() -> (Vec<String>, String) {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/c");
+    let mut sources: Vec<String> = (std::fs::read_dir(&dir).unwrap())
+        .map(|e| e.unwrap().path().to_string_lossy().into_owned())
+        .filter(|p| p.ends_with(".c"))
+        .collect();
+    sources.sort();
+    (sources, dir.to_string_lossy().into_owned())
+}
+
+/// `compile` links through the pipeline's one build: the object it writes
+/// names its program `a.out` whatever the `-o` path, and it is the program
+/// `analyze --snapshot` stores from the same sources, byte for byte. This
+/// fails where `compile` linked by hand under the `-o` path's name: its two
+/// outputs then differ from each other (at byte 9) and from the stored
+/// program.
+#[test]
+fn compile_writes_the_program_analyze_links() {
+    let dir = tmpdir("one-object");
+    let (sources, inc) = example_sources();
+    std::fs::create_dir_all(dir.join("elsewhere")).unwrap();
+    let outs = [dir.join("a.clao"), dir.join("elsewhere/prog.clao")];
+    for out in &outs {
+        run(tool()
+            .arg("compile")
+            .args(&sources)
+            .args(["-I", &inc, "-o"])
+            .arg(out));
+    }
+    let store = dir.join("store");
+    run(tool()
+        .arg("analyze")
+        .args(&sources)
+        .args(["-I", &inc, "--snapshot"])
+        .arg(&store));
+    let stored: Vec<PathBuf> = (std::fs::read_dir(&store).unwrap())
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "clao"))
+        .collect();
+    let [program] = stored.as_slice() else {
+        panic!("expected one stored program: {stored:?}");
+    };
+    let want = std::fs::read(program).unwrap();
+    for out in &outs {
+        assert!(
+            std::fs::read(out).unwrap() == want,
+            "{} differs from the stored {}",
+            out.display(),
+            program.display()
+        );
+    }
+    let dumped = run(tool().arg("dump").arg(&outs[1]));
+    assert!(String::from_utf8_lossy(&dumped.stdout).starts_with("object file for a.out"));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A reader that hangs up is not a crash: `analyze` with a `--print` far
+/// larger than a pipe's buffer, read for one line and closed, ends quietly
+/// with exit 0. (`println!` panicked there, and the process exited 101.)
+#[test]
+fn a_closed_stdout_ends_the_command_quietly() {
+    let (sources, inc) = example_sources();
+    let mut child = tool()
+        .arg("analyze")
+        .args(&sources)
+        .args(["-I", &inc, "--print"])
+        .args(std::iter::repeat_n("latest", 10_000))
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut first = String::new();
+    // The reader is dropped, and the pipe closed, after its first line.
+    (BufReader::new(child.stdout.take().unwrap()).read_line(&mut first)).unwrap();
+    let out = child.wait_with_output().unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(first.starts_with("files="), "first line: {first}");
+    assert!(out.status.success(), "exit {}: {err}", out.status);
+    assert!(!err.contains("panicked"), "{err}");
+}
