@@ -16,6 +16,7 @@
 //! via the same [`SplitMix64`] generator the database harness uses, so a
 //! failing iteration number reproduces exactly.
 
+use crate::pipeline::panic_message;
 use cla_cfront::{FrontendLimits, MemoryFs, PpOptions};
 use cla_cladb::fault::{with_quiet_panics, SplitMix64};
 use cla_ir::{compile_file, LowerOptions};
@@ -206,14 +207,9 @@ pub fn run_front_fuzz(
                         report.budget_rejected += 1;
                     }
                 }
-                Err(payload) => {
-                    let msg = payload
-                        .downcast_ref::<&str>()
-                        .map(|s| (*s).to_string())
-                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "non-string panic payload".to_string());
-                    report.panics.push((it, name.clone(), msg));
-                }
+                Err(payload) => report
+                    .panics
+                    .push((it, name.clone(), panic_message(payload))),
             }
         }
     });

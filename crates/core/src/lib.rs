@@ -31,7 +31,6 @@
 //! # }
 //! ```
 
-mod closure;
 pub mod deductive;
 mod fixpoint;
 pub mod frontfuzz;

@@ -68,13 +68,9 @@ pub(crate) enum ReloadInputs {
     Object { path: PathBuf, hash: u64 },
 }
 
-/// The tag of a source session's provenance: the name its build links
-/// the program under.
-const PROGRAM: &str = "a.out";
-
 /// Links the program `fs` holds now through a session's `build` (`None`
 /// when it is the one linked last), keyed by [`object_provenance`] of the
-/// bytes it linked.
+/// bytes it linked, tagged with the name the program was linked under.
 pub(crate) fn link(
     build: &mut Build,
     fs: &dyn FileProvider,
@@ -86,9 +82,13 @@ pub(crate) fn link(
         PipelineError::Frontend(e) => SessionError::Compile(e),
         PipelineError::Db(e) => SessionError::Db(e),
     })?;
-    Ok(built.map(|built| Built {
-        provenance: object_provenance(PROGRAM, built.database.content_hash(), solve),
-        ..built
+    Ok(built.map(|built| {
+        let db = &built.database;
+        let provenance = object_provenance(db.unit_name(), db.content_hash(), solve);
+        Built {
+            provenance,
+            ..built
+        }
     }))
 }
 

@@ -5,33 +5,74 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# The grep guards read their files through read_rs, in this shell: a path
+# that names nothing ends the script, so no guard passes because what it
+# reads has moved or gone.
+rs=$(mktemp)
+trap 'rm -f "$rs" "$rs.files"' EXIT
+# read_rs [--tests] PATH...: every file named, and every file under a
+# directory named (subdirectories too), into $rs as `file:line:text`, each
+# cut at its first `#[cfg(test)]` unless --tests. A missing file, a glob
+# that matched nothing or an empty directory ends the script.
+read_rs() {
+    cut='/#\[cfg(test)\]/,$d'
+    if [ "${1:-}" = --tests ]; then cut=''; shift; fi
+    [ "$#" -gt 0 ] || { echo "verify: read_rs was given no path"; exit 1; }
+    : > "$rs"
+    for p in "$@"; do
+        [ -e "$p" ] || { echo "verify: a guard reads $p, which names no file"; exit 1; }
+        find "$p" -type f | LC_ALL=C sort > "$rs.files"
+        [ -s "$rs.files" ] || { echo "verify: a guard reads $p, which holds no file"; exit 1; }
+        while read -r f; do
+            sed "$cut" "$f" | awk -v f="$f" '{ print f ":" NR ":" $0 }' >> "$rs"
+        done < "$rs.files"
+    done
+}
+# code: the lines of $rs that are not `//` comment lines.
+code() { grep -vE '^[^:]*:[0-9]+:[[:space:]]*//' "$rs" || true; }
+# matching ERE: the lines of stdin whose text (past `file:line:`) matches.
+matching() { grep -E "^[^:]*:[0-9]+:.*($1)" || true; }
+# calls ERE [EXCEPT]: `file:line:fn` for each line of $rs outside a `//`
+# comment line whose text matches ERE (and not EXCEPT), fn being the last
+# `fn` opened above it in its file. awk reads the patterns as they are.
+calls() {
+    RE=$1 EX=${2:-} awk '
+        { f = $0; sub(/:.*/, "", f); t = substr($0, length(f) + 2)
+          n = t; sub(/:.*/, "", n); t = substr(t, length(n) + 2) }
+        f != file { file = f; fn = "" }
+        t ~ /^ *\/\// { next }
+        t ~ /fn [a-z_0-9]+/ { match(t, /fn [a-z_0-9]+/); fn = substr(t, RSTART + 3, RLENGTH - 3) }
+        t ~ ENVIRON["RE"] && !(ENVIRON["EX"] != "" && t ~ ENVIRON["EX"]) { print f ":" n ":" fn }' "$rs"
+}
+
 echo "==> one build path (crates/serve spawns no compile workers and guards no compile)"
 # core::pipeline owns the only compile pool and the only catch_unwind around
 # a compile; what serve may keep is server.rs's per-connection guard.
-second_pool=$(for f in crates/serve/src/*.rs; do
-    sed '/#\[cfg(test)\]/,$d' "$f" | grep -HnE --label="$f" 'thread::scope|catch_unwind\('
-done | grep -v '^crates/serve/src/server.rs:.*catch_unwind(AssertUnwindSafe(|| dispatch(' || true)
+read_rs crates/serve/src
+second_pool=$(matching 'thread::scope|catch_unwind\(' < "$rs" \
+    | grep -v '^crates/serve/src/server.rs:.*catch_unwind(AssertUnwindSafe(|| dispatch(' || true)
 [ -z "$second_pool" ] || { echo "a second pool or guard grew back: $second_pool"; exit 1; }
 
 echo "==> one container, one accept loop (cladb::container owns the file layout, serve::server owns accept)"
 # .clao and .clasnap are parsed, verified and assembled by cladb/src/container.rs:
 # no second cursor, and no table arithmetic outside it (fault.rs may rewrite
 # tables through its codec; lib.rs re-exports the constant).
-cursors=$(grep -rn 'struct Cur\b' crates/*/src | grep -v '^crates/cladb/src/container.rs:' || true)
+read_rs --tests crates/*/src
+cursors=$(matching 'struct Cur\b' < "$rs" | grep -v '^crates/cladb/src/container.rs:' || true)
 [ -z "$cursors" ] || { echo "a second read cursor grew back: $cursors"; exit 1; }
-geometry=$(grep -rln 'SECTION_ENTRY_SIZE' crates/*/src src \
+# The Unix server and the TCP hub run on serve::server's one Listener.
+acceptors=$(matching '\.accept\(\)|\.incoming\(\)' < "$rs" | cut -d: -f1 | sort -u)
+[ "$acceptors" = "crates/serve/src/server.rs" ] || { echo "accept loops in: $acceptors"; exit 1; }
+read_rs --tests crates/*/src src
+geometry=$(matching 'SECTION_ENTRY_SIZE' < "$rs" | cut -d: -f1 | sort -u \
     | grep -vE '^crates/cladb/src/(container|fault|lib)\.rs$' || true)
 [ -z "$geometry" ] || { echo "section-table arithmetic outside the container: $geometry"; exit 1; }
-# The Unix server and the TCP hub run on serve::server's one Listener.
-acceptors=$(grep -rlE '\.accept\(\)|\.incoming\(\)' crates/*/src || true)
-[ "$acceptors" = "crates/serve/src/server.rs" ] || { echo "accept loops in: $acceptors"; exit 1; }
 
 echo "==> one dependence walk (FlowIndex::build makes the one pass over the blocks; a damaged one is an error, not a panic)"
 # The per-query overlay decoded every block per query and unwrapped each one.
 # What may read a block under crates/depend and crates/serve is build's loop.
-block_reads=$(for f in crates/depend/src/*.rs crates/serve/src/*.rs; do
-    sed '/#\[cfg(test)\]/,$d' "$f" | grep -HnE --label="$f" 'expect\("valid database"\)|\.block\('
-done || true)
+read_rs crates/depend/src crates/serve/src
+block_reads=$(matching 'expect\("valid database"\)|\.block\(' < "$rs")
 [ "$(echo "$block_reads" | sed 's/:[0-9]*: */:/')" = 'crates/depend/src/lib.rs:for a in db.block(src)? {' ] \
     || { echo "block reads outside FlowIndex::build, or unwrapped: $block_reads"; exit 1; }
 
@@ -40,52 +81,46 @@ echo "==> one linker, adapters only (builds fold encoded unit objects; link and 
 # go through cladb's ObjectLinker, and `cla-tool compile` through the
 # pipeline's Build. `Linker::add_unit`, `link` and `Database::to_unit` stay
 # for tests, crates/bench and clabench.
-unit_links=$(for f in crates/core/src/pipeline.rs crates/serve/src/*.rs crates/hub/src/*.rs; do
-    sed '/#\[cfg(test)\]/,$d' "$f" | grep -HnE --label="$f" '\.to_unit\(\)|add_unit\('
-done || true)
+read_rs crates/core/src/pipeline crates/serve/src crates/hub/src
+unit_links=$(matching '\.to_unit\(\)|add_unit\(' < "$rs")
 [ -z "$unit_links" ] || { echo "a build route links decoded units: $unit_links"; exit 1; }
-tool_links=$(grep -HnE '(^|[^.])\blink\(&|add_unit\(' src/bin/cla-tool/*.rs || true)
-sed -n '/^pub fn compile(/,/^}/p' src/bin/cla-tool/build.rs | grep -q 'link_sources(' \
-    && sed -n '/^pub fn link_sources(/,/^}/p' src/bin/cla-tool/build.rs | grep -q 'Build::new(' \
+read_rs --tests src/bin/cla-tool
+tool_links=$(matching '(^|[^.])\blink\(&|add_unit\(' < "$rs")
+read_rs src/bin/cla-tool/build.rs
+sed -n '/^[^:]*:[0-9]*:pub fn compile(/,/^[^:]*:[0-9]*:}/p' "$rs" | grep -q 'link_sources(' \
+    && sed -n '/^[^:]*:[0-9]*:pub fn link_sources(/,/^[^:]*:[0-9]*:}/p' "$rs" | grep -q 'Build::new(' \
     && [ -z "$tool_links" ] \
     || { echo "cla-tool compile must link through pipeline::Build: $tool_links"; exit 1; }
 # ObjectLinker is the one fold that merges symbols: linker.rs keeps no table
 # of its own and builds no program object by object.
-adapter=$(sed '/#\[cfg(test)\]/,$d' crates/cladb/src/linker.rs)
-second_fold=$(echo "$adapter" | grep -nE 'HashMap|push_object|push_assign' || true)
+read_rs crates/cladb/src/linker.rs
+second_fold=$(matching 'HashMap|push_object|push_assign' < "$rs")
 [ -z "$second_fold" ] || { echo "a second symbol fold grew back in linker.rs: $second_fold"; exit 1; }
-echo "$adapter" | grep -q 'pub struct Linker(ObjectLinker);' \
-    || { echo "Linker must wrap ObjectLinker"; exit 1; }
+grep -q 'pub struct Linker(ObjectLinker);' "$rs" || { echo "Linker must wrap ObjectLinker"; exit 1; }
 
 echo "==> one session recipe (servers build sessions with Session::open from a SessionSpec; the hub answers the request it parsed)"
 # Session::open is the one place that decides sources vs. object and strict
 # vs. lenient. `from_files_jobs` and `from_database` stay for callers that
 # hold a borrowed provider or an in-memory database, never for a server.
-recipes=$(for f in crates/hub/src/*.rs src/bin/cla-tool/*.rs crates/serve/src/server.rs; do
-    sed '/#\[cfg(test)\]/,$d' "$f" | grep -HnE --label="$f" 'Session::from_'
-done || true)
+read_rs crates/hub/src src/bin/cla-tool crates/serve/src/server.rs
+recipes=$(matching 'Session::from_' < "$rs")
 [ -z "$recipes" ] || { echo "a session built around Session::open: $recipes"; exit 1; }
-reparse=$(for f in crates/hub/src/*.rs; do
-    sed '/#\[cfg(test)\]/,$d' "$f" | grep -HnE --label="$f" 'handle_request\('
-done || true)
+reparse=$(matching 'handle_request\(' < "$rs" | grep '^crates/hub/src/' || true)
 [ -z "$reparse" ] || { echo "the hub parses a request line twice: $reparse"; exit 1; }
 
 echo "==> one body reader, one record codec (Database opens through the UnitView the linker folds; cladb/src/record.rs alone spells the records out)"
 # `UnitView::layout` cuts the nine section bodies and `check_eager` /
 # `Records::check_block` judge them; the solver's reader and the linker read
 # through that view and decode no section themselves.
-body_reads=$(for f in crates/cladb/src/reader.rs crates/cladb/src/objlink.rs; do
-    sed '/#\[cfg(test)\]/,$d' "$f" | grep -HnE --label="$f" 'get_u32_le|get_u8|get_u64_le|get_str'
-done || true)
+read_rs crates/cladb/src/reader.rs crates/cladb/src/objlink.rs
+body_reads=$(matching 'get_u32_le|get_u8|get_u64_le|get_str' < "$rs")
 [ -z "$body_reads" ] || { echo "a second section decoder grew back: $body_reads"; exit 1; }
 # Record sizes (19, 20, 26, 13 + 4n) and field offsets live in record.rs; the
 # rest of the crate names records, never byte counts. container.rs owns the
 # file header's own geometry, fault.rs bounds its report lists.
-record_layout=$(for f in crates/cladb/src/*.rs; do
-    case "$f" in */record.rs|*/container.rs|*/fault.rs) continue ;; esac
-    sed '/#\[cfg(test)\]/,$d' "$f" | grep -vE '^\s*//' \
-        | grep -HnE --label="$f" '\b(19|20|26)\b|13 \+|const [A-Z_]*SIZE: usize'
-done || true)
+read_rs crates/cladb/src
+record_layout=$(code | grep -vE '^crates/cladb/src/(record|container|fault)\.rs:' \
+    | matching '\b(19|20|26)\b|13 \+|const [A-Z_]*SIZE: usize')
 [ -z "$record_layout" ] || { echo "record layout outside cladb/src/record.rs: $record_layout"; exit 1; }
 
 echo "==> metadata read in place (core, serve, hub, depend and snap never decode a Database's object table whole)"
@@ -93,10 +128,8 @@ echo "==> metadata read in place (core, serve, hub, depend and snap never decode
 # and `targets` read one object or one name where it sits. `objects()` /
 # `object()` decode every object into an owned ObjectInfo on first use; they
 # stay for cladb::dump, `cla-tool dump`, tests and benches.
-decoded=$(for f in crates/core/src/*.rs crates/serve/src/*.rs crates/hub/src/*.rs \
-    crates/depend/src/*.rs crates/snap/src/*.rs; do
-    sed '/#\[cfg(test)\]/,$d' "$f" | grep -HnE --label="$f" '\b(db|database)\.objects?\('
-done || true)
+read_rs crates/core/src crates/serve/src crates/hub/src crates/depend/src crates/snap/src
+decoded=$(matching '\b(db|database)\.objects?\(' < "$rs")
 [ -z "$decoded" ] || { echo "object metadata decoded whole: $decoded"; exit 1; }
 
 echo "==> one integrity hash (every checksum and content key is xxh64; fnv64 is the tests' pin hash)"
@@ -104,17 +137,16 @@ echo "==> one integrity hash (every checksum and content key is xxh64; fnv64 is 
 # the closure keys and the fingerprints run on cladb's xxh64. `fnv64` stays
 # exported, with its FNV-1a values, for the tests and benchmarks that pin
 # bytes with it.
-fnv_calls=$(for f in $(find crates/*/src -name '*.rs' | grep -v '^crates/bench/'); do
-    sed '/#\[cfg(test)\]/,$d' "$f" | grep -vE '^\s*//' | grep -v 'pub fn fnv64(' \
-        | grep -HnE --label="$f" '\bfnv64\('
-done || true)
+read_rs crates/*/src
+fnv_calls=$(code | grep -v '^crates/bench/' | grep -v 'pub fn fnv64(' | matching '\bfnv64\(')
 [ -z "$fnv_calls" ] || { echo "production code hashes with fnv64: $fnv_calls"; exit 1; }
 
 echo "==> one producer per measurement (each BENCH_*.json file is written by one example: million_bench, hub_bench or snapshot_bench)"
 # A number with two producers drifts into two numbers. The paper-table and
 # micro targets in crates/bench print their rows and write no file; a second
 # harness that names a BENCH_*.json output is a second producer of it.
-producers=$(grep -rlE 'BENCH_[A-Za-z_]*\.json' examples crates/bench | LC_ALL=C sort | tr '\n' ' ')
+read_rs --tests examples crates/bench
+producers=$(matching 'BENCH_[A-Za-z_]*\.json' < "$rs" | cut -d: -f1 | LC_ALL=C sort -u | tr '\n' ' ')
 [ "$producers" = "examples/hub_bench.rs examples/million_bench.rs examples/snapshot_bench.rs " ] \
     || { echo "BENCH_*.json outputs named by: $producers"; exit 1; }
 
@@ -122,14 +154,13 @@ echo "==> a snapshot is the graph (.clasnap holds prov, reps, sets and stats; en
 # Every loader holds the linked Database, which has the names: a snapshot
 # carries no string table, and the names-taking entry points survive only
 # as writer.rs's adapters over snap::{encode, save}.
-tables=$(grep -rln 'StringTable' crates/snap/src || true)
+read_rs --tests crates/snap/src
+tables=$(matching 'StringTable' < "$rs")
 [ -z "$tables" ] || { echo "a string table grew back in the snapshot: $tables"; exit 1; }
-grep -q 'pub const ALL: \[SnapSectionId; 4\]' crates/snap/src/format.rs \
+grep -q '^crates/snap/src/format.rs:[0-9]*:.*pub const ALL: \[SnapSectionId; 4\]' "$rs" \
     || { echo "SnapSectionId::ALL must list prov, reps, sets and stats"; exit 1; }
-named_saves=$(for f in $(find crates/*/src src examples -name '*.rs' | grep -v '^crates/snap/src/writer.rs$'); do
-    sed '/#\[cfg(test)\]/,$d' "$f" | grep -vE '^\s*//' \
-        | grep -HnE --label="$f" '\b(encode|save)_snapshot\('
-done || true)
+read_rs crates/*/src src examples
+named_saves=$(code | grep -v '^crates/snap/src/writer.rs:' | matching '\b(encode|save)_snapshot\(')
 [ -z "$named_saves" ] || { echo "a caller passes names to a snapshot: $named_saves"; exit 1; }
 
 echo "==> load or link (analyze_with answers from an admitted stored program or folds every unit; no second stored route)"
@@ -137,28 +168,27 @@ echo "==> load or link (analyze_with answers from an admitted stored program or 
 # that admits it reads no unit object whatever the cache holds; every other
 # run folds. The pass that built units without folding them, its keyed
 # compile and the touch bookkeeping it needed stay gone.
-pipeline=$(sed '/#\[cfg(test)\]/,$d' crates/core/src/pipeline.rs | grep -vE '^\s*//')
-unit_passes=$(echo "$pipeline" | grep -E '\bcompile_one_keyed\(' | grep -vc 'fn compile_one_keyed(' || true)
+read_rs crates/core/src/pipeline
+unit_passes=$(code | matching '\bcompile_one_keyed\(' | grep -vc 'fn compile_one_keyed(' || true)
 [ "$unit_passes" = 1 ] || { echo "core::pipeline calls compile_one_keyed( $unit_passes times"; exit 1; }
-keyed=$(echo "$pipeline" | grep -nE '\bfn compile_keyed\b' || true)
+keyed=$(code | matching '\bfn compile_keyed\b')
 [ -z "$keyed" ] || { echo "a second keyed compile grew back: $keyed"; exit 1; }
-touched=$(sed '/#\[cfg(test)\]/,$d' crates/snap/src/cache.rs | grep -n 'HashSet' || true)
+read_rs crates/snap/src/cache.rs
+touched=$(matching 'HashSet' < "$rs")
 [ -z "$touched" ] || { echo "the disk cache keeps a touched set again: $touched"; exit 1; }
-answers=$(grep -rnE 'fn touch\(' crates/*/src src tests | grep -- '->' || true)
+read_rs --tests crates/*/src src tests
+answers=$(matching 'fn touch\(' < "$rs" | grep -- '->' || true)
 [ -z "$answers" ] || { echo "a touch answers something: $answers"; exit 1; }
 
 echo "==> one sweep (the frozen graph's sweep reads the relation out; getLvals runs in the pass loop only)"
 # At fixpoint Warm freezes the graph and materialises every set level by
 # level over the condensation, for every SolveOptions. The mutating
 # getLvals is the fixpoint's: no second sweep calls it object by object.
-calls=$(for f in crates/core/src/*.rs; do
-    sed '/#\[cfg(test)\]/,$d' "$f" | awk -v f="$f" '
-        /^ *\/\// { next }
-        /fn [a-z_0-9]+/ { match($0, /fn [a-z_0-9]+/); fn = substr($0, RSTART + 3, RLENGTH - 3) }
-        /get_lvals\(/ && !/fn get_lvals\(/ { print f ":" NR ":" fn }'
-done | grep -v ':pass$' || true)
-[ -z "$calls" ] || { echo "get_lvals called outside the pass loop: $calls"; exit 1; }
-second=$(grep -rn 'lval_sets' crates src tests examples || true)
+read_rs crates/core/src
+outside=$(calls 'get_lvals[(]' 'fn get_lvals[(]' | grep -v ':pass$' || true)
+[ -z "$outside" ] || { echo "get_lvals called outside the pass loop: $outside"; exit 1; }
+read_rs --tests crates src tests examples
+second=$(matching 'lval_sets' < "$rs")
 [ -z "$second" ] || { echo "a second sweep grew back: $second"; exit 1; }
 
 echo "==> one join (the passes and the sweep build every lval set with LvalStore::join and enter it with store::enter)"
@@ -167,22 +197,14 @@ echo "==> one join (the passes and the sweep build every lval set with LvalStore
 # tests, union_sorted is called by join alone, no other file keys a set
 # store or spells a hash-map Entry, and neither the fixpoint nor the sweep
 # builds a set by sort + dedup.
-calls=$(for f in crates/core/src/*.rs; do
-    sed '/#\[cfg(test)\]/,$d' "$f" | awk -v f="$f" '
-        /^ *\/\// { next }
-        /fn [a-z_0-9]+/ { match($0, /fn [a-z_0-9]+/); fn = substr($0, RSTART + 3, RLENGTH - 3) }
-        /union_sorted\(/ { print f ":" NR ":" fn }'
-done)
-[ "$(echo "$calls" | grep -c .)" = 1 ] && echo "$calls" | grep -q '/store\.rs:[0-9]*:join$' ||
-    { echo "union_sorted must have one caller, LvalStore::join: $calls"; exit 1; }
-stores=$(for f in crates/core/src/*.rs; do
-    [ "$f" = crates/core/src/store.rs ] && continue
-    sed '/#\[cfg(test)\]/,$d' "$f" | grep -HnE --label="$f" 'HashMap<u64|Entry::|fn intern'
-done || true)
+read_rs crates/core/src
+joins=$(calls 'union_sorted[(]')
+[ "$(echo "$joins" | grep -c .)" = 1 ] && echo "$joins" | grep -q '^crates/core/src/store\.rs:[0-9]*:join$' ||
+    { echo "union_sorted must have one caller, LvalStore::join: $joins"; exit 1; }
+stores=$(grep -v '^crates/core/src/store.rs:' "$rs" | matching 'HashMap<u64|Entry::|fn intern')
 [ -z "$stores" ] || { echo "a second way to enter a set: $stores"; exit 1; }
-built=$(for f in crates/core/src/fixpoint.rs crates/core/src/sweep.rs; do
-    sed '/#\[cfg(test)\]/,$d' "$f" | grep -HnE --label="$f" '\.dedup\(\)'
-done || true)
+read_rs crates/core/src/fixpoint.rs crates/core/src/sweep.rs
+built=$(matching '\.dedup\(\)' < "$rs")
 [ -z "$built" ] || { echo "an lval set built by sort + dedup: $built"; exit 1; }
 
 echo "==> one sealer (a session saves its snapshot from its sealer thread alone, and seals an epoch's Warm only through the epoch's sealed())"
@@ -191,18 +213,11 @@ echo "==> one sealer (a session saves its snapshot from its sealer thread alone,
 # epoch order; a query that needs the sealed graph asks the epoch's
 # OnceLock. Outside tests, no other serve code saves a snapshot or seals a
 # Warm.
-serve_calls() {
-    for f in crates/serve/src/*.rs; do
-        sed '/#\[cfg(test)\]/,$d' "$f" | awk -v f="$f" -v re="$1" '
-            /^ *\/\// { next }
-            /fn [a-z_0-9]+/ { match($0, /fn [a-z_0-9]+/); fn = substr($0, RSTART + 3, RLENGTH - 3) }
-            $0 ~ re { print f ":" NR ":" fn }'
-    done
-}
-saves=$(serve_calls '[.]save[(]|(save|encode)_snapshot[(]|snap::save[(]')
+read_rs crates/serve/src
+saves=$(calls '[.]save[(]|(save|encode)_snapshot[(]|snap::save[(]')
 [ "$(echo "$saves" | grep -c .)" = 1 ] && echo "$saves" | grep -q '/epoch\.rs:[0-9]*:seal_newest$' ||
     { echo "a snapshot is saved at one call site, in the sealer: $saves"; exit 1; }
-seals=$(serve_calls '[.]seal[(][)]|[.]to_sealed[(]')
+seals=$(calls '[.]seal[(][)]|[.]to_sealed[(]')
 [ "$(echo "$seals" | grep -c .)" = 1 ] && echo "$seals" | grep -q '/epoch\.rs:[0-9]*:sealed$' ||
     { echo "an epoch's Warm is sealed through its sealed() alone: $seals"; exit 1; }
 
@@ -212,14 +227,12 @@ echo "==> one load path (a session's graph comes from core::pipeline::load_or_fi
 # calls it at one site, Loaded::new, and outside tests neither solves a
 # database (Warm::from_database) nor asks a snapshot hook (`.load(` with an
 # argument that is not an atomic ordering) itself.
-loads=$(serve_calls 'load_or_fixpoint[(]')
+read_rs crates/serve/src
+loads=$(calls 'load_or_fixpoint[(]')
 [ "$(echo "$loads" | grep -c .)" = 1 ] && echo "$loads" | grep -q '/epoch\.rs:[0-9]*:new$' ||
     { echo "a session loads its graph at one call site, Loaded::new: $loads"; exit 1; }
-second=$(for f in crates/serve/src/*.rs; do
-    sed '/#\[cfg(test)\]/,$d' "$f" |
-        sed -E 's/[.]load[(](Relaxed|SeqCst|Acquire|Ordering::[A-Za-z]+)[)]//g' |
-        grep -HnE --label="$f" 'Warm::from_database|[.:]load[(]' | grep -vE ':[0-9]+: *//'
-done || true)
+second=$(code | sed -E 's/[.]load[(](Relaxed|SeqCst|Acquire|Ordering::[A-Za-z]+)[)]//g' \
+    | matching 'Warm::from_database|[.:]load[(]')
 [ -z "$second" ] || { echo "a second load path grew back: $second"; exit 1; }
 
 echo "==> one build route (a source session and cla-tool key, compile and link through core::pipeline::Build, as a batch run does)"
@@ -227,26 +240,18 @@ echo "==> one build route (a source session and cla-tool key, compile and link t
 # no compile pool, no per-file compile, no staleness probe and no link of
 # its own, and neither does cla-tool (`compile` and `db-fuzz` take a batch
 # Build's program).
-own_build=$(for f in crates/serve/src/*.rs; do
-    sed '/#\[cfg(test)\]/,$d' "$f" | grep -vE '^\s*//' |
-        grep -HnE --label="$f" '\b(compile_all|compile_one_keyed|open_linked)\(|SourceProbe'
-done || true)
+read_rs crates/serve/src
+own_build=$(code | matching '\b(compile_all|compile_one_keyed|open_linked)\(|SourceProbe')
 [ -z "$own_build" ] || { echo "serve builds a program its own way: $own_build"; exit 1; }
-# An empty list would pass unread.
-set -- src/bin/cla-tool/*.rs
-[ -f "$1" ] || { echo "no cla-tool sources under src/bin/cla-tool/"; exit 1; }
-tool_build=$(for f in "$@"; do
-    sed '/#\[cfg(test)\]/,$d' "$f" | grep -vE '^\s*//' |
-        grep -HnE --label="$f" '\b(compile_file|link_objects)\(|ObjectLinker|UnitObject::encode'
-done || true)
+read_rs src/bin/cla-tool
+tool_build=$(code | matching '\b(compile_file|link_objects)\(|ObjectLinker|UnitObject::encode')
 [ -z "$tool_build" ] || { echo "cla-tool builds a program its own way: $tool_build"; exit 1; }
 
 echo "==> generators read no environment (a generated tree is its profile, scale and seed)"
 # The Table 2 programs clabench pins come from crates/workload; a variable
 # left set in a shell must not change them, nor a genc tree.
-envs=$(for f in crates/workload/src/*.rs crates/genc/src/*.rs; do
-    sed '/#\[cfg(test)\]/,$d' "$f" | grep -HnE --label="$f" 'env::var'
-done || true)
+read_rs crates/workload/src crates/genc/src
+envs=$(matching 'env::var' < "$rs")
 [ -z "$envs" ] || { echo "a generator reads the environment: $envs"; exit 1; }
 
 echo "==> cargo fmt --check"

@@ -12,7 +12,9 @@
 
 use cla::cladb::fault::checksums_zeroed;
 use cla::cladb::fnv64;
-use cla::core::pipeline::Provenance;
+use cla::core::pipeline::{
+    closure_hash, manifest_key, options_fingerprint, program_key, Build, CompileCache, Provenance,
+};
 use cla::prelude::*;
 use std::path::Path;
 
@@ -90,5 +92,93 @@ fn object_and_snapshot_bytes_match_the_pins() {
         0x2eba_cd65_67b3_917d, // v2: 0x8672_c30c_4f20_6b4e; v1, FNV-1a: 0x2e6b_8a08_83b1_710e
         "{} snapshot bytes",
         snapshot.len()
+    );
+}
+
+/// A compile cache that holds nothing and records what it is handed: the
+/// key of each object, and each manifest's key and the `fnv64` of its bytes.
+#[derive(Default)]
+struct Recording {
+    objects: std::sync::Mutex<Vec<u64>>,
+    manifests: std::sync::Mutex<Vec<(u64, u64)>>,
+}
+
+impl CompileCache for Recording {
+    fn load(&self, _key: u64) -> Option<Vec<u8>> {
+        None
+    }
+    fn store(&self, key: u64, _bytes: &[u8]) {
+        self.objects.lock().unwrap().push(key);
+    }
+    fn store_manifest(&self, key: u64, bytes: &[u8]) {
+        self.manifests.lock().unwrap().push((key, fnv64(bytes)));
+    }
+}
+
+/// The keys the stores file things under, over `examples/c` in a
+/// `MemoryFs` with default options: the options fingerprint, each file's
+/// closure key, the program key of a batch build's provenance, and each
+/// manifest's key and bytes. A moved key strands every cache and snapshot
+/// written before it, so these may only move on purpose, like the format
+/// pins above.
+#[test]
+fn store_keys_match_the_pins() {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/c");
+    let mut fs = MemoryFs::new();
+    for name in ["main.c", "store.c", "prog.h"] {
+        fs.add(name, std::fs::read_to_string(dir.join(name)).unwrap());
+    }
+    let opts = PipelineOptions::default();
+    let fp = options_fingerprint(&opts.pp, &opts.lower);
+    assert_eq!(fp, 0x53f1_10a2_31d9_17da, "options_fingerprint");
+    let closures: Vec<(String, u64)> = ["main.c", "store.c"]
+        .map(|f| {
+            let pre = cla::cfront::preprocess_file(&fs, f, &opts.pp).unwrap();
+            (f.to_string(), closure_hash(&pre, f, fp))
+        })
+        .into();
+    assert_eq!(
+        closures,
+        [
+            ("main.c".to_string(), 0x6ad6_4076_19f4_6d6d),
+            ("store.c".to_string(), 0x6e54_b937_f96c_3a39),
+        ],
+        "closure_hash"
+    );
+
+    let cache = Recording::default();
+    let hooks = AnalyzeHooks {
+        compile_cache: Some(&cache),
+        snapshots: None,
+    };
+    let files = vec!["main.c".to_string(), "store.c".to_string()];
+    let built = Build::new(files, opts, false)
+        .link(&fs, &hooks, false)
+        .unwrap()
+        .expect("a first build links");
+    assert_eq!(built.provenance.inputs, closures);
+    assert_eq!(built.provenance.options_fp, fp);
+    assert_eq!(
+        program_key(&built.provenance),
+        0x3460_c564_0093_ebb5,
+        "program_key"
+    );
+    let objects = cache.objects.into_inner().unwrap();
+    assert_eq!(
+        objects,
+        closures.iter().map(|(_, k)| *k).collect::<Vec<_>>()
+    );
+    assert_eq!(
+        ["main.c", "store.c"].map(|f| manifest_key(f, fp)),
+        [0x3508_85a6_b7ca_ae20, 0x4265_a6f7_6739_27e7],
+        "manifest_key"
+    );
+    assert_eq!(
+        cache.manifests.into_inner().unwrap(),
+        [
+            (0x3508_85a6_b7ca_ae20, 0xf195_9c77_24fb_66cf),
+            (0x4265_a6f7_6739_27e7, 0x1a0c_c4bd_d5a1_62cb),
+        ],
+        "manifest keys and bytes"
     );
 }
